@@ -47,6 +47,68 @@ let popcount x =
 
 type engine = Epp_engine.t
 
+(* --- plane buffers ---------------------------------------------------------
+
+   A workspace's four node-major planes are its one O(n · lanes) cost: 11 MB
+   on a 5.6k-node design, 17 MB on s13207.  The sweep drivers hand a
+   workspace's planes back when the sweep ends (Block.release), and the
+   next workspace borrows them instead of allocating and zero-filling new
+   ones.  The engine never reads a plane slot it did not write in the same
+   block — a lane's site is seeded and every gate on its cone is evaluated
+   before any read — so a borrowed buffer's stale contents are never
+   observed: the property that already lets one workspace run block after
+   block on the same planes.
+
+   A borrow takes the smallest spare that is large enough.  When none is, it
+   drops the largest spare and allocates, so spares plus borrowed buffers
+   never outnumber the workspaces that were ever live at once.  New buffers
+   get 1/16 headroom, so a circuit that grows by a few gates per edit keeps
+   reusing its buffer. *)
+
+type planes = {
+  pa : float array;
+  pa_bar : float array;
+  p1 : float array;
+  p0 : float array;
+}
+
+let capacity p = Array.length p.pa
+let pool_lock = Mutex.create ()
+let spares : planes list ref = ref []
+
+let borrow_planes size =
+  let by_capacity a b = compare (capacity a) (capacity b) in
+  let reused =
+    Mutex.protect pool_lock @@ fun () ->
+    let fits, small = List.partition (fun p -> capacity p >= size) !spares in
+    match List.sort by_capacity fits with
+    | best :: rest ->
+      spares := rest @ small;
+      Some best
+    | [] ->
+      (* the new buffer replaces the largest spare *)
+      (match List.rev (List.sort by_capacity small) with
+      | _ :: rest -> spares := rest
+      | [] -> ());
+      None
+  in
+  match reused with
+  | Some p -> p
+  | None ->
+    Obs.Metrics.incr
+      (Obs.Metrics.counter (Obs.Hooks.metrics ()) "epp.batch.plane_allocations");
+    let cap = size + (size / 16) in
+    {
+      pa = Array.make cap 0.0;
+      pa_bar = Array.make cap 0.0;
+      p1 = Array.make cap 0.0;
+      p0 = Array.make cap 0.0;
+    }
+
+let return_planes p = Mutex.protect pool_lock (fun () -> spares := p :: !spares)
+let spare_planes () = Mutex.protect pool_lock (fun () -> List.length !spares)
+let drop_spare_planes () = Mutex.protect pool_lock (fun () -> spares := [])
+
 module Block = struct
   type instruments = {
     timed : bool;
@@ -98,11 +160,9 @@ module Block = struct
     seed : int array;  (* seed.(v) bit l  <=>  v is lane l's site *)
     cone_count : int array;  (* per-lane cone sizes of the current block *)
     faults : exn option array;  (* per-lane first fault of the current block *)
-    (* node-major lane-stride planes: plane.(v * stride + l) *)
-    pa : float array;
-    pa_bar : float array;
-    p1 : float array;
-    p0 : float array;
+    mutable planes : planes option;
+        (* node-major lane-stride planes, plane.(v * stride + l); borrowed
+           at creation, [None] once handed back *)
     scratch : Rules.Lanes.scratch;
     obs_i : instruments;
     tracer : Obs.Trace.t;
@@ -111,6 +171,18 @@ module Block = struct
 
   let engine b = b.engine
   let lanes b = b.stride
+
+  let planes b =
+    match b.planes with
+    | Some p -> p
+    | None -> invalid_arg "Epp_batch.Block: workspace used after release"
+
+  let release b =
+    match b.planes with
+    | Some p ->
+      b.planes <- None;
+      return_planes p
+    | None -> ()
 
   let create ?ctx:req_ctx ?(lanes = max_lanes) engine =
     (match Epp_engine.mode engine with
@@ -153,10 +225,7 @@ module Block = struct
       seed = Array.make n 0;
       cone_count = Array.make lanes 0;
       faults = Array.make lanes None;
-      pa = Array.make (n * lanes) 0.0;
-      pa_bar = Array.make (n * lanes) 0.0;
-      p1 = Array.make (n * lanes) 0.0;
-      p0 = Array.make (n * lanes) 0.0;
+      planes = Some (borrow_planes (n * lanes));
       scratch = Rules.Lanes.create ~lanes;
       obs_i = instruments ();
       tracer = Obs.Hooks.tracer ();
@@ -168,7 +237,7 @@ module Block = struct
      After the pass [mask.(v)] holds exactly the lanes whose site reaches
      [v] — the union of all per-site DFS cones, computed in O(V + E) for
      the whole block.  Per-lane cone sizes fall out of the same walk. *)
-  let build_masks b sites =
+  let build_masks b { pa; pa_bar; p1; p0 } sites =
     let n = b.n in
     Array.fill b.mask 0 n 0;
     Array.fill b.seed 0 n 0;
@@ -183,10 +252,10 @@ module Block = struct
       b.seed.(s) <- b.seed.(s) lor bit;
       (* the injected error: a certain error, even polarity *)
       let idx = (s * stride) + l in
-      b.pa.(idx) <- 1.0;
-      b.pa_bar.(idx) <- 0.0;
-      b.p1.(idx) <- 0.0;
-      b.p0.(idx) <- 0.0
+      pa.(idx) <- 1.0;
+      pa_bar.(idx) <- 0.0;
+      p1.(idx) <- 0.0;
+      p0.(idx) <- 0.0
     done;
     let order = b.order and mask = b.mask in
     let offsets = b.offsets and targets = b.targets in
@@ -224,7 +293,7 @@ module Block = struct
   (* Per-lane result assembly, mirroring the per-site kernel's [collect] +
      result construction: observation order, P = Pa + Pā at the observed
      net, P_sensitized = clamp(1 - Π(1 - P)) with the same left fold. *)
-  let collect_lane b l site =
+  let collect_lane b { pa; pa_bar; _ } l site =
     let stride = b.stride in
     let obs = b.observations in
     let bit = 1 lsl l in
@@ -233,7 +302,7 @@ module Block = struct
       let o, net = obs.(i) in
       if b.mask.(net) land bit <> 0 then begin
         let idx = (net * stride) + l in
-        let p = b.pa.(idx) +. b.pa_bar.(idx) in
+        let p = pa.(idx) +. pa_bar.(idx) in
         acc := (o, p) :: !acc
       end
     done;
@@ -271,7 +340,8 @@ module Block = struct
       let m = b.obs_i in
       let timed = m.timed in
       let t0 = if timed then Obs.Clock.wall_seconds () else 0.0 in
-      build_masks b sites;
+      let planes = planes b in
+      build_masks b planes sites;
       let t1 = if timed then Obs.Clock.wall_seconds () else 0.0 in
       let full = (1 lsl k) - 1 in
       let alive = ref full in
@@ -281,7 +351,7 @@ module Block = struct
       and mask = b.mask
       and seed = b.seed
       and stride = b.stride in
-      let pa = b.pa and pa_bar = b.pa_bar and p1 = b.p1 and p0 = b.p0 in
+      let { pa; pa_bar; p1; p0 } = planes in
       let nlevels = Array.length b.level_gates in
       let lv = ref 0 in
       while !lv < nlevels && !alive <> 0 do
@@ -321,7 +391,7 @@ module Block = struct
         Array.init k (fun l ->
             match b.faults.(l) with
             | Some e -> Error e
-            | None -> Ok (collect_lane b l sites.(l)))
+            | None -> Ok (collect_lane b planes l sites.(l)))
       in
       Obs.Metrics.incr m.blocks;
       Obs.Metrics.add m.sites k;
@@ -341,6 +411,7 @@ module Block = struct
      observation nets lane [l] reached in the last [run], NaN-propagating.
      Reads the vectors still sitting in the planes — no recomputation. *)
   let lane_vector_defect b l =
+    let { pa; pa_bar; p1; p0 } = planes b in
     let bit = 1 lsl l in
     let stride = b.stride in
     let worst = ref 0.0 in
@@ -349,9 +420,7 @@ module Block = struct
       (fun (_, net) ->
         if b.mask.(net) land bit <> 0 then begin
           let idx = (net * stride) + l in
-          let sum =
-            b.pa.(idx) +. b.pa_bar.(idx) +. b.p1.(idx) +. b.p0.(idx)
-          in
+          let sum = pa.(idx) +. pa_bar.(idx) +. p1.(idx) +. p0.(idx) in
           let d = Float.abs (sum -. 1.0) in
           if Float.is_nan d then saw_nan := true
           else if d > !worst then worst := d
@@ -375,6 +444,7 @@ let raise_first_fault results =
    that want partials use {!Supervisor.sweep}). *)
 let analyze_site_array ?lanes ?(deadline = Obs.Deadline.never) engine sites =
   let b = Block.create ?lanes engine in
+  Fun.protect ~finally:(fun () -> Block.release b) @@ fun () ->
   let total = Array.length sites in
   let w = Block.lanes b in
   let out = Array.make total None in

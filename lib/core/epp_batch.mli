@@ -20,17 +20,35 @@ val max_lanes : int
 
 (** One block workspace: the reusable planes, masks and scratch for blocks
     of up to [lanes] sites.  Single-owner mutable state — one per domain,
-    reusable across any number of blocks. *)
+    reusable across any number of blocks.
+
+    The four planes (n × lanes floats each) are borrowed from a
+    process-wide pool of buffers that released workspaces handed back, so
+    consecutive sweeps — the chunks of a supervised sweep, the edits of a
+    [serd] session — reuse one buffer instead of allocating and zero-filling
+    their own.  A buffer belongs to one live workspace at a time. *)
 module Block : sig
   type ws
 
   val create : ?ctx:Obs.Ctx.t -> ?lanes:int -> Epp_engine.t -> ws
   (** Workspace for blocks of up to [lanes] (default {!max_lanes}) sites.
-      [ctx] labels every block span run on this workspace with the request
-      id (the workspace, not {!run}, carries it — [run] stays a
-      first-class [ws -> int array -> _] value for the schedulers).
+      Its planes come from the smallest spare buffer that is large enough;
+      when there is none, a new buffer is allocated (with 1/16 headroom,
+      counted by [epp.batch.plane_allocations]) and the largest spare, too
+      small, is dropped.  [ctx] labels every block span run on this
+      workspace with the request id (the workspace, not {!run}, carries it
+      — [run] stays a first-class [ws -> int array -> _] value for the
+      schedulers).
       @raise Invalid_argument if the engine is in [Naive] mode or [lanes]
       is outside [1, max_lanes]. *)
+
+  val release : ws -> unit
+  (** Hand the workspace's planes back to the pool, for the next
+      {!create} to borrow.  The driver that created the workspace calls
+      this when its sweep ends; the workspace is unusable afterwards
+      ({!run} and {!lane_vector_defect} raise [Invalid_argument]).
+      Idempotent.  A workspace that is never released simply keeps its
+      buffer until the GC reclaims it. *)
 
   val engine : ws -> Epp_engine.t
 
@@ -44,8 +62,8 @@ module Block : sig
       rule defect, arity violation) yields [Error] with that exception —
       the exception the kernel would have raised — while the other lanes
       complete normally.  Duplicate sites are allowed.
-      @raise Invalid_argument on a bad site id or more than [lanes b]
-      sites. *)
+      @raise Invalid_argument on a bad site id, more than [lanes b] sites,
+      or a released workspace. *)
 
   val lane_vector_defect : ws -> int -> float
   (** Block twin of {!Epp_engine.Workspace.last_vector_defect}: the worst
@@ -54,13 +72,22 @@ module Block : sig
       between a [run] and the next one. *)
 end
 
+val spare_planes : unit -> int
+(** Plane buffers currently spare in the pool.  Never more than the number
+    of workspaces that were ever live at once. *)
+
+val drop_spare_planes : unit -> unit
+(** Forget every spare buffer (the GC reclaims them); later workspaces
+    allocate afresh.  Buffers held by live workspaces are unaffected. *)
+
 (** {2 Whole-sweep drivers}
 
     Sequential block-at-a-time drivers with the same signatures and
     exception behaviour as {!Epp_engine.analyze_sites} /
     {!Epp_engine.analyze_all} (the earliest failing site's exception is
     raised).  {!Epp.Parallel} schedules blocks across domains on top of
-    {!Block.run}.
+    {!Block.run}.  Each driver releases the workspace it created when it
+    returns or raises.
 
     [deadline] (default {!Obs.Deadline.never}) is polled at block
     boundaries; since these drivers return whole arrays, expiry raises

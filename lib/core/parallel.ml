@@ -87,13 +87,14 @@ let instruments () =
    exactly the finished prefix of claims and [None] for items never
    started.  With [Obs.Deadline.never] every index is handed out and every
    slot is [Some]. *)
-let run_stealing ?ctx ~domains ~deadline ~workspace ~f items =
+let run_stealing ?ctx ~domains ~deadline ~workspace ~release ~f items =
   let n = Array.length items in
   let m = instruments () in
   Obs.Metrics.incr m.batches;
   if n = 0 then [||]
   else if domains = 1 || n < 2 * domains then begin
     let ws = workspace () in
+    Fun.protect ~finally:(fun () -> release ws) @@ fun () ->
     let results = Array.make n None in
     let executed = ref 0 in
     (try
@@ -121,6 +122,7 @@ let run_stealing ?ctx ~domains ~deadline ~workspace ~f items =
       let busy = ref 0.0 in
       let executed = ref 0 in
       let ws = workspace () in
+      Fun.protect ~finally:(fun () -> release ws) @@ fun () ->
       let continue = ref true in
       while !continue do
         if Obs.Deadline.expired deadline then continue := false
@@ -162,17 +164,18 @@ let run_stealing ?ctx ~domains ~deadline ~workspace ~f items =
     | None -> results
   end
 
-let map_array ?ctx ?domains ~workspace ~f items =
+let map_array ?ctx ?domains ?(release = ignore) ~workspace ~f items =
   let domains = resolve_domains ~who:"Parallel.map_array" domains in
-  run_stealing ?ctx ~domains ~deadline:Obs.Deadline.never ~workspace ~f items
+  run_stealing ?ctx ~domains ~deadline:Obs.Deadline.never ~workspace ~release ~f
+    items
   |> Array.map (function
        | Some r -> r
        | None -> assert false (* no deadline: counter handed out every index *))
 
-let map_array_until ?ctx ?domains ?(deadline = Obs.Deadline.never) ~workspace
-    ~f items =
+let map_array_until ?ctx ?domains ?(deadline = Obs.Deadline.never)
+    ?(release = ignore) ~workspace ~f items =
   let domains = resolve_domains ~who:"Parallel.map_array_until" domains in
-  run_stealing ?ctx ~domains ~deadline ~workspace ~f items
+  run_stealing ?ctx ~domains ~deadline ~workspace ~release ~f items
 
 let analyze_sites ?domains engine sites =
   let domains = resolve_domains ~who:"Parallel.analyze_sites" domains in
@@ -235,7 +238,7 @@ let analyze_sites_batched ?domains ?lanes engine sites =
       let per_block =
         map_array ~domains
           ~workspace:(fun () -> Epp_batch.Block.create ~lanes engine)
-          ~f:Epp_batch.Block.run blocks
+          ~release:Epp_batch.Block.release ~f:Epp_batch.Block.run blocks
       in
       (* The earliest failing site's exception propagates, matching the
          sequential drivers: blocks and lanes are scanned in input order. *)

@@ -16,12 +16,16 @@ val default_domains : unit -> int
 val map_array :
   ?ctx:Obs.Ctx.t ->
   ?domains:int ->
+  ?release:('w -> unit) ->
   workspace:(unit -> 'w) ->
   f:('w -> 'a -> 'b) ->
   'a array ->
   'b array
 (** Generic work-stealing fan-out: [workspace ()] is called once per
     participating domain, [f ws item] once per item, results in input order.
+    [release ws] (default: nothing) runs once per workspace when its domain
+    stops claiming items, also when an item raised — where the batch
+    drivers hand their planes back.
     Small batches ([< 2 × domains]) run sequentially on one workspace.
     Used by {!analyze_sites} and by {!Supervisor.sweep}'s fault-isolating
     per-site wrapper.  [ctx] labels each worker's trace span with the
@@ -33,6 +37,7 @@ val map_array_until :
   ?ctx:Obs.Ctx.t ->
   ?domains:int ->
   ?deadline:Obs.Deadline.t ->
+  ?release:('w -> unit) ->
   workspace:(unit -> 'w) ->
   f:('w -> 'a -> 'b) ->
   'a array ->

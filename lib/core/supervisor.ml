@@ -309,6 +309,7 @@ let sweep ?ctx ?domains ?tolerance ?(chunk_size = 1024) ?on_chunk
                 block = Epp_batch.Block.create ?ctx engine;
                 kernel_ws = lazy (Epp_engine.Workspace.create engine);
               })
+            ~release:(fun bw -> Epp_batch.Block.release bw.block)
             ~f:(fun bw block ->
               analyze_block ?ctx ?tolerance ?kernel ?reference ?batch_run bw
                 block)

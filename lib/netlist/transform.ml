@@ -92,12 +92,53 @@ let fold_gate resolution kind fanins =
       if flip then Keep (Gate.Not, live) else Alias live.(0)
     else Keep ((if flip then Gate.Xnor else Gate.Xor), live)
 
+(* Per-call name allocator.  Every helper signal a pass mints goes through
+   one [namer]: a name is free when [taken] does not claim it and the same
+   allocator has not minted it already, so the names a single call mints
+   never collide with the circuit or with each other.  A free base is kept
+   as is (a first rewrite gets the plain documented names); otherwise the
+   first free [base ^ "2"], [base ^ "3"], ... is taken. *)
+type namer = { taken : string -> bool; minted : (string, unit) Hashtbl.t }
+
+let namer taken = { taken; minted = Hashtbl.create 8 }
+
+(* Every node of [circuit] is copied into the rewrite under its own name. *)
+let circuit_namer circuit = namer (fun s -> Circuit.find_opt circuit s <> None)
+
+let mint nm base =
+  let free s = not (nm.taken s || Hashtbl.mem nm.minted s) in
+  let name =
+    if free base then base
+    else
+      let rec go i =
+        let candidate = base ^ string_of_int i in
+        if free candidate then candidate else go (i + 1)
+      in
+      go 2
+  in
+  Hashtbl.replace nm.minted name ();
+  name
+
 (* Rebuild a circuit from a resolution table.  Nodes resolving to constants
    materialize as CONST gates only if something still references them. *)
 let rebuild circuit resolution =
   let n = Circuit.node_count circuit in
   let b = Builder.create ~name:(Circuit.name circuit) () in
-  let const_names = [| Circuit.name circuit ^ "#const0"; Circuit.name circuit ^ "#const1" |] in
+  (* Only surviving nodes keep their names in the rebuild: a folded-away
+     constant gate frees its name for the constant it folded to. *)
+  let names =
+    namer (fun s ->
+        match Circuit.find_opt circuit s with
+        | None -> false
+        | Some v -> (
+          match Circuit.node circuit v, resolution.(v) with
+          | (Circuit.Input | Circuit.Ff _), _ | Circuit.Gate _, Keep _ -> true
+          | Circuit.Gate _, (Const _ | Alias _) -> false))
+  in
+  let const_names =
+    let base = Circuit.name circuit in
+    [| mint names (base ^ "#const0"); mint names (base ^ "#const1") |]
+  in
   let const_defined = [| false; false |] in
   let name_of v = Circuit.node_name circuit v in
   let reference v =
@@ -143,7 +184,7 @@ let rebuild circuit resolution =
         let buffer_name =
           let original = name_of v in
           if (not (Builder.is_defined b original)) && original <> target then original
-          else original ^ "#po"
+          else mint (namer (Builder.is_defined b)) (original ^ "#po")
         in
         Builder.add_gate b ~output:buffer_name ~kind:Gate.Buf [ target ];
         Hashtbl.replace declared_outputs buffer_name ();
@@ -222,28 +263,18 @@ let optimize circuit =
 
 exception Not_a_gate of string
 
-let majority_gates b ~base ~a0 ~a1 ~a2 =
-  (* MAJ3(a,b,c) = (a AND b) OR (b AND c) OR (a AND c) *)
-  let p01 = base ^ "#maj01" and p12 = base ^ "#maj12" and p02 = base ^ "#maj02" in
-  Builder.add_gate b ~output:p01 ~kind:Gate.And [ a0; a1 ];
-  Builder.add_gate b ~output:p12 ~kind:Gate.And [ a1; a2 ];
-  Builder.add_gate b ~output:p02 ~kind:Gate.And [ a0; a2 ];
-  let voter = base ^ "#vote" in
-  Builder.add_gate b ~output:voter ~kind:Gate.Or [ p01; p12; p02 ];
-  voter
+(* The helper signals one triplicated gate adds: two replicas, the three
+   pairwise ANDs of the majority voter, and the voter itself. *)
+type tmr_names = {
+  r1 : string;
+  r2 : string;
+  p01 : string;
+  p12 : string;
+  p02 : string;
+  voter : string;
+}
 
 (* --- metamorphic mutations ---------------------------------------------------- *)
-
-(* A generated helper name must not collide with an existing signal (a
-   mutation may be applied to the same net twice). *)
-let fresh_name circuit base =
-  if Circuit.find_opt circuit base = None then base
-  else
-    let rec go i =
-      let candidate = Printf.sprintf "%s%d" base i in
-      if Circuit.find_opt circuit candidate = None then candidate else go (i + 1)
-    in
-    go 2
 
 let check_node circuit v ~what =
   if v < 0 || v >= Circuit.node_count circuit then invalid_arg what
@@ -285,14 +316,13 @@ let consumers_of circuit ~net =
 let insert_identity_delta ?(double_invert = false) circuit ~net =
   check_node circuit net ~what:"Transform.insert_identity: bad net";
   let base = Circuit.node_name circuit net in
-  let tap =
-    fresh_name circuit (base ^ if double_invert then "#ii2" else "#buf")
-  in
+  let names = circuit_namer circuit in
+  let tap = mint names (base ^ if double_invert then "#ii2" else "#buf") in
   let rewire v = if v = net then tap else Circuit.node_name circuit v in
   let after =
     copy_with_rewire circuit ~rewire ~extra:(fun b ->
         if double_invert then begin
-          let mid = fresh_name circuit (base ^ "#ii1") in
+          let mid = mint names (base ^ "#ii1") in
           Builder.add_gate b ~output:mid ~kind:Gate.Not [ base ];
           Builder.add_gate b ~output:tap ~kind:Gate.Not [ mid ]
         end
@@ -328,7 +358,7 @@ let split_fanout_delta circuit ~net =
   if !slots < 2 then (circuit, Delta.identity circuit)
   else begin
     let base = Circuit.node_name circuit net in
-    let tap = fresh_name circuit (base ^ "#split") in
+    let tap = mint (circuit_namer circuit) (base ^ "#split") in
     let seen = ref 0 in
     let rewire v =
       if v = net then begin
@@ -352,10 +382,11 @@ let de_morgan_delta circuit ~gate =
   match Circuit.node circuit gate with
   | Circuit.Gate { kind = (Gate.And | Gate.Or | Gate.Nand | Gate.Nor) as kind; fanins } ->
     let gname = Circuit.node_name circuit gate in
+    let names = circuit_namer circuit in
     let inverter_names =
-      Array.mapi (fun i _ -> fresh_name circuit (Printf.sprintf "%s#dm%d" gname i)) fanins
+      Array.mapi (fun i _ -> mint names (Printf.sprintf "%s#dm%d" gname i)) fanins
     in
-    let dual_name = fresh_name circuit (gname ^ "#dual") in
+    let dual_name = mint names (gname ^ "#dual") in
     let b = Builder.create ~name:(Circuit.name circuit) () in
     let name v = Circuit.node_name circuit v in
     for v = 0 to Circuit.node_count circuit - 1 do
@@ -432,27 +463,50 @@ let triplicate_delta circuit ~nodes =
       | Circuit.Input | Circuit.Ff _ ->
         raise (Not_a_gate (Circuit.node_name circuit v)))
     nodes;
+  (* Helper names are minted up front, in node order, because a consumer
+     may precede the gate it reads.  Re-triplicating a gate gets suffixed
+     names instead of redefining the first round's helpers, and so does any
+     helper whose plain name an existing signal already uses. *)
+  let names = circuit_namer circuit in
+  let helpers =
+    Array.init n (fun v ->
+        if not selected.(v) then None
+        else
+          let base = Circuit.node_name circuit v in
+          let mint suffix = mint names (base ^ suffix) in
+          let r1 = mint "#tmr1" in
+          let r2 = mint "#tmr2" in
+          let p01 = mint "#maj01" in
+          let p12 = mint "#maj12" in
+          let p02 = mint "#maj02" in
+          Some { r1; r2; p01; p12; p02; voter = mint "#vote" })
+  in
   let b = Builder.create ~name:(Circuit.name circuit) () in
   (* A consumer of a triplicated node reads its voter output. *)
   let reference v =
-    let name = Circuit.node_name circuit v in
-    if selected.(v) then name ^ "#vote" else name
+    match helpers.(v) with
+    | Some h -> h.voter
+    | None -> Circuit.node_name circuit v
   in
   for v = 0 to n - 1 do
     let name = Circuit.node_name circuit v in
     match Circuit.node circuit v with
     | Circuit.Input -> Builder.add_input b name
     | Circuit.Ff { data } -> Builder.add_dff b ~q:name ~d:(reference data)
-    | Circuit.Gate { kind; fanins } ->
+    | Circuit.Gate { kind; fanins } -> (
       let fanin_names = Array.to_list (Array.map reference fanins) in
       Builder.add_gate b ~output:name ~kind fanin_names;
-      if selected.(v) then begin
-        (* Two replicas share the (possibly voted) fanins of the original. *)
-        let r1 = name ^ "#tmr1" and r2 = name ^ "#tmr2" in
-        Builder.add_gate b ~output:r1 ~kind fanin_names;
-        Builder.add_gate b ~output:r2 ~kind fanin_names;
-        ignore (majority_gates b ~base:name ~a0:name ~a1:r1 ~a2:r2)
-      end
+      match helpers.(v) with
+      | None -> ()
+      | Some h ->
+        (* Two replicas share the (possibly voted) fanins of the original;
+           MAJ3(a,b,c) = (a AND b) OR (b AND c) OR (a AND c). *)
+        Builder.add_gate b ~output:h.r1 ~kind fanin_names;
+        Builder.add_gate b ~output:h.r2 ~kind fanin_names;
+        Builder.add_gate b ~output:h.p01 ~kind:Gate.And [ name; h.r1 ];
+        Builder.add_gate b ~output:h.p12 ~kind:Gate.And [ h.r1; h.r2 ];
+        Builder.add_gate b ~output:h.p02 ~kind:Gate.And [ name; h.r2 ];
+        Builder.add_gate b ~output:h.voter ~kind:Gate.Or [ h.p01; h.p12; h.p02 ])
   done;
   List.iter (fun v -> Builder.add_output b (reference v)) (Circuit.outputs circuit);
   let after = Builder.freeze b in

@@ -27,8 +27,11 @@ exception Not_a_gate of string
 val triplicate : Circuit.t -> nodes:int list -> Circuit.t
 (** Triple modular redundancy on the selected gates: each gets two replicas
     (named [<n>#tmr1], [<n>#tmr2]) and a 2-of-3 majority voter
-    ([<n>#vote] = OR of the three pairwise ANDs); consumers are rewired to
-    the voter.  A single SEU on any replica is masked exactly — the BDD
+    ([<n>#vote] = OR of the three pairwise ANDs [<n>#maj01], [<n>#maj12],
+    [<n>#maj02]); consumers are rewired to the voter.  A helper name the
+    circuit already uses (a gate triplicated twice) gets the first free
+    numeric suffix, e.g. [<n>#tmr12]; this holds for every helper name the
+    rewrites below mint.  A single SEU on any replica is masked exactly — the BDD
     oracle shows [P_sensitized = 0] for replicas, while the analytical EPP
     engine (independence assumption) reports a small positive residual:
     the voter's correlated side inputs are precisely what independence

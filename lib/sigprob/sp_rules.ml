@@ -11,37 +11,61 @@
 
 open Netlist
 
-let clamp p = if p < 0.0 then 0.0 else if p > 1.0 then 1.0 else p
+let[@inline] clamp p = if p < 0.0 then 0.0 else if p > 1.0 then 1.0 else p
 
 let check_probability ~what p =
   if not (p >= 0.0 && p <= 1.0) then
     invalid_arg (Printf.sprintf "Sp_rules: %s probability %g outside [0,1]" what p)
 
+(* The one copy of the rules.  The gate's inputs are read in fanin order
+   from [values.(fanins.(i))] and its clamped output is stored at
+   [values.(out)]: the engines evaluate gates in place in their per-node
+   array, with no per-gate input array and, since the result is stored
+   rather than returned, no boxed float.  The accumulators are local float
+   refs, which the native compiler keeps unboxed.  No input is checked
+   here: the engines validate pseudo-input probabilities once when they
+   read them, and every gate output is clamped. *)
+let eval_gate kind fanins values out =
+  let n = Array.length fanins in
+  let p =
+    match kind with
+    | Gate.And | Gate.Nand -> (
+      let acc = ref 1.0 in
+      for i = 0 to n - 1 do
+        acc := !acc *. values.(fanins.(i))
+      done;
+      match kind with
+      | Gate.And -> !acc
+      | _ -> 1.0 -. !acc)
+    | Gate.Or | Gate.Nor -> (
+      let acc = ref 1.0 in
+      for i = 0 to n - 1 do
+        acc := !acc *. (1.0 -. values.(fanins.(i)))
+      done;
+      match kind with
+      | Gate.Nor -> !acc
+      | _ -> 1.0 -. !acc)
+    | Gate.Xor | Gate.Xnor -> (
+      let acc = ref 0.0 in
+      for i = 0 to n - 1 do
+        let p = values.(fanins.(i)) in
+        acc := (!acc *. (1.0 -. p)) +. (p *. (1.0 -. !acc))
+      done;
+      match kind with
+      | Gate.Xor -> !acc
+      | _ -> 1.0 -. !acc)
+    | Gate.Not -> 1.0 -. values.(fanins.(0))
+    | Gate.Buf -> values.(fanins.(0))
+    | Gate.Const0 -> 0.0
+    | Gate.Const1 -> 1.0
+  in
+  values.(out) <- clamp p
+
 let gate_sp kind inputs =
   let n = Array.length inputs in
   Gate.check_arity kind n;
   Array.iter (check_probability ~what:"input") inputs;
-  let prod f =
-    let acc = ref 1.0 in
-    Array.iter (fun p -> acc := !acc *. f p) inputs;
-    !acc
-  in
-  let xor () =
-    let acc = ref 0.0 in
-    Array.iter (fun p -> acc := (!acc *. (1.0 -. p)) +. (p *. (1.0 -. !acc))) inputs;
-    !acc
-  in
-  let p =
-    match kind with
-    | Gate.And -> prod Fun.id
-    | Gate.Nand -> 1.0 -. prod Fun.id
-    | Gate.Or -> 1.0 -. prod (fun p -> 1.0 -. p)
-    | Gate.Nor -> prod (fun p -> 1.0 -. p)
-    | Gate.Xor -> xor ()
-    | Gate.Xnor -> 1.0 -. xor ()
-    | Gate.Not -> 1.0 -. inputs.(0)
-    | Gate.Buf -> inputs.(0)
-    | Gate.Const0 -> 0.0
-    | Gate.Const1 -> 1.0
-  in
-  clamp p
+  (* inputs at slots 0 .. n-1, the output at slot n *)
+  let values = Array.append inputs [| 0.0 |] in
+  eval_gate kind (Array.init n Fun.id) values n;
+  values.(n)

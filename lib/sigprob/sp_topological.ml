@@ -8,6 +8,24 @@
 
 open Netlist
 
+(* The full pass, in place: pseudo-inputs take [input_sp] (each read once
+   and checked), gates are evaluated in topological order from [values].
+   Shared with the sequential fixpoint, whose first iteration is this pass
+   with the flip-flop outputs at their start value. *)
+let fill circuit ~input_sp values =
+  (* Shared topological order from the analysis context. *)
+  Array.iter
+    (fun v ->
+      match Circuit.node circuit v with
+      | Circuit.Input | Circuit.Ff _ ->
+        let p = input_sp v in
+        Sp_rules.check_probability ~what:(Circuit.node_name circuit v) p;
+        values.(v) <- p
+      | Circuit.Gate { kind; fanins } ->
+        Gate.check_arity kind (Array.length fanins);
+        Sp_rules.eval_gate kind fanins values v)
+    (Analysis.order (Analysis.get circuit))
+
 let compute ?(spec = Sp.uniform) circuit =
   Obs.Trace.span (Obs.Hooks.tracer ()) ~cat:"sp" "sp.topological" @@ fun () ->
   let n = Circuit.node_count circuit in
@@ -15,17 +33,5 @@ let compute ?(spec = Sp.uniform) circuit =
     (Obs.Metrics.counter (Obs.Hooks.metrics ()) "sp.node_evaluations")
     n;
   let values = Array.make n 0.0 in
-  (* Shared topological order from the analysis context: the sequential
-     fixpoint calls this pass once per iteration, all on one sort. *)
-  let order = Analysis.order (Analysis.get circuit) in
-  Array.iter
-    (fun v ->
-      match Circuit.node circuit v with
-      | Circuit.Input | Circuit.Ff _ ->
-        let p = spec.Sp.input_sp v in
-        Sp_rules.check_probability ~what:(Circuit.node_name circuit v) p;
-        values.(v) <- p
-      | Circuit.Gate { kind; fanins } ->
-        values.(v) <- Sp_rules.gate_sp kind (Array.map (fun u -> values.(u)) fanins))
-    order;
+  fill circuit ~input_sp:spec.Sp.input_sp values;
   { Sp.circuit; values }

@@ -121,8 +121,27 @@ let random_small_dag ~seed =
    structures from them. *)
 let seed_arbitrary = QCheck2.Gen.int_range 1 1_000_000
 
+(* Property tests draw from a fixed seed, so every run of the suite checks
+   the same cases; [QCHECK_SEED=<int>] overrides it to explore others.  The
+   seed in use is printed once per suite, in QCheck_alcotest's own format,
+   and each test starts its own generator from it, as QCheck_alcotest
+   does. *)
+let default_qcheck_seed = 2005
+
+let qcheck_seed =
+  lazy
+    (let seed =
+       match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+       | Some s -> s
+       | None -> default_qcheck_seed
+     in
+     Printf.printf "qcheck random seed: %d\n%!" seed;
+     seed)
+
 let qtest ?(count = 100) ~name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| Lazy.force qcheck_seed |])
+    (QCheck2.Test.make ~name ~count gen prop)
 
 (* --- failure reproduction ------------------------------------------------- *)
 

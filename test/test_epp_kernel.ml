@@ -206,6 +206,91 @@ let test_batch_rejects_naive () =
     (Invalid_argument "Epp_batch.Block.create: polarity mode only") (fun () ->
       ignore (Epp.Epp_batch.Block.create engine))
 
+(* --- plane buffers ----------------------------------------------------------- *)
+
+let plane_allocations f =
+  let reg = Obs.Metrics.create () in
+  Obs.Hooks.set_metrics reg;
+  let result = Fun.protect ~finally:Obs.Hooks.reset f in
+  ( result,
+    Obs.Metrics.counter_value (Obs.Metrics.snapshot reg) "epp.batch.plane_allocations" )
+
+let blocks_of sites lanes =
+  let n = Array.length sites in
+  Array.init ((n + lanes - 1) / lanes) (fun i ->
+      Array.sub sites (i * lanes) (min lanes (n - (i * lanes))))
+
+(* Two workspaces live at once on one domain, one of them on a buffer a
+   larger circuit's sweep left dirty, run their blocks interleaved: every
+   lane is bit-identical to a separate sweep, and once both are released
+   the separate sweeps find their planes in the pool. *)
+let test_interleaved_workspaces () =
+  Epp.Epp_batch.drop_spare_planes ();
+  let engine_of c = Epp.Epp_engine.create ~sp:(sp_for c) c in
+  let big = Circuit_gen.Random_dag.generate ~seed:2 Circuit_gen.Profiles.s641 in
+  ignore
+    (Epp.Epp_batch.analyze_site_array (engine_of big)
+       (Array.init (Circuit.node_count big) Fun.id));
+  check_int "the sweep handed its planes back" 1 (Epp.Epp_batch.spare_planes ());
+  let c1 = Circuit_gen.Random_dag.generate ~seed:4 Circuit_gen.Profiles.s344 in
+  let c2 = Circuit_gen.Random_dag.generate ~seed:7 Circuit_gen.Profiles.s298 in
+  let e1 = engine_of c1 and e2 = engine_of c2 in
+  let lanes = 7 in
+  let b1 = Epp.Epp_batch.Block.create ~lanes e1 in
+  let b2 = Epp.Epp_batch.Block.create ~lanes e2 in
+  let blocks1 = blocks_of (Array.init (Circuit.node_count c1) Fun.id) lanes in
+  let blocks2 = blocks_of (Array.init (Circuit.node_count c2) Fun.id) lanes in
+  let ok r = match r with Ok r -> r | Error e -> raise e in
+  let out1 = ref [] and out2 = ref [] in
+  for i = 0 to max (Array.length blocks1) (Array.length blocks2) - 1 do
+    if i < Array.length blocks1 then
+      out1 := Array.map ok (Epp.Epp_batch.Block.run b1 blocks1.(i)) :: !out1;
+    if i < Array.length blocks2 then
+      out2 := Array.map ok (Epp.Epp_batch.Block.run b2 blocks2.(i)) :: !out2
+  done;
+  Epp.Epp_batch.Block.release b1;
+  Epp.Epp_batch.Block.release b2;
+  (* a second release is a no-op *)
+  Epp.Epp_batch.Block.release b2;
+  check_int "two spares after two live workspaces" 2 (Epp.Epp_batch.spare_planes ());
+  let (separate1, separate2), allocations =
+    plane_allocations (fun () ->
+        ( Epp.Epp_batch.analyze_site_array ~lanes e1
+            (Array.init (Circuit.node_count c1) Fun.id),
+          Epp.Epp_batch.analyze_site_array ~lanes e2
+            (Array.init (Circuit.node_count c2) Fun.id) ))
+  in
+  check_int "separate sweeps reuse the spares" 0 allocations;
+  let same interleaved separate =
+    let interleaved = Array.concat (List.rev interleaved) in
+    Array.length interleaved = Array.length separate
+    && Array.for_all2 results_match_bitwise interleaved separate
+  in
+  check_bool "workspace 1 bit-identical" true (same !out1 separate1);
+  check_bool "workspace 2 bit-identical" true (same !out2 separate2);
+  Alcotest.check_raises "released workspace rejected"
+    (Invalid_argument "Epp_batch.Block: workspace used after release") (fun () ->
+      ignore (Epp.Epp_batch.Block.run b1 blocks1.(0)))
+
+(* A buffer too small for the next workspace is dropped, not kept beside
+   the new one: the pool never holds more spares than workspaces were live
+   at once. *)
+let test_spares_bounded () =
+  Epp.Epp_batch.drop_spare_planes ();
+  let sweep c =
+    let engine = Epp.Epp_engine.create ~sp:(sp_for c) c in
+    ignore (Epp.Epp_batch.analyze_site_array engine (Array.init (Circuit.node_count c) Fun.id))
+  in
+  let (), allocations =
+    plane_allocations (fun () ->
+        List.iter
+          (fun (seed, profile) -> sweep (Circuit_gen.Random_dag.generate ~seed profile))
+          Circuit_gen.Profiles.
+            [ (1, s298); (2, s344); (3, s641); (4, s298); (5, s641) ])
+  in
+  check_int "one spare" 1 (Epp.Epp_batch.spare_planes ());
+  check_int "growing circuits reallocate, smaller ones reuse" 3 allocations
+
 (* The density heuristic must keep tiny circuits on the per-site path and
    route dense mid-size sweeps to batch. *)
 let test_density_cutover () =
@@ -284,6 +369,12 @@ let () =
             test_batch_duplicates_and_order;
           Alcotest.test_case "naive rejected" `Quick test_batch_rejects_naive;
           Alcotest.test_case "density cutover" `Quick test_density_cutover;
+        ] );
+      ( "planes",
+        [
+          Alcotest.test_case "interleaved live workspaces" `Quick
+            test_interleaved_workspaces;
+          Alcotest.test_case "spares bounded" `Quick test_spares_bounded;
         ] );
       ( "parallel",
         [

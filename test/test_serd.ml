@@ -310,6 +310,23 @@ let test_edit_op () =
     | Some n -> n >= 2.0
     | None -> false)
 
+(* Triplicating the same signal twice used to redefine the first round's
+   replicas and voter ([ga1#tmr1] "driven twice") and answer
+   invalid_netlist; the second round now gets suffixed helper names. *)
+let test_edit_tmr_twice () =
+  ignore (fresh_registry ());
+  let server = Server.create Server.default_config in
+  let fp = Option.value ~default:"?" (jstr "fingerprint" (reply server two_blocks_bench)) in
+  let r1 = reply server (edit_req ~fp ~kind:"tmr" ~target:"ga1") in
+  check_string "first tmr ok" "ok" (status r1);
+  let fp1 = Option.value ~default:"?" (jstr "fingerprint" r1) in
+  let r2 = reply server (edit_req ~fp:fp1 ~kind:"tmr" ~target:"ga1") in
+  check_string "second tmr of the same signal ok" "ok" (status r2);
+  let fp2 = Option.value ~default:"?" (jstr "fingerprint" r2) in
+  check_bool "second tmr mints a fresh fingerprint" true (fp2 <> fp1 && fp2 <> "?");
+  let r3 = reply server (edit_req ~fp:fp2 ~kind:"tmr" ~target:"ga1") in
+  check_string "third tmr of the same signal ok" "ok" (status r3)
+
 let test_edit_rejections () =
   ignore (fresh_registry ());
   let server = Server.create Server.default_config in
@@ -474,6 +491,8 @@ let () =
         [
           Alcotest.test_case "edit op round trip" `Quick test_edit_op;
           Alcotest.test_case "edit rejections" `Quick test_edit_rejections;
+          Alcotest.test_case "tmr of the same signal twice" `Quick
+            test_edit_tmr_twice;
         ] );
       ( "serve loop",
         [

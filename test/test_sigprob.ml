@@ -1,6 +1,7 @@
 (* Tests for the signal-probability engines: per-gate rules against
    enumeration, topological vs exact on trees, Monte-Carlo convergence, the
-   sequential fixpoint. *)
+   sequential fixpoint, and bit identity of the in-place, change-driven
+   engines with the straightforward seed algorithm. *)
 
 open Helpers
 open Netlist
@@ -222,6 +223,225 @@ let test_sequential_vs_simulation_s27 () =
      approximation: agreement within a few percent, not exact. *)
   check_bool (Printf.sprintf "worst gap %.4f < 0.06" !worst) true (!worst < 0.06)
 
+(* --- bit identity with the seed algorithm ------------------------------------
+
+   The engines evaluate gates in place and the sequential fixpoint only
+   re-evaluates what changed; both must reproduce, bit for bit, the
+   straightforward algorithm written out here: a fresh array per pass,
+   each gate's inputs gathered with [Array.map] into [Sp_rules.gate_sp],
+   flip-flop values kept in a table behind a spec closure. *)
+
+let bits = Int64.bits_of_float
+
+(* The rules as first written: closures over the input array, products and
+   the XOR fold through [Array.iter]. *)
+let seed_gate_sp kind inputs =
+  let prod f =
+    let acc = ref 1.0 in
+    Array.iter (fun p -> acc := !acc *. f p) inputs;
+    !acc
+  in
+  let xor () =
+    let acc = ref 0.0 in
+    Array.iter (fun p -> acc := (!acc *. (1.0 -. p)) +. (p *. (1.0 -. !acc))) inputs;
+    !acc
+  in
+  Sigprob.Sp_rules.clamp
+    (match kind with
+    | Gate.And -> prod Fun.id
+    | Gate.Nand -> 1.0 -. prod Fun.id
+    | Gate.Or -> 1.0 -. prod (fun p -> 1.0 -. p)
+    | Gate.Nor -> prod (fun p -> 1.0 -. p)
+    | Gate.Xor -> xor ()
+    | Gate.Xnor -> 1.0 -. xor ()
+    | Gate.Not -> 1.0 -. inputs.(0)
+    | Gate.Buf -> inputs.(0)
+    | Gate.Const0 -> 0.0
+    | Gate.Const1 -> 1.0)
+
+let prop_gate_sp_bitwise_seed =
+  qtest ~count:300 ~name:"gate_sp keeps the seed operation order" seed_arbitrary
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let kinds = [| Gate.And; Gate.Nand; Gate.Or; Gate.Nor; Gate.Xor; Gate.Xnor |] in
+      let draw () =
+        match Rng.int rng ~bound:8 with
+        | 0 -> 0.0
+        | 1 -> 1.0
+        | _ -> Rng.float rng
+      in
+      let probs = Array.init (1 + Rng.int rng ~bound:6) (fun _ -> draw ()) in
+      let same kind inputs =
+        bits (Sigprob.Sp_rules.gate_sp kind inputs) = bits (seed_gate_sp kind inputs)
+      in
+      Array.for_all (fun k -> same k probs) kinds
+      && same Gate.Not [| probs.(0) |]
+      && same Gate.Buf [| probs.(0) |]
+      && same Gate.Const0 [||]
+      && same Gate.Const1 [||])
+
+let reference_topological ~input_sp c =
+  let values = Array.make (Circuit.node_count c) 0.0 in
+  Array.iter
+    (fun v ->
+      match Circuit.node c v with
+      | Circuit.Input | Circuit.Ff _ ->
+        let p = input_sp v in
+        Sigprob.Sp_rules.check_probability ~what:(Circuit.node_name c v) p;
+        values.(v) <- p
+      | Circuit.Gate { kind; fanins } ->
+        values.(v) <- Sigprob.Sp_rules.gate_sp kind (Array.map (fun u -> values.(u)) fanins))
+    (Analysis.order (Analysis.get c));
+  values
+
+(* values, iterations, converged, residual *)
+let reference_sequential ?(spec = Sigprob.Sp.uniform) ?(tolerance = 1e-9)
+    ?(max_iterations = 1000) c =
+  let ffs = Circuit.ffs c in
+  let ff_sp = Hashtbl.create 16 in
+  List.iter (fun ff -> Hashtbl.replace ff_sp ff 0.5) ffs;
+  let input_sp v =
+    match Hashtbl.find_opt ff_sp v with
+    | Some p -> p
+    | None -> spec.Sigprob.Sp.input_sp v
+  in
+  let rec iterate i =
+    let values = reference_topological ~input_sp c in
+    let residual = ref 0.0 in
+    List.iter
+      (fun ff ->
+        let data =
+          match Circuit.node c ff with
+          | Circuit.Ff { data } -> data
+          | Circuit.Input | Circuit.Gate _ -> assert false
+        in
+        let fresh = values.(data) in
+        let d = Float.abs (fresh -. Hashtbl.find ff_sp ff) in
+        if d > !residual then residual := d;
+        Hashtbl.replace ff_sp ff fresh)
+      ffs;
+    if !residual <= tolerance then (values, i, true, !residual)
+    else if i >= max_iterations then (values, i, false, !residual)
+    else iterate (i + 1)
+  in
+  iterate 1
+
+let same_values a b =
+  Array.length a = Array.length b && Array.for_all2 (fun x y -> bits x = bits y) a b
+
+let sequential_matches_reference ?spec c =
+  let values, iterations, converged, residual = reference_sequential ?spec c in
+  let o = Sigprob.Sp_sequential.compute ?spec c in
+  same_values values o.Sigprob.Sp_sequential.result.Sigprob.Sp.values
+  && iterations = o.Sigprob.Sp_sequential.iterations
+  && converged = o.Sigprob.Sp_sequential.converged
+  && bits residual = bits o.Sigprob.Sp_sequential.residual
+
+(* Random per-input probabilities (with exact 0s and 1s), FF entries
+   included: the combinational engine reads them, the fixpoint ignores
+   them. *)
+let random_spec c seed =
+  let rng = Rng.create ~seed:(seed + 17) in
+  let table =
+    Array.init (Circuit.node_count c) (fun _ ->
+        match Rng.int rng ~bound:6 with
+        | 0 -> 0.0
+        | 1 -> 1.0
+        | _ -> Rng.float rng)
+  in
+  Sigprob.Sp.of_fun (fun v -> table.(v))
+
+let small_sequential_dag seed =
+  let profile =
+    Circuit_gen.Profiles.make
+      ~name:(Printf.sprintf "seq%d" seed)
+      ~inputs:(2 + (seed mod 5)) ~outputs:3 ~ffs:(1 + (seed mod 7))
+      ~gates:(20 + (seed mod 60))
+  in
+  Circuit_gen.Random_dag.generate ~seed profile
+
+let prop_sequential_bitwise =
+  qtest ~count:60 ~name:"fixpoint is bit-identical to the seed algorithm"
+    seed_arbitrary (fun seed ->
+      with_repro ~build:small_sequential_dag seed (fun c ->
+          sequential_matches_reference c
+          && sequential_matches_reference ~spec:(random_spec c seed) c))
+
+let prop_topological_bitwise =
+  qtest ~count:60 ~name:"topological pass is bit-identical to the seed algorithm"
+    seed_arbitrary (fun seed ->
+      with_repro ~build:small_sequential_dag seed (fun c ->
+          let spec = random_spec c seed in
+          same_values
+            (reference_topological ~input_sp:spec.Sigprob.Sp.input_sp c)
+            (Sigprob.Sp_topological.compute ~spec c).Sigprob.Sp.values
+          && same_values
+               (reference_topological ~input_sp:(fun _ -> 0.5) c)
+               (Sigprob.Sp_topological.compute c).Sigprob.Sp.values))
+
+(* Generated circuits whose fixpoint oscillates until the iteration cap:
+   the change-driven wave runs all 1000 iterations there. *)
+let capped_circuits () =
+  [
+    Circuit_gen.Random_dag.generate ~seed:5 Circuit_gen.Profiles.s5378;
+    Circuit_gen.Random_dag.generate ~seed:9 Circuit_gen.Profiles.s5378;
+    Circuit_gen.Random_dag.generate ~seed:6 Circuit_gen.Profiles.s9234;
+  ]
+
+let test_sequential_capped_bitwise () =
+  List.iter
+    (fun c ->
+      let reg = Obs.Metrics.create () in
+      Obs.Hooks.set_metrics reg;
+      let o =
+        Fun.protect ~finally:Obs.Hooks.reset (fun () -> Sigprob.Sp_sequential.compute c)
+      in
+      let values, iterations, converged, residual = reference_sequential c in
+      let name = Circuit.name c in
+      check_bool (name ^ " hits the cap") false converged;
+      check_int (name ^ " iterations") iterations o.Sigprob.Sp_sequential.iterations;
+      check_bool (name ^ " converged flag") converged o.Sigprob.Sp_sequential.converged;
+      check_bool (name ^ " residual bits") true
+        (bits residual = bits o.Sigprob.Sp_sequential.residual);
+      check_bool (name ^ " values bitwise") true
+        (same_values values o.Sigprob.Sp_sequential.result.Sigprob.Sp.values);
+      let snap = Obs.Metrics.snapshot reg in
+      check_int (name ^ " iterations counted") iterations
+        (Obs.Metrics.counter_value snap "sp.fixpoint_iterations");
+      let evaluations = Obs.Metrics.counter_value snap "sp.node_evaluations" in
+      check_bool
+        (Printf.sprintf "%s: %d evaluations < iterations x nodes" name evaluations)
+        true
+        (evaluations < iterations * Circuit.node_count c))
+    (capped_circuits ())
+
+(* A bad primary-input probability raises what the seed algorithm raised
+   (the first offender in topological order); a bad flip-flop entry is
+   ignored, as before, because the fixpoint owns the FF outputs. *)
+let test_sequential_bad_input_probability () =
+  let c = Circuit_gen.Random_dag.generate ~seed:3 Circuit_gen.Profiles.s298 in
+  let ins = Circuit.inputs c in
+  let bad1 = List.nth ins (List.length ins / 3) in
+  let bad2 = List.nth ins (2 * List.length ins / 3) in
+  let spec =
+    Sigprob.Sp.of_fun (fun v ->
+        if v = bad1 then 1.5
+        else if v = bad2 then -0.5
+        else if Circuit.is_ff c v then Float.nan
+        else 0.5)
+  in
+  let expected =
+    match reference_sequential ~spec c with
+    | _ -> Alcotest.fail "the reference accepted bad probabilities"
+    | exception (Invalid_argument _ as e) -> e
+  in
+  Alcotest.check_raises "same exception" expected (fun () ->
+      ignore (Sigprob.Sp_sequential.compute ~spec c));
+  let ff_only =
+    Sigprob.Sp.of_fun (fun v -> if Circuit.is_ff c v then Float.nan else 0.25)
+  in
+  check_bool "bad FF entries ignored" true (sequential_matches_reference ~spec:ff_only c)
+
 let () =
   Alcotest.run "sigprob"
     [
@@ -231,6 +451,7 @@ let () =
           prop_gate_sp_matches_enumeration;
           Alcotest.test_case "input validation" `Quick test_gate_sp_validates_inputs;
           Alcotest.test_case "NaN rejected" `Quick test_gate_sp_rejects_nan;
+          prop_gate_sp_bitwise_seed;
         ] );
       ( "topological",
         [
@@ -264,5 +485,13 @@ let () =
           Alcotest.test_case "spec_of_outcome" `Quick test_sequential_spec_of_outcome;
           Alcotest.test_case "fixpoint vs long simulation (s27)" `Slow
             test_sequential_vs_simulation_s27;
+        ] );
+      ( "bitwise",
+        [
+          prop_topological_bitwise;
+          prop_sequential_bitwise;
+          Alcotest.test_case "capped fixpoints" `Quick test_sequential_capped_bitwise;
+          Alcotest.test_case "bad input probability" `Quick
+            test_sequential_bad_input_probability;
         ] );
     ]

@@ -187,6 +187,41 @@ let test_batch_clean_sweep () =
   check_bool "bit-identical to unsupervised" true
     (List.for_all2 same_result unsupervised (Epp.Supervisor.results outcome))
 
+(* The chunks of a supervised sweep, and a later sweep on another engine of
+   the same size, all run on one plane buffer: allocated once, handed back
+   after each chunk, borrowed again by the next. *)
+let test_batch_planes_reused () =
+  let profile = Circuit_gen.Profiles.s344 in
+  let c1 = Circuit_gen.Random_dag.generate ~seed:1 profile in
+  let c2 = Circuit_gen.Random_dag.generate ~seed:2 profile in
+  check_int "same size" (Circuit.node_count c1) (Circuit.node_count c2);
+  let e1 = Epp.Epp_engine.create c1 and e2 = Epp.Epp_engine.create c2 in
+  Epp.Epp_batch.drop_spare_planes ();
+  let reg = Obs.Metrics.create () in
+  Obs.Hooks.set_metrics reg;
+  let o1, o2 =
+    Fun.protect ~finally:Obs.Hooks.reset (fun () ->
+        let sweep e =
+          Epp.Supervisor.sweep_all ~domains:1 ~chunk_size:16
+            ~batch:Epp.Supervisor.Always e
+        in
+        (sweep e1, sweep e2))
+  in
+  let snap = Obs.Metrics.snapshot reg in
+  check_bool "several chunks" true
+    (Obs.Metrics.counter_value snap "supervisor.chunks" >= 4);
+  check_int "planes allocated once" 1
+    (Obs.Metrics.counter_value snap "epp.batch.plane_allocations");
+  check_int "one spare left" 1 (Epp.Epp_batch.spare_planes ());
+  List.iter
+    (fun (e, o) ->
+      check_int "all batch" (Circuit.node_count (Epp.Epp_engine.circuit e))
+        o.Epp.Supervisor.stats.Epp.Diag.batch_ok;
+      check_bool "bit-identical to unsupervised" true
+        (List.for_all2 same_result (Epp.Epp_engine.analyze_all e)
+           (Epp.Supervisor.results o)))
+    [ (e1, o1); (e2, o2) ]
+
 (* [batch:Never] keeps even a batchable sweep on the per-site ladder, and a
    Naive-mode engine can never take the batch rung regardless of the mode. *)
 let test_batch_opt_out () =
@@ -491,6 +526,8 @@ let () =
             test_batch_full_ladder_quarantine;
           Alcotest.test_case "whole-block failure" `Quick
             test_batch_whole_block_failure;
+          Alcotest.test_case "planes reused across chunks and sweeps" `Quick
+            test_batch_planes_reused;
         ] );
       ( "checkpoint",
         [ Alcotest.test_case "kill/resume round trip" `Quick test_kill_resume_round_trip ] );

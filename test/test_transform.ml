@@ -475,9 +475,10 @@ let test_delta_permute_observations () =
   check_delta_oracle "permute POs" d;
   check_bool "no touched nodes" true (Delta.touched d = [])
 
-let prop_deltas_match_oracle =
-  qtest ~count:40 ~name:"random delta chain matches the structural oracle"
-    seed_arbitrary (fun seed ->
+(* One random delta chain, deterministic from [seed]: four steps drawn
+   from insert_identity / split_fanout / triplicate / de_morgan, each
+   reported delta checked against the structural oracle. *)
+let delta_chain seed =
       with_repro ~build:(fun s -> random_small_dag ~seed:s) seed (fun c ->
           let rng = Rng.create ~seed in
           let step circuit i =
@@ -513,7 +514,46 @@ let prop_deltas_match_oracle =
           let rec chain circuit i =
             if i > 4 then true else chain (step circuit i) (i + 1)
           in
-          chain c 1))
+          chain c 1)
+
+let prop_deltas_match_oracle =
+  qtest ~count:40 ~name:"random delta chain matches the structural oracle"
+    seed_arbitrary delta_chain
+
+(* Seeds whose chain triplicates a gate twice: they used to die on
+   [Builder.Error] (the second round redefined [g#tmr1]). *)
+let test_delta_chain_pinned_seeds () =
+  List.iter
+    (fun seed ->
+      match delta_chain seed with
+      | true -> ()
+      | false -> Alcotest.failf "delta chain seed %d failed" seed
+      | exception QCheck2.Test.Test_fail (_, msgs) ->
+        Alcotest.failf "delta chain seed %d: %s" seed (String.concat "; " msgs))
+    [ 492096; 58795; 844369 ]
+
+(* Triplicating the same gate twice keeps every helper distinct: the second
+   round's replicas and voter get suffixed names, consumers move to the
+   newest voter, and behaviour is preserved. *)
+let test_tmr_twice () =
+  let c = fig1 () in
+  let g = Circuit.find c "G" in
+  let c1 = Transform.triplicate c ~nodes:[ g ] in
+  let c2 = Transform.triplicate c1 ~nodes:[ Circuit.find c1 "G" ] in
+  List.iter
+    (fun name ->
+      check_bool (name ^ " exists") true (Circuit.find_opt c2 name <> None))
+    [ "G#tmr1"; "G#tmr2"; "G#vote"; "G#tmr12"; "G#tmr22"; "G#maj012"; "G#vote2" ];
+  check_bool "the first voter's AND reads the second voter" true
+    (Array.exists
+       (fun u -> Circuit.node_name c2 u = "G#vote2")
+       (Circuit.fanins c2 (Circuit.find c2 "G#maj01")));
+  check_bool "behaviour preserved" true (equivalent_behaviour c c2);
+  (* triplicating a replica and its original in one call *)
+  let c3 = Transform.triplicate c1 ~nodes:[ Circuit.find c1 "G"; Circuit.find c1 "G#tmr1" ] in
+  check_bool "replica and original together" true (equivalent_behaviour c c3);
+  let _, d = Transform.triplicate_delta c1 ~nodes:[ Circuit.find c1 "G" ] in
+  check_delta_oracle "re-TMR delta" d
 
 let () =
   Alcotest.run "transform"
@@ -551,6 +591,7 @@ let () =
           Alcotest.test_case "rejects non-gates" `Quick test_tmr_rejects_non_gates;
           Alcotest.test_case "bad node id" `Quick test_tmr_bad_node;
           prop_tmr_preserves_behaviour;
+          Alcotest.test_case "triplicating a gate twice" `Quick test_tmr_twice;
         ] );
       ( "metamorphic",
         [
@@ -572,5 +613,7 @@ let () =
           Alcotest.test_case "observation permutation" `Quick
             test_delta_permute_observations;
           prop_deltas_match_oracle;
+          Alcotest.test_case "pinned chain seeds" `Quick
+            test_delta_chain_pinned_seeds;
         ] );
     ]
