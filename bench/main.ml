@@ -270,7 +270,7 @@ let kernel_fixtures ~smoke =
     ]
   else
     [
-      { kf_label = "parity-8192 (tree, cone-local)";
+      { kf_label = "parity-16384 (tree, cone-local)";
         kf_build = (fun () -> Circuit_gen.Structured.parity_tree ~width:16384 ());
         kf_min_speedup = Some 5.0;
         kf_min_batch_speedup = None };

@@ -79,7 +79,7 @@ val kernel : ?input_sp:(int -> float) -> unit -> t
 
 val batch : ?input_sp:(int -> float) -> ?lanes:int -> unit -> t
 (** The level-synchronous {!Epp.Epp_batch} block engine ([lanes] sites per
-    O(V + E) pass, default {!Epp.Epp_batch.max_lanes}).  Analytical — it
+    union-cone walk, default {!Epp.Epp_batch.max_lanes}).  Analytical — it
     joins the Bitwise-compared panel, so any arithmetic divergence from the
     per-site kernel is a hard failure. *)
 

@@ -1,12 +1,14 @@
 (** Level-synchronous batched EPP sweep: the four-state vectors of a block
     of up to {!max_lanes} error sites propagate together in one level-order
-    pass over the shared forward CSR.
+    walk over the union of their forward cones.
 
     Where the per-site kernel ({!Epp_engine.Workspace}) extracts and walks
     each site's cone — O(sites · E) when cones are dense — the batch engine
-    pays one O(V + E) pass per block: node-major lane-stride float planes,
-    a per-node lane bitmask in place of per-site cones, gates scheduled by
-    ASAP level ({!Netlist.Analysis.level_gates}), and lane compaction inside
+    pays one walk over a block's union cone: a per-node lane bitmask in
+    place of per-site cones, union nodes bucketed by ASAP level
+    ({!Netlist.Analysis.levels}) as they are reached, lane-stride float
+    planes with one row per live node (a row is freed once the highest
+    level among the node's fanouts has run), and lane compaction inside
     {!Rules.Lanes} so drained lanes cost nothing.  Per lane the arithmetic
     mirrors the kernel operation-for-operation, so results are
     bit-identical; the per-site kernel remains the conformance oracle.
@@ -20,25 +22,28 @@ val max_lanes : int
 
 (** One block workspace: the reusable planes, masks and scratch for blocks
     of up to [lanes] sites.  Single-owner mutable state — one per domain,
-    reusable across any number of blocks.
+    reusable across any number of blocks, each of which resets only the
+    state the previous one touched.
 
-    The four planes (n × lanes floats each) are borrowed from a
-    process-wide pool of buffers that released workspaces handed back, so
-    consecutive sweeps — the chunks of a supervised sweep, the edits of a
-    [serd] session — reuse one buffer instead of allocating and zero-filling
-    their own.  A buffer belongs to one live workspace at a time. *)
+    The four planes hold [rows × lanes] floats each, [rows] being the
+    largest live frontier a block on the workspace has needed, never more
+    than the node count.  They are borrowed from a process-wide pool of
+    buffers that released workspaces handed back, so consecutive sweeps —
+    the chunks of a supervised sweep, the edits of a [serd] session — reuse
+    one buffer instead of allocating their own.  A buffer belongs to one
+    live workspace at a time. *)
 module Block : sig
   type ws
 
   val create : ?ctx:Obs.Ctx.t -> ?lanes:int -> Epp_engine.t -> ws
   (** Workspace for blocks of up to [lanes] (default {!max_lanes}) sites.
-      Its planes come from the smallest spare buffer that is large enough;
-      when there is none, a new buffer is allocated (with 1/16 headroom,
-      counted by [epp.batch.plane_allocations]) and the largest spare, too
-      small, is dropped.  [ctx] labels every block span run on this
-      workspace with the request id (the workspace, not {!run}, carries it
-      — [run] stays a first-class [ws -> int array -> _] value for the
-      schedulers).
+      Its planes are the largest spare buffer, or none when the pool is
+      empty; a block that needs more rows than they hold replaces them with
+      a new buffer of 1/16 headroom (counted by
+      [epp.batch.plane_allocations]), dropping the old one.  [ctx] labels
+      every block span run on this workspace with the request id (the
+      workspace, not {!run}, carries it — [run] stays a first-class
+      [ws -> int array -> _] value for the schedulers).
       @raise Invalid_argument if the engine is in [Naive] mode or [lanes]
       is outside [1, max_lanes]. *)
 
@@ -69,7 +74,8 @@ module Block : sig
   (** Block twin of {!Epp_engine.Workspace.last_vector_defect}: the worst
       four-state sum drift from 1 at the observation nets lane [l] reached
       in the last {!run} (NaN if any component is NaN).  Only meaningful
-      between a [run] and the next one. *)
+      between a [run] and the next one, for a lane whose result was [Ok]:
+      the observation nets keep their plane rows until the next [run]. *)
 end
 
 val spare_planes : unit -> int
@@ -130,12 +136,11 @@ val should_batch :
   Epp_engine.t ->
   sites:int ->
   bool
-(** The batch-vs-per-site dispatch decision: batch only pays when cones are
-    dense and the sweep is big.  True iff the engine is polarity-mode with
-    the cone restriction on, the circuit has at least [min_nodes] (default
-    256) nodes, the sweep covers at least [min_sites] (default 8) sites,
-    and {!density} is at least [density_threshold] (default 0.02).  Tiny or
-    cone-local circuits keep the per-site kernel. *)
+(** The batch-vs-per-site dispatch decision.  True iff the engine is
+    polarity-mode with the cone restriction on, the circuit has at least
+    [min_nodes] (default 256) nodes, the sweep covers at least [min_sites]
+    (default 8) sites, and {!density} is at least [density_threshold]
+    (default 0.02).  Tiny or cone-local circuits keep the per-site kernel. *)
 
 val default_density_threshold : float
 val default_min_nodes : int

@@ -154,18 +154,22 @@ let plan ~before ~after d =
 
 (* Remap one pre-edit analyzed result onto the post-edit circuit.  The
    per-observation constructors are translated by list position (the
-   compatibility check above guarantees positions align); floats are copied
-   bit-for-bit. *)
-let splice_result ~obs_map ~new_of_old (r : Epp_engine.site_result) =
+   compatibility check above guarantees positions align): [po_map] and
+   [ff_map], indexed by the pre-edit node an observation names, hold its
+   post-edit twin.  Floats are copied bit-for-bit. *)
+let splice_result ~po_map ~ff_map ~new_of_old (r : Epp_engine.site_result) =
+  let remap = function
+    | Netlist.Circuit.Po v when v < Array.length po_map -> po_map.(v)
+    | Netlist.Circuit.Ff_data ff when ff < Array.length ff_map -> ff_map.(ff)
+    | Netlist.Circuit.Po _ | Netlist.Circuit.Ff_data _ -> None
+  in
   {
     r with
     Epp_engine.site = new_of_old.(r.Epp_engine.site);
     per_observation =
       List.map
         (fun (o, p) ->
-          match Hashtbl.find_opt obs_map o with
-          | Some o' -> (o', p)
-          | None -> raise Exit)
+          match remap o with Some o' -> (o', p) | None -> raise Exit)
         r.Epp_engine.per_observation;
   }
 
@@ -177,28 +181,41 @@ let sweep ?ctx ?domains ?tolerance ?chunk_size ?on_chunk ?batch ?batch_run
   let new_of_old = Netlist.Delta.new_of_old d in
   let old_of_new = Netlist.Delta.old_of_new d in
   let n_new = plan.total in
-  let obs_map = Hashtbl.create 16 in
+  let n_old = Array.length new_of_old in
+  let po_map = Array.make n_old None and ff_map = Array.make n_old None in
   if not plan.full then begin
     let obs_old = Array.of_list (Netlist.Circuit.observations (Netlist.Delta.before d)) in
     let obs_new = Array.of_list (Netlist.Circuit.observations (Netlist.Delta.after d)) in
-    Array.iteri (fun i o -> Hashtbl.replace obs_map o obs_new.(i)) obs_old
+    Array.iteri
+      (fun i o ->
+        match o with
+        | Netlist.Circuit.Po v -> po_map.(v) <- Some obs_new.(i)
+        | Netlist.Circuit.Ff_data ff -> ff_map.(ff) <- Some obs_new.(i))
+      obs_old
   end;
-  let prior_tbl = Hashtbl.create (List.length prior) in
-  List.iter (fun (site, entry) -> Hashtbl.replace prior_tbl site entry) prior;
+  (* Arrays indexed by site id, not hash tables: a whole circuit's worth of
+     entries is spliced on every edit. *)
+  let prior_of = Array.make n_old None in
+  List.iter
+    (fun (site, entry) ->
+      if site >= 0 && site < n_old then prior_of.(site) <- Some entry)
+    prior;
   (* Splice what we can; everything else (dirty, no prior, quarantined
      prior, or a failed observation remap) goes to the supervised sweep. *)
-  let spliced = Hashtbl.create 64 in
+  let entry_of = Array.make n_new None in
+  let reused_count = ref 0 in
   let to_sweep = ref [] in
   for w = n_new - 1 downto 0 do
     let v = old_of_new.(w) in
     let reused =
       (not plan.dirty.(w)) && v >= 0
       &&
-      match Hashtbl.find_opt prior_tbl v with
+      match prior_of.(v) with
       | Some (Supervisor.Analyzed { result; step }) -> (
-        match splice_result ~obs_map ~new_of_old result with
+        match splice_result ~po_map ~ff_map ~new_of_old result with
         | r ->
-          Hashtbl.replace spliced w (Supervisor.Analyzed { result = r; step });
+          entry_of.(w) <- Some (Supervisor.Analyzed { result = r; step });
+          incr reused_count;
           true
         | exception Exit -> false)
       | Some (Supervisor.Quarantined _) | None -> false
@@ -210,21 +227,17 @@ let sweep ?ctx ?domains ?tolerance ?chunk_size ?on_chunk ?batch ?batch_run
     Supervisor.sweep ?ctx ?domains ?tolerance ?chunk_size ?on_chunk ?batch
       ?batch_run ?kernel ?reference ?deadline engine to_sweep
   in
-  let swept_tbl = Hashtbl.create 64 in
   List.iter
-    (fun (site, entry) -> Hashtbl.replace swept_tbl site entry)
+    (fun (site, entry) -> entry_of.(site) <- Some entry)
     swept.Supervisor.entries;
   let entries = ref [] in
   for w = n_new - 1 downto 0 do
-    match Hashtbl.find_opt spliced w with
+    match entry_of.(w) with
     | Some entry -> entries := (w, entry) :: !entries
-    | None -> (
-      match Hashtbl.find_opt swept_tbl w with
-      | Some entry -> entries := (w, entry) :: !entries
-      | None -> () (* deadline expired before this site started *))
+    | None -> () (* deadline expired before this site started *)
   done;
   let entries = !entries in
-  let reused_count = Hashtbl.length spliced in
+  let reused_count = !reused_count in
   count "epp.incremental.dirty_sites" (List.length to_sweep);
   count "epp.incremental.clean_reused" reused_count;
   set_gauge "epp.incremental.dirty_fraction"

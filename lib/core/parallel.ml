@@ -206,10 +206,10 @@ let analyze_site_array ?domains engine sites =
       ~workspace:(fun () -> Epp_engine.Workspace.create engine)
       ~f:Epp_engine.Workspace.analyze_site sites
 
-(* Batched sweep: each work item is a whole block (one O(V + E) pass over
-   up to [lanes] sites), so the small-batch spawn decision counts *blocks*,
-   not sites — the per-site threshold would spawn domains for sweeps the
-   block engine finishes in a handful of passes. *)
+(* Batched sweep: each work item is a whole block (one walk over the union
+   cone of up to [lanes] sites), so the small-batch spawn decision counts
+   *blocks*, not sites — the per-site threshold would spawn domains for
+   sweeps the block engine finishes in a handful of passes. *)
 let analyze_sites_batched ?domains ?lanes engine sites =
   let domains = resolve_domains ~who:"Parallel.analyze_sites_batched" domains in
   let lanes =

@@ -67,8 +67,9 @@ val analyze_sites_batched :
   Epp_engine.site_result array
 (** The batched multicore sweep: sites are chunked into {!Epp_batch} blocks
     of [lanes] (default {!Epp_batch.max_lanes}) and whole {e blocks} are
-    scheduled per domain — each work item is one O(V + E) level-synchronous
-    pass, so the small-batch fallback counts blocks, not sites.  Results
+    scheduled per domain — each work item is one level-synchronous walk
+    over a block's union cone, so the small-batch fallback counts blocks,
+    not sites.  Results
     are bit-identical to {!analyze_site_array} and come back in input
     order; the earliest failing site's exception propagates, as in the
     sequential drivers.

@@ -262,11 +262,12 @@ end
 (* --- lane-vectorized kernels ---------------------------------------------
 
    The batched engine (Epp_batch) propagates one gate for a whole *block* of
-   error sites at once: the four-state vectors live in node-major float
-   planes with a lane stride ([plane.(u * stride + lane)]), and a per-node
-   bitmask says which lanes have the node on-path.  The kernels below
-   evaluate one gate for every live lane of the block in straight-line loops
-   over those contiguous floats.
+   error sites at once: the four-state vectors live in row-major float
+   planes with a lane stride ([plane.(rows.(u) * stride + lane)], the engine
+   handing plane rows out to nodes), and a per-node bitmask says which lanes
+   have the node on-path.  The kernels below evaluate one gate for every
+   live lane of the block in straight-line loops over those contiguous
+   floats.
 
    Bit-compatibility contract, same as {!Soa}: per lane, the float
    operations are the mirror of the boxed rules in the same order —
@@ -378,40 +379,25 @@ module Lanes = struct
     done;
     !fm
 
-  (* Mirror of {!Soa.normalize_store} for one lane; a defect faults the lane
-     instead of raising.  Returns the updated fault mask. *)
-  let store_lane s fm ~vpa ~vpab ~vp1 ~vp0 ~dst_pa ~dst_pa_bar ~dst_p1 ~dst_p0 idx l =
-    let vpa = clamp01 vpa
-    and vpab = clamp01 vpab
-    and vp1 = clamp01 vp1
-    and vp0 = clamp01 vp0 in
-    let sum = vpa +. vpab +. vp1 +. vp0 in
-    if sum <= 0.0 then
-      fault s fm l
-        (Prob4.Invalid
-           { vector = { Prob4.pa = vpa; pa_bar = vpab; p1 = vp1; p0 = vp0 };
-             reason = "zero mass" })
-    else if Float.abs (sum -. 1.0) > 1e-6 then
-      fault s fm l
-        (Prob4.Invalid
-           { vector = { Prob4.pa = vpa; pa_bar = vpab; p1 = vp1; p0 = vp0 };
-             reason = "components do not sum to 1" })
-    else if sum = 1.0 then begin
-      (* the common case: division by 1.0 is an IEEE identity, so skipping
-         the four divides stays bit-identical to the normalizing store *)
-      Array.unsafe_set dst_pa idx vpa;
-      Array.unsafe_set dst_pa_bar idx vpab;
-      Array.unsafe_set dst_p1 idx vp1;
-      Array.unsafe_set dst_p0 idx vp0;
-      fm
-    end
-    else begin
-      Array.unsafe_set dst_pa idx (vpa /. sum);
-      Array.unsafe_set dst_pa_bar idx (vpab /. sum);
-      Array.unsafe_set dst_p1 idx (vp1 /. sum);
-      Array.unsafe_set dst_p0 idx (vp0 /. sum);
-      fm
-    end
+  (* The lane loops below allocate nothing on the success path, and without
+     flambda that takes care: ocamlopt inlines neither a float helper such
+     as {!clamp01} nor a per-lane store function, and a float argument of a
+     call it does not inline is boxed.  So the clamps are written out, every
+     call passes ints and arrays only, and the per-lane accumulators are
+     float [ref]s local to a loop body, which the compiler turns into
+     unboxed mutable variables.  A fault path may allocate (it builds the
+     exception). *)
+
+  (* Fault lane [l] on the normalize defect of the clamped vector whose
+     components sum to [sum]. *)
+  let fault_vector s fm l ~vpa ~vpab ~vp1 ~vp0 ~sum =
+    fault s fm l
+      (Prob4.Invalid
+         {
+           vector = { Prob4.pa = vpa; pa_bar = vpab; p1 = vp1; p0 = vp0 };
+           reason =
+             (if sum <= 0.0 then "zero mass" else "components do not sum to 1");
+         })
 
   (* AND/OR accumulation: [value] is the controlling-component plane (p1 for
      AND, p0 for OR) — per live lane, fold the fanins in order, collecting
@@ -425,43 +411,43 @@ module Lanes = struct
 
      Two loop orders, picked by the live-lane count, both applying the same
      per-lane multiplication sequence (so both are bit-identical to the
-     per-site fold): narrow gates go lane-major with the three accumulators
-     as float arguments of a local tail call — unboxed in registers, no
-     accumulator-array traffic, which is what the cone-local (tree) regime
-     mostly sees.  Wide gates go fanin-major: a fanin that is on-path for
-     every live lane takes a branch-free contiguous inner loop, which is
-     what dense blocks with most of their 62 lanes live mostly see. *)
-  let accumulate_products s ~fanins ~mask ~em ~sp ~stride ~value ~err_a ~err_b
-      ~complement ~live =
+     per-site fold): narrow gates go lane-major, folding every fanin of one
+     lane into three local float refs before touching the next lane, which
+     is what the cone-local (tree) regime mostly sees.  Wide gates go
+     fanin-major: a fanin that is on-path for every live lane takes a
+     branch-free contiguous inner loop, which is what dense blocks with
+     most of their 62 lanes live mostly see. *)
+  let accumulate_products s ~fanins ~mask ~rows ~em ~sp ~stride ~value ~err_a
+      ~err_b ~complement ~live =
     let lanes = s.lanes and aa = s.aa and ab = s.ab and ac = s.ac in
     let nf = Array.length fanins in
     if live <= 16 then
       for i = 0 to live - 1 do
         let l = Array.unsafe_get lanes i in
         let bit = 1 lsl l in
-        let rec go j a b c =
-          if j = nf then begin
-            Array.unsafe_set aa i a;
-            Array.unsafe_set ab i b;
-            Array.unsafe_set ac i c
+        let a = ref 1.0 and b = ref 1.0 and c = ref 1.0 in
+        for j = 0 to nf - 1 do
+          let u = Array.unsafe_get fanins j in
+          if Array.unsafe_get mask u land bit <> 0 then begin
+            let idx = (Array.unsafe_get rows u * stride) + l in
+            let v = Array.unsafe_get value idx in
+            let ea = Array.unsafe_get err_a idx in
+            let eb = Array.unsafe_get err_b idx in
+            a := !a *. v;
+            b := !b *. (v +. ea);
+            c := !c *. (v +. eb)
           end
           else begin
-            let u = Array.unsafe_get fanins j in
-            if Array.unsafe_get mask u land bit <> 0 then begin
-              let idx = (u * stride) + l in
-              let v = Array.unsafe_get value idx in
-              let ea = Array.unsafe_get err_a idx in
-              let eb = Array.unsafe_get err_b idx in
-              go (j + 1) (a *. v) (b *. (v +. ea)) (c *. (v +. eb))
-            end
-            else begin
-              let sv = Array.unsafe_get sp u in
-              let f = if complement then 1.0 -. sv else sv in
-              go (j + 1) (a *. f) (b *. f) (c *. f)
-            end
+            let sv = Array.unsafe_get sp u in
+            let f = if complement then 1.0 -. sv else sv in
+            a := !a *. f;
+            b := !b *. f;
+            c := !c *. f
           end
-        in
-        go 0 1.0 1.0 1.0
+        done;
+        Array.unsafe_set aa i !a;
+        Array.unsafe_set ab i !b;
+        Array.unsafe_set ac i !c
       done
     else begin
       for i = 0 to live - 1 do
@@ -472,8 +458,8 @@ module Lanes = struct
       for j = 0 to nf - 1 do
         let u = Array.unsafe_get fanins j in
         let mu = Array.unsafe_get mask u land em in
-        let base = u * stride in
-        if mu = em then
+        if mu = em then begin
+          let base = Array.unsafe_get rows u * stride in
           for i = 0 to live - 1 do
             let l = Array.unsafe_get lanes i in
             let v = Array.unsafe_get value (base + l) in
@@ -483,6 +469,7 @@ module Lanes = struct
             Array.unsafe_set ab i (Array.unsafe_get ab i *. (v +. ea));
             Array.unsafe_set ac i (Array.unsafe_get ac i *. (v +. eb))
           done
+        end
         else if mu = 0 then begin
           let sv = Array.unsafe_get sp u in
           let f = if complement then 1.0 -. sv else sv in
@@ -493,6 +480,7 @@ module Lanes = struct
           done
         end
         else begin
+          let base = Array.unsafe_get rows u * stride in
           let sv = Array.unsafe_get sp u in
           let f = if complement then 1.0 -. sv else sv in
           for i = 0 to live - 1 do
@@ -515,18 +503,62 @@ module Lanes = struct
       done
     end
 
+  (* The AND/OR output of every live lane: components from the products
+     (the controlling one is aa; [and_family] says whether it is p1 or p0),
+     then the mirror of {!Soa.normalize_store} — clamps, sum, the two
+     normalize conditions, the store — with a defect faulting the lane
+     instead of raising.  NAND/NOR pass the swapped destinations: the boxed
+     path is invert(and_rule), normalize first, then swap.  Returns the
+     updated fault mask. *)
+  let store_products s fm ~and_family ~live ~gbase ~dst_pa ~dst_pa_bar ~dst_p1
+      ~dst_p0 =
+    let fm = ref fm in
+    for i = 0 to live - 1 do
+      let l = Array.unsafe_get s.lanes i in
+      let c = Array.unsafe_get s.aa i in
+      let vpa = Array.unsafe_get s.ab i -. c in
+      let vpab = Array.unsafe_get s.ac i -. c in
+      let rest = 1.0 -. (c +. vpa +. vpab) in
+      let vp1 = if and_family then c else rest in
+      let vp0 = if and_family then rest else c in
+      let vpa = if vpa < 0.0 then 0.0 else if vpa > 1.0 then 1.0 else vpa in
+      let vpab = if vpab < 0.0 then 0.0 else if vpab > 1.0 then 1.0 else vpab in
+      let vp1 = if vp1 < 0.0 then 0.0 else if vp1 > 1.0 then 1.0 else vp1 in
+      let vp0 = if vp0 < 0.0 then 0.0 else if vp0 > 1.0 then 1.0 else vp0 in
+      let sum = vpa +. vpab +. vp1 +. vp0 in
+      let idx = gbase + l in
+      if sum <= 0.0 || Float.abs (sum -. 1.0) > 1e-6 then
+        fm := fault_vector s !fm l ~vpa ~vpab ~vp1 ~vp0 ~sum
+      else if sum = 1.0 then begin
+        (* the common case: division by 1.0 is an IEEE identity, so skipping
+           the four divides stays bit-identical to the normalizing store *)
+        Array.unsafe_set dst_pa idx vpa;
+        Array.unsafe_set dst_pa_bar idx vpab;
+        Array.unsafe_set dst_p1 idx vp1;
+        Array.unsafe_set dst_p0 idx vp0
+      end
+      else begin
+        Array.unsafe_set dst_pa idx (vpa /. sum);
+        Array.unsafe_set dst_pa_bar idx (vpab /. sum);
+        Array.unsafe_set dst_p1 idx (vp1 /. sum);
+        Array.unsafe_set dst_p0 idx (vp0 /. sum)
+      end
+    done;
+    !fm
+
   (* XOR fold per live lane, mirroring {!Soa.xor_components}: accumulator
      starts at the raw (un-normalized) first input and each step applies the
      16-term expansion followed by the inline normalize.  A lane whose step
      trips a normalize condition faults; its accumulator is parked at the
      (valid) constant-0 vector so the remaining fanin-major loop stays
      branch-light, and its final store is suppressed via the fault mask. *)
-  let accumulate_xor s fm ~fanins ~mask ~em ~sp ~stride ~pa ~pa_bar ~p1 ~p0 ~live =
+  let accumulate_xor s fm ~fanins ~mask ~rows ~em ~sp ~stride ~pa ~pa_bar ~p1
+      ~p0 ~live =
     let lanes = s.lanes and apa = s.aa and apab = s.ab and ap1 = s.ac and ap0 = s.ad in
     (* first input, gathered raw *)
     let u0 = Array.unsafe_get fanins 0 in
     let mu0 = Array.unsafe_get mask u0 land em in
-    let base0 = u0 * stride in
+    let base0 = Array.unsafe_get rows u0 * stride in
     let sv0 = Array.unsafe_get sp u0 in
     for i = 0 to live - 1 do
       let l = Array.unsafe_get lanes i in
@@ -547,7 +579,7 @@ module Lanes = struct
     for j = 1 to Array.length fanins - 1 do
       let u = Array.unsafe_get fanins j in
       let mu = Array.unsafe_get mask u land em in
-      let base = u * stride in
+      let base = Array.unsafe_get rows u * stride in
       let sv = Array.unsafe_get sp u in
       for i = 0 to live - 1 do
         let l = Array.unsafe_get lanes i in
@@ -564,45 +596,32 @@ module Lanes = struct
         let vp0 = (xp0 *. yp0) +. (xp1 *. yp1) +. (xpa *. ypa) +. (xpab *. ypab) in
         let vpa = (xpa *. yp0) +. (xpab *. yp1) +. (xp0 *. ypa) +. (xp1 *. ypab) in
         let vpab = (xpab *. yp0) +. (xpa *. yp1) +. (xp0 *. ypab) +. (xp1 *. ypa) in
-        let vpa = clamp01 vpa
-        and vpab = clamp01 vpab
-        and vp1 = clamp01 vp1
-        and vp0 = clamp01 vp0 in
+        let vpa = if vpa < 0.0 then 0.0 else if vpa > 1.0 then 1.0 else vpa in
+        let vpab = if vpab < 0.0 then 0.0 else if vpab > 1.0 then 1.0 else vpab in
+        let vp1 = if vp1 < 0.0 then 0.0 else if vp1 > 1.0 then 1.0 else vp1 in
+        let vp0 = if vp0 < 0.0 then 0.0 else if vp0 > 1.0 then 1.0 else vp0 in
         let sum = vpa +. vpab +. vp1 +. vp0 in
-        let defect =
-          if sum <= 0.0 then
-            Some
-              (Prob4.Invalid
-                 { vector = { Prob4.pa = vpa; pa_bar = vpab; p1 = vp1; p0 = vp0 };
-                   reason = "zero mass" })
-          else if Float.abs (sum -. 1.0) > 1e-6 then
-            Some
-              (Prob4.Invalid
-                 { vector = { Prob4.pa = vpa; pa_bar = vpab; p1 = vp1; p0 = vp0 };
-                   reason = "components do not sum to 1" })
-          else None
-        in
-        match defect with
-        | Some e ->
-          if !fm land (1 lsl l) = 0 then fm := fault s !fm l e;
+        if sum <= 0.0 || Float.abs (sum -. 1.0) > 1e-6 then begin
+          if !fm land (1 lsl l) = 0 then
+            fm := fault_vector s !fm l ~vpa ~vpab ~vp1 ~vp0 ~sum;
           Array.unsafe_set apa i 0.0;
           Array.unsafe_set apab i 0.0;
           Array.unsafe_set ap1 i 0.0;
           Array.unsafe_set ap0 i 1.0
-        | None ->
-          if sum = 1.0 then begin
-            (* division by 1.0 is exact — skip it, bit-identically *)
-            Array.unsafe_set apa i vpa;
-            Array.unsafe_set apab i vpab;
-            Array.unsafe_set ap1 i vp1;
-            Array.unsafe_set ap0 i vp0
-          end
-          else begin
-            Array.unsafe_set apa i (vpa /. sum);
-            Array.unsafe_set apab i (vpab /. sum);
-            Array.unsafe_set ap1 i (vp1 /. sum);
-            Array.unsafe_set ap0 i (vp0 /. sum)
-          end
+        end
+        else if sum = 1.0 then begin
+          (* division by 1.0 is exact — skip it, bit-identically *)
+          Array.unsafe_set apa i vpa;
+          Array.unsafe_set apab i vpab;
+          Array.unsafe_set ap1 i vp1;
+          Array.unsafe_set ap0 i vp0
+        end
+        else begin
+          Array.unsafe_set apa i (vpa /. sum);
+          Array.unsafe_set apab i (vpab /. sum);
+          Array.unsafe_set ap1 i (vp1 /. sum);
+          Array.unsafe_set ap0 i (vp0 /. sum)
+        end
       done
     done;
     !fm
@@ -611,11 +630,13 @@ module Lanes = struct
 
      [em] is the gate's evaluation mask: the lanes that (a) have the gate
      on-path, (b) are still alive, and (c) are not seeded at this very node
-     (a lane's own error site keeps its injected vector).  Writes the output
-     vectors at [gate * stride + lane] of the four planes for every lane
-     that completes, records per-lane faults in [scratch.faults] (reset on
+     (a lane's own error site keeps its injected vector).  A node's vectors
+     sit in plane row [rows.(node)].  Writes the output vectors at
+     [rows.(gate) * stride + lane] of the four planes for every lane that
+     completes, records per-lane faults in [scratch.faults] (reset on
      entry) and returns their bitmask. *)
-  let propagate s kind ~fanins ~mask ~sp ~em ~stride ~pa ~pa_bar ~p1 ~p0 gate =
+  let propagate s kind ~fanins ~mask ~rows ~sp ~em ~stride ~pa ~pa_bar ~p1 ~p0
+      gate =
     s.faults <- [];
     s.last_live <- 0;
     let fm = prescan_sp s ~fanins ~mask ~sp ~em in
@@ -648,58 +669,36 @@ module Lanes = struct
         end;
         let live = !live in
         s.last_live <- live;
-        let gbase = gate * stride in
-        let sp_values = sp in
+        let gbase = Array.unsafe_get rows gate * stride in
         (match kind with
         | Gate.And | Gate.Nand ->
-          accumulate_products s ~fanins ~mask ~em ~sp:sp_values ~stride ~value:p1
+          accumulate_products s ~fanins ~mask ~rows ~em ~sp ~stride ~value:p1
             ~err_a:pa ~err_b:pa_bar ~complement:false ~live;
-          (* NAND: normalize first, then swap destinations — the boxed path
-             is invert(and_rule). *)
-          let dst_pa, dst_pa_bar, dst_p1, dst_p0 =
-            match kind with
-            | Gate.And -> (pa, pa_bar, p1, p0)
-            | _ -> (pa_bar, pa, p0, p1)
-          in
-          let fm = ref fm in
-          for i = 0 to live - 1 do
-            let l = Array.unsafe_get s.lanes i in
-            let vp1 = Array.unsafe_get s.aa i in
-            let vpa = Array.unsafe_get s.ab i -. vp1 in
-            let vpab = Array.unsafe_get s.ac i -. vp1 in
-            let vp0 = 1.0 -. (vp1 +. vpa +. vpab) in
-            fm :=
-              store_lane s !fm ~vpa ~vpab ~vp1 ~vp0 ~dst_pa ~dst_pa_bar ~dst_p1
-                ~dst_p0 (gbase + l) l
-          done;
-          !fm
+          (match kind with
+          | Gate.And ->
+            store_products s fm ~and_family:true ~live ~gbase ~dst_pa:pa
+              ~dst_pa_bar:pa_bar ~dst_p1:p1 ~dst_p0:p0
+          | _ ->
+            store_products s fm ~and_family:true ~live ~gbase ~dst_pa:pa_bar
+              ~dst_pa_bar:pa ~dst_p1:p0 ~dst_p0:p1)
         | Gate.Or | Gate.Nor ->
-          accumulate_products s ~fanins ~mask ~em ~sp:sp_values ~stride ~value:p0
+          accumulate_products s ~fanins ~mask ~rows ~em ~sp ~stride ~value:p0
             ~err_a:pa ~err_b:pa_bar ~complement:true ~live;
-          let dst_pa, dst_pa_bar, dst_p1, dst_p0 =
-            match kind with
-            | Gate.Or -> (pa, pa_bar, p1, p0)
-            | _ -> (pa_bar, pa, p0, p1)
-          in
-          let fm = ref fm in
-          for i = 0 to live - 1 do
-            let l = Array.unsafe_get s.lanes i in
-            let vp0 = Array.unsafe_get s.aa i in
-            let vpa = Array.unsafe_get s.ab i -. vp0 in
-            let vpab = Array.unsafe_get s.ac i -. vp0 in
-            let vp1 = 1.0 -. (vp0 +. vpa +. vpab) in
-            fm :=
-              store_lane s !fm ~vpa ~vpab ~vp1 ~vp0 ~dst_pa ~dst_pa_bar ~dst_p1
-                ~dst_p0 (gbase + l) l
-          done;
-          !fm
+          (match kind with
+          | Gate.Or ->
+            store_products s fm ~and_family:false ~live ~gbase ~dst_pa:pa
+              ~dst_pa_bar:pa_bar ~dst_p1:p1 ~dst_p0:p0
+          | _ ->
+            store_products s fm ~and_family:false ~live ~gbase ~dst_pa:pa_bar
+              ~dst_pa_bar:pa ~dst_p1:p0 ~dst_p0:p1)
         | Gate.Xor | Gate.Xnor ->
           let fm =
-            accumulate_xor s fm ~fanins ~mask ~em ~sp:sp_values ~stride ~pa ~pa_bar
+            accumulate_xor s fm ~fanins ~mask ~rows ~em ~sp ~stride ~pa ~pa_bar
               ~p1 ~p0 ~live
           in
           (* XOR stores the folded accumulator without a final normalize,
              XNOR the polarity/value swap of it — exactly like Soa. *)
+          let xnor = match kind with Gate.Xnor -> true | _ -> false in
           for i = 0 to live - 1 do
             let l = Array.unsafe_get s.lanes i in
             if fm land (1 lsl l) = 0 then begin
@@ -707,25 +706,28 @@ module Lanes = struct
               and vpab = Array.unsafe_get s.ab i
               and vp1 = Array.unsafe_get s.ac i
               and vp0 = Array.unsafe_get s.ad i in
-              match kind with
-              | Gate.Xor ->
-                Array.unsafe_set pa (gbase + l) vpa;
-                Array.unsafe_set pa_bar (gbase + l) vpab;
-                Array.unsafe_set p1 (gbase + l) vp1;
-                Array.unsafe_set p0 (gbase + l) vp0
-              | _ ->
-                Array.unsafe_set pa (gbase + l) vpab;
-                Array.unsafe_set pa_bar (gbase + l) vpa;
-                Array.unsafe_set p1 (gbase + l) vp0;
-                Array.unsafe_set p0 (gbase + l) vp1
+              let idx = gbase + l in
+              if xnor then begin
+                Array.unsafe_set pa idx vpab;
+                Array.unsafe_set pa_bar idx vpa;
+                Array.unsafe_set p1 idx vp0;
+                Array.unsafe_set p0 idx vp1
+              end
+              else begin
+                Array.unsafe_set pa idx vpa;
+                Array.unsafe_set pa_bar idx vpab;
+                Array.unsafe_set p1 idx vp1;
+                Array.unsafe_set p0 idx vp0
+              end
             end
           done;
           fm
         | Gate.Not | Gate.Buf ->
           let u = Array.unsafe_get fanins 0 in
           let mu = Array.unsafe_get mask u land em in
-          let base = u * stride in
-          let sv = Array.unsafe_get sp_values u in
+          let base = Array.unsafe_get rows u * stride in
+          let sv = Array.unsafe_get sp u in
+          let invert = match kind with Gate.Not -> true | _ -> false in
           for i = 0 to live - 1 do
             let l = Array.unsafe_get s.lanes i in
             let on = mu land (1 lsl l) <> 0 in
@@ -733,27 +735,29 @@ module Lanes = struct
             let vpab = if on then Array.unsafe_get pa_bar (base + l) else 0.0 in
             let vp1 = if on then Array.unsafe_get p1 (base + l) else sv in
             let vp0 = if on then Array.unsafe_get p0 (base + l) else 1.0 -. sv in
-            match kind with
-            | Gate.Not ->
-              Array.unsafe_set pa (gbase + l) vpab;
-              Array.unsafe_set pa_bar (gbase + l) vpa;
-              Array.unsafe_set p1 (gbase + l) vp0;
-              Array.unsafe_set p0 (gbase + l) vp1
-            | _ ->
-              Array.unsafe_set pa (gbase + l) vpa;
-              Array.unsafe_set pa_bar (gbase + l) vpab;
-              Array.unsafe_set p1 (gbase + l) vp1;
-              Array.unsafe_set p0 (gbase + l) vp0
+            let idx = gbase + l in
+            if invert then begin
+              Array.unsafe_set pa idx vpab;
+              Array.unsafe_set pa_bar idx vpa;
+              Array.unsafe_set p1 idx vp0;
+              Array.unsafe_set p0 idx vp1
+            end
+            else begin
+              Array.unsafe_set pa idx vpa;
+              Array.unsafe_set pa_bar idx vpab;
+              Array.unsafe_set p1 idx vp1;
+              Array.unsafe_set p0 idx vp0
+            end
           done;
           fm
         | Gate.Const0 | Gate.Const1 ->
           let vp1 = match kind with Gate.Const1 -> 1.0 | _ -> 0.0 in
           for i = 0 to live - 1 do
-            let l = Array.unsafe_get s.lanes i in
-            Array.unsafe_set pa (gbase + l) 0.0;
-            Array.unsafe_set pa_bar (gbase + l) 0.0;
-            Array.unsafe_set p1 (gbase + l) vp1;
-            Array.unsafe_set p0 (gbase + l) (1.0 -. vp1)
+            let idx = gbase + Array.unsafe_get s.lanes i in
+            Array.unsafe_set pa idx 0.0;
+            Array.unsafe_set pa_bar idx 0.0;
+            Array.unsafe_set p1 idx vp1;
+            Array.unsafe_set p0 idx (1.0 -. vp1)
           done;
           fm)
 end

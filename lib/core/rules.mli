@@ -53,8 +53,9 @@ end
 (** Lane-vectorized evaluation of the same rules for the level-synchronous
     batched engine ({!Epp_batch}): one gate is propagated for a whole block
     of error sites at once.  The four-state vectors live in caller-owned
-    node-major float planes with a lane stride ([plane.(node * stride +
-    lane)]); a per-node bitmask says which lanes have the node on-path, and
+    row-major float planes with a lane stride, one row per node the caller
+    gave a row ([plane.(rows.(node) * stride + lane)]); a per-node bitmask
+    says which lanes have the node on-path, and
     off-path fanins contribute their signal probability exactly as the
     per-site gather does.  Per lane, the arithmetic mirrors {!Soa}
     operation-for-operation, so batch results are bit-identical to the
@@ -90,6 +91,7 @@ module Lanes : sig
     Netlist.Gate.kind ->
     fanins:int array ->
     mask:int array ->
+    rows:int array ->
     sp:float array ->
     em:int ->
     stride:int ->
@@ -99,13 +101,15 @@ module Lanes : sig
     p0:float array ->
     int ->
     int
-  (** [propagate s kind ~fanins ~mask ~sp ~em ~stride ~pa ~pa_bar ~p1 ~p0 g]
-      evaluates gate [g] for every lane in the evaluation mask [em] (lanes
-      with [g] on-path, still alive, and not seeded at [g]), reading fanin
-      vectors from the planes where the fanin is on-path ([mask.(u)] bit
-      set) and from [sp.(u)] otherwise, then writes the output at
-      [g * stride + lane].  Returns the bitmask of lanes that faulted
-      (recorded in {!faults}); their plane slots are left unwritten. *)
+  (** [propagate s kind ~fanins ~mask ~rows ~sp ~em ~stride ~pa ~pa_bar ~p1
+      ~p0 g] evaluates gate [g] for every lane in the evaluation mask [em]
+      (lanes with [g] on-path, still alive, and not seeded at [g]), reading
+      fanin vectors from the planes where the fanin is on-path ([mask.(u)]
+      bit set) and from [sp.(u)] otherwise, then writes the output.  Node
+      [u]'s vectors sit in plane row [rows.(u)]: lane [l] at
+      [rows.(u) * stride + l].  Returns the bitmask of lanes that faulted
+      (recorded in {!faults}); their plane slots are left unwritten.
+      Allocates nothing unless a lane faults. *)
 end
 
 (** Polarity-blind three-state ablation: [Pa] and [Pā] collapsed into one

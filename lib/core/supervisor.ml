@@ -295,7 +295,7 @@ let sweep ?ctx ?domains ?tolerance ?(chunk_size = 1024) ?on_chunk
         @@ fun () ->
         if use_batch then begin
           (* blocks per domain: each work item is a whole block, so a domain
-             claims O(V + E) passes, not per-site crumbs *)
+             claims union-cone walks, not per-site crumbs *)
           let lanes = Epp_batch.max_lanes in
           let nblocks = (len + lanes - 1) / lanes in
           let blocks =

@@ -17,7 +17,7 @@
       {!Diag.quarantine} record and the sweep continues.
 
     Fan-out uses {!Parallel.map_array}; batched sweeps hand each domain
-    whole blocks (one O(V + E) pass each) instead of per-site crumbs.
+    whole blocks (one union-cone walk each) instead of per-site crumbs.
     Because the per-site wrapper never raises, one bad site can neither
     kill nor deadlock the sweep.  Sites are processed in chunks so a
     checkpoint callback ({!Report.Checkpoint} wires one) sees completed

@@ -58,16 +58,16 @@ let of_successors succ_array =
   let succ = Array.map (fun l -> l) succ_array in
   let pred = Array.make vertex_count [] in
   let count = ref 0 in
-  Array.iteri
-    (fun u vs ->
-      List.iter
-        (fun v ->
-          if v < 0 || v >= vertex_count then raise (Invalid_vertex v);
-          pred.(v) <- u :: pred.(v);
-          incr count)
-        vs)
-    succ;
-  Array.iteri (fun i l -> pred.(i) <- List.rev l) pred;
+  (* Sources are visited from the last down, so every predecessor list
+     comes out in ascending source order without a reversal pass. *)
+  for u = vertex_count - 1 downto 0 do
+    List.iter
+      (fun v ->
+        if v < 0 || v >= vertex_count then raise (Invalid_vertex v);
+        pred.(v) <- u :: pred.(v);
+        incr count)
+      succ.(u)
+  done;
   { vertex_count; succ; pred; edge_count = !count }
 
 let edges t =

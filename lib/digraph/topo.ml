@@ -14,19 +14,21 @@ let in_degrees g =
   deg
 
 (* Kahn's algorithm with a FIFO worklist: among ready vertices, lower indices
-   first, so the order is deterministic and stable across runs. *)
-let sort g =
+   first, so the order is deterministic and stable across runs.  [emit] sees
+   the vertices in that order; the result says whether every vertex was
+   emitted, with the in-degrees left over (positive exactly on the vertices
+   a cycle blocked). *)
+let drain g ~emit =
   let n = Digraph.vertex_count g in
   let deg = in_degrees g in
   let queue = Queue.create () in
   for v = 0 to n - 1 do
     if deg.(v) = 0 then Queue.add v queue
   done;
-  let order = ref [] in
   let emitted = ref 0 in
   while not (Queue.is_empty queue) do
     let u = Queue.pop queue in
-    order := u :: !order;
+    emit u;
     incr emitted;
     List.iter
       (fun v ->
@@ -34,9 +36,14 @@ let sort g =
         if deg.(v) = 0 then Queue.add v queue)
       (Digraph.succ g u)
   done;
-  if !emitted <> n then begin
+  (!emitted = n, deg)
+
+let sort g =
+  let order = ref [] in
+  let complete, deg = drain g ~emit:(fun u -> order := u :: !order) in
+  if not complete then begin
     let leftover = ref [] in
-    for v = n - 1 downto 0 do
+    for v = Array.length deg - 1 downto 0 do
       if deg.(v) > 0 then leftover := v :: !leftover
     done;
     raise (Cycle !leftover)
@@ -45,10 +52,9 @@ let sort g =
 
 let sort_array g = Array.of_list (sort g)
 
-let is_acyclic g =
-  match sort g with
-  | _ -> true
-  | exception Cycle _ -> false
+(* Netlist validation runs this on every circuit built, so it drains
+   without collecting the order. *)
+let is_acyclic g = fst (drain g ~emit:ignore)
 
 (* level v = 0 for sources, otherwise 1 + max level of predecessors.  The
    [levels_from] variant takes an already-computed topological order so a

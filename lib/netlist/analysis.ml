@@ -98,6 +98,11 @@ type t = {
   distance_maps : int array Lru.t;  (* obs net -> reverse-BFS distances *)
   level_gates : int array array option Atomic.t;
       (* gates bucketed by ASAP level, memoized on first demand *)
+  max_fanout_level : int array option Atomic.t;
+      (* per node, the highest ASAP level among its fanouts, memoized *)
+  level_offsets : int array option Atomic.t;
+      (* per level, the nodes at lower levels, memoized *)
+  observed : bool array option Atomic.t;  (* observation-net mask, memoized *)
 }
 
 (* Cache bounds.  A cone is [node_count] bools, so the cone cache tops out
@@ -154,6 +159,9 @@ let build circuit =
     distance_maps =
       Lru.create (max distance_cache_floor (Array.length observation_nets));
     level_gates = Atomic.make None;
+    max_fanout_level = Atomic.make None;
+    level_offsets = Atomic.make None;
+    observed = Atomic.make None;
   }
 
 let get circuit =
@@ -175,43 +183,83 @@ let depth t = Circuit.depth t.circuit
 let csr t = Circuit.csr t.circuit
 let reverse_csr t = Circuit.reverse_csr t.circuit
 
-(* Gates bucketed by ASAP level — the evaluation schedule of the
-   level-synchronous batch engine.  Filling the buckets from [gate_order]
-   keeps each bucket in topological-position order, so a bucket walk is a
-   valid topological schedule.  Built at most once per circuit: racing
+(* Publish-once memo for the derived whole-graph facts below: racing
    domains may both compute, but only the published instance is ever
    served, so the shared-instance contract holds. *)
-let level_gates t =
-  match Atomic.get t.level_gates with
-  | Some buckets ->
+let publish_once cell ~computed compute =
+  match Atomic.get cell with
+  | Some fact ->
     cache_hit ();
-    buckets
+    fact
   | None ->
-    let lv = levels t in
-    let buckets =
-      let counts = Array.make (depth t + 1) 0 in
-      Array.iter (fun g -> counts.(lv.(g)) <- counts.(lv.(g)) + 1) t.gate_order;
-      let buckets = Array.map (fun k -> Array.make k 0) counts in
-      let cursor = Array.make (Array.length counts) 0 in
-      Array.iter
-        (fun g ->
-          let l = lv.(g) in
-          buckets.(l).(cursor.(l)) <- g;
-          cursor.(l) <- cursor.(l) + 1)
-        t.gate_order;
-      buckets
-    in
-    if Atomic.compare_and_set t.level_gates None (Some buckets) then begin
-      count "analysis.level_gates.computed";
+    let fact = compute () in
+    if Atomic.compare_and_set cell None (Some fact) then begin
+      count computed;
       cache_miss ();
-      buckets
+      fact
     end
     else begin
       cache_hit ();
-      match Atomic.get t.level_gates with
+      match Atomic.get cell with
       | Some published -> published
       | None -> assert false (* the cell is set-once *)
     end
+
+(* Gates bucketed by ASAP level — the evaluation schedule of the
+   level-synchronous batch engine.  Filling the buckets from [gate_order]
+   keeps each bucket in topological-position order, so a bucket walk is a
+   valid topological schedule. *)
+let level_gates t =
+  publish_once t.level_gates ~computed:"analysis.level_gates.computed"
+  @@ fun () ->
+  let lv = levels t in
+  let counts = Array.make (depth t + 1) 0 in
+  Array.iter (fun g -> counts.(lv.(g)) <- counts.(lv.(g)) + 1) t.gate_order;
+  let buckets = Array.map (fun k -> Array.make k 0) counts in
+  let cursor = Array.make (Array.length counts) 0 in
+  Array.iter
+    (fun g ->
+      let l = lv.(g) in
+      buckets.(l).(cursor.(l)) <- g;
+      cursor.(l) <- cursor.(l) + 1)
+    t.gate_order;
+  buckets
+
+(* Per node, the highest ASAP level among its fanouts (its own level when it
+   has none): once a level-order walk has evaluated that level, nothing
+   reads the node again.  The batch engine frees a node's plane row there.
+   One pass over the forward CSR. *)
+let max_fanout_level t =
+  publish_once t.max_fanout_level ~computed:"analysis.max_fanout_level.computed"
+  @@ fun () ->
+  let lv = levels t in
+  let csr = csr t in
+  let offsets = Csr.offsets csr and targets = Csr.targets csr in
+  Array.init (Array.length lv) (fun v ->
+      let m = ref lv.(v) in
+      for j = offsets.(v) to offsets.(v + 1) - 1 do
+        m := max !m lv.(targets.(j))
+      done;
+      !m)
+
+(* Prefix sums of the per-level node counts: laid out level by level, the
+   nodes of level [l] start at slot [level_offsets.(l)]. *)
+let level_offsets t =
+  publish_once t.level_offsets ~computed:"analysis.level_offsets.computed"
+  @@ fun () ->
+  let lv = levels t in
+  let offsets = Array.make (depth t + 2) 0 in
+  Array.iter (fun l -> offsets.(l + 1) <- offsets.(l + 1) + 1) lv;
+  for l = 1 to Array.length offsets - 1 do
+    offsets.(l) <- offsets.(l) + offsets.(l - 1)
+  done;
+  offsets
+
+let observed t =
+  publish_once t.observed ~computed:"analysis.observed.computed" @@ fun () ->
+  let mask = Array.make (Circuit.node_count t.circuit) false in
+  Array.iter (fun v -> mask.(v) <- true) t.observation_nets;
+  mask
 
 let check_node t v ~what =
   if v < 0 || v >= Circuit.node_count t.circuit then

@@ -65,6 +65,24 @@ val level_gates : t -> int array array
     schedule of the level-synchronous batch engine; computed once per
     circuit ([analysis.level_gates.computed]) and shared thereafter. *)
 
+val max_fanout_level : t -> int array
+(** [max_fanout_level ctx.(v)] is the highest ASAP level among [v]'s
+    fanouts, or [v]'s own level when it has none: a level-order walk reads
+    [v] for the last time at that level.  The batch engine frees a node's
+    plane row there.  One O(E) pass per circuit
+    ([analysis.max_fanout_level.computed]), shared thereafter. *)
+
+val level_offsets : t -> int array
+(** [level_offsets ctx.(l)] is the number of nodes whose ASAP level is below
+    [l], for [l] in [0 .. depth + 1]: laid out level by level, level [l]
+    occupies slots [level_offsets.(l) .. level_offsets.(l + 1) - 1].  The
+    batch engine's level buckets.  Computed once per circuit
+    ([analysis.level_offsets.computed]). *)
+
+val observed : t -> bool array
+(** Per node, whether it is an observation net (in {!observation_nets}).
+    Computed once per circuit ([analysis.observed.computed]). *)
+
 (** {2 Per-site cached artifacts}
 
     Bounded LRU caches (a few hundred whole-circuit arrays at most); on

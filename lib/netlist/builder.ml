@@ -114,10 +114,11 @@ let freeze t =
   let circuit =
     Circuit.make ~name:t.circuit_name ~nodes ~names ~inputs ~outputs ~ffs
   in
-  (* Combinational cycles are a hard error: every engine assumes a DAG. *)
-  (match Scc.nontrivial (Circuit.graph circuit) with
-  | [] -> ()
-  | loops ->
+  (* Combinational cycles are a hard error: every engine assumes a DAG.
+     Only a cyclic netlist pays for the SCCs that name its loops. *)
+  if not (Topo.is_acyclic (Circuit.graph circuit)) then begin
+    let loops = Scc.nontrivial (Circuit.graph circuit) in
     let named = List.map (List.map (fun v -> names.(v))) loops in
-    raise (Error (Combinational_cycle named)));
+    raise (Error (Combinational_cycle named))
+  end;
   circuit

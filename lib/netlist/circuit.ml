@@ -245,14 +245,15 @@ let make ~name ~nodes ~names ~inputs ~outputs ~ffs =
   assert (Array.length names = n);
   let index = Hashtbl.create (2 * n) in
   Array.iteri (fun v s -> Hashtbl.replace index s v) names;
+  (* Consumers are consed from the last node down, so each list comes out
+     in node order without a reversal pass: a rewrite builds a circuit per
+     edit, and every list cell here is long-lived. *)
   let succ = Array.make n [] in
-  Array.iteri
-    (fun v node ->
-      match node with
-      | Gate { fanins; _ } -> Array.iter (fun u -> succ.(u) <- v :: succ.(u)) fanins
-      | Input | Ff _ -> ())
-    nodes;
-  Array.iteri (fun i l -> succ.(i) <- List.rev l) succ;
+  for v = n - 1 downto 0 do
+    match nodes.(v) with
+    | Gate { fanins; _ } -> Array.iter (fun u -> succ.(u) <- v :: succ.(u)) fanins
+    | Input | Ff _ -> ()
+  done;
   let graph = Digraph.of_successors succ in
   (* Built eagerly (not lazily) so engines created before a domain fan-out
      can hand the view to every worker without a racy first force. *)

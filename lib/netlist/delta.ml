@@ -37,18 +37,30 @@ let is_identity t =
   t.touched = [] && t.removed = []
   && Circuit.node_count t.before = Circuit.node_count t.after
 
-(* The name-based correspondence both constructors share. *)
+(* The name-based correspondence both constructors share.  Every Transform
+   keeps the survivors in their relative order, so an old node's twin is
+   usually the node right after the previous twin: a name comparison
+   confirms that guess (names are unique) before the name index is
+   consulted, and an edit pays a lookup only where it inserted or removed
+   nodes. *)
 let mapping ~before ~after =
   let n_old = Circuit.node_count before in
   let n_new = Circuit.node_count after in
   let new_of_old = Array.make n_old (-1) in
   let old_of_new = Array.make n_new (-1) in
+  let guess = ref 0 in
   for v = 0 to n_old - 1 do
-    match Circuit.find_opt after (Circuit.node_name before v) with
-    | Some w ->
+    let name = Circuit.node_name before v in
+    let w =
+      if !guess < n_new && String.equal (Circuit.node_name after !guess) name
+      then !guess
+      else Option.value ~default:(-1) (Circuit.find_opt after name)
+    in
+    if w >= 0 then begin
       new_of_old.(v) <- w;
-      old_of_new.(w) <- v
-    | None -> ()
+      old_of_new.(w) <- v;
+      guess := w + 1
+    end
   done;
   (new_of_old, old_of_new)
 

@@ -13,8 +13,10 @@
    - [triplicate]: triple modular redundancy on selected gates with a
      2-of-3 majority voter, the standard soft-error hardening realization.
 
-   All passes rebuild through Builder (so every invariant is re-validated)
-   and preserve the names of surviving signals, which is how callers track
+   The cleanups rebuild through Builder (so every invariant is
+   re-validated); TMR and the metamorphic mutations, which only add helper
+   gates and rewire, emit their result by id (see [splice]).  All passes
+   preserve the names of surviving signals, which is how callers track
    nodes across a rewrite. *)
 
 (* The resolved value of a node during constant folding. *)
@@ -259,42 +261,91 @@ let sweep_unobservable circuit =
 let optimize circuit =
   sweep_unobservable (merge_duplicates (propagate_constants circuit))
 
-(* --- triple modular redundancy ------------------------------------------------ *)
+(* --- id-level rewrites ---------------------------------------------------------- *)
 
-exception Not_a_gate of string
+(* The rewrites below keep every node under its own name and add a few
+   helper gates, so they emit the new node list by id instead of rebuilding
+   the circuit by name through Builder, which hashes every name twice: a
+   serd edit request runs one of them over the whole circuit.  A rewrite is
+   a list of slots in definition order: a survivor copied with its
+   references rewired, a survivor given a new definition, or a helper.
+   Helpers are declared up front, so a node earlier in the order may read
+   one.  Ids follow slot order, exactly as Builder numbers definitions, so
+   the result is the circuit a Builder rebuild would freeze; each rewrite
+   keeps a valid circuit valid by construction, and the regression suite
+   checks that Builder accepts the result and reproduces it id for id. *)
 
-(* The helper signals one triplicated gate adds: two replicas, the three
-   pairwise ANDs of the majority voter, and the voter itself. *)
-type tmr_names = {
-  r1 : string;
-  r2 : string;
-  p01 : string;
-  p12 : string;
-  p02 : string;
-  voter : string;
-}
+type sref = Node of int (* an original node *) | Helper of int (* a declared helper *)
+
+type helper = { name : string; kind : Gate.kind; fanins : sref array }
+
+type slot =
+  | Copy of int  (* an original node, its references rewired *)
+  | Redefine of int * Gate.kind * sref array  (* an original gate, new definition *)
+  | Place of int  (* a declared helper *)
+
+(* [rewire] is applied to a copied node's references in definition order,
+   then to [outputs] in declaration order (split_fanout counts on it). *)
+let splice circuit ~helpers ~slots ~rewire ~outputs =
+  let id_of_node = Array.make (Circuit.node_count circuit) (-1) in
+  let id_of_helper = Array.make (Array.length helpers) (-1) in
+  Array.iteri
+    (fun i slot ->
+      match slot with
+      | Copy v | Redefine (v, _, _) -> id_of_node.(v) <- i
+      | Place h -> id_of_helper.(h) <- i)
+    slots;
+  let id = function Node v -> id_of_node.(v) | Helper h -> id_of_helper.(h) in
+  let nodes =
+    Array.map
+      (function
+        | Copy v -> (
+          match Circuit.node circuit v with
+          | Circuit.Input -> Circuit.Input
+          | Circuit.Ff { data } -> Circuit.Ff { data = id (rewire data) }
+          | Circuit.Gate { kind; fanins } ->
+            Circuit.Gate { kind; fanins = Array.map (fun u -> id (rewire u)) fanins })
+        | Redefine (_, kind, fanins) -> Circuit.Gate { kind; fanins = Array.map id fanins }
+        | Place h ->
+          let { kind; fanins; _ } = helpers.(h) in
+          Circuit.Gate { kind; fanins = Array.map id fanins })
+      slots
+  in
+  let outputs = Array.of_list (List.map (fun v -> id (rewire v)) outputs) in
+  let names =
+    Array.map
+      (function
+        | Copy v | Redefine (v, _, _) -> Circuit.node_name circuit v
+        | Place h -> helpers.(h).name)
+      slots
+  in
+  let collect keep =
+    let acc = ref [] in
+    for v = Array.length nodes - 1 downto 0 do
+      if keep nodes.(v) then acc := v :: !acc
+    done;
+    Array.of_list !acc
+  in
+  Circuit.make ~name:(Circuit.name circuit) ~nodes ~names ~outputs
+    ~inputs:(collect (function Circuit.Input -> true | Circuit.Ff _ | Circuit.Gate _ -> false))
+    ~ffs:(collect (function Circuit.Ff _ -> true | Circuit.Input | Circuit.Gate _ -> false))
+
+(* Copy every node, rewiring fanin / FF-data / PO references through
+   [rewire], then place [extra] (helpers that may read any original
+   signal) after the copies. *)
+let copy_with_rewire circuit ~rewire ~extra =
+  let n = Circuit.node_count circuit in
+  let helpers = Array.of_list extra in
+  let slots =
+    Array.init (n + Array.length helpers) (fun i ->
+        if i < n then Copy i else Place (i - n))
+  in
+  splice circuit ~helpers ~slots ~rewire ~outputs:(Circuit.outputs circuit)
 
 (* --- metamorphic mutations ---------------------------------------------------- *)
 
 let check_node circuit v ~what =
   if v < 0 || v >= Circuit.node_count circuit then invalid_arg what
-
-(* Copy every node under its own name, rewriting fanin / FF-data / PO
-   references through [rewire] and running [extra] after the copies (new
-   helper gates may reference any original signal). *)
-let copy_with_rewire circuit ~rewire ~extra =
-  let b = Builder.create ~name:(Circuit.name circuit) () in
-  let name v = Circuit.node_name circuit v in
-  for v = 0 to Circuit.node_count circuit - 1 do
-    match Circuit.node circuit v with
-    | Circuit.Input -> Builder.add_input b (name v)
-    | Circuit.Ff { data } -> Builder.add_dff b ~q:(name v) ~d:(rewire data)
-    | Circuit.Gate { kind; fanins } ->
-      Builder.add_gate b ~output:(name v) ~kind (Array.to_list (Array.map rewire fanins))
-  done;
-  extra b;
-  List.iter (fun v -> Builder.add_output b (rewire v)) (Circuit.outputs circuit);
-  Builder.freeze b
 
 (* Gates and flip-flops whose definition references [net] — the nodes a
    fanout rewiring redefines.  PO declarations also reference nets but are
@@ -318,16 +369,18 @@ let insert_identity_delta ?(double_invert = false) circuit ~net =
   let base = Circuit.node_name circuit net in
   let names = circuit_namer circuit in
   let tap = mint names (base ^ if double_invert then "#ii2" else "#buf") in
-  let rewire v = if v = net then tap else Circuit.node_name circuit v in
-  let after =
-    copy_with_rewire circuit ~rewire ~extra:(fun b ->
-        if double_invert then begin
-          let mid = mint names (base ^ "#ii1") in
-          Builder.add_gate b ~output:mid ~kind:Gate.Not [ base ];
-          Builder.add_gate b ~output:tap ~kind:Gate.Not [ mid ]
-        end
-        else Builder.add_gate b ~output:tap ~kind:Gate.Buf [ base ])
+  let extra =
+    if double_invert then
+      let mid = mint names (base ^ "#ii1") in
+      [
+        { name = mid; kind = Gate.Not; fanins = [| Node net |] };
+        { name = tap; kind = Gate.Not; fanins = [| Helper 0 |] };
+      ]
+    else [ { name = tap; kind = Gate.Buf; fanins = [| Node net |] } ]
   in
+  let tap_ref = Helper (List.length extra - 1) in
+  let rewire v = if v = net then tap_ref else Node v in
+  let after = copy_with_rewire circuit ~rewire ~extra in
   (after, Delta.make ~before:circuit ~after ~touched:(consumers_of circuit ~net))
 
 let insert_identity ?double_invert circuit ~net =
@@ -335,7 +388,7 @@ let insert_identity ?double_invert circuit ~net =
 
 let split_fanout_delta circuit ~net =
   check_node circuit net ~what:"Transform.split_fanout: bad net";
-  (* Count consumer slots in the same deterministic order the rebuild visits
+  (* Count consumer slots in the same deterministic order the rewrite visits
      them: node order (gate fanin positions, FF data), then PO declarations.
      A node is touched iff at least one of its slots lands on the tap. *)
   let slots = ref 0 in
@@ -353,24 +406,23 @@ let split_fanout_delta circuit ~net =
       Array.iter (fun u -> if u = net then take v) fanins
   done;
   (* PO declarations are interface entries, not node definitions; they only
-     advance the slot counter in the rebuild below, after every node slot. *)
+     advance the slot counter in the rewrite below, after every node slot. *)
   List.iter (fun v -> if v = net then incr slots) (Circuit.outputs circuit);
   if !slots < 2 then (circuit, Delta.identity circuit)
   else begin
-    let base = Circuit.node_name circuit net in
-    let tap = mint (circuit_namer circuit) (base ^ "#split") in
+    let tap = mint (circuit_namer circuit) (Circuit.node_name circuit net ^ "#split") in
     let seen = ref 0 in
     let rewire v =
       if v = net then begin
         let slot = !seen in
         incr seen;
-        if slot land 1 = 1 then tap else base
+        if slot land 1 = 1 then Helper 0 else Node net
       end
-      else Circuit.node_name circuit v
+      else Node v
     in
     let after =
-      copy_with_rewire circuit ~rewire ~extra:(fun b ->
-          Builder.add_gate b ~output:tap ~kind:Gate.Buf [ base ])
+      copy_with_rewire circuit ~rewire
+        ~extra:[ { name = tap; kind = Gate.Buf; fanins = [| Node net |] } ]
     in
     (after, Delta.make ~before:circuit ~after ~touched:!touched)
   end
@@ -383,38 +435,49 @@ let de_morgan_delta circuit ~gate =
   | Circuit.Gate { kind = (Gate.And | Gate.Or | Gate.Nand | Gate.Nor) as kind; fanins } ->
     let gname = Circuit.node_name circuit gate in
     let names = circuit_namer circuit in
-    let inverter_names =
-      Array.mapi (fun i _ -> mint names (Printf.sprintf "%s#dm%d" gname i)) fanins
+    let k = Array.length fanins in
+    let inverters =
+      Array.mapi
+        (fun i u ->
+          {
+            name = mint names (Printf.sprintf "%s#dm%d" gname i);
+            kind = Gate.Not;
+            fanins = [| Node u |];
+          })
+        fanins
     in
-    let dual_name = mint names (gname ^ "#dual") in
-    let b = Builder.create ~name:(Circuit.name circuit) () in
-    let name v = Circuit.node_name circuit v in
-    for v = 0 to Circuit.node_count circuit - 1 do
-      match Circuit.node circuit v with
-      | Circuit.Input -> Builder.add_input b (name v)
-      | Circuit.Ff { data } -> Builder.add_dff b ~q:(name v) ~d:(name data)
-      | Circuit.Gate { kind = k; fanins = f } ->
-        if v = gate then begin
-          Array.iteri
-            (fun i u ->
-              Builder.add_gate b ~output:inverter_names.(i) ~kind:Gate.Not [ name u ])
-            fanins;
-          let nots = Array.to_list inverter_names in
-          match kind with
-          | Gate.Nand -> Builder.add_gate b ~output:gname ~kind:Gate.Or nots
-          | Gate.Nor -> Builder.add_gate b ~output:gname ~kind:Gate.And nots
-          | Gate.And ->
-            Builder.add_gate b ~output:dual_name ~kind:Gate.Or nots;
-            Builder.add_gate b ~output:gname ~kind:Gate.Not [ dual_name ]
-          | Gate.Or ->
-            Builder.add_gate b ~output:dual_name ~kind:Gate.And nots;
-            Builder.add_gate b ~output:gname ~kind:Gate.Not [ dual_name ]
-          | _ -> assert false
-        end
-        else Builder.add_gate b ~output:(name v) ~kind:k (Array.to_list (Array.map name f))
-    done;
-    List.iter (fun v -> Builder.add_output b (name v)) (Circuit.outputs circuit);
-    let after = Builder.freeze b in
+    let nots = Array.init k (fun i -> Helper i) in
+    (* NAND and NOR become the dual of their inverted inputs; AND and OR
+       become NOT of that dual, a helper placed right before the gate. *)
+    let helpers, redefined =
+      match kind with
+      | Gate.Nand -> (inverters, (Gate.Or, nots))
+      | Gate.Nor -> (inverters, (Gate.And, nots))
+      | Gate.And | Gate.Or ->
+        let dual =
+          {
+            name = mint names (gname ^ "#dual");
+            kind = (if kind = Gate.And then Gate.Or else Gate.And);
+            fanins = nots;
+          }
+        in
+        ( Array.append inverters [| dual |],
+          (Gate.Not, [| Helper k |]) )
+      | _ -> assert false
+    in
+    let n = Circuit.node_count circuit in
+    let placed = Array.length helpers in
+    let slots =
+      Array.init (n + placed) (fun i ->
+          if i < gate then Copy i
+          else if i < gate + placed then Place (i - gate)
+          else if i = gate + placed then Redefine (gate, fst redefined, snd redefined)
+          else Copy (i - placed))
+    in
+    let after =
+      splice circuit ~helpers ~slots ~rewire:(fun v -> Node v)
+        ~outputs:(Circuit.outputs circuit)
+    in
     (* The rewritten gate is the only survivor whose definition changes; the
        input inverters (and the dual gate, for AND/OR) are added nodes. *)
     (after, Delta.make ~before:circuit ~after ~touched:[ gname ])
@@ -434,23 +497,22 @@ let permute_observations_delta circuit ~perm =
         invalid_arg "Transform.permute_observations: not a permutation"
       else seen.(i) <- true)
     perm;
-  let b = Builder.create ~name:(Circuit.name circuit) () in
-  let name v = Circuit.node_name circuit v in
-  for v = 0 to Circuit.node_count circuit - 1 do
-    match Circuit.node circuit v with
-    | Circuit.Input -> Builder.add_input b (name v)
-    | Circuit.Ff { data } -> Builder.add_dff b ~q:(name v) ~d:(name data)
-    | Circuit.Gate { kind; fanins } ->
-      Builder.add_gate b ~output:(name v) ~kind (Array.to_list (Array.map name fanins))
-  done;
-  Array.iter (fun i -> Builder.add_output b (name outs.(i))) perm;
-  let after = Builder.freeze b in
+  let after =
+    splice circuit ~helpers:[||]
+      ~slots:(Array.init (Circuit.node_count circuit) (fun v -> Copy v))
+      ~rewire:(fun v -> Node v)
+      ~outputs:(Array.to_list (Array.map (fun i -> outs.(i)) perm))
+  in
   (* Every node definition is copied verbatim; only the observation
      interface moves, which the delta's circuits carry implicitly. *)
   (after, Delta.make ~before:circuit ~after ~touched:[])
 
 let permute_observations circuit ~perm =
   fst (permute_observations_delta circuit ~perm)
+
+(* --- triple modular redundancy ------------------------------------------------ *)
+
+exception Not_a_gate of string
 
 let triplicate_delta circuit ~nodes =
   let n = Circuit.node_count circuit in
@@ -467,49 +529,62 @@ let triplicate_delta circuit ~nodes =
      may precede the gate it reads.  Re-triplicating a gate gets suffixed
      names instead of redefining the first round's helpers, and so does any
      helper whose plain name an existing signal already uses. *)
+  let chosen = List.filter (fun v -> selected.(v)) (List.init n Fun.id) in
+  let first_helper = Array.make n (-1) in
+  List.iteri (fun i v -> first_helper.(v) <- 6 * i) chosen;
+  (* A consumer of a triplicated node reads its voter output. *)
+  let reference v = if selected.(v) then Helper (first_helper.(v) + 5) else Node v in
   let names = circuit_namer circuit in
   let helpers =
-    Array.init n (fun v ->
-        if not selected.(v) then None
-        else
-          let base = Circuit.node_name circuit v in
-          let mint suffix = mint names (base ^ suffix) in
-          let r1 = mint "#tmr1" in
-          let r2 = mint "#tmr2" in
-          let p01 = mint "#maj01" in
-          let p12 = mint "#maj12" in
-          let p02 = mint "#maj02" in
-          Some { r1; r2; p01; p12; p02; voter = mint "#vote" })
-  in
-  let b = Builder.create ~name:(Circuit.name circuit) () in
-  (* A consumer of a triplicated node reads its voter output. *)
-  let reference v =
-    match helpers.(v) with
-    | Some h -> h.voter
-    | None -> Circuit.node_name circuit v
-  in
-  for v = 0 to n - 1 do
-    let name = Circuit.node_name circuit v in
-    match Circuit.node circuit v with
-    | Circuit.Input -> Builder.add_input b name
-    | Circuit.Ff { data } -> Builder.add_dff b ~q:name ~d:(reference data)
-    | Circuit.Gate { kind; fanins } -> (
-      let fanin_names = Array.to_list (Array.map reference fanins) in
-      Builder.add_gate b ~output:name ~kind fanin_names;
-      match helpers.(v) with
-      | None -> ()
-      | Some h ->
+    List.concat_map
+      (fun v ->
+        let kind, fanins =
+          match Circuit.node circuit v with
+          | Circuit.Gate { kind; fanins } -> (kind, Array.map reference fanins)
+          | Circuit.Input | Circuit.Ff _ -> assert false
+        in
+        let base = Circuit.node_name circuit v in
+        let mint suffix = mint names (base ^ suffix) in
+        let r1 = mint "#tmr1" in
+        let r2 = mint "#tmr2" in
+        let p01 = mint "#maj01" in
+        let p12 = mint "#maj12" in
+        let p02 = mint "#maj02" in
+        let voter = mint "#vote" in
         (* Two replicas share the (possibly voted) fanins of the original;
            MAJ3(a,b,c) = (a AND b) OR (b AND c) OR (a AND c). *)
-        Builder.add_gate b ~output:h.r1 ~kind fanin_names;
-        Builder.add_gate b ~output:h.r2 ~kind fanin_names;
-        Builder.add_gate b ~output:h.p01 ~kind:Gate.And [ name; h.r1 ];
-        Builder.add_gate b ~output:h.p12 ~kind:Gate.And [ h.r1; h.r2 ];
-        Builder.add_gate b ~output:h.p02 ~kind:Gate.And [ name; h.r2 ];
-        Builder.add_gate b ~output:h.voter ~kind:Gate.Or [ h.p01; h.p12; h.p02 ])
+        let h = first_helper.(v) in
+        [
+          { name = r1; kind; fanins };
+          { name = r2; kind; fanins };
+          { name = p01; kind = Gate.And; fanins = [| Node v; Helper h |] };
+          { name = p12; kind = Gate.And; fanins = [| Helper h; Helper (h + 1) |] };
+          { name = p02; kind = Gate.And; fanins = [| Node v; Helper (h + 1) |] };
+          {
+            name = voter;
+            kind = Gate.Or;
+            fanins = [| Helper (h + 2); Helper (h + 3); Helper (h + 4) |];
+          };
+        ])
+      chosen
+    |> Array.of_list
+  in
+  (* Each selected gate is followed by its six helpers, in declaration order. *)
+  let slots = Array.make (n + Array.length helpers) (Copy 0) in
+  let next = ref 0 in
+  for v = 0 to n - 1 do
+    slots.(!next) <- Copy v;
+    incr next;
+    if selected.(v) then
+      for i = 0 to 5 do
+        slots.(!next) <- Place (first_helper.(v) + i);
+        incr next
+      done
   done;
-  List.iter (fun v -> Builder.add_output b (reference v)) (Circuit.outputs circuit);
-  let after = Builder.freeze b in
+  let after =
+    splice circuit ~helpers ~slots ~rewire:reference
+      ~outputs:(Circuit.outputs circuit)
+  in
   (* Survivors whose definition changes are exactly the consumers of a
      selected gate (their fanin / FF-data moved to the voter); the selected
      gate itself keeps its definition unless one of its own fanins is also

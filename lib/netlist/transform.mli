@@ -1,8 +1,12 @@
 (** Netlist rewriting: cleanup passes and the TMR hardening transform.
 
-    All passes rebuild through {!Builder} (re-validating every invariant)
-    and preserve the names of surviving signals, so callers can track nodes
-    across a rewrite by name.  Boolean behaviour at every observation point
+    The cleanup passes rebuild through {!Builder} (re-validating every
+    invariant).  TMR and the metamorphic mutations only add helper gates
+    and rewire consumers, so they emit the new node array directly, with
+    the ids a Builder rebuild would assign; that they keep a valid circuit
+    valid, and match the Builder rebuild id for id, is checked by the
+    regression suite.  Every pass preserves the names of surviving signals,
+    so callers can track nodes across a rewrite by name.  Boolean behaviour at every observation point
     is preserved by construction (tested by simulation equivalence). *)
 
 val propagate_constants : Circuit.t -> Circuit.t

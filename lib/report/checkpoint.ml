@@ -51,15 +51,25 @@ let error_message = function
    inferred. *)
 let fingerprint engine =
   let c = Epp.Epp_engine.circuit engine in
-  let buf = Buffer.create 4096 in
-  (* Hand-rolled emission (no Printf): this runs on every serd edit, over
-     every node, and the format-string interpreter is the dominant cost. *)
+  (* about 60 bytes a node (definition, name, sp bits): sized up front so
+     the buffer is not regrown and copied on the way *)
+  let buf = Buffer.create (64 * (Circuit.node_count c + 64)) in
+  (* Hand-rolled emission (no Printf, no intermediate strings): this runs
+     on every serd edit, over every node.  [decimal] writes what
+     [string_of_int] would. *)
+  let rec digits i =
+    if i >= 10 then digits (i / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
+  in
+  let decimal i =
+    if i >= 0 then digits i else Buffer.add_string buf (string_of_int i)
+  in
   let add_int i =
-    Buffer.add_string buf (string_of_int i);
+    decimal i;
     Buffer.add_char buf ','
   in
   let str s =
-    Buffer.add_string buf (string_of_int (String.length s));
+    decimal (String.length s);
     Buffer.add_char buf ':';
     Buffer.add_string buf s
   in
@@ -94,7 +104,11 @@ let fingerprint engine =
   let sp = Epp.Epp_engine.signal_probabilities engine in
   Array.iter
     (fun x ->
-      Buffer.add_string buf (Int64.to_string (Int64.bits_of_float x));
+      let bits = Int64.bits_of_float x in
+      (* the bits of a float in [0, 1] fit a non-negative OCaml int *)
+      if Int64.compare bits 0L >= 0 && Int64.compare bits (Int64.of_int max_int) <= 0
+      then digits (Int64.to_int bits)
+      else Buffer.add_string buf (Int64.to_string bits);
       Buffer.add_char buf ';')
     sp.Sigprob.Sp.values;
   Printf.bprintf buf "mode=%s;cone=%b"

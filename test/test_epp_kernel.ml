@@ -272,9 +272,14 @@ let test_interleaved_workspaces () =
     (Invalid_argument "Epp_batch.Block: workspace used after release") (fun () ->
       ignore (Epp.Epp_batch.Block.run b1 blocks1.(0)))
 
-(* A buffer too small for the next workspace is dropped, not kept beside
-   the new one: the pool never holds more spares than workspaces were live
-   at once. *)
+(* A buffer too small for the next block is dropped, not kept beside the
+   new one: the pool never holds more spares than workspaces were live at
+   once.  A buffer holds [rows · 17/16] plane rows, where [rows] is the
+   largest live frontier a block needed when it was allocated, so a
+   reallocation happens at each block whose frontier outgrows that: the
+   first s298 block (102 rows), the third s344 block (124 > 108), and the
+   first and last blocks of the first s641 sweep (146 > 131, 157 > 155).
+   The later s298 and s641 sweeps (at most 97 and 161 rows) reuse it. *)
 let test_spares_bounded () =
   Epp.Epp_batch.drop_spare_planes ();
   let sweep c =
@@ -289,7 +294,179 @@ let test_spares_bounded () =
             [ (1, s298); (2, s344); (3, s641); (4, s298); (5, s641) ])
   in
   check_int "one spare" 1 (Epp.Epp_batch.spare_planes ());
-  check_int "growing circuits reallocate, smaller ones reuse" 3 allocations
+  check_int "growing frontiers reallocate, smaller ones reuse" 4 allocations
+
+(* --- plane rows ----------------------------------------------------------------
+
+   A block hands plane rows out by liveness: a node's row is freed once the
+   highest level among its fanouts has been evaluated, and handed to a node
+   born later in the same block.  These fixtures make that reuse happen and
+   check every lane against the per-site kernel, bit for bit, including the
+   vector-sum sentinel the supervisor reads after the block. *)
+
+(* Two rails of mixed gates, p and q, one gate of each per level, with p
+   reading q's previous gate, so most levels free two rows and hand them
+   out again to two gates.  It also has skip edges (q3 reads p1, q7 reads
+   p3), a mid-ladder PO (p4) that keeps feeding both rails, a gate reading
+   one net twice (p5), and a side branch from e that reads the input z. *)
+let ladder () =
+  let b = Builder.create ~name:"ladder" () in
+  List.iter (Builder.add_input b) [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "z" ];
+  let gate output kind fanins = Builder.add_gate b ~output ~kind fanins in
+  gate "p1" Gate.And [ "a"; "b" ];
+  gate "q1" Gate.Or [ "b"; "c" ];
+  gate "p2" Gate.Xor [ "p1"; "q1" ];
+  gate "q2" Gate.Nand [ "q1"; "d" ];
+  gate "p3" Gate.Or [ "p2"; "q2" ];
+  gate "q3" Gate.And [ "q2"; "p1" ];
+  gate "p4" Gate.Nor [ "p3"; "q3" ];
+  gate "q4" Gate.Xnor [ "q3"; "e" ];
+  gate "p5" Gate.And [ "p4"; "p4" ];
+  gate "q5" Gate.Or [ "q4"; "p4" ];
+  gate "p6" Gate.Nand [ "p5"; "q5" ];
+  gate "q6" Gate.Not [ "q5" ];
+  gate "p7" Gate.Xor [ "p6"; "q6"; "f" ];
+  gate "q7" Gate.And [ "q6"; "p3" ];
+  gate "p8" Gate.Or [ "p7"; "q7"; "g" ];
+  gate "q8" Gate.Buf [ "q7" ];
+  gate "s1" Gate.Not [ "e" ];
+  gate "s2" Gate.And [ "s1"; "z" ];
+  List.iter (Builder.add_output b) [ "p4"; "p8"; "q8"; "s2" ];
+  Builder.freeze b
+
+let histogram_sum snap name =
+  match Obs.Metrics.histogram_value snap name with
+  | Some h -> h.Obs.Metrics.sum
+  | None -> 0.0
+
+(* One block on a fresh workspace under a live registry: the lane results,
+   each completed lane's vector-sum sentinel, and the rows the block used. *)
+let one_block ?lanes engine sites =
+  let reg = Obs.Metrics.create () in
+  Obs.Hooks.set_metrics reg;
+  Fun.protect ~finally:Obs.Hooks.reset @@ fun () ->
+  let b = Epp.Epp_batch.Block.create ?lanes engine in
+  Fun.protect ~finally:(fun () -> Epp.Epp_batch.Block.release b) @@ fun () ->
+  let results = Epp.Epp_batch.Block.run b sites in
+  let defects =
+    Array.mapi
+      (fun l r ->
+        match r with
+        | Ok _ -> Some (Epp.Epp_batch.Block.lane_vector_defect b l)
+        | Error _ -> None)
+      results
+  in
+  let rows = histogram_sum (Obs.Metrics.snapshot reg) "epp.batch.plane_rows" in
+  (results, defects, int_of_float rows)
+
+let union_size c sites =
+  let ctx = Analysis.get c in
+  let u = Array.make (Circuit.node_count c) false in
+  Array.iter (fun s -> Array.iteri (fun v m -> if m then u.(v) <- true) (Analysis.cone ctx s)) sites;
+  Array.fold_left (fun k m -> if m then k + 1 else k) 0 u
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Every lane of one block against the kernel: a completed lane matches its
+   site's result and sentinel bitwise, a faulted lane raised what the kernel
+   raises.  The block used fewer rows than its union has nodes, so some row
+   was freed and handed out again. *)
+let check_block ?(engine_of = fun c -> Epp.Epp_engine.create ~sp:(sp_for c) c) c
+    names =
+  let sites = Array.of_list (List.map (Circuit.find c) names) in
+  let engine = engine_of c in
+  let results, defects, rows = one_block engine sites in
+  let ws = Epp.Epp_engine.Workspace.create engine in
+  Array.iteri
+    (fun l site ->
+      let name = List.nth names l in
+      match (Epp.Epp_engine.Workspace.analyze_site ws site, results.(l)) with
+      | kernel, Ok r ->
+        check_bool (name ^ ": bit-identical to the kernel") true
+          (results_match_bitwise kernel r);
+        check_bool (name ^ ": same vector-sum sentinel") true
+          (same_bits
+             (Epp.Epp_engine.Workspace.last_vector_defect ws)
+             (Option.get defects.(l)))
+      | _, Error e ->
+        Alcotest.failf "%s: lane faulted (%s), the kernel did not" name
+          (Printexc.to_string e)
+      | exception k -> (
+        match results.(l) with
+        | Error e ->
+          check_string (name ^ ": the kernel's exception") (Printexc.to_string k)
+            (Printexc.to_string e)
+        | Ok _ -> Alcotest.failf "%s: the kernel raised, the lane did not" name))
+    sites;
+  let union = union_size c sites in
+  check_bool
+    (Printf.sprintf "%d rows for a %d-node union: a row was reused" rows union)
+    true (rows < union);
+  results
+
+let test_rows_sites_at_levels () =
+  ignore (check_block (ladder ()) [ "a"; "p2"; "q3"; "p5"; "q7" ])
+
+let test_rows_observed_site () =
+  ignore (check_block (ladder ()) [ "p4"; "a"; "q6" ])
+
+let test_rows_duplicate_site () =
+  ignore (check_block (ladder ()) [ "q2"; "a"; "q2"; "p6" ])
+
+let test_rows_repeated_fanin () =
+  let c = ladder () in
+  let p4 = Circuit.find c "p4" in
+  check_bool "the builder keeps a repeated fanin" true
+    (Circuit.fanins c (Circuit.find c "p5") = [| p4; p4 |]);
+  ignore (check_block c [ "p4"; "q3"; "b" ])
+
+(* The off-path input z is poisoned after the engine is built, so the lanes
+   whose cones reach s2 (sites e and s1) fault at level 2 while the others
+   run on through level 8, their rows still being freed and reused. *)
+let test_rows_lane_faults_mid_block () =
+  let c = ladder () in
+  let engine_of c =
+    let engine = Epp.Epp_engine.create ~sp:(sp_for c) c in
+    (Epp.Epp_engine.signal_probabilities engine).Sigprob.Sp.values.(Circuit.find c "z")
+    <- 1.5;
+    engine
+  in
+  let results = check_block ~engine_of c [ "a"; "e"; "q2"; "s1"; "p5" ] in
+  check_bool "lanes e and s1 faulted, the others completed" true
+    (Array.map Result.is_ok results = [| true; false; true; false; true |])
+
+(* A block's rows follow its live frontier, not the circuit.  On a parity
+   tree 62 sites hold 62 rows and each level of the tree adds at most as
+   many again as it frees; on the dense s13207 profile the sweep's buffer
+   stays under a quarter of the n × 62 floats per plane the planes took
+   when every node had a row. *)
+let test_rows_parity_block () =
+  let c = Circuit_gen.Structured.parity_tree ~width:1024 () in
+  let n = Circuit.node_count c in
+  let engine = Epp.Epp_engine.create ~sp:(sp_for c) c in
+  let sites = Array.init Epp.Epp_batch.max_lanes (fun i -> i * n / Epp.Epp_batch.max_lanes) in
+  let _, _, rows = one_block engine sites in
+  check_bool (Printf.sprintf "%d rows for 62 parity sites" rows) true (rows <= 256)
+
+let test_rows_dense_sweep () =
+  let c = Circuit_gen.Random_dag.generate ~seed:1 Circuit_gen.Profiles.s13207 in
+  let n = Circuit.node_count c in
+  let engine = Epp.Epp_engine.create c in
+  Epp.Epp_batch.drop_spare_planes ();
+  let reg = Obs.Metrics.create () in
+  Obs.Hooks.set_metrics reg;
+  Fun.protect ~finally:Obs.Hooks.reset (fun () ->
+      ignore (Epp.Epp_batch.analyze_site_array engine (Array.init n Fun.id)));
+  let bytes =
+    Option.value ~default:0.0
+      (Obs.Metrics.gauge_value (Obs.Metrics.snapshot reg) "epp.batch.plane_bytes")
+  in
+  let floats = int_of_float bytes / (4 * 8) in
+  check_int "the sweep's buffer is the pool's only one" 1 (Epp.Epp_batch.spare_planes ());
+  check_bool
+    (Printf.sprintf "%d floats per plane <= 25%% of n x 62 = %d" floats (n * 62))
+    true
+    (4 * floats <= n * 62)
 
 (* The density heuristic must keep tiny circuits on the per-site path and
    route dense mid-size sweeps to batch. *)
@@ -375,6 +552,16 @@ let () =
           Alcotest.test_case "interleaved live workspaces" `Quick
             test_interleaved_workspaces;
           Alcotest.test_case "spares bounded" `Quick test_spares_bounded;
+        ] );
+      ( "plane rows",
+        [
+          Alcotest.test_case "sites at different levels" `Quick test_rows_sites_at_levels;
+          Alcotest.test_case "site on an observation net" `Quick test_rows_observed_site;
+          Alcotest.test_case "duplicate site" `Quick test_rows_duplicate_site;
+          Alcotest.test_case "repeated fanin" `Quick test_rows_repeated_fanin;
+          Alcotest.test_case "lane faults mid-block" `Quick test_rows_lane_faults_mid_block;
+          Alcotest.test_case "parity block stays small" `Quick test_rows_parity_block;
+          Alcotest.test_case "dense sweep under a quarter" `Quick test_rows_dense_sweep;
         ] );
       ( "parallel",
         [

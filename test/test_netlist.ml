@@ -250,6 +250,37 @@ let test_analysis_memo_identity () =
   check_bool "distance map served from cache" true
     (Analysis.distances_to ctx 0 == Analysis.distances_to ctx 0)
 
+(* The batch engine's per-circuit layout facts, against naive recounts. *)
+let test_analysis_level_facts () =
+  let c = Circuit_gen.Embedded.s27 () in
+  let ctx = Analysis.get c in
+  let n = Circuit.node_count c in
+  let lv = Analysis.levels ctx in
+  let offsets = Analysis.level_offsets ctx in
+  check_int "one offset per level, plus the end" (Analysis.depth ctx + 2)
+    (Array.length offsets);
+  Array.iteri
+    (fun l off ->
+      check_int
+        (Printf.sprintf "nodes below level %d" l)
+        (Array.fold_left (fun acc x -> if x < l then acc + 1 else acc) 0 lv)
+        off)
+    offsets;
+  check_int "the last offset is the node count" n offsets.(Array.length offsets - 1);
+  let observed = Analysis.observed ctx in
+  for v = 0 to n - 1 do
+    check_bool
+      (Printf.sprintf "node %d observed" v)
+      (Array.mem v (Analysis.observation_nets ctx))
+      observed.(v);
+    check_int
+      (Printf.sprintf "last read level of node %d" v)
+      (List.fold_left (fun m g -> max m lv.(g)) lv.(v) (Circuit.fanouts c v))
+      (Analysis.max_fanout_level ctx).(v)
+  done;
+  check_bool "offsets memoized" true (Analysis.level_offsets ctx == offsets);
+  check_bool "observed mask memoized" true (Analysis.observed ctx == observed)
+
 let test_analysis_counters () =
   let registry = Obs.Metrics.create () in
   Obs.Hooks.set_metrics registry;
@@ -291,11 +322,17 @@ let prop_analysis_arrays_immutable =
           Array.copy (Csr.offsets rev);
           Array.copy (Csr.targets rev);
           Array.copy (Analysis.distances_to ctx obs_net);
+          Array.copy (Analysis.level_offsets ctx);
+          Array.copy (Analysis.max_fanout_level ctx);
         ]
       in
       let cone_snapshot = Array.copy (Analysis.cone ctx 0) in
+      let observed_snapshot = Array.copy (Analysis.observed ctx) in
       let engine = Epp.Epp_engine.create c in
       ignore (Epp.Epp_engine.analyze_all engine);
+      ignore
+        (Epp.Epp_batch.analyze_site_array engine
+           (Array.init (Circuit.node_count c) Fun.id));
       ignore (Sigprob.Sp_topological.compute c);
       ignore (Sigprob.Observability.compute c);
       let timing = Sta.Timing.analyze c in
@@ -312,10 +349,13 @@ let prop_analysis_arrays_immutable =
           Csr.offsets rev;
           Csr.targets rev;
           Analysis.distances_to ctx obs_net;
+          Analysis.level_offsets ctx;
+          Analysis.max_fanout_level ctx;
         ]
       in
       List.for_all2 (fun a b -> a = b) snapshots current
-      && cone_snapshot = Analysis.cone ctx 0)
+      && cone_snapshot = Analysis.cone ctx 0
+      && observed_snapshot = Analysis.observed ctx)
 
 (* --- statistics ----------------------------------------------------------- *)
 
@@ -379,6 +419,7 @@ let () =
           Alcotest.test_case "memoized facts are shared instances" `Quick
             test_analysis_memo_identity;
           Alcotest.test_case "reuse counters" `Quick test_analysis_counters;
+          Alcotest.test_case "level layout facts" `Quick test_analysis_level_facts;
           prop_analysis_arrays_immutable;
         ] );
       ( "stats",

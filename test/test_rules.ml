@@ -230,6 +230,52 @@ let prop_naive_valid_three_state =
       let s = out.Epp.Rules.Naive.pe +. out.Epp.Rules.Naive.p1 +. out.Epp.Rules.Naive.p0 in
       Float.abs (s -. 1.0) < 1e-9)
 
+(* --- lane kernels ---------------------------------------------------------- *)
+
+(* A warm [Rules.Lanes.propagate] allocates nothing: without flambda a float
+   that crosses a call the compiler does not inline is boxed, so one stray
+   helper call in a lane loop costs words per gate-lane evaluation.  The
+   fixture is one gate whose fanins cover every gather case: on-path for
+   every lane, on-path for some, off-path.  Each kind runs at 3 and 4 live
+   lanes (the lane-major path, the 4 non-contiguous) and at 62 (the
+   fanin-major path), 100 calls per case, after a warm-up call. *)
+let test_lanes_allocation_free () =
+  let lanes = Epp.Epp_batch.max_lanes in
+  let full = (1 lsl lanes) - 1 in
+  let scratch = Epp.Rules.Lanes.create ~lanes in
+  (* nodes 0-3 feed gate 4; each node's plane row is its id + 1 *)
+  let rows = [| 1; 2; 3; 4; 5 |] in
+  let mask = [| full; full; 0b1010; 0; full |] in
+  let sp = [| 0.3; 0.6; 0.45; 0.8; 0.5 |] in
+  let plane v = Array.make (6 * lanes) v in
+  let pa = plane 0.125 and pa_bar = plane 0.25 and p1 = plane 0.375 and p0 = plane 0.25 in
+  let words kind fanins em =
+    let run () =
+      Epp.Rules.Lanes.propagate scratch kind ~fanins ~mask ~rows ~sp ~em ~stride:lanes
+        ~pa ~pa_bar ~p1 ~p0 4
+    in
+    check_int "warm-up call faults no lane" 0 (run ());
+    let before = Gc.minor_words () in
+    for _ = 1 to 100 do
+      ignore (run ())
+    done;
+    Gc.minor_words () -. before
+  in
+  let gates = [| 0; 1; 2; 3 |] in
+  List.iter
+    (fun (kind, fanins) ->
+      List.iter
+        (fun (path, em) ->
+          check_float
+            (Printf.sprintf "%s, %s: minor words" (Gate.to_string kind) path)
+            0.0 (words kind fanins em))
+        [ ("3 lanes", 0b111); ("4 scattered lanes", 0b1011010); ("62 lanes", full) ])
+    [
+      (Gate.And, gates); (Gate.Nand, gates); (Gate.Or, gates); (Gate.Nor, gates);
+      (Gate.Xor, gates); (Gate.Xnor, gates); (Gate.Not, [| 2 |]); (Gate.Buf, [| 2 |]);
+      (Gate.Const0, [||]); (Gate.Const1, [||]);
+    ]
+
 let () =
   Alcotest.run "rules"
     [
@@ -265,4 +311,6 @@ let () =
           Alcotest.test_case "agrees on single-error gates" `Quick test_naive_agrees_on_single_path;
           prop_naive_valid_three_state;
         ] );
+      ( "lane kernels",
+        [ Alcotest.test_case "allocation-free when warm" `Quick test_lanes_allocation_free ] );
     ]

@@ -555,6 +555,116 @@ let test_tmr_twice () =
   let _, d = Transform.triplicate_delta c1 ~nodes:[ Circuit.find c1 "G" ] in
   check_delta_oracle "re-TMR delta" d
 
+(* TMR and the metamorphic mutations emit their result by id instead of
+   rebuilding it through Builder.  The result must be a circuit Builder
+   accepts (no duplicate or undefined name, arities, no combinational
+   cycle) and must be the very circuit a by-name Builder rebuild yields:
+   same ids, names, definitions and interface.  The chain also runs on
+   sequential circuits, which the delta-oracle chain above does not, and
+   checks each step's delta and behaviour there. *)
+let builder_rebuild c =
+  let b = Builder.create ~name:(Circuit.name c) () in
+  let name = Circuit.node_name c in
+  for v = 0 to Circuit.node_count c - 1 do
+    match Circuit.node c v with
+    | Circuit.Input -> Builder.add_input b (name v)
+    | Circuit.Ff { data } -> Builder.add_dff b ~q:(name v) ~d:(name data)
+    | Circuit.Gate { kind; fanins } ->
+      Builder.add_gate b ~output:(name v) ~kind
+        (Array.to_list (Array.map name fanins))
+  done;
+  List.iter (fun v -> Builder.add_output b (name v)) (Circuit.outputs c);
+  Builder.freeze b
+
+let same_circuit c1 c2 =
+  let n = Circuit.node_count c1 in
+  Circuit.name c1 = Circuit.name c2
+  && n = Circuit.node_count c2
+  && List.for_all
+       (fun v ->
+         Circuit.node_name c1 v = Circuit.node_name c2 v
+         && Circuit.node c1 v = Circuit.node c2 v
+         && Circuit.fanouts c1 v = Circuit.fanouts c2 v)
+       (List.init n Fun.id)
+  && Circuit.inputs c1 = Circuit.inputs c2
+  && Circuit.outputs c1 = Circuit.outputs c2
+  && Circuit.ffs c1 = Circuit.ffs c2
+
+let rewrite_matches_builder seed =
+  let build s =
+    if s land 1 = 0 then random_small_dag ~seed:s
+    else Circuit_gen.Random_dag.generate ~seed:s Circuit_gen.Profiles.s27
+  in
+  with_repro ~build seed (fun c ->
+      let rng = Rng.create ~seed in
+      let pick l = List.nth l (Rng.int rng ~bound:(List.length l)) in
+      let step circuit i =
+        let n = Circuit.node_count circuit in
+        let nodes = List.init n Fun.id in
+        let gates = List.filter (Circuit.is_gate circuit) nodes in
+        let de_morgan_able =
+          List.filter
+            (fun v ->
+              match Circuit.kind_of circuit v with
+              | Some (Gate.And | Gate.Or | Gate.Nand | Gate.Nor) -> true
+              | _ -> false)
+            nodes
+        in
+        let permuted = ref false in
+        let after, d =
+          match Rng.int rng ~bound:6 with
+          | 0 -> Transform.insert_identity_delta circuit ~net:(Rng.int rng ~bound:n)
+          | 1 ->
+            Transform.insert_identity_delta ~double_invert:true circuit
+              ~net:(Rng.int rng ~bound:n)
+          | 2 -> Transform.split_fanout_delta circuit ~net:(Rng.int rng ~bound:n)
+          | 3 when gates <> [] ->
+            (* one or two gates, possibly one fed by the other *)
+            Transform.triplicate_delta circuit
+              ~nodes:(List.sort_uniq compare [ pick gates; pick gates ])
+          | 4 when de_morgan_able <> [] ->
+            Transform.de_morgan_delta circuit ~gate:(pick de_morgan_able)
+          | _ ->
+            let k = Circuit.output_count circuit in
+            let shift = Rng.int rng ~bound:(max k 1) in
+            permuted := true;
+            Transform.permute_observations_delta circuit
+              ~perm:(Array.init k (fun j -> (j + shift) mod k))
+        in
+        if not (same_circuit after (builder_rebuild after)) then
+          QCheck2.Test.fail_reportf "step %d differs from its Builder rebuild" i;
+        check_delta_oracle (Printf.sprintf "step %d" i) d;
+        (* outputs compare by position, which a permutation moves *)
+        if (not !permuted) && not (equivalent_behaviour circuit after) then
+          QCheck2.Test.fail_reportf "step %d changed the behaviour" i;
+        after
+      in
+      let rec chain circuit i = if i > 5 then true else chain (step circuit i) (i + 1) in
+      chain c 1)
+
+(* The id layout the rewrites reproduce, which circuit fingerprints (and so
+   serd's cache keys for edited circuits) depend on. *)
+let test_rewrite_id_layout () =
+  let c = fig1 () in
+  let names c = List.init (Circuit.node_count c) (Circuit.node_name c) in
+  let check what c expected =
+    Alcotest.(check (list string)) what expected (names c)
+  in
+  check "TMR helpers follow their gate"
+    (Transform.triplicate c ~nodes:[ Circuit.find c "G" ])
+    [ "I1"; "I2"; "B"; "C"; "F"; "A"; "E"; "G"; "G#tmr1"; "G#tmr2"; "G#maj01";
+      "G#maj12"; "G#maj02"; "G#vote"; "D"; "H" ];
+  check "identity stages follow every original node"
+    (Transform.insert_identity ~double_invert:true c ~net:(Circuit.find c "A"))
+    [ "I1"; "I2"; "B"; "C"; "F"; "A"; "E"; "G"; "D"; "H"; "A#ii1"; "A#ii2" ];
+  check "De Morgan helpers precede the rewritten gate"
+    (Transform.de_morgan c ~gate:(Circuit.find c "D"))
+    [ "I1"; "I2"; "B"; "C"; "F"; "A"; "E"; "G"; "D#dm0"; "D#dm1"; "D#dual"; "D"; "H" ]
+
+let prop_rewrites_match_builder =
+  qtest ~count:60 ~name:"id-level rewrites equal their Builder rebuild"
+    seed_arbitrary rewrite_matches_builder
+
 let () =
   Alcotest.run "transform"
     [
@@ -615,5 +725,8 @@ let () =
           prop_deltas_match_oracle;
           Alcotest.test_case "pinned chain seeds" `Quick
             test_delta_chain_pinned_seeds;
+          Alcotest.test_case "id layout of the rewrites" `Quick
+            test_rewrite_id_layout;
+          prop_rewrites_match_builder;
         ] );
     ]
