@@ -5,19 +5,19 @@
    s1196-profile random DAG, whose cones cover a large fraction of the
    circuit — the regime the batch engine exists for), the sweep must
 
-   - produce results bit-identical to the per-site workspace kernel on
-     every site (p_sensitized and every per-observation entry),
+   - produce results bit-identical to the boxed reference engine on every
+     site (p_sensitized and every per-observation entry),
    - populate the live epp.batch.* telemetry (blocks, sites, lane evals,
      lanes-filled / level-width / plane-rows histograms),
-   - visit exactly each block's union cone: the gates it evaluated plus
-     the ones it skipped (epp.batch.nodes_skipped) must equal the gates in
-     the union of the block's forward cones, computed here by a separate
-     traversal,
+   - visit exactly each leaf block's union cone: the gates it evaluated
+     plus the ones it skipped (epp.batch.nodes_skipped) must equal the
+     gates in the union of each leaf's forward cones, computed here by a
+     separate traversal,
    - keep the s1196 fixture's planes well under the n × 62 floats they
      took when every node had a row (the epp.batch.plane_bytes gauge),
    - reuse the shared circuit-analysis context: exactly one topological
-     sort per circuit across engine creation, the kernel sweep, the mask
-     pass and the batch propagation (analysis.topo.computed = 1),
+     sort per circuit across engine creation, the reference sweep, the
+     mask pass and the batch propagation (analysis.topo.computed = 1),
    - and round-trip through the bench artifact: BENCH_batch.json is
      written, re-parsed, and the parsed counters re-checked.
 
@@ -44,30 +44,37 @@ let same_result (a : Epp.Epp_engine.site_result) (b : Epp.Epp_engine.site_result
        (fun (o1, p1) (o2, p2) -> o1 = o2 && bits p1 = bits p2)
        a.Epp.Epp_engine.per_observation b.Epp.Epp_engine.per_observation
 
-(* Gates in the union of the forward cones of each block of
-   [analyze_site_array]'s partition (consecutive runs of max_lanes sites),
-   summed over the blocks: a traversal of the circuit's fanout lists,
-   independent of the engine's masks. *)
+(* Gates in the union of the forward cones of [sites]: a traversal of the
+   circuit's fanout lists, independent of the engine's masks. *)
 let union_gates circuit sites =
-  let n = Netlist.Circuit.node_count circuit in
+  let seen = Array.make (Netlist.Circuit.node_count circuit) false in
   let total = ref 0 in
-  let off = ref 0 in
-  while !off < Array.length sites do
-    let k = min Epp.Epp_batch.max_lanes (Array.length sites - !off) in
-    let seen = Array.make n false in
-    let rec visit v =
-      if not seen.(v) then begin
-        seen.(v) <- true;
-        if Netlist.Circuit.is_gate circuit v then incr total;
-        List.iter visit (Netlist.Circuit.fanouts circuit v)
-      end
-    in
-    for l = 0 to k - 1 do
-      visit sites.(!off + l)
-    done;
-    off := !off + k
-  done;
+  let rec visit v =
+    if not seen.(v) then begin
+      seen.(v) <- true;
+      if Netlist.Circuit.is_gate circuit v then incr total;
+      List.iter visit (Netlist.Circuit.fanouts circuit v)
+    end
+  in
+  Array.iter visit sites;
   !total
+
+(* The leaves a block splits into, in order.  A block's split decision
+   depends on its own sites only, so a block that runs as one leaf on its
+   own is a leaf inside its parent too; otherwise its halves are probed. *)
+let rec leaves engine sites =
+  let metrics = Obs.Metrics.create () in
+  Obs.Hooks.set_metrics metrics;
+  let b = Epp.Epp_batch.Block.create engine in
+  ignore (Epp.Epp_batch.Block.run b sites);
+  Epp.Epp_batch.Block.release b;
+  Obs.Hooks.reset ();
+  if Obs.Metrics.counter_value (Obs.Metrics.snapshot metrics) "epp.batch.blocks" = 1
+  then [ sites ]
+  else
+    let k = Array.length sites / 2 in
+    leaves engine (Array.sub sites 0 k)
+    @ leaves engine (Array.sub sites k (Array.length sites - k))
 
 (* One fixture under a fresh live sink, so the shared-context counter can be
    asserted per circuit: everything the sweep needs — the topological order,
@@ -76,20 +83,18 @@ let run_fixture ~label ?max_plane_share circuit =
   Epp.Epp_batch.drop_spare_planes ();
   let metrics = Obs.Metrics.create () in
   Obs.Hooks.set_metrics metrics;
-  let snapshot =
+  let engine, snapshot =
     Fun.protect ~finally:Obs.Hooks.reset (fun () ->
         let engine = Epp.Epp_engine.create circuit in
         let n = Netlist.Circuit.node_count circuit in
         let sites = Array.init n Fun.id in
-        let ws = Epp.Epp_engine.Workspace.create engine in
-        let kernel = Array.map (Epp.Epp_engine.Workspace.analyze_site ws) sites in
-        let batch = Epp.Epp_batch.analyze_site_array engine sites in
+        let reference = Array.map (Epp.Epp_engine.analyze_site engine) sites in
+        let batch = Epp.Ser_estimator.analyze_site_array engine sites in
         check
-          (Printf.sprintf "%s: batch bit-identical to the kernel on all %d sites"
+          (Printf.sprintf "%s: batch bit-identical to the reference on all %d sites"
              label n)
-          (Array.for_all2 same_result kernel batch);
-        ignore (Epp.Epp_batch.density engine);
-        Obs.Metrics.snapshot metrics)
+          (Array.for_all2 same_result reference batch);
+        (engine, Obs.Metrics.snapshot metrics))
   in
   let v name = Obs.Metrics.counter_value snapshot name in
   let n = Netlist.Circuit.node_count circuit in
@@ -108,14 +113,22 @@ let run_fixture ~label ?max_plane_share circuit =
     | Some h -> h.Obs.Metrics.sum
     | None -> 0.0
   in
-  (* every block walks its union cone and nothing else: each union gate is
+  (* every leaf walks its union cone and nothing else: each union gate is
      either evaluated (counted in a level width) or skipped *)
   let visited =
     int_of_float (hist_sum "epp.batch.level_width") + v "epp.batch.nodes_skipped"
   in
-  let expected = union_gates circuit (Array.init n Fun.id) in
+  let leaves =
+    List.concat_map (leaves engine) (Array.to_list (Epp.Epp_batch.blocks (Array.init n Fun.id)))
+  in
   check
-    (Printf.sprintf "%s: blocks visit exactly their union cones (%d gates, got %d)"
+    (Printf.sprintf "%s: %d blocks split into %d leaves (epp.batch.blocks %d)" label
+       (Array.length (Epp.Epp_batch.blocks (Array.init n Fun.id)))
+       (List.length leaves) (v "epp.batch.blocks"))
+    (List.length leaves = v "epp.batch.blocks");
+  let expected = List.fold_left (fun acc l -> acc + union_gates circuit l) 0 leaves in
+  check
+    (Printf.sprintf "%s: leaves visit exactly their union cones (%d gates, got %d)"
        label expected visited)
     (visited = expected);
   (match max_plane_share with
@@ -148,9 +161,6 @@ let run_fixture ~label ?max_plane_share circuit =
     (match Obs.Metrics.histogram_value snapshot "epp.batch.level_width" with
     | Some h -> h.Obs.Metrics.count > 0
     | None -> false);
-  check
-    (Printf.sprintf "%s: epp.batch.density gauge set" label)
-    (Obs.Metrics.gauge_value snapshot "epp.batch.density" <> None);
   check
     (Printf.sprintf "%s: analysis.topo.computed = 1 (got %d)" label
        (v "analysis.topo.computed"))

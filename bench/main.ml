@@ -17,10 +17,10 @@
    Also prints the Fig. 1 regeneration (the paper's only figure with
    numerical content).
 
-   3. The kernel-vs-reference sweep — times the whole-circuit EPP pass
-      through the boxed reference engine and through the allocation-free
-      workspace kernel, checks 1e-12 agreement, and can record the perf
-      trajectory in BENCH_epp_kernel.json.
+   3. The production-sweep-vs-reference bench — times the whole-circuit
+      EPP pass through the boxed reference engine and, warm and repeated,
+      through the production batch sweep, checks bitwise agreement, and can
+      record the perf trajectory in BENCH_epp_kernel.json.
 
    See the flag summary above the entry point at the bottom of this file. *)
 
@@ -99,17 +99,9 @@ let micro_tests () =
     Test.make ~name:"transform/optimize:s953" (Staged.stage (fun () ->
         Netlist.Transform.optimize s953));
     Test.make ~name:"epp/all-sites-sequential:s953" (Staged.stage (fun () ->
-        Epp.Epp_engine.analyze_all epp953_shared));
+        Epp.Ser_estimator.analyze_all epp953_shared));
     Test.make ~name:"epp/all-sites-collapsed:s953" (Staged.stage (fun () ->
         Epp.Collapse.analyze_all epp953_shared));
-    (* The allocation-free workspace kernel against the boxed reference
-       (epp/site:* above is the reference path). *)
-    (let ws = Epp.Epp_engine.Workspace.create epp953 in
-     Test.make ~name:"epp/site-kernel:s953" (Staged.stage (fun () ->
-         Epp.Epp_engine.Workspace.analyze_site ws site953)));
-    (let ws = Epp.Epp_engine.Workspace.create epp1196 in
-     Test.make ~name:"epp/site-kernel:s1196" (Staged.stage (fun () ->
-         Epp.Epp_engine.Workspace.analyze_site ws site1196)));
   ]
 
 let run_micro () =
@@ -224,175 +216,168 @@ let run_table2 ~quick () =
     "(Speedup magnitudes scale with the baseline's vector budget and our bit-parallel@.";
   Fmt.pr " 64x-faster simulator; see EXPERIMENTS.md for the shape argument.)@."
 
-(* --- kernel vs reference: the perf-trajectory benchmark -----------------------
+(* --- production sweep vs reference: the perf-trajectory benchmark --------------
 
-   Times the whole-circuit EPP sweep (analyze_all) twice per fixture: once
-   through the boxed reference engine (O(circuit) allocation and topo-order
-   filtering per site) and once through the allocation-free workspace kernel
-   (CSR cone DFS, epoch-stamped marks, SoA vectors, cone-local ordering).
-   Verifies the results agree within 1e-12 site by site — the kernel's
-   bit-compatibility contract — and optionally records sites/sec and the
-   speedups in BENCH_epp_kernel.json so later PRs can track the trajectory.
+   Times the whole-circuit EPP sweep per fixture: once through the boxed
+   reference engine (O(circuit) allocation and topo-order filtering per
+   site, a single pass) and warm through the production sweep
+   (Ser_estimator.analyze_site_array: Epp_batch blocks of 62 sites, one
+   union-cone walk each): one warm-up pass, then [sweep_reps] timed passes
+   per domain count, reported as median and interquartile range together
+   with the minor/major GCs per pass.  Domain counts are capped at
+   Domain.recommended_domain_count, which the artifact records.  Verifies
+   every float of every site is bit-identical to the reference, and
+   optionally records the medians and speedups in BENCH_epp_kernel.json so
+   later changes can track the trajectory.
 
-   Two fixtures, two regimes:
+   Two regimes:
    - a >= 5k-gate parity tree (cone-local regime: every cone is a root path,
      so the reference's O(circuit)-per-site overhead dominates and the
-     kernel's O(cone log cone) bound shows as an order-of-magnitude win;
-     real netlists sit between the regimes, nearer this one);
-   - the s9234-profile random DAG (dense-reachability regime: the generator's
-     long-range edges percolate, cones cover ~half the circuit, both engines
-     are bound by the same rule arithmetic, and the kernel's win is the
-     constant factor of allocation-freedom).  [min_speedup] is asserted only
-     where the margin is structural, not timing noise. *)
+     sweep's cone-local cost shows as an orders-of-magnitude win; real
+     netlists sit between the regimes, nearer this one);
+   - the s9234/s13207-profile random DAGs (dense-reachability regime: the
+     generator's long-range edges percolate, cones cover ~half the circuit,
+     and the win is one level pass per 62 sites instead of one graph walk
+     per site).  [min_speedup] is asserted only where the margin is
+     structural, not timing noise. *)
 
-type kernel_fixture = {
-  kf_label : string;
-  kf_build : unit -> Netlist.Circuit.t;
-  kf_min_speedup : float option;  (* kernel vs reference *)
-  kf_min_batch_speedup : float option;  (* batch vs reference, single domain *)
+type sweep_fixture = {
+  sf_label : string;
+  sf_build : unit -> Netlist.Circuit.t;
+  sf_min_speedup : float option;  (* production sweep vs reference, 1 domain *)
 }
 
-(* The speedup floors gate where the margin is structural: the parity tree's
-   kernel win (cone-locality) and the dense fixtures' batch win (one level
-   pass per 62 sites vs one graph walk per site) are orders of magnitude, so
-   a conservative floor catches a real cliff without timing-noise flakes. *)
-let kernel_fixtures ~smoke =
+let sweep_fixtures ~smoke =
   if smoke then
     [
-      { kf_label = "parity-1024 (tree, cone-local)";
-        kf_build = (fun () -> Circuit_gen.Structured.parity_tree ~width:1024 ());
-        kf_min_speedup = None;
-        kf_min_batch_speedup = None };
-      { kf_label = "s1196-profile (dense random DAG)";
-        kf_build = (fun () -> Circuit_gen.Random_dag.generate ~seed:1 Circuit_gen.Profiles.s1196);
-        kf_min_speedup = None;
-        kf_min_batch_speedup = Some 3.0 };
+      { sf_label = "parity-1024 (tree, cone-local)";
+        sf_build = (fun () -> Circuit_gen.Structured.parity_tree ~width:1024 ());
+        sf_min_speedup = None };
+      { sf_label = "s1196-profile (dense random DAG)";
+        sf_build = (fun () -> Circuit_gen.Random_dag.generate ~seed:1 Circuit_gen.Profiles.s1196);
+        sf_min_speedup = Some 3.0 };
     ]
   else
     [
-      { kf_label = "parity-16384 (tree, cone-local)";
-        kf_build = (fun () -> Circuit_gen.Structured.parity_tree ~width:16384 ());
-        kf_min_speedup = Some 5.0;
-        kf_min_batch_speedup = None };
-      { kf_label = "s9234-profile (dense random DAG)";
-        kf_build = (fun () -> Circuit_gen.Random_dag.generate ~seed:1 Circuit_gen.Profiles.s9234);
-        kf_min_speedup = None;
-        kf_min_batch_speedup = Some 10.0 };
-      { kf_label = "s13207-profile (dense random DAG)";
-        kf_build = (fun () -> Circuit_gen.Random_dag.generate ~seed:1 Circuit_gen.Profiles.s13207);
-        kf_min_speedup = None;
-        kf_min_batch_speedup = Some 10.0 };
+      { sf_label = "parity-16384 (tree, cone-local)";
+        sf_build = (fun () -> Circuit_gen.Structured.parity_tree ~width:16384 ());
+        sf_min_speedup = Some 5.0 };
+      { sf_label = "s9234-profile (dense random DAG)";
+        sf_build = (fun () -> Circuit_gen.Random_dag.generate ~seed:1 Circuit_gen.Profiles.s9234);
+        sf_min_speedup = Some 10.0 };
+      { sf_label = "s13207-profile (dense random DAG)";
+        sf_build = (fun () -> Circuit_gen.Random_dag.generate ~seed:1 Circuit_gen.Profiles.s13207);
+        sf_min_speedup = Some 10.0 };
     ]
 
-let batch_scaling_domains = [ 1; 2; 4 ]
+let sweep_reps = 5
 
-type kernel_row = {
-  kr_label : string;
-  kr_nodes : int;
-  kr_gates : int;
-  kr_reference_s : float;
-  kr_kernel_s : float;
-  kr_speedup : float;
-  kr_max_diff : float;
-  kr_batch_s : float;  (* single-domain level-synchronous block sweep *)
-  kr_batch_bitwise : bool;  (* batch vs kernel: every float bit-identical *)
-  kr_batch_max_diff : float;
-  kr_batch_scaling : (int * float) list;  (* domains -> seconds *)
-  kr_metrics : Obs.Json.t;  (* live-sink snapshot of one extra kernel sweep *)
+let scaling_domains () =
+  List.filter (fun d -> d <= Domain.recommended_domain_count ()) [ 1; 2; 4 ]
+
+(* [reps] warm samples of one sweep: median and quartiles of the wall time,
+   median minor / major collections per pass. *)
+type samples = {
+  median_s : float;
+  q1_s : float;
+  q3_s : float;
+  minor_gcs : float;
+  major_gcs : float;
 }
 
-let run_kernel_fixture f =
-  let c = f.kf_build () in
+let quantile sorted q =
+  let n = Array.length sorted in
+  let pos = q *. float_of_int (n - 1) in
+  let i = int_of_float pos in
+  if i + 1 >= n then sorted.(n - 1)
+  else sorted.(i) +. ((pos -. float_of_int i) *. (sorted.(i + 1) -. sorted.(i)))
+
+let measure ~reps f =
+  ignore (f ());
+  let times = Array.make reps 0.0 in
+  let minors = Array.make reps 0.0 and majors = Array.make reps 0.0 in
+  for i = 0 to reps - 1 do
+    let g0 = Gc.quick_stat () in
+    let _, t = Report.Timer.time f in
+    let g1 = Gc.quick_stat () in
+    times.(i) <- t;
+    minors.(i) <- float_of_int (g1.Gc.minor_collections - g0.Gc.minor_collections);
+    majors.(i) <- float_of_int (g1.Gc.major_collections - g0.Gc.major_collections)
+  done;
+  let sorted a = Array.sort compare a; a in
+  let times = sorted times in
+  {
+    median_s = quantile times 0.5;
+    q1_s = quantile times 0.25;
+    q3_s = quantile times 0.75;
+    minor_gcs = quantile (sorted minors) 0.5;
+    major_gcs = quantile (sorted majors) 0.5;
+  }
+
+type sweep_row = {
+  sr_label : string;
+  sr_nodes : int;
+  sr_gates : int;
+  sr_reference_s : float;  (* one pass *)
+  sr_sweep : (int * samples) list;  (* domains -> warm samples *)
+  sr_bitwise : bool;  (* every float of every site equals the reference's *)
+  sr_metrics : Obs.Json.t;  (* live-sink snapshot of one extra sweep *)
+}
+
+let sweep_1d r = (List.assoc 1 r.sr_sweep).median_s
+let speedup r = r.sr_reference_s /. sweep_1d r
+
+let run_sweep_fixture f =
+  let c = f.sf_build () in
   let engine = Epp.Epp_engine.create ~sp:(sp_of c) c in
   let n = Netlist.Circuit.node_count c in
-  let sites = List.init n Fun.id in
-  let sites_arr = Array.init n Fun.id in
-  let reference, kr_reference_s =
-    Report.Timer.time (fun () -> List.map (Epp.Epp_engine.analyze_site engine) sites)
+  let sites = Array.init n Fun.id in
+  let reference, sr_reference_s =
+    Report.Timer.time (fun () -> Array.map (Epp.Epp_engine.analyze_site engine) sites)
   in
-  let kernel, kr_kernel_s =
-    Report.Timer.time (fun () -> Epp.Epp_engine.analyze_all engine)
-  in
-  let kr_max_diff =
-    List.fold_left2
-      (fun acc (a : Epp.Epp_engine.site_result) (b : Epp.Epp_engine.site_result) ->
-        Float.max acc
-          (Float.abs (a.Epp.Epp_engine.p_sensitized -. b.Epp.Epp_engine.p_sensitized)))
-      0.0 reference kernel
-  in
-  (* Best of three: the batch sweep is cheap enough to repeat, and the
-     shared container's run-to-run noise (~30% observed) would otherwise
-     dominate the speedup ratio the floors gate on.  The minimum is the
-     standard low-noise estimator for a deterministic computation. *)
-  let batch, kr_batch_s =
-    let best = ref None in
-    for _ = 1 to 3 do
-      let r, t =
-        Report.Timer.time (fun () ->
-            Epp.Epp_batch.analyze_site_array engine sites_arr)
-      in
-      match !best with
-      | Some (_, t0) when t0 <= t -> ()
-      | _ -> best := Some (r, t)
-    done;
-    Option.get !best
-  in
-  (* The batch contract is stronger than the kernel's 1e-12: bit-identical,
-     including the per-observation entries. *)
+  let production = Epp.Ser_estimator.analyze_site_array engine sites in
   let bits = Int64.bits_of_float in
-  let kr_batch_bitwise = ref true in
-  let kr_batch_max_diff = ref 0.0 in
-  List.iteri
-    (fun i (k : Epp.Epp_engine.site_result) ->
-      let b = batch.(i) in
-      kr_batch_max_diff :=
-        Float.max !kr_batch_max_diff
-          (Float.abs (k.Epp.Epp_engine.p_sensitized -. b.Epp.Epp_engine.p_sensitized));
-      if
-        bits k.Epp.Epp_engine.p_sensitized <> bits b.Epp.Epp_engine.p_sensitized
-        || not
-             (List.for_all2
-                (fun (o1, p1) (o2, p2) -> o1 = o2 && bits p1 = bits p2)
-                k.Epp.Epp_engine.per_observation b.Epp.Epp_engine.per_observation)
-      then kr_batch_bitwise := false)
-    kernel;
-  let kr_batch_scaling =
+  let sr_bitwise =
+    Array.for_all2
+      (fun (a : Epp.Epp_engine.site_result) (b : Epp.Epp_engine.site_result) ->
+        bits a.Epp.Epp_engine.p_sensitized = bits b.Epp.Epp_engine.p_sensitized
+        && List.length a.Epp.Epp_engine.per_observation
+           = List.length b.Epp.Epp_engine.per_observation
+        && List.for_all2
+             (fun (o1, p1) (o2, p2) -> o1 = o2 && bits p1 = bits p2)
+             a.Epp.Epp_engine.per_observation b.Epp.Epp_engine.per_observation)
+      reference production
+  in
+  let sr_sweep =
     List.map
       (fun domains ->
-        let _, t =
-          Report.Timer.time (fun () ->
-              Epp.Parallel.analyze_sites_batched ~domains engine sites_arr)
-        in
-        (domains, t))
-      batch_scaling_domains
+        ( domains,
+          measure ~reps:sweep_reps (fun () ->
+              Epp.Ser_estimator.analyze_site_array ~domains engine sites) ))
+      (scaling_domains ())
   in
   (* One more sweep with live sinks so the trajectory records the phase
-     breakdown (cone sizes, per-phase seconds).  Runs after the timed
+     breakdown (epp.batch.* counters and histograms).  Runs after the timed
      passes, so the recorded timings stay no-op-sink numbers. *)
   let live = Obs.Metrics.create () in
   Obs.Hooks.set_metrics live;
-  ignore (Epp.Epp_engine.analyze_all engine);
+  ignore (Epp.Ser_estimator.analyze_site_array engine sites);
   Obs.Hooks.reset ();
   {
-    kr_label = f.kf_label;
-    kr_nodes = n;
-    kr_gates = Netlist.Circuit.gate_count c;
-    kr_reference_s;
-    kr_kernel_s;
-    kr_speedup = kr_reference_s /. kr_kernel_s;
-    kr_max_diff;
-    kr_batch_s;
-    kr_batch_bitwise = !kr_batch_bitwise;
-    kr_batch_max_diff = !kr_batch_max_diff;
-    kr_batch_scaling;
-    kr_metrics = Obs.Metrics.to_json (Obs.Metrics.snapshot live);
+    sr_label = f.sf_label;
+    sr_nodes = n;
+    sr_gates = Netlist.Circuit.gate_count c;
+    sr_reference_s;
+    sr_sweep;
+    sr_bitwise;
+    sr_metrics = Obs.Metrics.to_json (Obs.Metrics.snapshot live);
   }
 
 (* Instrumentation-overhead guard.  The hooks are compiled in
    unconditionally, so the question a perf trajectory must answer is: what
    does the default no-op sink cost on the hot path?  There is no
    hook-free build to diff against at runtime, so each round times the
-   kernel sweep three times back to back on one deterministic fixture —
+   production sweep three times back to back on one deterministic fixture —
    live sinks, a discarded flush pass, then two no-op passes — and the
    guard statistic compares 20%-trimmed means of the interleaved no-op
    buckets:
@@ -435,7 +420,7 @@ let trimmed_mean a =
 let measure_overhead ?(reps = 15) () =
   let c = Circuit_gen.Structured.parity_tree ~width:16384 () in
   let engine = Epp.Epp_engine.create ~sp:(sp_of c) c in
-  let sweep () = ignore (Epp.Epp_engine.analyze_all engine) in
+  let sweep () = ignore (Epp.Ser_estimator.analyze_all engine) in
   let live_metrics = Obs.Metrics.create () in
   let live_tracer = Obs.Trace.create () in
   Obs.Hooks.reset ();
@@ -473,7 +458,7 @@ let measure_overhead ?(reps = 15) () =
   let noop_check = trimmed_mean t_b in
   let live = trimmed_mean t_live in
   {
-    oh_fixture = "parity-16384 kernel sweep";
+    oh_fixture = "parity-16384 production sweep";
     oh_reps = reps;
     oh_noop_s = noop;
     oh_noop_check_s = noop_check;
@@ -485,7 +470,7 @@ let measure_overhead ?(reps = 15) () =
 (* Shared-analysis reuse check (smoke only).  The module-level fixtures
    above were analyzed under the null sink, so this builds a *fresh* s27 —
    its memo cells are empty — and runs the full pipeline (engine creation
-   with the sequential-fixpoint SP default, the kernel sweep, COP
+   with the sequential-fixpoint SP default, the production sweep, COP
    observability) under a live registry.  The counters then prove the
    sharing contract: the topological sort ran exactly once for the whole
    pipeline, every later consumer was a cache hit, and no engine fell back
@@ -497,7 +482,7 @@ let run_analysis_reuse_check () =
   Fun.protect ~finally:Obs.Hooks.reset (fun () ->
       let c = Circuit_gen.Embedded.s27 () in
       let engine = Epp.Epp_engine.create c in
-      ignore (Epp.Epp_engine.analyze_all engine);
+      ignore (Epp.Ser_estimator.analyze_all engine);
       ignore (Sigprob.Observability.compute c));
   let s = Obs.Metrics.snapshot live in
   let v name = Obs.Metrics.counter_value s name in
@@ -618,88 +603,73 @@ let check_against_baseline ~fixtures ~rows path =
   let failed = ref false in
   List.iter2
     (fun f r ->
-      match List.assoc_opt r.kr_label recorded with
-      | None -> Fmt.pr "baseline: %s not in %s — skipped@." r.kr_label path
+      match List.assoc_opt r.sr_label recorded with
+      | None -> Fmt.pr "baseline: %s not in %s — skipped@." r.sr_label path
       | Some old ->
-        let regression r = (old -. r.kr_speedup) /. old in
+        let regression r = (old -. speedup r) /. old in
         let r =
           if regression r > tolerance then begin
             Fmt.pr "baseline: %s speedup %.1fx vs recorded %.1fx — re-measuring once@."
-              r.kr_label r.kr_speedup old;
-            run_kernel_fixture f
+              r.sr_label (speedup r) old;
+            run_sweep_fixture f
           end
           else r
         in
         if regression r > tolerance then begin
           Fmt.epr "FAIL: %s: speedup %.1fx regressed >%.0f%% vs recorded %.1fx@."
-            r.kr_label r.kr_speedup (tolerance *. 100.0) old;
+            r.sr_label (speedup r) (tolerance *. 100.0) old;
           failed := true
         end
         else
           Fmt.pr "baseline: %s speedup %.1fx vs recorded %.1fx — within %.0f%%@."
-            r.kr_label r.kr_speedup old (tolerance *. 100.0))
+            r.sr_label (speedup r) old (tolerance *. 100.0))
     fixtures rows;
   if !failed then exit 1
 
 let run_kernel_bench ?(json = false) ?(smoke = false) ?baseline () =
   print_endline
-    "== EPP kernel / batch vs reference engine (analyze_all, single domain) ==";
-  let fixtures = kernel_fixtures ~smoke in
-  let rows = List.map run_kernel_fixture fixtures in
+    "== EPP production sweep vs reference engine (analyze_all, warm median) ==";
+  let fixtures = sweep_fixtures ~smoke in
+  let rows = List.map run_sweep_fixture fixtures in
   Report.Table.print
-    ~align:Report.Table.[ Left; Right; Right; Right; Right; Right; Right; Right ]
-    ~header:
-      [ "fixture"; "gates"; "reference"; "kernel"; "batch"; "kern spd";
-        "batch spd"; "max |dP|" ]
+    ~align:Report.Table.[ Left; Right; Right; Right; Right; Right ]
+    ~header:[ "fixture"; "gates"; "reference"; "sweep (IQR)"; "speedup"; "bitwise" ]
     (List.map
        (fun r ->
-         [ r.kr_label; string_of_int r.kr_gates;
-           Printf.sprintf "%.3f s" r.kr_reference_s;
-           Printf.sprintf "%.3f s" r.kr_kernel_s;
-           Printf.sprintf "%.3f s" r.kr_batch_s;
-           Printf.sprintf "%.1fx" r.kr_speedup;
-           Printf.sprintf "%.1fx" (r.kr_reference_s /. r.kr_batch_s);
-           Printf.sprintf "%.1e" r.kr_max_diff ])
+         let s = List.assoc 1 r.sr_sweep in
+         [ r.sr_label; string_of_int r.sr_gates;
+           Printf.sprintf "%.3f s" r.sr_reference_s;
+           Printf.sprintf "%.4f s (%.4f-%.4f)" s.median_s s.q1_s s.q3_s;
+           Printf.sprintf "%.1fx" (speedup r);
+           (if r.sr_bitwise then "yes" else "NO") ])
        rows);
   List.iter
     (fun r ->
-      let base = List.assoc 1 r.kr_batch_scaling in
-      Fmt.pr "batch scaling %s:%s@." r.kr_label
+      let base = sweep_1d r in
+      Fmt.pr "domain scaling %s:%s@." r.sr_label
         (String.concat ","
            (List.map
-              (fun (d, t) -> Printf.sprintf " %dd %.3f s (%.1fx)" d t (base /. t))
-              r.kr_batch_scaling)))
+              (fun (d, s) ->
+                Printf.sprintf " %dd %.4f s (%.2fx)" d s.median_s (base /. s.median_s))
+              r.sr_sweep)))
     rows;
   let failed = ref false in
   List.iter2
     (fun f r ->
-      if r.kr_max_diff > 1e-12 then begin
-        Fmt.epr "FAIL: %s: kernel diverged from reference (max diff %.3g > 1e-12)@."
-          r.kr_label r.kr_max_diff;
+      if not r.sr_bitwise then begin
+        Fmt.epr "FAIL: %s: production sweep diverged from the reference (must be bitwise)@."
+          r.sr_label;
         failed := true
       end;
-      if not (r.kr_batch_bitwise && r.kr_batch_max_diff = 0.0) then begin
-        Fmt.epr "FAIL: %s: batch diverged from the kernel (max diff %.3g, must be bitwise)@."
-          r.kr_label r.kr_batch_max_diff;
-        failed := true
-      end;
-      (match f.kf_min_speedup with
-      | Some min when r.kr_speedup < min ->
-        Fmt.epr "FAIL: %s: kernel speedup %.1fx below the %.0fx floor@." r.kr_label
-          r.kr_speedup min;
-        failed := true
-      | Some _ | None -> ());
-      match f.kf_min_batch_speedup with
-      | Some min when r.kr_reference_s /. r.kr_batch_s < min ->
-        Fmt.epr "FAIL: %s: batch speedup %.1fx below the %.0fx floor@." r.kr_label
-          (r.kr_reference_s /. r.kr_batch_s)
-          min;
+      match f.sf_min_speedup with
+      | Some min when speedup r < min ->
+        Fmt.epr "FAIL: %s: sweep speedup %.1fx below the %.0fx floor@." r.sr_label
+          (speedup r) min;
         failed := true
       | Some _ | None -> ())
     fixtures rows;
   if !failed then exit 1;
-  print_endline
-    "kernel within 1e-12 and batch bit-identical on every fixture: PASS";
+  print_endline "production sweep bit-identical to the reference on every fixture: PASS";
   Option.iter (check_against_baseline ~fixtures ~rows) baseline;
   let print_overhead oh =
     Fmt.pr
@@ -723,7 +693,7 @@ let run_kernel_bench ?(json = false) ?(smoke = false) ?baseline () =
     else oh
   in
   if smoke && oh.oh_noop_delta_percent >= 2.0 then begin
-    Fmt.epr "FAIL: no-op-sink kernel delta %.2f%% exceeds the 2%% guard@."
+    Fmt.epr "FAIL: no-op-sink sweep delta %.2f%% exceeds the 2%% guard@."
       oh.oh_noop_delta_percent;
     exit 1
   end;
@@ -731,48 +701,42 @@ let run_kernel_bench ?(json = false) ?(smoke = false) ?baseline () =
   if json then begin
     let open Obs.Json in
     let fixture_row r =
-      let sps t = float_of_int r.kr_nodes /. t in
+      let sps t = float_of_int r.sr_nodes /. t in
       Obj
         [
-          ("label", String r.kr_label);
-          ("nodes", int r.kr_nodes);
-          ("gates", int r.kr_gates);
-          ("sites", int r.kr_nodes);
-          ("reference_s", Number r.kr_reference_s);
-          ("kernel_s", Number r.kr_kernel_s);
-          ("reference_sites_per_sec", Number (sps r.kr_reference_s));
-          ("kernel_sites_per_sec", Number (sps r.kr_kernel_s));
-          ("speedup", Number r.kr_speedup);
-          ("max_abs_diff", Number r.kr_max_diff);
-          ( "batch",
-            Obj
-              [
-                ("batch_s", Number r.kr_batch_s);
-                ("batch_sites_per_sec", Number (sps r.kr_batch_s));
-                ("speedup_vs_reference", Number (r.kr_reference_s /. r.kr_batch_s));
-                ("speedup_vs_kernel", Number (r.kr_kernel_s /. r.kr_batch_s));
-                ("max_abs_diff", Number r.kr_batch_max_diff);
-                ("bitwise", Bool r.kr_batch_bitwise);
-                ( "scaling",
-                  List
-                    (List.map
-                       (fun (d, t) ->
-                         Obj
-                           [
-                             ("domains", int d);
-                             ("seconds", Number t);
-                             ("sites_per_sec", Number (sps t));
-                           ])
-                       r.kr_batch_scaling) );
-              ] );
-          ("metrics", r.kr_metrics);
+          ("label", String r.sr_label);
+          ("nodes", int r.sr_nodes);
+          ("gates", int r.sr_gates);
+          ("sites", int r.sr_nodes);
+          ("reference_s", Number r.sr_reference_s);
+          ("reference_sites_per_sec", Number (sps r.sr_reference_s));
+          ("speedup", Number (speedup r));
+          ("bitwise", Bool r.sr_bitwise);
+          ( "sweep",
+            List
+              (List.map
+                 (fun (d, s) ->
+                   Obj
+                     [
+                       ("domains", int d);
+                       ("median_s", Number s.median_s);
+                       ("q1_s", Number s.q1_s);
+                       ("q3_s", Number s.q3_s);
+                       ("sites_per_sec", Number (sps s.median_s));
+                       ("minor_gcs", Number s.minor_gcs);
+                       ("major_gcs", Number s.major_gcs);
+                     ])
+                 r.sr_sweep) );
+          ("metrics", r.sr_metrics);
         ]
     in
     to_file ~pretty:true "BENCH_epp_kernel.json"
       (Obj
          [
-           ("benchmark", String "epp_kernel_vs_reference");
-           ("domains", int 1);
+           ("benchmark", String "epp_sweep_vs_reference");
+           ("recommended_domain_count", int (Domain.recommended_domain_count ()));
+           ("warmup_passes", int 1);
+           ("reps", int sweep_reps);
            ("fixtures", List (List.map fixture_row rows));
            ( "instrumentation_overhead",
              Obj
@@ -866,13 +830,14 @@ let run_ablation () =
      --quick         3-circuit Table-2 smoke version
      --micro-only    Bechamel microbenchmarks only
      --table-only    Table-2 harness only
-     --kernel-only   kernel-vs-reference sweep only (>= 5k-gate fixtures)
+     --kernel-only   production sweep vs reference only (>= 5k-gate fixtures)
      --service       in-process load run against the serd request engine
      --json          with the kernel bench: also write BENCH_epp_kernel.json
      --baseline F    with the kernel bench: fail if any fixture's speedup
                      regressed >5% against the recorded BENCH_epp_kernel.json
-     --smoke         fast CI check: kernel equivalence on a small profile plus
-                     the shared-analysis reuse counters on the embedded s27
+     --smoke         fast CI check: sweep-vs-reference bit identity on small
+                     fixtures, the no-op-sink overhead guard, and the
+                     shared-analysis reuse counters on the embedded s27
                      (also available as `dune build @bench-smoke`) *)
 let () =
   let args = Array.to_list Sys.argv in

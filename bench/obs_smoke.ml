@@ -8,7 +8,7 @@
    the acceptance contract of the telemetry layer:
 
    - both artifacts parse under the strict Obs.Json parser;
-   - the metrics snapshot has nonzero epp.sites_analyzed and
+   - the metrics snapshot has nonzero epp.batch.sites and
      parallel.tasks_executed counters (the pipeline was actually observed,
      not just the registry created);
    - the shared-analysis contract held for the whole run:
@@ -64,10 +64,10 @@ let () =
   let metrics = parse_or_die "metrics snapshot" metrics_path in
   let trace = parse_or_die "trace" trace_path in
 
-  let sites = counter_value metrics "epp.sites_analyzed" in
+  let sites = counter_value metrics "epp.batch.sites" in
   let tasks = counter_value metrics "parallel.tasks_executed" in
   check
-    (Printf.sprintf "epp.sites_analyzed > 0 (got %.0f)" sites)
+    (Printf.sprintf "epp.batch.sites > 0 (got %.0f)" sites)
     (sites > 0.0);
   check
     (Printf.sprintf "parallel.tasks_executed > 0 (got %.0f)" tasks)
@@ -166,10 +166,11 @@ let () =
   let ctx_q = Obs.Ctx.create ~baggage:[ ("tool", "obs_smoke") ] () in
   let fail_site0 site = if site = 0 then failwith "injected fault" in
   let outcome_q =
-    Epp.Supervisor.sweep ~ctx:ctx_q ~domains:1 ~batch:Epp.Supervisor.Never
-      ~kernel:(fun ws site ->
-        fail_site0 site;
-        Epp.Epp_engine.Workspace.analyze_site ws site)
+    Epp.Supervisor.sweep ~ctx:ctx_q ~domains:1
+      ~batch_run:(fun block sites ->
+        Array.mapi
+          (fun l r -> if sites.(l) = 0 then Error (Failure "injected fault") else r)
+          (Epp.Epp_batch.Block.run block sites))
       ~reference:(fun engine site ->
         fail_site0 site;
         Epp.Epp_engine.analyze_site engine site)

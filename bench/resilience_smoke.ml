@@ -52,18 +52,19 @@ let () =
   let poisoned = [ 2; 9; 14 ] in
   let k = List.length poisoned in
   let poison site = List.mem site poisoned in
-  let kernel ws site =
-    if poison site then failwith "injected kernel fault"
-    else Epp.Epp_engine.Workspace.analyze_site ws site
+  let batch_run block sites =
+    Array.mapi
+      (fun l r -> if poison sites.(l) then Error (Failure "injected batch fault") else r)
+      (Epp.Epp_batch.Block.run block sites)
   in
   let reference engine site =
     if poison site then failwith "injected reference fault"
     else Epp.Epp_engine.analyze_site engine site
   in
-  let unsupervised = Epp.Epp_engine.analyze_all engine in
+  let unsupervised = Epp.Ser_estimator.analyze_all engine in
 
   (* 1. Fault isolation: exactly k quarantines, survivors bit-identical. *)
-  let outcome = Epp.Supervisor.sweep_all ~domains:2 ~kernel ~reference engine in
+  let outcome = Epp.Supervisor.sweep_all ~domains:2 ~batch_run ~reference engine in
   let qs = Epp.Supervisor.quarantines outcome in
   check
     (Printf.sprintf "exactly %d quarantined sites (got %d)" k (List.length qs))
@@ -86,7 +87,7 @@ let () =
   let saved = ref [] in
   (try
      ignore
-       (Epp.Supervisor.sweep ~domains:2 ~chunk_size:5 ~kernel ~reference
+       (Epp.Supervisor.sweep ~domains:2 ~chunk_size:5 ~batch_run ~reference
           ~on_chunk:(fun ~done_count ~total:_ entries ->
             saved := entries @ !saved;
             Report.Checkpoint.save path
@@ -101,7 +102,7 @@ let () =
    with Killed -> ());
   (match
      Report.Checkpoint.supervised_sweep ~domains:2 ~chunk_size:5 ~checkpoint:path
-       ~resume:true ~kernel ~reference engine
+       ~resume:true ~batch_run ~reference engine
    with
   | Error e -> check (Report.Checkpoint.error_message e) false
   | Ok resumed ->
@@ -143,7 +144,6 @@ let () =
                [
                  ("total", int s.Epp.Diag.total);
                  ("batch_ok", int s.Epp.Diag.batch_ok);
-                 ("kernel_ok", int s.Epp.Diag.kernel_ok);
                  ("degraded", int s.Epp.Diag.degraded);
                  ("quarantined", int s.Epp.Diag.quarantined);
                  ("resumed", int s.Epp.Diag.resumed);

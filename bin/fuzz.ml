@@ -41,7 +41,7 @@ let show_statistical_arg =
 
 let shrink_demo_arg =
   let doc =
-    "After fuzzing, inject a silent fault into the EPP kernel via the \
+    "After fuzzing, inject a silent fault into the EPP batch engine via the \
      supervisor seam, find a disagreeing site and shrink it to a minimal \
      repro (printed as BLIF and an OCaml snippet)."
   in
@@ -127,7 +127,7 @@ let print_summary ~show_statistical (r : Conformance.Fuzz.report) =
     List.iter (fun f -> Fmt.pr "  %a@." Conformance.Fuzz.pp_finding f) l
 
 let run_shrink_demo seed =
-  Fmt.pr "@.shrink demo: perturbed kernel (p_sensitized halved) vs reference@.";
+  Fmt.pr "@.shrink demo: perturbed batch engine (p_sensitized halved) vs reference@.";
   let demo = Conformance.Fuzz.shrink_demo ~seed () in
   let o = demo.Conformance.Fuzz.outcome in
   Fmt.pr "  initial: %s@." (Conformance.Fuzz.fingerprint demo.Conformance.Fuzz.initial);
@@ -229,7 +229,7 @@ let cmd =
       `P
         "Draws seeded random circuits, runs every applicable oracle (exact \
          enumeration, BDD, Monte-Carlo fault injection, the analytical \
-         reference/kernel/parallel/supervised engines), compares each pair \
+         reference/batch/parallel/supervised engines), compares each pair \
          under its soundness-class policy, then chains metamorphic mutations \
          and re-checks both the EPP invariants and the oracle agreement.";
       `P "Exits 1 when any non-statistical disagreement is found.";

@@ -48,7 +48,7 @@ let run circuit vectors sites seed metrics trace prom dump progress =
   let epp_results, syst =
     Report.Timer.time (fun () ->
         Obs.Trace.span tracer ~cat:"compare" "compare.epp" (fun () ->
-            Epp.Epp_engine.analyze_sites engine chosen))
+            Epp.Ser_estimator.analyze_sites engine chosen))
   in
   let sim_results, simt =
     Report.Timer.time (fun () ->

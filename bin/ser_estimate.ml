@@ -6,11 +6,10 @@
 
    The supervised mode (--supervised, or implied by --checkpoint / --resume /
    --strict) runs the sweep under Epp.Supervisor's degradation ladder:
-   dense sweeps start on the batched block engine (--batch-mode), lanes
-   that fault drop to the per-site kernel, sites that crash or trip a
-   numeric sentinel there are retried on the boxed reference path, and
-   sites that fail every rung are quarantined into a typed report instead
-   of killing the run.  --checkpoint
+   sites run on the batched block engine, lanes that fault or trip a
+   numeric sentinel are retried on the boxed reference path, and sites
+   that fail both rungs are quarantined into a typed report instead of
+   killing the run.  --checkpoint
    snapshots completed sites atomically after every chunk; --resume replays
    a matching snapshot and analyzes only the remainder.
 
@@ -68,7 +67,7 @@ let print_report circuit technology (report : Epp.Ser_estimator.report) elapsed
   end
 
 let run_supervised circuit technology top_k target_reduction by_output
-    electrical checkpoint resume strict domains batch =
+    electrical checkpoint resume strict domains =
   let engine = Epp.Epp_engine.create circuit in
   let ctx = Obs.Ctx.create ~baggage:[ ("tool", "ser_estimate") ] () in
   (* The meter is created unconditionally — it renders only when a progress
@@ -85,7 +84,7 @@ let run_supervised circuit technology top_k target_reduction by_output
       (fun () ->
         Report.Timer.time (fun () ->
             Report.Checkpoint.supervised_sweep ~ctx ?domains ?checkpoint
-              ~resume ~batch ~on_progress engine))
+              ~resume ~on_progress engine))
   in
   match swept with
   | Error e ->
@@ -108,7 +107,7 @@ let run_supervised circuit technology top_k target_reduction by_output
     if strict && quarantines <> [] then exit_quarantined else 0
 
 let run circuit technology top_k target_reduction by_output electrical
-    supervised checkpoint resume strict domains batch metrics trace prom dump
+    supervised checkpoint resume strict domains metrics trace prom dump
     progress =
   if progress then
     Obs.Hooks.set_progress (Some (Obs.Progress.stderr_renderer ()));
@@ -120,7 +119,7 @@ let run circuit technology top_k target_reduction by_output electrical
   in
   if supervised then
     run_supervised circuit technology top_k target_reduction by_output
-      electrical checkpoint resume strict domains batch
+      electrical checkpoint resume strict domains
   else begin
     let (report : Epp.Ser_estimator.report), elapsed =
       Report.Timer.time (fun () ->
@@ -150,7 +149,7 @@ let electrical_arg =
 let supervised_arg =
   let doc =
     "Run the sweep under the fault-isolating supervisor (degradation ladder: \
-     kernel, reference retry, quarantine).  Implied by $(b,--checkpoint), \
+     batch engine, reference retry, quarantine).  Implied by $(b,--checkpoint), \
      $(b,--resume) and $(b,--strict)."
   in
   Arg.(value & flag & info [ "supervised" ] ~doc)
@@ -188,26 +187,6 @@ let domains_arg =
   let doc = "Worker domains for the supervised sweep (default: cores - 1)." in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
-let batch_mode_arg =
-  let doc =
-    "Batch-rung policy for the supervised sweep: $(b,auto) takes the \
-     level-synchronous block engine when the circuit is dense enough, \
-     $(b,always) forces it (polarity mode permitting), $(b,never) keeps the \
-     per-site kernel.  Results are bit-identical either way."
-  in
-  let modes =
-    Arg.enum
-      [
-        ("auto", Epp.Supervisor.Auto);
-        ("always", Epp.Supervisor.Always);
-        ("never", Epp.Supervisor.Never);
-      ]
-  in
-  Arg.(
-    value
-    & opt modes Epp.Supervisor.Auto
-    & info [ "batch-mode" ] ~docv:"auto|always|never" ~doc)
-
 let cmd =
   let doc = "analytical soft-error-rate estimation (EPP method, DATE'05)" in
   Cmd.v
@@ -215,7 +194,7 @@ let cmd =
     Term.(
       const run $ Cli_common.circuit_arg $ Cli_common.technology_arg $ top_k_arg $ target_arg
       $ by_output_arg $ electrical_arg $ supervised_arg $ checkpoint_arg $ resume_arg
-      $ strict_arg $ domains_arg $ batch_mode_arg $ Cli_common.metrics_arg $ Cli_common.trace_arg
+      $ strict_arg $ domains_arg $ Cli_common.metrics_arg $ Cli_common.trace_arg
       $ Cli_common.prom_arg $ Cli_common.dump_arg $ Cli_common.progress_arg)
 
 let () = exit (Cmd.eval' cmd)

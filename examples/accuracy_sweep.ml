@@ -34,7 +34,7 @@ let () =
       sites
   in
   let epp_results, epp_time =
-    Report.Timer.time (fun () -> Epp.Epp_engine.analyze_sites engine sites)
+    Report.Timer.time (fun () -> Epp.Ser_estimator.analyze_sites engine sites)
   in
   let epp_gap =
     List.fold_left2

@@ -7,10 +7,11 @@
    the site actually reaches are built, over only the pseudo-inputs in
    those cones (the site's true support), with an initial variable order
    from a fanin-first DFS so related inputs sit at adjacent levels.  When
-   the manager crosses half its node budget it gets one shot of sifting
-   (Bdd.Reorder) and continues in the reordered manager; crossing the full
-   budget is a trip, reported to the caller instead of raised — the
-   certified tier falls back to interval bounds, it does not fail.
+   the manager crosses half its node budget while the good and faulty
+   machines are built it gets one shot of sifting (Bdd.Reorder) and
+   continues in the reordered manager; crossing the full budget is a trip,
+   reported to the caller instead of raised — the certified tier falls back
+   to interval bounds, it does not fail.
 
    The library has no obs dependency, so cancellation is a plain
    [should_stop] closure; the certified tier threads Obs.Deadline through
@@ -94,6 +95,10 @@ let epp_exact_cone ?(input_sp = fun _ -> 0.5) ?(node_budget = default_node_budge
     let faulty = Array.make n Bdd.zero in
     let fbuilt = Array.make n false in
     let reordered = ref false in
+    (* Sifting remaps only [node_fn] and [faulty]; once the observation
+       indicators are being built, a sift would leave the ones built so far
+       pointing into the discarded manager. *)
+    let may_sift = ref allow_reorder in
     let do_reorder () =
       (* Every live function — good and faulty — is a root; sifting hands
          back a fresh manager plus the images of those roots, and the
@@ -122,7 +127,7 @@ let epp_exact_cone ?(input_sp = fun _ -> 0.5) ?(node_budget = default_node_budge
     let guard () =
       if should_stop () then raise Stopped;
       let nodes = Bdd.node_count !manager in
-      if (not !reordered) && allow_reorder && nodes > node_budget / 2 then begin
+      if (not !reordered) && !may_sift && nodes > node_budget / 2 then begin
         do_reorder ();
         let after = Bdd.node_count !manager in
         if after > node_budget then raise (Trip after)
@@ -165,6 +170,7 @@ let epp_exact_cone ?(input_sp = fun _ -> 0.5) ?(node_budget = default_node_budge
             | Circuit.Input | Circuit.Ff _ -> ()
           end)
         (Analysis.order ctx);
+      may_sift := false;
       let indicators =
         List.map
           (fun obs ->

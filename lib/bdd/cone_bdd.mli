@@ -4,7 +4,8 @@
     {!Circuit_bdd} manager cannot be built: only the fan-in cones of the
     observation points the site actually reaches are compiled, over only
     the pseudo-inputs in those cones, with one round of sifting
-    ({!Bdd.Reorder}) when the manager crosses half its budget.  Crossing
+    ({!Bdd.Reorder}) when the manager crosses half its budget while the
+    good and faulty machines are built.  Crossing
     the full budget is an {e outcome}, not an exception — the certified
     tier falls back to sound interval bounds. *)
 

@@ -224,8 +224,9 @@ let draw_circuit rng index =
 (* --- metamorphic mutations --------------------------------------------------- *)
 
 (* Analytical P_sensitized of every node, keyed by name — the invariant
-   metric.  Uses the reference engine over the plain topological signal
-   probabilities, like every analytical oracle here. *)
+   metric.  Uses the production sweep (bit-identical to the reference) over
+   the plain topological signal probabilities, like every analytical oracle
+   here. *)
 let epp_by_name c =
   let sp = Sigprob.Sp_topological.compute c in
   let engine = Epp.Epp_engine.create ~sp c in
@@ -234,7 +235,7 @@ let epp_by_name c =
     (fun (r : Epp.Epp_engine.site_result) ->
       Hashtbl.replace table (Circuit.node_name c r.Epp.Epp_engine.site)
         r.Epp.Epp_engine.p_sensitized)
-    (Epp.Epp_engine.analyze_all engine);
+    (Epp.Ser_estimator.analyze_all engine);
   table
 
 let mutate rng c =
@@ -443,14 +444,16 @@ let run ?oracles config =
 
 (* --- shrinker self-test ------------------------------------------------------- *)
 
-let perturbed_kernel () ws site =
-  let r = Epp.Epp_engine.Workspace.analyze_site ws site in
-  {
-    r with
-    Epp.Epp_engine.p_sensitized = 0.5 *. r.Epp.Epp_engine.p_sensitized;
-    per_observation =
-      List.map (fun (obs, p) -> (obs, 0.5 *. p)) r.Epp.Epp_engine.per_observation;
-  }
+let perturbed_batch () block sites =
+  Array.map
+    (Result.map (fun (r : Epp.Epp_engine.site_result) ->
+         {
+           r with
+           Epp.Epp_engine.p_sensitized = 0.5 *. r.Epp.Epp_engine.p_sensitized;
+           per_observation =
+             List.map (fun (obs, p) -> (obs, 0.5 *. p)) r.Epp.Epp_engine.per_observation;
+         }))
+    (Epp.Epp_batch.Block.run block sites)
 
 type demo = {
   initial : Circuit.t;
@@ -467,7 +470,7 @@ let shrink_demo ?(seed = 2026) ?(gates = 18) () =
   in
   let c = Circuit_gen.Random_dag.generate ~seed profile in
   let left = Oracle.reference () in
-  let right = Oracle.supervised ~kernel:(perturbed_kernel ()) () in
+  let right = Oracle.supervised ~batch_run:(perturbed_batch ()) () in
   let check cand s =
     match
       let sites = [| s |] in

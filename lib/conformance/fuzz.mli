@@ -110,14 +110,17 @@ type report = {
 
 val run : ?oracles:Oracle.t list -> config -> report
 
-(** {1 Shrinker self-test: the perturbed-kernel demo} *)
+(** {1 Shrinker self-test: the perturbed-engine demo} *)
 
-val perturbed_kernel :
-  unit -> Epp.Epp_engine.Workspace.ws -> int -> Epp.Epp_engine.site_result
-(** A kernel for {!Oracle.supervised}'s fault-injection seam that halves
-    every probability — an in-range, sentinel-silent wrong answer, so the
-    supervised sweep propagates it and a bitwise analytical pair must
-    disagree at every site with [P_sensitized > 0]. *)
+val perturbed_batch :
+  unit ->
+  Epp.Epp_batch.Block.ws ->
+  int array ->
+  (Epp.Epp_engine.site_result, exn) result array
+(** A block engine for {!Oracle.supervised}'s fault-injection seam that
+    halves every probability — an in-range, sentinel-silent wrong answer,
+    so the supervised sweep propagates it and a bitwise analytical pair
+    must disagree at every site with [P_sensitized > 0]. *)
 
 type demo = {
   initial : Netlist.Circuit.t;
@@ -129,6 +132,6 @@ type demo = {
 }
 
 val shrink_demo : ?seed:int -> ?gates:int -> unit -> demo
-(** Generate a random DAG, install {!perturbed_kernel} behind the
+(** Generate a random DAG, install {!perturbed_batch} behind the
     supervised oracle, find a disagreeing site against the boxed reference,
     and shrink it to a minimal repro.  Deterministic from [seed]. *)

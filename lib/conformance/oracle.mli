@@ -6,9 +6,9 @@
     Soundness classes drive the policy (DESIGN.md §12):
 
     - two {e analytical} oracles implement the same Table-1 specification
-      (the boxed reference, the SoA kernel, the level-synchronous batch
-      engine, the work-stealing parallel driver, the supervised sweep) and
-      must agree {e bit-wise};
+      (the boxed reference, the level-synchronous batch engine on one
+      domain and fanned out across several, the supervised sweep) and must
+      agree {e bit-wise};
     - two {e exact} oracles (weighted enumeration, BDD) compute the same
       real number along different float paths and must agree within [1e-9];
     - an {e analytical} oracle against an {e exact} one is the paper's own
@@ -74,27 +74,31 @@ val monte_carlo : ?input_sp:(int -> float) -> ?vectors:int -> ?seed:int -> unit 
 val reference : ?input_sp:(int -> float) -> unit -> t
 (** The boxed {!Epp.Epp_engine.analyze_site} specification path. *)
 
-val kernel : ?input_sp:(int -> float) -> unit -> t
-(** The allocation-free {!Epp.Epp_engine.Workspace} SoA kernel. *)
-
-val batch : ?input_sp:(int -> float) -> ?lanes:int -> unit -> t
-(** The level-synchronous {!Epp.Epp_batch} block engine ([lanes] sites per
-    union-cone walk, default {!Epp.Epp_batch.max_lanes}).  Analytical — it
-    joins the Bitwise-compared panel, so any arithmetic divergence from the
-    per-site kernel is a hard failure. *)
+val batch : ?input_sp:(int -> float) -> unit -> t
+(** The production sweep, {!Epp.Ser_estimator.analyze_site_array}, on one
+    domain: {!Epp.Epp_batch} blocks of up to {!Epp.Epp_batch.max_lanes}
+    sites per union-cone walk.  Analytical — it joins the Bitwise-compared
+    panel, so any arithmetic divergence from the boxed reference is a hard
+    failure. *)
 
 val parallel : ?input_sp:(int -> float) -> ?domains:int -> unit -> t
-(** {!Epp.Parallel.analyze_sites} work-stealing fan-out. *)
+(** The same sweep with its blocks fanned out across [domains] (default
+    {!Epp.Parallel.default_domains}, at least 2).  The sites are repeated
+    until there are [2 x domains] blocks, so every domain takes part; a
+    site whose copies differ in any bit reports a NaN [p_sensitized]. *)
 
 val supervised :
   ?input_sp:(int -> float) ->
-  ?kernel:(Epp.Epp_engine.Workspace.ws -> int -> Epp.Epp_engine.site_result) ->
+  ?batch_run:
+    (Epp.Epp_batch.Block.ws ->
+    int array ->
+    (Epp.Epp_engine.site_result, exn) Stdlib.result array) ->
   ?reference:(Epp.Epp_engine.t -> int -> Epp.Epp_engine.site_result) ->
   unit ->
   t
-(** {!Epp.Supervisor.sweep}.  [kernel] / [reference] pass through to the
-    supervisor's fault-injection seam — a perturbed [kernel] is how the
-    shrinker's self-test manufactures a reproducible disagreement.  A
+(** {!Epp.Supervisor.sweep}.  [batch_run] / [reference] pass through to
+    the supervisor's fault-injection seam — a perturbed [batch_run] is how
+    the shrinker's self-test manufactures a reproducible disagreement.  A
     quarantined site surfaces as a NaN result (and therefore a mismatch). *)
 
 val certified :
@@ -112,7 +116,7 @@ val certified :
 
 val default : ?input_sp:(int -> float) -> ?mc_vectors:int -> ?mc_seed:int -> ?enum_limit:int -> unit -> t list
 (** The full registry, in fixed order: exact-enum, exact-bdd, monte-carlo,
-    reference, kernel, batch, parallel, supervised. *)
+    reference, batch, parallel, supervised. *)
 
 (** {1 Agreement policies} *)
 

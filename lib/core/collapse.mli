@@ -14,7 +14,7 @@ val savings : t -> int
 (** Sites that need no analysis of their own. *)
 
 val analyze_all : Epp_engine.t -> Epp_engine.site_result list
-(** Drop-in replacement for {!Epp_engine.analyze_all}: identical
+(** Drop-in replacement for {!Ser_estimator.analyze_all}: identical
     probabilities (provably, see the implementation header), one engine
     pass per class.  Results keep their own [site] ids; [cone_size] and
     [reached_outputs] are the representative's. *)

@@ -6,7 +6,6 @@
 
 type step =
   | Batch
-  | Kernel
   | Reference
 
 type fault =
@@ -25,7 +24,6 @@ type quarantine = {
 type stats = {
   total : int;
   batch_ok : int;
-  kernel_ok : int;
   degraded : int;
   quarantined : int;
   resumed : int;
@@ -41,7 +39,6 @@ type completion =
 
 let step_to_string = function
   | Batch -> "batch"
-  | Kernel -> "kernel"
   | Reference -> "reference"
 
 let fault_to_string = function
@@ -84,6 +81,6 @@ let pp_completion ppf c = Fmt.string ppf (completion_to_string c)
 
 let pp_stats ppf s =
   Fmt.pf ppf
-    "%d site(s): %d batch, %d kernel, %d degraded to reference, %d \
-     quarantined, %d resumed from checkpoint"
-    s.total s.batch_ok s.kernel_ok s.degraded s.quarantined s.resumed
+    "%d site(s): %d batch, %d degraded to reference, %d quarantined, %d \
+     resumed from checkpoint"
+    s.total s.batch_ok s.degraded s.quarantined s.resumed

@@ -7,8 +7,7 @@
     some worker domain. *)
 
 type step =
-  | Batch  (** the level-synchronous {!Epp_batch} block fast path *)
-  | Kernel  (** the allocation-free {!Epp_engine.Workspace} per-site path *)
+  | Batch  (** the level-synchronous {!Epp_batch} block engine *)
   | Reference  (** the boxed {!Epp_engine.analyze_site} specification path *)
 
 type fault =
@@ -34,8 +33,9 @@ type quarantine = {
 type stats = {
   total : int;  (** sites swept, including resumed ones *)
   batch_ok : int;  (** sites analyzed by the batched block engine *)
-  kernel_ok : int;  (** sites analyzed by the per-site kernel, first try *)
-  degraded : int;  (** sites that needed the reference-path retry *)
+  degraded : int;
+      (** sites analyzed on the reference rung: after a batch-rung fault,
+          or every site of a [Naive]-mode engine, which has no batch rung *)
   quarantined : int;
   resumed : int;  (** sites replayed from a checkpoint, not re-analyzed *)
 }

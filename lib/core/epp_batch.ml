@@ -1,14 +1,9 @@
-(* Level-synchronous batched EPP sweep.
+(* Level-synchronous batched EPP sweep: the production engine.
 
-   The per-site kernel (Epp_engine.Workspace) is cone-local: per site it
-   DFS-extracts the forward cone, sorts it, and walks it.  On cone-local
-   circuits (parity trees) that is a huge win, but on dense DAGs — where
-   every site's cone is most of the circuit — the extraction itself is the
-   cost, and a whole-circuit sweep degenerates to O(sites · E).
-
-   This engine inverts the loop: it propagates the four-state vectors for a
-   *block* of up to {!max_lanes} sites simultaneously, in one level-order
-   walk over the union of their forward cones.
+   The paper's per-site pass walks one site's forward cone.  This engine
+   propagates the four-state vectors of a *block* of up to {!max_lanes}
+   sites simultaneously, in one level-order walk over the union of their
+   forward cones, so the part of the cones the sites share is walked once.
 
    - Mask phase: the block's sites are seeded, then their union cone is
      discovered level by level over the forward CSR — a node is bucketed by
@@ -17,6 +12,12 @@
      [l]'s forward cone) into its successors when its level comes up.  The
      work is O(union cone), and the next block resets only what this one
      touched.
+   - Split: the mask phase also yields the block's peak live frontier and
+     its lanes' cone sizes.  A block whose planes would hold more floats
+     per component than the vectors it writes (the sum of its cone sizes)
+     plus one per-site array of n is halved, each half running its own mask
+     phase, down to single lanes if need be.  The planes of a leaf are
+     strided by the leaf's own site count.
    - Plane rows: the vectors live in four flat float planes, one row of
      [stride] lanes per node that holds a row ([plane.(row.(v) * stride +
      lane)]), so the lane loops in {!Rules.Lanes} run over adjacent unboxed
@@ -33,11 +34,11 @@
      into a dense index list before its inner loops, so blocks that drain
      unevenly (faulted lanes, disjoint cones) don't pay for dead lanes.
 
-   Per lane, the arithmetic is the {!Rules.Lanes} mirror of the per-site
-   kernel, in the same fanin order — results are bit-identical to
-   [Workspace.analyze_site], which stays on as the conformance oracle.  A
-   lane whose site would make the per-site kernel raise faults individually
-   ([Error] in the block result); the rest of the block completes. *)
+   Per lane, the arithmetic is the {!Rules.Lanes} mirror of the boxed
+   Table-1 rules, in the same fanin order — results are bit-identical to
+   [Epp_engine.analyze_site], the reference oracle.  A lane whose site
+   would make the reference raise faults individually ([Error] in the block
+   result); the rest of the block completes. *)
 
 open Netlist
 
@@ -58,20 +59,22 @@ type engine = Epp_engine.t
 
 (* --- plane buffers ---------------------------------------------------------
 
-   A workspace's four planes hold [rows × stride] floats each, where [rows]
-   is the largest live frontier a block on it has needed so far.  The sweep
-   drivers hand a workspace's planes back when the sweep ends
+   A workspace's four planes hold [rows × sites] floats each, where
+   [rows × sites] is the largest a leaf block on it has needed so far
+   ([rows] its peak live frontier, [sites] its lane count and stride).
+   The sweep drivers hand a workspace's planes back when the sweep ends
    (Block.release), and the next workspace borrows them instead of
    allocating its own.  The engine never reads a plane slot it did not
-   write in the same block — a lane's site is seeded, and every gate on its
+   write in the same leaf — a lane's site is seeded, and every gate on its
    cone is evaluated into a row that stays its own until its last reader
    has run — so a borrowed buffer's stale contents are never observed.
 
    A borrow takes the largest spare, or an empty buffer when there is none;
-   a block that needs more rows than its buffer holds replaces it with a
-   new one of [rows · 17/16] rows (the old one is dropped), so spares plus
+   a leaf that needs more floats than its buffer holds replaces it with a
+   new one of 17/16 its need (the old one is dropped), so spares plus
    borrowed buffers never outnumber the workspaces that were ever live at
-   once, and a buffer never exceeds [n · stride · 17/16] floats. *)
+   once.  The split rule bounds a leaf's need by the sum of its cone sizes
+   plus n, so a buffer never exceeds [(max_lanes + 1) · n · 17/16] floats. *)
 
 type planes = {
   pa : float array;
@@ -177,7 +180,7 @@ module Block = struct
     engine : engine;
     circuit : Circuit.t;
     n : int;  (* node count *)
-    stride : int;  (* lane capacity of this block workspace *)
+    lanes : int;  (* lane capacity of this block workspace *)
     offsets : int array;  (* forward CSR *)
     targets : int array;
     levels : int array;  (* ASAP level per node, shared instance *)
@@ -188,7 +191,7 @@ module Block = struct
         (* observation nets, their rows outlive the walk; shared instance *)
     sp : float array;  (* signal probabilities, shared instance *)
     observations : (Circuit.observation * int) array;
-    (* Per-block state; [reset] clears what the last block touched. *)
+    (* Per-leaf state; [reset] clears what the last mask phase touched. *)
     mask : int array;  (* mask.(v) bit l  <=>  v in lane l's cone *)
     seed : int array;  (* seed.(v) bit l  <=>  v is lane l's site *)
     row : int array;  (* plane row of a union node, -1 for any other *)
@@ -203,13 +206,16 @@ module Block = struct
     die_next : int array;  (* per node: the next one in its level's list *)
     mutable lo : int;  (* level span of the union; empty when lo > hi *)
     mutable hi : int;
-    free_rows : int array;  (* stack of rows given back this block *)
+    free_rows : int array;  (* stack of rows given back this leaf *)
     mutable free_top : int;
-    mutable next_row : int;  (* rows handed out this block, high-water mark *)
+    mutable next_row : int;  (* rows handed out this leaf, high-water mark *)
     cone_bits : int array;
         (* per-lane cone sizes, bit-sliced: bit [l] of [cone_bits.(j)] is
            bit [j] of lane [l]'s count *)
-    faults : exn option array;  (* per-lane first fault of the current block *)
+    faults : exn option array;  (* per-lane first fault of the current leaf *)
+    defects : float array;
+        (* per block lane: four-state sum drift of the last run, taken at
+           collect time, since a later leaf reuses the planes *)
     mutable planes : planes option;
         (* row-major lane-stride planes, plane.(row * stride + l); borrowed
            at creation, [None] once handed back *)
@@ -220,7 +226,7 @@ module Block = struct
   }
 
   let engine b = b.engine
-  let lanes b = b.stride
+  let lanes b = b.lanes
 
   let planes b =
     match b.planes with
@@ -266,7 +272,7 @@ module Block = struct
       engine;
       circuit;
       n;
-      stride = lanes;
+      lanes;
       offsets = Csr.offsets csr;
       targets = Csr.targets csr;
       levels = Analysis.levels ctx;
@@ -291,6 +297,7 @@ module Block = struct
       next_row = 0;
       cone_bits = Array.make Sys.int_size 0;
       faults = Array.make lanes None;
+      defects = Array.make lanes Float.nan;
       planes = Some (borrow_planes ());
       scratch = Rules.Lanes.create ~lanes;
       obs_i = instruments ();
@@ -298,7 +305,7 @@ module Block = struct
       req_ctx;
     }
 
-  (* Forget the last block's union: O(union), not O(n). *)
+  (* Forget the last mask phase's union: O(union), not O(n). *)
   let reset b =
     for l = b.lo to b.hi do
       let first = b.base.(l) in
@@ -344,14 +351,16 @@ module Block = struct
     b.free_rows.(b.free_top) <- r;
     b.free_top <- b.free_top + 1
 
-  (* Mask phase.  Seed the block's sites, then discover their union cone
-     level by level: when a level comes up, each of its nodes — whose lane
-     set is complete, since all its fanins sit at lower levels — ORs its
-     lanes into its successors, bucketing each successor it reaches first.
-     After the walk [mask.(v)] holds exactly the lanes whose site reaches
-     [v] — the union of all per-site DFS cones — and the per-lane cone
-     sizes fall out of the same walk, counted in bit-sliced form: adding a
-     node's lane set costs a short carry chain, not one step per lane.
+  (* Mask phase over the [k] sites [sites.(off .. off + k - 1)], lane [l]
+     holding [sites.(off + l)].  Seed the sites, then discover their union
+     cone level by level: when a level comes up, each of its nodes — whose
+     lane set is complete, since all its fanins sit at lower levels — ORs
+     its lanes into its successors, bucketing each successor it reaches
+     first.  After the walk [mask.(v)] holds exactly the lanes whose site
+     reaches [v] — the union of all per-site DFS cones — and the per-lane
+     cone sizes fall out of the same walk, counted in bit-sliced form:
+     adding a node's lane set costs a short carry chain, not one step per
+     lane.
 
      The walk also plans the rows.  A site is born at seeding, any other
      node when its level is evaluated; every node but a site or an
@@ -360,14 +369,13 @@ module Block = struct
      row count after each level is known here.  Returns its maximum: the
      rows the propagate phase needs, since it hands freed rows out again
      before minting new ones. *)
-  let build_masks b sites =
+  let build_masks b sites off k =
     reset b;
-    let k = Array.length sites in
-    Array.fill b.faults 0 b.stride None;
+    Array.fill b.faults 0 k None;
     let mask = b.mask and seed = b.seed in
     let live = ref 0 in
     for l = 0 to k - 1 do
-      let s = sites.(l) in
+      let s = sites.(off + l) in
       let bit = 1 lsl l in
       if mask.(s) = 0 then begin
         bucket b s;
@@ -430,22 +438,36 @@ module Block = struct
     done;
     !c
 
-  (* Per-lane result assembly, mirroring the per-site kernel's [collect] +
-     result construction: observation order, P = Pa + Pā at the observed
-     net, P_sensitized = clamp(1 - Π(1 - P)) with the same left fold. *)
-  let collect_lane b { pa; pa_bar; _ } l site =
-    let stride = b.stride in
+  (* The sum of the lanes' cone sizes: bit [j] of every count weighs 2^j. *)
+  let cone_total b =
+    let c = ref 0 in
+    for j = Array.length b.cone_bits - 1 downto 0 do
+      c := (!c lsl 1) + popcount b.cone_bits.(j)
+    done;
+    !c
+
+  (* Per-lane result assembly, mirroring the reference engine's result
+     construction: observation order, P = Pa + Pā at the observed net,
+     P_sensitized = clamp(1 - Π(1 - P)) with the same left fold.  The same
+     pass takes the lane's four-state drift for {!lane_vector_defect} into
+     [defects.(slot)]. *)
+  let collect_lane b { pa; pa_bar; p1; p0 } ~stride l ~slot site =
     let obs = b.observations in
     let bit = 1 lsl l in
     let acc = ref [] in
+    let worst = ref 0.0 and saw_nan = ref false in
     for i = Array.length obs - 1 downto 0 do
       let o, net = obs.(i) in
       if b.mask.(net) land bit <> 0 then begin
         let idx = (b.row.(net) * stride) + l in
         let p = pa.(idx) +. pa_bar.(idx) in
+        let d = Float.abs (p +. p1.(idx) +. p0.(idx) -. 1.0) in
+        if Float.is_nan d then saw_nan := true
+        else if d > !worst then worst := d;
         acc := (o, p) :: !acc
       end
     done;
+    b.defects.(slot) <- (if !saw_nan then Float.nan else !worst);
     let per_observation = !acc in
     let p_sensitized =
       Sigprob.Sp_rules.clamp
@@ -462,12 +484,118 @@ module Block = struct
       reached_outputs = List.length per_observation;
     }
 
+  (* Propagate and collect one leaf whose mask phase just ran: [k] sites
+     from [off], [rows] live rows at the peak, the planes strided by [k]. *)
+  let run_leaf b sites off k rows =
+    let m = b.obs_i in
+    let timed = m.timed in
+    let t1 = if timed then Obs.Clock.wall_seconds () else 0.0 in
+    let stride = k in
+    if capacity (planes b) < rows * stride then
+      b.planes <- Some (grow_planes (planes b) (rows * stride));
+    let ({ pa; pa_bar; p1; p0 } as planes) = planes b in
+    let row = b.row in
+    (* the injected error: a certain error, even polarity *)
+    for l = 0 to k - 1 do
+      let s = sites.(off + l) in
+      if row.(s) < 0 then row.(s) <- alloc_row b;
+      let idx = (row.(s) * stride) + l in
+      pa.(idx) <- 1.0;
+      pa_bar.(idx) <- 0.0;
+      p1.(idx) <- 0.0;
+      p0.(idx) <- 0.0
+    done;
+    let alive = ref ((1 lsl k) - 1) in
+    let skipped = ref 0 in
+    let evals = ref 0 in
+    let sp = b.sp and mask = b.mask and seed = b.seed and sched = b.sched in
+    let lv = ref b.lo in
+    while !lv <= b.hi && !alive <> 0 do
+      let l = !lv in
+      let first = b.base.(l) in
+      let width = ref 0 in
+      for i = first to first + b.len.(l) - 1 do
+        let g = Array.unsafe_get sched i in
+        let sg = Array.unsafe_get seed g in
+        if sg = 0 then Array.unsafe_set row g (alloc_row b);
+        let em = Array.unsafe_get mask g land !alive land lnot sg in
+        if em = 0 then begin
+          if Circuit.is_gate b.circuit g then incr skipped
+        end
+        else begin
+          incr width;
+          let fm =
+            Rules.Lanes.propagate b.scratch
+              (Array.unsafe_get b.kinds g)
+              ~fanins:(Array.unsafe_get b.fanin_arrays g)
+              ~mask ~rows:row ~sp ~em ~stride ~pa ~pa_bar ~p1 ~p0 g
+          in
+          evals := !evals + Rules.Lanes.last_live b.scratch;
+          if fm <> 0 then begin
+            List.iter
+              (fun (l, e) ->
+                if b.faults.(l) = None then b.faults.(l) <- Some e)
+              (Rules.Lanes.faults b.scratch);
+            alive := !alive land lnot fm;
+            Obs.Metrics.add m.lane_faults (popcount fm)
+          end
+        end
+      done;
+      (* this level was the last reader of these nodes *)
+      let v = ref b.die_head.(l) in
+      while !v >= 0 do
+        free_row b (Array.unsafe_get row !v);
+        v := Array.unsafe_get b.die_next !v
+      done;
+      Obs.Metrics.observe m.width_hist (float_of_int !width);
+      incr lv
+    done;
+    let t2 = if timed then Obs.Clock.wall_seconds () else 0.0 in
+    let results =
+      Array.init k (fun l ->
+          let slot = off + l in
+          match b.faults.(l) with
+          | Some e ->
+            b.defects.(slot) <- Float.nan;
+            Error e
+          | None -> Ok (collect_lane b planes ~stride l ~slot sites.(slot)))
+    in
+    Obs.Metrics.incr m.blocks;
+    Obs.Metrics.add m.sites k;
+    Obs.Metrics.add m.nodes_skipped !skipped;
+    Obs.Metrics.add m.lane_evals !evals;
+    Obs.Metrics.observe m.lanes_hist (float_of_int k);
+    Obs.Metrics.observe m.rows_hist (float_of_int rows);
+    if timed then begin
+      Obs.Metrics.observe m.t_propagate (t2 -. t1);
+      Obs.Metrics.observe m.t_collect (Obs.Clock.wall_seconds () -. t2)
+    end;
+    results
+
+  (* The split rule.  After its mask phase a block knows the floats per
+     component its planes need, [rows × k], and the vectors it will write,
+     the sum of its lanes' cone sizes.  A block whose planes would exceed
+     that sum by more than n — one per-site array — is halved, each half
+     running its own mask phase; a single lane never splits, since its
+     rows are at most its cone. *)
+  let rec run_span b sites off k =
+    let m = b.obs_i in
+    let t0 = if m.timed then Obs.Clock.wall_seconds () else 0.0 in
+    let rows = build_masks b sites off k in
+    if m.timed then Obs.Metrics.observe m.t_mask (Obs.Clock.wall_seconds () -. t0);
+    if k > 1 && rows * k > cone_total b + b.n then begin
+      let half = k / 2 in
+      let first = run_span b sites off half in
+      Array.append first (run_span b sites (off + half) (k - half))
+    end
+    else run_leaf b sites off k rows
+
   let run b sites =
     let k = Array.length sites in
-    if k > b.stride then
+    if k > b.lanes then
       invalid_arg
         (Printf.sprintf "Epp_batch.Block.run: %d sites exceed block capacity %d"
-           k b.stride);
+           k b.lanes);
     Array.iter
       (fun s ->
         if s < 0 || s >= b.n then invalid_arg "Epp_batch.Block.run: bad site")
@@ -476,211 +604,18 @@ module Block = struct
     else
       Obs.Trace.span b.tracer ~cat:"epp" ~args:(Obs.Ctx.args_of b.req_ctx)
         "epp.batch.block"
-      @@ fun () ->
-      let m = b.obs_i in
-      let timed = m.timed in
-      let t0 = if timed then Obs.Clock.wall_seconds () else 0.0 in
-      let stride = b.stride in
-      let rows = build_masks b sites in
-      if capacity (planes b) < rows * stride then
-        b.planes <- Some (grow_planes (planes b) (rows * stride));
-      let t1 = if timed then Obs.Clock.wall_seconds () else 0.0 in
-      let ({ pa; pa_bar; p1; p0 } as planes) = planes b in
-      let row = b.row in
-      (* the injected error: a certain error, even polarity *)
-      for l = 0 to k - 1 do
-        let s = sites.(l) in
-        if row.(s) < 0 then row.(s) <- alloc_row b;
-        let idx = (row.(s) * stride) + l in
-        pa.(idx) <- 1.0;
-        pa_bar.(idx) <- 0.0;
-        p1.(idx) <- 0.0;
-        p0.(idx) <- 0.0
-      done;
-      let alive = ref ((1 lsl k) - 1) in
-      let skipped = ref 0 in
-      let evals = ref 0 in
-      let sp = b.sp and mask = b.mask and seed = b.seed and sched = b.sched in
-      let lv = ref b.lo in
-      while !lv <= b.hi && !alive <> 0 do
-        let l = !lv in
-        let first = b.base.(l) in
-        let width = ref 0 in
-        for i = first to first + b.len.(l) - 1 do
-          let g = Array.unsafe_get sched i in
-          let sg = Array.unsafe_get seed g in
-          if sg = 0 then Array.unsafe_set row g (alloc_row b);
-          let em = Array.unsafe_get mask g land !alive land lnot sg in
-          if em = 0 then begin
-            if Circuit.is_gate b.circuit g then incr skipped
-          end
-          else begin
-            incr width;
-            let fm =
-              Rules.Lanes.propagate b.scratch
-                (Array.unsafe_get b.kinds g)
-                ~fanins:(Array.unsafe_get b.fanin_arrays g)
-                ~mask ~rows:row ~sp ~em ~stride ~pa ~pa_bar ~p1 ~p0 g
-            in
-            evals := !evals + Rules.Lanes.last_live b.scratch;
-            if fm <> 0 then begin
-              List.iter
-                (fun (l, e) ->
-                  if b.faults.(l) = None then b.faults.(l) <- Some e)
-                (Rules.Lanes.faults b.scratch);
-              alive := !alive land lnot fm;
-              Obs.Metrics.add m.lane_faults (popcount fm)
-            end
-          end
-        done;
-        (* this level was the last reader of these nodes *)
-        let v = ref b.die_head.(l) in
-        while !v >= 0 do
-          free_row b (Array.unsafe_get row !v);
-          v := Array.unsafe_get b.die_next !v
-        done;
-        Obs.Metrics.observe m.width_hist (float_of_int !width);
-        incr lv
-      done;
-      let t2 = if timed then Obs.Clock.wall_seconds () else 0.0 in
-      let results =
-        Array.init k (fun l ->
-            match b.faults.(l) with
-            | Some e -> Error e
-            | None -> Ok (collect_lane b planes l sites.(l)))
-      in
-      Obs.Metrics.incr m.blocks;
-      Obs.Metrics.add m.sites k;
-      Obs.Metrics.add m.nodes_skipped !skipped;
-      Obs.Metrics.add m.lane_evals !evals;
-      Obs.Metrics.observe m.lanes_hist (float_of_int k);
-      Obs.Metrics.observe m.rows_hist (float_of_int rows);
-      if timed then begin
-        let t3 = Obs.Clock.wall_seconds () in
-        Obs.Metrics.observe m.t_mask (t1 -. t0);
-        Obs.Metrics.observe m.t_propagate (t2 -. t1);
-        Obs.Metrics.observe m.t_collect (t3 -. t2)
-      end;
-      results
+      @@ fun () -> run_span b sites 0 k
 
-  (* Numeric sentinel for the supervised sweep, the block twin of
-     [Workspace.last_vector_defect]: worst four-state sum drift at the
-     observation nets lane [l] reached in the last [run], NaN-propagating.
-     Reads the vectors still sitting in the planes — observation nets keep
-     their rows until the next block — with no recomputation.  A net the
-     walk never reached (every lane faulted first) reads as NaN. *)
+  (* Numeric sentinel for the supervised sweep: worst four-state sum drift
+     at the observation nets lane [l] reached in the last [run],
+     NaN-propagating, as its leaf's collect pass took it. *)
   let lane_vector_defect b l =
-    let { pa; pa_bar; p1; p0 } = planes b in
-    let bit = 1 lsl l in
-    let stride = b.stride in
-    let worst = ref 0.0 in
-    let saw_nan = ref false in
-    Array.iter
-      (fun (_, net) ->
-        if b.mask.(net) land bit <> 0 then begin
-          let r = b.row.(net) in
-          if r < 0 then saw_nan := true
-          else begin
-            let idx = (r * stride) + l in
-            let sum = pa.(idx) +. pa_bar.(idx) +. p1.(idx) +. p0.(idx) in
-            let d = Float.abs (sum -. 1.0) in
-            if Float.is_nan d then saw_nan := true
-            else if d > !worst then worst := d
-          end
-        end)
-      b.observations;
-    if !saw_nan then Float.nan else !worst
+    ignore (planes b);
+    b.defects.(l)
 end
 
-(* --- whole-sweep drivers -------------------------------------------------- *)
-
-let raise_first_fault results =
-  Array.iter
-    (fun r -> match r with Error e -> raise e | Ok _ -> ())
-    results
-
-(* Chunk [sites] into blocks and run them in order on one reusable block
-   workspace.  Exception semantics mirror the per-site list API: the fault
-   of the earliest failing site (input order) is raised.  These drivers
-   return whole arrays, so a [deadline] cannot express a partial result —
-   expiry between blocks raises {!Obs.Deadline.Expired} instead (callers
-   that want partials use {!Supervisor.sweep}). *)
-let analyze_site_array ?lanes ?(deadline = Obs.Deadline.never) engine sites =
-  let b = Block.create ?lanes engine in
-  Fun.protect ~finally:(fun () -> Block.release b) @@ fun () ->
+let blocks sites =
   let total = Array.length sites in
-  let w = Block.lanes b in
-  let out = Array.make total None in
-  let off = ref 0 in
-  while !off < total do
-    Obs.Deadline.raise_if_expired deadline;
-    let k = min w (total - !off) in
-    let chunk = Array.sub sites !off k in
-    let results = Block.run b chunk in
-    raise_first_fault results;
-    Array.iteri
-      (fun l r ->
-        match r with Ok r -> out.(!off + l) <- Some r | Error _ -> ())
-      results;
-    off := !off + k
-  done;
-  Array.map (function Some r -> r | None -> assert false) out
-
-let analyze_sites ?lanes ?deadline engine sites =
-  let results =
-    analyze_site_array ?lanes ?deadline engine (Array.of_list sites)
-  in
-  Array.to_list results
-
-let analyze_all ?lanes ?deadline engine =
-  let n = Circuit.node_count (Epp_engine.circuit engine) in
-  Array.to_list
-    (analyze_site_array ?lanes ?deadline engine (Array.init n Fun.id))
-
-(* --- density heuristic ----------------------------------------------------
-
-   The per-site kernel pays O(cone log cone) time and O(cone) memory per
-   site; batch pays one walk over a block's union cone and plane rows for
-   its live frontier, 62 lanes wide.  When the mean cone covers a few
-   percent of the circuit, a block of 62 sites re-walks the shared part 62
-   times under the per-site kernel but once under batch.  Cone-local
-   circuits stay on the per-site kernel: there a frontier can be far wider
-   than any one cone (a mux tree's select lines fan out to whole levels).
-   Density is estimated from a few evenly-spaced sample cones served by the
-   shared analysis LRU, so the estimate itself reuses (and warms) the
-   cache. *)
-
-let density_samples = 8
-
-let density engine =
-  let ctx = Epp_engine.analysis engine in
-  let n = Circuit.node_count (Epp_engine.circuit engine) in
-  if n = 0 then 0.0
-  else begin
-    let samples = min density_samples n in
-    let total = ref 0 in
-    for i = 0 to samples - 1 do
-      let site = i * n / samples in
-      total := !total + Reach.count (Analysis.cone ctx site)
-    done;
-    let d = float_of_int !total /. float_of_int (samples * n) in
-    Obs.Metrics.set_gauge
-      (Obs.Metrics.gauge (Obs.Hooks.metrics ()) "epp.batch.density")
-      d;
-    d
-  end
-
-let default_density_threshold = 0.02
-let default_min_nodes = 256
-let default_min_sites = 8
-
-let should_batch ?(density_threshold = default_density_threshold)
-    ?(min_nodes = default_min_nodes) ?(min_sites = default_min_sites) engine
-    ~sites =
-  (match Epp_engine.mode engine with
-  | Epp_engine.Polarity -> true
-  | Epp_engine.Naive -> false)
-  && Epp_engine.restrict_to_cone engine
-  && Circuit.node_count (Epp_engine.circuit engine) >= min_nodes
-  && sites >= min_sites
-  && density engine >= density_threshold
+  Array.init ((total + max_lanes - 1) / max_lanes) (fun i ->
+      let off = i * max_lanes in
+      Array.sub sites off (min max_lanes (total - off)))

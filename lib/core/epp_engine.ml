@@ -13,7 +13,8 @@
 
    The engine owns the per-circuit invariants (topological order, signal
    probabilities); each analyze_site call is a single linear pass over the
-   site's cone — this is the "SysT" cost of Table 2. *)
+   site's cone.  This boxed path is the reference oracle: the production
+   sweep (Epp_batch, the "SysT" cost of Table 2) must match it bit for bit. *)
 
 open Netlist
 
@@ -26,9 +27,8 @@ type t = {
   sp : Sigprob.Sp.result;
   ctx : Analysis.t;
       (* the circuit's shared analysis context: topological order and its
-         inverse permutation (lets the kernel sort a cone locally instead of
-         filtering the whole order), gates-only order (the no-cone ablation),
-         observation arrays, max fanin *)
+         inverse permutation, gates-only order (the no-cone ablation),
+         observation arrays *)
   mode : mode;
   restrict_to_cone : bool;
 }
@@ -121,7 +121,7 @@ let analyze_polarity ?(initial = Prob4.error_site) t (sa : Site_analysis.t) =
          computed (the only on-path non-gate is the site itself).  A plain
          assert would vanish under -noassert, silently reading the dummy
          vector instead — keep it a real check in the reference engine (the
-         fast kernel enforces this structurally by sorting the cone). *)
+         batch engine enforces this structurally by walking levels). *)
       if not have.(u) then
         invalid_arg
           "Epp_engine.analyze_polarity: on-path fanin read before being \
@@ -215,336 +215,6 @@ let analyze_site t site =
     cone_size = Site_analysis.on_path_signal_count sa;
     reached_outputs = List.length sa.reached;
   }
-
-(* --- the allocation-free kernel ------------------------------------------
-
-   [analyze_site] above is the reference implementation: per site it
-   allocates O(node_count) scratch (vectors, visited marks, gate lists) and
-   filters the whole topological order, i.e. O(circuit) work per site even
-   for a two-gate cone.  The workspace kernel below produces bit-identical
-   results with per-site cost O(cone · log cone):
-
-   - the cone DFS walks the circuit's CSR adjacency (flat int arrays);
-   - visited / on-path marks are epoch-stamped ints — bumping one counter
-     replaces clearing (or reallocating) an O(n) array per site;
-   - the four-state vectors live in four per-node float arrays (unboxed SoA,
-     no Prob4.t records), written in place by Rules.Soa;
-   - instead of filtering the shared topological order, cone members are
-     sorted by their precomputed topological *position*, so ordering costs
-     O(cone log cone) not O(circuit).
-
-   A workspace is reusable across any number of sites but is single-owner
-   mutable state: one per domain. *)
-
-type engine = t
-
-module Workspace = struct
-  (* Instrument handles resolved once per workspace from the process-wide
-     sink (Obs.Hooks).  With the default no-op sink every handle is a no-op
-     and [timed] is false, so the per-site cost of instrumentation is a few
-     predictable branches — measured against itself by the bench overhead
-     guard.  With a live sink, each analyze_site adds three wall-clock phase
-     samples (extract / order / propagate) and a few atomic adds. *)
-  type instruments = {
-    timed : bool;
-    sites : Obs.Metrics.counter;  (* epp.sites_analyzed *)
-    cone_nodes : Obs.Metrics.counter;  (* epp.cone_nodes_visited *)
-    epoch_resets : Obs.Metrics.counter;  (* epp.workspace_epoch_resets *)
-    cone_hist : Obs.Metrics.histogram;  (* epp.cone_size *)
-    t_extract : Obs.Metrics.histogram;  (* epp.phase.extract_seconds *)
-    t_order : Obs.Metrics.histogram;  (* epp.phase.order_seconds *)
-    t_propagate : Obs.Metrics.histogram;  (* epp.phase.propagate_seconds *)
-  }
-
-  let instruments () =
-    let m = Obs.Hooks.metrics () in
-    {
-      timed = not (Obs.Metrics.is_null m);
-      sites = Obs.Metrics.counter m "epp.sites_analyzed";
-      cone_nodes = Obs.Metrics.counter m "epp.cone_nodes_visited";
-      epoch_resets = Obs.Metrics.counter m "epp.workspace_epoch_resets";
-      cone_hist =
-        Obs.Metrics.histogram ~buckets:Obs.Metrics.size_buckets m "epp.cone_size";
-      t_extract = Obs.Metrics.histogram m "epp.phase.extract_seconds";
-      t_order = Obs.Metrics.histogram m "epp.phase.order_seconds";
-      t_propagate = Obs.Metrics.histogram m "epp.phase.propagate_seconds";
-    }
-
-  type ws = {
-    engine : engine;
-    offsets : int array;  (* CSR view of the combinational graph *)
-    targets : int array;
-    (* SoA vector components; [pa] doubles as the naive mode's [pe]. *)
-    pa : float array;
-    pa_bar : float array;
-    p1 : float array;
-    p0 : float array;
-    mark : int array;  (* epoch stamps: mark.(v) = epoch  <=>  v on-path *)
-    mutable epoch : int;
-    stack : int array;  (* DFS worklist; each vertex pushed at most once *)
-    cone : int array;  (* collected cone members, sorted by topo position *)
-    scratch : Rules.Soa.t;
-    nscratch : Rules.Naive.Soa.scratch;
-    obs_i : instruments;
-  }
-
-  let engine w = w.engine
-
-  let create engine =
-    let n = Circuit.node_count engine.circuit in
-    let csr = Circuit.csr engine.circuit in
-    {
-      engine;
-      offsets = Csr.offsets csr;
-      targets = Csr.targets csr;
-      pa = Array.make n 0.0;
-      pa_bar = Array.make n 0.0;
-      p1 = Array.make n 0.0;
-      p0 = Array.make n 0.0;
-      mark = Array.make n 0;
-      epoch = 0;
-      stack = Array.make (max n 1) 0;
-      cone = Array.make (max n 1) 0;
-      scratch = Rules.Soa.create ~max_fanin:(Analysis.max_fanin engine.ctx);
-      nscratch = Rules.Naive.Soa.create ~max_fanin:(Analysis.max_fanin engine.ctx);
-      obs_i = instruments ();
-    }
-
-  (* In-place heapsort of cone.(0 .. len-1) by topological position: O(k log k),
-     no allocation, no recursion.  Array.sort would sort the whole buffer. *)
-  let sort_by_pos pos a len =
-    let sift root bound =
-      let root = ref root in
-      let continue = ref true in
-      while !continue do
-        let child = (2 * !root) + 1 in
-        if child >= bound then continue := false
-        else begin
-          let child =
-            if child + 1 < bound && pos.(a.(child)) < pos.(a.(child + 1)) then child + 1
-            else child
-          in
-          if pos.(a.(!root)) < pos.(a.(child)) then begin
-            let tmp = a.(!root) in
-            a.(!root) <- a.(child);
-            a.(child) <- tmp;
-            root := child
-          end
-          else continue := false
-        end
-      done
-    in
-    for i = (len / 2) - 1 downto 0 do
-      sift i len
-    done;
-    for i = len - 1 downto 1 do
-      let tmp = a.(0) in
-      a.(0) <- a.(i);
-      a.(i) <- tmp;
-      sift 0 i
-    done
-
-  (* Forward DFS from [site] over the CSR arrays; stamps the current epoch
-     and collects the cone into [w.cone].  Returns the cone size. *)
-  let run_dfs w site =
-    w.epoch <- w.epoch + 1;
-    if w.epoch = max_int then begin
-      Array.fill w.mark 0 (Array.length w.mark) 0;
-      w.epoch <- 1;
-      Obs.Metrics.incr w.obs_i.epoch_resets
-    end;
-    let epoch = w.epoch in
-    let offsets = w.offsets and targets = w.targets in
-    let mark = w.mark and stack = w.stack and cone = w.cone in
-    mark.(site) <- epoch;
-    stack.(0) <- site;
-    let top = ref 1 and len = ref 0 in
-    while !top > 0 do
-      decr top;
-      let u = stack.(!top) in
-      cone.(!len) <- u;
-      incr len;
-      for i = offsets.(u) to offsets.(u + 1) - 1 do
-        let v = targets.(i) in
-        if mark.(v) <> epoch then begin
-          mark.(v) <- epoch;
-          stack.(!top) <- v;
-          incr top
-        end
-      done
-    done;
-    !len
-
-  (* Gather the fanin vectors of gate [g] into the scratch and evaluate the
-     rule in place.  Cone members other than the site are always gates (every
-     combinational-graph successor is a gate), so the non-gate branch is
-     unreachable from the cone walk; the no-cone path only feeds gates. *)
-  let process_polarity w epoch g =
-    match Circuit.node w.engine.circuit g with
-    | Circuit.Gate { kind; fanins } ->
-      let k = Array.length fanins in
-      let s = w.scratch in
-      let sp = w.engine.sp.Sigprob.Sp.values in
-      for j = 0 to k - 1 do
-        let u = fanins.(j) in
-        if w.mark.(u) = epoch then begin
-          s.Rules.Soa.pa.(j) <- w.pa.(u);
-          s.Rules.Soa.pa_bar.(j) <- w.pa_bar.(u);
-          s.Rules.Soa.p1.(j) <- w.p1.(u);
-          s.Rules.Soa.p0.(j) <- w.p0.(u)
-        end
-        else begin
-          let sv = sp.(u) in
-          (* Mirrors Prob4.of_sp: raise its Invalid on a bad probability,
-             allocate nothing otherwise. *)
-          if not (sv >= 0.0 && sv <= 1.0) then ignore (Prob4.of_sp sv);
-          s.Rules.Soa.pa.(j) <- 0.0;
-          s.Rules.Soa.pa_bar.(j) <- 0.0;
-          s.Rules.Soa.p1.(j) <- sv;
-          s.Rules.Soa.p0.(j) <- 1.0 -. sv
-        end
-      done;
-      Rules.Soa.propagate s kind ~arity:k ~dst_pa:w.pa ~dst_pa_bar:w.pa_bar
-        ~dst_p1:w.p1 ~dst_p0:w.p0 g
-    | Circuit.Input | Circuit.Ff _ -> assert false
-
-  let process_naive w epoch g =
-    match Circuit.node w.engine.circuit g with
-    | Circuit.Gate { kind; fanins } ->
-      let k = Array.length fanins in
-      let s = w.nscratch in
-      let sp = w.engine.sp.Sigprob.Sp.values in
-      for j = 0 to k - 1 do
-        let u = fanins.(j) in
-        if w.mark.(u) = epoch then begin
-          s.Rules.Naive.Soa.pe.(j) <- w.pa.(u);
-          s.Rules.Naive.Soa.p1.(j) <- w.p1.(u);
-          s.Rules.Naive.Soa.p0.(j) <- w.p0.(u)
-        end
-        else begin
-          let sv = sp.(u) in
-          s.Rules.Naive.Soa.pe.(j) <- 0.0;
-          s.Rules.Naive.Soa.p1.(j) <- sv;
-          s.Rules.Naive.Soa.p0.(j) <- 1.0 -. sv
-        end
-      done;
-      Rules.Naive.Soa.propagate s kind ~arity:k ~dst_pe:w.pa ~dst_p1:w.p1
-        ~dst_p0:w.p0 g
-    | Circuit.Input | Circuit.Ff _ -> assert false
-
-  (* Per-observation propagation probabilities at the reachable observation
-     points, in observation order (POs first, then FF data inputs) — exactly
-     the list the reference engine builds. *)
-  let collect w epoch =
-    let obs = Analysis.observations w.engine.ctx in
-    let acc = ref [] in
-    for i = Array.length obs - 1 downto 0 do
-      let o, net = obs.(i) in
-      if w.mark.(net) = epoch then begin
-        let p =
-          match w.engine.mode with
-          | Polarity -> w.pa.(net) +. w.pa_bar.(net)
-          | Naive -> w.pa.(net)
-        in
-        acc := (o, p) :: !acc
-      end
-    done;
-    !acc
-
-  let analyze_site w site =
-    let e = w.engine in
-    let n = Circuit.node_count e.circuit in
-    if site < 0 || site >= n then
-      invalid_arg "Epp_engine.Workspace.analyze_site: bad site";
-    let m = w.obs_i in
-    let timed = m.timed in
-    let t0 = if timed then Obs.Clock.wall_seconds () else 0.0 in
-    let clen = run_dfs w site in
-    let t1 = if timed then Obs.Clock.wall_seconds () else 0.0 in
-    let epoch = w.epoch in
-    (* Initialize the site's vector: a certain error, even polarity —
-       Prob4.error_site / Rules.Naive.error_site as unboxed components. *)
-    w.pa.(site) <- 1.0;
-    w.pa_bar.(site) <- 0.0;
-    w.p1.(site) <- 0.0;
-    w.p0.(site) <- 0.0;
-    (* After sorting by topological position the site is cone.(0): every
-       other member is strictly downstream of it.  (The no-cone ablation
-       walks the shared gate order instead and skips the sort.) *)
-    if e.restrict_to_cone then sort_by_pos (Analysis.position e.ctx) w.cone clen;
-    let t2 = if timed then Obs.Clock.wall_seconds () else 0.0 in
-    (match e.mode, e.restrict_to_cone with
-    | Polarity, true ->
-      for i = 1 to clen - 1 do
-        process_polarity w epoch w.cone.(i)
-      done
-    | Naive, true ->
-      for i = 1 to clen - 1 do
-        process_naive w epoch w.cone.(i)
-      done
-    | Polarity, false ->
-      (* The whole-circuit ablation: evaluate every gate, cone or not, in
-         the shared topological order — same results, no cone saving. *)
-      let go = Analysis.gate_order e.ctx in
-      for i = 0 to Array.length go - 1 do
-        let g = go.(i) in
-        if g <> site then process_polarity w epoch g
-      done
-    | Naive, false ->
-      let go = Analysis.gate_order e.ctx in
-      for i = 0 to Array.length go - 1 do
-        let g = go.(i) in
-        if g <> site then process_naive w epoch g
-      done);
-    let per_observation = collect w epoch in
-    Obs.Metrics.incr m.sites;
-    Obs.Metrics.add m.cone_nodes clen;
-    Obs.Metrics.observe m.cone_hist (float_of_int clen);
-    if timed then begin
-      let t3 = Obs.Clock.wall_seconds () in
-      Obs.Metrics.observe m.t_extract (t1 -. t0);
-      Obs.Metrics.observe m.t_order (t2 -. t1);
-      Obs.Metrics.observe m.t_propagate (t3 -. t2)
-    end;
-    {
-      site;
-      p_sensitized = Sigprob.Sp_rules.clamp (p_sensitized_of_outputs per_observation);
-      per_observation;
-      cone_size = clen;
-      reached_outputs = List.length per_observation;
-    }
-
-  (* Numeric sentinel for the supervised sweep: the four-state invariant
-     pa + pā + p1 + p0 = 1 must hold at every observation net the last
-     analyzed site reached (in Naive mode pa doubles as pe and pa_bar stays
-     0, so the same sum checks pe + p1 + p0 = 1).  Reads the vectors still
-     sitting in the workspace — no recomputation. *)
-  let last_vector_defect w =
-    let epoch = w.epoch in
-    let obs = Analysis.observations w.engine.ctx in
-    let worst = ref 0.0 in
-    let saw_nan = ref false in
-    for i = 0 to Array.length obs - 1 do
-      let _, net = obs.(i) in
-      if w.mark.(net) = epoch then begin
-        let sum = w.pa.(net) +. w.pa_bar.(net) +. w.p1.(net) +. w.p0.(net) in
-        let d = Float.abs (sum -. 1.0) in
-        if Float.is_nan d then saw_nan := true
-        else if d > !worst then worst := d
-      end
-    done;
-    if !saw_nan then Float.nan else !worst
-end
-
-(* Batch entry points default to the workspace kernel: one reusable scratch
-   amortized over the whole batch, bit-identical results to the reference
-   [analyze_site]. *)
-let analyze_sites t sites =
-  let w = Workspace.create t in
-  List.map (Workspace.analyze_site w) sites
-
-let analyze_all t =
-  analyze_sites t (List.init (Circuit.node_count t.circuit) Fun.id)
 
 let pp_site_result circuit ppf r =
   Fmt.pf ppf "@[<v>site %s: P_sens = %.4f over %d output(s), cone %d@,%a@]"

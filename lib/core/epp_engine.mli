@@ -7,7 +7,9 @@
     An engine value holds the circuit's shared {!Netlist.Analysis} context
     (topological order and friends, computed once per circuit, the SPT
     column of Table 2) and the signal probabilities, so each site analysis
-    is a single cone-sized pass (the SysT column). *)
+    is a single cone-sized pass.  {!analyze_site} is the boxed reference
+    oracle; sweeps run the bit-identical {!Epp_batch} block engine through
+    {!Ser_estimator.analyze_sites} (the SysT column) or {!Supervisor}. *)
 
 type mode =
   | Polarity  (** the paper's four-state rules *)
@@ -34,8 +36,12 @@ val create :
   ?mode:mode -> ?restrict_to_cone:bool -> ?sp:Sigprob.Sp.result -> Netlist.Circuit.t -> t
 (** [sp] defaults to the sequential fixpoint probabilities when the circuit
     has flip-flops, and to the plain topological pass otherwise.
-    [restrict_to_cone:false] is the whole-circuit ablation: identical
-    results, no path-construction saving.
+    [restrict_to_cone:false] is the whole-circuit ablation of
+    {!analyze_site} alone: identical results, no path-construction saving.
+    The {!Epp_batch} block engine behind every sweep
+    ({!Ser_estimator.analyze_sites}, {!Supervisor.sweep}) ignores it and
+    always walks the block's union cone, so time the ablation through
+    {!analyze_site}.
     @raise Invalid_argument if [sp] belongs to a different circuit.
     @raise Invalid_signal_probability if a provided [sp] entry is NaN or
     outside [0, 1]. *)
@@ -61,40 +67,5 @@ val analyze_site_vectors :
     certain [Prob4.error_site] (used by {!Multi_cycle} to continue errors
     latched in flip-flops).  @raise Invalid_argument in [Naive] mode or on
     an out-of-range site. *)
-
-(** The allocation-free per-site kernel.  A workspace bundles the reusable
-    scratch state of the sweep — the four-state vectors as unboxed
-    structure-of-arrays float components, epoch-stamped visited/on-path
-    marks (bumping a counter replaces clearing an O(n) array per site), a
-    flat DFS stack over the circuit's CSR adjacency, and the cone buffer
-    sorted by precomputed topological position — so analyzing a site costs
-    O(cone · log cone) and allocates only the result.  Results are
-    bit-identical to {!analyze_site}, the boxed reference implementation.
-
-    A workspace is mutable single-owner state: share the {e engine} across
-    domains freely, but create one workspace per domain. *)
-module Workspace : sig
-  type ws
-
-  val create : t -> ws
-  val engine : ws -> t
-
-  val analyze_site : ws -> int -> site_result
-  (** Same results as the reference {!analyze_site} (bit-identical), at
-      cone-local cost.  @raise Invalid_argument on an out-of-range site. *)
-
-  val last_vector_defect : ws -> float
-  (** Numeric sentinel over the most recent {!analyze_site}: the largest
-      [|pa + pā + p1 + p0 − 1|] across the observation nets that site
-      reached (NaN if any component is NaN).  Reads the vectors still in
-      the workspace, so it costs one pass over the observation list.
-      Meaningful only directly after an [analyze_site] call. *)
-end
-
-val analyze_sites : t -> int list -> site_result list
-(** Batch analysis through a private {!Workspace} (the fast kernel);
-    results are bit-identical to mapping {!analyze_site}. *)
-
-val analyze_all : t -> site_result list
 
 val pp_site_result : Netlist.Circuit.t -> site_result Fmt.t

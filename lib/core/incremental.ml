@@ -173,8 +173,8 @@ let splice_result ~po_map ~ff_map ~new_of_old (r : Epp_engine.site_result) =
         r.Epp_engine.per_observation;
   }
 
-let sweep ?ctx ?domains ?tolerance ?chunk_size ?on_chunk ?batch ?batch_run
-    ?kernel ?reference ?deadline plan ~prior engine =
+let sweep ?ctx ?domains ?tolerance ?chunk_size ?on_chunk ?batch_run
+    ?reference ?deadline plan ~prior engine =
   if not (Epp_engine.circuit engine == Netlist.Delta.after plan.delta) then
     invalid_arg "Incremental.sweep: engine is not on the plan's after-circuit";
   let d = plan.delta in
@@ -224,8 +224,8 @@ let sweep ?ctx ?domains ?tolerance ?chunk_size ?on_chunk ?batch ?batch_run
   done;
   let to_sweep = !to_sweep in
   let swept =
-    Supervisor.sweep ?ctx ?domains ?tolerance ?chunk_size ?on_chunk ?batch
-      ?batch_run ?kernel ?reference ?deadline engine to_sweep
+    Supervisor.sweep ?ctx ?domains ?tolerance ?chunk_size ?on_chunk
+      ?batch_run ?reference ?deadline engine to_sweep
   in
   List.iter
     (fun (site, entry) -> entry_of.(site) <- Some entry)

@@ -48,12 +48,10 @@ val sweep :
   ?tolerance:float ->
   ?chunk_size:int ->
   ?on_chunk:(done_count:int -> total:int -> (int * Supervisor.entry) list -> unit) ->
-  ?batch:Supervisor.batch_mode ->
   ?batch_run:
     (Epp_batch.Block.ws ->
     int array ->
     (Epp_engine.site_result, exn) result array) ->
-  ?kernel:(Epp_engine.Workspace.ws -> int -> Epp_engine.site_result) ->
   ?reference:(Epp_engine.t -> int -> Epp_engine.site_result) ->
   ?deadline:Obs.Deadline.t ->
   plan ->

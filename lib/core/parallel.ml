@@ -19,20 +19,13 @@
    finishes, and the recorded exception is re-raised with its backtrace
    after all domains are joined.
 
-   This is a wall-clock optimization only: SysT in the Table-2 sense is
+   The sweep drivers (Ser_estimator.analyze_sites, Supervisor.sweep) hand
+   it whole batch blocks, one union-cone walk per work item.  This is a
+   wall-clock optimization only: SysT in the Table-2 sense is
    single-threaded by definition (and the paper's machine was), so the
-   experiment driver does not use this module. *)
+   experiment driver runs at one domain. *)
 
 let default_domains () = max 1 (Domain.recommended_domain_count () - 1)
-
-(* [shorter_than l n] walks at most [n] cons cells — the small-batch check
-   must not pay O(length sites) just to learn the batch is large. *)
-let rec shorter_than l n =
-  n > 0
-  &&
-  match l with
-  | [] -> true
-  | _ :: tl -> shorter_than tl (n - 1)
 
 let resolve_domains ~who = function
   | Some d ->
@@ -176,88 +169,3 @@ let map_array_until ?ctx ?domains ?(deadline = Obs.Deadline.never)
     ?(release = ignore) ~workspace ~f items =
   let domains = resolve_domains ~who:"Parallel.map_array_until" domains in
   run_stealing ?ctx ~domains ~deadline ~workspace ~release ~f items
-
-let analyze_sites ?domains engine sites =
-  let domains = resolve_domains ~who:"Parallel.analyze_sites" domains in
-  match sites with
-  | [] -> []
-  | _ :: _ when domains = 1 || shorter_than sites (2 * domains) ->
-    Epp_engine.analyze_sites engine sites
-  | _ :: _ ->
-    map_array ~domains
-      ~workspace:(fun () -> Epp_engine.Workspace.create engine)
-      ~f:Epp_engine.Workspace.analyze_site (Array.of_list sites)
-    |> Array.to_list
-
-(* Array-native per-site sweep: the whole-circuit driver used to build a
-   [List.init n] just to turn it back into an array here — on a
-   million-node netlist that is a million cons cells on the hot path for
-   nothing.  The array goes straight to the work-stealing loop. *)
-let analyze_site_array ?domains engine sites =
-  let domains = resolve_domains ~who:"Parallel.analyze_site_array" domains in
-  let n = Array.length sites in
-  if n = 0 then [||]
-  else if domains = 1 || n < 2 * domains then begin
-    let ws = Epp_engine.Workspace.create engine in
-    Array.map (Epp_engine.Workspace.analyze_site ws) sites
-  end
-  else
-    map_array ~domains
-      ~workspace:(fun () -> Epp_engine.Workspace.create engine)
-      ~f:Epp_engine.Workspace.analyze_site sites
-
-(* Batched sweep: each work item is a whole block (one walk over the union
-   cone of up to [lanes] sites), so the small-batch spawn decision counts
-   *blocks*, not sites — the per-site threshold would spawn domains for
-   sweeps the block engine finishes in a handful of passes. *)
-let analyze_sites_batched ?domains ?lanes engine sites =
-  let domains = resolve_domains ~who:"Parallel.analyze_sites_batched" domains in
-  let lanes =
-    match lanes with
-    | None -> Epp_batch.max_lanes
-    | Some l ->
-      if l < 1 || l > Epp_batch.max_lanes then
-        invalid_arg
-          (Printf.sprintf
-             "Parallel.analyze_sites_batched: lanes must be in [1, %d]"
-             Epp_batch.max_lanes);
-      l
-  in
-  let total = Array.length sites in
-  if total = 0 then [||]
-  else begin
-    let nblocks = (total + lanes - 1) / lanes in
-    if domains = 1 || nblocks < 2 * domains then
-      Epp_batch.analyze_site_array ~lanes engine sites
-    else begin
-      let blocks =
-        Array.init nblocks (fun i ->
-            let off = i * lanes in
-            Array.sub sites off (min lanes (total - off)))
-      in
-      let per_block =
-        map_array ~domains
-          ~workspace:(fun () -> Epp_batch.Block.create ~lanes engine)
-          ~release:Epp_batch.Block.release ~f:Epp_batch.Block.run blocks
-      in
-      (* The earliest failing site's exception propagates, matching the
-         sequential drivers: blocks and lanes are scanned in input order. *)
-      let out = Array.make total None in
-      Array.iteri
-        (fun bi results ->
-          Array.iteri
-            (fun l r ->
-              match r with
-              | Ok r -> out.((bi * lanes) + l) <- Some r
-              | Error e -> raise e)
-            results)
-        per_block;
-      Array.map
-        (function Some r -> r | None -> assert false (* every lane filled *))
-        out
-    end
-  end
-
-let analyze_all ?domains engine =
-  let n = Netlist.Circuit.node_count (Epp_engine.circuit engine) in
-  Array.to_list (analyze_site_array ?domains engine (Array.init n Fun.id))

@@ -78,187 +78,6 @@ let propagate kind (inputs : Prob4.t array) =
   | Gate.Const0 -> Prob4.of_sp 0.0
   | Gate.Const1 -> Prob4.of_sp 1.0
 
-(* --- structure-of-arrays kernels -----------------------------------------
-
-   The boxed rules above are the reference implementation: one Prob4.t per
-   signal, one [Array.map] per gate.  On a whole-circuit sweep that is two
-   short-lived blocks per gate per site — pure GC traffic.  The SoA kernels
-   below compute the *same arithmetic in the same order* (so results are
-   bit-identical), but read gate inputs from four reusable float arrays (the
-   gather scratch) and write the output into caller-owned per-node float
-   arrays at a given index.  Nothing is allocated on the success path; the
-   Prob4.t record is only materialized to raise the usual exception when a
-   rule produces an inconsistent vector.
-
-   Float accumulators are local [ref]s in closure-free loops, which the
-   native compiler keeps unboxed. *)
-
-let clamp01 x = if x < 0.0 then 0.0 else if x > 1.0 then 1.0 else x
-
-module Soa = struct
-  type t = {
-    mutable pa : float array;
-    mutable pa_bar : float array;
-    mutable p1 : float array;
-    mutable p0 : float array;
-  }
-
-  let create ~max_fanin =
-    let k = max 1 max_fanin in
-    {
-      pa = Array.make k 0.0;
-      pa_bar = Array.make k 0.0;
-      p1 = Array.make k 0.0;
-      p0 = Array.make k 0.0;
-    }
-
-  let capacity s = Array.length s.pa
-
-  let reserve s k =
-    if capacity s < k then begin
-      let k = max k (2 * capacity s) in
-      s.pa <- Array.make k 0.0;
-      s.pa_bar <- Array.make k 0.0;
-      s.p1 <- Array.make k 0.0;
-      s.p0 <- Array.make k 0.0
-    end
-
-  (* Mirror of Prob4.normalize followed by the store; raises the same
-     Prob4.Invalid on the same conditions. *)
-  let normalize_store ~pa ~pa_bar ~p1 ~p0 ~dst_pa ~dst_pa_bar ~dst_p1 ~dst_p0 dst =
-    let pa = clamp01 pa
-    and pa_bar = clamp01 pa_bar
-    and p1 = clamp01 p1
-    and p0 = clamp01 p0 in
-    let s = pa +. pa_bar +. p1 +. p0 in
-    if s <= 0.0 then
-      raise (Prob4.Invalid { vector = { Prob4.pa; pa_bar; p1; p0 }; reason = "zero mass" })
-    else if Float.abs (s -. 1.0) > 1e-6 then
-      raise
-        (Prob4.Invalid
-           { vector = { Prob4.pa; pa_bar; p1; p0 };
-             reason = "components do not sum to 1" })
-    else begin
-      dst_pa.(dst) <- pa /. s;
-      dst_pa_bar.(dst) <- pa_bar /. s;
-      dst_p1.(dst) <- p1 /. s;
-      dst_p0.(dst) <- p0 /. s
-    end
-
-  (* AND/OR raw components, same product order as the boxed [product]. *)
-  let and_components s k =
-    let p1 = ref 1.0 and qa = ref 1.0 and qab = ref 1.0 in
-    for i = 0 to k - 1 do
-      p1 := !p1 *. s.p1.(i);
-      qa := !qa *. (s.p1.(i) +. s.pa.(i));
-      qab := !qab *. (s.p1.(i) +. s.pa_bar.(i))
-    done;
-    let p1 = !p1 in
-    let pa = !qa -. p1 in
-    let pa_bar = !qab -. p1 in
-    let p0 = 1.0 -. (p1 +. pa +. pa_bar) in
-    (pa, pa_bar, p1, p0)
-
-  let or_components s k =
-    let p0 = ref 1.0 and qa = ref 1.0 and qab = ref 1.0 in
-    for i = 0 to k - 1 do
-      p0 := !p0 *. s.p0.(i);
-      qa := !qa *. (s.p0.(i) +. s.pa.(i));
-      qab := !qab *. (s.p0.(i) +. s.pa_bar.(i))
-    done;
-    let p0 = !p0 in
-    let pa = !qa -. p0 in
-    let pa_bar = !qab -. p0 in
-    let p1 = 1.0 -. (p0 +. pa +. pa_bar) in
-    (pa, pa_bar, p1, p0)
-
-  (* XOR fold: accumulator starts at the raw first input (exactly like the
-     boxed xor_rule) and each xor2 step normalizes, mirroring Prob4.normalize
-     inline so the accumulator never leaves the unboxed registers. *)
-  let xor_components s k =
-    let apa = ref s.pa.(0)
-    and apab = ref s.pa_bar.(0)
-    and ap1 = ref s.p1.(0)
-    and ap0 = ref s.p0.(0) in
-    for i = 1 to k - 1 do
-      let xpa = !apa and xpab = !apab and xp1 = !ap1 and xp0 = !ap0 in
-      let ypa = s.pa.(i) and ypab = s.pa_bar.(i) and yp1 = s.p1.(i) and yp0 = s.p0.(i) in
-      let p1 = (xp1 *. yp0) +. (xp0 *. yp1) +. (xpa *. ypab) +. (xpab *. ypa) in
-      let p0 = (xp0 *. yp0) +. (xp1 *. yp1) +. (xpa *. ypa) +. (xpab *. ypab) in
-      let pa = (xpa *. yp0) +. (xpab *. yp1) +. (xp0 *. ypa) +. (xp1 *. ypab) in
-      let pa_bar = (xpab *. yp0) +. (xpa *. yp1) +. (xp0 *. ypab) +. (xp1 *. ypa) in
-      let pa = clamp01 pa
-      and pa_bar = clamp01 pa_bar
-      and p1 = clamp01 p1
-      and p0 = clamp01 p0 in
-      let sum = pa +. pa_bar +. p1 +. p0 in
-      if sum <= 0.0 then
-        raise
-          (Prob4.Invalid { vector = { Prob4.pa; pa_bar; p1; p0 }; reason = "zero mass" })
-      else if Float.abs (sum -. 1.0) > 1e-6 then
-        raise
-          (Prob4.Invalid
-             { vector = { Prob4.pa; pa_bar; p1; p0 };
-               reason = "components do not sum to 1" });
-      apa := pa /. sum;
-      apab := pa_bar /. sum;
-      ap1 := p1 /. sum;
-      ap0 := p0 /. sum
-    done;
-    (!apa, !apab, !ap1, !ap0)
-
-  let propagate s kind ~arity ~dst_pa ~dst_pa_bar ~dst_p1 ~dst_p0 dst =
-    Gate.check_arity kind arity;
-    match kind with
-    | Gate.And ->
-      let pa, pa_bar, p1, p0 = and_components s arity in
-      normalize_store ~pa ~pa_bar ~p1 ~p0 ~dst_pa ~dst_pa_bar ~dst_p1 ~dst_p0 dst
-    | Gate.Nand ->
-      (* normalize first, then swap — the boxed path is invert(and_rule). *)
-      let pa, pa_bar, p1, p0 = and_components s arity in
-      normalize_store ~pa ~pa_bar ~p1 ~p0 ~dst_pa:dst_pa_bar ~dst_pa_bar:dst_pa
-        ~dst_p1:dst_p0 ~dst_p0:dst_p1 dst
-    | Gate.Or ->
-      let pa, pa_bar, p1, p0 = or_components s arity in
-      normalize_store ~pa ~pa_bar ~p1 ~p0 ~dst_pa ~dst_pa_bar ~dst_p1 ~dst_p0 dst
-    | Gate.Nor ->
-      let pa, pa_bar, p1, p0 = or_components s arity in
-      normalize_store ~pa ~pa_bar ~p1 ~p0 ~dst_pa:dst_pa_bar ~dst_pa_bar:dst_pa
-        ~dst_p1:dst_p0 ~dst_p0:dst_p1 dst
-    | Gate.Xor ->
-      let pa, pa_bar, p1, p0 = xor_components s arity in
-      dst_pa.(dst) <- pa;
-      dst_pa_bar.(dst) <- pa_bar;
-      dst_p1.(dst) <- p1;
-      dst_p0.(dst) <- p0
-    | Gate.Xnor ->
-      let pa, pa_bar, p1, p0 = xor_components s arity in
-      dst_pa.(dst) <- pa_bar;
-      dst_pa_bar.(dst) <- pa;
-      dst_p1.(dst) <- p0;
-      dst_p0.(dst) <- p1
-    | Gate.Not ->
-      dst_pa.(dst) <- s.pa_bar.(0);
-      dst_pa_bar.(dst) <- s.pa.(0);
-      dst_p1.(dst) <- s.p0.(0);
-      dst_p0.(dst) <- s.p1.(0)
-    | Gate.Buf ->
-      dst_pa.(dst) <- s.pa.(0);
-      dst_pa_bar.(dst) <- s.pa_bar.(0);
-      dst_p1.(dst) <- s.p1.(0);
-      dst_p0.(dst) <- s.p0.(0)
-    | Gate.Const0 ->
-      dst_pa.(dst) <- 0.0;
-      dst_pa_bar.(dst) <- 0.0;
-      dst_p1.(dst) <- 0.0;
-      dst_p0.(dst) <- 1.0
-    | Gate.Const1 ->
-      dst_pa.(dst) <- 0.0;
-      dst_pa_bar.(dst) <- 0.0;
-      dst_p1.(dst) <- 1.0;
-      dst_p0.(dst) <- 0.0
-end
-
 (* --- lane-vectorized kernels ---------------------------------------------
 
    The batched engine (Epp_batch) propagates one gate for a whole *block* of
@@ -269,19 +88,19 @@ end
    live lane of the block in straight-line loops over those contiguous
    floats.
 
-   Bit-compatibility contract, same as {!Soa}: per lane, the float
-   operations are the mirror of the boxed rules in the same order —
-   fanin-order products, the same association in the sums, the same clamps,
-   the same normalize conditions.  An off-path fanin contributes its signal
-   probability [sv] exactly as the per-site gather does: the [qa]/[qab]
-   factors there are [sv +. 0.0], which IEEE-754 guarantees equals [sv] for
-   every value in [0, 1], so the scalar fast path multiplies by [sv]
-   directly.
+   Bit-compatibility contract: per lane, the float operations are the
+   mirror of the boxed rules above in the same order — fanin-order
+   products, the same association in the sums, the same clamps, the same
+   normalize conditions ({!Prob4.normalize}).  An off-path fanin
+   contributes its signal probability [sv] exactly as the boxed
+   {!Prob4.of_sp} vector does: the [qa]/[qab] factors there are
+   [sv +. 0.0], which IEEE-754 guarantees equals [sv] for every value in
+   [0, 1], so the scalar fast path multiplies by [sv] directly.
 
    Fault isolation replaces exceptions: a lane whose arithmetic trips a
    normalize condition (or that reads an invalid off-path probability — the
    mirror of {!Prob4.of_sp}) is recorded in [scratch.faults] with exactly
-   the exception the per-site kernel would have raised, and only that lane
+   the exception the boxed reference would have raised, and only that lane
    drops out; the rest of the block continues. *)
 
 module Lanes = struct
@@ -354,9 +173,9 @@ module Lanes = struct
     done;
     !fm
 
-  (* The mirror of the per-site gather's off-path validation: the kernel
-     calls [Prob4.of_sp sv] (which raises) on the first invalid off-path
-     fanin it gathers, before any rule arithmetic.  Here every lane for
+  (* The mirror of the reference's off-path validation: it calls
+     [Prob4.of_sp sv] (which raises) on the first invalid off-path fanin it
+     reads, before any rule arithmetic.  Here every lane for
      which some fanin is off-path with an invalid probability faults with
      that same exception, fanin order deciding which one when several
      qualify. *)
@@ -381,7 +200,7 @@ module Lanes = struct
 
   (* The lane loops below allocate nothing on the success path, and without
      flambda that takes care: ocamlopt inlines neither a float helper such
-     as {!clamp01} nor a per-lane store function, and a float argument of a
+     as a clamp nor a per-lane store function, and a float argument of a
      call it does not inline is boxed.  So the clamps are written out, every
      call passes ints and arrays only, and the per-lane accumulators are
      float [ref]s local to a loop body, which the compiler turns into
@@ -402,8 +221,8 @@ module Lanes = struct
   (* AND/OR accumulation: [value] is the controlling-component plane (p1 for
      AND, p0 for OR) — per live lane, fold the fanins in order, collecting
      the controlling product into aa and the qa/qab products into ab/ac so
-     the per-lane operation order matches the per-site
-     [and_components]/[or_components] exactly.  [complement] says how an
+     the per-lane operation order matches the boxed [product] folds of
+     [and_rule]/[or_rule] exactly.  [complement] says how an
      off-path fanin's factor derives from its signal probability: [sv] for
      AND (the gathered p1), [1.0 -. sv] for OR (the gathered p0) — the
      error components of an off-path fanin are zero so all three products
@@ -411,7 +230,7 @@ module Lanes = struct
 
      Two loop orders, picked by the live-lane count, both applying the same
      per-lane multiplication sequence (so both are bit-identical to the
-     per-site fold): narrow gates go lane-major, folding every fanin of one
+     boxed fold): narrow gates go lane-major, folding every fanin of one
      lane into three local float refs before touching the next lane, which
      is what the cone-local (tree) regime mostly sees.  Wide gates go
      fanin-major: a fanin that is on-path for every live lane takes a
@@ -505,7 +324,7 @@ module Lanes = struct
 
   (* The AND/OR output of every live lane: components from the products
      (the controlling one is aa; [and_family] says whether it is p1 or p0),
-     then the mirror of {!Soa.normalize_store} — clamps, sum, the two
+     then the mirror of {!Prob4.normalize} — clamps, sum, the two
      normalize conditions, the store — with a defect faulting the lane
      instead of raising.  NAND/NOR pass the swapped destinations: the boxed
      path is invert(and_rule), normalize first, then swap.  Returns the
@@ -546,7 +365,7 @@ module Lanes = struct
     done;
     !fm
 
-  (* XOR fold per live lane, mirroring {!Soa.xor_components}: accumulator
+  (* XOR fold per live lane, mirroring the boxed [xor_rule]: accumulator
      starts at the raw (un-normalized) first input and each step applies the
      16-term expansion followed by the inline normalize.  A lane whose step
      trips a normalize condition faults; its accumulator is parked at the
@@ -697,7 +516,8 @@ module Lanes = struct
               ~p1 ~p0 ~live
           in
           (* XOR stores the folded accumulator without a final normalize,
-             XNOR the polarity/value swap of it — exactly like Soa. *)
+             XNOR the polarity/value swap of it — exactly like the boxed
+             xor_rule and its invert. *)
           let xnor = match kind with Gate.Xnor -> true | _ -> false in
           for i = 0 to live - 1 do
             let l = Array.unsafe_get s.lanes i in
@@ -828,120 +648,4 @@ module Naive = struct
     | Gate.Buf -> inputs.(0)
     | Gate.Const0 -> of_sp 0.0
     | Gate.Const1 -> of_sp 1.0
-
-  (* Three-state twin of {!Rules.Soa}: same arithmetic as the boxed naive
-     rules, gather scratch in, per-node float arrays out, no allocation on
-     the success path. *)
-  module Soa = struct
-    type scratch = {
-      mutable pe : float array;
-      mutable p1 : float array;
-      mutable p0 : float array;
-    }
-
-    let create ~max_fanin =
-      let k = max 1 max_fanin in
-      { pe = Array.make k 0.0; p1 = Array.make k 0.0; p0 = Array.make k 0.0 }
-
-    let capacity s = Array.length s.pe
-
-    let reserve s k =
-      if capacity s < k then begin
-        let k = max k (2 * capacity s) in
-        s.pe <- Array.make k 0.0;
-        s.p1 <- Array.make k 0.0;
-        s.p0 <- Array.make k 0.0
-      end
-
-    let normalize_store ~pe ~p1 ~p0 ~dst_pe ~dst_p1 ~dst_p0 dst =
-      let pe = clamp01 pe and p1 = clamp01 p1 and p0 = clamp01 p0 in
-      let s = pe +. p1 +. p0 in
-      if Float.abs (s -. 1.0) > 1e-6 then
-        invalid_arg "Rules.Naive.normalize: components do not sum to 1"
-      else begin
-        dst_pe.(dst) <- pe /. s;
-        dst_p1.(dst) <- p1 /. s;
-        dst_p0.(dst) <- p0 /. s
-      end
-
-    let and_components s k =
-      let p1 = ref 1.0 and q = ref 1.0 in
-      for i = 0 to k - 1 do
-        p1 := !p1 *. s.p1.(i);
-        q := !q *. (s.p1.(i) +. s.pe.(i))
-      done;
-      let p1 = !p1 in
-      let pe = !q -. p1 in
-      (pe, p1, 1.0 -. p1 -. pe)
-
-    let or_components s k =
-      let p0 = ref 1.0 and q = ref 1.0 in
-      for i = 0 to k - 1 do
-        p0 := !p0 *. s.p0.(i);
-        q := !q *. (s.p0.(i) +. s.pe.(i))
-      done;
-      let p0 = !p0 in
-      let pe = !q -. p0 in
-      (pe, 1.0 -. p0 -. pe, p0)
-
-    let xor_components s k =
-      let ape = ref s.pe.(0) and ap1 = ref s.p1.(0) and ap0 = ref s.p0.(0) in
-      for i = 1 to k - 1 do
-        let xp1 = !ap1 and xp0 = !ap0 in
-        let yp1 = s.p1.(i) and yp0 = s.p0.(i) in
-        let p1 = (xp1 *. yp0) +. (xp0 *. yp1) in
-        let p0 = (xp0 *. yp0) +. (xp1 *. yp1) in
-        let pe = 1.0 -. p1 -. p0 in
-        let pe = clamp01 pe and p1 = clamp01 p1 and p0 = clamp01 p0 in
-        let sum = pe +. p1 +. p0 in
-        if Float.abs (sum -. 1.0) > 1e-6 then
-          invalid_arg "Rules.Naive.normalize: components do not sum to 1";
-        ape := pe /. sum;
-        ap1 := p1 /. sum;
-        ap0 := p0 /. sum
-      done;
-      (!ape, !ap1, !ap0)
-
-    let propagate s kind ~arity ~dst_pe ~dst_p1 ~dst_p0 dst =
-      Gate.check_arity kind arity;
-      match kind with
-      | Gate.And ->
-        let pe, p1, p0 = and_components s arity in
-        normalize_store ~pe ~p1 ~p0 ~dst_pe ~dst_p1 ~dst_p0 dst
-      | Gate.Nand ->
-        let pe, p1, p0 = and_components s arity in
-        normalize_store ~pe ~p1 ~p0 ~dst_pe ~dst_p1:dst_p0 ~dst_p0:dst_p1 dst
-      | Gate.Or ->
-        let pe, p1, p0 = or_components s arity in
-        normalize_store ~pe ~p1 ~p0 ~dst_pe ~dst_p1 ~dst_p0 dst
-      | Gate.Nor ->
-        let pe, p1, p0 = or_components s arity in
-        normalize_store ~pe ~p1 ~p0 ~dst_pe ~dst_p1:dst_p0 ~dst_p0:dst_p1 dst
-      | Gate.Xor ->
-        let pe, p1, p0 = xor_components s arity in
-        dst_pe.(dst) <- pe;
-        dst_p1.(dst) <- p1;
-        dst_p0.(dst) <- p0
-      | Gate.Xnor ->
-        let pe, p1, p0 = xor_components s arity in
-        dst_pe.(dst) <- pe;
-        dst_p1.(dst) <- p0;
-        dst_p0.(dst) <- p1
-      | Gate.Not ->
-        dst_pe.(dst) <- s.pe.(0);
-        dst_p1.(dst) <- s.p0.(0);
-        dst_p0.(dst) <- s.p1.(0)
-      | Gate.Buf ->
-        dst_pe.(dst) <- s.pe.(0);
-        dst_p1.(dst) <- s.p1.(0);
-        dst_p0.(dst) <- s.p0.(0)
-      | Gate.Const0 ->
-        dst_pe.(dst) <- 0.0;
-        dst_p1.(dst) <- 0.0;
-        dst_p0.(dst) <- 1.0
-      | Gate.Const1 ->
-        dst_pe.(dst) <- 0.0;
-        dst_p1.(dst) <- 1.0;
-        dst_p0.(dst) <- 0.0
-  end
 end

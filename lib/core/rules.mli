@@ -13,53 +13,16 @@ val and_rule : Prob4.t array -> Prob4.t
 val or_rule : Prob4.t array -> Prob4.t
 val xor2 : Prob4.t -> Prob4.t -> Prob4.t
 
-(** Structure-of-arrays evaluation of the same rules for the allocation-free
-    EPP kernel: gate inputs are gathered into reusable float buffers, the
-    output is written into caller-owned per-node component arrays at a given
-    index, and the arithmetic mirrors the boxed rules operation-for-operation
-    so results are bit-identical.  Nothing is allocated on the success path. *)
-module Soa : sig
-  type t = private {
-    mutable pa : float array;
-    mutable pa_bar : float array;
-    mutable p1 : float array;
-    mutable p0 : float array;
-  }
-  (** Gather scratch.  Callers fill slots [0 .. arity-1] of the four arrays
-      (element assignment is allowed; the arrays themselves are private). *)
-
-  val create : max_fanin:int -> t
-  val capacity : t -> int
-
-  val reserve : t -> int -> unit
-  (** Grow the buffers to hold at least [k] inputs (amortized doubling). *)
-
-  val propagate :
-    t ->
-    Netlist.Gate.kind ->
-    arity:int ->
-    dst_pa:float array ->
-    dst_pa_bar:float array ->
-    dst_p1:float array ->
-    dst_p0:float array ->
-    int ->
-    unit
-  (** [propagate s kind ~arity ~dst_pa ~dst_pa_bar ~dst_p1 ~dst_p0 v] reads
-      slots [0 .. arity-1] of [s] and stores the gate's output vector at
-      index [v] of the four destination arrays.  Same exceptions as the boxed
-      {!propagate}. *)
-end
-
 (** Lane-vectorized evaluation of the same rules for the level-synchronous
     batched engine ({!Epp_batch}): one gate is propagated for a whole block
     of error sites at once.  The four-state vectors live in caller-owned
     row-major float planes with a lane stride, one row per node the caller
     gave a row ([plane.(rows.(node) * stride + lane)]); a per-node bitmask
     says which lanes have the node on-path, and
-    off-path fanins contribute their signal probability exactly as the
-    per-site gather does.  Per lane, the arithmetic mirrors {!Soa}
+    off-path fanins contribute their signal probability exactly as
+    {!Prob4.of_sp} does.  Per lane, the arithmetic mirrors {!propagate}
     operation-for-operation, so batch results are bit-identical to the
-    kernel's.  Defects that would make the per-site kernel raise
+    boxed reference's.  Defects that would make the boxed path raise
     ({!Prob4.Invalid} on off-path probabilities or normalize failures,
     {!Netlist.Gate.Arity_error}) instead fault only the offending lanes. *)
 module Lanes : sig
@@ -75,7 +38,7 @@ module Lanes : sig
 
   val faults : scratch -> (int * exn) list
   (** Per-lane faults recorded by the last {!propagate} call, newest first:
-      each is [(lane, exn)] with exactly the exception the per-site kernel
+      each is [(lane, exn)] with exactly the exception the boxed reference
       would have raised for that site. *)
 
   val last_live : scratch -> int
@@ -121,27 +84,4 @@ module Naive : sig
   val error_site : t
   val of_sp : float -> t
   val propagate : Netlist.Gate.kind -> t array -> t
-
-  (** Three-state twin of {!Rules.Soa} for the naive ablation kernel. *)
-  module Soa : sig
-    type scratch = private {
-      mutable pe : float array;
-      mutable p1 : float array;
-      mutable p0 : float array;
-    }
-
-    val create : max_fanin:int -> scratch
-    val capacity : scratch -> int
-    val reserve : scratch -> int -> unit
-
-    val propagate :
-      scratch ->
-      Netlist.Gate.kind ->
-      arity:int ->
-      dst_pe:float array ->
-      dst_p1:float array ->
-      dst_p0:float array ->
-      int ->
-      unit
-  end
 end

@@ -130,27 +130,31 @@ let of_site_results ?(technology = Seu_model.Technology.default)
     total_fit = Seu_model.Fit.of_rate_per_second total_failure_rate;
   }
 
-(* --- batch-vs-per-site dispatch -------------------------------------------
+(* --- the sweep driver ------------------------------------------------------
 
-   The estimator is the whole-stack entry point, so the engine choice lives
-   here: dense circuits (mean cone a few percent of the nodes, per
-   Epp_batch.should_batch) take the level-synchronous block engine, tiny or
-   cone-local ones keep the per-site kernel.  Both produce bit-identical
-   results; the choice is recorded in the epp.batch.dispatch.* counters and
-   the epp.batch.density gauge so a sweep's routing is observable. *)
-
-let dispatch_count name =
-  Obs.Metrics.incr (Obs.Metrics.counter (Obs.Hooks.metrics ()) name)
+   Every unsupervised sweep goes through here: blocks of Epp_batch.max_lanes
+   sites on the batch engine, fanned out whole across [domains]
+   (Parallel.map_array keeps a handful of blocks on the calling domain).  A
+   [Naive] engine, the polarity-blind ablation the batch engine does not
+   implement, runs site by site on the boxed reference instead.  Results
+   come back in input order.  A bad site id fails its whole block inside
+   Block.run, so the lowest such block's Invalid_argument is raised;
+   otherwise a faulting lane comes back as an Error and the earliest one
+   in input order is raised. *)
 
 let analyze_site_array ?(domains = 1) engine sites =
-  if Epp_batch.should_batch engine ~sites:(Array.length sites) then begin
-    dispatch_count "epp.batch.dispatch.batched";
-    Parallel.analyze_sites_batched ~domains engine sites
-  end
-  else begin
-    dispatch_count "epp.batch.dispatch.per_site";
-    Parallel.analyze_site_array ~domains engine sites
-  end
+  match Epp_engine.mode engine with
+  | Epp_engine.Naive ->
+    Parallel.map_array ~domains ~workspace:ignore
+      ~f:(fun () site -> Epp_engine.analyze_site engine site)
+      sites
+  | Epp_engine.Polarity ->
+    Parallel.map_array ~domains
+      ~workspace:(fun () -> Epp_batch.Block.create engine)
+      ~release:Epp_batch.Block.release ~f:Epp_batch.Block.run
+      (Epp_batch.blocks sites)
+    |> Array.to_list |> Array.concat
+    |> Array.map (function Ok r -> r | Error e -> raise e)
 
 let analyze_sites ?domains engine sites =
   Array.to_list (analyze_site_array ?domains engine (Array.of_list sites))

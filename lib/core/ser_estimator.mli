@@ -56,26 +56,26 @@ val of_site_results :
     derating strategy: a hardened gate keeps its EPP result and takes a
     smaller [R_SEU].  @raise Invalid_argument on a negative or NaN scale. *)
 
-(** {2 Dispatching EPP drivers}
+(** {2 The EPP sweep driver}
 
-    The estimator picks the EPP engine per sweep: when
-    {!Epp_batch.should_batch} says the circuit is dense enough (mean cone a
-    few percent of the nodes, ≥ 256 nodes, ≥ 8 sites), sites run through
-    the level-synchronous block engine; otherwise the per-site kernel.
-    Results are bit-identical either way — the choice is pure wall-clock —
-    and recorded in the [epp.batch.dispatch.batched] /
-    [epp.batch.dispatch.per_site] counters and the [epp.batch.density]
-    gauge. *)
+    Sites run through the {!Epp_batch} block engine, [max_lanes] sites per
+    union-cone walk, bit-identical to {!Epp_engine.analyze_site}; an engine
+    in [Naive] mode (the polarity-blind ablation) runs site by site on that
+    boxed reference.  [domains] (default 1) fans whole blocks out across
+    OCaml domains; results come back in input order either way.  An
+    out-of-range site id fails its whole block, and the lowest such
+    block's exception is raised; failing that, the exception of the
+    earliest site whose analysis faulted is raised.
+    @raise Invalid_argument if [domains < 1] or a site id is out of range. *)
 
 val analyze_site_array :
   ?domains:int -> Epp_engine.t -> int array -> Epp_engine.site_result array
-(** Batch-vs-per-site dispatching sweep ([domains] defaults to 1). *)
 
 val analyze_sites :
   ?domains:int -> Epp_engine.t -> int list -> Epp_engine.site_result list
 
 val analyze_all : ?domains:int -> Epp_engine.t -> Epp_engine.site_result list
-(** Every node of the engine's circuit through the dispatching sweep. *)
+(** Every node of the engine's circuit, in node-id order. *)
 
 val estimate :
   ?technology:Seu_model.Technology.t ->
@@ -87,8 +87,8 @@ val estimate :
   ?domains:int ->
   Netlist.Circuit.t ->
   report
-(** Analyze every node as an error site (through the dispatching
-    {!analyze_all}) and compose the three factors.  [electrical] adds
+(** Analyze every node as an error site (through {!analyze_all}) and
+    compose the three factors.  [electrical] adds
     pulse-attenuation derating per observation point (depth = BFS
     gate-traversal distance from the site, the optimistic bound for pulse
     survival); it only affects the [Per_observation] convention.

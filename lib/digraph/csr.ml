@@ -1,8 +1,8 @@
 (* Compressed sparse row adjacency: the cache-friendly view of a Digraph.
 
    The list-of-successors representation is convenient to build and fine for
-   one-shot traversals, but the EPP kernel performs one forward DFS *per
-   error site* — millions of successor enumerations on a whole-circuit
+   one-shot traversals, but the EPP engine walks the forward cone of every
+   error site — millions of successor enumerations on a whole-circuit
    sweep.  Chasing cons cells costs a pointer dereference (and a potential
    cache miss) per edge; CSR packs all successors into two int arrays
 

@@ -4,7 +4,7 @@
     (length [edge_count]) — hold every successor list contiguously:
     the successors of [v] are [targets.(offsets.(v)) .. targets.(offsets.(v+1) - 1)],
     in the same order {!Digraph.succ} returns them.  Hot traversals (the
-    per-site cone DFS of the EPP kernel) index these arrays directly and
+    batch EPP engine's union-cone walk, cone DFS) index these arrays directly and
     allocate nothing; the view is immutable and safe to share across
     domains. *)
 

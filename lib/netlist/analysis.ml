@@ -7,9 +7,9 @@
    cones and distances, once per site).  The context computes each fact once
    per circuit and serves the shared instance:
 
-   - whole-graph facts (order, positions, gate order, observation arrays,
-     max fanin) are assembled once, on first [get], from the circuit's own
-     memoized accessors;
+   - whole-graph facts (order, gate order, observation arrays) are
+     assembled once, on first [get], from the circuit's own memoized
+     accessors;
    - per-site artifacts (forward cones, per-observation-point BFS distance
      maps) sit behind bounded LRU caches keyed by node id, so interleaved
      engines (a supervised sweep runs SP, EPP and ranking over one circuit)
@@ -88,11 +88,9 @@ end
 type t = {
   circuit : Circuit.t;
   order : int array;  (* one topological order, all nodes *)
-  position : int array;  (* position.(v) = index of v in order *)
   gate_order : int array;  (* gates only, topological *)
   observations : (Circuit.observation * int) array;  (* (obs, observed net) *)
   observation_nets : int array;  (* the nets, same order *)
-  max_fanin : int;
   cones : bool array Lru.t;  (* site -> forward-reach marks *)
   fanin_cones : bool array Lru.t;  (* net -> backward-reach marks *)
   distance_maps : int array Lru.t;  (* obs net -> reverse-BFS distances *)
@@ -121,9 +119,6 @@ type Circuit.context += Context of t
 
 let build circuit =
   let order = Circuit.order_for_context circuit in
-  let n = Circuit.node_count circuit in
-  let position = Array.make n 0 in
-  Array.iteri (fun i v -> position.(v) <- i) order;
   let gate_order =
     let acc = ref [] in
     for i = Array.length order - 1 downto 0 do
@@ -138,18 +133,12 @@ let build circuit =
     |> Array.of_list
   in
   let observation_nets = Array.map snd observations in
-  let max_fanin = ref 1 in
-  for v = 0 to n - 1 do
-    max_fanin := max !max_fanin (Array.length (Circuit.fanins circuit v))
-  done;
   {
     circuit;
     order;
-    position;
     gate_order;
     observations;
     observation_nets;
-    max_fanin = !max_fanin;
     cones = Lru.create cone_cache_capacity;
     fanin_cones =
       (* Keyed by observation net in the certified exact tier, so size it
@@ -171,11 +160,9 @@ let get circuit =
 
 let circuit t = t.circuit
 let order t = t.order
-let position t = t.position
 let gate_order t = t.gate_order
 let observations t = t.observations
 let observation_nets t = t.observation_nets
-let max_fanin t = t.max_fanin
 
 (* Delegates to the circuit-level memos (same cache counters). *)
 let levels t = Circuit.levels t.circuit

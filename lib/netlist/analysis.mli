@@ -31,13 +31,9 @@ val order : t -> int array
 (** The circuit's topological order (all nodes) — the one shared instance
     also served by {!Circuit.topological_order}. *)
 
-val position : t -> int array
-(** Inverse permutation of {!order}: [position ctx.(v)] is the index of node
-    [v] in the order. *)
-
 val gate_order : t -> int array
 (** Gates only, in topological order — the evaluation schedule of the logic
-    simulator and the EPP kernel. *)
+    simulator; the batch EPP engine prefetches gate kinds and fanins in it. *)
 
 val observations : t -> (Circuit.observation * int) array
 (** Observation points paired with the net each observes: POs in declaration
@@ -45,10 +41,6 @@ val observations : t -> (Circuit.observation * int) array
 
 val observation_nets : t -> int array
 (** Just the observed nets, aligned with {!observations}. *)
-
-val max_fanin : t -> int
-(** Largest gate fanin in the circuit (at least 1), sizing per-gate scratch
-    in the kernels. *)
 
 val levels : t -> int array
 (** ASAP levelization; delegates to the memo on {!Circuit.levels}. *)

@@ -85,7 +85,7 @@ val graph : t -> Digraph.t
 
 val csr : t -> Csr.t
 (** The CSR (packed int-array) view of {!graph}, built once with the circuit
-    and shared by the per-site hot paths (cone DFS, the EPP kernel).
+    and shared by the hot paths (cone DFS, the batch EPP engine).
     Immutable; safe to share across domains. *)
 
 val reverse_csr : t -> Csr.t

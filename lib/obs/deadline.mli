@@ -3,8 +3,8 @@
     A deadline is an absolute point on {!Clock.monotonic_seconds} plus the
     budget it was created with.  Long-running engines accept an optional
     deadline and poll it at natural work boundaries — {!Epp.Supervisor}
-    chunk boundaries, {!Epp.Parallel} task dispatch, {!Epp.Epp_batch} block
-    boundaries — so an expired budget ends the work {e between} units: every
+    chunk boundaries, {!Epp.Parallel} task dispatch (one batch block per
+    task) — so an expired budget ends the work {e between} units: every
     finished unit is kept, nothing is torn mid-computation, and the caller
     gets partial results plus a typed outcome instead of a killed process.
 

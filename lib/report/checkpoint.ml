@@ -7,8 +7,12 @@
      serprop-checkpoint v1
      fingerprint <md5-hex>
      total <site-count>
-     ok <site> <k|r> <cone> <reached> <p_sens> <nobs> { <p|f> <net> <p> }*
-     qr <site> <name> <cone|-1> <nfaults> { <k|r> <e|n|s|o> <payload> }*
+     ok <site> <b|r> <cone> <reached> <p_sens> <nobs> { <p|f> <net> <p> }*
+     qr <site> <name> <cone|-1> <nfaults> { <b|r> <e|n|s|o> <payload> }*
+
+   The step tags name the ladder rungs, batch and reference.  Any other tag
+   makes the snapshot Corrupt — including the "k" of the per-site kernel
+   rung older versions wrote, so such a snapshot is re-swept, not replayed.
 
    Saves are atomic AND durable: the snapshot is written to "<path>.tmp",
    fsync'd, renamed over <path>, and the parent directory is fsync'd too —
@@ -122,7 +126,6 @@ let fingerprint engine =
 
 let step_tag = function
   | Epp.Diag.Batch -> "b"
-  | Epp.Diag.Kernel -> "k"
   | Epp.Diag.Reference -> "r"
 
 let write_fault buf (step, fault) =
@@ -219,7 +222,6 @@ let read_float ib = float_of_string (read_token ib)
 let read_step ib =
   match read_token ib with
   | "b" -> Epp.Diag.Batch
-  | "k" -> Epp.Diag.Kernel
   | "r" -> Epp.Diag.Reference
   | s -> failwith (Printf.sprintf "unknown step tag %S" s)
 
@@ -331,7 +333,7 @@ let load path =
 let by_site (a, _) (b, _) = compare (a : int) b
 
 let supervised_sweep ?ctx ?domains ?tolerance ?chunk_size ?checkpoint
-    ?(resume = false) ?on_progress ?batch ?kernel ?reference ?deadline engine =
+    ?(resume = false) ?on_progress ?batch_run ?reference ?deadline engine =
   let circuit = Epp.Epp_engine.circuit engine in
   let n = Circuit.node_count circuit in
   let fp = fingerprint engine in
@@ -390,7 +392,7 @@ let supervised_sweep ?ctx ?domains ?tolerance ?chunk_size ?checkpoint
     in
     let inner =
       Epp.Supervisor.sweep ?ctx ?domains ?tolerance ?chunk_size ~on_chunk
-        ?batch ?kernel ?reference ?deadline engine remaining
+        ?batch_run ?reference ?deadline engine remaining
     in
     snapshot ();
     let entries = List.sort by_site !completed in

@@ -48,8 +48,10 @@ val supervised_sweep :
   ?checkpoint:string ->
   ?resume:bool ->
   ?on_progress:(done_count:int -> total:int -> unit) ->
-  ?batch:Epp.Supervisor.batch_mode ->
-  ?kernel:(Epp.Epp_engine.Workspace.ws -> int -> Epp.Epp_engine.site_result) ->
+  ?batch_run:
+    (Epp.Epp_batch.Block.ws ->
+    int array ->
+    (Epp.Epp_engine.site_result, exn) result array) ->
   ?reference:(Epp.Epp_engine.t -> int -> Epp.Epp_engine.site_result) ->
   ?deadline:Obs.Deadline.t ->
   Epp.Epp_engine.t ->
@@ -64,9 +66,8 @@ val supervised_sweep :
       checkpoint file resumes from nothing; a mismatched or corrupt one is
       an [Error], never silently ignored.
 
-    [batch] selects the batch-rung policy ({!Epp.Supervisor.batch_mode},
-    default [Auto]); [kernel] / [reference] pass through to
-    {!Epp.Supervisor.sweep}'s fault-injection seam.  [on_progress] fires after every chunk on the
+    [batch_run] / [reference] pass through to {!Epp.Supervisor.sweep}'s
+    fault-injection seam.  [on_progress] fires after every chunk on the
     calling domain with {e overall} coverage — replayed entries count as
     done (the progress-meter hook).  Entries come back sorted by site id —
     input order for a whole-circuit sweep.

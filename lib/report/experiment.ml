@@ -3,7 +3,9 @@
    Column semantics reverse-engineered from the published rows (they are
    internally consistent across the table):
 
-     SysT  — average analytical EPP time per error site, in ms;
+     SysT  — average analytical EPP time per error site, in ms, timed over
+             the production sweep (Ser_estimator.analyze_sites: batch
+             blocks on one domain);
      SimT  — average random-simulation time per error site, in seconds;
      %Dif  — mean relative difference of P_sensitized between the two
              methods over the simulated sites;
@@ -118,7 +120,7 @@ let run ?(config = default_config) circuit =
     | Some cap -> sample_sites (Rng.split rng) ~count:cap ~universe:node_count
   in
   let epp_results, epp_elapsed =
-    Timer.time (fun () -> Epp.Epp_engine.analyze_sites engine epp_sites)
+    Timer.time (fun () -> Epp.Ser_estimator.analyze_sites engine epp_sites)
   in
   ignore epp_results;
   let syst_ms = epp_elapsed /. float_of_int (List.length epp_sites) *. 1000.0 in

@@ -44,7 +44,7 @@ type request =
       budget_ms : float option;  (** per-request deadline override *)
       top_k : int option;  (** report the K most sensitized sites *)
       inject : int list option;
-          (** ["inject_faults"]: sites whose kernel/reference rungs are
+          (** ["inject_faults"]: sites whose batch/reference rungs are
               forced to fail — rejected unless the server was started with
               fault injection enabled (operational drills / smoke tests) *)
     }

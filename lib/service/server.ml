@@ -161,7 +161,6 @@ let stats_json (s : Epp.Diag.stats) =
     [
       ("total", Json.int s.total);
       ("batch_ok", Json.int s.batch_ok);
-      ("kernel_ok", Json.int s.kernel_ok);
       ("degraded", Json.int s.degraded);
       ("quarantined", Json.int s.quarantined);
       ("resumed", Json.int s.resumed);
@@ -247,24 +246,24 @@ let outcome_response t ?id ~ctx ~fingerprint ~(hit : bool) ~top_k ?(extra = [])
    a production daemon rejects the field as a bad request. *)
 let injection_overrides t ~inject =
   match inject with
-  | None -> (None, None, None)
+  | None -> (None, None)
   | Some fail_sites ->
     if not t.config.allow_fault_injection then
       reject Protocol.Bad_request
         "\"inject_faults\" requires the server to enable fault injection";
     let should_fail site = List.mem site fail_sites in
-    let boom site = failwith (Printf.sprintf "injected fault at site %d" site) in
-    let kernel ws site =
-      if should_fail site then boom site
-      else Epp.Epp_engine.Workspace.analyze_site ws site
+    let boom site = Failure (Printf.sprintf "injected fault at site %d" site) in
+    let batch_run block sites =
+      let results = Epp.Epp_batch.Block.run block sites in
+      Array.mapi
+        (fun l r -> if should_fail sites.(l) then Error (boom sites.(l)) else r)
+        results
     in
     let reference engine site =
-      if should_fail site then boom site
+      if should_fail site then raise (boom site)
       else Epp.Epp_engine.analyze_site engine site
     in
-    (* The batch rung has no per-site seam, so injection forces the
-       per-site ladder. *)
-    (Some kernel, Some reference, Some Epp.Supervisor.Never)
+    (Some batch_run, Some reference)
 
 let deadline_of t ~budget_ms =
   let budget =
@@ -290,7 +289,7 @@ let handle_analyze t ?id ~ctx ~circuit ~sites ~budget_ms ~top_k ~inject () =
   let { Engine_cache.engine; fingerprint; hit } = engine_for t ~ctx circuit in
   let c = Epp.Epp_engine.circuit engine in
   let n = Circuit.node_count c in
-  let kernel, reference, batch = injection_overrides t ~inject in
+  let batch_run, reference = injection_overrides t ~inject in
   let deadline = deadline_of t ~budget_ms in
   let domains = t.config.domains in
   match sites with
@@ -301,7 +300,7 @@ let handle_analyze t ?id ~ctx ~circuit ~sites ~budget_ms ~top_k ~inject () =
         s n
     | None -> ());
     let outcome =
-      Epp.Supervisor.sweep ~ctx ?domains ?batch ?kernel ?reference ~deadline
+      Epp.Supervisor.sweep ~ctx ?domains ?batch_run ?reference ~deadline
         engine sites
     in
     outcome_response t ?id ~ctx ~fingerprint ~hit ~top_k c outcome
@@ -311,7 +310,7 @@ let handle_analyze t ?id ~ctx ~circuit ~sites ~budget_ms ~top_k ~inject () =
     match t.config.checkpoint_dir with
     | None ->
       let outcome =
-        Epp.Supervisor.sweep_all ~ctx ?domains ?batch ?kernel ?reference
+        Epp.Supervisor.sweep_all ~ctx ?domains ?batch_run ?reference
           ~deadline engine
       in
       remember_if_complete t ~fingerprint outcome;
@@ -320,7 +319,7 @@ let handle_analyze t ?id ~ctx ~circuit ~sites ~budget_ms ~top_k ~inject () =
       let ck = Filename.concat dir (fingerprint ^ ".ck") in
       match
         Report.Checkpoint.supervised_sweep ~ctx ?domains ~checkpoint:ck
-          ~resume:true ?batch ?kernel ?reference ~deadline engine
+          ~resume:true ?batch_run ?reference ~deadline engine
       with
       | Ok outcome ->
         remember_if_complete t ~fingerprint outcome;
@@ -333,7 +332,7 @@ let handle_analyze t ?id ~ctx ~circuit ~sites ~budget_ms ~top_k ~inject () =
         let outcome =
           match
             Report.Checkpoint.supervised_sweep ~ctx ?domains ~checkpoint:ck
-              ~resume:false ?batch ?kernel ?reference ~deadline engine
+              ~resume:false ?batch_run ?reference ~deadline engine
           with
           | Ok o -> o
           | Error e ->

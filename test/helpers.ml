@@ -143,6 +143,19 @@ let qtest ?(count = 100) ~name gen prop =
     ~rand:(Random.State.make [| Lazy.force qcheck_seed |])
     (QCheck2.Test.make ~name ~count gen prop)
 
+(* --- multicore fan-out ------------------------------------------------------ *)
+
+(* [f ()] under a fresh metrics registry, paired with the number of helper
+   domains Parallel spawned meanwhile.  A test that means to exercise the
+   multi-domain path checks the count is non-zero, so a work list too short
+   to fan out cannot quietly run on the calling domain alone. *)
+let with_spawned_workers f =
+  let reg = Obs.Metrics.create () in
+  Obs.Hooks.set_metrics reg;
+  let result = Fun.protect ~finally:Obs.Hooks.reset f in
+  ( result,
+    Obs.Metrics.counter_value (Obs.Metrics.snapshot reg) "parallel.workers_spawned" )
+
 (* --- failure reproduction ------------------------------------------------- *)
 
 (* One-line structural fingerprint (counts + hash) shared with the fuzzer:

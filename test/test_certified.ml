@@ -62,23 +62,50 @@ let test_bdd_rung_exact =
 
 (* --- tightening: intervals are monotone under budget increases ------------- *)
 
+let first_gate c = List.find (Circuit.is_gate c) (List.init (Circuit.node_count c) Fun.id)
+
+let tightening seed =
+  with_repro ~build:(fun s -> random_small_dag ~seed:s) seed (fun c ->
+      let site = first_gate c in
+      let verdict budget =
+        Certified.certify ~config:{ no_mc with node_budget = budget } c site
+      in
+      let nested (a : Certified.verdict) (b : Certified.verdict) =
+        (* b's budget >= a's: b's interval must lie inside a's. *)
+        b.Certified.lo >= a.Certified.lo -. 1e-12
+        && b.Certified.hi <= a.Certified.hi +. 1e-12
+      in
+      let v0 = verdict 16 and v1 = verdict 400 and v2 = verdict 400_000 in
+      nested v0 v1 && nested v1 v2 && nested v0 v2)
+
 let test_tightening =
   qtest ~count:200 ~name:"intervals tighten monotonically with budget"
-    seed_arbitrary (fun seed ->
-      with_repro ~build:(fun s -> random_small_dag ~seed:s) seed (fun c ->
-          let site =
-            List.find (Circuit.is_gate c) (List.init (Circuit.node_count c) Fun.id)
-          in
-          let verdict budget =
-            Certified.certify ~config:{ no_mc with node_budget = budget } c site
-          in
-          let nested (a : Certified.verdict) (b : Certified.verdict) =
-            (* b's budget >= a's: b's interval must lie inside a's. *)
-            b.Certified.lo >= a.Certified.lo -. 1e-12
-            && b.Certified.hi <= a.Certified.hi +. 1e-12
-          in
-          let v0 = verdict 16 and v1 = verdict 400 and v2 = verdict 400_000 in
-          nested v0 v1 && nested v1 v2 && nested v0 v2))
+    seed_arbitrary tightening
+
+(* Seed 174540 (drawn under QCHECK_SEED=31337): at a 16-node budget its
+   first gate's cone BDD crossed half the budget while the observation
+   indicators were being built, and the one-shot sift left the indicators
+   built so far pointing into the discarded manager. *)
+let test_tightening_pinned_seed () =
+  match tightening 174540 with
+  | true -> ()
+  | false -> Alcotest.fail "tightening seed 174540 failed"
+  | exception QCheck2.Test.Test_fail (_, msgs) ->
+    Alcotest.failf "tightening seed 174540: %s" (String.concat "; " msgs)
+
+(* The same site straight through Cone_bdd: no sift once the indicators are
+   being built, so the manager ends over budget/2 unsifted, and the value is
+   exact. *)
+let test_cone_bdd_no_late_sift () =
+  let c = random_small_dag ~seed:174540 in
+  let site = first_gate c in
+  match Cone_bdd.epp_exact_cone ~node_budget:16 c site with
+  | Cone_bdd.Exact e ->
+    check_bool "not sifted" false e.Cone_bdd.reordered;
+    check_bool "past half the budget" true (e.Cone_bdd.bdd_nodes > 8);
+    check_float "exact" (enum c site) e.Cone_bdd.p_sensitized
+  | Cone_bdd.Budget_exceeded { nodes; _ } ->
+    Alcotest.failf "budget exceeded at %d nodes" nodes
 
 (* --- rung-3 Wilson certificates -------------------------------------------- *)
 
@@ -213,13 +240,24 @@ let () =
   Alcotest.run "certified"
     [
       ( "soundness",
-        [ test_interval_soundness; test_bdd_rung_exact; test_tightening ] );
+        [
+          test_interval_soundness;
+          test_bdd_rung_exact;
+          test_tightening;
+          Alcotest.test_case "tightening pinned seed 174540" `Quick
+            test_tightening_pinned_seed;
+        ] );
       ( "wilson",
         [
           Alcotest.test_case "honest seam certifies" `Quick test_wilson_honest;
           Alcotest.test_case "biased seam rejected" `Quick test_wilson_rejects_biased_seam;
         ] );
-      ("reorder", [ test_reorder_preserves ]);
+      ( "reorder",
+        [
+          test_reorder_preserves;
+          Alcotest.test_case "no sift once indicators are built" `Quick
+            test_cone_bdd_no_late_sift;
+        ] );
       ( "golden",
         [
           Alcotest.test_case "fig1" `Quick test_golden_fig1;

@@ -44,7 +44,7 @@ let sample_entries () =
               cone_size = 7;
               reached_outputs = 2;
             };
-          step = Epp.Diag.Kernel;
+          step = Epp.Diag.Batch;
         } );
     ( 3,
       Epp.Supervisor.Analyzed
@@ -67,7 +67,7 @@ let sample_entries () =
           cone_size = Some 12;
           faults =
             [
-              (Epp.Diag.Kernel, Epp.Diag.Nan { where = "four-state vector" });
+              (Epp.Diag.Batch, Epp.Diag.Nan { where = "four-state vector" });
               ( Epp.Diag.Reference,
                 Epp.Diag.Exception { exn = "Failure(\"boom with spaces\")" } );
             ];
@@ -80,7 +80,7 @@ let sample_entries () =
           cone_size = None;
           faults =
             [
-              (Epp.Diag.Kernel, Epp.Diag.Sum_defect { defect = 0.25; tolerance = 1e-6 });
+              (Epp.Diag.Batch, Epp.Diag.Sum_defect { defect = 0.25; tolerance = 1e-6 });
               (Epp.Diag.Reference, Epp.Diag.Out_of_range { where = "p_sensitized"; value = 2.5 });
             ];
         } );
@@ -138,11 +138,53 @@ let test_corrupt_files () =
   reject "bad entry tag"
     "serprop-checkpoint v1\nfingerprint x\ntotal 3\nbogus 1 2 3\n";
   reject "truncated entry"
-    "serprop-checkpoint v1\nfingerprint x\ntotal 3\nok 0 k 1 1\n";
+    "serprop-checkpoint v1\nfingerprint x\ntotal 3\nok 0 b 1 1\n";
   check_bool "missing file is Corrupt, not an exception" true
     (match Report.Checkpoint.load "/nonexistent/serprop.ck" with
     | Error (Report.Checkpoint.Corrupt _) -> true
     | _ -> false)
+
+(* Older versions recorded the per-site kernel rung as step "k".  A
+   snapshot holding one is Corrupt like any unknown tag: resuming it is an
+   error (ser_estimate --resume exits 4), never a silent replay. *)
+let kernel_rung_snapshot engine =
+  let path = Filename.temp_file "serprop_ck_k" ".txt" in
+  let oc = open_out path in
+  Printf.fprintf oc
+    "serprop-checkpoint v1\nfingerprint %s\ntotal %d\nok 0 k 1 0 0x0p+0 0\n"
+    (Report.Checkpoint.fingerprint engine)
+    (Netlist.Circuit.node_count (Epp.Epp_engine.circuit engine));
+  close_out oc;
+  path
+
+let test_kernel_step_rejected () =
+  let engine = Epp.Epp_engine.create (Circuit_gen.Embedded.s27 ()) in
+  let path = kernel_rung_snapshot engine in
+  (match Report.Checkpoint.load path with
+  | Error (Report.Checkpoint.Corrupt { message; _ }) ->
+    check_string "names the tag" "unknown step tag \"k\"" message
+  | Error e -> Alcotest.fail (Report.Checkpoint.error_message e)
+  | Ok _ -> Alcotest.fail "loaded a kernel-rung snapshot");
+  (match
+     Report.Checkpoint.supervised_sweep ~domains:1 ~checkpoint:path ~resume:true
+       engine
+   with
+  | Error (Report.Checkpoint.Corrupt _) -> ()
+  | Error e -> Alcotest.fail (Report.Checkpoint.error_message e)
+  | Ok _ -> Alcotest.fail "resumed a kernel-rung snapshot");
+  let err = Filename.temp_file "serprop_ck_k" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "../bin/ser_estimate.exe embedded:s27 --resume --checkpoint %s > /dev/null 2> %s"
+         (Filename.quote path) (Filename.quote err))
+  in
+  let stderr = In_channel.with_open_text err In_channel.input_all in
+  check_int "ser_estimate --resume exits 4" 4 code;
+  check_bool "on the corrupt snapshot, not a fingerprint mismatch" true
+    (String.starts_with ~prefix:"ser_estimate: corrupt checkpoint" stderr);
+  Sys.remove err;
+  Sys.remove path
 
 let test_fingerprint_keys () =
   let c1 = fig1 () in
@@ -248,6 +290,8 @@ let () =
           Alcotest.test_case "round trip" `Quick test_round_trip;
           Alcotest.test_case "atomic overwrite" `Quick test_overwrite_is_atomic_rename;
           Alcotest.test_case "corrupt files" `Quick test_corrupt_files;
+          Alcotest.test_case "kernel-rung snapshot rejected" `Quick
+            test_kernel_step_rejected;
         ] );
       ( "keying",
         [

@@ -54,7 +54,7 @@ let prop_collapsed_equals_plain =
     (fun seed ->
       let c = random_small_dag ~seed in
       let engine = Epp.Epp_engine.create ~sp:(Sigprob.Sp_topological.compute c) c in
-      let plain = Epp.Epp_engine.analyze_all engine in
+      let plain = Epp.Ser_estimator.analyze_all engine in
       let collapsed = Epp.Collapse.analyze_all engine in
       List.for_all2
         (fun (a : Epp.Epp_engine.site_result) (b : Epp.Epp_engine.site_result) ->

@@ -22,7 +22,7 @@ let test_policy_matrix () =
     | None -> Alcotest.fail "expected a comparable pair"
   in
   let p = Oracle.policy ~envelope:0.1 ~z:3.0 in
-  (match is (p an (Oracle.kernel ())) with
+  (match is (p an (Oracle.batch ())) with
   | Oracle.Bitwise -> ()
   | _ -> Alcotest.fail "analytical pair must be bitwise");
   (match is (p ex (Oracle.exact_bdd ())) with
@@ -169,6 +169,26 @@ let test_panel_with_certified () =
            ck.Fuzz.pairs))
     [ fig1 (); Circuit_gen.Embedded.c17 (); cancellation () ]
 
+(* The "parallel" oracle really runs on several domains, even for a
+   circuit of one block, and agrees with "batch" in every bit. *)
+let test_parallel_oracle_fans_out () =
+  let c = Circuit_gen.Embedded.s27 () in
+  let sites = Array.init (Circuit.node_count c) Fun.id in
+  let par, spawned =
+    with_spawned_workers (fun () -> (Oracle.parallel ~domains:2 ()).Oracle.run c ~sites)
+  in
+  check_int "one helper domain spawned" 1 spawned;
+  let bat = (Oracle.batch ()).Oracle.run c ~sites in
+  Array.iteri
+    (fun i (r : Oracle.result) ->
+      check_bool
+        (Printf.sprintf "site %d bitwise equal to batch" i)
+        true
+        (Int64.bits_of_float r.Oracle.p_sensitized
+         = Int64.bits_of_float bat.(i).Oracle.p_sensitized
+        && r.Oracle.per_observation = bat.(i).Oracle.per_observation))
+    par
+
 (* --- corpus replay ------------------------------------------------------------ *)
 
 (* dune runtest runs from the test directory (where the corpus glob deps are
@@ -307,7 +327,7 @@ let test_metamorphic_fig1 () =
 (* --- shrinker ------------------------------------------------------------------ *)
 
 let test_shrinker_demo () =
-  (* The acceptance gate: perturb the kernel through the supervisor seam,
+  (* The acceptance gate: perturb the batch engine through the supervisor seam,
      find a disagreement, shrink it to <=10 gates, and the repro must still
      disagree and emit as BLIF + OCaml. *)
   let demo = Fuzz.shrink_demo ~seed:2026 () in
@@ -386,6 +406,8 @@ let () =
           Alcotest.test_case "s27" `Quick test_panel_s27;
           Alcotest.test_case "c17" `Quick test_panel_c17;
           Alcotest.test_case "cancellation" `Quick test_panel_cancellation;
+          Alcotest.test_case "parallel oracle fans out" `Quick
+            test_parallel_oracle_fans_out;
           Alcotest.test_case "with the certified tier" `Slow test_panel_with_certified;
         ] );
       ( "corpus",

@@ -162,8 +162,8 @@ let test_foreign_sp_rejected () =
       ignore (Epp.Epp_engine.create ~sp:sp2 c1))
 
 (* A provided sp vector with a NaN / out-of-range entry must be rejected at
-   create, with the offending node named — not fed silently into the SoA
-   kernel. *)
+   create, with the offending node named — not fed silently into the
+   sweep. *)
 let test_invalid_sp_rejected () =
   let c = fig1 () in
   let poisoned value =
@@ -189,7 +189,7 @@ let test_invalid_sp_rejected () =
 let test_analyze_all_covers_all () =
   let c = fig1 () in
   let engine = uniform_engine c in
-  let all = Epp.Epp_engine.analyze_all engine in
+  let all = Epp.Ser_estimator.analyze_all engine in
   check_int "every node" (Circuit.node_count c) (List.length all)
 
 let test_default_sp_sequential () =
@@ -206,7 +206,7 @@ let prop_psens_is_probability =
       List.for_all
         (fun (r : Epp.Epp_engine.site_result) ->
           r.Epp.Epp_engine.p_sensitized >= 0.0 && r.Epp.Epp_engine.p_sensitized <= 1.0)
-        (Epp.Epp_engine.analyze_all engine))
+        (Epp.Ser_estimator.analyze_all engine))
 
 let prop_psens_bounded_by_observations =
   qtest ~count:30 ~name:"max per-obs <= P_sens <= sum per-obs" seed_arbitrary (fun seed ->
@@ -219,7 +219,7 @@ let prop_psens_bounded_by_observations =
           let sump = List.fold_left ( +. ) 0.0 per in
           r.Epp.Epp_engine.p_sensitized >= maxp -. 1e-9
           && r.Epp.Epp_engine.p_sensitized <= sump +. 1e-9)
-        (Epp.Epp_engine.analyze_all engine))
+        (Epp.Ser_estimator.analyze_all engine))
 
 let () =
   Alcotest.run "epp_engine"

@@ -1,13 +1,11 @@
-(* Tests for the allocation-free EPP kernel (Epp_engine.Workspace) and the
-   work-stealing parallel driver built on it.
+(* Tests for the production EPP sweep — the Epp_batch block engine behind
+   Ser_estimator.analyze_sites — against the boxed reference engine
+   (Epp_engine.analyze_site), and for the work-stealing fan-out it runs on.
 
-   The kernel is a reimplementation of the per-site pass — CSR cone DFS,
-   epoch-stamped marks, SoA vectors, cone-local ordering — so the contract
-   is equivalence with the boxed reference engine: every field of every
-   site_result must match within 1e-12 (the arithmetic is mirrored
-   operation-for-operation, so in practice the values are bit-identical),
-   on every circuit shape, in both modes, with and without the cone
-   restriction. *)
+   The batch engine mirrors the reference's arithmetic lane by lane, so the
+   contract is bit identity: every field of every site_result, every float
+   compared by its bits, on every circuit shape, at every block size, split
+   or not. *)
 
 open Helpers
 open Netlist
@@ -18,20 +16,6 @@ let obs_equal (a : Circuit.observation) (b : Circuit.observation) =
   | Circuit.Ff_data x, Circuit.Ff_data y -> x = y
   | (Circuit.Po _ | Circuit.Ff_data _), _ -> false
 
-let results_match (a : Epp.Epp_engine.site_result) (b : Epp.Epp_engine.site_result) =
-  a.Epp.Epp_engine.site = b.Epp.Epp_engine.site
-  && a.Epp.Epp_engine.cone_size = b.Epp.Epp_engine.cone_size
-  && a.Epp.Epp_engine.reached_outputs = b.Epp.Epp_engine.reached_outputs
-  && Float.abs (a.Epp.Epp_engine.p_sensitized -. b.Epp.Epp_engine.p_sensitized) <= 1e-12
-  && List.length a.Epp.Epp_engine.per_observation
-     = List.length b.Epp.Epp_engine.per_observation
-  && List.for_all2
-       (fun (o1, p1) (o2, p2) -> obs_equal o1 o2 && Float.abs (p1 -. p2) <= 1e-12)
-       a.Epp.Epp_engine.per_observation b.Epp.Epp_engine.per_observation
-
-(* The batch engine's contract is stronger than the kernel's 1e-12: the
-   arithmetic is mirrored per lane, so every float must be *bit-identical*
-   to the per-site kernel's. *)
 let results_match_bitwise (a : Epp.Epp_engine.site_result)
     (b : Epp.Epp_engine.site_result) =
   a.Epp.Epp_engine.site = b.Epp.Epp_engine.site
@@ -52,16 +36,16 @@ let sp_for c =
     (Sigprob.Sp_sequential.compute c).Sigprob.Sp_sequential.result
   else Sigprob.Sp_topological.compute c
 
-(* One workspace reused across every site of the circuit — exactly the
-   epoch-stamp reuse pattern the kernel exists for. *)
-let kernel_matches_reference ?(restrict_to_cone = true) ~mode c =
+(* Every site of the circuit through the sweep driver, against the
+   reference site by site. *)
+let sweep_matches_reference ?(restrict_to_cone = true) ~mode c =
   let engine = Epp.Epp_engine.create ~mode ~restrict_to_cone ~sp:(sp_for c) c in
-  let ws = Epp.Epp_engine.Workspace.create engine in
+  let n = Circuit.node_count c in
+  let swept = Epp.Ser_estimator.analyze_site_array engine (Array.init n Fun.id) in
   let ok = ref true in
-  for site = 0 to Circuit.node_count c - 1 do
-    let reference = Epp.Epp_engine.analyze_site engine site in
-    let kernel = Epp.Epp_engine.Workspace.analyze_site ws site in
-    if not (results_match reference kernel) then ok := false
+  for site = 0 to n - 1 do
+    if not (results_match_bitwise (Epp.Epp_engine.analyze_site engine site) swept.(site))
+    then ok := false
   done;
   !ok
 
@@ -86,82 +70,103 @@ let gen_sequential ~seed =
 
 let prop_polarity_combinational =
   qtest ~count:30 ~name:"kernel = reference (polarity, combinational)" seed_arbitrary
-    (fun seed -> kernel_matches_reference ~mode:Epp.Epp_engine.Polarity (gen_combinational ~seed))
+    (fun seed -> sweep_matches_reference ~mode:Epp.Epp_engine.Polarity (gen_combinational ~seed))
 
 let prop_polarity_sequential =
   qtest ~count:30 ~name:"kernel = reference (polarity, sequential)" seed_arbitrary
-    (fun seed -> kernel_matches_reference ~mode:Epp.Epp_engine.Polarity (gen_sequential ~seed))
+    (fun seed -> sweep_matches_reference ~mode:Epp.Epp_engine.Polarity (gen_sequential ~seed))
 
+(* The naive ablation has no batch rules: the driver routes it to the
+   reference. *)
 let prop_naive_combinational =
   qtest ~count:30 ~name:"kernel = reference (naive, combinational)" seed_arbitrary
-    (fun seed -> kernel_matches_reference ~mode:Epp.Epp_engine.Naive (gen_combinational ~seed))
+    (fun seed -> sweep_matches_reference ~mode:Epp.Epp_engine.Naive (gen_combinational ~seed))
 
 let prop_naive_sequential =
   qtest ~count:30 ~name:"kernel = reference (naive, sequential)" seed_arbitrary
-    (fun seed -> kernel_matches_reference ~mode:Epp.Epp_engine.Naive (gen_sequential ~seed))
+    (fun seed -> sweep_matches_reference ~mode:Epp.Epp_engine.Naive (gen_sequential ~seed))
 
+(* The whole-circuit ablation of the reference (every gate, no cone) gives
+   the same bits as the union-cone sweep. *)
 let prop_no_cone_ablation =
   qtest ~count:10 ~name:"kernel = reference (whole-circuit ablation)" seed_arbitrary
     (fun seed ->
-      kernel_matches_reference ~restrict_to_cone:false ~mode:Epp.Epp_engine.Polarity
+      sweep_matches_reference ~restrict_to_cone:false ~mode:Epp.Epp_engine.Polarity
         (gen_sequential ~seed))
 
 (* Deterministic mid-size fixtures: the embedded real s27 netlist and an
    ISCAS-profiled random DAG. *)
 let test_s27_both_modes () =
   let c = Circuit_gen.Embedded.s27 () in
-  check_bool "polarity" true (kernel_matches_reference ~mode:Epp.Epp_engine.Polarity c);
-  check_bool "naive" true (kernel_matches_reference ~mode:Epp.Epp_engine.Naive c)
+  check_bool "polarity" true (sweep_matches_reference ~mode:Epp.Epp_engine.Polarity c);
+  check_bool "naive" true (sweep_matches_reference ~mode:Epp.Epp_engine.Naive c)
 
 let test_s344_profile () =
   let c = Circuit_gen.Random_dag.generate ~seed:4 Circuit_gen.Profiles.s344 in
-  check_bool "polarity" true (kernel_matches_reference ~mode:Epp.Epp_engine.Polarity c)
+  check_bool "polarity" true (sweep_matches_reference ~mode:Epp.Epp_engine.Polarity c)
 
-let test_analyze_sites_uses_kernel_consistently () =
-  (* Batch API vs reference single-site API on repeated/unordered sites. *)
+let test_analyze_sites_consistent () =
+  (* The list API vs the reference single-site API on repeated/unordered
+     sites. *)
   let c = Circuit_gen.Random_dag.generate ~seed:7 Circuit_gen.Profiles.s298 in
   let engine = Epp.Epp_engine.create ~sp:(sp_for c) c in
   let sites = [ 11; 3; 11; 0; Circuit.node_count c - 1 ] in
-  let batch = Epp.Epp_engine.analyze_sites engine sites in
+  let swept = Epp.Ser_estimator.analyze_sites engine sites in
   List.iter2
     (fun site r ->
       check_bool
         (Printf.sprintf "site %d" site)
         true
-        (results_match (Epp.Epp_engine.analyze_site engine site) r))
-    sites batch
+        (results_match_bitwise (Epp.Epp_engine.analyze_site engine site) r))
+    sites swept
 
-let test_workspace_bad_site () =
+let test_bad_site () =
   let c = fig1 () in
   let engine = Epp.Epp_engine.create ~sp:(Sigprob.Sp_topological.compute c) c in
-  let ws = Epp.Epp_engine.Workspace.create engine in
   Alcotest.check_raises "negative site"
-    (Invalid_argument "Epp_engine.Workspace.analyze_site: bad site") (fun () ->
-      ignore (Epp.Epp_engine.Workspace.analyze_site ws (-1)))
+    (Invalid_argument "Epp_batch.Block.run: bad site") (fun () ->
+      ignore (Epp.Ser_estimator.analyze_sites engine [ 0; -1 ]))
 
-(* --- level-synchronous batch engine ----------------------------------------- *)
+(* --- the block engine ------------------------------------------------------- *)
 
-(* Every site of the circuit through the batch engine at a given block size
-   must be bit-identical to the per-site kernel. *)
-let batch_matches_kernel ?lanes c =
+let blocks_of sites lanes =
+  let n = Array.length sites in
+  Array.init ((n + lanes - 1) / lanes) (fun i ->
+      Array.sub sites (i * lanes) (min lanes (n - (i * lanes))))
+
+(* [sites] in blocks of [lanes] on one workspace, released afterwards. *)
+let run_blocks ?lanes engine sites =
+  let b = Epp.Epp_batch.Block.create ?lanes engine in
+  Fun.protect ~finally:(fun () -> Epp.Epp_batch.Block.release b) @@ fun () ->
+  Array.concat
+    (Array.to_list
+       (Array.map
+          (fun block ->
+            Array.map
+              (function Ok r -> r | Error e -> raise e)
+              (Epp.Epp_batch.Block.run b block))
+          (blocks_of sites (Epp.Epp_batch.Block.lanes b))))
+
+(* Every site of the circuit through blocks of a given size must be
+   bit-identical to the reference. *)
+let batch_matches_reference ?lanes c =
   let engine = Epp.Epp_engine.create ~sp:(sp_for c) c in
-  let ws = Epp.Epp_engine.Workspace.create engine in
   let n = Circuit.node_count c in
-  let batch = Epp.Epp_batch.analyze_site_array ?lanes engine (Array.init n Fun.id) in
+  let batch = run_blocks ?lanes engine (Array.init n Fun.id) in
   let ok = ref true in
   for site = 0 to n - 1 do
-    let kernel = Epp.Epp_engine.Workspace.analyze_site ws site in
-    if not (results_match_bitwise kernel batch.(site)) then ok := false
+    if not (results_match_bitwise (Epp.Epp_engine.analyze_site engine site) batch.(site))
+    then ok := false
   done;
   !ok
 
 let prop_batch_bitwise_combinational =
   qtest ~count:20 ~name:"batch = kernel bitwise (combinational)" seed_arbitrary
-    (fun seed -> batch_matches_kernel (gen_combinational ~seed))
+    (fun seed -> batch_matches_reference (gen_combinational ~seed))
 
 let prop_batch_bitwise_sequential =
   qtest ~count:20 ~name:"batch = kernel bitwise (sequential)" seed_arbitrary
-    (fun seed -> batch_matches_kernel (gen_sequential ~seed))
+    (fun seed -> batch_matches_reference (gen_sequential ~seed))
 
 (* Block-size sweep: a degenerate 1-lane block, a ragged odd width, and the
    full lane width all chunk the same site list to the same bits.  With 7
@@ -172,23 +177,23 @@ let prop_batch_block_sizes =
     (fun seed ->
       let c = gen_sequential ~seed in
       List.for_all
-        (fun lanes -> batch_matches_kernel ~lanes c)
+        (fun lanes -> batch_matches_reference ~lanes c)
         [ 1; 7; Epp.Epp_batch.max_lanes ])
 
 let test_batch_s27 () =
-  check_bool "s27" true (batch_matches_kernel (Circuit_gen.Embedded.s27 ()))
+  check_bool "s27" true (batch_matches_reference (Circuit_gen.Embedded.s27 ()))
 
 let test_batch_s344 () =
   let c = Circuit_gen.Random_dag.generate ~seed:4 Circuit_gen.Profiles.s344 in
-  check_bool "s344 profile" true (batch_matches_kernel c)
+  check_bool "s344 profile" true (batch_matches_reference c)
 
 let test_batch_duplicates_and_order () =
   (* Duplicate sites share lanes' seed bits; order must be preserved. *)
   let c = Circuit_gen.Random_dag.generate ~seed:7 Circuit_gen.Profiles.s298 in
   let engine = Epp.Epp_engine.create ~sp:(sp_for c) c in
-  let sites = [ 11; 3; 11; 0; Circuit.node_count c - 1; 11 ] in
-  let batch = Epp.Epp_batch.analyze_sites engine sites in
-  List.iter2
+  let sites = [| 11; 3; 11; 0; Circuit.node_count c - 1; 11 |] in
+  let batch = run_blocks engine sites in
+  Array.iter2
     (fun site r ->
       check_bool
         (Printf.sprintf "site %d" site)
@@ -215,10 +220,9 @@ let plane_allocations f =
   ( result,
     Obs.Metrics.counter_value (Obs.Metrics.snapshot reg) "epp.batch.plane_allocations" )
 
-let blocks_of sites lanes =
-  let n = Array.length sites in
-  Array.init ((n + lanes - 1) / lanes) (fun i ->
-      Array.sub sites (i * lanes) (min lanes (n - (i * lanes))))
+let sweep engine =
+  Epp.Ser_estimator.analyze_site_array engine
+    (Array.init (Circuit.node_count (Epp.Epp_engine.circuit engine)) Fun.id)
 
 (* Two workspaces live at once on one domain, one of them on a buffer a
    larger circuit's sweep left dirty, run their blocks interleaved: every
@@ -228,9 +232,7 @@ let test_interleaved_workspaces () =
   Epp.Epp_batch.drop_spare_planes ();
   let engine_of c = Epp.Epp_engine.create ~sp:(sp_for c) c in
   let big = Circuit_gen.Random_dag.generate ~seed:2 Circuit_gen.Profiles.s641 in
-  ignore
-    (Epp.Epp_batch.analyze_site_array (engine_of big)
-       (Array.init (Circuit.node_count big) Fun.id));
+  ignore (sweep (engine_of big));
   check_int "the sweep handed its planes back" 1 (Epp.Epp_batch.spare_planes ());
   let c1 = Circuit_gen.Random_dag.generate ~seed:4 Circuit_gen.Profiles.s344 in
   let c2 = Circuit_gen.Random_dag.generate ~seed:7 Circuit_gen.Profiles.s298 in
@@ -255,10 +257,8 @@ let test_interleaved_workspaces () =
   check_int "two spares after two live workspaces" 2 (Epp.Epp_batch.spare_planes ());
   let (separate1, separate2), allocations =
     plane_allocations (fun () ->
-        ( Epp.Epp_batch.analyze_site_array ~lanes e1
-            (Array.init (Circuit.node_count c1) Fun.id),
-          Epp.Epp_batch.analyze_site_array ~lanes e2
-            (Array.init (Circuit.node_count c2) Fun.id) ))
+        ( run_blocks ~lanes e1 (Array.init (Circuit.node_count c1) Fun.id),
+          run_blocks ~lanes e2 (Array.init (Circuit.node_count c2) Fun.id) ))
   in
   check_int "separate sweeps reuse the spares" 0 allocations;
   let same interleaved separate =
@@ -272,36 +272,34 @@ let test_interleaved_workspaces () =
     (Invalid_argument "Epp_batch.Block: workspace used after release") (fun () ->
       ignore (Epp.Epp_batch.Block.run b1 blocks1.(0)))
 
-(* A buffer too small for the next block is dropped, not kept beside the
-   new one: the pool never holds more spares than workspaces were live at
-   once.  A buffer holds [rows · 17/16] plane rows, where [rows] is the
-   largest live frontier a block needed when it was allocated, so a
-   reallocation happens at each block whose frontier outgrows that: the
-   first s298 block (102 rows), the third s344 block (124 > 108), and the
-   first and last blocks of the first s641 sweep (146 > 131, 157 > 155).
-   The later s298 and s641 sweeps (at most 97 and 161 rows) reuse it. *)
+(* A buffer too small for the next leaf is dropped, not kept beside the new
+   one: the pool never holds more spares than workspaces were live at once.
+   A buffer holds 17/16 of the [rows × sites] floats per plane of the leaf
+   that outgrew the last one.  On these small circuits the split rule cuts
+   every 62-site block into leaves of a few sites each, strided by their own
+   site count: one leaf of the first s298 sweep allocates, one of the s344
+   sweep and one of the first s641 sweep outgrow the buffer, and the later
+   s298 and s641 sweeps reuse it. *)
 let test_spares_bounded () =
   Epp.Epp_batch.drop_spare_planes ();
-  let sweep c =
-    let engine = Epp.Epp_engine.create ~sp:(sp_for c) c in
-    ignore (Epp.Epp_batch.analyze_site_array engine (Array.init (Circuit.node_count c) Fun.id))
-  in
   let (), allocations =
     plane_allocations (fun () ->
         List.iter
-          (fun (seed, profile) -> sweep (Circuit_gen.Random_dag.generate ~seed profile))
+          (fun (seed, profile) ->
+            let c = Circuit_gen.Random_dag.generate ~seed profile in
+            ignore (sweep (Epp.Epp_engine.create ~sp:(sp_for c) c)))
           Circuit_gen.Profiles.
             [ (1, s298); (2, s344); (3, s641); (4, s298); (5, s641) ])
   in
   check_int "one spare" 1 (Epp.Epp_batch.spare_planes ());
-  check_int "growing frontiers reallocate, smaller ones reuse" 4 allocations
+  check_int "growing leaves reallocate, smaller ones reuse" 3 allocations
 
 (* --- plane rows ----------------------------------------------------------------
 
    A block hands plane rows out by liveness: a node's row is freed once the
    highest level among its fanouts has been evaluated, and handed to a node
-   born later in the same block.  These fixtures make that reuse happen and
-   check every lane against the per-site kernel, bit for bit, including the
+   born later in the same leaf.  These fixtures make that reuse happen and
+   check every lane against the reference, bit for bit, including the
    vector-sum sentinel the supervisor reads after the block. *)
 
 (* Two rails of mixed gates, p and q, one gate of each per level, with p
@@ -340,7 +338,8 @@ let histogram_sum snap name =
   | None -> 0.0
 
 (* One block on a fresh workspace under a live registry: the lane results,
-   each completed lane's vector-sum sentinel, and the rows the block used. *)
+   each completed lane's vector-sum sentinel, the leaves it ran as
+   ([epp.batch.blocks]) and the rows they used, summed. *)
 let one_block ?lanes engine sites =
   let reg = Obs.Metrics.create () in
   Obs.Hooks.set_metrics reg;
@@ -356,8 +355,22 @@ let one_block ?lanes engine sites =
         | Error _ -> None)
       results
   in
-  let rows = histogram_sum (Obs.Metrics.snapshot reg) "epp.batch.plane_rows" in
-  (results, defects, int_of_float rows)
+  let snap = Obs.Metrics.snapshot reg in
+  ( results,
+    defects,
+    Obs.Metrics.counter_value snap "epp.batch.blocks",
+    int_of_float (histogram_sum snap "epp.batch.plane_rows") )
+
+(* The leaves a block splits into, in order.  The split decision depends on
+   a block's own sites only, so a block that runs as one leaf on its own is
+   a leaf inside its parent too; otherwise its halves are probed. *)
+let rec leaves engine sites =
+  let _, _, count, rows = one_block engine sites in
+  if count = 1 then [ (sites, rows) ]
+  else
+    let k = Array.length sites / 2 in
+    leaves engine (Array.sub sites 0 k)
+    @ leaves engine (Array.sub sites k (Array.length sites - k))
 
 let union_size c sites =
   let ctx = Analysis.get c in
@@ -367,41 +380,65 @@ let union_size c sites =
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* Every lane of one block against the kernel: a completed lane matches its
-   site's result and sentinel bitwise, a faulted lane raised what the kernel
-   raises.  The block used fewer rows than its union has nodes, so some row
-   was freed and handed out again. *)
+(* The reference's four-state sum drift at the observation nets a site
+   reaches, NaN-propagating: what [lane_vector_defect] must reproduce. *)
+let reference_defect engine site =
+  let worst = ref 0.0 and saw_nan = ref false in
+  List.iter
+    (fun (_, (v : Epp.Prob4.t)) ->
+      let d = Float.abs (v.Epp.Prob4.pa +. v.Epp.Prob4.pa_bar +. v.Epp.Prob4.p1 +. v.Epp.Prob4.p0 -. 1.0) in
+      if Float.is_nan d then saw_nan := true else if d > !worst then worst := d)
+    (Epp.Epp_engine.analyze_site_vectors engine site);
+  if !saw_nan then Float.nan else !worst
+
+(* Every lane of one block against the reference: a completed lane matches
+   its site's result and sentinel bitwise, a faulted lane raised what the
+   reference raises.  Every leaf the block ran as used fewer rows than its
+   union has nodes, so some row was freed and handed out again, and no
+   leaf's planes hold more floats than the sum of its cones plus n. *)
 let check_block ?(engine_of = fun c -> Epp.Epp_engine.create ~sp:(sp_for c) c) c
     names =
   let sites = Array.of_list (List.map (Circuit.find c) names) in
   let engine = engine_of c in
-  let results, defects, rows = one_block engine sites in
-  let ws = Epp.Epp_engine.Workspace.create engine in
+  let results, defects, _, _ = one_block engine sites in
   Array.iteri
     (fun l site ->
       let name = List.nth names l in
-      match (Epp.Epp_engine.Workspace.analyze_site ws site, results.(l)) with
-      | kernel, Ok r ->
-        check_bool (name ^ ": bit-identical to the kernel") true
-          (results_match_bitwise kernel r);
+      match (Epp.Epp_engine.analyze_site engine site, results.(l)) with
+      | reference, Ok r ->
+        check_bool (name ^ ": bit-identical to the reference") true
+          (results_match_bitwise reference r);
         check_bool (name ^ ": same vector-sum sentinel") true
-          (same_bits
-             (Epp.Epp_engine.Workspace.last_vector_defect ws)
-             (Option.get defects.(l)))
+          (same_bits (reference_defect engine site) (Option.get defects.(l)))
       | _, Error e ->
-        Alcotest.failf "%s: lane faulted (%s), the kernel did not" name
+        Alcotest.failf "%s: lane faulted (%s), the reference did not" name
           (Printexc.to_string e)
       | exception k -> (
         match results.(l) with
         | Error e ->
-          check_string (name ^ ": the kernel's exception") (Printexc.to_string k)
+          check_string (name ^ ": the reference's exception") (Printexc.to_string k)
             (Printexc.to_string e)
-        | Ok _ -> Alcotest.failf "%s: the kernel raised, the lane did not" name))
+        | Ok _ -> Alcotest.failf "%s: the reference raised, the lane did not" name))
     sites;
-  let union = union_size c sites in
-  check_bool
-    (Printf.sprintf "%d rows for a %d-node union: a row was reused" rows union)
-    true (rows < union);
+  let n = Circuit.node_count c in
+  List.iter
+    (fun (leaf, rows) ->
+      let union = union_size c leaf in
+      let cones =
+        Array.fold_left
+          (fun acc s -> acc + Reach.count (Analysis.cone (Analysis.get c) s))
+          0 leaf
+      in
+      if Array.length leaf > 1 then
+        check_bool
+          (Printf.sprintf "%d rows for a %d-node union: a row was reused" rows union)
+          true (rows < union);
+      check_bool
+        (Printf.sprintf "%d rows x %d sites <= %d cone nodes + %d" rows
+           (Array.length leaf) cones n)
+        true
+        (rows * Array.length leaf <= cones + n))
+    (leaves engine sites);
   results
 
 let test_rows_sites_at_levels () =
@@ -445,7 +482,7 @@ let test_rows_parity_block () =
   let n = Circuit.node_count c in
   let engine = Epp.Epp_engine.create ~sp:(sp_for c) c in
   let sites = Array.init Epp.Epp_batch.max_lanes (fun i -> i * n / Epp.Epp_batch.max_lanes) in
-  let _, _, rows = one_block engine sites in
+  let _, _, _, rows = one_block engine sites in
   check_bool (Printf.sprintf "%d rows for 62 parity sites" rows) true (rows <= 256)
 
 let test_rows_dense_sweep () =
@@ -455,65 +492,130 @@ let test_rows_dense_sweep () =
   Epp.Epp_batch.drop_spare_planes ();
   let reg = Obs.Metrics.create () in
   Obs.Hooks.set_metrics reg;
-  Fun.protect ~finally:Obs.Hooks.reset (fun () ->
-      ignore (Epp.Epp_batch.analyze_site_array engine (Array.init n Fun.id)));
+  Fun.protect ~finally:Obs.Hooks.reset (fun () -> ignore (sweep engine));
+  let snap = Obs.Metrics.snapshot reg in
   let bytes =
-    Option.value ~default:0.0
-      (Obs.Metrics.gauge_value (Obs.Metrics.snapshot reg) "epp.batch.plane_bytes")
+    Option.value ~default:0.0 (Obs.Metrics.gauge_value snap "epp.batch.plane_bytes")
   in
   let floats = int_of_float bytes / (4 * 8) in
   check_int "the sweep's buffer is the pool's only one" 1 (Epp.Epp_batch.spare_planes ());
   check_bool
     (Printf.sprintf "%d floats per plane <= 25%% of n x 62 = %d" floats (n * 62))
     true
-    (4 * floats <= n * 62)
+    (4 * floats <= n * 62);
+  (* the dense profile never splits: one leaf per 62-site block *)
+  check_int "one leaf per block" ((n + 61) / 62)
+    (Obs.Metrics.counter_value snap "epp.batch.blocks")
 
-(* The density heuristic must keep tiny circuits on the per-site path and
-   route dense mid-size sweeps to batch. *)
+(* --- the split rule -----------------------------------------------------------
+
+   A block whose planes would hold more floats per component than the sum
+   of its cone sizes plus n is halved.  A mux tree's select lines fan out to
+   whole levels, so its blocks' live frontiers dwarf their cones and split;
+   a dense DAG's frontier is far below the sum of its overlapping cones, so
+   its blocks never split. *)
+
+let sweep_leaves c =
+  Epp.Epp_batch.drop_spare_planes ();
+  let engine = Epp.Epp_engine.create c in
+  let reg = Obs.Metrics.create () in
+  Obs.Hooks.set_metrics reg;
+  let results = Fun.protect ~finally:Obs.Hooks.reset (fun () -> sweep engine) in
+  let snap = Obs.Metrics.snapshot reg in
+  ( engine,
+    results,
+    Obs.Metrics.counter_value snap "epp.batch.blocks",
+    Option.value ~default:0.0 (Obs.Metrics.gauge_value snap "epp.batch.plane_bytes") )
+
 let test_density_cutover () =
-  let s27 = Circuit_gen.Embedded.s27 () in
-  let e27 = Epp.Epp_engine.create ~sp:(sp_for s27) s27 in
-  check_bool "tiny circuit stays per-site" false
-    (Epp.Epp_batch.should_batch e27 ~sites:(Circuit.node_count s27));
-  let c = Circuit_gen.Random_dag.generate ~seed:4 Circuit_gen.Profiles.s344 in
-  let engine = Epp.Epp_engine.create ~sp:(sp_for c) c in
-  check_bool "small sweep stays per-site" false
-    (Epp.Epp_batch.should_batch ~min_nodes:1 engine ~sites:2);
-  check_bool "dense sweep batches" true
-    (Epp.Epp_batch.should_batch ~min_nodes:1 ~density_threshold:0.0 engine
-       ~sites:64);
-  let d = Epp.Epp_batch.density engine in
-  check_bool "density in (0, 1]" true (d > 0.0 && d <= 1.0);
-  (* ablation engines never batch: the whole-circuit reference path is a
-     measurement tool, not a production sweep *)
-  let abl = Epp.Epp_engine.create ~restrict_to_cone:false ~sp:(sp_for c) c in
-  check_bool "no-cone ablation stays per-site" false
-    (Epp.Epp_batch.should_batch ~min_nodes:1 ~density_threshold:0.0 abl
-       ~sites:64)
+  let mux = Circuit_gen.Structured.mux_tree ~select_bits:10 () in
+  let n = Circuit.node_count mux in
+  let engine, results, leaves, bytes = sweep_leaves mux in
+  let blocks = (n + 61) / 62 in
+  check_bool (Printf.sprintf "mux10: %d blocks split into %d leaves" blocks leaves) true
+    (leaves > blocks);
+  (* Unsplit, its widest block alone needs about 39% of the n × 62 floats
+     per plane every-node rows would take. *)
+  let floats = int_of_float bytes / (4 * 8) in
+  check_bool
+    (Printf.sprintf "mux10: %d floats per plane <= 10%% of n x 62 = %d" floats (n * 62))
+    true
+    (10 * floats <= n * 62);
+  check_bool "mux10 bit-identical to the reference" true
+    (Array.for_all
+       (fun (r : Epp.Epp_engine.site_result) ->
+         results_match_bitwise (Epp.Epp_engine.analyze_site engine r.Epp.Epp_engine.site) r)
+       results);
+  List.iter
+    (fun seed ->
+      let c = Circuit_gen.Random_dag.generate ~seed Circuit_gen.Profiles.s13207 in
+      let _, _, leaves, _ = sweep_leaves c in
+      check_int
+        (Printf.sprintf "s13207 profile seed %d keeps one leaf per block" seed)
+        ((Circuit.node_count c + 61) / 62)
+        leaves)
+    [ 1; 2; 3 ]
+
+(* A split block with a faulting lane in each half: poisoning inputs x0 and
+   x40 of a parity tree faults lanes x1 and x41, which read them off-path
+   at their first XOR, one in each half of the 62-site block.  The other
+   lanes, and their vector-sum sentinels taken before the next leaf reused
+   the planes, match the reference; every leaf obeys the split bound. *)
+let test_split_with_faulting_lanes () =
+  let c = Circuit_gen.Structured.parity_tree ~width:64 () in
+  let names = List.init Epp.Epp_batch.max_lanes (Printf.sprintf "x%d") in
+  let engine_of c =
+    let engine = Epp.Epp_engine.create ~sp:(sp_for c) c in
+    let sp = (Epp.Epp_engine.signal_probabilities engine).Sigprob.Sp.values in
+    sp.(Circuit.find c "x0") <- 1.5;
+    sp.(Circuit.find c "x40") <- 1.5;
+    engine
+  in
+  let sites = Array.of_list (List.map (Circuit.find c) names) in
+  check_bool "the block splits" true (List.length (leaves (engine_of c) sites) > 2);
+  let results = check_block ~engine_of c names in
+  List.iteri
+    (fun l name ->
+      check_bool (name ^ " faulted iff it reads a poisoned input") true
+        (Result.is_error results.(l) = (name = "x1" || name = "x41")))
+    names
 
 (* --- parallel driver --------------------------------------------------------- *)
 
+(* Every node, repeated to eight blocks: enough for Parallel.map_array to
+   fan out at 4 domains (it keeps fewer than 2 x domains items on the
+   calling domain), which the spawn count confirms. *)
 let prop_parallel_domains_identical =
   qtest ~count:10 ~name:"Parallel.analyze_sites identical for domains 1/2/4"
     seed_arbitrary (fun seed ->
       let c = gen_sequential ~seed in
       let engine = Epp.Epp_engine.create ~sp:(sp_for c) c in
-      let sites = List.init (Circuit.node_count c) Fun.id in
-      let expected = Epp.Epp_engine.analyze_sites engine sites in
+      let n = Circuit.node_count c in
+      let reference = Array.init n (Epp.Epp_engine.analyze_site engine) in
+      let sites = List.init (8 * Epp.Epp_batch.max_lanes) (fun i -> i mod n) in
+      let expected = List.map (Array.get reference) sites in
       List.for_all
         (fun domains ->
-          let got = Epp.Parallel.analyze_sites ~domains engine sites in
-          List.length got = List.length expected
-          && List.for_all2 results_match expected got)
+          let got, spawned =
+            with_spawned_workers (fun () ->
+                Epp.Ser_estimator.analyze_sites ~domains engine sites)
+          in
+          spawned = domains - 1
+          && List.length got = List.length expected
+          && List.for_all2 results_match_bitwise expected got)
         [ 1; 2; 4 ])
 
 let test_parallel_order_with_duplicates () =
   let c = Circuit_gen.Random_dag.generate ~seed:5 Circuit_gen.Profiles.s344 in
   let engine = Epp.Epp_engine.create ~sp:(sp_for c) c in
   let n = Circuit.node_count c in
-  (* enough sites to defeat the small-batch fallback at 4 domains *)
-  let sites = List.init 64 (fun i -> (i * 37) mod n) in
-  let got = Epp.Parallel.analyze_sites ~domains:4 engine sites in
+  (* enough blocks to defeat the small-batch fallback at 4 domains *)
+  let sites = List.init 620 (fun i -> (i * 37) mod n) in
+  let got, spawned =
+    with_spawned_workers (fun () ->
+        Epp.Ser_estimator.analyze_sites ~domains:4 engine sites)
+  in
+  check_int "fanned out across 4 domains" 3 spawned;
   List.iter2
     (fun site (r : Epp.Epp_engine.site_result) ->
       check_int "input order preserved" site r.Epp.Epp_engine.site)
@@ -531,9 +633,8 @@ let () =
           prop_no_cone_ablation;
           Alcotest.test_case "s27 both modes" `Quick test_s27_both_modes;
           Alcotest.test_case "s344 profile" `Quick test_s344_profile;
-          Alcotest.test_case "batch API consistent" `Quick
-            test_analyze_sites_uses_kernel_consistently;
-          Alcotest.test_case "bad site" `Quick test_workspace_bad_site;
+          Alcotest.test_case "batch API consistent" `Quick test_analyze_sites_consistent;
+          Alcotest.test_case "bad site" `Quick test_bad_site;
         ] );
       ( "batch",
         [
@@ -546,6 +647,8 @@ let () =
             test_batch_duplicates_and_order;
           Alcotest.test_case "naive rejected" `Quick test_batch_rejects_naive;
           Alcotest.test_case "density cutover" `Quick test_density_cutover;
+          Alcotest.test_case "split with a faulting lane in each half" `Quick
+            test_split_with_faulting_lanes;
         ] );
       ( "planes",
         [

@@ -2,7 +2,7 @@
    (patch vs rebuild, metered), Epp.Incremental plan geometry, and the master
    property — a chain of random Transform edits analyzed incrementally is
    bit-identical, per observation, to a cold whole-circuit sweep of the final
-   circuit, on every engine rung (batch, kernel, reference).
+   circuit, on every engine rung (batch, reference).
 
    The cold side always runs on a CLONE of the post-edit circuit: apply_delta
    installs the patched analysis context on the shared circuit, and the whole
@@ -81,34 +81,23 @@ let random_edit rng circuit =
 
 (* --- rung selection --------------------------------------------------------- *)
 
-type rung = Batch | Kernel | Reference
+type rung = Batch | Reference
 
 let rung_name = function
   | Batch -> "batch"
-  | Kernel -> "kernel"
   | Reference -> "reference"
 
-let force_reference _ _ = failwith "forced degrade to the reference rung"
+(* Every batch lane fails, so every site runs on the reference rung. *)
+let batch_run_of = function
+  | Batch -> None
+  | Reference -> Some (fun _ _ -> failwith "forced degrade to the reference rung")
 
 let full_sweep ~rung engine =
-  match rung with
-  | Batch -> Epp.Supervisor.sweep_all ~domains:1 ~batch:Epp.Supervisor.Always engine
-  | Kernel -> Epp.Supervisor.sweep_all ~domains:1 ~batch:Epp.Supervisor.Never engine
-  | Reference ->
-    Epp.Supervisor.sweep_all ~domains:1 ~batch:Epp.Supervisor.Never
-      ~kernel:force_reference engine
+  Epp.Supervisor.sweep_all ~domains:1 ?batch_run:(batch_run_of rung) engine
 
 let incremental_sweep ~rung plan ~prior engine =
-  match rung with
-  | Batch ->
-    Epp.Incremental.sweep ~domains:1 ~batch:Epp.Supervisor.Always plan ~prior
-      engine
-  | Kernel ->
-    Epp.Incremental.sweep ~domains:1 ~batch:Epp.Supervisor.Never plan ~prior
-      engine
-  | Reference ->
-    Epp.Incremental.sweep ~domains:1 ~batch:Epp.Supervisor.Never
-      ~kernel:force_reference plan ~prior engine
+  Epp.Incremental.sweep ~domains:1 ?batch_run:(batch_run_of rung) plan ~prior
+    engine
 
 (* --- bit-exact comparison --------------------------------------------------- *)
 
@@ -231,14 +220,14 @@ let test_apply_delta_rebuilds_on_reorder () =
   (* And the incremental sweep over that rebuilt analysis still matches a
      cold sweep bit-for-bit. *)
   let engine = Epp.Epp_engine.create before in
-  let outcome = full_sweep ~rung:Kernel engine in
+  let outcome = full_sweep ~rung:Batch engine in
   let engine', how' = Epp.Incremental.rebase engine d in
   check_bool "rebase reports the rebuild" true (how' = `Rebuilt);
   let plan = Epp.Incremental.plan ~before:engine ~after:engine' d in
   let outcome' =
-    incremental_sweep ~rung:Kernel plan ~prior:outcome.entries engine'
+    incremental_sweep ~rung:Batch plan ~prior:outcome.entries engine'
   in
-  let cold = full_sweep ~rung:Kernel (Epp.Epp_engine.create (clone after)) in
+  let cold = full_sweep ~rung:Batch (Epp.Epp_engine.create (clone after)) in
   check_bool "still bit-identical after the rebuild" true
     (outcomes_identical outcome' cold)
 
@@ -274,7 +263,7 @@ let test_plan_is_partial_and_metered () =
   let m = fresh_registry () in
   let c = two_blocks () in
   let engine = Epp.Epp_engine.create c in
-  let outcome = full_sweep ~rung:Kernel engine in
+  let outcome = full_sweep ~rung:Batch engine in
   let gate = Circuit.find c "ga1" in
   let _, d = Transform.triplicate_delta c ~nodes:[ gate ] in
   let engine', _ = Epp.Incremental.rebase engine d in
@@ -284,7 +273,7 @@ let test_plan_is_partial_and_metered () =
   check_bool "some sites clean" true
     (Epp.Incremental.dirty_count plan < Epp.Incremental.total plan);
   let outcome' =
-    incremental_sweep ~rung:Kernel plan ~prior:outcome.entries engine'
+    incremental_sweep ~rung:Batch plan ~prior:outcome.entries engine'
   in
   check_bool "spliced entries counted as resumed" true
     (outcome'.stats.Epp.Diag.resumed > 0);
@@ -337,17 +326,17 @@ let test_plan_degrades_to_full_on_new_observation () =
   let after = Builder.freeze b in
   let d = Delta.structural_diff ~before:c ~after in
   let engine = Epp.Epp_engine.create c in
-  let outcome = full_sweep ~rung:Kernel engine in
+  let outcome = full_sweep ~rung:Batch engine in
   let engine', _ = Epp.Incremental.rebase engine d in
   let plan = Epp.Incremental.plan ~before:engine ~after:engine' d in
   check_bool "new PO degrades the plan to full" true
     (Epp.Incremental.is_full plan);
   (* Full-dirty still produces the right bits (nothing is spliced). *)
   let outcome' =
-    incremental_sweep ~rung:Kernel plan ~prior:outcome.entries engine'
+    incremental_sweep ~rung:Batch plan ~prior:outcome.entries engine'
   in
   check_int "nothing resumed on a full plan" 0 outcome'.stats.Epp.Diag.resumed;
-  let cold = full_sweep ~rung:Kernel (Epp.Epp_engine.create (clone after)) in
+  let cold = full_sweep ~rung:Batch (Epp.Epp_engine.create (clone after)) in
   check_bool "full plan matches cold sweep" true (outcomes_identical outcome' cold)
 
 let () =
@@ -370,5 +359,5 @@ let () =
             test_plan_degrades_to_full_on_new_observation;
         ] );
       ( "bit identity",
-        [ prop_chain Batch; prop_chain Kernel; prop_chain Reference ] );
+        [ prop_chain Batch; prop_chain Reference ] );
     ]

@@ -315,7 +315,6 @@ let prop_analysis_arrays_immutable =
       let snapshots =
         [
           Array.copy (Analysis.order ctx);
-          Array.copy (Analysis.position ctx);
           Array.copy (Analysis.gate_order ctx);
           Array.copy (Analysis.levels ctx);
           Array.copy (Analysis.observation_nets ctx);
@@ -329,10 +328,10 @@ let prop_analysis_arrays_immutable =
       let cone_snapshot = Array.copy (Analysis.cone ctx 0) in
       let observed_snapshot = Array.copy (Analysis.observed ctx) in
       let engine = Epp.Epp_engine.create c in
-      ignore (Epp.Epp_engine.analyze_all engine);
       ignore
-        (Epp.Epp_batch.analyze_site_array engine
-           (Array.init (Circuit.node_count c) Fun.id));
+        (List.map (Epp.Epp_engine.analyze_site engine)
+           (List.init (Circuit.node_count c) Fun.id));
+      ignore (Epp.Ser_estimator.analyze_all engine);
       ignore (Sigprob.Sp_topological.compute c);
       ignore (Sigprob.Observability.compute c);
       let timing = Sta.Timing.analyze c in
@@ -342,7 +341,6 @@ let prop_analysis_arrays_immutable =
       let current =
         [
           Analysis.order ctx;
-          Analysis.position ctx;
           Analysis.gate_order ctx;
           Analysis.levels ctx;
           Analysis.observation_nets ctx;

@@ -1,4 +1,5 @@
-(* Tests for multicore site analysis. *)
+(* Tests for multicore site analysis: the work-stealing fan-out and the
+   sweep driver on top of it (Ser_estimator.analyze_sites ~domains). *)
 
 open Helpers
 open Netlist
@@ -11,11 +12,17 @@ let results_equal a b =
       && x.Epp.Epp_engine.cone_size = y.Epp.Epp_engine.cone_size)
     a b
 
+(* An s1196-sized circuit is ten blocks: enough to fan out at 4 domains
+   (Parallel.map_array keeps fewer than 2 x domains items on the calling
+   domain). *)
 let test_matches_sequential () =
-  let c = Circuit_gen.Random_dag.generate ~seed:13 Circuit_gen.Profiles.s344 in
+  let c = Circuit_gen.Random_dag.generate ~seed:13 Circuit_gen.Profiles.s1196 in
   let engine = Epp.Epp_engine.create c in
-  let sequential = Epp.Epp_engine.analyze_all engine in
-  let parallel = Epp.Parallel.analyze_all ~domains:4 engine in
+  let sequential = Epp.Ser_estimator.analyze_all engine in
+  let parallel, spawned =
+    with_spawned_workers (fun () -> Epp.Ser_estimator.analyze_all ~domains:4 engine)
+  in
+  check_int "fanned out across 4 domains" 3 spawned;
   check_int "same length" (List.length sequential) (List.length parallel);
   check_bool "identical results in order" true (results_equal sequential parallel)
 
@@ -23,28 +30,28 @@ let test_single_domain_degenerates () =
   let c = fig1 () in
   let engine = Epp.Epp_engine.create c in
   let sites = [ 5; 6; 7 ] in
-  check_bool "same as sequential" true
+  check_bool "same as the reference" true
     (results_equal
-       (Epp.Epp_engine.analyze_sites engine sites)
-       (Epp.Parallel.analyze_sites ~domains:1 engine sites))
+       (List.map (Epp.Epp_engine.analyze_site engine) sites)
+       (Epp.Ser_estimator.analyze_sites ~domains:1 engine sites))
 
 let test_empty_sites () =
   let c = fig1 () in
   let engine = Epp.Epp_engine.create c in
-  check_int "empty" 0 (List.length (Epp.Parallel.analyze_sites ~domains:4 engine []))
+  check_int "empty" 0 (List.length (Epp.Ser_estimator.analyze_sites ~domains:4 engine []))
 
 let test_small_batch_falls_back () =
   let c = fig1 () in
   let engine = Epp.Epp_engine.create c in
-  let r = Epp.Parallel.analyze_sites ~domains:8 engine [ 0; 1 ] in
+  let r = Epp.Ser_estimator.analyze_sites ~domains:8 engine [ 0; 1 ] in
   check_int "both analyzed" 2 (List.length r)
 
 let test_domain_validation () =
   let c = fig1 () in
   let engine = Epp.Epp_engine.create c in
   Alcotest.check_raises "zero domains"
-    (Invalid_argument "Parallel.analyze_sites: domains must be >= 1") (fun () ->
-      ignore (Epp.Parallel.analyze_sites ~domains:0 engine [ 0 ]))
+    (Invalid_argument "Parallel.map_array: domains must be >= 1") (fun () ->
+      ignore (Epp.Ser_estimator.analyze_sites ~domains:0 engine [ 0 ]))
 
 let test_default_domains_positive () =
   check_bool "at least one" true (Epp.Parallel.default_domains () >= 1)
@@ -56,13 +63,18 @@ let test_raising_site () =
   let c = Circuit_gen.Random_dag.generate ~seed:7 Circuit_gen.Profiles.s344 in
   let engine = Epp.Epp_engine.create c in
   let n = Circuit.node_count c in
-  let sites = List.init 64 (fun i -> if i = 40 then n + 1000 else i mod n) in
-  Alcotest.check_raises "bad site raises out of the parallel sweep"
-    (Invalid_argument "Epp_engine.Workspace.analyze_site: bad site") (fun () ->
-      ignore (Epp.Parallel.analyze_sites ~domains:4 engine sites));
+  (* ten blocks: enough to fan out across 4 domains *)
+  let sites = List.init 620 (fun i -> if i = 400 then n + 1000 else i mod n) in
+  let (), spawned =
+    with_spawned_workers (fun () ->
+        Alcotest.check_raises "bad site raises out of the parallel sweep"
+          (Invalid_argument "Epp_batch.Block.run: bad site") (fun () ->
+            ignore (Epp.Ser_estimator.analyze_sites ~domains:4 engine sites)))
+  in
+  check_int "the failing sweep fanned out" 3 spawned;
   (* No deadlock / leaked-domain fallout: an immediate clean sweep works. *)
   check_int "sweep still works after the failure" n
-    (List.length (Epp.Parallel.analyze_all ~domains:4 engine))
+    (List.length (Epp.Ser_estimator.analyze_all ~domains:4 engine))
 
 (* The propagated exception is the lowest failing input index, regardless of
    which domain hit which site first. *)
@@ -126,18 +138,24 @@ let test_map_array_until_expired () =
     [ 1; 4 ];
   check_int "f never ran" 0 (Atomic.get calls)
 
+(* Six blocks of random sites, so the sweep fans out at 3 domains. *)
 let prop_order_preserved =
   qtest ~count:10 ~name:"results come back in input order" seed_arbitrary (fun seed ->
       let c = random_small_dag ~seed in
       let engine = Epp.Epp_engine.create ~sp:(Sigprob.Sp_topological.compute c) c in
       let rng = Rng.create ~seed in
       let sites =
-        List.init 12 (fun _ -> Rng.int rng ~bound:(Circuit.node_count c))
+        List.init (6 * Epp.Epp_batch.max_lanes) (fun _ ->
+            Rng.int rng ~bound:(Circuit.node_count c))
       in
-      let results = Epp.Parallel.analyze_sites ~domains:3 engine sites in
-      List.for_all2
-        (fun site (r : Epp.Epp_engine.site_result) -> r.Epp.Epp_engine.site = site)
-        sites results)
+      let results, spawned =
+        with_spawned_workers (fun () ->
+            Epp.Ser_estimator.analyze_sites ~domains:3 engine sites)
+      in
+      spawned = 2
+      && List.for_all2
+           (fun site (r : Epp.Epp_engine.site_result) -> r.Epp.Epp_engine.site = site)
+           sites results)
 
 let () =
   Alcotest.run "parallel"

@@ -85,7 +85,7 @@ let prop_psens_le_observability_union_bound =
         (fun (r : Epp.Epp_engine.site_result) ->
           let sum = List.fold_left (fun acc (_, p) -> acc +. p) 0.0 r.Epp.Epp_engine.per_observation in
           r.Epp.Epp_engine.p_sensitized <= sum +. 1e-9)
-        (Epp.Epp_engine.analyze_all engine))
+        (Epp.Ser_estimator.analyze_all engine))
 
 let prop_hardening_monotone =
   qtest ~count:10 ~name:"hardening plans grow with the target" seed_arbitrary (fun seed ->

@@ -188,6 +188,47 @@ let test_restart_resumes_checkpoint () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir
 
+(* A checkpoint that records a site on the per-site kernel rung (step
+   "k", written by older versions) is corrupt to this daemon: it drops the
+   file and sweeps afresh instead of refusing to serve. *)
+let test_kernel_rung_checkpoint_reswept () =
+  let m = fresh_registry () in
+  let dir = Filename.temp_file "serprop_serd" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let config = { Server.default_config with checkpoint_dir = Some dir } in
+  let r1 = reply (Server.create config) analyze_s27 in
+  check_string "first server analyzes" "ok" (status r1);
+  let total = stat "total" r1 in
+  let ck =
+    match Sys.readdir dir with
+    | [| f |] -> Filename.concat dir f
+    | _ -> Alcotest.fail "expected one checkpoint file"
+  in
+  let lines = In_channel.with_open_text ck In_channel.input_lines in
+  let rewrote = ref false in
+  let lines =
+    List.map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | "ok" :: site :: "b" :: rest when not !rewrote ->
+          rewrote := true;
+          String.concat " " ("ok" :: site :: "k" :: rest)
+        | _ -> line)
+      lines
+  in
+  check_bool "an entry was retagged" true !rewrote;
+  Out_channel.with_open_text ck (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+  let r2 = reply (Server.create config) analyze_s27 in
+  check_string "second server answers" "ok" (status r2);
+  check_int "nothing replayed" 0 (stat "resumed" r2);
+  check_int "every site re-swept" total (stat "batch_ok" r2);
+  check_int "the snapshot was rejected" 1
+    (Obs.Metrics.counter_value (Obs.Metrics.snapshot m) "serd.checkpoint_rejected");
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
 let test_shutdown_ack () =
   ignore (fresh_registry ());
   let server = Server.create Server.default_config in
@@ -376,7 +417,7 @@ let test_fault_injection_gate () =
   let r = reply server inject_req in
   check_string "injected analyze still answers ok" "ok" (status r);
   check_int "exactly the injected site quarantined" 1 (stat "quarantined" r);
-  check_int "the others analyzed" 2 (stat "kernel_ok" r);
+  check_int "the others analyzed" 2 (stat "batch_ok" r);
   let rid = Option.value ~default:"?" (jstr "request_id" r) in
   check_bool "quarantine recorded under the reply's request id" true
     (List.exists
@@ -477,6 +518,8 @@ let () =
         [
           Alcotest.test_case "restart resumes checkpoint" `Quick
             test_restart_resumes_checkpoint;
+          Alcotest.test_case "kernel-rung checkpoint re-swept" `Quick
+            test_kernel_rung_checkpoint_reswept;
           Alcotest.test_case "shutdown ack" `Quick test_shutdown_ack;
         ] );
       ( "introspection",

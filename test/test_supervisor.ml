@@ -1,11 +1,12 @@
-(* Tests for the supervised sweep: the degradation ladder (batch -> kernel ->
+(* Tests for the supervised sweep: the degradation ladder (batch ->
    reference -> quarantine), the numeric sentinels, and the checkpoint
    kill/resume round trip.
 
    Fault injection is deterministic: hostile sites are poisoned through the
-   supervisor's kernel/reference override seam (a stub raising or returning
-   defective results), or by mutating the engine's sp vector after creation
-   (the post-validation corruption a long-lived batch job might suffer). *)
+   supervisor's batch_run/reference override seam (a stub failing lanes,
+   raising, or returning defective results), or by mutating the engine's sp
+   vector after creation (the post-validation corruption a long-lived batch
+   job might suffer). *)
 
 open Helpers
 open Netlist
@@ -28,34 +29,55 @@ let same_result (a : Epp.Epp_engine.site_result) (b : Epp.Epp_engine.site_result
 let test_circuit () =
   Circuit_gen.Random_dag.generate ~seed:5 Circuit_gen.Profiles.s344
 
-(* A clean sweep is all-kernel, quarantine-free, and bit-identical to the
-   unsupervised batch path. *)
+(* Ten blocks of sites: the multi-domain ladder tests need a chunk of at
+   least 2 x domains blocks, or Parallel keeps it on the calling domain. *)
+let fanout_circuit () =
+  Circuit_gen.Random_dag.generate ~seed:5 Circuit_gen.Profiles.s1196
+
+let check_fanned_out spawned =
+  check_bool "a chunk fanned out across domains" true (spawned > 0)
+
+(* A [batch_run] stub over the real block engine: lanes whose site is in
+   [poisoned] fail with [exn]; every other lane keeps its real result. *)
+let failing_batch_run ?(exn = Failure "injected batch fault") poisoned block sites =
+  Array.mapi
+    (fun l r -> if List.mem sites.(l) poisoned then Error exn else r)
+    (Epp.Epp_batch.Block.run block sites)
+
+(* A clean sweep is all-batch, quarantine-free, and bit-identical to the
+   unsupervised sweep.  The chunks are uneven (409 = 6 x 62 + 37 sites,
+   then the rest), the first one fanned out. *)
 let test_clean_sweep () =
-  let c = test_circuit () in
+  let c = fanout_circuit () in
   let engine = Epp.Epp_engine.create c in
-  let unsupervised = Epp.Epp_engine.analyze_all engine in
-  let outcome = Epp.Supervisor.sweep_all ~domains:3 ~chunk_size:37 engine in
+  let unsupervised = Epp.Ser_estimator.analyze_all engine in
+  let outcome, spawned =
+    with_spawned_workers (fun () ->
+        Epp.Supervisor.sweep_all ~domains:3 ~chunk_size:409 engine)
+  in
+  check_fanned_out spawned;
   let stats = outcome.Epp.Supervisor.stats in
   check_int "total" (Circuit.node_count c) stats.Epp.Diag.total;
-  check_int "all kernel" (Circuit.node_count c) stats.Epp.Diag.kernel_ok;
+  check_int "all batch" (Circuit.node_count c) stats.Epp.Diag.batch_ok;
   check_int "none degraded" 0 stats.Epp.Diag.degraded;
   check_int "none quarantined" 0 stats.Epp.Diag.quarantined;
   check_bool "bit-identical to unsupervised" true
     (List.for_all2 same_result unsupervised (Epp.Supervisor.results outcome))
 
-(* Kernel stub raising on k sites: those degrade to the reference path and
+(* Batch lanes failing on k sites: those degrade to the reference path and
    still produce the unsupervised results, everything stays analyzed. *)
 let test_degrade_to_reference () =
-  let c = test_circuit () in
+  let c = fanout_circuit () in
   let engine = Epp.Epp_engine.create c in
   let n = Circuit.node_count c in
   let poisoned = [ 3; n / 2; n - 1 ] in
-  let kernel ws site =
-    if List.mem site poisoned then failwith "injected kernel fault"
-    else Epp.Epp_engine.Workspace.analyze_site ws site
+  let unsupervised = Epp.Ser_estimator.analyze_all engine in
+  let outcome, spawned =
+    with_spawned_workers (fun () ->
+        Epp.Supervisor.sweep_all ~domains:3 ~batch_run:(failing_batch_run poisoned)
+          engine)
   in
-  let unsupervised = Epp.Epp_engine.analyze_all engine in
-  let outcome = Epp.Supervisor.sweep_all ~domains:3 ~kernel engine in
+  check_fanned_out spawned;
   let stats = outcome.Epp.Supervisor.stats in
   check_int "degraded = k" (List.length poisoned) stats.Epp.Diag.degraded;
   check_int "none quarantined" 0 stats.Epp.Diag.quarantined;
@@ -69,25 +91,30 @@ let test_degrade_to_reference () =
           (Printf.sprintf "site %d on the right rung" site)
           true
           (if List.mem site poisoned then step = Epp.Diag.Reference
-           else step = Epp.Diag.Kernel)
+           else step = Epp.Diag.Batch)
       | Epp.Supervisor.Quarantined _ -> Alcotest.fail "unexpected quarantine")
     outcome.Epp.Supervisor.entries
 
-(* A NaN in the kernel's published result trips the sentinel (no exception
-   involved) and degrades; so does an out-of-range probability. *)
+(* A NaN in a batch lane's published result trips the sentinel (no
+   exception involved) and degrades; so does an out-of-range probability. *)
 let test_sentinel_trips () =
   let c = test_circuit () in
   let engine = Epp.Epp_engine.create c in
   let defective p (r : Epp.Epp_engine.site_result) =
     { r with Epp.Epp_engine.p_sensitized = p }
   in
-  let kernel ws site =
-    let r = Epp.Epp_engine.Workspace.analyze_site ws site in
-    if site = 1 then defective Float.nan r
-    else if site = 2 then defective 2.5 r
-    else r
+  let batch_run block sites =
+    Array.mapi
+      (fun l r ->
+        Result.map
+          (fun r ->
+            if sites.(l) = 1 then defective Float.nan r
+            else if sites.(l) = 2 then defective 2.5 r
+            else r)
+          r)
+      (Epp.Epp_batch.Block.run block sites)
   in
-  let outcome = Epp.Supervisor.sweep_all ~domains:1 ~kernel engine in
+  let outcome = Epp.Supervisor.sweep_all ~domains:1 ~batch_run engine in
   let stats = outcome.Epp.Supervisor.stats in
   check_int "both sentinel trips degraded" 2 stats.Epp.Diag.degraded;
   check_int "none quarantined" 0 stats.Epp.Diag.quarantined
@@ -95,21 +122,22 @@ let test_sentinel_trips () =
 (* Both rungs poisoned: exactly k quarantines with a typed fault per rung,
    and every other site bit-identical to the unsupervised sweep. *)
 let test_quarantine_exactly_k () =
-  let c = test_circuit () in
+  let c = fanout_circuit () in
   let engine = Epp.Epp_engine.create c in
   let n = Circuit.node_count c in
   let poisoned = [ 0; 7; n - 2 ] in
   let poison site = List.mem site poisoned in
-  let kernel ws site =
-    if poison site then failwith "injected kernel fault"
-    else Epp.Epp_engine.Workspace.analyze_site ws site
-  in
   let reference engine site =
     if poison site then failwith "injected reference fault"
     else Epp.Epp_engine.analyze_site engine site
   in
-  let unsupervised = Epp.Epp_engine.analyze_all engine in
-  let outcome = Epp.Supervisor.sweep_all ~domains:3 ~kernel ~reference engine in
+  let unsupervised = Epp.Ser_estimator.analyze_all engine in
+  let outcome, spawned =
+    with_spawned_workers (fun () ->
+        Epp.Supervisor.sweep_all ~domains:3 ~batch_run:(failing_batch_run poisoned)
+          ~reference engine)
+  in
+  check_fanned_out spawned;
   let qs = Epp.Supervisor.quarantines outcome in
   check_int "exactly k quarantines" (List.length poisoned) (List.length qs);
   check_bool "quarantined the poisoned sites" true
@@ -119,7 +147,7 @@ let test_quarantine_exactly_k () =
       check_int "one fault per rung" 2 (List.length q.Epp.Diag.faults);
       check_bool "rungs in order, typed as exceptions" true
         (match q.Epp.Diag.faults with
-        | [ (Epp.Diag.Kernel, Epp.Diag.Exception _);
+        | [ (Epp.Diag.Batch, Epp.Diag.Exception _);
             (Epp.Diag.Reference, Epp.Diag.Exception _) ] -> true
         | _ -> false);
       check_bool "cone size recorded" true (q.Epp.Diag.cone_size <> None))
@@ -136,13 +164,16 @@ let test_quarantine_exactly_k () =
    affected sites fail on both rungs and are quarantined; the sweep finishes
    and the unaffected sites match a pre-corruption sweep bit-identically. *)
 let test_hostile_sp_mutation () =
-  let c = test_circuit () in
+  let c = fanout_circuit () in
   let engine = Epp.Epp_engine.create ~sp:(Sigprob.Sp_topological.compute c) c in
-  let before = Epp.Epp_engine.analyze_all engine in
+  let before = Epp.Ser_estimator.analyze_all engine in
   let victim = List.hd (Circuit.inputs c) in
   let sp = Epp.Epp_engine.signal_probabilities engine in
   sp.Sigprob.Sp.values.(victim) <- Float.nan;
-  let outcome = Epp.Supervisor.sweep_all ~domains:3 engine in
+  let outcome, spawned =
+    with_spawned_workers (fun () -> Epp.Supervisor.sweep_all ~domains:3 engine)
+  in
+  check_fanned_out spawned;
   let qs = Epp.Supervisor.quarantines outcome in
   check_bool "some sites quarantined" true (qs <> []);
   (* The poisoned node feeds NaN only into cones that consume it off-path;
@@ -168,24 +199,26 @@ let test_hostile_sp_mutation () =
   check_bool "unaffected sites bit-identical to the pre-corruption sweep" true
     (List.for_all2 same_result survivors (Epp.Supervisor.results outcome))
 
-(* A forced-batch clean sweep runs every site on the batch rung and is
-   bit-identical to the unsupervised per-site sweep. *)
+(* A clean sweep runs every site on the batch rung, several blocks per
+   chunk (the first chunk's seven fanned out), and is bit-identical to the
+   reference site by site. *)
 let test_batch_clean_sweep () =
-  let c = test_circuit () in
+  let c = fanout_circuit () in
   let engine = Epp.Epp_engine.create c in
   let n = Circuit.node_count c in
-  let unsupervised = Epp.Epp_engine.analyze_all engine in
-  let outcome =
-    Epp.Supervisor.sweep_all ~domains:3 ~chunk_size:100 ~batch:Epp.Supervisor.Always
-      engine
+  let outcome, spawned =
+    with_spawned_workers (fun () ->
+        Epp.Supervisor.sweep_all ~domains:3 ~chunk_size:400 engine)
   in
+  check_fanned_out spawned;
   let stats = outcome.Epp.Supervisor.stats in
   check_int "all batch" n stats.Epp.Diag.batch_ok;
-  check_int "no kernel" 0 stats.Epp.Diag.kernel_ok;
   check_int "none degraded" 0 stats.Epp.Diag.degraded;
   check_int "none quarantined" 0 stats.Epp.Diag.quarantined;
-  check_bool "bit-identical to unsupervised" true
-    (List.for_all2 same_result unsupervised (Epp.Supervisor.results outcome))
+  check_bool "bit-identical to the reference" true
+    (List.for_all2 same_result
+       (List.init n (Epp.Epp_engine.analyze_site engine))
+       (Epp.Supervisor.results outcome))
 
 (* The chunks of a supervised sweep, and a later sweep on another engine of
    the same size, all run on one plane buffer: allocated once, handed back
@@ -201,10 +234,7 @@ let test_batch_planes_reused () =
   Obs.Hooks.set_metrics reg;
   let o1, o2 =
     Fun.protect ~finally:Obs.Hooks.reset (fun () ->
-        let sweep e =
-          Epp.Supervisor.sweep_all ~domains:1 ~chunk_size:16
-            ~batch:Epp.Supervisor.Always e
-        in
+        let sweep e = Epp.Supervisor.sweep_all ~domains:1 ~chunk_size:16 e in
         (sweep e1, sweep e2))
   in
   let snap = Obs.Metrics.snapshot reg in
@@ -218,53 +248,46 @@ let test_batch_planes_reused () =
       check_int "all batch" (Circuit.node_count (Epp.Epp_engine.circuit e))
         o.Epp.Supervisor.stats.Epp.Diag.batch_ok;
       check_bool "bit-identical to unsupervised" true
-        (List.for_all2 same_result (Epp.Epp_engine.analyze_all e)
+        (List.for_all2 same_result (Epp.Ser_estimator.analyze_all e)
            (Epp.Supervisor.results o)))
     [ (e1, o1); (e2, o2) ]
 
-(* [batch:Never] keeps even a batchable sweep on the per-site ladder, and a
-   Naive-mode engine can never take the batch rung regardless of the mode. *)
+(* A Naive-mode engine opts out of the batch rung: the block engine only
+   implements the polarity rules, so every site runs on the reference
+   (counted as degraded) and matches the unsupervised naive sweep. *)
 let test_batch_opt_out () =
   let c = test_circuit () in
-  let engine = Epp.Epp_engine.create c in
-  let outcome =
-    Epp.Supervisor.sweep_all ~batch:Epp.Supervisor.Never engine
-  in
-  check_int "never: no batch" 0 outcome.Epp.Supervisor.stats.Epp.Diag.batch_ok;
   let naive = Epp.Epp_engine.create ~mode:Epp.Epp_engine.Naive c in
-  let outcome =
-    Epp.Supervisor.sweep_all ~batch:Epp.Supervisor.Always naive
-  in
+  let outcome = Epp.Supervisor.sweep_all ~domains:2 naive in
   let stats = outcome.Epp.Supervisor.stats in
   check_int "naive: no batch" 0 stats.Epp.Diag.batch_ok;
-  check_int "naive: all kernel" (Circuit.node_count c) stats.Epp.Diag.kernel_ok
+  check_int "naive: all on the reference" (Circuit.node_count c)
+    stats.Epp.Diag.degraded;
+  check_bool "naive: bit-identical to the unsupervised sweep" true
+    (List.for_all2 same_result (Epp.Ser_estimator.analyze_all naive)
+       (Epp.Supervisor.results outcome))
 
-(* Per-lane quarantine injection through the [batch_run] seam: poisoned
-   lanes degrade to the kernel rung alone — their block-mates stay on the
+(* Per-lane fault injection through the [batch_run] seam: poisoned lanes
+   degrade to the reference rung alone — their block-mates stay on the
    batch rung — and every site still gets the unsupervised result. *)
 let test_batch_lane_degrades_alone () =
-  let c = test_circuit () in
+  let c = fanout_circuit () in
   let engine = Epp.Epp_engine.create c in
   let n = Circuit.node_count c in
-  let poisoned = [ 3; n / 2; n - 1 ] in
-  let batch_run block sites =
-    let results = Epp.Epp_batch.Block.run block sites in
-    Array.mapi
-      (fun l r ->
-        if List.mem sites.(l) poisoned then Error (Failure "injected lane fault")
-        else r)
-      results
+  (* three lanes of the first block, one of the last *)
+  let poisoned = [ 1; 2; 40; n - 1 ] in
+  let unsupervised = Epp.Ser_estimator.analyze_all engine in
+  let outcome, spawned =
+    with_spawned_workers (fun () ->
+        Epp.Supervisor.sweep_all ~domains:3 ~batch_run:(failing_batch_run poisoned)
+          engine)
   in
-  let unsupervised = Epp.Epp_engine.analyze_all engine in
-  let outcome =
-    Epp.Supervisor.sweep_all ~domains:3 ~batch:Epp.Supervisor.Always ~batch_run
-      engine
-  in
+  check_fanned_out spawned;
   let stats = outcome.Epp.Supervisor.stats in
   check_int "healthy lanes stay batched" (n - List.length poisoned)
     stats.Epp.Diag.batch_ok;
-  check_int "poisoned lanes on the kernel rung" (List.length poisoned)
-    stats.Epp.Diag.kernel_ok;
+  check_int "poisoned lanes on the reference rung" (List.length poisoned)
+    stats.Epp.Diag.degraded;
   check_int "none quarantined" 0 stats.Epp.Diag.quarantined;
   check_bool "all sites bit-identical to unsupervised" true
     (List.for_all2 same_result unsupervised (Epp.Supervisor.results outcome));
@@ -275,36 +298,25 @@ let test_batch_lane_degrades_alone () =
         check_bool
           (Printf.sprintf "site %d on the right rung" site)
           true
-          (if List.mem site poisoned then step = Epp.Diag.Kernel
+          (if List.mem site poisoned then step = Epp.Diag.Reference
            else step = Epp.Diag.Batch)
       | Epp.Supervisor.Quarantined _ -> Alcotest.fail "unexpected quarantine")
     outcome.Epp.Supervisor.entries
 
-(* All three rungs poisoned for one site: the quarantine record carries one
-   typed fault per rung, in ladder order batch -> kernel -> reference. *)
+(* Both rungs poisoned for one site: the quarantine record carries one
+   typed fault per rung, in ladder order batch -> reference. *)
 let test_batch_full_ladder_quarantine () =
   let c = test_circuit () in
   let engine = Epp.Epp_engine.create c in
   let n = Circuit.node_count c in
   let victim = n / 3 in
-  let batch_run block sites =
-    let results = Epp.Epp_batch.Block.run block sites in
-    Array.mapi
-      (fun l r ->
-        if sites.(l) = victim then Error (Failure "injected batch fault") else r)
-      results
-  in
-  let kernel ws site =
-    if site = victim then failwith "injected kernel fault"
-    else Epp.Epp_engine.Workspace.analyze_site ws site
-  in
   let reference engine site =
     if site = victim then failwith "injected reference fault"
     else Epp.Epp_engine.analyze_site engine site
   in
   let outcome =
-    Epp.Supervisor.sweep_all ~batch:Epp.Supervisor.Always ~batch_run ~kernel
-      ~reference engine
+    Epp.Supervisor.sweep_all ~batch_run:(failing_batch_run [ victim ]) ~reference
+      engine
   in
   let stats = outcome.Epp.Supervisor.stats in
   check_int "one quarantine" 1 stats.Epp.Diag.quarantined;
@@ -315,26 +327,23 @@ let test_batch_full_ladder_quarantine () =
     check_bool "one fault per rung, in ladder order" true
       (match q.Epp.Diag.faults with
       | [ (Epp.Diag.Batch, Epp.Diag.Exception _);
-          (Epp.Diag.Kernel, Epp.Diag.Exception _);
           (Epp.Diag.Reference, Epp.Diag.Exception _) ] -> true
       | _ -> false)
   | qs -> Alcotest.fail (Printf.sprintf "expected 1 quarantine, got %d" (List.length qs))
 
 (* A whole-block batch failure (the run itself raises) degrades every lane
-   of that block to the per-site ladder; the sweep still completes with
+   of that block to the reference rung; the sweep still completes with
    every site analyzed. *)
 let test_batch_whole_block_failure () =
   let c = test_circuit () in
   let engine = Epp.Epp_engine.create c in
   let n = Circuit.node_count c in
   let batch_run _block _sites = failwith "injected block fault" in
-  let unsupervised = Epp.Epp_engine.analyze_all engine in
-  let outcome =
-    Epp.Supervisor.sweep_all ~batch:Epp.Supervisor.Always ~batch_run engine
-  in
+  let unsupervised = Epp.Ser_estimator.analyze_all engine in
+  let outcome = Epp.Supervisor.sweep_all ~batch_run engine in
   let stats = outcome.Epp.Supervisor.stats in
   check_int "no batch survivors" 0 stats.Epp.Diag.batch_ok;
-  check_int "every lane degraded to kernel" n stats.Epp.Diag.kernel_ok;
+  check_int "every lane degraded to the reference" n stats.Epp.Diag.degraded;
   check_int "none quarantined" 0 stats.Epp.Diag.quarantined;
   check_bool "results still bit-identical" true
     (List.for_all2 same_result unsupervised (Epp.Supervisor.results outcome))
@@ -398,20 +407,21 @@ let test_kill_resume_round_trip () =
 
 (* --- deadline ------------------------------------------------------------- *)
 
-(* A kernel slow enough that a small budget expires mid-sweep.  domains:1
-   keeps dispatch sequential, so the finished entries are exactly a prefix
-   of the input order and the assertions are deterministic. *)
-let slow_kernel ws site =
-  Unix.sleepf 0.002;
-  Epp.Epp_engine.Workspace.analyze_site ws site
+(* A block engine slow enough (2 ms per site) that a small budget expires
+   mid-sweep.  domains:1 keeps dispatch sequential, so the finished entries
+   are exactly a prefix of the input order and the assertions are
+   deterministic. *)
+let slow_batch_run block sites =
+  Unix.sleepf (0.002 *. float_of_int (Array.length sites));
+  Epp.Epp_batch.Block.run block sites
 
 let test_deadline_partial_prefix () =
   let c = test_circuit () in
   let engine = Epp.Epp_engine.create c in
   let n = Circuit.node_count c in
-  let unsupervised = Array.of_list (Epp.Epp_engine.analyze_all engine) in
+  let unsupervised = Array.of_list (Epp.Ser_estimator.analyze_all engine) in
   let outcome =
-    Epp.Supervisor.sweep ~domains:1 ~chunk_size:8 ~kernel:slow_kernel
+    Epp.Supervisor.sweep ~domains:1 ~chunk_size:8 ~batch_run:slow_batch_run
       ~deadline:(Obs.Deadline.after ~seconds:0.05)
       engine (List.init n Fun.id)
   in
@@ -474,7 +484,7 @@ let test_deadline_then_resume () =
   let analyzed =
     match
       Report.Checkpoint.supervised_sweep ~domains:1 ~chunk_size:8
-        ~checkpoint:path ~kernel:slow_kernel
+        ~checkpoint:path ~batch_run:slow_batch_run
         ~deadline:(Obs.Deadline.after ~seconds:0.05) engine
     with
     | Error e -> Alcotest.fail (Report.Checkpoint.error_message e)

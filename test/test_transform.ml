@@ -289,7 +289,7 @@ let epp_by_name c =
   List.map
     (fun (r : Epp.Epp_engine.site_result) ->
       (Circuit.node_name c r.Epp.Epp_engine.site, r.Epp.Epp_engine.p_sensitized))
-    (Epp.Epp_engine.analyze_all engine)
+    (Epp.Ser_estimator.analyze_all engine)
 
 let check_epp_invariant msg parent mutant =
   let after = epp_by_name mutant in
