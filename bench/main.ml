@@ -59,8 +59,6 @@ let micro_tests () =
   let epp953_shared = epp953 in
   let epp1196 = engine s1196 sp1196 in
   let epp27 = engine s27 sp27 in
-  let naive953 = Epp.Epp_engine.create ~mode:Epp.Epp_engine.Naive ~sp:sp953 s953 in
-  let whole953 = Epp.Epp_engine.create ~restrict_to_cone:false ~sp:sp953 s953 in
   let site27 = mid_gate_site s27 in
   let site953 = mid_gate_site s953 in
   let site1196 = mid_gate_site s1196 in
@@ -85,9 +83,9 @@ let micro_tests () =
     Test.make ~name:"epp/site:s1196" (Staged.stage (fun () ->
         Epp.Epp_engine.analyze_site epp1196 site1196));
     Test.make ~name:"ablation/naive-rules:s953" (Staged.stage (fun () ->
-        Epp.Epp_engine.analyze_site naive953 site953));
+        Epp.Epp_engine.analyze_site_naive epp953 site953));
     Test.make ~name:"ablation/no-cone-restriction:s953" (Staged.stage (fun () ->
-        Epp.Epp_engine.analyze_site whole953 site953));
+        Epp.Epp_engine.analyze_site_whole_circuit epp953 site953));
     Test.make ~name:"baseline/fault-sim-10k:s953" (Staged.stage (fun () ->
         Fault_sim.Epp_sim.estimate_site fault953 ~rng:(Rng.copy rng) site953));
     Test.make ~name:"io/parse-bench:s953" (Staged.stage (fun () ->
@@ -784,8 +782,7 @@ let run_ablation_on ~label c =
     let estimates, t = Report.Timer.time f in
     (name, mae estimates, t)
   in
-  let polarity = Epp.Epp_engine.create ~sp c in
-  let naive = Epp.Epp_engine.create ~mode:Epp.Epp_engine.Naive ~sp c in
+  let engine = Epp.Epp_engine.create ~sp c in
   let sim_at vectors =
     let ctx = Fault_sim.Epp_sim.create ~config:{ Fault_sim.Epp_sim.vectors; input_sp } c in
     let rng = Rng.create ~seed:77 in
@@ -794,9 +791,9 @@ let run_ablation_on ~label c =
   let rows =
     [
       timed "EPP (paper: polarity + cone)" (fun () ->
-          List.map (fun s -> (Epp.Epp_engine.analyze_site polarity s).Epp.Epp_engine.p_sensitized) sites);
+          List.map (fun s -> (Epp.Epp_engine.analyze_site engine s).Epp.Epp_engine.p_sensitized) sites);
       timed "EPP, polarity-blind rules" (fun () ->
-          List.map (fun s -> (Epp.Epp_engine.analyze_site naive s).Epp.Epp_engine.p_sensitized) sites);
+          List.map (fun s -> (Epp.Epp_engine.analyze_site_naive engine s).Epp.Epp_engine.p_sensitized) sites);
       timed "COP observability (1 pass)" (fun () ->
           let ob = Sigprob.Observability.compute ~sp c in
           List.map (fun s -> Sigprob.Observability.get ob s) sites);

@@ -2,7 +2,7 @@
 
    The alias first runs the real CLI —
 
-     ser_estimate embedded:s27 --supervised --metrics M --trace T
+     ser_estimate embedded:s27 --metrics M --trace T
 
    — then runs this validator on the two files it wrote.  The checks pin
    the acceptance contract of the telemetry layer:

@@ -84,18 +84,12 @@ let () =
      compare totals against the uninterrupted supervised run. *)
   let path = Filename.temp_file "serprop_resilience" ".ck" in
   let fp = Report.Checkpoint.fingerprint engine in
-  let saved = ref [] in
   (try
      ignore
        (Epp.Supervisor.sweep ~domains:2 ~chunk_size:5 ~batch_run ~reference
           ~on_chunk:(fun ~done_count ~total:_ entries ->
-            saved := entries @ !saved;
             Report.Checkpoint.save path
-              {
-                Report.Checkpoint.fingerprint = fp;
-                total_sites = n;
-                entries = List.sort compare !saved;
-              };
+              { Report.Checkpoint.fingerprint = fp; total_sites = n; entries };
             if done_count >= 5 then raise Killed)
           engine
           (List.init n Fun.id))

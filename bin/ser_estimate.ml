@@ -4,20 +4,19 @@
    three-factor SER composition — and prints the circuit total plus the most
    vulnerable nodes (the hardening candidates of the paper's conclusion).
 
-   The supervised mode (--supervised, or implied by --checkpoint / --resume /
-   --strict) runs the sweep under Epp.Supervisor's degradation ladder:
-   sites run on the batched block engine, lanes that fault or trip a
-   numeric sentinel are retried on the boxed reference path, and sites
-   that fail both rungs are quarantined into a typed report instead of
-   killing the run.  --checkpoint
-   snapshots completed sites atomically after every chunk; --resume replays
-   a matching snapshot and analyzes only the remainder.
+   Every run sweeps under Epp.Supervisor's degradation ladder: sites run on
+   the batched block engine across --domains worker domains, lanes that
+   fault or trip a numeric sentinel are retried on the boxed reference
+   path, and sites that fail both rungs are quarantined into a typed report
+   instead of killing the run.  --checkpoint snapshots completed sites
+   atomically after every chunk; --resume replays a matching snapshot and
+   analyzes only the remainder.
 
    Telemetry: --metrics FILE writes a JSON snapshot of the run's counters /
    histograms (per-phase EPP timings, cone sizes, parallel steals,
    supervisor ladder steps); --trace FILE writes Chrome trace-event JSON
    (load in chrome://tracing or Perfetto, one track per domain);
-   --progress prints a rate + ETA line during supervised sweeps.
+   --progress prints a rate + ETA line during the sweep.
 
    Exit codes: 0 success; 3 quarantined sites under --strict; 4 unusable
    checkpoint (fingerprint mismatch or corrupt file); 124 cmdliner CLI
@@ -66,9 +65,13 @@ let print_report circuit technology (report : Epp.Ser_estimator.report) elapsed
     Fmt.pr "@.%a@." Epp.Attribution.pp attribution
   end
 
-let run_supervised circuit technology top_k target_reduction by_output
-    electrical checkpoint resume strict domains =
-  let engine = Epp.Epp_engine.create circuit in
+let run circuit technology top_k target_reduction by_output electrical
+    checkpoint resume strict domains metrics trace prom dump progress =
+  if progress then
+    Obs.Hooks.set_progress (Some (Obs.Progress.stderr_renderer ()));
+  Cli_common.with_telemetry ?prom ?dump ~metrics ~trace @@ fun () ->
+  Obs.Trace.span (Obs.Hooks.tracer ()) ~cat:"cli" "ser_estimate" @@ fun () ->
+  let electrical = if electrical then Some Seu_model.Electrical.default else None in
   let ctx = Obs.Ctx.create ~baggage:[ ("tool", "ser_estimate") ] () in
   (* The meter is created unconditionally — it renders only when a progress
      renderer is installed (--progress) — and finished under Fun.protect so
@@ -84,7 +87,8 @@ let run_supervised circuit technology top_k target_reduction by_output
       (fun () ->
         Report.Timer.time (fun () ->
             Report.Checkpoint.supervised_sweep ~ctx ?domains ?checkpoint
-              ~resume ~on_progress engine))
+              ~resume ~on_progress
+              (Epp.Epp_engine.create circuit)))
   in
   match swept with
   | Error e ->
@@ -95,6 +99,10 @@ let run_supervised circuit technology top_k target_reduction by_output
     let report =
       Epp.Ser_estimator.of_site_results ~technology ?electrical circuit results
     in
+    (* the run's headline figure, bit-exact in the --metrics snapshot *)
+    Obs.Metrics.set_gauge
+      (Obs.Metrics.gauge (Obs.Hooks.metrics ()) "ser_estimate.total_fit")
+      report.Epp.Ser_estimator.total_fit;
     let quarantines = Epp.Supervisor.quarantines outcome in
     if quarantines <> [] then
       Fmt.pr "WARNING: partial total — %d site(s) quarantined@."
@@ -105,30 +113,6 @@ let run_supervised circuit technology top_k target_reduction by_output
       outcome.Epp.Supervisor.stats;
     if quarantines <> [] then Fmt.pr "%a@." Epp.Diag.pp_quarantine_table quarantines;
     if strict && quarantines <> [] then exit_quarantined else 0
-
-let run circuit technology top_k target_reduction by_output electrical
-    supervised checkpoint resume strict domains metrics trace prom dump
-    progress =
-  if progress then
-    Obs.Hooks.set_progress (Some (Obs.Progress.stderr_renderer ()));
-  Cli_common.with_telemetry ?prom ?dump ~metrics ~trace @@ fun () ->
-  Obs.Trace.span (Obs.Hooks.tracer ()) ~cat:"cli" "ser_estimate" @@ fun () ->
-  let electrical = if electrical then Some Seu_model.Electrical.default else None in
-  let supervised =
-    supervised || checkpoint <> None || resume || strict
-  in
-  if supervised then
-    run_supervised circuit technology top_k target_reduction by_output
-      electrical checkpoint resume strict domains
-  else begin
-    let (report : Epp.Ser_estimator.report), elapsed =
-      Report.Timer.time (fun () ->
-          Epp.Ser_estimator.estimate ~technology ?electrical circuit)
-    in
-    print_report circuit technology report elapsed top_k target_reduction
-      by_output;
-    0
-  end
 
 let top_k_arg =
   let doc = "Number of most-vulnerable nodes to list." in
@@ -145,14 +129,6 @@ let by_output_arg =
 let electrical_arg =
   let doc = "Apply the electrical (pulse attenuation) masking model." in
   Arg.(value & flag & info [ "electrical" ] ~doc)
-
-let supervised_arg =
-  let doc =
-    "Run the sweep under the fault-isolating supervisor (degradation ladder: \
-     batch engine, reference retry, quarantine).  Implied by $(b,--checkpoint), \
-     $(b,--resume) and $(b,--strict)."
-  in
-  Arg.(value & flag & info [ "supervised" ] ~doc)
 
 let checkpoint_arg =
   let doc =
@@ -184,7 +160,7 @@ let strict_arg =
         ])
 
 let domains_arg =
-  let doc = "Worker domains for the supervised sweep (default: cores - 1)." in
+  let doc = "Worker domains for the sweep (default: cores - 1)." in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
 let cmd =
@@ -193,7 +169,7 @@ let cmd =
     (Cmd.info "ser_estimate" ~doc)
     Term.(
       const run $ Cli_common.circuit_arg $ Cli_common.technology_arg $ top_k_arg $ target_arg
-      $ by_output_arg $ electrical_arg $ supervised_arg $ checkpoint_arg $ resume_arg
+      $ by_output_arg $ electrical_arg $ checkpoint_arg $ resume_arg
       $ strict_arg $ domains_arg $ Cli_common.metrics_arg $ Cli_common.trace_arg
       $ Cli_common.prom_arg $ Cli_common.dump_arg $ Cli_common.progress_arg)
 

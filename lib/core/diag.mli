@@ -34,10 +34,11 @@ type stats = {
   total : int;  (** sites swept, including resumed ones *)
   batch_ok : int;  (** sites analyzed by the batched block engine *)
   degraded : int;
-      (** sites analyzed on the reference rung: after a batch-rung fault,
-          or every site of a [Naive]-mode engine, which has no batch rung *)
+      (** sites analyzed on the reference rung, after a batch-rung fault *)
   quarantined : int;
-  resumed : int;  (** sites replayed from a checkpoint, not re-analyzed *)
+  resumed : int;
+      (** sites whose entry the caller already held (a replayed checkpoint,
+          a spliced edit), not re-analyzed *)
 }
 
 (** Whether a supervised sweep covered every requested site, or was cut

@@ -241,10 +241,6 @@ module Block = struct
     | None -> ()
 
   let create ?ctx:req_ctx ?(lanes = max_lanes) engine =
-    (match Epp_engine.mode engine with
-    | Epp_engine.Polarity -> ()
-    | Epp_engine.Naive ->
-      invalid_arg "Epp_batch.Block.create: polarity mode only");
     if lanes < 1 || lanes > max_lanes then
       invalid_arg
         (Printf.sprintf "Epp_batch.Block.create: lanes must be in [1, %d]"

@@ -16,9 +16,8 @@
     operation-for-operation, so results are bit-identical to
     {!Epp_engine.analyze_site}, the reference oracle.
 
-    Polarity mode only; an engine in [Naive] mode is rejected at block
-    creation.  {!Ser_estimator.analyze_sites} is the unsupervised sweep
-    driver and {!Supervisor.sweep} the supervised one. *)
+    {!Ser_estimator.analyze_sites} is the unsupervised sweep driver and
+    {!Supervisor.sweep} the supervised one. *)
 
 val max_lanes : int
 (** Sites per block, 62: one OCaml int per node carries the block's cone
@@ -48,8 +47,7 @@ module Block : sig
       every block span run on this workspace with the request id (the
       workspace, not {!run}, carries it — [run] stays a first-class
       [ws -> int array -> _] value for the schedulers).
-      @raise Invalid_argument if the engine is in [Naive] mode or [lanes]
-      is outside [1, max_lanes]. *)
+      @raise Invalid_argument if [lanes] is outside [1, max_lanes]. *)
 
   val release : ws -> unit
   (** Hand the workspace's planes back to the pool, for the next

@@ -14,13 +14,11 @@
    The engine owns the per-circuit invariants (topological order, signal
    probabilities); each analyze_site call is a single linear pass over the
    site's cone.  This boxed path is the reference oracle: the production
-   sweep (Epp_batch, the "SysT" cost of Table 2) must match it bit for bit. *)
+   sweep (Epp_batch, the "SysT" cost of Table 2) must match it bit for bit.
+   The two ablations the bench times against it (polarity-blind rules, no
+   cone restriction) are per-site functions beside it. *)
 
 open Netlist
-
-type mode =
-  | Polarity  (** the paper's four-state rules *)
-  | Naive  (** polarity-blind three-state ablation *)
 
 type t = {
   circuit : Circuit.t;
@@ -29,8 +27,6 @@ type t = {
       (* the circuit's shared analysis context: topological order and its
          inverse permutation, gates-only order (the no-cone ablation),
          observation arrays *)
-  mode : mode;
-  restrict_to_cone : bool;
 }
 
 type site_result = {
@@ -68,7 +64,7 @@ let validate_sp circuit (r : Sigprob.Sp.result) =
            { node = v; name = Circuit.node_name circuit v; value = x })
   done
 
-let create ?(mode = Polarity) ?(restrict_to_cone = true) ?sp circuit =
+let create ?sp circuit =
   let tracer = Obs.Hooks.tracer () in
   Obs.Trace.span tracer ~cat:"epp" "epp.create" @@ fun () ->
   let sp =
@@ -90,13 +86,11 @@ let create ?(mode = Polarity) ?(restrict_to_cone = true) ?sp circuit =
      on a circuit pays for the topological sort, every later engine (and
      every other subsystem on the same circuit) reuses it. *)
   let ctx = Analysis.get circuit in
-  { circuit; sp; ctx; mode; restrict_to_cone }
+  { circuit; sp; ctx }
 
 let circuit t = t.circuit
 let analysis t = t.ctx
 let signal_probabilities t = t.sp
-let mode t = t.mode
-let restrict_to_cone t = t.restrict_to_cone
 
 (* FF outputs take their *data net's* converged probability when the
    sequential fixpoint produced the sp result; Sp_sequential already stores
@@ -184,37 +178,35 @@ let full_order_analysis t site =
     reached = Analysis.reached_observations t.ctx site;
   }
 
-let site_analysis t site =
-  if t.restrict_to_cone then Site_analysis.analyze t.circuit site
-  else full_order_analysis t site
-
 (* Full four-state vectors at the reachable observation points, optionally
    from a partial error at the site (the multi-cycle extension injects the
-   vector latched in a flip-flop during an earlier cycle).  Polarity mode
-   only: the naive ablation has no vector to expose. *)
+   vector latched in a flip-flop during an earlier cycle). *)
 let analyze_site_vectors t ?initial site =
-  (match t.mode with
-  | Polarity -> ()
-  | Naive -> invalid_arg "Epp_engine.analyze_site_vectors: polarity mode only");
   let n = Circuit.node_count t.circuit in
   if site < 0 || site >= n then invalid_arg "Epp_engine.analyze_site_vectors: bad site";
-  analyze_polarity ?initial t (site_analysis t site)
+  analyze_polarity ?initial t (Site_analysis.analyze t.circuit site)
 
-let analyze_site t site =
-  let sa = site_analysis t site in
-  let per_observation =
-    match t.mode with
-    | Polarity ->
-      List.map (fun (obs, v) -> (obs, Prob4.p_error v)) (analyze_polarity t sa)
-    | Naive -> analyze_naive t sa
-  in
+let result_of (sa : Site_analysis.t) per_observation =
   {
-    site;
+    site = sa.site;
     p_sensitized = Sigprob.Sp_rules.clamp (p_sensitized_of_outputs per_observation);
     per_observation;
     cone_size = Site_analysis.on_path_signal_count sa;
     reached_outputs = List.length sa.reached;
   }
+
+let polarity_result t sa =
+  result_of sa
+    (List.map (fun (obs, v) -> (obs, Prob4.p_error v)) (analyze_polarity t sa))
+
+let analyze_site t site = polarity_result t (Site_analysis.analyze t.circuit site)
+
+let analyze_site_whole_circuit t site =
+  polarity_result t (full_order_analysis t site)
+
+let analyze_site_naive t site =
+  let sa = Site_analysis.analyze t.circuit site in
+  result_of sa (analyze_naive t sa)
 
 let pp_site_result circuit ppf r =
   Fmt.pf ppf "@[<v>site %s: P_sens = %.4f over %d output(s), cone %d@,%a@]"

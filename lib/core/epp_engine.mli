@@ -9,11 +9,9 @@
     column of Table 2) and the signal probabilities, so each site analysis
     is a single cone-sized pass.  {!analyze_site} is the boxed reference
     oracle; sweeps run the bit-identical {!Epp_batch} block engine through
-    {!Ser_estimator.analyze_sites} (the SysT column) or {!Supervisor}. *)
-
-type mode =
-  | Polarity  (** the paper's four-state rules *)
-  | Naive  (** polarity-blind three-state ablation (see {!Rules.Naive}) *)
+    {!Ser_estimator.analyze_sites} (the SysT column) or {!Supervisor}.
+    The paper's two design choices each have a per-site ablation beside it:
+    {!analyze_site_naive} and {!analyze_site_whole_circuit}. *)
 
 type t
 
@@ -32,16 +30,9 @@ exception
     named after the offending node instead of silently poisoning every cone
     that consumes it. *)
 
-val create :
-  ?mode:mode -> ?restrict_to_cone:bool -> ?sp:Sigprob.Sp.result -> Netlist.Circuit.t -> t
+val create : ?sp:Sigprob.Sp.result -> Netlist.Circuit.t -> t
 (** [sp] defaults to the sequential fixpoint probabilities when the circuit
     has flip-flops, and to the plain topological pass otherwise.
-    [restrict_to_cone:false] is the whole-circuit ablation of
-    {!analyze_site} alone: identical results, no path-construction saving.
-    The {!Epp_batch} block engine behind every sweep
-    ({!Ser_estimator.analyze_sites}, {!Supervisor.sweep}) ignores it and
-    always walks the block's union cone, so time the ablation through
-    {!analyze_site}.
     @raise Invalid_argument if [sp] belongs to a different circuit.
     @raise Invalid_signal_probability if a provided [sp] entry is NaN or
     outside [0, 1]. *)
@@ -53,11 +44,20 @@ val analysis : t -> Netlist.Analysis.t
     facts from. *)
 
 val signal_probabilities : t -> Sigprob.Sp.result
-val mode : t -> mode
-val restrict_to_cone : t -> bool
 
 val analyze_site : t -> int -> site_result
 (** Steps 1-3 of the paper's per-site algorithm.
+    @raise Invalid_argument on an out-of-range site. *)
+
+val analyze_site_naive : t -> int -> site_result
+(** The polarity-blind ablation: {!analyze_site} with the three-state
+    {!Rules.Naive} rules, which cannot see reconvergent errors cancel.
+    @raise Invalid_argument on an out-of-range site. *)
+
+val analyze_site_whole_circuit : t -> int -> site_result
+(** The whole-circuit ablation: {!analyze_site} without step 1's cone
+    restriction, walking every gate of the circuit.  Identical results;
+    it shows what path construction saves.
     @raise Invalid_argument on an out-of-range site. *)
 
 val analyze_site_vectors :
@@ -65,7 +65,7 @@ val analyze_site_vectors :
 (** The full four-state vectors at the reachable observation points,
     optionally injecting a partial error vector at the site instead of the
     certain [Prob4.error_site] (used by {!Multi_cycle} to continue errors
-    latched in flip-flops).  @raise Invalid_argument in [Naive] mode or on
-    an out-of-range site. *)
+    latched in flip-flops).  @raise Invalid_argument on an out-of-range
+    site. *)
 
 val pp_site_result : Netlist.Circuit.t -> site_result Fmt.t

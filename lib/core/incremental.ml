@@ -5,8 +5,8 @@
    probabilities of the cone's side inputs) and on which observation points
    the cone reaches.  After an edit, a site whose dependencies all survived
    bit-identically does not need re-analysis — its pre-edit result can be
-   spliced into the new outcome under the id remap, and the supervised
-   sweep only runs over the dirty complement.
+   handed to the whole-circuit supervised sweep as a held entry under the
+   id remap, and the sweep only runs over the dirty complement.
 
    Dirty geometry (per new node, evaluated over BOTH circuits — the old
    side catches paths the edit severed):
@@ -60,12 +60,7 @@ let rebase engine d =
      Analysis.get; sp is recomputed from scratch — the sequential fixpoint
      is a global computation, and bit-comparing old vs new values is what
      the planner uses to bound the damage. *)
-  let engine' =
-    Epp_engine.create ~mode:(Epp_engine.mode engine)
-      ~restrict_to_cone:(Epp_engine.restrict_to_cone engine)
-      (Netlist.Delta.after d)
-  in
-  (engine', how)
+  (Epp_engine.create (Netlist.Delta.after d), how)
 
 (* Position-wise observation compatibility: the per-observation lists of a
    spliced result are remapped by position, which is only meaningful when
@@ -173,8 +168,7 @@ let splice_result ~po_map ~ff_map ~new_of_old (r : Epp_engine.site_result) =
         r.Epp_engine.per_observation;
   }
 
-let sweep ?ctx ?domains ?tolerance ?chunk_size ?on_chunk ?batch_run
-    ?reference ?deadline plan ~prior engine =
+let sweep ?ctx ?domains ?batch_run ?deadline plan ~prior engine =
   if not (Epp_engine.circuit engine == Netlist.Delta.after plan.delta) then
     invalid_arg "Incremental.sweep: engine is not on the plan's after-circuit";
   let d = plan.delta in
@@ -201,50 +195,24 @@ let sweep ?ctx ?domains ?tolerance ?chunk_size ?on_chunk ?batch_run
       if site >= 0 && site < n_old then prior_of.(site) <- Some entry)
     prior;
   (* Splice what we can; everything else (dirty, no prior, quarantined
-     prior, or a failed observation remap) goes to the supervised sweep. *)
-  let entry_of = Array.make n_new None in
-  let reused_count = ref 0 in
-  let to_sweep = ref [] in
+     prior, or a failed observation remap) is left to the sweep. *)
+  let spliced = ref [] and reused = ref 0 in
   for w = n_new - 1 downto 0 do
     let v = old_of_new.(w) in
-    let reused =
-      (not plan.dirty.(w)) && v >= 0
-      &&
+    if (not plan.dirty.(w)) && v >= 0 then
       match prior_of.(v) with
       | Some (Supervisor.Analyzed { result; step }) -> (
         match splice_result ~po_map ~ff_map ~new_of_old result with
         | r ->
-          entry_of.(w) <- Some (Supervisor.Analyzed { result = r; step });
-          incr reused_count;
-          true
-        | exception Exit -> false)
-      | Some (Supervisor.Quarantined _) | None -> false
-    in
-    if not reused then to_sweep := w :: !to_sweep
+          spliced := (w, Supervisor.Analyzed { result = r; step }) :: !spliced;
+          incr reused
+        | exception Exit -> ())
+      | Some (Supervisor.Quarantined _) | None -> ()
   done;
-  let to_sweep = !to_sweep in
-  let swept =
-    Supervisor.sweep ?ctx ?domains ?tolerance ?chunk_size ?on_chunk
-      ?batch_run ?reference ?deadline engine to_sweep
-  in
-  List.iter
-    (fun (site, entry) -> entry_of.(site) <- Some entry)
-    swept.Supervisor.entries;
-  let entries = ref [] in
-  for w = n_new - 1 downto 0 do
-    match entry_of.(w) with
-    | Some entry -> entries := (w, entry) :: !entries
-    | None -> () (* deadline expired before this site started *)
-  done;
-  let entries = !entries in
-  let reused_count = !reused_count in
-  count "epp.incremental.dirty_sites" (List.length to_sweep);
-  count "epp.incremental.clean_reused" reused_count;
+  let dirty = n_new - !reused in
+  count "epp.incremental.dirty_sites" dirty;
+  count "epp.incremental.clean_reused" !reused;
   set_gauge "epp.incremental.dirty_fraction"
-    (if n_new = 0 then 0.0
-     else float_of_int (List.length to_sweep) /. float_of_int n_new);
-  {
-    Supervisor.entries;
-    stats = Supervisor.stats_of_entries ~resumed:reused_count entries;
-    completion = swept.Supervisor.completion;
-  }
+    (if n_new = 0 then 0.0 else float_of_int dirty /. float_of_int n_new);
+  Supervisor.sweep_all ?ctx ?domains ?batch_run ?deadline ~prior:!spliced
+    engine

@@ -18,10 +18,9 @@ type plan
 
 val rebase : Epp_engine.t -> Netlist.Delta.t -> Epp_engine.t * [ `Patched | `Rebuilt ]
 (** Carry an engine across an edit: the analysis context is patched (or
-    rebuilt) via {!Netlist.Analysis.apply_delta}, and a fresh engine with
-    the same mode / cone restriction is created on the post-edit circuit.
-    Signal probabilities are recomputed — the planner bit-compares them to
-    bound the dirty set. *)
+    rebuilt) via {!Netlist.Analysis.apply_delta}, and a fresh engine is
+    created on the post-edit circuit.  Signal probabilities are recomputed
+    — the planner bit-compares them to bound the dirty set. *)
 
 val plan : before:Epp_engine.t -> after:Epp_engine.t -> Netlist.Delta.t -> plan
 (** Compute the dirty set: sites backward-reaching (in either circuit) a
@@ -45,26 +44,23 @@ val delta : plan -> Netlist.Delta.t
 val sweep :
   ?ctx:Obs.Ctx.t ->
   ?domains:int ->
-  ?tolerance:float ->
-  ?chunk_size:int ->
-  ?on_chunk:(done_count:int -> total:int -> (int * Supervisor.entry) list -> unit) ->
   ?batch_run:
     (Epp_batch.Block.ws ->
     int array ->
     (Epp_engine.site_result, exn) result array) ->
-  ?reference:(Epp_engine.t -> int -> Epp_engine.site_result) ->
   ?deadline:Obs.Deadline.t ->
   plan ->
   prior:(int * Supervisor.entry) list ->
   Epp_engine.t ->
   Supervisor.outcome
-(** Whole-circuit outcome on the post-edit engine: dirty sites (plus sites
-    with no usable prior entry — missing, quarantined, or unmappable) go
-    through {!Supervisor.sweep} with all the usual knobs; clean sites are
-    spliced from [prior] (an outcome's [entries] from the {e pre-edit}
-    engine, keyed by pre-edit site ids) with ids and per-observation
-    constructors remapped and floats copied bit-for-bit.  Entries come back
-    in site-id order; [stats] counts spliced sites as [resumed]; a deadline
-    expiry surfaces in [completion] exactly as in a plain sweep.
+(** Whole-circuit outcome on the post-edit engine: clean sites are spliced
+    from [prior] (an outcome's [entries] from the {e pre-edit} engine,
+    keyed by pre-edit site ids) with ids and per-observation constructors
+    remapped and floats copied bit-for-bit, and handed to
+    {!Supervisor.sweep_all} as its [prior]; it sweeps the dirty sites (plus
+    sites with no usable prior entry — missing, quarantined, or
+    unmappable).  So entries come back in site-id order, [stats] counts
+    spliced sites as [resumed], and a deadline expiry counts them as
+    analyzed, exactly as for a replayed checkpoint.
     @raise Invalid_argument when [engine] is not on the plan's
     post-edit circuit. *)

@@ -34,7 +34,6 @@ type result = {
 }
 
 val analyze : ?config:config -> Epp_engine.t -> int -> result
-(** @raise Invalid_argument on a bad config, a bad site, or a [Naive]-mode
-    engine. *)
+(** @raise Invalid_argument on a bad config or a bad site. *)
 
 val pp_result : Netlist.Circuit.t -> result Fmt.t

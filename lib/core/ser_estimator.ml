@@ -134,27 +134,19 @@ let of_site_results ?(technology = Seu_model.Technology.default)
 
    Every unsupervised sweep goes through here: blocks of Epp_batch.max_lanes
    sites on the batch engine, fanned out whole across [domains]
-   (Parallel.map_array keeps a handful of blocks on the calling domain).  A
-   [Naive] engine, the polarity-blind ablation the batch engine does not
-   implement, runs site by site on the boxed reference instead.  Results
-   come back in input order.  A bad site id fails its whole block inside
+   (Parallel.map_array keeps a handful of blocks on the calling domain).
+   Results come back in input order.  A bad site id fails its whole block inside
    Block.run, so the lowest such block's Invalid_argument is raised;
    otherwise a faulting lane comes back as an Error and the earliest one
    in input order is raised. *)
 
 let analyze_site_array ?(domains = 1) engine sites =
-  match Epp_engine.mode engine with
-  | Epp_engine.Naive ->
-    Parallel.map_array ~domains ~workspace:ignore
-      ~f:(fun () site -> Epp_engine.analyze_site engine site)
-      sites
-  | Epp_engine.Polarity ->
-    Parallel.map_array ~domains
-      ~workspace:(fun () -> Epp_batch.Block.create engine)
-      ~release:Epp_batch.Block.release ~f:Epp_batch.Block.run
-      (Epp_batch.blocks sites)
-    |> Array.to_list |> Array.concat
-    |> Array.map (function Ok r -> r | Error e -> raise e)
+  Parallel.map_array ~domains
+    ~workspace:(fun () -> Epp_batch.Block.create engine)
+    ~release:Epp_batch.Block.release ~f:Epp_batch.Block.run
+    (Epp_batch.blocks sites)
+  |> Array.to_list |> Array.concat
+  |> Array.map (function Ok r -> r | Error e -> raise e)
 
 let analyze_sites ?domains engine sites =
   Array.to_list (analyze_site_array ?domains engine (Array.of_list sites))
@@ -163,9 +155,9 @@ let analyze_all ?domains engine =
   let n = Circuit.node_count (Epp_engine.circuit engine) in
   Array.to_list (analyze_site_array ?domains engine (Array.init n Fun.id))
 
-let estimate ?technology ?latching ?electrical ?convention ?mode ?sp ?domains
+let estimate ?technology ?latching ?electrical ?convention ?sp ?domains
     circuit =
-  let engine = Epp_engine.create ?mode ?sp circuit in
+  let engine = Epp_engine.create ?sp circuit in
   of_site_results ?technology ?latching ?electrical ?convention circuit
     (analyze_all ?domains engine)
 

@@ -59,13 +59,12 @@ val of_site_results :
 (** {2 The EPP sweep driver}
 
     Sites run through the {!Epp_batch} block engine, [max_lanes] sites per
-    union-cone walk, bit-identical to {!Epp_engine.analyze_site}; an engine
-    in [Naive] mode (the polarity-blind ablation) runs site by site on that
-    boxed reference.  [domains] (default 1) fans whole blocks out across
-    OCaml domains; results come back in input order either way.  An
-    out-of-range site id fails its whole block, and the lowest such
-    block's exception is raised; failing that, the exception of the
-    earliest site whose analysis faulted is raised.
+    union-cone walk, bit-identical to {!Epp_engine.analyze_site}.
+    [domains] (default 1) fans whole blocks out across OCaml domains;
+    results come back in input order either way.  An out-of-range site id
+    fails its whole block, and the lowest such block's exception is raised;
+    failing that, the exception of the earliest site whose analysis faulted
+    is raised.
     @raise Invalid_argument if [domains < 1] or a site id is out of range. *)
 
 val analyze_site_array :
@@ -82,7 +81,6 @@ val estimate :
   ?latching:Seu_model.Latching.t ->
   ?electrical:Seu_model.Electrical.t ->
   ?convention:latch_convention ->
-  ?mode:Epp_engine.mode ->
   ?sp:Sigprob.Sp.result ->
   ?domains:int ->
   Netlist.Circuit.t ->

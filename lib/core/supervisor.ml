@@ -5,17 +5,22 @@
    that drifted beyond tolerance, a probability outside [0, 1] — becomes a
    typed Diag.fault and that site alone is retried on the boxed reference,
    result-checked; a site that fails there too is quarantined, and the
-   sweep continues.  An engine in [Naive] mode has no batch rung: its sites
-   start on the reference.  The per-site wrapper [reference_entry] never
-   raises, which is what makes the parallel fan-out safe: a worker domain
-   can always finish its claim.
+   sweep continues.  The per-site wrapper [reference_entry] never raises,
+   which is what makes the parallel fan-out safe: a worker domain can
+   always finish its claim.
 
    The sentinels are deliberately layered: the batch rung checks the raw
    four-state vectors (Block.lane_vector_defect) *and* the published
    result; the reference rung re-checks the result only (the boxed path
    validates its vectors internally via Prob4).  A defect that only a
    sentinel sees — e.g. an sp value mutated to something that still feeds
-   finite arithmetic — degrades exactly like a crash does. *)
+   finite arithmetic — degrades exactly like a crash does.
+
+   A whole-circuit sweep may start from entries its caller already holds
+   (a replayed checkpoint, the clean sites of an edit).  It sweeps only the
+   other sites and does the merge itself, so input order, [stats.resumed],
+   [on_chunk]'s coverage and a deadline's analyzed/remaining count the held
+   entries the same way for every caller. *)
 
 open Netlist
 
@@ -31,25 +36,31 @@ type outcome = {
 
 (* Matches Prob4.normalize's drift bound: anything larger is a rule bug or a
    poisoned input, not rounding dust. *)
-let default_tolerance = 1e-6
+let tolerance = 1e-6
 
-(* First NaN / out-of-range component of a published result, if any. *)
+(* NaN fails both comparisons, so it counts as out of range too. *)
+let out_of_unit value = not (value >= 0.0 && value <= 1.0)
+
+let fault_at where value =
+  if Float.is_nan value then Diag.Nan { where }
+  else Diag.Out_of_range { where; value }
+
+let rec observation_fault circuit = function
+  | [] -> None
+  | (obs, p) :: rest ->
+    if out_of_unit p then
+      Some (fault_at ("P(" ^ Circuit.observation_name circuit obs ^ ")") p)
+    else observation_fault circuit rest
+
+(* First NaN / out-of-range component of a published result, if any.  The
+   values are tested before any location string is built, so a clean
+   result — nearly every one — allocates nothing here. *)
 let result_fault circuit (r : Epp_engine.site_result) =
-  let check where value =
-    if Float.is_nan value then Some (Diag.Nan { where })
-    else if not (value >= 0.0 && value <= 1.0) then
-      Some (Diag.Out_of_range { where; value })
-    else None
-  in
-  match check "p_sensitized" r.Epp_engine.p_sensitized with
-  | Some f -> Some f
-  | None ->
-    List.find_map
-      (fun (obs, p) ->
-        check ("P(" ^ Circuit.observation_name circuit obs ^ ")") p)
-      r.Epp_engine.per_observation
+  if out_of_unit r.Epp_engine.p_sensitized then
+    Some (fault_at "p_sensitized" r.Epp_engine.p_sensitized)
+  else observation_fault circuit r.Epp_engine.per_observation
 
-let vector_fault ~tolerance defect =
+let vector_fault defect =
   if Float.is_nan defect then Some (Diag.Nan { where = "four-state vector" })
   else if defect > tolerance then
     Some (Diag.Sum_defect { defect; tolerance })
@@ -98,22 +109,16 @@ let quarantine ?ctx circuit site faults =
    raises.  [batch_fault] is what sent the site down from the batch rung
    (logged as [supervisor.degrade]); it heads the quarantine record so the
    faults read in ladder order. *)
-let reference_entry ?ctx ?batch_fault ?reference engine site =
+let reference_entry ?ctx ?reference ~batch_fault engine site =
   let circuit = Epp_engine.circuit engine in
-  let prior =
-    match batch_fault with
-    | None -> []
-    | Some fault ->
-      Obs.Log.emit ?ctx
-        ~fields:
-          [
-            ("site", Obs.Json.int site);
-            ("from", Obs.Json.String (Diag.step_to_string Diag.Batch));
-            ("fault", Obs.Json.String (Diag.fault_to_string fault));
-          ]
-        Obs.Log.Debug "supervisor.degrade";
-      [ (Diag.Batch, fault) ]
-  in
+  Obs.Log.emit ?ctx
+    ~fields:
+      [
+        ("site", Obs.Json.int site);
+        ("from", Obs.Json.String (Diag.step_to_string Diag.Batch));
+        ("fault", Obs.Json.String (Diag.fault_to_string batch_fault));
+      ]
+    Obs.Log.Debug "supervisor.degrade";
   let analyzed =
     match
       match reference with
@@ -126,14 +131,16 @@ let reference_entry ?ctx ?batch_fault ?reference engine site =
   in
   match analyzed with
   | Ok result -> Analyzed { result; step = Diag.Reference }
-  | Error fault -> quarantine ?ctx circuit site (prior @ [ (Diag.Reference, fault) ])
+  | Error fault ->
+    quarantine ?ctx circuit site
+      [ (Diag.Batch, batch_fault); (Diag.Reference, fault) ]
 
 (* One block on the batch rung.  A lane that faults, or whose vectors or
    published result trip a sentinel, drops to [reference_entry] alone with
    its batch fault; a whole-block failure (e.g. a bad site id) drops every
    lane.  The vector-sum sentinel only runs for the real engine: a
    [batch_run] stub leaves no vectors in the planes. *)
-let analyze_block ?ctx ~tolerance ?reference ?batch_run block sites =
+let analyze_block ?ctx ?reference ?batch_run block sites =
   let engine = Epp_batch.Block.engine block in
   let circuit = Epp_engine.circuit engine in
   let degrade site fault =
@@ -156,7 +163,7 @@ let analyze_block ?ctx ~tolerance ?reference ?batch_run block sites =
           let fault =
             match
               if real_batch then
-                vector_fault ~tolerance (Epp_batch.Block.lane_vector_defect block l)
+                vector_fault (Epp_batch.Block.lane_vector_defect block l)
               else None
             with
             | Some f -> Some f
@@ -167,7 +174,7 @@ let analyze_block ?ctx ~tolerance ?reference ?batch_run block sites =
           | None -> (site, Analyzed { result = r; step = Diag.Batch })))
       results
 
-let stats_of_entries ?(resumed = 0) entries =
+let stats_of_entries ~resumed entries =
   let batch_ok = ref 0 and degraded = ref 0 and quarantined = ref 0 in
   List.iter
     (fun (_, entry) ->
@@ -184,9 +191,13 @@ let stats_of_entries ?(resumed = 0) entries =
     resumed;
   }
 
-let sweep ?ctx ?domains ?(tolerance = default_tolerance) ?(chunk_size = 1024)
-    ?on_chunk ?batch_run ?reference ?(deadline = Obs.Deadline.never) engine
-    sites =
+(* The one sweep behind [sweep] and [sweep_all].  Input position [i] is site
+   [sites.(i)]; [held.(i)] is its entry when the caller already holds one.
+   Every other position is swept in input order, [chunk_size] sites at a
+   time, and its entry lands in [held], so [held] is always the merge of
+   the caller's entries and the finished ones. *)
+let drive ?ctx ?domains ?(chunk_size = 16 * Epp_batch.max_lanes) ?on_chunk
+    ?batch_run ?reference ?(deadline = Obs.Deadline.never) engine sites held =
   if chunk_size < 1 then invalid_arg "Supervisor.sweep: chunk_size must be >= 1";
   let m = Obs.Hooks.metrics () in
   let tracer = Obs.Hooks.tracer () in
@@ -197,10 +208,23 @@ let sweep ?ctx ?domains ?(tolerance = default_tolerance) ?(chunk_size = 1024)
   Obs.Trace.span tracer ~cat:"supervisor" ~args:(Obs.Ctx.args_of ctx)
     "supervisor.sweep"
   @@ fun () ->
-  let arr = Array.of_list sites in
-  let n = Array.length arr in
-  let acc = ref [] in
-  let analyzed = ref 0 in
+  let total = Array.length held in
+  (* the first [ntodo] slots: the positions to sweep, in input order *)
+  let todo = Array.make total 0 and ntodo = ref 0 in
+  Array.iteri
+    (fun i h ->
+      if Option.is_none h then begin
+        todo.(!ntodo) <- i;
+        incr ntodo
+      end)
+    held;
+  let resumed = total - !ntodo in
+  let finished () =
+    Array.fold_right
+      (fun e acc -> match e with Some e -> e :: acc | None -> acc)
+      held []
+  in
+  let analyzed = ref resumed in
   let pos = ref 0 in
   let expired = ref false in
   (* The deadline is checked at the two dispatch boundaries the sweep owns:
@@ -208,56 +232,49 @@ let sweep ?ctx ?domains ?(tolerance = default_tolerance) ?(chunk_size = 1024)
      each task claim inside one.  Either way, entries already finished are
      kept; the sweep never tears a site mid-analysis and never raises on
      expiry. *)
-  while !pos < n && not !expired do
+  while !pos < !ntodo && not !expired do
     if Obs.Deadline.expired deadline then expired := true
     else begin
-      let len = min chunk_size (n - !pos) in
-      let chunk = Array.sub arr !pos len in
-      let entries =
+      let start = !pos in
+      let len = min chunk_size (!ntodo - start) in
+      (* blocks per domain: each work item is a whole block, so a domain
+         claims union-cone walks, not per-site crumbs *)
+      let blocks =
         Obs.Trace.span tracer ~cat:"supervisor" ~args:(Obs.Ctx.args_of ctx)
           "supervisor.chunk"
         @@ fun () ->
-        match Epp_engine.mode engine with
-        | Epp_engine.Polarity ->
-          (* blocks per domain: each work item is a whole block, so a domain
-             claims union-cone walks, not per-site crumbs *)
-          Parallel.map_array_until ?ctx ?domains ~deadline
-            ~workspace:(fun () -> Epp_batch.Block.create ?ctx engine)
-            ~release:Epp_batch.Block.release
-            ~f:(analyze_block ?ctx ~tolerance ?reference ?batch_run)
-            (Epp_batch.blocks chunk)
-          |> Array.to_list
-          |> List.concat_map (function
-               | Some block_entries -> Array.to_list block_entries
-               | None -> [])
-        | Epp_engine.Naive ->
-          Parallel.map_array_until ?ctx ?domains ~deadline ~workspace:ignore
-            ~f:(fun () site -> (site, reference_entry ?ctx ?reference engine site))
-            chunk
-          |> Array.to_list |> List.filter_map Fun.id
+        Parallel.map_array_until ?ctx ?domains ~deadline
+          ~workspace:(fun () -> Epp_batch.Block.create ?ctx engine)
+          ~release:Epp_batch.Block.release
+          ~f:(analyze_block ?ctx ?reference ?batch_run)
+          (Epp_batch.blocks
+             (Array.init len (fun k -> sites.(todo.(start + k)))))
       in
-      let completed = List.length entries in
-      if completed < len then expired := true;
       (* Ladder-step accounting happens here, on the calling domain, instead
          of inside the per-site wrapper: one scan per chunk versus a registry
          lookup per site. *)
       Obs.Metrics.incr c_chunks;
-      List.iter
-        (fun (_, entry) ->
-          match entry with
-          | Analyzed { step = Diag.Batch; _ } -> Obs.Metrics.incr c_batch_ok
-          | Analyzed { step = Diag.Reference; _ } -> Obs.Metrics.incr c_degraded
-          | Quarantined _ -> Obs.Metrics.incr c_quarantined)
-        entries;
-      acc := entries :: !acc;
-      analyzed := !analyzed + completed;
-      pos := !pos + len;
-      match on_chunk with
-      | Some f -> f ~done_count:!analyzed ~total:n entries
-      | None -> ()
+      let completed = ref 0 in
+      Array.iteri
+        (fun b block ->
+          Option.iter
+            (Array.iteri (fun l ((_, entry) as e) ->
+                 held.(todo.(start + (b * Epp_batch.max_lanes) + l)) <- Some e;
+                 incr completed;
+                 Obs.Metrics.incr
+                   (match entry with
+                   | Analyzed { step = Diag.Batch; _ } -> c_batch_ok
+                   | Analyzed { step = Diag.Reference; _ } -> c_degraded
+                   | Quarantined _ -> c_quarantined)))
+            block)
+        blocks;
+      if !completed < len then expired := true;
+      analyzed := !analyzed + !completed;
+      pos := start + len;
+      Option.iter (fun f -> f ~done_count:!analyzed ~total (finished ())) on_chunk
     end
   done;
-  let entries = List.concat (List.rev !acc) in
+  let entries = finished () in
   let completion =
     if !expired then begin
       Obs.Metrics.incr (Obs.Metrics.counter m "supervisor.deadline_expired");
@@ -266,22 +283,38 @@ let sweep ?ctx ?domains ?(tolerance = default_tolerance) ?(chunk_size = 1024)
         ~fields:
           [
             ("analyzed", Obs.Json.int !analyzed);
-            ("remaining", Obs.Json.int (n - !analyzed));
+            ("remaining", Obs.Json.int (total - !analyzed));
             ("budget_seconds", Obs.Json.Number budget_seconds);
           ]
         Obs.Log.Warn "supervisor.deadline_expired";
       Diag.Deadline_expired
-        { analyzed = !analyzed; remaining = n - !analyzed; budget_seconds }
+        { analyzed = !analyzed; remaining = total - !analyzed; budget_seconds }
     end
     else Diag.Complete
   in
-  { entries; stats = stats_of_entries entries; completion }
+  { entries; stats = stats_of_entries ~resumed entries; completion }
 
-let sweep_all ?ctx ?domains ?tolerance ?chunk_size ?on_chunk ?batch_run
-    ?reference ?deadline engine =
+let sweep ?ctx ?domains ?chunk_size ?on_chunk ?batch_run ?reference ?deadline
+    engine sites =
+  let sites = Array.of_list sites in
+  drive ?ctx ?domains ?chunk_size ?on_chunk ?batch_run ?reference ?deadline
+    engine sites
+    (Array.make (Array.length sites) None)
+
+let sweep_all ?ctx ?domains ?chunk_size ?on_chunk ?batch_run ?reference
+    ?deadline ?(prior = []) engine =
   let n = Circuit.node_count (Epp_engine.circuit engine) in
-  sweep ?ctx ?domains ?tolerance ?chunk_size ?on_chunk ?batch_run ?reference
-    ?deadline engine (List.init n Fun.id)
+  let held = Array.make n None in
+  List.iter
+    (fun ((site, _) as e) ->
+      if site < 0 || site >= n then
+        invalid_arg
+          (Printf.sprintf "Supervisor.sweep_all: prior entry for site %d of %d"
+             site n);
+      held.(site) <- Some e)
+    prior;
+  drive ?ctx ?domains ?chunk_size ?on_chunk ?batch_run ?reference ?deadline
+    engine (Array.init n Fun.id) held
 
 let results outcome =
   List.filter_map

@@ -13,13 +13,17 @@
     + if that also fails, the site is {e quarantined} into a typed
       {!Diag.quarantine} record and the sweep continues.
 
-    An engine in [Naive] mode (the polarity-blind ablation) has no batch
-    rung; its sites start on the reference.  Fan-out uses
-    {!Parallel.map_array_until}, handing each domain whole blocks (one
-    union-cone walk each).  Because the per-site wrapper never raises, one
-    bad site can neither kill nor deadlock the sweep.  Sites are processed
-    in chunks so a checkpoint callback ({!Report.Checkpoint} wires one)
-    sees completed results periodically. *)
+    Fan-out uses {!Parallel.map_array_until}, handing each domain whole
+    blocks (one union-cone walk each).  Because the per-site wrapper never
+    raises, one bad site can neither kill nor deadlock the sweep.  Sites are
+    processed in chunks so a checkpoint callback ({!Report.Checkpoint} wires
+    one) sees completed results periodically.
+
+    A whole-circuit sweep ({!sweep_all}) takes the entries its caller
+    already holds — a replayed checkpoint, the clean sites an edit spliced —
+    as [prior], sweeps only the other sites, and merges both: every caller
+    gets the same input order, [stats.resumed], [on_chunk] coverage and
+    deadline accounting. *)
 
 type entry =
   | Analyzed of { result : Epp_engine.site_result; step : Diag.step }
@@ -35,14 +39,9 @@ type outcome = {
           finished subset — nothing finished is ever dropped) *)
 }
 
-val default_tolerance : float
-(** [1e-6] — matches {!Prob4.normalize}'s drift bound: a larger defect is a
-    rule bug or poisoned input, not rounding. *)
-
 val sweep :
   ?ctx:Obs.Ctx.t ->
   ?domains:int ->
-  ?tolerance:float ->
   ?chunk_size:int ->
   ?on_chunk:(done_count:int -> total:int -> (int * entry) list -> unit) ->
   ?batch_run:
@@ -55,10 +54,15 @@ val sweep :
   int list ->
   outcome
 (** Supervised parallel sweep over the given sites.  [on_chunk] fires after
-    each completed chunk ([chunk_size] sites, default 1024) with that
-    chunk's entries, on the calling domain — the checkpoint hook.  An
-    exception from [on_chunk] itself aborts the sweep (all domains already
-    joined) and propagates.
+    each completed chunk ([chunk_size] sites, default 992 = 16 blocks of
+    {!Epp_batch.max_lanes}, so no chunk ends on a short block) on the
+    calling domain with every entry finished so far, in input order — the
+    checkpoint hook.  [done_count] is their number and [total] the sweep's
+    site count.  An exception from [on_chunk] itself aborts the sweep (all
+    domains already joined) and propagates.
+
+    The vector sentinel's tolerance is [1e-6], {!Prob4.normalize}'s drift
+    bound: a larger defect is a rule bug or poisoned input, not rounding.
 
     [batch_run] and [reference] replace the rung implementations — the
     deterministic fault-injection seam used by the resilience tests, the
@@ -89,7 +93,6 @@ val sweep :
 val sweep_all :
   ?ctx:Obs.Ctx.t ->
   ?domains:int ->
-  ?tolerance:float ->
   ?chunk_size:int ->
   ?on_chunk:(done_count:int -> total:int -> (int * entry) list -> unit) ->
   ?batch_run:
@@ -98,15 +101,20 @@ val sweep_all :
     (Epp_engine.site_result, exn) result array) ->
   ?reference:(Epp_engine.t -> int -> Epp_engine.site_result) ->
   ?deadline:Obs.Deadline.t ->
+  ?prior:(int * entry) list ->
   Epp_engine.t ->
   outcome
-(** {!sweep} over every node of the engine's circuit. *)
+(** {!sweep} over every node of the engine's circuit, in node-id order,
+    starting from the [prior] entries the caller already holds (default
+    none; a later entry for the same site replaces an earlier one).  Only
+    the other sites are swept.  The outcome's entries — and the ones
+    [on_chunk] sees — are the held and the fresh ones merged in site-id
+    order, [stats.resumed] counts the held ones, and they count as covered
+    in [on_chunk]'s [done_count] and in a deadline's [analyzed] — so
+    [analyzed + remaining] is always the node count.
+    @raise Invalid_argument if a [prior] site is not a node id. *)
 
 val results : outcome -> Epp_engine.site_result list
 (** The successfully analyzed results, input order (quarantines dropped). *)
 
 val quarantines : outcome -> Diag.quarantine list
-
-val stats_of_entries : ?resumed:int -> (int * entry) list -> Diag.stats
-(** Recount a merged entry list (checkpoint replay + fresh analysis);
-    [resumed] is carried into the result. *)

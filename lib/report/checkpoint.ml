@@ -20,7 +20,7 @@
    never a torn one, and a machine that loses power right after [save]
    returns still has the rename on disk.  The fingerprint ties a snapshot
    to the exact analysis: circuit structure *and* the engine's
-   signal-probability vector and mode, because resuming EPP results against
+   signal-probability vector, because resuming EPP results against
    different probabilities would be silently wrong. *)
 
 open Netlist
@@ -115,11 +115,10 @@ let fingerprint engine =
       else Buffer.add_string buf (Int64.to_string bits);
       Buffer.add_char buf ';')
     sp.Sigprob.Sp.values;
-  Printf.bprintf buf "mode=%s;cone=%b"
-    (match Epp.Epp_engine.mode engine with
-    | Epp.Epp_engine.Polarity -> "polarity"
-    | Epp.Epp_engine.Naive -> "naive")
-    (Epp.Epp_engine.restrict_to_cone engine);
+  (* The tail once named the engine's mode and cone restriction.  Engines
+     no longer have either, but the bytes stay, so snapshots written before
+     keep their fingerprint and still resume. *)
+  Buffer.add_string buf "mode=polarity;cone=true";
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* --- writing ------------------------------------------------------------- *)
@@ -330,84 +329,55 @@ let load path =
 
 (* --- the resumable supervised sweep -------------------------------------- *)
 
-let by_site (a, _) (b, _) = compare (a : int) b
+let replay ?ctx path ~fingerprint =
+  if not (Sys.file_exists path) then Ok []
+  else
+    match load path with
+    | Error e -> Error e
+    | Ok t when t.fingerprint <> fingerprint ->
+      Error (Fingerprint_mismatch { expected = fingerprint; found = t.fingerprint })
+    | Ok t ->
+      if t.entries <> [] then
+        Obs.Log.emit ?ctx
+          ~fields:
+            [
+              ("path", Obs.Json.String path);
+              ("resumed", Obs.Json.int (List.length t.entries));
+            ]
+          Obs.Log.Info "checkpoint.resume";
+      Ok t.entries
 
-let supervised_sweep ?ctx ?domains ?tolerance ?chunk_size ?checkpoint
-    ?(resume = false) ?on_progress ?batch_run ?reference ?deadline engine =
-  let circuit = Epp.Epp_engine.circuit engine in
-  let n = Circuit.node_count circuit in
-  let fp = fingerprint engine in
-  let preloaded =
-    if not resume then Ok []
-    else
-      match checkpoint with
-      | Some path when Sys.file_exists path -> (
-        match load path with
-        | Ok t when t.fingerprint = fp -> Ok t.entries
-        | Ok t ->
-          Error (Fingerprint_mismatch { expected = fp; found = t.fingerprint })
-        | Error e -> Error e)
-      | _ -> Ok []
+let recorder ?ctx path ~fingerprint ~done_count:_ ~total entries =
+  save ?ctx path { fingerprint; total_sites = total; entries }
+
+let supervised_sweep ?ctx ?domains ?chunk_size ?checkpoint ?(resume = false)
+    ?on_progress ?batch_run ?reference ?deadline engine =
+  let fingerprint = fingerprint engine in
+  let prior =
+    match checkpoint with
+    | Some path when resume -> replay ?ctx path ~fingerprint
+    | _ -> Ok []
   in
-  match preloaded with
-  | Error e -> Error e
-  | Ok preloaded ->
-    let have = Hashtbl.create (max 16 (List.length preloaded)) in
-    List.iter (fun (s, _) -> Hashtbl.replace have s ()) preloaded;
-    let remaining =
-      List.filter (fun s -> not (Hashtbl.mem have s)) (List.init n Fun.id)
-    in
-    let completed = ref preloaded in
-    let snapshot () =
-      match checkpoint with
-      | None -> ()
-      | Some path ->
-        save ?ctx path
-          {
-            fingerprint = fp;
-            total_sites = n;
-            entries = List.sort by_site !completed;
-          }
-    in
-    (* Progress reports overall coverage: replayed entries count as done
-       even though the sweep only iterates the remainder. *)
-    let resumed_count = List.length preloaded in
-    if resumed_count > 0 then
-      Obs.Log.emit ?ctx
-        ~fields:
-          [
-            ( "path",
-              match checkpoint with
-              | Some p -> Obs.Json.String p
-              | None -> Obs.Json.Null );
-            ("resumed", Obs.Json.int resumed_count);
-          ]
-        Obs.Log.Info "checkpoint.resume";
-    let on_chunk ~done_count ~total:_ entries =
-      completed := entries @ !completed;
-      snapshot ();
-      match on_progress with
-      | Some f -> f ~done_count:(resumed_count + done_count) ~total:n
-      | None -> ()
-    in
-    let inner =
-      Epp.Supervisor.sweep ?ctx ?domains ?tolerance ?chunk_size ~on_chunk
-        ?batch_run ?reference ?deadline engine remaining
-    in
-    snapshot ();
-    let entries = List.sort by_site !completed in
-    (* Replayed entries count as analyzed work when the budget cut the
-       fresh sweep short — the caller sees overall coverage of [n]. *)
-    let completion =
-      match inner.Epp.Supervisor.completion with
-      | Epp.Diag.Complete -> Epp.Diag.Complete
-      | Epp.Diag.Deadline_expired { analyzed; remaining; budget_seconds } ->
-        Epp.Diag.Deadline_expired
-          { analyzed = resumed_count + analyzed; remaining; budget_seconds }
-    in
-    Ok
-      {
-        Epp.Supervisor.entries;
-        stats = Epp.Supervisor.stats_of_entries ~resumed:resumed_count entries;
-        completion;
-      }
+  Result.map
+    (fun prior ->
+      let record = Option.map (recorder ?ctx ~fingerprint) checkpoint in
+      let on_chunk ~done_count ~total entries =
+        Option.iter (fun f -> f ~done_count ~total entries) record;
+        Option.iter (fun f -> f ~done_count ~total) on_progress
+      in
+      let outcome =
+        Epp.Supervisor.sweep_all ?ctx ?domains ?chunk_size ~on_chunk ?batch_run
+          ?reference ?deadline ~prior engine
+      in
+      (* once more at the end, so the file exists even when no chunk ran *)
+      Option.iter
+        (fun path ->
+          save ?ctx path
+            {
+              fingerprint;
+              total_sites = Circuit.node_count (Epp.Epp_engine.circuit engine);
+              entries = outcome.Epp.Supervisor.entries;
+            })
+        checkpoint;
+      outcome)
+    prior

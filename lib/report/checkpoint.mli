@@ -3,9 +3,8 @@
     A checkpoint is a periodic atomic snapshot (write-temp-then-rename, so a
     kill mid-write leaves the previous snapshot intact) of every completed
     {!Epp.Supervisor.entry}, keyed by a fingerprint of the analysis — the
-    circuit structure, the signal probabilities actually in the engine, and
-    the engine mode — so a snapshot can never silently resume against a
-    different analysis.  Floats are serialized in hexadecimal ([%h]), so a
+    circuit structure and the signal probabilities actually in the engine —
+    so a snapshot can never silently resume against a different analysis.  Floats are serialized in hexadecimal ([%h]), so a
     resumed sweep replays results bit-identically. *)
 
 type t = {
@@ -16,19 +15,20 @@ type t = {
 
 type error =
   | Fingerprint_mismatch of { expected : string; found : string }
-      (** the snapshot belongs to a different circuit / sp / mode *)
+      (** the snapshot belongs to a different circuit / sp *)
   | Corrupt of { path : string; message : string }
 
 val error_message : error -> string
 
 val fingerprint : Epp.Epp_engine.t -> string
 (** Hex digest over the circuit name and structure (node kinds, fanins,
-    the input/output/FF interface, signal names), the engine's
-    signal-probability vector (bit-exact), and the engine mode /
-    cone-restriction flags.  The encoding (v2) is injective — version
-    tag, length-prefixed strings, length-prefixed sections — so any edit
-    to the circuit yields a fresh fingerprint; no name can alias the
-    separators and make a stale pre-edit snapshot replayable. *)
+    the input/output/FF interface, signal names) and the engine's
+    signal-probability vector (bit-exact).  The encoding (v2) is
+    injective — version tag, length-prefixed strings, length-prefixed
+    sections — so any edit to the circuit yields a fresh fingerprint; no
+    name can alias the separators and make a stale pre-edit snapshot
+    replayable.  Its last bytes are a constant that once named the engine
+    mode, kept so that older snapshots keep their fingerprint. *)
 
 val save : ?ctx:Obs.Ctx.t -> string -> t -> unit
 (** Atomic and durable: writes [path ^ ".tmp"], fsyncs it, renames over
@@ -40,10 +40,32 @@ val save : ?ctx:Obs.Ctx.t -> string -> t -> unit
 val load : string -> (t, error) result
 (** Parses a snapshot; never raises on malformed input ([Corrupt]). *)
 
+val replay :
+  ?ctx:Obs.Ctx.t ->
+  string ->
+  fingerprint:string ->
+  ((int * Epp.Supervisor.entry) list, error) result
+(** The entries of the snapshot at [path], for {!Epp.Supervisor.sweep_all}'s
+    [prior], when it belongs to the analysis with [fingerprint]; none when
+    no file exists.  A mismatched or corrupt snapshot is an [Error], never
+    silently ignored. *)
+
+val recorder :
+  ?ctx:Obs.Ctx.t ->
+  string ->
+  fingerprint:string ->
+  done_count:int ->
+  total:int ->
+  (int * Epp.Supervisor.entry) list ->
+  unit
+(** [recorder path ~fingerprint] is an [on_chunk] hook for
+    {!Epp.Supervisor.sweep_all}: after every chunk it rewrites the snapshot
+    at [path] ({!save}) with every entry finished so far, prior ones
+    included. *)
+
 val supervised_sweep :
   ?ctx:Obs.Ctx.t ->
   ?domains:int ->
-  ?tolerance:float ->
   ?chunk_size:int ->
   ?checkpoint:string ->
   ?resume:bool ->
@@ -56,24 +78,17 @@ val supervised_sweep :
   ?deadline:Obs.Deadline.t ->
   Epp.Epp_engine.t ->
   (Epp.Supervisor.outcome, error) result
-(** The full supervised sweep over every site, wired to checkpointing:
+(** {!Epp.Supervisor.sweep_all} wired to checkpointing:
 
     - with [checkpoint], a snapshot of all completed entries is rewritten
-      atomically after every chunk and once more at the end;
-    - with [resume] (and an existing checkpoint file), entries whose
-      fingerprint matches are replayed without re-analysis — only the
-      remainder is swept — and [stats.resumed] counts them.  A missing
-      checkpoint file resumes from nothing; a mismatched or corrupt one is
-      an [Error], never silently ignored.
+      atomically after every chunk ({!recorder}) and once more at the end;
+    - with [resume] (and an existing checkpoint file), a matching
+      snapshot's entries ({!replay}) are the sweep's [prior]: they are not
+      re-analyzed, and the sweep counts them as [stats.resumed], as covered
+      in [on_progress] and as analyzed when a [deadline] cuts it short.  A
+      missing checkpoint file resumes from nothing; a mismatched or corrupt
+      one is an [Error], and nothing is swept.
 
-    [batch_run] / [reference] pass through to {!Epp.Supervisor.sweep}'s
-    fault-injection seam.  [on_progress] fires after every chunk on the
-    calling domain with {e overall} coverage — replayed entries count as
-    done (the progress-meter hook).  Entries come back sorted by site id —
-    input order for a whole-circuit sweep.
-
-    [deadline] passes through to {!Epp.Supervisor.sweep}: on expiry the
-    sweep stops, the final snapshot still holds every finished entry (so a
-    later [resume] continues from exactly there), and the outcome's
-    [completion] reports overall coverage with replayed entries counted as
-    analyzed. *)
+    [batch_run], [reference], [deadline] and [chunk_size] pass through to
+    the sweep.  On a deadline expiry the final snapshot still holds every
+    finished entry, so a later [resume] continues from exactly there. *)

@@ -1,9 +1,9 @@
 (* Two-tier hot-circuit cache.  The front door is the MD5 of the raw
    payload (so a repeat query never re-parses); behind it, engines are
-   keyed by Checkpoint.fingerprint, which covers the circuit structure, the
-   bit-exact sp vector, and the engine mode — the same identity the
-   checkpoint files use, so a cache hit and a checkpoint resume can never
-   disagree about what analysis they belong to.
+   keyed by Checkpoint.fingerprint, which covers the circuit structure and
+   the bit-exact sp vector — the same identity the checkpoint files use,
+   so a cache hit and a checkpoint resume can never disagree about what
+   analysis they belong to.
 
    Capacities are service-sized (a handful of hot circuits), so the LRU
    scan is a plain O(capacity) minimum — no intrusive list needed. *)

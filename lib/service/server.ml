@@ -304,43 +304,35 @@ let handle_analyze t ?id ~ctx ~circuit ~sites ~budget_ms ~top_k ~inject () =
         engine sites
     in
     outcome_response t ?id ~ctx ~fingerprint ~hit ~top_k c outcome
-  | None -> (
+  | None ->
     (* Whole-circuit sweeps checkpoint per fingerprint, so a killed daemon
-       resumes a repeat query instead of recomputing. *)
-    match t.config.checkpoint_dir with
-    | None ->
-      let outcome =
-        Epp.Supervisor.sweep_all ~ctx ?domains ?batch_run ?reference
-          ~deadline engine
-      in
-      remember_if_complete t ~fingerprint outcome;
-      outcome_response t ?id ~ctx ~fingerprint ~hit ~top_k c outcome
-    | Some dir -> (
-      let ck = Filename.concat dir (fingerprint ^ ".ck") in
-      match
-        Report.Checkpoint.supervised_sweep ~ctx ?domains ~checkpoint:ck
-          ~resume:true ?batch_run ?reference ~deadline engine
-      with
-      | Ok outcome ->
-        remember_if_complete t ~fingerprint outcome;
-        outcome_response t ?id ~ctx ~fingerprint ~hit ~top_k c outcome
-      | Error _ ->
-        (* A corrupt or mismatched checkpoint is data, not a crash: drop
-           it and start fresh rather than refusing to serve. *)
-        Obs.Metrics.incr (counter "serd.checkpoint_rejected");
-        (try Sys.remove ck with Sys_error _ -> ());
-        let outcome =
-          match
-            Report.Checkpoint.supervised_sweep ~ctx ?domains ~checkpoint:ck
-              ~resume:false ?batch_run ?reference ~deadline engine
-          with
-          | Ok o -> o
-          | Error e ->
-            reject Protocol.Internal_error "checkpoint: %s"
-              (Report.Checkpoint.error_message e)
-        in
-        remember_if_complete t ~fingerprint outcome;
-        outcome_response t ?id ~ctx ~fingerprint ~hit ~top_k c outcome))
+       resumes a repeat query instead of recomputing.  A corrupt or
+       mismatched checkpoint is data, not a crash: it is dropped and the
+       sweep starts fresh rather than refusing to serve. *)
+    let checkpoint =
+      Option.map
+        (fun dir -> Filename.concat dir (fingerprint ^ ".ck"))
+        t.config.checkpoint_dir
+    in
+    let prior =
+      match checkpoint with
+      | None -> []
+      | Some ck -> (
+        match Report.Checkpoint.replay ~ctx ck ~fingerprint with
+        | Ok entries -> entries
+        | Error _ ->
+          Obs.Metrics.incr (counter "serd.checkpoint_rejected");
+          (try Sys.remove ck with Sys_error _ -> ());
+          [])
+    in
+    let outcome =
+      Epp.Supervisor.sweep_all ~ctx ?domains ?batch_run ?reference ~deadline
+        ?on_chunk:
+          (Option.map (Report.Checkpoint.recorder ~ctx ~fingerprint) checkpoint)
+        ~prior engine
+    in
+    remember_if_complete t ~fingerprint outcome;
+    outcome_response t ?id ~ctx ~fingerprint ~hit ~top_k c outcome
 
 (* --- edit ------------------------------------------------------------------ *)
 

@@ -190,17 +190,24 @@ let test_fingerprint_keys () =
   let c1 = fig1 () in
   let c2 = small_tree () in
   let e1 = Epp.Epp_engine.create c1 in
-  let e1' = Epp.Epp_engine.create ~mode:Epp.Epp_engine.Naive c1 in
   let e2 = Epp.Epp_engine.create c2 in
   let f1 = Report.Checkpoint.fingerprint e1 in
   check_string "deterministic" f1 (Report.Checkpoint.fingerprint e1);
   check_bool "circuit changes it" true (f1 <> Report.Checkpoint.fingerprint e2);
-  check_bool "mode changes it" true (f1 <> Report.Checkpoint.fingerprint e1');
   let sp = fig1_spec c1 in
   let e1_sp =
     Epp.Epp_engine.create ~sp:(Sigprob.Sp_topological.compute ~spec:sp c1) c1
   in
   check_bool "sp changes it" true (f1 <> Report.Checkpoint.fingerprint e1_sp)
+
+(* The fingerprint must stay byte-stable: s27's digest is the one older
+   snapshots carry (their tail still names a mode and a cone flag), so
+   they still resume. *)
+let test_fingerprint_pinned () =
+  check_string "s27"
+    "55f8c535fb6e05d5ee2927f9cf9c0437"
+    (Report.Checkpoint.fingerprint
+       (Epp.Epp_engine.create (Circuit_gen.Embedded.s27 ())))
 
 (* The v2 fingerprint length-prefixes every name before digesting. Under the
    old raw interpolation, two circuits whose names merely split differently
@@ -296,6 +303,7 @@ let () =
       ( "keying",
         [
           Alcotest.test_case "fingerprint keys" `Quick test_fingerprint_keys;
+          Alcotest.test_case "fingerprint pinned" `Quick test_fingerprint_pinned;
           Alcotest.test_case "v2 injective encoding" `Quick
             test_fingerprint_v2_injective_names;
           Alcotest.test_case "stale snapshot rejected after edit" `Quick

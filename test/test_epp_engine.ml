@@ -27,7 +27,8 @@ let prop_exact_on_trees =
 
 let test_cancellation_circuit_exact () =
   (* y = XOR(x, NOT(NOT x)): the error on x reconverges with equal polarity
-     and cancels; the polarity rules see it, the naive rules cannot. *)
+     and cancels; the polarity rules see it, the naive ablation's rules
+     cannot. *)
   let c = cancellation () in
   let x = Circuit.find c "x" in
   let polarity = uniform_engine c in
@@ -35,11 +36,8 @@ let test_cancellation_circuit_exact () =
   check_float "polarity mode: cancelled" 0.0 r.Epp.Epp_engine.p_sensitized;
   let exact = Fault_sim.Epp_exact.compute c x in
   check_float "oracle agrees" 0.0 exact.Fault_sim.Epp_exact.p_sensitized;
-  let naive =
-    Epp.Epp_engine.create ~mode:Epp.Epp_engine.Naive ~sp:(Sigprob.Sp_topological.compute c) c
-  in
-  let rn = Epp.Epp_engine.analyze_site naive x in
-  check_float "naive mode claims full propagation" 1.0 rn.Epp.Epp_engine.p_sensitized
+  let rn = Epp.Epp_engine.analyze_site_naive polarity x in
+  check_float "naive rules claim full propagation" 1.0 rn.Epp.Epp_engine.p_sensitized
 
 let prop_close_to_oracle_on_random_dags =
   (* With reconvergent fanout the method is an approximation; the paper
@@ -145,11 +143,12 @@ let test_sequential_ff_cut () =
 let test_whole_circuit_ablation_identical () =
   let c = Circuit_gen.Embedded.s27 () in
   let sp = (Sigprob.Sp_sequential.compute c).Sigprob.Sp_sequential.result in
-  let cone = Epp.Epp_engine.create ~sp c in
-  let whole = Epp.Epp_engine.create ~restrict_to_cone:false ~sp c in
+  let engine = Epp.Epp_engine.create ~sp c in
   for site = 0 to Circuit.node_count c - 1 do
-    let a = (Epp.Epp_engine.analyze_site cone site).Epp.Epp_engine.p_sensitized in
-    let b = (Epp.Epp_engine.analyze_site whole site).Epp.Epp_engine.p_sensitized in
+    let a = (Epp.Epp_engine.analyze_site engine site).Epp.Epp_engine.p_sensitized in
+    let b =
+      (Epp.Epp_engine.analyze_site_whole_circuit engine site).Epp.Epp_engine.p_sensitized
+    in
     if Float.abs (a -. b) > 1e-12 then
       Alcotest.failf "ablation diverged at %s: %.6f vs %.6f" (Circuit.node_name c site) a b
   done

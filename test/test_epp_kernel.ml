@@ -37,15 +37,15 @@ let sp_for c =
   else Sigprob.Sp_topological.compute c
 
 (* Every site of the circuit through the sweep driver, against the
-   reference site by site. *)
-let sweep_matches_reference ?(restrict_to_cone = true) ~mode c =
-  let engine = Epp.Epp_engine.create ~mode ~restrict_to_cone ~sp:(sp_for c) c in
+   reference (or one of its per-site ablations) site by site. *)
+let sweep_matches_reference ?(reference = Epp.Epp_engine.analyze_site) c =
+  let engine = Epp.Epp_engine.create ~sp:(sp_for c) c in
   let n = Circuit.node_count c in
   let swept = Epp.Ser_estimator.analyze_site_array engine (Array.init n Fun.id) in
   let ok = ref true in
   for site = 0 to n - 1 do
-    if not (results_match_bitwise (Epp.Epp_engine.analyze_site engine site) swept.(site))
-    then ok := false
+    if not (results_match_bitwise (reference engine site) swept.(site)) then
+      ok := false
   done;
   !ok
 
@@ -70,40 +70,33 @@ let gen_sequential ~seed =
 
 let prop_polarity_combinational =
   qtest ~count:30 ~name:"kernel = reference (polarity, combinational)" seed_arbitrary
-    (fun seed -> sweep_matches_reference ~mode:Epp.Epp_engine.Polarity (gen_combinational ~seed))
+    (fun seed -> sweep_matches_reference (gen_combinational ~seed))
 
 let prop_polarity_sequential =
   qtest ~count:30 ~name:"kernel = reference (polarity, sequential)" seed_arbitrary
-    (fun seed -> sweep_matches_reference ~mode:Epp.Epp_engine.Polarity (gen_sequential ~seed))
-
-(* The naive ablation has no batch rules: the driver routes it to the
-   reference. *)
-let prop_naive_combinational =
-  qtest ~count:30 ~name:"kernel = reference (naive, combinational)" seed_arbitrary
-    (fun seed -> sweep_matches_reference ~mode:Epp.Epp_engine.Naive (gen_combinational ~seed))
-
-let prop_naive_sequential =
-  qtest ~count:30 ~name:"kernel = reference (naive, sequential)" seed_arbitrary
-    (fun seed -> sweep_matches_reference ~mode:Epp.Epp_engine.Naive (gen_sequential ~seed))
+    (fun seed -> sweep_matches_reference (gen_sequential ~seed))
 
 (* The whole-circuit ablation of the reference (every gate, no cone) gives
    the same bits as the union-cone sweep. *)
 let prop_no_cone_ablation =
   qtest ~count:10 ~name:"kernel = reference (whole-circuit ablation)" seed_arbitrary
     (fun seed ->
-      sweep_matches_reference ~restrict_to_cone:false ~mode:Epp.Epp_engine.Polarity
+      sweep_matches_reference
+        ~reference:Epp.Epp_engine.analyze_site_whole_circuit
         (gen_sequential ~seed))
 
 (* Deterministic mid-size fixtures: the embedded real s27 netlist and an
    ISCAS-profiled random DAG. *)
 let test_s27_both_modes () =
   let c = Circuit_gen.Embedded.s27 () in
-  check_bool "polarity" true (sweep_matches_reference ~mode:Epp.Epp_engine.Polarity c);
-  check_bool "naive" true (sweep_matches_reference ~mode:Epp.Epp_engine.Naive c)
+  check_bool "polarity" true (sweep_matches_reference c);
+  check_bool "whole-circuit ablation" true
+    (sweep_matches_reference
+       ~reference:Epp.Epp_engine.analyze_site_whole_circuit c)
 
 let test_s344_profile () =
   let c = Circuit_gen.Random_dag.generate ~seed:4 Circuit_gen.Profiles.s344 in
-  check_bool "polarity" true (sweep_matches_reference ~mode:Epp.Epp_engine.Polarity c)
+  check_bool "polarity" true (sweep_matches_reference c)
 
 let test_analyze_sites_consistent () =
   (* The list API vs the reference single-site API on repeated/unordered
@@ -200,16 +193,6 @@ let test_batch_duplicates_and_order () =
         true
         (results_match_bitwise (Epp.Epp_engine.analyze_site engine site) r))
     sites batch
-
-let test_batch_rejects_naive () =
-  let c = fig1 () in
-  let engine =
-    Epp.Epp_engine.create ~mode:Epp.Epp_engine.Naive
-      ~sp:(Sigprob.Sp_topological.compute c) c
-  in
-  Alcotest.check_raises "naive rejected"
-    (Invalid_argument "Epp_batch.Block.create: polarity mode only") (fun () ->
-      ignore (Epp.Epp_batch.Block.create engine))
 
 (* --- plane buffers ----------------------------------------------------------- *)
 
@@ -628,8 +611,6 @@ let () =
         [
           prop_polarity_combinational;
           prop_polarity_sequential;
-          prop_naive_combinational;
-          prop_naive_sequential;
           prop_no_cone_ablation;
           Alcotest.test_case "s27 both modes" `Quick test_s27_both_modes;
           Alcotest.test_case "s344 profile" `Quick test_s344_profile;
@@ -645,7 +626,6 @@ let () =
           Alcotest.test_case "s344 profile" `Quick test_batch_s344;
           Alcotest.test_case "duplicates and order" `Quick
             test_batch_duplicates_and_order;
-          Alcotest.test_case "naive rejected" `Quick test_batch_rejects_naive;
           Alcotest.test_case "density cutover" `Quick test_density_cutover;
           Alcotest.test_case "split with a faulting lane in each half" `Quick
             test_split_with_faulting_lanes;

@@ -339,6 +339,38 @@ let test_plan_degrades_to_full_on_new_observation () =
   let cold = full_sweep ~rung:Batch (Epp.Epp_engine.create (clone after)) in
   check_bool "full plan matches cold sweep" true (outcomes_identical outcome' cold)
 
+(* A zero-budget edit sweeps nothing, yet the spliced clean sites are
+   finished work: they count as analyzed, so analyzed + remaining is the
+   post-edit node count and analyzed is the number of entries returned.
+   (When the edit path merged the splice itself, a TMR of s1196:3's
+   lowest-id gate returned 34 entries but reported 0 analyzed and 533
+   remaining of 567.) *)
+let test_zero_budget_edit_counts () =
+  let c = Circuit_gen.Random_dag.generate ~seed:3 Circuit_gen.Profiles.s1196 in
+  let engine = Epp.Epp_engine.create c in
+  let outcome = full_sweep ~rung:Batch engine in
+  let gate =
+    List.find (Circuit.is_gate c) (List.init (Circuit.node_count c) Fun.id)
+  in
+  let _, d = Transform.triplicate_delta c ~nodes:[ gate ] in
+  let engine', _ = Epp.Incremental.rebase engine d in
+  let plan = Epp.Incremental.plan ~before:engine ~after:engine' d in
+  let outcome' =
+    Epp.Incremental.sweep ~domains:1 ~deadline:(Obs.Deadline.of_budget_ms 0.0)
+      plan ~prior:outcome.entries engine'
+  in
+  let entries = List.length outcome'.entries in
+  check_bool "some clean sites spliced" true (entries > 0);
+  check_int "every returned entry was spliced" entries
+    outcome'.stats.Epp.Diag.resumed;
+  match outcome'.completion with
+  | Epp.Diag.Deadline_expired { analyzed; remaining; _ } ->
+    check_int "analyzed = entries returned" entries analyzed;
+    check_int "analyzed + remaining = post-edit node count"
+      (Circuit.node_count (Delta.after d))
+      (analyzed + remaining)
+  | Epp.Diag.Complete -> Alcotest.fail "expected the zero budget to expire"
+
 let () =
   Alcotest.run "incremental"
     [
@@ -357,6 +389,8 @@ let () =
             test_plan_is_partial_and_metered;
           Alcotest.test_case "full on new observation" `Quick
             test_plan_degrades_to_full_on_new_observation;
+          Alcotest.test_case "zero-budget edit keeps the count" `Quick
+            test_zero_budget_edit_counts;
         ] );
       ( "bit identity",
         [ prop_chain Batch; prop_chain Reference ] );

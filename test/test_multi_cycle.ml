@@ -123,13 +123,6 @@ let test_config_validation () =
            ~config:{ Epp.Multi_cycle.default_config with Epp.Multi_cycle.epsilon = 0.0 }
            e 0))
 
-let test_naive_mode_rejected () =
-  let c = pipeline () in
-  let naive = Epp.Epp_engine.create ~mode:Epp.Epp_engine.Naive c in
-  Alcotest.check_raises "naive rejected"
-    (Invalid_argument "Epp_engine.analyze_site_vectors: polarity mode only") (fun () ->
-      ignore (Epp.Multi_cycle.analyze naive 0))
-
 let prop_cumulative_is_probability =
   qtest ~count:15 ~name:"cumulative detection within [single-cycle-PO, 1]" seed_arbitrary
     (fun seed ->
@@ -164,7 +157,6 @@ let () =
       ( "api",
         [
           Alcotest.test_case "config validation" `Quick test_config_validation;
-          Alcotest.test_case "naive mode rejected" `Quick test_naive_mode_rejected;
           prop_cumulative_is_probability;
         ] );
     ]

@@ -368,6 +368,53 @@ let test_edit_tmr_twice () =
   let r3 = reply server (edit_req ~fp:fp2 ~kind:"tmr" ~target:"ga1") in
   check_string "third tmr of the same signal ok" "ok" (status r3)
 
+(* A zero-budget edit answers partial, and its deadline object keeps the
+   protocol's count: the spliced clean sites are the analyzed ones, and
+   analyzed + remaining is the post-edit node count. *)
+let test_edit_zero_budget_partial () =
+  ignore (fresh_registry ());
+  let server = Server.create Server.default_config in
+  let c = Circuit_gen.Random_dag.generate ~seed:3 Circuit_gen.Profiles.s1196 in
+  let source = Bench_format.Printer.circuit_to_string c in
+  let r0 =
+    reply server
+      (Json.to_string
+         (Json.Obj
+            [
+              ("op", Json.String "analyze");
+              ( "circuit",
+                Json.Obj
+                  [ ("format", Json.String "bench"); ("source", Json.String source) ] );
+            ]))
+  in
+  check_string "base analyze" "ok" (status r0);
+  let fp = Option.value ~default:"?" (jstr "fingerprint" r0) in
+  (* the lowest-id gate of the circuit serd parsed *)
+  let parsed = Bench_format.Parser.parse_string ~name:"<request>" source in
+  let gate =
+    List.find (Netlist.Circuit.is_gate parsed)
+      (List.init (Netlist.Circuit.node_count parsed) Fun.id)
+  in
+  let _, d = Netlist.Transform.triplicate_delta parsed ~nodes:[ gate ] in
+  let r =
+    reply server
+      (Printf.sprintf
+         {|{"op":"edit","circuit":{"format":"fingerprint","source":"%s"},"edit":{"kind":"tmr","target":"%s"},"budget_ms":0}|}
+         fp
+         (Netlist.Circuit.node_name parsed gate))
+  in
+  check_string "partial, not an error" "partial" (status r);
+  let deadline key =
+    match Option.bind (Json.member "deadline" r) (jnum key) with
+    | Some x -> int_of_float x
+    | None -> -1
+  in
+  check_bool "clean sites spliced" true (stat "resumed" r > 0);
+  check_int "analyzed = entries returned" (stat "total" r) (deadline "analyzed");
+  check_int "analyzed + remaining = post-edit node count"
+    (Netlist.Circuit.node_count (Netlist.Delta.after d))
+    (deadline "analyzed" + deadline "remaining")
+
 let test_edit_rejections () =
   ignore (fresh_registry ());
   let server = Server.create Server.default_config in
@@ -534,6 +581,8 @@ let () =
         [
           Alcotest.test_case "edit op round trip" `Quick test_edit_op;
           Alcotest.test_case "edit rejections" `Quick test_edit_rejections;
+          Alcotest.test_case "zero-budget edit keeps the count" `Quick
+            test_edit_zero_budget_partial;
           Alcotest.test_case "tmr of the same signal twice" `Quick
             test_edit_tmr_twice;
         ] );

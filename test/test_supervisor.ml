@@ -252,21 +252,6 @@ let test_batch_planes_reused () =
            (Epp.Supervisor.results o)))
     [ (e1, o1); (e2, o2) ]
 
-(* A Naive-mode engine opts out of the batch rung: the block engine only
-   implements the polarity rules, so every site runs on the reference
-   (counted as degraded) and matches the unsupervised naive sweep. *)
-let test_batch_opt_out () =
-  let c = test_circuit () in
-  let naive = Epp.Epp_engine.create ~mode:Epp.Epp_engine.Naive c in
-  let outcome = Epp.Supervisor.sweep_all ~domains:2 naive in
-  let stats = outcome.Epp.Supervisor.stats in
-  check_int "naive: no batch" 0 stats.Epp.Diag.batch_ok;
-  check_int "naive: all on the reference" (Circuit.node_count c)
-    stats.Epp.Diag.degraded;
-  check_bool "naive: bit-identical to the unsupervised sweep" true
-    (List.for_all2 same_result (Epp.Ser_estimator.analyze_all naive)
-       (Epp.Supervisor.results outcome))
-
 (* Per-lane fault injection through the [batch_run] seam: poisoned lanes
    degrade to the reference rung alone — their block-mates stay on the
    batch rung — and every site still gets the unsupervised result. *)
@@ -369,20 +354,14 @@ let test_kill_resume_round_trip () =
   let path = Filename.temp_file "serprop_ck" ".txt" in
   let fp = Report.Checkpoint.fingerprint engine in
   let n = Circuit.node_count c in
-  let saved = ref [] in
   let kill_after = 3 in
   let chunks = ref 0 in
   (try
      ignore
        (Epp.Supervisor.sweep ~domains:2 ~chunk_size:16
           ~on_chunk:(fun ~done_count:_ ~total:_ entries ->
-            saved := entries @ !saved;
             Report.Checkpoint.save path
-              {
-                Report.Checkpoint.fingerprint = fp;
-                total_sites = n;
-                entries = List.sort compare !saved;
-              };
+              { Report.Checkpoint.fingerprint = fp; total_sites = n; entries };
             incr chunks;
             if !chunks = kill_after then raise Killed)
           engine
@@ -515,6 +494,169 @@ let test_deadline_then_resume () =
          (Epp.Supervisor.results resumed)));
   Sys.remove path
 
+(* --- prior entries ----------------------------------------------------------- *)
+
+(* Entries the caller already holds are merged, not re-swept: they come back
+   unchanged in site order and count as resumed, as covered in on_chunk's
+   done_count and entries, and as analyzed when the budget runs out first. *)
+let test_prior_entries_held () =
+  let c = test_circuit () in
+  let engine = Epp.Epp_engine.create c in
+  let n = Circuit.node_count c in
+  let held = [ 0; 5; n - 1 ] in
+  (* Quarantine records no sweep would produce: a re-swept site would come
+     back analyzed instead. *)
+  let marker site =
+    Epp.Supervisor.Quarantined
+      { Epp.Diag.site; name = "held"; cone_size = None; faults = [] }
+  in
+  let prior = List.map (fun s -> (s, marker s)) held in
+  let first_chunk = ref None in
+  let outcome =
+    Epp.Supervisor.sweep_all ~domains:1 ~chunk_size:16
+      ~on_chunk:(fun ~done_count ~total entries ->
+        check_int "total is the node count" n total;
+        check_int "on_chunk sees every finished entry" done_count
+          (List.length entries);
+        if !first_chunk = None then first_chunk := Some entries)
+      ~prior engine
+  in
+  check_int "held entries counted as resumed" (List.length held)
+    outcome.Epp.Supervisor.stats.Epp.Diag.resumed;
+  check_int "every site present once" n
+    (List.length outcome.Epp.Supervisor.entries);
+  List.iteri
+    (fun i (site, entry) ->
+      check_int "site order" i site;
+      match entry with
+      | Epp.Supervisor.Quarantined { Epp.Diag.name; _ } ->
+        check_bool "only held sites carry the marker" true
+          (name = "held" && List.mem site held)
+      | Epp.Supervisor.Analyzed _ ->
+        check_bool "held sites are not re-swept" false (List.mem site held))
+    outcome.Epp.Supervisor.entries;
+  (match !first_chunk with
+  | Some entries ->
+    check_int "the first chunk's coverage includes the held entries"
+      (List.length held + 16) (List.length entries);
+    check_bool "held entries included" true
+      (List.for_all (fun s -> List.mem_assoc s entries) held);
+    let ids = List.map fst entries in
+    check_bool "in site order" true (ids = List.sort compare ids)
+  | None -> Alcotest.fail "on_chunk never fired");
+  let expired =
+    Epp.Supervisor.sweep_all ~domains:1
+      ~deadline:(Obs.Deadline.of_budget_ms 0.0) ~prior engine
+  in
+  check_int "an expired sweep still returns the held entries"
+    (List.length held) (List.length expired.Epp.Supervisor.entries);
+  (match expired.Epp.Supervisor.completion with
+  | Epp.Diag.Deadline_expired { analyzed; remaining; _ } ->
+    check_int "held entries count as analyzed" (List.length held) analyzed;
+    check_int "analyzed + remaining = node count" n (analyzed + remaining)
+  | Epp.Diag.Complete -> Alcotest.fail "expected the zero budget to expire");
+  Alcotest.check_raises "a prior site outside the circuit"
+    (Invalid_argument
+       (Printf.sprintf "Supervisor.sweep_all: prior entry for site %d of %d" n n))
+    (fun () ->
+      ignore (Epp.Supervisor.sweep_all ~prior:[ (n, marker n) ] engine))
+
+(* --- cost against the unsupervised driver ----------------------------------- *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* The supervised sweep allocates what the unsupervised one does plus its
+   outcome's containers.  The result sentinel tests the values first and
+   builds a fault's location string only for a bad one; when it built one
+   per observation entry, this sweep allocated 1.6x the unsupervised one. *)
+let test_allocation_matches_unsupervised () =
+  let c = Circuit_gen.Random_dag.generate ~seed:1 Circuit_gen.Profiles.s5378 in
+  let engine = Epp.Epp_engine.create c in
+  (* warm: the first sweeps borrow and size the plane buffers *)
+  ignore (Epp.Ser_estimator.analyze_all ~domains:1 engine);
+  ignore (Epp.Supervisor.sweep_all ~domains:1 engine);
+  let unsupervised =
+    minor_words (fun () -> Epp.Ser_estimator.analyze_all ~domains:1 engine)
+  in
+  let supervised =
+    minor_words (fun () -> Epp.Supervisor.sweep_all ~domains:1 engine)
+  in
+  check_bool
+    (Printf.sprintf "supervised %.0f minor words within 5%% of unsupervised %.0f"
+       supervised unsupervised)
+    true
+    (supervised <= 1.05 *. unsupervised)
+
+let batch_blocks f =
+  let reg = Obs.Metrics.create () in
+  Obs.Hooks.set_metrics reg;
+  ignore (Fun.protect ~finally:Obs.Hooks.reset f);
+  Obs.Metrics.counter_value (Obs.Metrics.snapshot reg) "epp.batch.blocks"
+
+(* The default chunk is a whole number of blocks, so chunking adds no short
+   block: both drivers walk the same leaves (140 on s13207:1, where chunks
+   of 1024 = 16 x 62 + 32 sites made the supervised sweep walk 144). *)
+let test_chunks_end_on_block_boundaries () =
+  let c = Circuit_gen.Random_dag.generate ~seed:1 Circuit_gen.Profiles.s13207 in
+  let engine = Epp.Epp_engine.create c in
+  let unsupervised =
+    batch_blocks (fun () -> Epp.Ser_estimator.analyze_all ~domains:1 engine)
+  in
+  let supervised =
+    batch_blocks (fun () -> Epp.Supervisor.sweep_all ~domains:1 engine)
+  in
+  check_int "same epp.batch.blocks as the unsupervised driver" unsupervised
+    supervised
+
+(* --- the CLI ------------------------------------------------------------------ *)
+
+(* ser_estimate has one sweep path, so --domains applies to a plain run:
+   s1196 (561 sites, 10 blocks) fans out at 2 domains, and the total FIT
+   (the snapshot's [ser_estimate.total_fit] gauge, a round-tripping JSON
+   number) is bit-identical to the 1-domain run's. *)
+let test_cli_domains () =
+  let run domains =
+    let path = Filename.temp_file "serprop_cli" ".json" in
+    let code =
+      Sys.command
+        (Printf.sprintf
+           "../bin/ser_estimate.exe profile:s1196 --domains %d --metrics %s \
+            > /dev/null 2>&1"
+           domains (Filename.quote path))
+    in
+    check_int (Printf.sprintf "--domains %d exits 0" domains) 0 code;
+    let metrics =
+      match Obs.Json.parse_file path with
+      | Ok m -> m
+      | Error e -> Alcotest.fail ("metrics snapshot: " ^ e)
+    in
+    Sys.remove path;
+    let value section name =
+      match
+        Option.bind
+          (Option.bind (Obs.Json.member section metrics) (Obs.Json.member name))
+          Obs.Json.to_number
+      with
+      | Some v -> v
+      | None -> Alcotest.fail (Printf.sprintf "no %s %s in the snapshot" section name)
+    in
+    ( value "counters" "parallel.workers_spawned",
+      value "counters" "epp.batch.sites",
+      value "gauges" "ser_estimate.total_fit" )
+  in
+  let spawned1, _, fit1 = run 1 in
+  let spawned2, sites2, fit2 = run 2 in
+  check_bool "one domain spawns no worker" true (spawned1 = 0.0);
+  check_bool "two domains spawn a worker" true (spawned2 >= 1.0);
+  check_bool "every site swept" true (sites2 = 561.0);
+  check_bool
+    (Printf.sprintf "total FIT bit-identical (%h vs %h)" fit2 fit1)
+    true
+    (bits fit1 = bits fit2)
+
 let () =
   Alcotest.run "supervisor"
     [
@@ -530,7 +672,6 @@ let () =
       ( "batch rung",
         [
           Alcotest.test_case "clean batch sweep" `Quick test_batch_clean_sweep;
-          Alcotest.test_case "opt-out modes" `Quick test_batch_opt_out;
           Alcotest.test_case "lane degrades alone" `Quick test_batch_lane_degrades_alone;
           Alcotest.test_case "full-ladder quarantine" `Quick
             test_batch_full_ladder_quarantine;
@@ -551,4 +692,17 @@ let () =
           Alcotest.test_case "expire then resume" `Quick
             test_deadline_then_resume;
         ] );
+      ( "prior",
+        [ Alcotest.test_case "held entries merged, not re-swept" `Quick
+            test_prior_entries_held ] );
+      ( "cost",
+        [
+          Alcotest.test_case "allocates like the unsupervised sweep" `Quick
+            test_allocation_matches_unsupervised;
+          Alcotest.test_case "chunks end on block boundaries" `Quick
+            test_chunks_end_on_block_boundaries;
+        ] );
+      ( "cli",
+        [ Alcotest.test_case "ser_estimate --domains by default" `Quick
+            test_cli_domains ] );
     ]
