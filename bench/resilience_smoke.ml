@@ -78,7 +78,7 @@ let () =
       unsupervised
   in
   check "non-poisoned sites bit-identical to the unsupervised sweep"
-    (List.for_all2 same_result survivors (Epp.Supervisor.results outcome));
+    (List.for_all2 same_result survivors (Epp.Supervisor.results engine outcome));
 
   (* 2. Kill/resume: interrupt after the first chunk's snapshot, resume, and
      compare totals against the uninterrupted supervised run. *)
@@ -88,7 +88,7 @@ let () =
      ignore
        (Epp.Supervisor.sweep ~domains:2 ~chunk_size:5 ~batch_run ~reference
           ~on_chunk:(fun ~done_count ~total:_ entries ->
-            Report.Checkpoint.save path
+            Report.Checkpoint.save ~circuit path
               { Report.Checkpoint.fingerprint = fp; total_sites = n; entries };
             if done_count >= 5 then raise Killed)
           engine
@@ -107,8 +107,8 @@ let () =
     let total results =
       (Epp.Ser_estimator.of_site_results circuit results).Epp.Ser_estimator.total_fit
     in
-    let clean_fit = total (Epp.Supervisor.results outcome) in
-    let resumed_fit = total (Epp.Supervisor.results resumed) in
+    let clean_fit = total (Epp.Supervisor.results engine outcome) in
+    let resumed_fit = total (Epp.Supervisor.results engine resumed) in
     check
       (Printf.sprintf "resumed total FIT bit-identical (%h vs %h)" resumed_fit
          clean_fit)

@@ -5,7 +5,8 @@
 
    - one process survives, in order: malformed JSON, over-deep nesting, an
      over-long line, an invalid netlist, a whole-circuit analyze (miss),
-     the same analyze again (cache hit + checkpoint resume), a
+     the same analyze again (cache hit, answered from the remembered
+     sweep), a
      zero-budget analyze (partial, not a crash), an inline .bench
      payload, and an overload burst behind a sleep (shed, not buffered);
    - repeat queries are served from the warmed-engine cache: the final
@@ -23,8 +24,9 @@
    shutdown holds one serd.request span per id (supervisor spans joined by
    the same request_id arg), the Prometheus exposition lints clean, and
    both incident dumps land in the dump dir named
-   <reason>-<request_id>.json.  A fifth daemon answers the stats op over a
-   Unix socket.
+   <reason>-<request_id>.json.  The stats op and the Prometheus file both
+   report the heap (size and high-water mark, top >= size > 0).  A fifth
+   daemon answers the stats op over a Unix socket.
 
    A latency loop over the cache-hit path feeds BENCH_service.json
    (p50/p99/mean latency, qps, cache hit rate, shed and partial counts,
@@ -169,6 +171,10 @@ let op ?id name fields =
 let tiny_bench =
   "INPUT(a)\nINPUT(b)\nINPUT(c)\nx = AND(a, b)\ny = OR(x, c)\nOUTPUT(y)\n"
 
+let design_bench () =
+  Bench_format.Printer.circuit_to_string
+    (Circuit_gen.Random_dag.generate ~seed:1 Circuit_gen.Profiles.s5378)
+
 (* --- the scripted session ------------------------------------------------- *)
 
 let rm_rf_checkpoints dir =
@@ -242,10 +248,10 @@ let () =
   check "cold analyze covers the circuit" (total > 0);
   check "cold analyze resumed nothing" (stat "resumed" r = Some 0.0);
 
-  (* 7. repeat analyze: warmed engine + checkpoint replay *)
+  (* 7. repeat analyze: warmed engine + its remembered sweep *)
   let r = rpc d (analyze ~id:7 ~format:"embedded" ~source:"s27" ()) in
   check "repeat analyze hits the engine cache" (jstr "cache" r = Some "hit");
-  check "repeat analyze resumes every site from the checkpoint"
+  check "repeat analyze answers every site from the remembered sweep"
     (stat "resumed" r = Some (float_of_int total) && status r = Some "ok");
 
   (* 8. zero budget on an explicit site list: partial, not a crash *)
@@ -431,6 +437,24 @@ let () =
   check "dump correlates the slow request's completion log"
     (has_event ~name:"serd.request" ~rid:rid_slow);
 
+  (* The heap figures, once a design-sized sweep (s5378-profile, about
+     3,000 sites) has put something in the major heap: an s27-only
+     session allocates too little for a minor collection, and the major
+     heap is still empty. *)
+  let r_design =
+    rpc d3 (analyze ~id:6 ~format:"bench" ~source:(design_bench ()) ())
+  in
+  check "a design-sized analyze completes" (status r_design = Some "ok");
+  let s_mem = rpc d3 (op ~id:7 "stats" []) in
+  let heap_ok heap top =
+    match (heap, top) with
+    | Some heap, Some top -> heap > 0.0 && top >= heap
+    | _ -> false
+  in
+  check "stats reports the heap: positive, top_heap_mb >= heap_mb"
+    (let memory k = Option.bind (Json.member "memory" s_mem) (jnum k) in
+     heap_ok (memory "heap_mb") (memory "top_heap_mb"));
+
   let r = rpc d3 (op ~id:9 "shutdown" []) in
   check "observability daemon acknowledges shutdown with a request_id"
     (status r = Some "ok" && rid r <> None);
@@ -467,6 +491,16 @@ let () =
   check "prometheus exposition lints clean" prom_ok;
   check "prometheus exposition carries the serd counters"
     (contains prom "serd_requests");
+  let gauge name =
+    List.find_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ n; v ] when n = name -> float_of_string_opt v
+        | _ -> None)
+      (String.split_on_char '\n' prom)
+  in
+  check "prometheus exposition reports the heap: positive, top >= size"
+    (heap_ok (gauge "serd_memory_heap_mb") (gauge "serd_memory_top_heap_mb"));
   let dump_file reason r =
     Filename.concat dump_dir (Printf.sprintf "%s-%s.json" reason r)
   in

@@ -81,21 +81,21 @@ let run circuit technology top_k target_reduction by_output electrical
       ~total:(Netlist.Circuit.node_count circuit) ()
   in
   let on_progress ~done_count ~total:_ = Obs.Progress.report meter done_count in
+  let engine = Epp.Epp_engine.create circuit in
   let swept, elapsed =
     Fun.protect
       ~finally:(fun () -> Obs.Progress.finish meter)
       (fun () ->
         Report.Timer.time (fun () ->
             Report.Checkpoint.supervised_sweep ~ctx ?domains ?checkpoint
-              ~resume ~on_progress
-              (Epp.Epp_engine.create circuit)))
+              ~resume ~on_progress engine))
   in
   match swept with
   | Error e ->
     Fmt.epr "ser_estimate: %s@." (Report.Checkpoint.error_message e);
     exit_checkpoint
   | Ok outcome ->
-    let results = Epp.Supervisor.results outcome in
+    let results = Epp.Supervisor.results engine outcome in
     let report =
       Epp.Ser_estimator.of_site_results ~technology ?electrical circuit results
     in

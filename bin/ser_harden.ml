@@ -63,7 +63,7 @@ let baseline_sweep ~ctx ?domains circuit technology =
   let outcome = Epp.Supervisor.sweep_all ~ctx ?domains engine in
   let report =
     Epp.Ser_estimator.of_site_results ~technology circuit
-      (Epp.Supervisor.results outcome)
+      (Epp.Supervisor.results engine outcome)
   in
   (engine, outcome, report)
 
@@ -132,7 +132,7 @@ let run_tmr ~ctx ?domains circuit technology ~steps engine0
         let circuit' = Netlist.Delta.after delta in
         let report' =
           Epp.Ser_estimator.of_site_results ~technology circuit'
-            (Epp.Supervisor.results outcome')
+            (Epp.Supervisor.results engine' outcome')
         in
         let fit = report'.Epp.Ser_estimator.total_fit in
         let stats = outcome'.Epp.Supervisor.stats in
@@ -241,7 +241,7 @@ let run circuit technology strategy steps factor json_path domains metrics
       match strategy with
       | Derate ->
         run_derate ~ctx circuit technology ~steps ~factor report0
-          (Epp.Supervisor.results outcome0)
+          (Epp.Supervisor.results engine outcome0)
       | Tmr ->
         run_tmr ~ctx ?domains circuit technology ~steps engine outcome0 report0
     in

@@ -58,6 +58,7 @@ let with_prom_writer ~registry ~prom_file ~interval_ms f =
   | None -> f ()
   | Some path ->
     let write () =
+      Service.Server.publish_memory ();
       try Obs.Prom.write_file path (Obs.Metrics.snapshot registry)
       with Sys_error msg ->
         Fmt.epr "serd: could not write %s: %s@." path msg

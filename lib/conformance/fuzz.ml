@@ -446,13 +446,10 @@ let run ?oracles config =
 
 let perturbed_batch () block sites =
   Array.map
-    (Result.map (fun (r : Epp.Epp_engine.site_result) ->
-         {
-           r with
-           Epp.Epp_engine.p_sensitized = 0.5 *. r.Epp.Epp_engine.p_sensitized;
-           per_observation =
-             List.map (fun (obs, p) -> (obs, 0.5 *. p)) r.Epp.Epp_engine.per_observation;
-         }))
+    (Result.map (fun (r : Epp.Site_row.t) ->
+         Epp.Site_row.make ~p_sensitized:(0.5 *. r.p_sensitized)
+           ~cone_size:r.cone_size ~positions:r.positions
+           ~probabilities:(Array.map (fun p -> 0.5 *. p) r.probabilities)))
     (Epp.Epp_batch.Block.run block sites)
 
 type demo = {

@@ -116,7 +116,7 @@ val perturbed_batch :
   unit ->
   Epp.Epp_batch.Block.ws ->
   int array ->
-  (Epp.Epp_engine.site_result, exn) result array
+  (Epp.Site_row.t, exn) result array
 (** A block engine for {!Oracle.supervised}'s fault-injection seam that
     halves every probability — an in-range, sentinel-silent wrong answer,
     so the supervised sweep propagates it and a bitwise analytical pair

@@ -188,10 +188,14 @@ let supervised ?input_sp ?batch_run ?reference () =
         let outcome =
           Epp.Supervisor.sweep ?batch_run ?reference engine (Array.to_list sites)
         in
+        let observations =
+          Netlist.Analysis.observations (Epp.Epp_engine.analysis engine)
+        in
         outcome.Epp.Supervisor.entries
-        |> List.map (fun (_site, entry) ->
+        |> List.map (fun (site, entry) ->
                match entry with
-               | Epp.Supervisor.Analyzed { result; _ } -> of_site_result result
+               | Epp.Supervisor.Analyzed { row; _ } ->
+                 of_site_result (Epp.Site_row.to_site_result observations ~site row)
                | Epp.Supervisor.Quarantined _ ->
                  (* A quarantine in a conformance run is itself a finding:
                     surface it as NaN so every policy flags it. *)

@@ -92,7 +92,7 @@ val supervised :
   ?batch_run:
     (Epp.Epp_batch.Block.ws ->
     int array ->
-    (Epp.Epp_engine.site_result, exn) Stdlib.result array) ->
+    (Epp.Site_row.t, exn) Stdlib.result array) ->
   ?reference:(Epp.Epp_engine.t -> int -> Epp.Epp_engine.site_result) ->
   unit ->
   t

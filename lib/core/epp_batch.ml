@@ -216,6 +216,15 @@ module Block = struct
     defects : float array;
         (* per block lane: four-state sum drift of the last run, taken at
            collect time, since a later leaf reuses the planes *)
+    reached : int array;
+    reached_p : float array;
+        (* the collect buffer: the lane being collected's reached
+           observation positions and their Pa + Pā, in its first
+           [nreached] slots *)
+    mutable nreached : int;
+    p_sensitized : float array;
+        (* one slot: the collected lane's P_sensitized (a float array, so
+           storing it boxes nothing) *)
     mutable planes : planes option;
         (* row-major lane-stride planes, plane.(row * stride + l); borrowed
            at creation, [None] once handed back *)
@@ -294,6 +303,10 @@ module Block = struct
       cone_bits = Array.make Sys.int_size 0;
       faults = Array.make lanes None;
       defects = Array.make lanes Float.nan;
+      reached = Array.make (Array.length (Analysis.observations ctx)) 0;
+      reached_p = Array.create_float (Array.length (Analysis.observations ctx));
+      nreached = 0;
+      p_sensitized = Array.make 1 0.0;
       planes = Some (borrow_planes ());
       scratch = Rules.Lanes.create ~lanes;
       obs_i = instruments ();
@@ -442,47 +455,50 @@ module Block = struct
     done;
     !c
 
-  (* Per-lane result assembly, mirroring the reference engine's result
-     construction: observation order, P = Pa + Pā at the observed net,
-     P_sensitized = clamp(1 - Π(1 - P)) with the same left fold.  The same
-     pass takes the lane's four-state drift for {!lane_vector_defect} into
-     [defects.(slot)]. *)
-  let collect_lane b { pa; pa_bar; p1; p0 } ~stride l ~slot site =
+  (* The collect loop, one per lane: the positions of the observation
+     points lane [l] reached and their P = Pa + Pā go into the collect
+     buffer in observation order, P_sensitized = clamp(1 - Π(1 - P)) is
+     taken by the reference's left-to-right product, and the lane's
+     four-state drift for {!lane_vector_defect} lands in [defects.(slot)].
+     [emit] then builds the lane's result from the buffer. *)
+  let collect_lane b { pa; pa_bar; p1; p0 } ~stride l ~slot =
     let obs = b.observations in
     let bit = 1 lsl l in
-    let acc = ref [] in
+    let k = ref 0 in
+    let miss = ref 1.0 in
     let worst = ref 0.0 and saw_nan = ref false in
-    for i = Array.length obs - 1 downto 0 do
-      let o, net = obs.(i) in
+    for i = 0 to Array.length obs - 1 do
+      let net = snd (Array.unsafe_get obs i) in
       if b.mask.(net) land bit <> 0 then begin
         let idx = (b.row.(net) * stride) + l in
         let p = pa.(idx) +. pa_bar.(idx) in
         let d = Float.abs (p +. p1.(idx) +. p0.(idx) -. 1.0) in
         if Float.is_nan d then saw_nan := true
         else if d > !worst then worst := d;
-        acc := (o, p) :: !acc
+        b.reached.(!k) <- i;
+        b.reached_p.(!k) <- p;
+        incr k;
+        miss := !miss *. (1.0 -. p)
       end
     done;
-    b.defects.(slot) <- (if !saw_nan then Float.nan else !worst);
-    let per_observation = !acc in
-    let p_sensitized =
-      Sigprob.Sp_rules.clamp
-        (1.0
-        -. List.fold_left
-             (fun acc (_, p) -> acc *. (1.0 -. p))
-             1.0 per_observation)
-    in
-    {
-      Epp_engine.site;
-      p_sensitized;
-      per_observation;
-      cone_size = cone_size b l;
-      reached_outputs = List.length per_observation;
-    }
+    b.nreached <- !k;
+    b.p_sensitized.(0) <- Sigprob.Sp_rules.clamp (1.0 -. !miss);
+    b.defects.(slot) <- (if !saw_nan then Float.nan else !worst)
+
+  (* The two views the collect buffer feeds: a row (the supervised sweep's
+     entries) and the list-shaped site result (the unsupervised driver). *)
+  let emit_row b ~site:_ ~cone_size =
+    Site_row.make ~p_sensitized:b.p_sensitized.(0) ~cone_size
+      ~positions:(Array.sub b.reached 0 b.nreached)
+      ~probabilities:(Array.sub b.reached_p 0 b.nreached)
+
+  let emit_site_result b ~site ~cone_size =
+    Site_row.site_result b.observations ~site ~p_sensitized:b.p_sensitized.(0)
+      ~cone_size b.reached b.reached_p b.nreached
 
   (* Propagate and collect one leaf whose mask phase just ran: [k] sites
      from [off], [rows] live rows at the peak, the planes strided by [k]. *)
-  let run_leaf b sites off k rows =
+  let run_leaf b ~emit sites off k rows =
     let m = b.obs_i in
     let timed = m.timed in
     let t1 = if timed then Obs.Clock.wall_seconds () else 0.0 in
@@ -554,7 +570,9 @@ module Block = struct
           | Some e ->
             b.defects.(slot) <- Float.nan;
             Error e
-          | None -> Ok (collect_lane b planes ~stride l ~slot sites.(slot)))
+          | None ->
+            collect_lane b planes ~stride l ~slot;
+            Ok (emit b ~site:sites.(slot) ~cone_size:(cone_size b l)))
     in
     Obs.Metrics.incr m.blocks;
     Obs.Metrics.add m.sites k;
@@ -574,19 +592,19 @@ module Block = struct
      that sum by more than n — one per-site array — is halved, each half
      running its own mask phase; a single lane never splits, since its
      rows are at most its cone. *)
-  let rec run_span b sites off k =
+  let rec run_span b ~emit sites off k =
     let m = b.obs_i in
     let t0 = if m.timed then Obs.Clock.wall_seconds () else 0.0 in
     let rows = build_masks b sites off k in
     if m.timed then Obs.Metrics.observe m.t_mask (Obs.Clock.wall_seconds () -. t0);
     if k > 1 && rows * k > cone_total b + b.n then begin
       let half = k / 2 in
-      let first = run_span b sites off half in
-      Array.append first (run_span b sites (off + half) (k - half))
+      let first = run_span b ~emit sites off half in
+      Array.append first (run_span b ~emit sites (off + half) (k - half))
     end
-    else run_leaf b sites off k rows
+    else run_leaf b ~emit sites off k rows
 
-  let run b sites =
+  let run_with ~emit b sites =
     let k = Array.length sites in
     if k > b.lanes then
       invalid_arg
@@ -600,7 +618,10 @@ module Block = struct
     else
       Obs.Trace.span b.tracer ~cat:"epp" ~args:(Obs.Ctx.args_of b.req_ctx)
         "epp.batch.block"
-      @@ fun () -> run_span b sites 0 k
+      @@ fun () -> run_span b ~emit sites 0 k
+
+  let run b sites = run_with ~emit:emit_row b sites
+  let run_site_results b sites = run_with ~emit:emit_site_result b sites
 
   (* Numeric sentinel for the supervised sweep: worst four-state sum drift
      at the observation nets lane [l] reached in the last [run],

@@ -62,9 +62,9 @@ module Block : sig
   val lanes : ws -> int
   (** The block capacity this workspace was created with. *)
 
-  val run : ws -> int array -> (Epp_engine.site_result, exn) result array
+  val run : ws -> int array -> (Site_row.t, exn) result array
   (** [run b sites] analyzes every site of the block in one shared pass —
-      or, after a split, one pass per leaf — and returns per-lane results
+      or, after a split, one pass per leaf — and returns per-lane rows
       aligned with [sites].  [epp.batch.blocks] counts leaves.  A lane
       whose site would make the reference raise (invalid off-path
       probability, rule defect, arity violation) yields [Error] with that
@@ -72,6 +72,12 @@ module Block : sig
       are allowed.
       @raise Invalid_argument on a bad site id, more than [lanes b] sites,
       or a released workspace. *)
+
+  val run_site_results :
+    ws -> int array -> (Epp_engine.site_result, exn) result array
+  (** {!run} with each lane's result built as the list-shaped
+      {!Epp_engine.site_result} view, straight from the same collect
+      buffer (no intermediate row) — the unsupervised driver's form. *)
 
   val lane_vector_defect : ws -> int -> float
   (** Numeric sentinel: the worst four-state sum drift

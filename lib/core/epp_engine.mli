@@ -15,6 +15,10 @@
 
 type t
 
+(** One site's result as the reference returns it, and the list-shaped
+    view of a {!Site_row.t} ({!Site_row.to_site_result}) for the
+    unsupervised driver, FIT composition and the CLIs.  Sweeps keep rows:
+    8 words an observation entry here, 2 in a row. *)
 type site_result = {
   site : int;
   p_sensitized : float;

@@ -20,14 +20,15 @@
 
    When the observation interfaces are incompatible (different length, a
    kind flip at some position, or an FF observation whose flip-flop does
-   not map) no per-observation splice is meaningful and the plan degrades
-   to a full sweep.
+   not map) no position-wise reuse is meaningful and the plan degrades to
+   a full sweep.
 
-   Splice exactness: for a clean site every cone gate is an untouched
+   Reuse exactness: for a clean site every cone gate is an untouched
    survivor, every sp it reads is bit-equal, and every reached observation
-   maps position-for-position, so the per-site pass would recompute the
-   exact same floats — copying them is bit-identical (property-tested
-   against a cold full sweep in test_incremental.ml). *)
+   keeps its position, so the per-site pass would recompute the exact same
+   row — rows name observations by position and carry no site id, so the
+   prior entry itself is the post-edit one (property-tested against a cold
+   full sweep in test_incremental.ml). *)
 
 let count name n =
   Obs.Metrics.add (Obs.Metrics.counter (Obs.Hooks.metrics ()) name) n
@@ -62,9 +63,9 @@ let rebase engine d =
      the planner uses to bound the damage. *)
   (Epp_engine.create (Netlist.Delta.after d), how)
 
-(* Position-wise observation compatibility: the per-observation lists of a
-   spliced result are remapped by position, which is only meaningful when
-   every position keeps its kind (and, for FF observations, its flip-flop). *)
+(* Position-wise observation compatibility: a reused row names its reached
+   observations by position, which is only meaningful when every position
+   keeps its kind (and, for FF observations, its flip-flop). *)
 let observations_compatible ~obs_old ~obs_new ~new_of_old =
   Array.length obs_old = Array.length obs_new
   &&
@@ -147,46 +148,13 @@ let plan ~before ~after d =
     { delta = d; dirty; dirty_count = !dirty_count; total = n_new; full = false }
   end
 
-(* Remap one pre-edit analyzed result onto the post-edit circuit.  The
-   per-observation constructors are translated by list position (the
-   compatibility check above guarantees positions align): [po_map] and
-   [ff_map], indexed by the pre-edit node an observation names, hold its
-   post-edit twin.  Floats are copied bit-for-bit. *)
-let splice_result ~po_map ~ff_map ~new_of_old (r : Epp_engine.site_result) =
-  let remap = function
-    | Netlist.Circuit.Po v when v < Array.length po_map -> po_map.(v)
-    | Netlist.Circuit.Ff_data ff when ff < Array.length ff_map -> ff_map.(ff)
-    | Netlist.Circuit.Po _ | Netlist.Circuit.Ff_data _ -> None
-  in
-  {
-    r with
-    Epp_engine.site = new_of_old.(r.Epp_engine.site);
-    per_observation =
-      List.map
-        (fun (o, p) ->
-          match remap o with Some o' -> (o', p) | None -> raise Exit)
-        r.Epp_engine.per_observation;
-  }
-
 let sweep ?ctx ?domains ?batch_run ?deadline plan ~prior engine =
   if not (Epp_engine.circuit engine == Netlist.Delta.after plan.delta) then
     invalid_arg "Incremental.sweep: engine is not on the plan's after-circuit";
   let d = plan.delta in
-  let new_of_old = Netlist.Delta.new_of_old d in
   let old_of_new = Netlist.Delta.old_of_new d in
   let n_new = plan.total in
-  let n_old = Array.length new_of_old in
-  let po_map = Array.make n_old None and ff_map = Array.make n_old None in
-  if not plan.full then begin
-    let obs_old = Array.of_list (Netlist.Circuit.observations (Netlist.Delta.before d)) in
-    let obs_new = Array.of_list (Netlist.Circuit.observations (Netlist.Delta.after d)) in
-    Array.iteri
-      (fun i o ->
-        match o with
-        | Netlist.Circuit.Po v -> po_map.(v) <- Some obs_new.(i)
-        | Netlist.Circuit.Ff_data ff -> ff_map.(ff) <- Some obs_new.(i))
-      obs_old
-  end;
+  let n_old = Array.length (Netlist.Delta.new_of_old d) in
   (* Arrays indexed by site id, not hash tables: a whole circuit's worth of
      entries is spliced on every edit. *)
   let prior_of = Array.make n_old None in
@@ -194,19 +162,19 @@ let sweep ?ctx ?domains ?batch_run ?deadline plan ~prior engine =
     (fun (site, entry) ->
       if site >= 0 && site < n_old then prior_of.(site) <- Some entry)
     prior;
-  (* Splice what we can; everything else (dirty, no prior, quarantined
-     prior, or a failed observation remap) is left to the sweep. *)
+  (* A clean site keeps its prior entry as it is: its row names reached
+     observations by position, a plan that is not full keeps every
+     position's kind, and a site reaching a position whose net moved is
+     dirty.  Everything else (dirty, no prior, or a quarantined prior) is
+     left to the sweep. *)
   let spliced = ref [] and reused = ref 0 in
   for w = n_new - 1 downto 0 do
     let v = old_of_new.(w) in
     if (not plan.dirty.(w)) && v >= 0 then
       match prior_of.(v) with
-      | Some (Supervisor.Analyzed { result; step }) -> (
-        match splice_result ~po_map ~ff_map ~new_of_old result with
-        | r ->
-          spliced := (w, Supervisor.Analyzed { result = r; step }) :: !spliced;
-          incr reused
-        | exception Exit -> ())
+      | Some (Supervisor.Analyzed _ as entry) ->
+        spliced := (w, entry) :: !spliced;
+        incr reused
       | Some (Supervisor.Quarantined _) | None -> ()
   done;
   let dirty = n_new - !reused in

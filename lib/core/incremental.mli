@@ -3,8 +3,8 @@
     Per-site EPP results depend only on the site's forward cone and the
     signal probabilities feeding it, so after an edit only the sites whose
     cone geometry, side-input probabilities, or reached observation points
-    changed need re-analysis; every other pre-edit result is spliced into
-    the new outcome bit-identically (property-tested against a cold full
+    changed need re-analysis; every other pre-edit entry is carried into
+    the new outcome as it is (property-tested against a cold full
     sweep).  The flow is: {!rebase} the engine across the delta (patching
     the analysis context via {!Netlist.Analysis.apply_delta}), {!plan} the
     dirty set, then {!sweep} only the dirty sites and splice the rest from
@@ -47,7 +47,7 @@ val sweep :
   ?batch_run:
     (Epp_batch.Block.ws ->
     int array ->
-    (Epp_engine.site_result, exn) result array) ->
+    (Site_row.t, exn) result array) ->
   ?deadline:Obs.Deadline.t ->
   plan ->
   prior:(int * Supervisor.entry) list ->
@@ -55,11 +55,11 @@ val sweep :
   Supervisor.outcome
 (** Whole-circuit outcome on the post-edit engine: clean sites are spliced
     from [prior] (an outcome's [entries] from the {e pre-edit} engine,
-    keyed by pre-edit site ids) with ids and per-observation constructors
-    remapped and floats copied bit-for-bit, and handed to
+    keyed by pre-edit site ids) under the id remap, each keeping its prior
+    entry itself — a row names observations by position, and a plan that
+    is not {!is_full} keeps them aligned — and handed to
     {!Supervisor.sweep_all} as its [prior]; it sweeps the dirty sites (plus
-    sites with no usable prior entry — missing, quarantined, or
-    unmappable).  So entries come back in site-id order, [stats] counts
+    sites with no usable prior entry — missing or quarantined).  So entries come back in site-id order, [stats] counts
     spliced sites as [resumed], and a deadline expiry counts them as
     analyzed, exactly as for a replayed checkpoint.
     @raise Invalid_argument when [engine] is not on the plan's

@@ -9,22 +9,70 @@
 
 type entry = { rank : int; report : Ser_estimator.node_report }
 
+(* The bounded selection: a max-heap (under [compare]) of the best [k]
+   items seen so far, so an item that cannot make the cut costs one
+   comparison with the root.  The kept items are sorted at the end. *)
+let select ~compare k iter =
+  if k < 0 then invalid_arg "Ranking.select: negative k";
+  let heap = ref [||] and size = ref 0 in
+  let swap h i j =
+    let t = h.(i) in
+    h.(i) <- h.(j);
+    h.(j) <- t
+  in
+  let rec up h i =
+    let parent = (i - 1) / 2 in
+    if i > 0 && compare h.(i) h.(parent) > 0 then begin
+      swap h i parent;
+      up h parent
+    end
+  in
+  let rec down h i =
+    let l = (2 * i) + 1 in
+    if l < !size then begin
+      let c = if l + 1 < !size && compare h.(l + 1) h.(l) > 0 then l + 1 else l in
+      if compare h.(c) h.(i) > 0 then begin
+        swap h i c;
+        down h c
+      end
+    end
+  in
+  if k > 0 then
+    iter (fun x ->
+        if !size < k then begin
+          if !size = Array.length !heap then begin
+            let grown = Array.make (min k (max 16 (2 * !size))) x in
+            Array.blit !heap 0 grown 0 !size;
+            heap := grown
+          end;
+          !heap.(!size) <- x;
+          incr size;
+          up !heap (!size - 1)
+        end
+        else if compare x !heap.(0) < 0 then begin
+          !heap.(0) <- x;
+          down !heap 0
+        end);
+  let kept = Array.sub !heap 0 !size in
+  Array.sort compare kept;
+  Array.to_list kept
+
+(* FIT contribution, descending; ties broken by node id so the ranking is
+   deterministic. *)
+let by_fit (a : Ser_estimator.node_report) (b : Ser_estimator.node_report) =
+  match Float.compare b.Ser_estimator.fit a.Ser_estimator.fit with
+  | 0 -> Int.compare a.Ser_estimator.node b.Ser_estimator.node
+  | c -> c
+
 let ranked (report : Ser_estimator.report) =
   let nodes = Array.copy report.Ser_estimator.nodes in
-  (* Sort by FIT contribution, descending; ties broken by node id so the
-     ranking is deterministic. *)
-  Array.sort
-    (fun (a : Ser_estimator.node_report) b ->
-      match compare b.Ser_estimator.fit a.Ser_estimator.fit with
-      | 0 -> compare a.Ser_estimator.node b.Ser_estimator.node
-      | c -> c)
-    nodes;
+  Array.sort by_fit nodes;
   Array.to_list nodes |> List.mapi (fun i n -> { rank = i + 1; report = n })
 
-let top_k report k =
+let top_k (report : Ser_estimator.report) k =
   if k < 0 then invalid_arg "Ranking.top_k: negative k";
-  let all = ranked report in
-  List.filteri (fun i _ -> i < k) all
+  select ~compare:by_fit k (fun f -> Array.iter f report.Ser_estimator.nodes)
+  |> List.mapi (fun i n -> { rank = i + 1; report = n })
 
 (* Fewest nodes whose removal cuts total SER by [fraction]. *)
 type hardening_plan = {

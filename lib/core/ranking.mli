@@ -7,7 +7,15 @@ val ranked : Ser_estimator.report -> entry list
 (** All nodes by FIT contribution, descending, deterministic tie-break. *)
 
 val top_k : Ser_estimator.report -> int -> entry list
-(** @raise Invalid_argument on negative [k]. *)
+(** The first [k] entries of {!ranked}, selected without sorting every
+    node ({!select}).  @raise Invalid_argument on negative [k]. *)
+
+val select :
+  compare:('a -> 'a -> int) -> int -> (('a -> unit) -> unit) -> 'a list
+(** [select ~compare k iter] is the first [k] of the items [iter] feeds in
+    [compare]'s order (a total order), sorted: a bounded heap, O(n log k)
+    comparisons and O(k) space.  The top-k of {!top_k} and of [serd]'s
+    replies.  @raise Invalid_argument on negative [k]. *)
 
 type hardening_plan = {
   target_fraction : float;

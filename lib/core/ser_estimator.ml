@@ -135,7 +135,8 @@ let of_site_results ?(technology = Seu_model.Technology.default)
    Every unsupervised sweep goes through here: blocks of Epp_batch.max_lanes
    sites on the batch engine, fanned out whole across [domains]
    (Parallel.map_array keeps a handful of blocks on the calling domain).
-   Results come back in input order.  A bad site id fails its whole block inside
+   Each lane's site result is built straight from the block's collect
+   buffer, with no row in between.  Results come back in input order.  A bad site id fails its whole block inside
    Block.run, so the lowest such block's Invalid_argument is raised;
    otherwise a faulting lane comes back as an Error and the earliest one
    in input order is raised. *)
@@ -143,7 +144,7 @@ let of_site_results ?(technology = Seu_model.Technology.default)
 let analyze_site_array ?(domains = 1) engine sites =
   Parallel.map_array ~domains
     ~workspace:(fun () -> Epp_batch.Block.create engine)
-    ~release:Epp_batch.Block.release ~f:Epp_batch.Block.run
+    ~release:Epp_batch.Block.release ~f:Epp_batch.Block.run_site_results
     (Epp_batch.blocks sites)
   |> Array.to_list |> Array.concat
   |> Array.map (function Ok r -> r | Error e -> raise e)

@@ -25,7 +25,7 @@
 open Netlist
 
 type entry =
-  | Analyzed of { result : Epp_engine.site_result; step : Diag.step }
+  | Analyzed of { row : Site_row.t; step : Diag.step }
   | Quarantined of Diag.quarantine
 
 type outcome = {
@@ -45,20 +45,26 @@ let fault_at where value =
   if Float.is_nan value then Diag.Nan { where }
   else Diag.Out_of_range { where; value }
 
-let rec observation_fault circuit = function
-  | [] -> None
-  | (obs, p) :: rest ->
-    if out_of_unit p then
-      Some (fault_at ("P(" ^ Circuit.observation_name circuit obs ^ ")") p)
-    else observation_fault circuit rest
-
-(* First NaN / out-of-range component of a published result, if any.  The
+(* First NaN / out-of-range component of a published row, if any.  The
    values are tested before any location string is built, so a clean
-   result — nearly every one — allocates nothing here. *)
-let result_fault circuit (r : Epp_engine.site_result) =
-  if out_of_unit r.Epp_engine.p_sensitized then
-    Some (fault_at "p_sensitized" r.Epp_engine.p_sensitized)
-  else observation_fault circuit r.Epp_engine.per_observation
+   row — nearly every one — allocates nothing here. *)
+let row_fault engine (r : Site_row.t) =
+  if out_of_unit r.Site_row.p_sensitized then
+    Some (fault_at "p_sensitized" r.Site_row.p_sensitized)
+  else begin
+    let ps = r.Site_row.probabilities in
+    let i = ref 0 in
+    while !i < Array.length ps && ps.(!i) >= 0.0 && ps.(!i) <= 1.0 do
+      incr i
+    done;
+    if !i = Array.length ps then None
+    else
+      let circuit = Epp_engine.circuit engine in
+      let obs, _ =
+        (Analysis.observations (Epp_engine.analysis engine)).(r.Site_row.positions.(!i))
+      in
+      Some (fault_at ("P(" ^ Circuit.observation_name circuit obs ^ ")") ps.(!i))
+  end
 
 let vector_fault defect =
   if Float.is_nan defect then Some (Diag.Nan { where = "four-state vector" })
@@ -106,9 +112,11 @@ let quarantine ?ctx circuit site faults =
   Quarantined q
 
 (* One site on the reference rung, quarantined if that fails too; never
-   raises.  [batch_fault] is what sent the site down from the batch rung
-   (logged as [supervisor.degrade]); it heads the quarantine record so the
-   faults read in ladder order. *)
+   raises.  The reference's result becomes a row, so an observation the
+   circuit does not have is a fault like an exception.  [batch_fault] is
+   what sent the site down from the batch rung (logged as
+   [supervisor.degrade]); it heads the quarantine record so the faults
+   read in ladder order. *)
 let reference_entry ?ctx ?reference ~batch_fault engine site =
   let circuit = Epp_engine.circuit engine in
   Obs.Log.emit ?ctx
@@ -127,10 +135,15 @@ let reference_entry ?ctx ?reference ~batch_fault engine site =
     with
     | exception e -> Error (exception_fault e)
     | r -> (
-      match result_fault circuit r with Some f -> Error f | None -> Ok r)
+      match
+        Site_row.of_site_result (Analysis.observations (Epp_engine.analysis engine)) r
+      with
+      | exception e -> Error (exception_fault e)
+      | row -> (
+        match row_fault engine row with Some f -> Error f | None -> Ok row))
   in
   match analyzed with
-  | Ok result -> Analyzed { result; step = Diag.Reference }
+  | Ok row -> Analyzed { row; step = Diag.Reference }
   | Error fault ->
     quarantine ?ctx circuit site
       [ (Diag.Batch, batch_fault); (Diag.Reference, fault) ]
@@ -142,7 +155,6 @@ let reference_entry ?ctx ?reference ~batch_fault engine site =
    [batch_run] stub leaves no vectors in the planes. *)
 let analyze_block ?ctx ?reference ?batch_run block sites =
   let engine = Epp_batch.Block.engine block in
-  let circuit = Epp_engine.circuit engine in
   let degrade site fault =
     (site, reference_entry ?ctx ~batch_fault:fault ?reference engine site)
   in
@@ -167,11 +179,11 @@ let analyze_block ?ctx ?reference ?batch_run block sites =
               else None
             with
             | Some f -> Some f
-            | None -> result_fault circuit r
+            | None -> row_fault engine r
           in
           match fault with
           | Some f -> degrade site f
-          | None -> (site, Analyzed { result = r; step = Diag.Batch })))
+          | None -> (site, Analyzed { row = r; step = Diag.Batch })))
       results
 
 let stats_of_entries ~resumed entries =
@@ -316,11 +328,12 @@ let sweep_all ?ctx ?domains ?chunk_size ?on_chunk ?batch_run ?reference
   drive ?ctx ?domains ?chunk_size ?on_chunk ?batch_run ?reference ?deadline
     engine (Array.init n Fun.id) held
 
-let results outcome =
+let results engine outcome =
+  let observations = Analysis.observations (Epp_engine.analysis engine) in
   List.filter_map
-    (fun (_, entry) ->
+    (fun (site, entry) ->
       match entry with
-      | Analyzed { result; _ } -> Some result
+      | Analyzed { row; _ } -> Some (Site_row.to_site_result observations ~site row)
       | Quarantined _ -> None)
     outcome.entries
 

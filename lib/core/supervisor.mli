@@ -5,11 +5,12 @@
 
     + the level-synchronous {!Epp_batch} block engine, post-checked per
       lane by the numeric sentinels (NaN components,
-      {!Epp_batch.Block.lane_vector_defect} beyond tolerance, result
+      {!Epp_batch.Block.lane_vector_defect} beyond tolerance, row
       probabilities outside [0, 1]) — a faulted lane degrades {e alone},
       carrying its batch fault, while the rest of its block completes;
     + on any batch fault or sentinel trip, the boxed
-      {!Epp_engine.analyze_site} reference path, result-checked;
+      {!Epp_engine.analyze_site} reference path, whose result becomes a
+      row and is checked the same way;
     + if that also fails, the site is {e quarantined} into a typed
       {!Diag.quarantine} record and the sweep continues.
 
@@ -26,8 +27,9 @@
     deadline accounting. *)
 
 type entry =
-  | Analyzed of { result : Epp_engine.site_result; step : Diag.step }
-      (** the rung that produced the result *)
+  | Analyzed of { row : Site_row.t; step : Diag.step }
+      (** the site's row and the rung that produced it; the row carries no
+          site id, so an edit can keep the entry as it is *)
   | Quarantined of Diag.quarantine
 
 type outcome = {
@@ -47,7 +49,7 @@ val sweep :
   ?batch_run:
     (Epp_batch.Block.ws ->
     int array ->
-    (Epp_engine.site_result, exn) result array) ->
+    (Site_row.t, exn) result array) ->
   ?reference:(Epp_engine.t -> int -> Epp_engine.site_result) ->
   ?deadline:Obs.Deadline.t ->
   Epp_engine.t ->
@@ -70,7 +72,8 @@ val sweep :
     stub's per-lane [Error]s degrade those lanes and a raise degrades the
     whole block; the lane vector sentinel only runs for the real engine,
     since a stub leaves no vectors in the planes.  A [reference] stub that
-    raises or returns a defective result sends the site to quarantine.
+    raises, returns a defective result or names an observation point the
+    circuit does not have (out of order) sends the site to quarantine.
     Ladder transitions log through {!Obs.Log}: a batch-rung failure emits
     [supervisor.degrade] (Debug), a quarantine [supervisor.quarantine]
     (Warn), both carrying [ctx]'s request id.
@@ -98,7 +101,7 @@ val sweep_all :
   ?batch_run:
     (Epp_batch.Block.ws ->
     int array ->
-    (Epp_engine.site_result, exn) result array) ->
+    (Site_row.t, exn) result array) ->
   ?reference:(Epp_engine.t -> int -> Epp_engine.site_result) ->
   ?deadline:Obs.Deadline.t ->
   ?prior:(int * entry) list ->
@@ -114,7 +117,9 @@ val sweep_all :
     [analyzed + remaining] is always the node count.
     @raise Invalid_argument if a [prior] site is not a node id. *)
 
-val results : outcome -> Epp_engine.site_result list
-(** The successfully analyzed results, input order (quarantines dropped). *)
+val results : Epp_engine.t -> outcome -> Epp_engine.site_result list
+(** The successfully analyzed sites as {!Epp_engine.site_result} views,
+    input order (quarantines dropped).  [engine] is the one the outcome
+    belongs to: its observations name the rows' positions. *)
 
 val quarantines : outcome -> Diag.quarantine list

@@ -14,6 +14,12 @@
    makes the snapshot Corrupt — including the "k" of the per-site kernel
    rung older versions wrote, so such a snapshot is re-swept, not replayed.
 
+   An entry's row names its reached observation points by position in the
+   circuit's observations; the file names them by kind and node ("p 9",
+   "f 4"), as it always has, so writing translates positions through the
+   circuit's observations and reading translates them back.  <reached>
+   and <nobs> are both the row's reached count.
+
    Saves are atomic AND durable: the snapshot is written to "<path>.tmp",
    fsync'd, renamed over <path>, and the parent directory is fsync'd too —
    so a sweep killed mid-write leaves the previous snapshot (or no file),
@@ -137,19 +143,19 @@ let write_fault buf (step, fault) =
   | Epp.Diag.Out_of_range { where; value } ->
     Printf.bprintf buf " o %S %h" where value
 
-let write_entry buf (site, entry) =
+let write_entry buf observations (site, entry) =
   match entry with
-  | Epp.Supervisor.Analyzed { result = r; step } ->
+  | Epp.Supervisor.Analyzed { row = r; step } ->
+    let reached = Epp.Site_row.reached r in
     Printf.bprintf buf "ok %d %s %d %d %h %d" site (step_tag step)
-      r.Epp.Epp_engine.cone_size r.Epp.Epp_engine.reached_outputs
-      r.Epp.Epp_engine.p_sensitized
-      (List.length r.Epp.Epp_engine.per_observation);
-    List.iter
-      (fun (obs, p) ->
-        match obs with
+      r.Epp.Site_row.cone_size reached r.Epp.Site_row.p_sensitized reached;
+    Array.iteri
+      (fun j i ->
+        let p = r.Epp.Site_row.probabilities.(j) in
+        match fst observations.(i) with
         | Circuit.Po net -> Printf.bprintf buf " p %d %h" net p
         | Circuit.Ff_data node -> Printf.bprintf buf " f %d %h" node p)
-      r.Epp.Epp_engine.per_observation;
+      r.Epp.Site_row.positions;
     Buffer.add_char buf '\n'
   | Epp.Supervisor.Quarantined q ->
     Printf.bprintf buf "qr %d %S %d %d" site q.Epp.Diag.name
@@ -160,7 +166,9 @@ let write_entry buf (site, entry) =
     List.iter (write_fault buf) q.Epp.Diag.faults;
     Buffer.add_char buf '\n'
 
-let save ?ctx path t =
+let observations circuit = Analysis.observations (Analysis.get circuit)
+
+let save ?ctx ~circuit path t =
   let m = Obs.Hooks.metrics () in
   Obs.Trace.span (Obs.Hooks.tracer ()) ~cat:"checkpoint"
     ~args:(Obs.Ctx.args_of ctx) "checkpoint.save"
@@ -172,7 +180,7 @@ let save ?ctx path t =
   Buffer.add_string buf "serprop-checkpoint v1\n";
   Printf.bprintf buf "fingerprint %s\n" t.fingerprint;
   Printf.bprintf buf "total %d\n" t.total_sites;
-  List.iter (write_entry buf) t.entries;
+  List.iter (write_entry buf (observations circuit)) t.entries;
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
   Fun.protect
@@ -241,37 +249,67 @@ let read_fault ib =
   in
   (step, fault)
 
-let read_entry_line line =
+(* Where each observation point sits in the circuit's observations, by
+   kind and node: what a snapshot's "p <net>" / "f <ff>" names. *)
+type positions = { count : int; po : int array; ff : int array }
+
+let positions_of circuit =
+  let n = Circuit.node_count circuit in
+  let observations = observations circuit in
+  let t =
+    {
+      count = Array.length observations;
+      po = Array.make n (-1);
+      ff = Array.make n (-1);
+    }
+  in
+  Array.iteri
+    (fun i (obs, _) ->
+      match obs with
+      | Circuit.Po v -> t.po.(v) <- i
+      | Circuit.Ff_data f -> t.ff.(f) <- i)
+    observations;
+  t
+
+let read_entry_line pos line =
   let ib = Scanf.Scanning.from_string line in
   match read_token ib with
   | "ok" ->
     let site = read_int ib in
     let step = read_step ib in
     let cone_size = read_int ib in
-    let reached_outputs = read_int ib in
+    let reached = read_int ib in
     let p_sensitized = read_float ib in
     let nobs = read_int ib in
-    let per_observation =
-      List.init nobs (fun _ ->
-          let obs =
-            match read_token ib with
-            | "p" -> Circuit.Po (read_int ib)
-            | "f" -> Circuit.Ff_data (read_int ib)
-            | s -> failwith (Printf.sprintf "unknown observation tag %S" s)
-          in
-          (obs, read_float ib))
-    in
+    if nobs <> reached || nobs < 0 || nobs > pos.count then
+      failwith
+        (Printf.sprintf "site %d lists %d observations but reached %d (of %d)"
+           site nobs reached pos.count);
+    let positions = Array.make nobs 0 in
+    let probabilities = Array.make nobs 0.0 in
+    for j = 0 to nobs - 1 do
+      let table, tag =
+        match read_token ib with
+        | "p" -> (pos.po, "p")
+        | "f" -> (pos.ff, "f")
+        | s -> failwith (Printf.sprintf "unknown observation tag %S" s)
+      in
+      let node = read_int ib in
+      let i =
+        if node >= 0 && node < Array.length table then table.(node) else -1
+      in
+      if i < 0 || (j > 0 && i <= positions.(j - 1)) then
+        failwith
+          (Printf.sprintf "site %d: %s %d is not the circuit's next observation"
+             site tag node);
+      positions.(j) <- i;
+      probabilities.(j) <- read_float ib
+    done;
     ( site,
       Epp.Supervisor.Analyzed
         {
-          result =
-            {
-              Epp.Epp_engine.site;
-              p_sensitized;
-              per_observation;
-              cone_size;
-              reached_outputs;
-            };
+          row =
+            Epp.Site_row.make ~p_sensitized ~cone_size ~positions ~probabilities;
           step;
         } )
   | "qr" ->
@@ -279,6 +317,8 @@ let read_entry_line line =
     let name = read_string ib in
     let cone = read_int ib in
     let nfaults = read_int ib in
+    if nfaults < 0 then
+      failwith (Printf.sprintf "site %d lists %d faults" site nfaults);
     let faults = List.init nfaults (fun _ -> read_fault ib) in
     ( site,
       Epp.Supervisor.Quarantined
@@ -290,13 +330,14 @@ let read_entry_line line =
         } )
   | s -> failwith (Printf.sprintf "unknown entry tag %S" s)
 
-let load path =
-  Obs.Trace.span (Obs.Hooks.tracer ()) ~cat:"checkpoint" "checkpoint.load"
-  @@ fun () ->
+(* A snapshot's header and its entry lines, not yet parsed, so that a
+   replay can check the fingerprint before it reads entries against the
+   circuit. *)
+let read_file path =
   let corrupt message = Error (Corrupt { path; message }) in
   match open_in path with
   | exception Sys_error msg -> corrupt msg
-  | ic ->
+  | ic -> (
     let lines = ref [] in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
@@ -306,7 +347,7 @@ let load path =
             lines := input_line ic :: !lines
           done
         with End_of_file -> ());
-    (match List.rev !lines with
+    match List.rev !lines with
     | header :: rest when String.trim header = "serprop-checkpoint v1" -> (
       match rest with
       | fp_line :: total_line :: entry_lines -> (
@@ -315,52 +356,73 @@ let load path =
             Scanf.sscanf fp_line " fingerprint %s" Fun.id
           in
           let total_sites = Scanf.sscanf total_line " total %d" Fun.id in
-          let entries =
-            entry_lines
-            |> List.filter (fun l -> String.trim l <> "")
-            |> List.map read_entry_line
-          in
-          Ok { fingerprint; total_sites; entries }
+          Ok (fingerprint, total_sites, entry_lines)
         with
         | Scanf.Scan_failure msg | Failure msg -> corrupt msg
-        | End_of_file -> corrupt "truncated entry")
+        | End_of_file -> corrupt "truncated header")
       | _ -> corrupt "missing fingerprint/total header")
     | _ -> corrupt "not a serprop checkpoint")
 
+let read_entries ~circuit path lines =
+  let pos = positions_of circuit in
+  try
+    Ok
+      (lines
+      |> List.filter (fun l -> String.trim l <> "")
+      |> List.map (read_entry_line pos))
+  with
+  | Scanf.Scan_failure message | Failure message ->
+    Error (Corrupt { path; message })
+  | End_of_file -> Error (Corrupt { path; message = "truncated entry" })
+
+let load ~circuit path =
+  Obs.Trace.span (Obs.Hooks.tracer ()) ~cat:"checkpoint" "checkpoint.load"
+  @@ fun () ->
+  Result.bind (read_file path) (fun (fingerprint, total_sites, lines) ->
+      Result.map
+        (fun entries -> { fingerprint; total_sites; entries })
+        (read_entries ~circuit path lines))
+
 (* --- the resumable supervised sweep -------------------------------------- *)
 
-let replay ?ctx path ~fingerprint =
+let replay ?ctx ~circuit path ~fingerprint =
   if not (Sys.file_exists path) then Ok []
   else
-    match load path with
+    Obs.Trace.span (Obs.Hooks.tracer ()) ~cat:"checkpoint" "checkpoint.load"
+    @@ fun () ->
+    match read_file path with
     | Error e -> Error e
-    | Ok t when t.fingerprint <> fingerprint ->
-      Error (Fingerprint_mismatch { expected = fingerprint; found = t.fingerprint })
-    | Ok t ->
-      if t.entries <> [] then
-        Obs.Log.emit ?ctx
-          ~fields:
-            [
-              ("path", Obs.Json.String path);
-              ("resumed", Obs.Json.int (List.length t.entries));
-            ]
-          Obs.Log.Info "checkpoint.resume";
-      Ok t.entries
+    | Ok (found, _, _) when found <> fingerprint ->
+      Error (Fingerprint_mismatch { expected = fingerprint; found })
+    | Ok (_, _, lines) ->
+      Result.map
+        (fun entries ->
+          if entries <> [] then
+            Obs.Log.emit ?ctx
+              ~fields:
+                [
+                  ("path", Obs.Json.String path);
+                  ("resumed", Obs.Json.int (List.length entries));
+                ]
+              Obs.Log.Info "checkpoint.resume";
+          entries)
+        (read_entries ~circuit path lines)
 
-let recorder ?ctx path ~fingerprint ~done_count:_ ~total entries =
-  save ?ctx path { fingerprint; total_sites = total; entries }
+let recorder ?ctx ~circuit path ~fingerprint ~done_count:_ ~total entries =
+  save ?ctx ~circuit path { fingerprint; total_sites = total; entries }
 
 let supervised_sweep ?ctx ?domains ?chunk_size ?checkpoint ?(resume = false)
     ?on_progress ?batch_run ?reference ?deadline engine =
   let fingerprint = fingerprint engine in
+  let circuit = Epp.Epp_engine.circuit engine in
   let prior =
     match checkpoint with
-    | Some path when resume -> replay ?ctx path ~fingerprint
+    | Some path when resume -> replay ?ctx ~circuit path ~fingerprint
     | _ -> Ok []
   in
   Result.map
     (fun prior ->
-      let record = Option.map (recorder ?ctx ~fingerprint) checkpoint in
+      let record = Option.map (recorder ?ctx ~circuit ~fingerprint) checkpoint in
       let on_chunk ~done_count ~total entries =
         Option.iter (fun f -> f ~done_count ~total entries) record;
         Option.iter (fun f -> f ~done_count ~total) on_progress
@@ -372,10 +434,10 @@ let supervised_sweep ?ctx ?domains ?chunk_size ?checkpoint ?(resume = false)
       (* once more at the end, so the file exists even when no chunk ran *)
       Option.iter
         (fun path ->
-          save ?ctx path
+          save ?ctx ~circuit path
             {
               fingerprint;
-              total_sites = Circuit.node_count (Epp.Epp_engine.circuit engine);
+              total_sites = Circuit.node_count circuit;
               entries = outcome.Epp.Supervisor.entries;
             })
         checkpoint;

@@ -5,7 +5,13 @@
     {!Epp.Supervisor.entry}, keyed by a fingerprint of the analysis — the
     circuit structure and the signal probabilities actually in the engine —
     so a snapshot can never silently resume against a different analysis.  Floats are serialized in hexadecimal ([%h]), so a
-    resumed sweep replays results bit-identically. *)
+    resumed sweep replays results bit-identically.
+
+    An entry's {!Epp.Site_row.t} names its reached observation points by
+    position; a snapshot names them by kind and node, so {!save} and the
+    readers take the circuit whose observations the positions index.  The
+    bytes are those of snapshots written before rows existed, and such
+    snapshots still resume. *)
 
 type t = {
   fingerprint : string;
@@ -30,28 +36,33 @@ val fingerprint : Epp.Epp_engine.t -> string
     replayable.  Its last bytes are a constant that once named the engine
     mode, kept so that older snapshots keep their fingerprint. *)
 
-val save : ?ctx:Obs.Ctx.t -> string -> t -> unit
-(** Atomic and durable: writes [path ^ ".tmp"], fsyncs it, renames over
+val save : ?ctx:Obs.Ctx.t -> circuit:Netlist.Circuit.t -> string -> t -> unit
+(** Writes the snapshot of entries on [circuit].  Atomic and durable: writes [path ^ ".tmp"], fsyncs it, renames over
     [path], then fsyncs the parent directory so the rename survives power
     loss (directory fsync failure is tolerated — some filesystems refuse
     it — but data fsync failure propagates).
     @raise Sys_error on I/O failure. *)
 
-val load : string -> (t, error) result
-(** Parses a snapshot; never raises on malformed input ([Corrupt]). *)
+val load : circuit:Netlist.Circuit.t -> string -> (t, error) result
+(** Parses a snapshot of entries on [circuit]; never raises on malformed
+    input ([Corrupt], which includes an observation point [circuit] does
+    not have, or one listed out of order). *)
 
 val replay :
   ?ctx:Obs.Ctx.t ->
+  circuit:Netlist.Circuit.t ->
   string ->
   fingerprint:string ->
   ((int * Epp.Supervisor.entry) list, error) result
 (** The entries of the snapshot at [path], for {!Epp.Supervisor.sweep_all}'s
-    [prior], when it belongs to the analysis with [fingerprint]; none when
-    no file exists.  A mismatched or corrupt snapshot is an [Error], never
-    silently ignored. *)
+    [prior], when it belongs to the analysis with [fingerprint] (on
+    [circuit]); none when no file exists.  The fingerprint is checked
+    before any entry is read.  A mismatched or corrupt snapshot is an
+    [Error], never silently ignored. *)
 
 val recorder :
   ?ctx:Obs.Ctx.t ->
+  circuit:Netlist.Circuit.t ->
   string ->
   fingerprint:string ->
   done_count:int ->
@@ -73,7 +84,7 @@ val supervised_sweep :
   ?batch_run:
     (Epp.Epp_batch.Block.ws ->
     int array ->
-    (Epp.Epp_engine.site_result, exn) result array) ->
+    (Epp.Site_row.t, exn) result array) ->
   ?reference:(Epp.Epp_engine.t -> int -> Epp.Epp_engine.site_result) ->
   ?deadline:Obs.Deadline.t ->
   Epp.Epp_engine.t ->

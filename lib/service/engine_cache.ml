@@ -13,7 +13,9 @@ type entry = {
   mutable last_used : int;
   mutable results : (int * Epp.Supervisor.entry) list option;
       (* the engine's whole-circuit sweep entries, remembered so a later
-         [edit] request can splice clean sites instead of re-analyzing *)
+         [edit] request can splice clean sites instead of re-analyzing and
+         a repeat [analyze] sweeps nothing; rows are shared with the
+         entries of the engines an edit chain derives from this one *)
 }
 
 type t = {

@@ -50,7 +50,10 @@ val resident : t -> int
     reported: the base engine is looked up by fingerprint (no payload), the
     post-edit engine is inserted under its own fingerprint, and each
     engine's whole-circuit sweep entries can be remembered so the next edit
-    splices clean sites instead of re-analyzing them. *)
+    splices clean sites instead of re-analyzing them, and a repeat
+    whole-circuit [analyze] answers from them.  The entries hold
+    {!Epp.Site_row.t}s, and an edit keeps a clean site's entry itself, so
+    the resident engines of one edit chain share their clean rows. *)
 
 val find_fingerprint : t -> string -> outcome option
 (** Touch and return the resident engine under this fingerprint, if any. *)

@@ -166,37 +166,42 @@ let stats_json (s : Epp.Diag.stats) =
       ("resumed", Json.int s.resumed);
     ]
 
-let top_sites circuit k results =
-  let by_p =
-    List.sort
-      (fun (a : Epp.Epp_engine.site_result) b ->
-        compare (b.p_sensitized, a.site) (a.p_sensitized, b.site))
-      results
+(* The [k] analyzed sites of highest P_sensitized, ties by site id. *)
+let top_sites circuit k (outcome : Epp.Supervisor.outcome) =
+  let by_p_sensitized (sa, (ra : Epp.Site_row.t)) (sb, (rb : Epp.Site_row.t)) =
+    match Float.compare rb.p_sensitized ra.p_sensitized with
+    | 0 -> Int.compare sa sb
+    | c -> c
   in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-  in
-  take k by_p
-  |> List.map (fun (r : Epp.Epp_engine.site_result) ->
+  Epp.Ranking.select ~compare:by_p_sensitized k (fun f ->
+      List.iter
+        (function
+          | site, Epp.Supervisor.Analyzed { row; _ } -> f (site, row)
+          | _, Epp.Supervisor.Quarantined _ -> ())
+        outcome.entries)
+  |> List.map (fun (site, (row : Epp.Site_row.t)) ->
          Json.Obj
            [
-             ("site", Json.int r.site);
-             ("name", Json.String (Circuit.node_name circuit r.site));
-             ("p_sensitized", Json.Number r.p_sensitized);
+             ("site", Json.int site);
+             ("name", Json.String (Circuit.node_name circuit site));
+             ("p_sensitized", Json.Number row.p_sensitized);
            ])
 
 let outcome_response t ?id ~ctx ~fingerprint ~(hit : bool) ~top_k ?(extra = [])
     circuit (outcome : Epp.Supervisor.outcome) =
-  let results = Epp.Supervisor.results outcome in
-  let count = List.length results in
-  let sum, maxp =
-    List.fold_left
-      (fun (s, m) (r : Epp.Epp_engine.site_result) ->
-        (s +. r.p_sensitized, Float.max m r.p_sensitized))
-      (0.0, 0.0) results
-  in
+  (* one pass over the rows: count, and the sum and max of P_sensitized
+     kept unboxed in a float array *)
+  let count = ref 0 and acc = [| 0.0; 0.0 |] in
+  List.iter
+    (function
+      | _, Epp.Supervisor.Analyzed { row; _ } ->
+        let p = row.Epp.Site_row.p_sensitized in
+        incr count;
+        acc.(0) <- acc.(0) +. p;
+        acc.(1) <- Float.max acc.(1) p
+      | _, Epp.Supervisor.Quarantined _ -> ())
+    outcome.entries;
+  let count = !count and sum = acc.(0) and maxp = acc.(1) in
   let summary =
     Json.Obj
       [
@@ -217,7 +222,7 @@ let outcome_response t ?id ~ctx ~fingerprint ~(hit : bool) ~top_k ?(extra = [])
   let base =
     match top_k with
     | None -> base
-    | Some k -> base @ [ ("top", Json.List (top_sites circuit k results)) ]
+    | Some k -> base @ [ ("top", Json.List (top_sites circuit k outcome)) ]
   in
   let base = base @ extra in
   if outcome.stats.Epp.Diag.quarantined > 0 then
@@ -276,9 +281,9 @@ let deadline_of t ~budget_ms =
   | Some ms -> Obs.Deadline.of_budget_ms ms
 
 (* A completed whole-circuit sweep is the splice donor for later [edit]
-   requests on this engine: remember its entries alongside the resident
-   engine (partial sweeps are not remembered — a splice may not invent
-   holes). *)
+   requests on this engine, and the answer to a repeat [analyze]: remember
+   its entries alongside the resident engine (partial sweeps are not
+   remembered — a splice may not invent holes). *)
 let remember_if_complete t ~fingerprint (outcome : Epp.Supervisor.outcome) =
   match outcome.completion with
   | Epp.Diag.Complete ->
@@ -305,20 +310,29 @@ let handle_analyze t ?id ~ctx ~circuit ~sites ~budget_ms ~top_k ~inject () =
     in
     outcome_response t ?id ~ctx ~fingerprint ~hit ~top_k c outcome
   | None ->
-    (* Whole-circuit sweeps checkpoint per fingerprint, so a killed daemon
-       resumes a repeat query instead of recomputing.  A corrupt or
-       mismatched checkpoint is data, not a crash: it is dropped and the
-       sweep starts fresh rather than refusing to serve. *)
+    (* A resident engine whose complete sweep is remembered answers from
+       it: every site is held, so nothing is swept and [stats.resumed] is
+       the node count.  A fault drill still runs the ladder, and its
+       outcome is not remembered.  Otherwise whole-circuit sweeps
+       checkpoint per fingerprint, so a killed daemon resumes a repeat
+       query instead of recomputing.  A corrupt or mismatched checkpoint
+       is data, not a crash: it is dropped and the sweep starts fresh
+       rather than refusing to serve. *)
     let checkpoint =
       Option.map
         (fun dir -> Filename.concat dir (fingerprint ^ ".ck"))
         t.config.checkpoint_dir
     in
+    let remembered =
+      if Option.is_some inject then None
+      else Engine_cache.results_for t.cache ~fingerprint
+    in
     let prior =
-      match checkpoint with
-      | None -> []
-      | Some ck -> (
-        match Report.Checkpoint.replay ~ctx ck ~fingerprint with
+      match (remembered, checkpoint) with
+      | Some entries, _ -> entries
+      | None, None -> []
+      | None, Some ck -> (
+        match Report.Checkpoint.replay ~ctx ~circuit:c ck ~fingerprint with
         | Ok entries -> entries
         | Error _ ->
           Obs.Metrics.incr (counter "serd.checkpoint_rejected");
@@ -328,10 +342,12 @@ let handle_analyze t ?id ~ctx ~circuit ~sites ~budget_ms ~top_k ~inject () =
     let outcome =
       Epp.Supervisor.sweep_all ~ctx ?domains ?batch_run ?reference ~deadline
         ?on_chunk:
-          (Option.map (Report.Checkpoint.recorder ~ctx ~fingerprint) checkpoint)
+          (Option.map
+             (Report.Checkpoint.recorder ~ctx ~circuit:c ~fingerprint)
+             checkpoint)
         ~prior engine
     in
-    remember_if_complete t ~fingerprint outcome;
+    if Option.is_none inject then remember_if_complete t ~fingerprint outcome;
     outcome_response t ?id ~ctx ~fingerprint ~hit ~top_k c outcome
 
 (* --- edit ------------------------------------------------------------------ *)
@@ -420,13 +436,28 @@ let handle_edit t ?id ~ctx ~circuit ~kind ~target ~budget_ms ~top_k () =
 
 (* --- dispatch -------------------------------------------------------------- *)
 
+let publish_memory () =
+  let g = Gc.quick_stat () in
+  let mb words = float_of_int (words * (Sys.word_size / 8)) /. 1048576.0 in
+  let gauge name v =
+    Obs.Metrics.set_gauge (Obs.Metrics.gauge (Obs.Hooks.metrics ()) name) v
+  in
+  gauge "serd.memory.heap_mb" (mb g.Gc.heap_words);
+  gauge "serd.memory.top_heap_mb" (mb g.Gc.top_heap_words)
+
 (* Live introspection: the figures an operator checks before anything else
-   — how long up, how loaded, how the cache and the ladder are doing.
-   Counters come off the live metrics snapshot, structure off the server
-   itself, so the answer works the same over stdio and a socket. *)
+   — how long up, how loaded, how the cache and the ladder are doing, how
+   much heap the daemon holds.  Counters and gauges come off the live
+   metrics snapshot, structure off the server itself, so the answer works
+   the same over stdio and a socket. *)
 let stats_response t ?id ~ctx () =
+  publish_memory ();
   let snap = Obs.Metrics.snapshot (Obs.Hooks.metrics ()) in
   let c name = Json.int (Obs.Metrics.counter_value snap name) in
+  let g name =
+    Json.Number
+      (Option.value ~default:0.0 (Obs.Metrics.gauge_value snap name))
+  in
   Protocol.ok_response ?id ~request_id:(Obs.Ctx.id ctx)
     [
       ( "uptime_seconds",
@@ -445,10 +476,7 @@ let stats_response t ?id ~ctx () =
             ("rebuilt", c "analysis.incremental.rebuilt");
             ("dirty_sites", c "epp.incremental.dirty_sites");
             ("clean_reused", c "epp.incremental.clean_reused");
-            ( "dirty_fraction",
-              Json.Number
-                (Option.value ~default:0.0
-                   (Obs.Metrics.gauge_value snap "epp.incremental.dirty_fraction")) );
+            ("dirty_fraction", g "epp.incremental.dirty_fraction");
           ] );
       ( "engine_cache",
         Json.Obj
@@ -462,6 +490,12 @@ let stats_response t ?id ~ctx () =
           [
             ("capacity", Json.int Obs.Recorder.capacity);
             ("recorded", Json.int (Obs.Recorder.recorded ()));
+          ] );
+      ( "memory",
+        Json.Obj
+          [
+            ("heap_mb", g "serd.memory.heap_mb");
+            ("top_heap_mb", g "serd.memory.top_heap_mb");
           ] );
     ]
 

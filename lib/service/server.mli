@@ -15,10 +15,11 @@
       are shed immediately with [overloaded] instead of buffered without
       bound.
 
-    Engines are served from an {!Engine_cache}; whole-circuit sweeps are
-    checkpointed per fingerprint under [checkpoint_dir] (when set) and
-    resumed on repeat, so a kill -9 between requests loses at most the
-    in-flight chunk. *)
+    Engines are served from an {!Engine_cache}, with their last complete
+    whole-circuit sweep, so a repeat whole-circuit [analyze] on a resident
+    engine sweeps nothing; whole-circuit sweeps are checkpointed per
+    fingerprint under [checkpoint_dir] (when set) and resumed on repeat,
+    so a kill -9 between requests loses at most the in-flight chunk. *)
 
 type config = {
   max_request_bytes : int;  (** per-line cap; longer answers [request_too_large] *)
@@ -60,6 +61,13 @@ val handle_line :
     the same id is threaded into the sweep / cache / checkpoint layers and
     echoed on the reply as ["request_id"], and a [serd.request] Info log
     event (op, status, wall ms) closes the scope. *)
+
+val publish_memory : unit -> unit
+(** Read the OCaml heap's size and its high-water mark off
+    [Gc.quick_stat] into the gauges [serd.memory.heap_mb] and
+    [serd.memory.top_heap_mb] (MB of 2{^20} bytes).  The [stats] op calls
+    it before it answers, and serd's [--prom-file] writer before each
+    write, so both report the heap without reading [/proc]. *)
 
 val serve : t -> in_fd:Unix.file_descr -> out_fd:Unix.file_descr -> [ `Eof | `Shutdown ]
 (** Serve frames from [in_fd], answering on [out_fd], until EOF or a

@@ -8,6 +8,15 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
+(* Two rows with the same positions, cone size and float bits. *)
+let same_row (a : Epp.Site_row.t) (b : Epp.Site_row.t) =
+  let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  same_bits a.p_sensitized b.p_sensitized
+  && a.cone_size = b.cone_size
+  && a.positions = b.positions
+  && Array.length a.probabilities = Array.length b.probabilities
+  && Array.for_all2 same_bits a.probabilities b.probabilities
+
 (* --- hand-built circuits -------------------------------------------------- *)
 
 (* The paper's Fig. 1, reconstructed from the published computation:

@@ -3,8 +3,6 @@
 
 open Helpers
 
-let bits = Int64.bits_of_float
-
 let entries_equal a b =
   List.length a = List.length b
   && List.for_all2
@@ -12,51 +10,36 @@ let entries_equal a b =
          s1 = s2
          &&
          match (e1, e2) with
-         | ( Epp.Supervisor.Analyzed { result = r1; step = st1 },
-             Epp.Supervisor.Analyzed { result = r2; step = st2 } ) ->
-           st1 = st2
-           && r1.Epp.Epp_engine.site = r2.Epp.Epp_engine.site
-           && bits r1.Epp.Epp_engine.p_sensitized = bits r2.Epp.Epp_engine.p_sensitized
-           && r1.Epp.Epp_engine.cone_size = r2.Epp.Epp_engine.cone_size
-           && r1.Epp.Epp_engine.reached_outputs = r2.Epp.Epp_engine.reached_outputs
-           && List.for_all2
-                (fun (o1, p1) (o2, p2) -> o1 = o2 && bits p1 = bits p2)
-                r1.Epp.Epp_engine.per_observation r2.Epp.Epp_engine.per_observation
+         | ( Epp.Supervisor.Analyzed { row = r1; step = st1 },
+             Epp.Supervisor.Analyzed { row = r2; step = st2 } ) ->
+           st1 = st2 && same_row r1 r2
          | Epp.Supervisor.Quarantined q1, Epp.Supervisor.Quarantined q2 ->
            q1 = q2
          | _ -> false)
        a b
 
+(* s27's observations: the PO G17 at position 0, then the data inputs of
+   its three flip-flops. *)
+let s27 = Circuit_gen.Embedded.s27 ()
+
 (* Entries exercising every serialized shape: both steps, PO and FF
    observations, awkward floats (hex round-trip), every fault constructor,
    strings with spaces and quotes. *)
 let sample_entries () =
+  let row ~p_sensitized ~cone_size positions probabilities =
+    Epp.Site_row.make ~p_sensitized ~cone_size ~positions ~probabilities
+  in
   [
     ( 0,
       Epp.Supervisor.Analyzed
         {
-          result =
-            {
-              Epp.Epp_engine.site = 0;
-              p_sensitized = 0.1;
-              per_observation =
-                [ (Netlist.Circuit.Po 9, 1.0 /. 3.0); (Netlist.Circuit.Ff_data 4, 1e-300) ];
-              cone_size = 7;
-              reached_outputs = 2;
-            };
+          row = row ~p_sensitized:0.1 ~cone_size:7 [| 0; 2 |] [| 1.0 /. 3.0; 1e-300 |];
           step = Epp.Diag.Batch;
         } );
     ( 3,
       Epp.Supervisor.Analyzed
         {
-          result =
-            {
-              Epp.Epp_engine.site = 3;
-              p_sensitized = 0.9999999999999999;
-              per_observation = [];
-              cone_size = 1;
-              reached_outputs = 0;
-            };
+          row = row ~p_sensitized:0.9999999999999999 ~cone_size:1 [||] [||];
           step = Epp.Diag.Reference;
         } );
     ( 5,
@@ -95,9 +78,16 @@ let test_round_trip () =
       entries = sample_entries ();
     }
   in
-  Report.Checkpoint.save path t;
+  Report.Checkpoint.save ~circuit:s27 path t;
   check_bool "no tmp file left behind" false (Sys.file_exists (path ^ ".tmp"));
-  (match Report.Checkpoint.load path with
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  check_bool "positions written as the observations they name" true
+    (List.mem
+       (Printf.sprintf "ok 0 b 7 2 %h 2 p %d %h f %d %h" 0.1
+          (Netlist.Circuit.find s27 "G17") (1.0 /. 3.0)
+          (Netlist.Circuit.find s27 "G6") 1e-300)
+       (String.split_on_char '\n' text));
+  (match Report.Checkpoint.load ~circuit:s27 path with
   | Error e -> Alcotest.fail (Report.Checkpoint.error_message e)
   | Ok loaded ->
     check_string "fingerprint" t.Report.Checkpoint.fingerprint
@@ -112,9 +102,9 @@ let test_overwrite_is_atomic_rename () =
   let t fingerprint =
     { Report.Checkpoint.fingerprint; total_sites = 1; entries = [] }
   in
-  Report.Checkpoint.save path (t "first");
-  Report.Checkpoint.save path (t "second");
-  (match Report.Checkpoint.load path with
+  Report.Checkpoint.save ~circuit:s27 path (t "first");
+  Report.Checkpoint.save ~circuit:s27 path (t "second");
+  (match Report.Checkpoint.load ~circuit:s27 path with
   | Ok { Report.Checkpoint.fingerprint = "second"; _ } -> ()
   | Ok _ -> Alcotest.fail "stale snapshot survived the overwrite"
   | Error e -> Alcotest.fail (Report.Checkpoint.error_message e));
@@ -126,7 +116,7 @@ let test_corrupt_files () =
     let oc = open_out path in
     output_string oc content;
     close_out oc;
-    (match Report.Checkpoint.load path with
+    (match Report.Checkpoint.load ~circuit:s27 path with
     | Error (Report.Checkpoint.Corrupt _) -> ()
     | Error _ -> Alcotest.fail (name ^ ": wrong error class")
     | Ok _ -> Alcotest.fail (name ^ ": accepted corrupt input"));
@@ -139,8 +129,25 @@ let test_corrupt_files () =
     "serprop-checkpoint v1\nfingerprint x\ntotal 3\nbogus 1 2 3\n";
   reject "truncated entry"
     "serprop-checkpoint v1\nfingerprint x\ntotal 3\nok 0 b 1 1\n";
+  let g17 = Netlist.Circuit.find s27 "G17" and g5 = Netlist.Circuit.find s27 "G5" in
+  reject "an observation the circuit does not have"
+    (Printf.sprintf
+       "serprop-checkpoint v1\nfingerprint x\ntotal 3\nok 0 b 1 1 0x0p+0 1 f %d 0x0p+0\n"
+       g17);
+  reject "observations out of order"
+    (Printf.sprintf
+       "serprop-checkpoint v1\nfingerprint x\ntotal 3\nok 0 b 1 2 0x0p+0 2 f %d 0x0p+0 p %d 0x0p+0\n"
+       g5 g17);
+  reject "a negative fault count"
+    "serprop-checkpoint v1\nfingerprint x\ntotal 3\nqr 0 \"g\" -1 -1\n";
+  reject "more observations than the circuit has"
+    "serprop-checkpoint v1\nfingerprint x\ntotal 3\nok 0 b 1 999999999999 0x0p+0 999999999999\n";
+  reject "reached count and observation list disagree"
+    (Printf.sprintf
+       "serprop-checkpoint v1\nfingerprint x\ntotal 3\nok 0 b 1 2 0x0p+0 1 p %d 0x0p+0\n"
+       g17);
   check_bool "missing file is Corrupt, not an exception" true
-    (match Report.Checkpoint.load "/nonexistent/serprop.ck" with
+    (match Report.Checkpoint.load ~circuit:s27 "/nonexistent/serprop.ck" with
     | Error (Report.Checkpoint.Corrupt _) -> true
     | _ -> false)
 
@@ -160,7 +167,7 @@ let kernel_rung_snapshot engine =
 let test_kernel_step_rejected () =
   let engine = Epp.Epp_engine.create (Circuit_gen.Embedded.s27 ()) in
   let path = kernel_rung_snapshot engine in
-  (match Report.Checkpoint.load path with
+  (match Report.Checkpoint.load ~circuit:(Epp.Epp_engine.circuit engine) path with
   | Error (Report.Checkpoint.Corrupt { message; _ }) ->
     check_string "names the tag" "unknown step tag \"k\"" message
   | Error e -> Alcotest.fail (Report.Checkpoint.error_message e)
@@ -208,6 +215,68 @@ let test_fingerprint_pinned () =
     "55f8c535fb6e05d5ee2927f9cf9c0437"
     (Report.Checkpoint.fingerprint
        (Epp.Epp_engine.create (Circuit_gen.Embedded.s27 ())))
+
+(* A complete sweep's snapshot, as ser_estimate --checkpoint writes it. *)
+let snapshot_of c =
+  let engine = Epp.Epp_engine.create c in
+  let outcome = Epp.Supervisor.sweep_all ~domains:1 engine in
+  let path = Filename.temp_file "serprop_ck_pin" ".txt" in
+  Report.Checkpoint.save ~circuit:c path
+    {
+      Report.Checkpoint.fingerprint = Report.Checkpoint.fingerprint engine;
+      total_sites = Netlist.Circuit.node_count c;
+      entries = outcome.Epp.Supervisor.entries;
+    };
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  text
+
+(* A snapshot names observations by kind and node, whatever form a sweep
+   keeps its results in: the bytes of two complete snapshots are pinned,
+   so snapshots written by earlier versions still resume. *)
+let test_snapshot_bytes_pinned () =
+  let pin name c ~bytes ~md5 =
+    let text = snapshot_of c in
+    check_int (name ^ " bytes") bytes (String.length text);
+    check_string (name ^ " md5") md5 (Digest.to_hex (Digest.string text))
+  in
+  pin "s27" (Circuit_gen.Embedded.s27 ()) ~bytes:1623
+    ~md5:"f47340ce6225154aff134ab08a606bbb";
+  pin "s1196:3"
+    (Circuit_gen.Random_dag.generate ~seed:3 Circuit_gen.Profiles.s1196)
+    ~bytes:171485 ~md5:"f130e638b4cddf1e7eaea919ddd94765"
+
+(* A snapshot in the format entries with observation lists were written
+   in — built here from the list-shaped site results, not by the
+   checkpoint writer — replays to exactly the entries of a fresh sweep. *)
+let test_list_format_snapshot_replays () =
+  let c = Circuit_gen.Random_dag.generate ~seed:3 Circuit_gen.Profiles.s1196 in
+  let engine = Epp.Epp_engine.create c in
+  let fingerprint = Report.Checkpoint.fingerprint engine in
+  let buf = Buffer.create 4096 in
+  Printf.bprintf buf "serprop-checkpoint v1\nfingerprint %s\ntotal %d\n"
+    fingerprint (Netlist.Circuit.node_count c);
+  List.iter
+    (fun (r : Epp.Epp_engine.site_result) ->
+      Printf.bprintf buf "ok %d b %d %d %h %d" r.site r.cone_size r.reached_outputs
+        r.p_sensitized (List.length r.per_observation);
+      List.iter
+        (fun (o, p) ->
+          match o with
+          | Netlist.Circuit.Po net -> Printf.bprintf buf " p %d %h" net p
+          | Netlist.Circuit.Ff_data ff -> Printf.bprintf buf " f %d %h" ff p)
+        r.per_observation;
+      Buffer.add_char buf '\n')
+    (Epp.Ser_estimator.analyze_all engine);
+  let path = Filename.temp_file "serprop_ck_lists" ".txt" in
+  Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc buf);
+  (match Report.Checkpoint.replay ~circuit:c path ~fingerprint with
+  | Error e -> Alcotest.fail (Report.Checkpoint.error_message e)
+  | Ok entries ->
+    check_bool "replayed entries equal a fresh sweep's" true
+      (entries_equal entries
+         (Epp.Supervisor.sweep_all ~domains:1 engine).Epp.Supervisor.entries));
+  Sys.remove path
 
 (* The v2 fingerprint length-prefixes every name before digesting. Under the
    old raw interpolation, two circuits whose names merely split differently
@@ -304,6 +373,10 @@ let () =
         [
           Alcotest.test_case "fingerprint keys" `Quick test_fingerprint_keys;
           Alcotest.test_case "fingerprint pinned" `Quick test_fingerprint_pinned;
+          Alcotest.test_case "snapshot bytes pinned" `Quick
+            test_snapshot_bytes_pinned;
+          Alcotest.test_case "list-format snapshot replays" `Quick
+            test_list_format_snapshot_replays;
           Alcotest.test_case "v2 injective encoding" `Quick
             test_fingerprint_v2_injective_names;
           Alcotest.test_case "stale snapshot rejected after edit" `Quick

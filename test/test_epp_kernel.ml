@@ -31,6 +31,14 @@ let results_match_bitwise (a : Epp.Epp_engine.site_result)
          obs_equal o1 o2 && Int64.equal (Int64.bits_of_float p1) (Int64.bits_of_float p2))
        a.Epp.Epp_engine.per_observation b.Epp.Epp_engine.per_observation
 
+(* A block's row for [site] against the reference, through the row's
+   list-shaped view. *)
+let row_matches_reference engine site (row : Epp.Site_row.t) =
+  let observations = Analysis.observations (Epp.Epp_engine.analysis engine) in
+  results_match_bitwise
+    (Epp.Epp_engine.analyze_site engine site)
+    (Epp.Site_row.to_site_result observations ~site row)
+
 let sp_for c =
   if Circuit.ff_count c > 0 then
     (Sigprob.Sp_sequential.compute c).Sigprob.Sp_sequential.result
@@ -148,8 +156,7 @@ let batch_matches_reference ?lanes c =
   let batch = run_blocks ?lanes engine (Array.init n Fun.id) in
   let ok = ref true in
   for site = 0 to n - 1 do
-    if not (results_match_bitwise (Epp.Epp_engine.analyze_site engine site) batch.(site))
-    then ok := false
+    if not (row_matches_reference engine site batch.(site)) then ok := false
   done;
   !ok
 
@@ -191,7 +198,7 @@ let test_batch_duplicates_and_order () =
       check_bool
         (Printf.sprintf "site %d" site)
         true
-        (results_match_bitwise (Epp.Epp_engine.analyze_site engine site) r))
+        (row_matches_reference engine site r))
     sites batch
 
 (* --- plane buffers ----------------------------------------------------------- *)
@@ -247,7 +254,7 @@ let test_interleaved_workspaces () =
   let same interleaved separate =
     let interleaved = Array.concat (List.rev interleaved) in
     Array.length interleaved = Array.length separate
-    && Array.for_all2 results_match_bitwise interleaved separate
+    && Array.for_all2 same_row interleaved separate
   in
   check_bool "workspace 1 bit-identical" true (same !out1 separate1);
   check_bool "workspace 2 bit-identical" true (same !out2 separate2);
@@ -388,9 +395,9 @@ let check_block ?(engine_of = fun c -> Epp.Epp_engine.create ~sp:(sp_for c) c) c
     (fun l site ->
       let name = List.nth names l in
       match (Epp.Epp_engine.analyze_site engine site, results.(l)) with
-      | reference, Ok r ->
+      | _, Ok r ->
         check_bool (name ^ ": bit-identical to the reference") true
-          (results_match_bitwise reference r);
+          (row_matches_reference engine site r);
         check_bool (name ^ ": same vector-sum sentinel") true
           (same_bits (reference_defect engine site) (Option.get defects.(l)))
       | _, Error e ->

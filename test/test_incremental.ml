@@ -101,23 +101,12 @@ let incremental_sweep ~rung plan ~prior engine =
 
 (* --- bit-exact comparison --------------------------------------------------- *)
 
-let bits = Int64.bits_of_float
-
 let same_entry (s1, e1) (s2, e2) =
   s1 = s2
   &&
   match (e1, e2) with
-  | ( Epp.Supervisor.Analyzed { result = r1; _ },
-      Epp.Supervisor.Analyzed { result = r2; _ } ) ->
-    r1.Epp.Epp_engine.site = r2.Epp.Epp_engine.site
-    && bits r1.Epp.Epp_engine.p_sensitized = bits r2.Epp.Epp_engine.p_sensitized
-    && r1.Epp.Epp_engine.cone_size = r2.Epp.Epp_engine.cone_size
-    && r1.Epp.Epp_engine.reached_outputs = r2.Epp.Epp_engine.reached_outputs
-    && List.length r1.Epp.Epp_engine.per_observation
-       = List.length r2.Epp.Epp_engine.per_observation
-    && List.for_all2
-         (fun (o1, p1) (o2, p2) -> o1 = o2 && bits p1 = bits p2)
-         r1.Epp.Epp_engine.per_observation r2.Epp.Epp_engine.per_observation
+  | Epp.Supervisor.Analyzed { row = r1; _ }, Epp.Supervisor.Analyzed { row = r2; _ } ->
+    same_row r1 r2
   | Epp.Supervisor.Quarantined _, Epp.Supervisor.Quarantined _ -> true
   | _ -> false
 
@@ -371,6 +360,37 @@ let test_zero_budget_edit_counts () =
       (analyzed + remaining)
   | Epp.Diag.Complete -> Alcotest.fail "expected the zero budget to expire"
 
+(* A clean site's entry after an edit is the base sweep's entry itself,
+   not a copy: rows name observations by position and carry no site id,
+   so nothing about them changes across an observation-compatible edit. *)
+let test_clean_entries_shared () =
+  let c = Circuit_gen.Random_dag.generate ~seed:3 Circuit_gen.Profiles.s1196 in
+  let engine = Epp.Epp_engine.create c in
+  let outcome = full_sweep ~rung:Batch engine in
+  let gate =
+    List.nth (List.filter (Circuit.is_gate c) (List.init (Circuit.node_count c) Fun.id)) 40
+  in
+  let _, d = Transform.triplicate_delta c ~nodes:[ gate ] in
+  let engine', _ = Epp.Incremental.rebase engine d in
+  let plan = Epp.Incremental.plan ~before:engine ~after:engine' d in
+  let outcome' =
+    incremental_sweep ~rung:Batch plan ~prior:outcome.entries engine'
+  in
+  let before = Array.of_list (List.map snd outcome.entries) in
+  let old_of_new = Delta.old_of_new d in
+  let clean = ref 0 in
+  List.iter
+    (fun (w, entry) ->
+      let v = old_of_new.(w) in
+      if (not (Epp.Incremental.dirty plan).(w)) && v >= 0 then begin
+        incr clean;
+        check_bool (Printf.sprintf "site %d keeps site %d's entry" w v) true
+          (entry == before.(v))
+      end)
+    outcome'.entries;
+  check_bool "the edit left clean sites" true (!clean > 0);
+  check_int "every clean site resumed" !clean outcome'.stats.Epp.Diag.resumed
+
 let () =
   Alcotest.run "incremental"
     [
@@ -391,6 +411,8 @@ let () =
             test_plan_degrades_to_full_on_new_observation;
           Alcotest.test_case "zero-budget edit keeps the count" `Quick
             test_zero_budget_edit_counts;
+          Alcotest.test_case "clean entries shared, not copied" `Quick
+            test_clean_entries_shared;
         ] );
       ( "bit identity",
         [ prop_chain Batch; prop_chain Reference ] );

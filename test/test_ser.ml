@@ -176,6 +176,48 @@ let test_top_k () =
   Alcotest.check_raises "negative k" (Invalid_argument "Ranking.top_k: negative k") (fun () ->
       ignore (Epp.Ranking.top_k report (-1)))
 
+(* top_k selects without sorting every node; it must still be exactly the
+   head of the full ranking, on reports whose FITs tie (and include a NaN),
+   for k at and around the edges. *)
+let prop_top_k_is_ranked_prefix =
+  let base = Epp.Ser_estimator.estimate (Circuit_gen.Embedded.s27 ()) in
+  qtest ~count:200 ~name:"top_k = first k of ranked, with ties" seed_arbitrary
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let pool = [| 0.0; 1.5; 1.5; 2.25; 7.0; Float.nan |] in
+      let n = 1 + Rng.int rng ~bound:40 in
+      (* unique node ids in a shuffled order, FITs drawn from a small pool *)
+      let ids = Array.init n (fun i -> i * 3) in
+      for i = n - 1 downto 1 do
+        let j = Rng.int rng ~bound:(i + 1) in
+        let t = ids.(i) in
+        ids.(i) <- ids.(j);
+        ids.(j) <- t
+      done;
+      let template = base.Epp.Ser_estimator.nodes.(0) in
+      let nodes =
+        Array.map
+          (fun node ->
+            {
+              template with
+              Epp.Ser_estimator.node;
+              fit = pool.(Rng.int rng ~bound:(Array.length pool));
+            })
+          ids
+      in
+      let report = { base with Epp.Ser_estimator.nodes } in
+      let ranked = Epp.Ranking.ranked report in
+      List.for_all
+        (fun k ->
+          let top = Epp.Ranking.top_k report k in
+          List.length top = min k n
+          && List.for_all2
+               (fun (a : Epp.Ranking.entry) (b : Epp.Ranking.entry) ->
+                 a.rank = b.rank && a.report == b.report)
+               top
+               (List.filteri (fun i _ -> i < k) ranked))
+        [ 0; 1; n - 1; n; n + 5 ])
+
 let test_hardening_plan_reaches_target () =
   let c = Circuit_gen.Embedded.s27 () in
   let report = Epp.Ser_estimator.estimate c in
@@ -259,6 +301,7 @@ let () =
         [
           Alcotest.test_case "sorted and sequentially ranked" `Quick test_ranking_sorted;
           Alcotest.test_case "top_k" `Quick test_top_k;
+          prop_top_k_is_ranked_prefix;
           Alcotest.test_case "hardening plan reaches target" `Quick
             test_hardening_plan_reaches_target;
           Alcotest.test_case "hardening plan extremes" `Quick test_hardening_plan_extremes;

@@ -97,21 +97,90 @@ let test_request_limits () =
 
 let test_cache_hit_skips_analysis () =
   let m = fresh_registry () in
-  let server = Server.create Server.default_config in
-  let r1 = reply server analyze_s27 in
+  let server =
+    Server.create { Server.default_config with allow_fault_injection = true }
+  in
+  let analyze_top =
+    {|{"op":"analyze","circuit":{"format":"embedded","source":"s27"},"top_k":5}|}
+  in
+  let blocks () =
+    Obs.Metrics.counter_value (Obs.Metrics.snapshot m) "epp.batch.blocks"
+  in
+  let r1 = reply server analyze_top in
   check_string "cold analyze" "ok" (status r1);
   check_bool "cold is a miss" true (jstr "cache" r1 = Some "miss");
-  let r2 = reply server analyze_s27 in
+  check_int "the miss swept every site" 0 (stat "resumed" r1);
+  let swept = blocks () in
+  let r2 = reply server analyze_top in
   check_bool "repeat is a hit" true (jstr "cache" r2 = Some "hit");
   check_bool "same fingerprint" true
     (jstr "fingerprint" r1 = jstr "fingerprint" r2);
+  let field k r = Option.map Json.to_string (Json.member k r) in
+  check_bool "same summary, byte for byte" true
+    (field "summary" r1 = field "summary" r2 && field "summary" r1 <> None);
+  check_bool "same top, byte for byte" true
+    (field "top" r1 = field "top" r2 && field "top" r1 <> None);
+  check_int "the hit answers from the remembered sweep" (stat "total" r2)
+    (stat "resumed" r2);
+  check_int "the hit runs no batch block" swept (blocks ());
   let s = Obs.Metrics.snapshot m in
   check_int "one topological sort despite the repeat" 1
     (Obs.Metrics.counter_value s "analysis.topo.computed");
   check_int "hit metered" 1
     (Obs.Metrics.counter_value s "analysis.cache.engine.hit");
   check_int "miss metered" 1
-    (Obs.Metrics.counter_value s "analysis.cache.engine.miss")
+    (Obs.Metrics.counter_value s "analysis.cache.engine.miss");
+  (* A fault drill on the resident engine still runs the ladder, and does
+     not replace the remembered sweep. *)
+  let drill =
+    reply server
+      {|{"op":"analyze","circuit":{"format":"embedded","source":"s27"},"inject_faults":[0,5]}|}
+  in
+  check_int "the drill quarantines its sites" 2 (stat "quarantined" drill);
+  check_int "the drill resumes nothing" 0 (stat "resumed" drill);
+  let r3 = reply server analyze_top in
+  check_bool "after the drill, the same summary" true
+    (field "summary" r3 = field "summary" r1);
+  check_int "after the drill, nothing quarantined" 0 (stat "quarantined" r3)
+
+(* The reply's top is the head of the full ranking: P_sensitized
+   descending, site id ascending, whatever the k. *)
+let test_top_is_sorted_prefix () =
+  ignore (fresh_registry ());
+  let server = Server.create Server.default_config in
+  let c = Circuit_gen.Embedded.s27 () in
+  let engine = Epp.Epp_engine.create c in
+  let ranked =
+    List.sort
+      (fun (a : Epp.Epp_engine.site_result) b ->
+        compare (b.p_sensitized, a.site) (a.p_sensitized, b.site))
+      (Epp.Ser_estimator.analyze_all engine)
+  in
+  List.iter
+    (fun k ->
+      let r =
+        reply server
+          (Printf.sprintf
+             {|{"op":"analyze","circuit":{"format":"embedded","source":"s27"},"top_k":%d}|}
+             k)
+      in
+      let top =
+        match Json.member "top" r with
+        | Some (Json.List l) ->
+          List.map
+            (fun e ->
+              ( int_of_float (Option.get (jnum "site" e)),
+                Option.get (jnum "p_sensitized" e) ))
+            l
+        | _ -> Alcotest.fail "no top in the reply"
+      in
+      let expected =
+        List.filteri (fun i _ -> i < k) ranked
+        |> List.map (fun (r : Epp.Epp_engine.site_result) -> (r.site, r.p_sensitized))
+      in
+      check_bool (Printf.sprintf "top %d equals the full sort's head" k) true
+        (top = expected))
+    [ 0; 1; 5; 16; 17; 40 ]
 
 let test_cache_eviction () =
   let m = fresh_registry () in
@@ -274,7 +343,12 @@ let test_stats_op () =
     &&
     match Option.bind (Json.member "recorder" r) (jnum "recorded") with
     | Some n -> n > 0.0
-    | None -> false)
+    | None -> false);
+  let memory k = Option.bind (Json.member "memory" r) (jnum k) in
+  check_bool "heap reported, positive, under its high-water mark" true
+    (match (memory "heap_mb", memory "top_heap_mb") with
+    | Some heap, Some top -> heap > 0.0 && top >= heap
+    | _ -> false)
 
 let test_dump_op () =
   ignore (fresh_registry ());
@@ -557,6 +631,8 @@ let () =
         [
           Alcotest.test_case "hit skips analysis" `Quick
             test_cache_hit_skips_analysis;
+          Alcotest.test_case "top is the sorted head" `Quick
+            test_top_is_sorted_prefix;
           Alcotest.test_case "eviction" `Quick test_cache_eviction;
         ] );
       ( "deadline",

@@ -62,7 +62,7 @@ let test_clean_sweep () =
   check_int "none degraded" 0 stats.Epp.Diag.degraded;
   check_int "none quarantined" 0 stats.Epp.Diag.quarantined;
   check_bool "bit-identical to unsupervised" true
-    (List.for_all2 same_result unsupervised (Epp.Supervisor.results outcome))
+    (List.for_all2 same_result unsupervised (Epp.Supervisor.results engine outcome))
 
 (* Batch lanes failing on k sites: those degrade to the reference path and
    still produce the unsupervised results, everything stays analyzed. *)
@@ -82,7 +82,7 @@ let test_degrade_to_reference () =
   check_int "degraded = k" (List.length poisoned) stats.Epp.Diag.degraded;
   check_int "none quarantined" 0 stats.Epp.Diag.quarantined;
   check_bool "degraded results match the reference bit-identically" true
-    (List.for_all2 same_result unsupervised (Epp.Supervisor.results outcome));
+    (List.for_all2 same_result unsupervised (Epp.Supervisor.results engine outcome));
   List.iter
     (fun (site, entry) ->
       match entry with
@@ -100,8 +100,9 @@ let test_degrade_to_reference () =
 let test_sentinel_trips () =
   let c = test_circuit () in
   let engine = Epp.Epp_engine.create c in
-  let defective p (r : Epp.Epp_engine.site_result) =
-    { r with Epp.Epp_engine.p_sensitized = p }
+  let defective p (r : Epp.Site_row.t) =
+    Epp.Site_row.make ~p_sensitized:p ~cone_size:r.cone_size
+      ~positions:r.positions ~probabilities:r.probabilities
   in
   let batch_run block sites =
     Array.mapi
@@ -158,7 +159,7 @@ let test_quarantine_exactly_k () =
       unsupervised
   in
   check_bool "non-poisoned sites bit-identical" true
-    (List.for_all2 same_result expected (Epp.Supervisor.results outcome))
+    (List.for_all2 same_result expected (Epp.Supervisor.results engine outcome))
 
 (* Post-create sp corruption (the validation in create can no longer see it):
    affected sites fail on both rungs and are quarantined; the sweep finishes
@@ -197,7 +198,7 @@ let test_hostile_sp_mutation () =
       before
   in
   check_bool "unaffected sites bit-identical to the pre-corruption sweep" true
-    (List.for_all2 same_result survivors (Epp.Supervisor.results outcome))
+    (List.for_all2 same_result survivors (Epp.Supervisor.results engine outcome))
 
 (* A clean sweep runs every site on the batch rung, several blocks per
    chunk (the first chunk's seven fanned out), and is bit-identical to the
@@ -218,7 +219,7 @@ let test_batch_clean_sweep () =
   check_bool "bit-identical to the reference" true
     (List.for_all2 same_result
        (List.init n (Epp.Epp_engine.analyze_site engine))
-       (Epp.Supervisor.results outcome))
+       (Epp.Supervisor.results engine outcome))
 
 (* The chunks of a supervised sweep, and a later sweep on another engine of
    the same size, all run on one plane buffer: allocated once, handed back
@@ -249,7 +250,7 @@ let test_batch_planes_reused () =
         o.Epp.Supervisor.stats.Epp.Diag.batch_ok;
       check_bool "bit-identical to unsupervised" true
         (List.for_all2 same_result (Epp.Ser_estimator.analyze_all e)
-           (Epp.Supervisor.results o)))
+           (Epp.Supervisor.results e o)))
     [ (e1, o1); (e2, o2) ]
 
 (* Per-lane fault injection through the [batch_run] seam: poisoned lanes
@@ -275,7 +276,7 @@ let test_batch_lane_degrades_alone () =
     stats.Epp.Diag.degraded;
   check_int "none quarantined" 0 stats.Epp.Diag.quarantined;
   check_bool "all sites bit-identical to unsupervised" true
-    (List.for_all2 same_result unsupervised (Epp.Supervisor.results outcome));
+    (List.for_all2 same_result unsupervised (Epp.Supervisor.results engine outcome));
   List.iter
     (fun (site, entry) ->
       match entry with
@@ -331,14 +332,14 @@ let test_batch_whole_block_failure () =
   check_int "every lane degraded to the reference" n stats.Epp.Diag.degraded;
   check_int "none quarantined" 0 stats.Epp.Diag.quarantined;
   check_bool "results still bit-identical" true
-    (List.for_all2 same_result unsupervised (Epp.Supervisor.results outcome))
+    (List.for_all2 same_result unsupervised (Epp.Supervisor.results engine outcome))
 
 (* An out-of-range site id in the input is quarantined, not fatal. *)
 let test_bad_site_quarantined () =
   let c = fig1 () in
   let engine = Epp.Epp_engine.create c in
   let outcome = Epp.Supervisor.sweep ~domains:1 engine [ 0; 999; 1 ] in
-  check_int "two analyzed" 2 (List.length (Epp.Supervisor.results outcome));
+  check_int "two analyzed" 2 (List.length (Epp.Supervisor.results engine outcome));
   match Epp.Supervisor.quarantines outcome with
   | [ q ] ->
     check_int "the bad site" 999 q.Epp.Diag.site;
@@ -360,7 +361,7 @@ let test_kill_resume_round_trip () =
      ignore
        (Epp.Supervisor.sweep ~domains:2 ~chunk_size:16
           ~on_chunk:(fun ~done_count:_ ~total:_ entries ->
-            Report.Checkpoint.save path
+            Report.Checkpoint.save ~circuit:c path
               { Report.Checkpoint.fingerprint = fp; total_sites = n; entries };
             incr chunks;
             if !chunks = kill_after then raise Killed)
@@ -380,8 +381,8 @@ let test_kill_resume_round_trip () =
       (List.length resumed.Epp.Supervisor.entries);
     check_bool "identical final report" true
       (List.for_all2 same_result
-         (Epp.Supervisor.results clean)
-         (Epp.Supervisor.results resumed));
+         (Epp.Supervisor.results engine clean)
+         (Epp.Supervisor.results engine resumed));
     Sys.remove path
 
 (* --- deadline ------------------------------------------------------------- *)
@@ -399,6 +400,7 @@ let test_deadline_partial_prefix () =
   let engine = Epp.Epp_engine.create c in
   let n = Circuit.node_count c in
   let unsupervised = Array.of_list (Epp.Ser_estimator.analyze_all engine) in
+  let observations = Analysis.observations (Epp.Epp_engine.analysis engine) in
   let outcome =
     Epp.Supervisor.sweep ~domains:1 ~chunk_size:8 ~batch_run:slow_batch_run
       ~deadline:(Obs.Deadline.after ~seconds:0.05)
@@ -419,9 +421,10 @@ let test_deadline_partial_prefix () =
       (fun i (site, entry) ->
         check_int "finished entries form the input-order prefix" i site;
         match entry with
-        | Epp.Supervisor.Analyzed { result; _ } ->
+        | Epp.Supervisor.Analyzed { row; _ } ->
           check_bool "finished entry bit-identical to unsupervised" true
-            (same_result unsupervised.(site) result)
+            (same_result unsupervised.(site)
+               (Epp.Site_row.to_site_result observations ~site row))
         | Epp.Supervisor.Quarantined _ -> Alcotest.fail "unexpected quarantine")
       outcome.Epp.Supervisor.entries
 
@@ -490,8 +493,8 @@ let test_deadline_then_resume () =
     check_int "all sites present" n (List.length resumed.Epp.Supervisor.entries);
     check_bool "identical final report" true
       (List.for_all2 same_result
-         (Epp.Supervisor.results clean)
-         (Epp.Supervisor.results resumed)));
+         (Epp.Supervisor.results engine clean)
+         (Epp.Supervisor.results engine resumed)));
   Sys.remove path
 
 (* --- prior entries ----------------------------------------------------------- *)
@@ -589,6 +592,56 @@ let test_allocation_matches_unsupervised () =
        supervised unsupervised)
     true
     (supervised <= 1.05 *. unsupervised)
+
+(* On a small circuit the outcome's per-site containers weigh most
+   against the per-observation data; a row spends 2 words an observation
+   where the unsupervised driver's list spends 8, so even here the
+   supervised sweep allocates no more. *)
+let test_small_circuit_allocation () =
+  let c = Circuit_gen.Random_dag.generate ~seed:3 Circuit_gen.Profiles.s1196 in
+  let engine = Epp.Epp_engine.create c in
+  ignore (Epp.Ser_estimator.analyze_all ~domains:1 engine);
+  ignore (Epp.Supervisor.sweep_all ~domains:1 engine);
+  let unsupervised =
+    minor_words (fun () -> Epp.Ser_estimator.analyze_all ~domains:1 engine)
+  in
+  let supervised =
+    minor_words (fun () -> Epp.Supervisor.sweep_all ~domains:1 engine)
+  in
+  check_bool
+    (Printf.sprintf "supervised %.0f minor words <= unsupervised %.0f" supervised
+       unsupervised)
+    true
+    (supervised <= unsupervised)
+
+(* s13207:1 has 8,651 sites reaching about 148 observation points each,
+   so what a site's result costs per observation sets the sweep's
+   allocation. *)
+let test_dense_sweep_allocation () =
+  let c = Circuit_gen.Random_dag.generate ~seed:1 Circuit_gen.Profiles.s13207 in
+  let engine = Epp.Epp_engine.create c in
+  ignore (Epp.Supervisor.sweep_all ~domains:1 engine);
+  let mb =
+    minor_words (fun () -> Epp.Supervisor.sweep_all ~domains:1 engine)
+    *. float_of_int (Sys.word_size / 8)
+    /. 1048576.0
+  in
+  check_bool (Printf.sprintf "%.1f MB of minor words <= 30 MB" mb) true (mb <= 30.0)
+
+(* What a sweep's consumers keep: the entries of a complete sweep against
+   the unsupervised driver's list of site results, in reachable words. *)
+let test_entries_footprint () =
+  let c = Circuit_gen.Random_dag.generate ~seed:1 Circuit_gen.Profiles.s5378 in
+  let engine = Epp.Epp_engine.create c in
+  let words x = float_of_int (Obj.reachable_words (Obj.repr x)) in
+  let results = words (Epp.Ser_estimator.analyze_all ~domains:1 engine) in
+  let entries =
+    words (Epp.Supervisor.sweep_all ~domains:1 engine).Epp.Supervisor.entries
+  in
+  check_bool
+    (Printf.sprintf "entries %.0f words <= 0.35 x site results %.0f" entries results)
+    true
+    (entries <= 0.35 *. results)
 
 let batch_blocks f =
   let reg = Obs.Metrics.create () in
@@ -701,6 +754,12 @@ let () =
             test_allocation_matches_unsupervised;
           Alcotest.test_case "chunks end on block boundaries" `Quick
             test_chunks_end_on_block_boundaries;
+          Alcotest.test_case "small circuit allocates no more" `Quick
+            test_small_circuit_allocation;
+          Alcotest.test_case "dense sweep allocates <= 30 MB" `Quick
+            test_dense_sweep_allocation;
+          Alcotest.test_case "entries hold <= 0.35x the site results" `Quick
+            test_entries_footprint;
         ] );
       ( "cli",
         [ Alcotest.test_case "ser_estimate --domains by default" `Quick
