@@ -2,7 +2,7 @@
 
    The alias first runs the real CLI —
 
-     ser_estimate embedded:s27 --metrics M --trace T
+     ser_estimate embedded:s27 --by-output --metrics M --trace T
 
    — then runs this validator on the two files it wrote.  The checks pin
    the acceptance contract of the telemetry layer:
@@ -19,7 +19,9 @@
    - the trace is Perfetto-loadable in shape: a traceEvents list whose
      B/E events balance per name, with >= 3 distinct phase names, numeric
      pid/tid on every event, and a thread_name metadata record for every
-     tid that appears.
+     tid that appears;
+   - the run built one engine: exactly one epp.create and one
+     sp.sequential span, --by-output included.
 
    It then exercises the flight-recorder / correlation contract in-process:
    a supervised sweep with an injected all-rung fault (one quarantine) and
@@ -129,6 +131,17 @@ let () =
        (List.length phase_names)
        (String.concat ", " phase_names))
     (List.length phase_names >= 3);
+
+  (* The report, the plan and --by-output's attribution all compose from
+     one sweep: one engine, so one signal-probability fixpoint. *)
+  List.iter
+    (fun name ->
+      let spans =
+        List.length
+          (List.filter (fun e -> ph e = "B" && str "name" e = Some name) events)
+      in
+      check (Printf.sprintf "exactly one %s span (got %d)" name spans) (spans = 1))
+    [ "epp.create"; "sp.sequential" ];
 
   check "every event has numeric pid/tid/ts"
     (List.for_all

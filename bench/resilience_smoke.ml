@@ -29,6 +29,20 @@ let same_result (a : Epp.Epp_engine.site_result) (b : Epp.Epp_engine.site_result
        (fun (o1, p1) (o2, p2) -> o1 = o2 && bits p1 = bits p2)
        a.Epp.Epp_engine.per_observation b.Epp.Epp_engine.per_observation
 
+(* The analyzed entries as site results, for comparison with the
+   unsupervised driver. *)
+let analyzed engine (outcome : Epp.Supervisor.outcome) =
+  let observations =
+    Netlist.Analysis.observations (Epp.Epp_engine.analysis engine)
+  in
+  List.filter_map
+    (fun (site, entry) ->
+      match entry with
+      | Epp.Supervisor.Analyzed { row; _ } ->
+        Some (Epp.Site_row.to_site_result observations ~site row)
+      | Epp.Supervisor.Quarantined _ -> None)
+    outcome.Epp.Supervisor.entries
+
 let failures = ref 0
 let checks = ref []
 
@@ -78,21 +92,23 @@ let () =
       unsupervised
   in
   check "non-poisoned sites bit-identical to the unsupervised sweep"
-    (List.for_all2 same_result survivors (Epp.Supervisor.results engine outcome));
+    (List.for_all2 same_result survivors (analyzed engine outcome));
 
-  (* 2. Kill/resume: interrupt after the first chunk's snapshot, resume, and
-     compare totals against the uninterrupted supervised run. *)
+  (* 2. Kill/resume: interrupt after the first chunk's entries are
+     appended, resume, and compare totals against the uninterrupted
+     supervised run. *)
   let path = Filename.temp_file "serprop_resilience" ".ck" in
-  let fp = Report.Checkpoint.fingerprint engine in
+  let record =
+    Report.Checkpoint.recorder ~circuit path
+      ~fingerprint:(Report.Checkpoint.fingerprint engine)
+  in
   (try
      ignore
-       (Epp.Supervisor.sweep ~domains:2 ~chunk_size:5 ~batch_run ~reference
-          ~on_chunk:(fun ~done_count ~total:_ entries ->
-            Report.Checkpoint.save ~circuit path
-              { Report.Checkpoint.fingerprint = fp; total_sites = n; entries };
+       (Epp.Supervisor.sweep_all ~domains:2 ~chunk_size:5 ~batch_run ~reference
+          ~on_chunk:(fun ~done_count ~total entries ->
+            record ~done_count ~total entries;
             if done_count >= 5 then raise Killed)
-          engine
-          (List.init n Fun.id))
+          engine)
    with Killed -> ());
   (match
      Report.Checkpoint.supervised_sweep ~domains:2 ~chunk_size:5 ~checkpoint:path
@@ -104,11 +120,11 @@ let () =
       (resumed.Epp.Supervisor.stats.Epp.Diag.resumed = 5);
     check "resumed sweep covers every site"
       (List.length resumed.Epp.Supervisor.entries = n);
-    let total results =
-      (Epp.Ser_estimator.of_site_results circuit results).Epp.Ser_estimator.total_fit
+    let total outcome =
+      (Epp.Ser_estimator.of_outcome engine outcome).Epp.Ser_estimator.total_fit
     in
-    let clean_fit = total (Epp.Supervisor.results engine outcome) in
-    let resumed_fit = total (Epp.Supervisor.results engine resumed) in
+    let clean_fit = total outcome in
+    let resumed_fit = total resumed in
     check
       (Printf.sprintf "resumed total FIT bit-identical (%h vs %h)" resumed_fit
          clean_fit)

@@ -8,9 +8,9 @@
    the batched block engine across --domains worker domains, lanes that
    fault or trip a numeric sentinel are retried on the boxed reference
    path, and sites that fail both rungs are quarantined into a typed report
-   instead of killing the run.  --checkpoint snapshots completed sites
-   atomically after every chunk; --resume replays a matching snapshot and
-   analyzes only the remainder.
+   instead of killing the run.  --checkpoint appends each chunk's completed
+   sites to a snapshot; --resume replays a matching snapshot and analyzes
+   only the remainder.
 
    Telemetry: --metrics FILE writes a JSON snapshot of the run's counters /
    histograms (per-phase EPP timings, cone sizes, parallel steals,
@@ -27,10 +27,10 @@ open Cmdliner
 let exit_quarantined = 3
 let exit_checkpoint = 4
 
-let print_report circuit technology (report : Epp.Ser_estimator.report) elapsed
-    top_k target_reduction by_output =
-  Fmt.pr "%a@." Netlist.Circuit.pp circuit;
-  Fmt.pr "technology: %a@." Seu_model.Technology.pp technology;
+let print_report (report : Epp.Ser_estimator.report) elapsed top_k
+    target_reduction attribution =
+  Fmt.pr "%a@." Netlist.Circuit.pp report.Epp.Ser_estimator.circuit;
+  Fmt.pr "technology: %a@." Seu_model.Technology.pp report.Epp.Ser_estimator.technology;
   Fmt.pr "total SER: %.6f FIT (MTBF %.3g hours), estimated in %.1f ms@.@."
     report.Epp.Ser_estimator.total_fit
     (Seu_model.Fit.mtbf_hours report.Epp.Ser_estimator.total_fit)
@@ -60,10 +60,7 @@ let print_report circuit technology (report : Epp.Ser_estimator.report) elapsed
   | Some fraction ->
     let plan = Epp.Ranking.hardening_plan report ~target_fraction:fraction in
     Fmt.pr "@.%a@." Epp.Ranking.pp_plan plan);
-  if by_output then begin
-    let attribution = Epp.Attribution.compute ~technology circuit in
-    Fmt.pr "@.%a@." Epp.Attribution.pp attribution
-  end
+  Option.iter (Fmt.pr "@.%a@." Epp.Attribution.pp) attribution
 
 let run circuit technology top_k target_reduction by_output electrical
     checkpoint resume strict domains metrics trace prom dump progress =
@@ -95,9 +92,8 @@ let run circuit technology top_k target_reduction by_output electrical
     Fmt.epr "ser_estimate: %s@." (Report.Checkpoint.error_message e);
     exit_checkpoint
   | Ok outcome ->
-    let results = Epp.Supervisor.results engine outcome in
     let report =
-      Epp.Ser_estimator.of_site_results ~technology ?electrical circuit results
+      Epp.Ser_estimator.of_outcome ~technology ?electrical engine outcome
     in
     (* the run's headline figure, bit-exact in the --metrics snapshot *)
     Obs.Metrics.set_gauge
@@ -107,8 +103,9 @@ let run circuit technology top_k target_reduction by_output electrical
     if quarantines <> [] then
       Fmt.pr "WARNING: partial total — %d site(s) quarantined@."
         (List.length quarantines);
-    print_report circuit technology report elapsed top_k target_reduction
-      by_output;
+    print_report report elapsed top_k target_reduction
+      (if by_output then Some (Epp.Attribution.compute ~technology engine outcome)
+       else None);
     Fmt.pr "@.supervised sweep: %a@." Epp.Diag.pp_stats
       outcome.Epp.Supervisor.stats;
     if quarantines <> [] then Fmt.pr "%a@." Epp.Diag.pp_quarantine_table quarantines;
@@ -132,8 +129,8 @@ let electrical_arg =
 
 let checkpoint_arg =
   let doc =
-    "Snapshot completed sites to $(docv) (atomically, after every chunk) so \
-     an interrupted sweep can be resumed with $(b,--resume)."
+    "Snapshot completed sites to $(docv) (appended and synced after every \
+     chunk) so an interrupted sweep can be resumed with $(b,--resume)."
   in
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
 

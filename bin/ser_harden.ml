@@ -58,17 +58,8 @@ let pick_target circuit (report : Epp.Ser_estimator.report) ~hardened =
       else best)
     None report.Epp.Ser_estimator.nodes
 
-let baseline_sweep ~ctx ?domains circuit technology =
-  let engine = Epp.Epp_engine.create circuit in
-  let outcome = Epp.Supervisor.sweep_all ~ctx ?domains engine in
-  let report =
-    Epp.Ser_estimator.of_site_results ~technology circuit
-      (Epp.Supervisor.results engine outcome)
-  in
-  (engine, outcome, report)
-
-let run_derate ~ctx:_ circuit technology ~steps ~factor
-    (report0 : Epp.Ser_estimator.report) results0 =
+let run_derate circuit technology ~steps ~factor engine outcome0
+    (report0 : Epp.Ser_estimator.report) =
   let hardened = Hashtbl.create 16 in
   let baseline = report0.Epp.Ser_estimator.total_fit in
   let scale site =
@@ -83,8 +74,8 @@ let run_derate ~ctx:_ circuit technology ~steps ~factor
       | Some target ->
         Hashtbl.replace hardened target.Epp.Ser_estimator.name ();
         let report' =
-          Epp.Ser_estimator.of_site_results ~technology ~r_seu_scale:scale
-            circuit results0
+          Epp.Ser_estimator.of_outcome ~technology ~r_seu_scale:scale engine
+            outcome0
         in
         let fit = report'.Epp.Ser_estimator.total_fit in
         let rec_ =
@@ -130,10 +121,7 @@ let run_tmr ~ctx ?domains circuit technology ~steps engine0
             ~prior:outcome.Epp.Supervisor.entries engine'
         in
         let circuit' = Netlist.Delta.after delta in
-        let report' =
-          Epp.Ser_estimator.of_site_results ~technology circuit'
-            (Epp.Supervisor.results engine' outcome')
-        in
+        let report' = Epp.Ser_estimator.of_outcome ~technology engine' outcome' in
         let fit = report'.Epp.Ser_estimator.total_fit in
         let stats = outcome'.Epp.Supervisor.stats in
         let swept = stats.Epp.Diag.total - stats.Epp.Diag.resumed in
@@ -229,9 +217,9 @@ let run circuit technology strategy steps factor json_path domains metrics
   end
   else begin
     let ctx = Obs.Ctx.create ~baggage:[ ("tool", "ser_harden") ] () in
-    let engine, outcome0, report0 =
-      baseline_sweep ~ctx ?domains circuit technology
-    in
+    let engine = Epp.Epp_engine.create circuit in
+    let outcome0 = Epp.Supervisor.sweep_all ~ctx ?domains engine in
+    let report0 = Epp.Ser_estimator.of_outcome ~technology engine outcome0 in
     let quarantines = Epp.Supervisor.quarantines outcome0 in
     if quarantines <> [] then
       Fmt.pr "WARNING: baseline is partial — %d site(s) quarantined@."
@@ -240,8 +228,7 @@ let run circuit technology strategy steps factor json_path domains metrics
     let curve =
       match strategy with
       | Derate ->
-        run_derate ~ctx circuit technology ~steps ~factor report0
-          (Epp.Supervisor.results engine outcome0)
+        run_derate circuit technology ~steps ~factor engine outcome0 report0
       | Tmr ->
         run_tmr ~ctx ?domains circuit technology ~steps engine outcome0 report0
     in

@@ -29,51 +29,61 @@ type t = {
   matrix_total_fit : float;
 }
 
+(* Rate descending; a tie lists the higher site first, the contributor order
+   reports have printed all along. *)
+let by_rate (site_a, rate_a) (site_b, rate_b) =
+  let c = Float.compare rate_b rate_a in
+  if c <> 0 then c else Int.compare site_b site_a
+
+(* Columns are the observation positions the rows index.  A row lists its
+   positions ascending, so walking the columns in order meets each row's
+   positions in order: a cursor per site replaces a search, and each column
+   sums its sites in the outcome's order. *)
 let compute ?(technology = Seu_model.Technology.default)
-    ?(latching = Seu_model.Latching.default) ?(top = 5) ?sp circuit =
+    ?(latching = Seu_model.Latching.default) ?(top = 5) engine
+    (outcome : Supervisor.outcome) =
   if top < 0 then invalid_arg "Attribution.compute: negative top";
   Seu_model.Latching.check latching;
-  let engine = Epp_engine.create ?sp circuit in
-  let observations = Circuit.observations circuit in
-  let index = Hashtbl.create 16 in
-  List.iteri (fun i obs -> Hashtbl.replace index obs i) observations;
-  let columns = Array.make (List.length observations) [] in
-  let totals = Array.make (List.length observations) 0.0 in
-  for site = 0 to Circuit.node_count circuit - 1 do
-    let r_seu = Seu_model.Technology.r_seu_node technology circuit site in
-    if r_seu > 0.0 then begin
-      let result = Epp_engine.analyze_site engine site in
-      List.iter
-        (fun (obs, p_prop) ->
-          let i = Hashtbl.find index obs in
-          let rate = r_seu *. p_prop *. Seu_model.Latching.p_latched latching obs in
+  let circuit = Epp_engine.circuit engine in
+  let observations = Analysis.observations (Epp_engine.analysis engine) in
+  let sites =
+    List.filter_map
+      (function
+        | site, Supervisor.Analyzed { row; _ } ->
+          let r_seu = Seu_model.Technology.r_seu_node technology circuit site in
+          if r_seu > 0.0 then Some (site, r_seu, row, ref 0) else None
+        | _, Supervisor.Quarantined _ -> None)
+      outcome.Supervisor.entries
+  in
+  let totals = Array.make (Array.length observations) 0.0 in
+  let column i =
+    let obs = fst observations.(i) in
+    let capture = Seu_model.Latching.p_latched latching obs in
+    let contributors = ref [] in
+    List.iter
+      (fun (site, r_seu, (row : Site_row.t), j) ->
+        if !j < Array.length row.positions && row.positions.(!j) = i then begin
+          let rate = r_seu *. row.probabilities.(!j) *. capture in
+          incr j;
           if rate > 0.0 then begin
             totals.(i) <- totals.(i) +. rate;
-            columns.(i) <- (site, rate) :: columns.(i)
-          end)
-        result.Epp_engine.per_observation
-    end
-  done;
-  let columns =
-    List.mapi
-      (fun i obs ->
-        let contributors =
-          List.sort (fun (_, a) (_, b) -> compare b a) columns.(i)
-          |> List.filteri (fun k _ -> k < top)
-          |> List.map (fun (node, rate) -> (node, Seu_model.Fit.of_rate_per_second rate))
-        in
-        {
-          observation = obs;
-          name = Circuit.observation_name circuit obs;
-          fit = Seu_model.Fit.of_rate_per_second totals.(i);
-          top_contributors = contributors;
-        })
-      observations
-    |> List.sort (fun a b -> compare b.fit a.fit)
+            contributors := (site, rate) :: !contributors
+          end
+        end)
+      sites;
+    {
+      observation = obs;
+      name = Circuit.observation_name circuit obs;
+      fit = Seu_model.Fit.of_rate_per_second totals.(i);
+      top_contributors =
+        Ranking.select ~compare:by_rate top (fun f -> List.iter f !contributors)
+        |> List.map (fun (node, rate) -> (node, Seu_model.Fit.of_rate_per_second rate));
+    }
   in
+  let columns = List.init (Array.length observations) column in
   {
     circuit;
-    columns;
+    columns = List.sort (fun a b -> compare b.fit a.fit) columns;
     matrix_total_fit =
       Seu_model.Fit.of_rate_per_second (Array.fold_left ( +. ) 0.0 totals);
   }

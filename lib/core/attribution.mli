@@ -22,10 +22,12 @@ val compute :
   ?technology:Seu_model.Technology.t ->
   ?latching:Seu_model.Latching.t ->
   ?top:int ->
-  ?sp:Sigprob.Sp.result ->
-  Netlist.Circuit.t ->
+  Epp_engine.t ->
+  Supervisor.outcome ->
   t
-(** [top] bounds the per-column contributor list (default 5).
+(** The columns of a supervised sweep's rows ([engine] is the outcome's),
+    without its quarantined sites, and with no electrical derating.  [top]
+    bounds each column's contributors (default 5; ties go to the higher id).
     @raise Invalid_argument on a negative [top] or a bad latching model. *)
 
 val pp : t Fmt.t

@@ -59,76 +59,75 @@ let capture_probability ~latching ~electrical ~ctx circuit ~site obs =
     in
     Seu_model.Electrical.p_latched el latching ~levels:depth obs
 
-let effective_latch ~latching ~electrical ~convention circuit
-    (r : Epp_engine.site_result) =
-  match convention with
-  | Per_node ->
-    ignore circuit;
-    Seu_model.Latching.p_latched_ff latching *. r.Epp_engine.p_sensitized
-  | Per_observation ->
-    let ctx = Analysis.get circuit in
-    let miss =
-      List.fold_left
-        (fun acc (obs, p_prop) ->
-          let capture =
-            capture_probability ~latching ~electrical ~ctx circuit
-              ~site:r.Epp_engine.site obs
-          in
-          acc *. (1.0 -. (p_prop *. capture)))
-        1.0 r.Epp_engine.per_observation
-    in
-    1.0 -. miss
-
-let of_site_results ?(technology = Seu_model.Technology.default)
-    ?(latching = Seu_model.Latching.default) ?electrical ?(convention = Per_observation)
-    ?(r_seu_scale = fun _ -> 1.0) circuit results =
+(* The report over the entries [sites] builds with [node], in its order.
+   [miss capture] is prod_j (1 - p_prop_j × capture obs_j) over the reached
+   observation points in observation order, the order of a result's list and
+   of a row's positions alike: both front ends compose bit-identical reports,
+   each from its own representation. *)
+let compose ?(technology = Seu_model.Technology.default)
+    ?(latching = Seu_model.Latching.default) ?electrical
+    ?(convention = Per_observation) ?(r_seu_scale = fun _ -> 1.0) circuit sites =
   Seu_model.Latching.check latching;
   Option.iter Seu_model.Electrical.check electrical;
-  let nodes =
-    results
-    |> List.map (fun (r : Epp_engine.site_result) ->
-           let scale = r_seu_scale r.Epp_engine.site in
-           if not (scale >= 0.0) (* also catches NaN *) then
-             invalid_arg
-               (Printf.sprintf
-                  "Ser_estimator.of_site_results: r_seu_scale %g at node %d"
-                  scale r.Epp_engine.site);
-           let r_seu =
-             scale *. Seu_model.Technology.r_seu_node technology circuit r.site
-           in
-           (* The product P_latched × P_sensitized, folded per convention. *)
-           let sens_and_latch =
-             effective_latch ~latching ~electrical ~convention circuit r
-           in
-           let p_latched_effective =
-             if r.Epp_engine.p_sensitized > 0.0 then
-               sens_and_latch /. r.Epp_engine.p_sensitized
-             else 0.0
-           in
-           let failure_rate = r_seu *. sens_and_latch in
-           {
-             node = r.site;
-             name = Circuit.node_name circuit r.site;
-             r_seu;
-             p_sensitized = r.Epp_engine.p_sensitized;
-             p_latched_effective = Sigprob.Sp_rules.clamp p_latched_effective;
-             failure_rate;
-             fit = Seu_model.Fit.of_rate_per_second failure_rate;
-             cone_size = r.Epp_engine.cone_size;
-           })
-    |> Array.of_list
+  let node ~site ~p_sensitized ~cone_size miss =
+    let scale = r_seu_scale site in
+    if not (scale >= 0.0) (* also catches NaN *) then
+      invalid_arg
+        (Printf.sprintf "Ser_estimator: r_seu_scale %g at node %d" scale site);
+    let r_seu = scale *. Seu_model.Technology.r_seu_node technology circuit site in
+    (* The product P_latched × P_sensitized, folded per convention. *)
+    let sens_and_latch =
+      match convention with
+      | Per_node -> Seu_model.Latching.p_latched_ff latching *. p_sensitized
+      | Per_observation ->
+        let ctx = Analysis.get circuit in
+        1.0 -. miss (capture_probability ~latching ~electrical ~ctx circuit ~site)
+    in
+    let p_latched_effective =
+      Sigprob.Sp_rules.clamp
+        (if p_sensitized > 0.0 then sens_and_latch /. p_sensitized else 0.0)
+    in
+    let failure_rate = r_seu *. sens_and_latch in
+    let fit = Seu_model.Fit.of_rate_per_second failure_rate in
+    { node = site; name = Circuit.node_name circuit site; r_seu; p_sensitized;
+      p_latched_effective; failure_rate; fit; cone_size }
   in
+  let nodes = Array.of_list (sites node) in
   let total_failure_rate = Array.fold_left (fun acc n -> acc +. n.failure_rate) 0.0 nodes in
-  {
-    circuit;
-    technology;
-    latching;
-    electrical;
-    convention;
-    nodes;
-    total_failure_rate;
-    total_fit = Seu_model.Fit.of_rate_per_second total_failure_rate;
-  }
+  let total_fit = Seu_model.Fit.of_rate_per_second total_failure_rate in
+  { circuit; technology; latching; electrical; convention; nodes; total_failure_rate; total_fit }
+
+let of_site_results ?technology ?latching ?electrical ?convention ?r_seu_scale
+    circuit results =
+  compose ?technology ?latching ?electrical ?convention ?r_seu_scale circuit
+  @@ fun node ->
+  List.map
+    (fun { Epp_engine.site; p_sensitized; per_observation; cone_size; _ } ->
+      node ~site ~p_sensitized ~cone_size (fun capture ->
+          List.fold_left
+            (fun acc (obs, p_prop) -> acc *. (1.0 -. (p_prop *. capture obs)))
+            1.0 per_observation))
+    results
+
+let of_outcome ?technology ?latching ?electrical ?convention ?r_seu_scale
+    engine (outcome : Supervisor.outcome) =
+  let observations = Analysis.observations (Epp_engine.analysis engine) in
+  compose ?technology ?latching ?electrical ?convention ?r_seu_scale
+    (Epp_engine.circuit engine)
+  @@ fun node ->
+  List.filter_map
+    (function
+      | _, Supervisor.Quarantined _ -> None
+      | site, Supervisor.Analyzed { row = { Site_row.p_sensitized; cone_size; positions; probabilities }; _ } ->
+        Some
+          (node ~site ~p_sensitized ~cone_size (fun capture ->
+               let miss = ref 1.0 in
+               Array.iteri
+                 (fun j i ->
+                   miss := !miss *. (1.0 -. (probabilities.(j) *. capture (fst observations.(i)))))
+                 positions;
+               !miss)))
+    outcome.Supervisor.entries
 
 (* --- the sweep driver ------------------------------------------------------
 
@@ -162,10 +161,15 @@ let estimate ?technology ?latching ?electrical ?convention ?sp ?domains
   of_site_results ?technology ?latching ?electrical ?convention circuit
     (analyze_all ?domains engine)
 
-let node_report report v =
-  if v < 0 || v >= Array.length report.nodes then
+(* A full sweep's report holds node [v] at index [v]; others are searched. *)
+let node_report { circuit; nodes; _ } v =
+  if v < 0 || v >= Circuit.node_count circuit then
     invalid_arg "Ser_estimator.node_report: bad node";
-  report.nodes.(v)
+  if v < Array.length nodes && nodes.(v).node = v then nodes.(v)
+  else
+    match Array.find_opt (fun n -> n.node = v) nodes with
+    | Some n -> n
+    | None -> invalid_arg (Printf.sprintf "Ser_estimator.node_report: node %d was not analyzed" v)
 
 let pp_summary ppf r =
   Fmt.pf ppf "@[<v>%s: total SER %.4f FIT over %d nodes (tech %s)@]"

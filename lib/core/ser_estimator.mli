@@ -30,7 +30,7 @@ type report = {
   convention : latch_convention;
   nodes : node_report array;
       (** one entry per analyzed site, input order; node-id-indexed for a
-          full {!estimate} sweep, a subset under {!of_site_results} *)
+          full sweep, a subset otherwise (see {!node_report}) *)
   total_failure_rate : float;
   total_fit : float;
 }
@@ -44,17 +44,27 @@ val of_site_results :
   Netlist.Circuit.t ->
   Epp_engine.site_result list ->
   report
-(** Compose the three factors from precomputed per-site EPP results — the
-    entry point for supervised / partial sweeps ({!Supervisor},
-    checkpoint resume), where quarantined sites are absent and the totals
-    are explicitly partial.  [nodes] holds one entry per given result, in
-    input order; for a full [analyze_all] sweep that coincides with
-    node-id indexing.
+(** Compose the three factors from the unsupervised driver's per-site EPP
+    results.  [nodes] holds one entry per given result, in input order;
+    for a full [analyze_all] sweep that coincides with node-id indexing.
 
     [r_seu_scale] multiplies each node's raw upset rate (default 1.0
     everywhere) — the selective-hardening seam used by [ser_harden]'s
     derating strategy: a hardened gate keeps its EPP result and takes a
     smaller [R_SEU].  @raise Invalid_argument on a negative or NaN scale. *)
+
+val of_outcome :
+  ?technology:Seu_model.Technology.t ->
+  ?latching:Seu_model.Latching.t ->
+  ?electrical:Seu_model.Electrical.t ->
+  ?convention:latch_convention ->
+  ?r_seu_scale:(int -> float) ->
+  Epp_engine.t ->
+  Supervisor.outcome ->
+  report
+(** {!of_site_results} over a supervised sweep's rows ([engine] is the
+    outcome's), bit-identical to it on the same sites' results.  Quarantined
+    sites are left out, so such a report's totals are partial. *)
 
 (** {2 The EPP sweep driver}
 
@@ -94,6 +104,7 @@ val estimate :
     electrical model, foreign [sp]). *)
 
 val node_report : report -> int -> node_report
-(** @raise Invalid_argument on a bad node id. *)
+(** Node [v]'s entry, by id, also on a report that lacks some sites.
+    @raise Invalid_argument on a bad node id or a node not analyzed. *)
 
 val pp_summary : report Fmt.t

@@ -1,6 +1,7 @@
 (** One analyzed site's EPP result in the compact form every sweep consumer
     keeps: the supervised sweep's entries, the incremental splice, [serd]'s
-    remembered outcomes and the checkpoint writer.
+    remembered outcomes, the checkpoint writer, FIT composition
+    ({!Ser_estimator.of_outcome}) and attribution.
 
     A row holds the site's [P_sensitized], its cone size and two unboxed
     arrays: the positions of the observation points the site's cone
@@ -12,7 +13,7 @@
     mutated once built.
 
     {!Epp_engine.site_result} is the list-shaped view of a row, for the
-    reference oracle, the unsupervised driver and FIT composition. *)
+    reference oracle and the unsupervised driver. *)
 
 type t = private {
   p_sensitized : float;

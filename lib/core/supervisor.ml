@@ -231,11 +231,6 @@ let drive ?ctx ?domains ?(chunk_size = 16 * Epp_batch.max_lanes) ?on_chunk
       end)
     held;
   let resumed = total - !ntodo in
-  let finished () =
-    Array.fold_right
-      (fun e acc -> match e with Some e -> e :: acc | None -> acc)
-      held []
-  in
   let analyzed = ref resumed in
   let pos = ref 0 in
   let expired = ref false in
@@ -266,12 +261,13 @@ let drive ?ctx ?domains ?(chunk_size = 16 * Epp_batch.max_lanes) ?on_chunk
          of inside the per-site wrapper: one scan per chunk versus a registry
          lookup per site. *)
       Obs.Metrics.incr c_chunks;
-      let completed = ref 0 in
+      let completed = ref 0 and fresh = ref [] in
       Array.iteri
         (fun b block ->
           Option.iter
             (Array.iteri (fun l ((_, entry) as e) ->
                  held.(todo.(start + (b * Epp_batch.max_lanes) + l)) <- Some e;
+                 if Option.is_some on_chunk then fresh := e :: !fresh;
                  incr completed;
                  Obs.Metrics.incr
                    (match entry with
@@ -283,10 +279,15 @@ let drive ?ctx ?domains ?(chunk_size = 16 * Epp_batch.max_lanes) ?on_chunk
       if !completed < len then expired := true;
       analyzed := !analyzed + !completed;
       pos := start + len;
-      Option.iter (fun f -> f ~done_count:!analyzed ~total (finished ())) on_chunk
+      (* only the chunk's own entries, in input order *)
+      Option.iter (fun f -> f ~done_count:!analyzed ~total (List.rev !fresh)) on_chunk
     end
   done;
-  let entries = finished () in
+  let entries =
+    Array.fold_right
+      (fun e acc -> match e with Some e -> e :: acc | None -> acc)
+      held []
+  in
   let completion =
     if !expired then begin
       Obs.Metrics.incr (Obs.Metrics.counter m "supervisor.deadline_expired");
@@ -327,15 +328,6 @@ let sweep_all ?ctx ?domains ?chunk_size ?on_chunk ?batch_run ?reference
     prior;
   drive ?ctx ?domains ?chunk_size ?on_chunk ?batch_run ?reference ?deadline
     engine (Array.init n Fun.id) held
-
-let results engine outcome =
-  let observations = Analysis.observations (Epp_engine.analysis engine) in
-  List.filter_map
-    (fun (site, entry) ->
-      match entry with
-      | Analyzed { row; _ } -> Some (Site_row.to_site_result observations ~site row)
-      | Quarantined _ -> None)
-    outcome.entries
 
 let quarantines outcome =
   List.filter_map

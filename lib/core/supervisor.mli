@@ -18,7 +18,7 @@
     blocks (one union-cone walk each).  Because the per-site wrapper never
     raises, one bad site can neither kill nor deadlock the sweep.  Sites are
     processed in chunks so a checkpoint callback ({!Report.Checkpoint} wires
-    one) sees completed results periodically.
+    one) receives each chunk's completed entries as the chunk ends.
 
     A whole-circuit sweep ({!sweep_all}) takes the entries its caller
     already holds — a replayed checkpoint, the clean sites an edit spliced —
@@ -58,10 +58,11 @@ val sweep :
 (** Supervised parallel sweep over the given sites.  [on_chunk] fires after
     each completed chunk ([chunk_size] sites, default 992 = 16 blocks of
     {!Epp_batch.max_lanes}, so no chunk ends on a short block) on the
-    calling domain with every entry finished so far, in input order — the
-    checkpoint hook.  [done_count] is their number and [total] the sweep's
-    site count.  An exception from [on_chunk] itself aborts the sweep (all
-    domains already joined) and propagates.
+    calling domain with that chunk's own entries, in input order — the
+    checkpoint hook, which appends them.  [done_count] counts every entry
+    finished so far and [total] the sweep's sites.  An exception from
+    [on_chunk] itself aborts the sweep (all domains already joined) and
+    propagates.
 
     The vector sentinel's tolerance is [1e-6], {!Prob4.normalize}'s drift
     bound: a larger defect is a rule bug or poisoned input, not rounding.
@@ -110,16 +111,11 @@ val sweep_all :
 (** {!sweep} over every node of the engine's circuit, in node-id order,
     starting from the [prior] entries the caller already holds (default
     none; a later entry for the same site replaces an earlier one).  Only
-    the other sites are swept.  The outcome's entries — and the ones
-    [on_chunk] sees — are the held and the fresh ones merged in site-id
-    order, [stats.resumed] counts the held ones, and they count as covered
-    in [on_chunk]'s [done_count] and in a deadline's [analyzed] — so
-    [analyzed + remaining] is always the node count.
+    the other sites are swept, and only their entries reach [on_chunk].
+    The outcome's entries are the held and the fresh ones merged in
+    site-id order, [stats.resumed] counts the held ones, and they count as
+    covered in [on_chunk]'s [done_count] and in a deadline's [analyzed] —
+    so [analyzed + remaining] is always the node count.
     @raise Invalid_argument if a [prior] site is not a node id. *)
-
-val results : Epp_engine.t -> outcome -> Epp_engine.site_result list
-(** The successfully analyzed sites as {!Epp_engine.site_result} views,
-    input order (quarantines dropped).  [engine] is the one the outcome
-    belongs to: its observations name the rows' positions. *)
 
 val quarantines : outcome -> Diag.quarantine list

@@ -20,11 +20,14 @@
    circuit's observations and reading translates them back.  <reached>
    and <nobs> are both the row's reached count.
 
-   Saves are atomic AND durable: the snapshot is written to "<path>.tmp",
-   fsync'd, renamed over <path>, and the parent directory is fsync'd too —
-   so a sweep killed mid-write leaves the previous snapshot (or no file),
-   never a torn one, and a machine that loses power right after [save]
-   returns still has the rename on disk.  The fingerprint ties a snapshot
+   A file is created atomically AND durably: it is written to
+   "<path>.tmp", fsync'd, renamed over <path>, and the parent directory is
+   fsync'd too — so a kill mid-write leaves the previous file (or none),
+   and a machine that loses power right after [save] returns still has the
+   rename on disk.  A sweep then appends each chunk's entries and fsyncs
+   them before the next chunk starts: every finished entry is written
+   once.  A kill mid-append can leave an unterminated last line; readers
+   ignore it and the next append cuts it.  The fingerprint ties a snapshot
    to the exact analysis: circuit structure *and* the engine's
    signal-probability vector, because resuming EPP results against
    different probabilities would be silently wrong. *)
@@ -168,19 +171,26 @@ let write_entry buf observations (site, entry) =
 
 let observations circuit = Analysis.observations (Analysis.get circuit)
 
-let save ?ctx ~circuit path t =
-  let m = Obs.Hooks.metrics () in
-  Obs.Trace.span (Obs.Hooks.tracer ()) ~cat:"checkpoint"
-    ~args:(Obs.Ctx.args_of ctx) "checkpoint.save"
-  @@ fun () ->
-  let t0 =
-    if Obs.Metrics.is_null m then 0.0 else Obs.Clock.wall_seconds ()
+(* The first [size] bytes of [path] up to and including the last newline:
+   what an append cut short leaves before its unterminated last line. *)
+let complete_length path size =
+  In_channel.with_open_bin path @@ fun ic ->
+  let block = Bytes.create 4096 in
+  let rec scan stop =
+    if stop = 0 then 0
+    else
+      let start = max 0 (stop - Bytes.length block) in
+      In_channel.seek ic (Int64.of_int start);
+      really_input ic block 0 (stop - start);
+      match Bytes.rindex_from_opt block (stop - start - 1) '\n' with
+      | Some i -> start + i + 1
+      | None -> scan start
   in
-  let buf = Buffer.create (4096 + (64 * List.length t.entries)) in
-  Buffer.add_string buf "serprop-checkpoint v1\n";
-  Printf.bprintf buf "fingerprint %s\n" t.fingerprint;
-  Printf.bprintf buf "total %d\n" t.total_sites;
-  List.iter (write_entry buf (observations circuit)) t.entries;
+  scan size
+
+(* Replaces [path] atomically and durably: writes [path ^ ".tmp"], fsyncs
+   it, renames it over [path], then fsyncs the parent directory. *)
+let replace path buf =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
   Fun.protect
@@ -195,12 +205,44 @@ let save ?ctx ~circuit path t =
   (* The rename itself lives in the directory; fsync it so the new name
      survives power loss.  Some filesystems reject fsync on a directory fd —
      losing durability there is acceptable, losing atomicity is not. *)
-  (try
-     let dir = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
-     Fun.protect
-       ~finally:(fun () -> try Unix.close dir with Unix.Unix_error _ -> ())
-       (fun () -> Unix.fsync dir)
-   with Unix.Unix_error _ -> ());
+  try
+    let dir = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close dir with Unix.Unix_error _ -> ())
+      (fun () -> Unix.fsync dir)
+  with Unix.Unix_error _ -> ()
+
+(* Appends [buf] to [path] and fsyncs it.  An unterminated last line — an
+   earlier append killed mid-write — is cut first, so the new lines never
+   extend it into a malformed one. *)
+let append path buf =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let size = Unix.lseek fd 0 Unix.SEEK_END in
+      let keep = complete_length path size in
+      if keep < size then Unix.ftruncate fd keep;
+      ignore (Unix.lseek fd keep Unix.SEEK_SET);
+      let data = Buffer.contents buf in
+      ignore (Unix.write_substring fd data 0 (String.length data));
+      Unix.fsync fd)
+
+(* Both kinds of write are one durable snapshot each: [fill] builds the
+   lines of [entries] entries, and building, writing and syncing them are
+   spanned, timed and counted alike, so [checkpoint.bytes_written] of a
+   fresh sweep is its file's size. *)
+let write ?ctx ~entries path how fill =
+  let m = Obs.Hooks.metrics () in
+  Obs.Trace.span (Obs.Hooks.tracer ()) ~cat:"checkpoint"
+    ~args:(Obs.Ctx.args_of ctx) "checkpoint.save"
+  @@ fun () ->
+  let t0 =
+    if Obs.Metrics.is_null m then 0.0 else Obs.Clock.wall_seconds ()
+  in
+  let buf = Buffer.create (4096 + (64 * entries)) in
+  fill buf;
+  how path buf;
   Obs.Metrics.incr (Obs.Metrics.counter m "checkpoint.snapshots");
   Obs.Metrics.add (Obs.Metrics.counter m "checkpoint.bytes_written")
     (Buffer.length buf);
@@ -210,11 +252,15 @@ let save ?ctx ~circuit path t =
       (Obs.Clock.wall_seconds () -. t0);
   Obs.Log.emit ?ctx
     ~fields:
-      [
-        ("path", Obs.Json.String path);
-        ("entries", Obs.Json.int (List.length t.entries));
-      ]
+      [ ("path", Obs.Json.String path); ("entries", Obs.Json.int entries) ]
     Obs.Log.Info "checkpoint.save"
+
+let save ?ctx ~circuit path t =
+  write ?ctx ~entries:(List.length t.entries) path replace (fun buf ->
+      Buffer.add_string buf "serprop-checkpoint v1\n";
+      Printf.bprintf buf "fingerprint %s\n" t.fingerprint;
+      Printf.bprintf buf "total %d\n" t.total_sites;
+      List.iter (write_entry buf (observations circuit)) t.entries)
 
 (* --- reading ------------------------------------------------------------- *)
 
@@ -342,11 +388,21 @@ let read_file path =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        try
-          while true do
-            lines := input_line ic :: !lines
-          done
-        with End_of_file -> ());
+        let length = in_channel_length ic in
+        let torn =
+          length > 0
+          &&
+          (seek_in ic (length - 1);
+           input_char ic <> '\n')
+        in
+        seek_in ic 0;
+        (try
+           while true do
+             lines := input_line ic :: !lines
+           done
+         with End_of_file -> ());
+        (* an unterminated last line is an append cut short: not data *)
+        if torn then lines := List.tl !lines);
     match List.rev !lines with
     | header :: rest when String.trim header = "serprop-checkpoint v1" -> (
       match rest with
@@ -380,7 +436,12 @@ let load ~circuit path =
   @@ fun () ->
   Result.bind (read_file path) (fun (fingerprint, total_sites, lines) ->
       Result.map
-        (fun entries -> { fingerprint; total_sites; entries })
+        (fun entries ->
+          (* a resumed sweep appends its sites after the replayed ones *)
+          let entries =
+            List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) entries
+          in
+          { fingerprint; total_sites; entries })
         (read_entries ~circuit path lines))
 
 (* --- the resumable supervised sweep -------------------------------------- *)
@@ -409,37 +470,42 @@ let replay ?ctx ~circuit path ~fingerprint =
         (read_entries ~circuit path lines)
 
 let recorder ?ctx ~circuit path ~fingerprint ~done_count:_ ~total entries =
-  save ?ctx ~circuit path { fingerprint; total_sites = total; entries }
+  let started =
+    match Unix.stat path with
+    | st -> st.Unix.st_size > 0
+    | exception Unix.Unix_error _ -> false
+  in
+  if started then
+    write ?ctx ~entries:(List.length entries) path append (fun buf ->
+        List.iter (write_entry buf (observations circuit)) entries)
+  else save ?ctx ~circuit path { fingerprint; total_sites = total; entries }
 
 let supervised_sweep ?ctx ?domains ?chunk_size ?checkpoint ?(resume = false)
     ?on_progress ?batch_run ?reference ?deadline engine =
-  let fingerprint = fingerprint engine in
   let circuit = Epp.Epp_engine.circuit engine in
-  let prior =
+  let started =
     match checkpoint with
-    | Some path when resume -> replay ?ctx ~circuit path ~fingerprint
-    | _ -> Ok []
+    | None -> Ok (None, [])
+    | Some path ->
+      let fingerprint = fingerprint engine in
+      let record = recorder ?ctx ~circuit path ~fingerprint in
+      if resume && Sys.file_exists path then
+        Result.map
+          (fun prior -> (Some record, prior))
+          (replay ?ctx ~circuit path ~fingerprint)
+      else begin
+        (* a fresh file, which the recorder appends this sweep's entries to *)
+        let total_sites = Circuit.node_count circuit in
+        save ?ctx ~circuit path { fingerprint; total_sites; entries = [] };
+        Ok (Some record, [])
+      end
   in
   Result.map
-    (fun prior ->
-      let record = Option.map (recorder ?ctx ~circuit ~fingerprint) checkpoint in
+    (fun (record, prior) ->
       let on_chunk ~done_count ~total entries =
         Option.iter (fun f -> f ~done_count ~total entries) record;
         Option.iter (fun f -> f ~done_count ~total) on_progress
       in
-      let outcome =
-        Epp.Supervisor.sweep_all ?ctx ?domains ?chunk_size ~on_chunk ?batch_run
-          ?reference ?deadline ~prior engine
-      in
-      (* once more at the end, so the file exists even when no chunk ran *)
-      Option.iter
-        (fun path ->
-          save ?ctx ~circuit path
-            {
-              fingerprint;
-              total_sites = Circuit.node_count circuit;
-              entries = outcome.Epp.Supervisor.entries;
-            })
-        checkpoint;
-      outcome)
-    prior
+      Epp.Supervisor.sweep_all ?ctx ?domains ?chunk_size ~on_chunk ?batch_run
+        ?reference ?deadline ~prior engine)
+    started

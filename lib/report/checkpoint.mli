@@ -1,11 +1,14 @@
 (** Checkpoint / resume for supervised sweeps.
 
-    A checkpoint is a periodic atomic snapshot (write-temp-then-rename, so a
-    kill mid-write leaves the previous snapshot intact) of every completed
-    {!Epp.Supervisor.entry}, keyed by a fingerprint of the analysis — the
-    circuit structure and the signal probabilities actually in the engine —
-    so a snapshot can never silently resume against a different analysis.  Floats are serialized in hexadecimal ([%h]), so a
-    resumed sweep replays results bit-identically.
+    A checkpoint is a file of completed {!Epp.Supervisor.entry} lines
+    behind a header, keyed by a fingerprint of the analysis — the circuit
+    structure and the signal probabilities actually in the engine — so a
+    snapshot can never silently resume against a different analysis.  The
+    file is created atomically (write-temp-then-rename) and each chunk's
+    entries are then appended and fsynced, so a kill mid-append leaves at
+    worst an unterminated last line, which readers ignore.  Floats are
+    serialized in hexadecimal ([%h]), so a resumed sweep replays results
+    bit-identically.
 
     An entry's {!Epp.Site_row.t} names its reached observation points by
     position; a snapshot names them by kind and node, so {!save} and the
@@ -16,7 +19,9 @@
 type t = {
   fingerprint : string;
   total_sites : int;  (** of the full sweep the snapshot belongs to *)
-  entries : (int * Epp.Supervisor.entry) list;  (** sorted by site id *)
+  entries : (int * Epp.Supervisor.entry) list;
+      (** sorted by site id (a resumed sweep's file lists its own sites
+          after the replayed ones; {!load} sorts them) *)
 }
 
 type error =
@@ -46,7 +51,9 @@ val save : ?ctx:Obs.Ctx.t -> circuit:Netlist.Circuit.t -> string -> t -> unit
 val load : circuit:Netlist.Circuit.t -> string -> (t, error) result
 (** Parses a snapshot of entries on [circuit]; never raises on malformed
     input ([Corrupt], which includes an observation point [circuit] does
-    not have, or one listed out of order). *)
+    not have, or one listed out of order).  An unterminated last line — an
+    append cut short — is ignored; any malformed complete line is
+    [Corrupt]. *)
 
 val replay :
   ?ctx:Obs.Ctx.t ->
@@ -58,7 +65,8 @@ val replay :
     [prior], when it belongs to the analysis with [fingerprint] (on
     [circuit]); none when no file exists.  The fingerprint is checked
     before any entry is read.  A mismatched or corrupt snapshot is an
-    [Error], never silently ignored. *)
+    [Error], never silently ignored; an unterminated last line is ignored
+    as in {!load}. *)
 
 val recorder :
   ?ctx:Obs.Ctx.t ->
@@ -70,9 +78,13 @@ val recorder :
   (int * Epp.Supervisor.entry) list ->
   unit
 (** [recorder path ~fingerprint] is an [on_chunk] hook for
-    {!Epp.Supervisor.sweep_all}: after every chunk it rewrites the snapshot
-    at [path] ({!save}) with every entry finished so far, prior ones
-    included. *)
+    {!Epp.Supervisor.sweep_all}: it appends the chunk's new entries to the
+    file at [path] and fsyncs it before it returns, first cutting an
+    unterminated last line.  When [path] does not exist, or is empty, it
+    creates it instead, header and entries, atomically as {!save} does.  The file
+    must otherwise hold the sweep's [prior] entries already — a fresh
+    header, or the snapshot they were replayed from — so that it ends up
+    holding every finished entry once. *)
 
 val supervised_sweep :
   ?ctx:Obs.Ctx.t ->
@@ -91,15 +103,20 @@ val supervised_sweep :
   (Epp.Supervisor.outcome, error) result
 (** {!Epp.Supervisor.sweep_all} wired to checkpointing:
 
-    - with [checkpoint], a snapshot of all completed entries is rewritten
-      atomically after every chunk ({!recorder}) and once more at the end;
+    - with [checkpoint], the sweep starts a fresh file (header only,
+      written atomically) unless it resumes a matching one, and every
+      chunk's entries are appended to it ({!recorder}).  A fresh,
+      uninterrupted sweep's file has the bytes {!save} writes for its
+      outcome;
     - with [resume] (and an existing checkpoint file), a matching
       snapshot's entries ({!replay}) are the sweep's [prior]: they are not
       re-analyzed, and the sweep counts them as [stats.resumed], as covered
-      in [on_progress] and as analyzed when a [deadline] cuts it short.  A
-      missing checkpoint file resumes from nothing; a mismatched or corrupt
-      one is an [Error], and nothing is swept.
+      in [on_progress] and as analyzed when a [deadline] cuts it short.
+      The sweep's own entries are appended after them.  A missing
+      checkpoint file resumes from nothing; a mismatched or corrupt one is
+      an [Error], and nothing is swept or written.
 
-    [batch_run], [reference], [deadline] and [chunk_size] pass through to
-    the sweep.  On a deadline expiry the final snapshot still holds every
-    finished entry, so a later [resume] continues from exactly there. *)
+    The fingerprint is computed only with [checkpoint].  [batch_run],
+    [reference], [deadline] and [chunk_size] pass through to the sweep.
+    On a deadline expiry the file holds every finished entry, so a later
+    [resume] continues from exactly there. *)

@@ -17,6 +17,18 @@ let same_row (a : Epp.Site_row.t) (b : Epp.Site_row.t) =
   && Array.length a.probabilities = Array.length b.probabilities
   && Array.for_all2 same_bits a.probabilities b.probabilities
 
+(* The analyzed entries of a supervised outcome as site results, input
+   order: the view to compare with the unsupervised driver's list. *)
+let analyzed_results engine (outcome : Epp.Supervisor.outcome) =
+  let observations = Analysis.observations (Epp.Epp_engine.analysis engine) in
+  List.filter_map
+    (fun (site, entry) ->
+      match entry with
+      | Epp.Supervisor.Analyzed { row; _ } ->
+        Some (Epp.Site_row.to_site_result observations ~site row)
+      | Epp.Supervisor.Quarantined _ -> None)
+    outcome.Epp.Supervisor.entries
+
 (* --- hand-built circuits -------------------------------------------------- *)
 
 (* The paper's Fig. 1, reconstructed from the published computation:

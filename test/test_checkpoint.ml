@@ -216,18 +216,37 @@ let test_fingerprint_pinned () =
     (Report.Checkpoint.fingerprint
        (Epp.Epp_engine.create (Circuit_gen.Embedded.s27 ())))
 
-(* A complete sweep's snapshot, as ser_estimate --checkpoint writes it. *)
+let read_text path = In_channel.with_open_bin path In_channel.input_all
+
+(* A complete sweep's snapshot, as ser_estimate --checkpoint writes it: a
+   fresh header, then one append per chunk (62 sites here, so s1196:3
+   takes ten).  It has the bytes [save] writes for the whole outcome, and
+   its [checkpoint.bytes_written] is its size: each entry is written once. *)
 let snapshot_of c =
   let engine = Epp.Epp_engine.create c in
-  let outcome = Epp.Supervisor.sweep_all ~domains:1 engine in
   let path = Filename.temp_file "serprop_ck_pin" ".txt" in
+  let reg = Obs.Metrics.create () in
+  Obs.Hooks.set_metrics reg;
+  let outcome =
+    Fun.protect ~finally:Obs.Hooks.reset (fun () ->
+        match
+          Report.Checkpoint.supervised_sweep ~domains:1 ~chunk_size:62
+            ~checkpoint:path engine
+        with
+        | Ok outcome -> outcome
+        | Error e -> Alcotest.fail (Report.Checkpoint.error_message e))
+  in
+  let text = read_text path in
+  check_int "bytes written = the file's size" (String.length text)
+    (Obs.Metrics.counter_value (Obs.Metrics.snapshot reg)
+       "checkpoint.bytes_written");
   Report.Checkpoint.save ~circuit:c path
     {
       Report.Checkpoint.fingerprint = Report.Checkpoint.fingerprint engine;
       total_sites = Netlist.Circuit.node_count c;
       entries = outcome.Epp.Supervisor.entries;
     };
-  let text = In_channel.with_open_bin path In_channel.input_all in
+  check_bool "appended snapshot = saved snapshot" true (read_text path = text);
   Sys.remove path;
   text
 
@@ -245,6 +264,68 @@ let test_snapshot_bytes_pinned () =
   pin "s1196:3"
     (Circuit_gen.Random_dag.generate ~seed:3 Circuit_gen.Profiles.s1196)
     ~bytes:171485 ~md5:"f130e638b4cddf1e7eaea919ddd94765"
+
+(* A kill mid-append leaves an unterminated last line.  Readers ignore it
+   (a malformed complete line stays Corrupt), and a resume cuts it before
+   appending, so the file ends up holding every site once and the report
+   is bit-identical to an uninterrupted sweep's. *)
+let test_torn_tail () =
+  let c = Circuit_gen.Random_dag.generate ~seed:3 Circuit_gen.Profiles.s1196 in
+  let engine = Epp.Epp_engine.create c in
+  let n = Netlist.Circuit.node_count c in
+  let fingerprint = Report.Checkpoint.fingerprint engine in
+  let path = Filename.temp_file "serprop_ck_torn" ".txt" in
+  let record = Report.Checkpoint.recorder ~circuit:c path ~fingerprint in
+  (try
+     ignore
+       (Epp.Supervisor.sweep_all ~domains:1 ~chunk_size:62
+          ~on_chunk:(fun ~done_count ~total entries ->
+            record ~done_count ~total entries;
+            if done_count >= 124 then raise Exit)
+          engine)
+   with Exit -> ());
+  let whole = read_text path in
+  (* the first half of the next entry's line, as a killed append leaves it *)
+  let next =
+    let lines = String.split_on_char '\n' whole in
+    List.nth lines (List.length lines - 2)
+  in
+  Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path (fun oc ->
+      output_string oc (String.sub next 0 (String.length next / 2)));
+  let sites () =
+    match Report.Checkpoint.load ~circuit:c path with
+    | Ok t -> List.map fst t.Report.Checkpoint.entries
+    | Error e -> Alcotest.fail (Report.Checkpoint.error_message e)
+  in
+  check_bool "load ignores the torn line" true (sites () = List.init 124 Fun.id);
+  (match Report.Checkpoint.replay ~circuit:c path ~fingerprint with
+  | Ok entries -> check_int "replay ignores the torn line" 124 (List.length entries)
+  | Error e -> Alcotest.fail (Report.Checkpoint.error_message e));
+  (match
+     Report.Checkpoint.supervised_sweep ~domains:1 ~chunk_size:62
+       ~checkpoint:path ~resume:true engine
+   with
+  | Error e -> Alcotest.fail (Report.Checkpoint.error_message e)
+  | Ok resumed ->
+    check_int "the complete lines are resumed" 124
+      resumed.Epp.Supervisor.stats.Epp.Diag.resumed;
+    check_bool "the report is an uninterrupted sweep's" true
+      (Int64.equal
+         (Int64.bits_of_float
+            (Epp.Ser_estimator.of_outcome engine resumed).Epp.Ser_estimator.total_fit)
+         (Int64.bits_of_float (Epp.Ser_estimator.estimate c).Epp.Ser_estimator.total_fit)));
+  check_bool "the resume cut the torn line and appended every other site" true
+    (sites () = List.init n Fun.id);
+  (* the torn line, terminated, is a malformed complete line *)
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc whole;
+      output_string oc (String.sub next 0 (String.length next / 2));
+      output_string oc "\n");
+  (match Report.Checkpoint.load ~circuit:c path with
+  | Error (Report.Checkpoint.Corrupt _) -> ()
+  | Error e -> Alcotest.fail (Report.Checkpoint.error_message e)
+  | Ok _ -> Alcotest.fail "accepted a malformed complete line");
+  Sys.remove path
 
 (* A snapshot in the format entries with observation lists were written
    in — built here from the list-shaped site results, not by the
@@ -368,6 +449,7 @@ let () =
           Alcotest.test_case "corrupt files" `Quick test_corrupt_files;
           Alcotest.test_case "kernel-rung snapshot rejected" `Quick
             test_kernel_step_rejected;
+          Alcotest.test_case "torn last line" `Quick test_torn_tail;
         ] );
       ( "keying",
         [

@@ -149,6 +149,109 @@ let test_estimate_latched_effective_bounds () =
         Alcotest.failf "p_latched_effective out of range at %s: %g" n.Epp.Ser_estimator.name p)
     report.Epp.Ser_estimator.nodes
 
+let same_node_report (a : Epp.Ser_estimator.node_report)
+    (b : Epp.Ser_estimator.node_report) =
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  a.node = b.node && a.name = b.name && same a.r_seu b.r_seu
+  && same a.p_sensitized b.p_sensitized
+  && same a.p_latched_effective b.p_latched_effective
+  && same a.failure_rate b.failure_rate && same a.fit b.fit
+  && a.cone_size = b.cone_size
+
+(* The rows front end composes what the list front end composes from the
+   reference's results, bit for bit: the total and every node, under both
+   conventions and with electrical derating. *)
+let test_of_outcome_matches_site_results () =
+  List.iter
+    (fun (name, c) ->
+      let engine = Epp.Epp_engine.create c in
+      let n = Circuit.node_count c in
+      let outcome = Epp.Supervisor.sweep_all ~domains:1 engine in
+      let reference = List.init n (Epp.Epp_engine.analyze_site engine) in
+      List.iter
+        (fun (how, convention, electrical) ->
+          let rows =
+            Epp.Ser_estimator.of_outcome ~convention ?electrical engine outcome
+          in
+          let lists =
+            Epp.Ser_estimator.of_site_results ~convention ?electrical c reference
+          in
+          check_bool
+            (Printf.sprintf "%s, %s: total bit-identical" name how)
+            true
+            (Int64.equal
+               (Int64.bits_of_float rows.Epp.Ser_estimator.total_fit)
+               (Int64.bits_of_float lists.Epp.Ser_estimator.total_fit));
+          for v = 0 to n - 1 do
+            if
+              not
+                (same_node_report
+                   (Epp.Ser_estimator.node_report rows v)
+                   (Epp.Ser_estimator.node_report lists v))
+            then Alcotest.failf "%s, %s: node %d differs" name how v
+          done)
+        [
+          ("per observation", Epp.Ser_estimator.Per_observation, None);
+          ("per node", Epp.Ser_estimator.Per_node, None);
+          ( "electrical",
+            Epp.Ser_estimator.Per_observation,
+            Some Seu_model.Electrical.default );
+        ])
+    [
+      ("s27", Circuit_gen.Embedded.s27 ());
+      ("s1196:3", Circuit_gen.Random_dag.generate ~seed:3 Circuit_gen.Profiles.s1196);
+    ]
+
+(* A report that lacks a site answers for the others by id and refuses the
+   missing one, from a subset of results and from a quarantine alike. *)
+let test_node_report_partial () =
+  let c = Circuit_gen.Embedded.s27 () in
+  let engine = Epp.Epp_engine.create c in
+  let full = Epp.Ser_estimator.estimate c in
+  let missing = Circuit.find c "G9" in
+  let not_analyzed =
+    Invalid_argument
+      (Printf.sprintf "Ser_estimator.node_report: node %d was not analyzed"
+         missing)
+  in
+  let subset =
+    Epp.Ser_estimator.of_site_results c
+      (List.filter
+         (fun (r : Epp.Epp_engine.site_result) -> r.Epp.Epp_engine.site <> missing)
+         (Epp.Ser_estimator.analyze_all engine))
+  in
+  let quarantined =
+    Epp.Ser_estimator.of_outcome engine
+      (Epp.Supervisor.sweep_all ~domains:1
+         ~batch_run:(fun block sites ->
+           Array.mapi
+             (fun l r ->
+               if sites.(l) = missing then Error (Failure "injected") else r)
+             (Epp.Epp_batch.Block.run block sites))
+         ~reference:(fun engine site ->
+           if site = missing then failwith "injected"
+           else Epp.Epp_engine.analyze_site engine site)
+         engine)
+  in
+  List.iter
+    (fun (how, report) ->
+      check_int (how ^ ": one site short")
+        (Circuit.node_count c - 1)
+        (Array.length report.Epp.Ser_estimator.nodes);
+      for v = 0 to Circuit.node_count c - 1 do
+        if v = missing then
+          Alcotest.check_raises (how ^ ": the missing node") not_analyzed
+            (fun () -> ignore (Epp.Ser_estimator.node_report report v))
+        else
+          check_bool
+            (Printf.sprintf "%s: node %d by id" how v)
+            true
+            (same_node_report
+               (Epp.Ser_estimator.node_report report v)
+               (Epp.Ser_estimator.node_report full v))
+      done)
+    [ ("subset", subset); ("quarantine", quarantined) ]
+
 (* --- ranking and hardening -------------------------------------------------------- *)
 
 let test_ranking_sorted () =
@@ -295,6 +398,10 @@ let () =
           Alcotest.test_case "technology scales total" `Quick test_estimate_technology_scales_total;
           Alcotest.test_case "latched_effective bounded" `Quick
             test_estimate_latched_effective_bounds;
+          Alcotest.test_case "of_outcome = of_site_results" `Quick
+            test_of_outcome_matches_site_results;
+          Alcotest.test_case "node_report on a partial report" `Quick
+            test_node_report_partial;
           prop_estimator_consistent_on_random;
         ] );
       ( "ranking",

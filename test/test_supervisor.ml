@@ -62,7 +62,7 @@ let test_clean_sweep () =
   check_int "none degraded" 0 stats.Epp.Diag.degraded;
   check_int "none quarantined" 0 stats.Epp.Diag.quarantined;
   check_bool "bit-identical to unsupervised" true
-    (List.for_all2 same_result unsupervised (Epp.Supervisor.results engine outcome))
+    (List.for_all2 same_result unsupervised (analyzed_results engine outcome))
 
 (* Batch lanes failing on k sites: those degrade to the reference path and
    still produce the unsupervised results, everything stays analyzed. *)
@@ -82,7 +82,7 @@ let test_degrade_to_reference () =
   check_int "degraded = k" (List.length poisoned) stats.Epp.Diag.degraded;
   check_int "none quarantined" 0 stats.Epp.Diag.quarantined;
   check_bool "degraded results match the reference bit-identically" true
-    (List.for_all2 same_result unsupervised (Epp.Supervisor.results engine outcome));
+    (List.for_all2 same_result unsupervised (analyzed_results engine outcome));
   List.iter
     (fun (site, entry) ->
       match entry with
@@ -159,7 +159,7 @@ let test_quarantine_exactly_k () =
       unsupervised
   in
   check_bool "non-poisoned sites bit-identical" true
-    (List.for_all2 same_result expected (Epp.Supervisor.results engine outcome))
+    (List.for_all2 same_result expected (analyzed_results engine outcome))
 
 (* Post-create sp corruption (the validation in create can no longer see it):
    affected sites fail on both rungs and are quarantined; the sweep finishes
@@ -198,7 +198,7 @@ let test_hostile_sp_mutation () =
       before
   in
   check_bool "unaffected sites bit-identical to the pre-corruption sweep" true
-    (List.for_all2 same_result survivors (Epp.Supervisor.results engine outcome))
+    (List.for_all2 same_result survivors (analyzed_results engine outcome))
 
 (* A clean sweep runs every site on the batch rung, several blocks per
    chunk (the first chunk's seven fanned out), and is bit-identical to the
@@ -219,7 +219,7 @@ let test_batch_clean_sweep () =
   check_bool "bit-identical to the reference" true
     (List.for_all2 same_result
        (List.init n (Epp.Epp_engine.analyze_site engine))
-       (Epp.Supervisor.results engine outcome))
+       (analyzed_results engine outcome))
 
 (* The chunks of a supervised sweep, and a later sweep on another engine of
    the same size, all run on one plane buffer: allocated once, handed back
@@ -250,7 +250,7 @@ let test_batch_planes_reused () =
         o.Epp.Supervisor.stats.Epp.Diag.batch_ok;
       check_bool "bit-identical to unsupervised" true
         (List.for_all2 same_result (Epp.Ser_estimator.analyze_all e)
-           (Epp.Supervisor.results e o)))
+           (analyzed_results e o)))
     [ (e1, o1); (e2, o2) ]
 
 (* Per-lane fault injection through the [batch_run] seam: poisoned lanes
@@ -276,7 +276,7 @@ let test_batch_lane_degrades_alone () =
     stats.Epp.Diag.degraded;
   check_int "none quarantined" 0 stats.Epp.Diag.quarantined;
   check_bool "all sites bit-identical to unsupervised" true
-    (List.for_all2 same_result unsupervised (Epp.Supervisor.results engine outcome));
+    (List.for_all2 same_result unsupervised (analyzed_results engine outcome));
   List.iter
     (fun (site, entry) ->
       match entry with
@@ -332,44 +332,54 @@ let test_batch_whole_block_failure () =
   check_int "every lane degraded to the reference" n stats.Epp.Diag.degraded;
   check_int "none quarantined" 0 stats.Epp.Diag.quarantined;
   check_bool "results still bit-identical" true
-    (List.for_all2 same_result unsupervised (Epp.Supervisor.results engine outcome))
+    (List.for_all2 same_result unsupervised (analyzed_results engine outcome))
 
 (* An out-of-range site id in the input is quarantined, not fatal. *)
 let test_bad_site_quarantined () =
   let c = fig1 () in
   let engine = Epp.Epp_engine.create c in
   let outcome = Epp.Supervisor.sweep ~domains:1 engine [ 0; 999; 1 ] in
-  check_int "two analyzed" 2 (List.length (Epp.Supervisor.results engine outcome));
+  check_int "two analyzed" 2 (List.length (analyzed_results engine outcome));
   match Epp.Supervisor.quarantines outcome with
   | [ q ] ->
     check_int "the bad site" 999 q.Epp.Diag.site;
     check_bool "no cone size for an invalid site" true (q.Epp.Diag.cone_size = None)
   | qs -> Alcotest.fail (Printf.sprintf "expected 1 quarantine, got %d" (List.length qs))
 
-(* Kill mid-run (on_chunk raises after the checkpoint write), then resume:
-   the merged report is bit-identical to an uninterrupted sweep and the
-   resumed count matches what the snapshot held. *)
+(* Kill mid-run (on_chunk raises after the recorder appended the chunk),
+   then resume: the file holds each finished entry once, the merged report
+   is bit-identical to an uninterrupted sweep, the resumed count matches
+   what the file held, and the resumed sweep's entries are appended after
+   it, so the file ends up holding every site once. *)
 let test_kill_resume_round_trip () =
   let c = test_circuit () in
   let engine = Epp.Epp_engine.create c in
   let path = Filename.temp_file "serprop_ck" ".txt" in
-  let fp = Report.Checkpoint.fingerprint engine in
+  let record =
+    Report.Checkpoint.recorder ~circuit:c path
+      ~fingerprint:(Report.Checkpoint.fingerprint engine)
+  in
   let n = Circuit.node_count c in
   let kill_after = 3 in
   let chunks = ref 0 in
   (try
      ignore
-       (Epp.Supervisor.sweep ~domains:2 ~chunk_size:16
-          ~on_chunk:(fun ~done_count:_ ~total:_ entries ->
-            Report.Checkpoint.save ~circuit:c path
-              { Report.Checkpoint.fingerprint = fp; total_sites = n; entries };
+       (Epp.Supervisor.sweep_all ~domains:2 ~chunk_size:16
+          ~on_chunk:(fun ~done_count ~total entries ->
+            record ~done_count ~total entries;
             incr chunks;
             if !chunks = kill_after then raise Killed)
-          engine
-          (List.init n Fun.id));
+          engine);
      Alcotest.fail "sweep should have been killed"
    with Killed -> ());
   let partial = kill_after * 16 in
+  let sites_in_file () =
+    match Report.Checkpoint.load ~circuit:c path with
+    | Ok t -> List.map fst t.Report.Checkpoint.entries
+    | Error e -> Alcotest.fail (Report.Checkpoint.error_message e)
+  in
+  check_bool "the file holds each finished entry once" true
+    (sites_in_file () = List.init partial Fun.id);
   let clean = Epp.Supervisor.sweep_all ~domains:2 engine in
   match Report.Checkpoint.supervised_sweep ~domains:2 ~chunk_size:16
           ~checkpoint:path ~resume:true engine
@@ -381,8 +391,10 @@ let test_kill_resume_round_trip () =
       (List.length resumed.Epp.Supervisor.entries);
     check_bool "identical final report" true
       (List.for_all2 same_result
-         (Epp.Supervisor.results engine clean)
-         (Epp.Supervisor.results engine resumed));
+         (analyzed_results engine clean)
+         (analyzed_results engine resumed));
+    check_bool "after the resume the file holds every site once" true
+      (sites_in_file () = List.init n Fun.id);
     Sys.remove path
 
 (* --- deadline ------------------------------------------------------------- *)
@@ -493,15 +505,17 @@ let test_deadline_then_resume () =
     check_int "all sites present" n (List.length resumed.Epp.Supervisor.entries);
     check_bool "identical final report" true
       (List.for_all2 same_result
-         (Epp.Supervisor.results engine clean)
-         (Epp.Supervisor.results engine resumed)));
+         (analyzed_results engine clean)
+         (analyzed_results engine resumed)));
   Sys.remove path
 
 (* --- prior entries ----------------------------------------------------------- *)
 
 (* Entries the caller already holds are merged, not re-swept: they come back
    unchanged in site order and count as resumed, as covered in on_chunk's
-   done_count and entries, and as analyzed when the budget runs out first. *)
+   done_count, and as analyzed when the budget runs out first.  on_chunk
+   hands over only each chunk's new entries, so a checkpoint appends every
+   swept site once and no held one. *)
 let test_prior_entries_held () =
   let c = test_circuit () in
   let engine = Epp.Epp_engine.create c in
@@ -514,14 +528,12 @@ let test_prior_entries_held () =
       { Epp.Diag.site; name = "held"; cone_size = None; faults = [] }
   in
   let prior = List.map (fun s -> (s, marker s)) held in
-  let first_chunk = ref None in
+  let chunks = ref [] in
   let outcome =
     Epp.Supervisor.sweep_all ~domains:1 ~chunk_size:16
       ~on_chunk:(fun ~done_count ~total entries ->
         check_int "total is the node count" n total;
-        check_int "on_chunk sees every finished entry" done_count
-          (List.length entries);
-        if !first_chunk = None then first_chunk := Some entries)
+        chunks := (done_count, entries) :: !chunks)
       ~prior engine
   in
   check_int "held entries counted as resumed" (List.length held)
@@ -538,15 +550,22 @@ let test_prior_entries_held () =
       | Epp.Supervisor.Analyzed _ ->
         check_bool "held sites are not re-swept" false (List.mem site held))
     outcome.Epp.Supervisor.entries;
-  (match !first_chunk with
-  | Some entries ->
+  (match List.rev !chunks with
+  | (done_count, entries) :: _ as chunks ->
     check_int "the first chunk's coverage includes the held entries"
-      (List.length held + 16) (List.length entries);
-    check_bool "held entries included" true
-      (List.for_all (fun s -> List.mem_assoc s entries) held);
-    let ids = List.map fst entries in
-    check_bool "in site order" true (ids = List.sort compare ids)
-  | None -> Alcotest.fail "on_chunk never fired");
+      (List.length held + 16) done_count;
+    check_int "the first chunk hands over its own 16 entries" 16
+      (List.length entries);
+    check_int "the last chunk's coverage is the node count" n
+      (fst (List.hd (List.rev chunks)));
+    let handed = List.concat_map snd chunks in
+    check_bool "held entries are not handed over" true
+      (List.for_all (fun (s, _) -> not (List.mem s held)) handed);
+    check_int "every swept site handed over once" (n - List.length held)
+      (List.length handed);
+    let ids = List.map fst handed in
+    check_bool "in site order" true (ids = List.sort_uniq compare ids)
+  | [] -> Alcotest.fail "on_chunk never fired");
   let expired =
     Epp.Supervisor.sweep_all ~domains:1
       ~deadline:(Obs.Deadline.of_budget_ms 0.0) ~prior engine
