@@ -9,38 +9,61 @@
      ident-list ::= ident ("," ident)*
 
    The identifier after "=" is a gate kind ("AND", "NOT", ...; see
-   Netlist.Gate.of_string for accepted aliases) or "DFF". *)
+   Netlist.Gate.of_string for accepted aliases) or "DFF".
+
+   Each statement goes to a sink as soon as it is parsed: [parse_string]'s
+   sink is the netlist builder, so no statement list is ever held, and
+   [parse_ast]'s collects the AST.  Syntax errors take precedence over
+   netlist errors wherever they are: once the builder rejects a statement,
+   the rest of the file is still parsed (into a sink that drops it) before
+   the builder's error is raised. *)
 
 exception Error of { message : string; pos : Token.position }
 
 let fail pos fmt = Fmt.kstr (fun message -> raise (Error { message; pos })) fmt
 
-type state = { lexer : Lexer.t; mutable lookahead : Token.t }
+type sink = {
+  input : string -> unit;
+  output : string -> unit;
+  dff : string -> string -> unit;
+  gate : string -> Netlist.Gate.kind -> string list -> unit;
+}
+
+(* The lookahead token is the one the lexer scanned last: its kind is
+   [lookahead], its position the lexer's token position. *)
+type state = { lexer : Lexer.t; mutable lookahead : Token.kind }
 
 let of_string source =
   let lexer = Lexer.of_string source in
-  { lexer; lookahead = Lexer.next lexer }
+  { lexer; lookahead = Lexer.scan lexer }
 
-let peek st = st.lookahead
+let position st = { Token.line = Lexer.token_line st.lexer; column = Lexer.token_column st.lexer }
 
-let advance st = st.lookahead <- Lexer.next st.lexer
+let advance st = st.lookahead <- Lexer.scan st.lexer
 
-let expect st expected =
-  let tok = peek st in
-  if tok.Token.kind = expected then advance st
-  else
-    fail tok.pos "expected %s, found %s"
+let expect st (expected : Token.kind) =
+  match (expected, st.lookahead) with
+  | Equal, Equal | Lparen, Lparen | Rparen, Rparen | Comma, Comma | Eof, Eof -> advance st
+  | _ ->
+    fail (position st) "expected %s, found %s"
       (Token.kind_to_string expected)
-      (Token.kind_to_string tok.kind)
+      (Token.kind_to_string st.lookahead)
 
 let expect_ident st =
-  let tok = peek st in
-  match tok.Token.kind with
+  match st.lookahead with
   | Ident s ->
     advance st;
     s
-  | Equal | Lparen | Rparen | Comma | Eof ->
-    fail tok.pos "expected an identifier, found %s" (Token.kind_to_string tok.kind)
+  | (Equal | Lparen | Rparen | Comma | Eof) as kind ->
+    fail (position st) "expected an identifier, found %s" (Token.kind_to_string kind)
+
+(* [s] is [keyword] up to ASCII case (keywords are upper case). *)
+let rec same_from s keyword i =
+  i = String.length s
+  || (Char.uppercase_ascii (String.unsafe_get s i) = String.unsafe_get keyword i
+     && same_from s keyword (i + 1))
+
+let is_keyword s keyword = String.length s = String.length keyword && same_from s keyword 0
 
 let parse_paren_ident st =
   expect st Token.Lparen;
@@ -48,74 +71,86 @@ let parse_paren_ident st =
   expect st Token.Rparen;
   s
 
-let parse_ident_list st =
-  let first = expect_ident st in
-  let rec more acc =
-    match (peek st).Token.kind with
-    | Comma ->
-      advance st;
-      let s = expect_ident st in
-      more (s :: acc)
-    | Ident _ | Equal | Lparen | Rparen | Eof -> List.rev acc
-  in
-  more [ first ]
+let rec parse_ident_list st =
+  let s = expect_ident st in
+  match st.lookahead with
+  | Comma ->
+    advance st;
+    s :: parse_ident_list st
+  | Ident _ | Equal | Lparen | Rparen | Eof -> [ s ]
 
-let parse_assignment st ~output =
+let parse_assignment st sink ~output =
   expect st Token.Equal;
-  let func_pos = (peek st).Token.pos in
+  let line = Lexer.token_line st.lexer and column = Lexer.token_column st.lexer in
   let func = expect_ident st in
   expect st Token.Lparen;
   let fanins = parse_ident_list st in
   expect st Token.Rparen;
-  if String.uppercase_ascii func = "DFF" then
+  if is_keyword func "DFF" then
     match fanins with
-    | [ d ] -> Ast.Dff { q = output; d }
-    | _ :: _ :: _ | [] -> fail func_pos "DFF takes exactly one input, got %d" (List.length fanins)
-  else (
+    | [ d ] -> sink.dff output d
+    | _ :: _ :: _ | [] ->
+      fail { Token.line; column } "DFF takes exactly one input, got %d" (List.length fanins)
+  else
     match Netlist.Gate.of_string func with
-    | Some kind -> Ast.Gate { output; kind; fanins }
-    | None -> fail func_pos "unknown gate kind %S" func)
+    | Some kind -> sink.gate output kind fanins
+    | None -> fail { Token.line; column } "unknown gate kind %S" func
 
-let parse_statement st =
-  let tok = peek st in
-  match tok.Token.kind with
-  | Ident s ->
+let parse_statement st sink =
+  match st.lookahead with
+  | Ident s -> (
+    let line = Lexer.token_line st.lexer and column = Lexer.token_column st.lexer in
     advance st;
-    let keyword = String.uppercase_ascii s in
     (* INPUT/OUTPUT are only keywords when followed by '('; a signal that
        happens to be named "input" can still appear on the left of '='. *)
-    (match ((peek st).Token.kind, keyword) with
-    | Lparen, "INPUT" -> Ast.Input (parse_paren_ident st)
-    | Lparen, "OUTPUT" -> Ast.Output (parse_paren_ident st)
-    | Equal, _ -> parse_assignment st ~output:s
-    | (Ident _ | Lparen | Rparen | Comma | Eof), _ ->
-      fail tok.pos "expected '=' after signal %S (or INPUT(..)/OUTPUT(..))" s)
-  | Equal | Lparen | Rparen | Comma ->
-    fail tok.pos "expected a statement, found %s" (Token.kind_to_string tok.kind)
+    match st.lookahead with
+    | Lparen when is_keyword s "INPUT" -> sink.input (parse_paren_ident st)
+    | Lparen when is_keyword s "OUTPUT" -> sink.output (parse_paren_ident st)
+    | Equal -> parse_assignment st sink ~output:s
+    | Ident _ | Lparen | Rparen | Comma | Eof ->
+      fail { Token.line; column } "expected '=' after signal %S (or INPUT(..)/OUTPUT(..))" s)
+  | (Equal | Lparen | Rparen | Comma) as kind ->
+    fail (position st) "expected a statement, found %s" (Token.kind_to_string kind)
   | Eof -> assert false
+
+let rec parse_statements st sink =
+  match st.lookahead with
+  | Eof -> ()
+  | Ident _ | Equal | Lparen | Rparen | Comma ->
+    parse_statement st sink;
+    parse_statements st sink
 
 let parse_ast ?(name = "bench") source =
   let st = of_string source in
-  let rec loop acc =
-    match (peek st).Token.kind with
-    | Eof -> List.rev acc
-    | Ident _ | Equal | Lparen | Rparen | Comma -> loop (parse_statement st :: acc)
+  let statements = ref [] in
+  let push s = statements := s :: !statements in
+  parse_statements st
+    {
+      input = (fun s -> push (Ast.Input s));
+      output = (fun s -> push (Ast.Output s));
+      dff = (fun q d -> push (Ast.Dff { q; d }));
+      gate = (fun output kind fanins -> push (Ast.Gate { output; kind; fanins }));
+    };
+  { Ast.name; statements = List.rev !statements }
+
+let discard = { input = ignore; output = ignore; dff = (fun _ _ -> ()); gate = (fun _ _ _ -> ()) }
+
+let parse_string ?(name = "bench") source =
+  let st = of_string source in
+  let b = Netlist.Builder.create ~name () in
+  let sink =
+    {
+      input = Netlist.Builder.add_input b;
+      output = Netlist.Builder.add_output b;
+      dff = (fun q d -> Netlist.Builder.add_dff b ~q ~d);
+      gate = (fun output kind fanins -> Netlist.Builder.add_gate b ~output ~kind fanins);
+    }
   in
-  { Ast.name; statements = loop [] }
-
-let circuit_of_ast (ast : Ast.t) =
-  let b = Netlist.Builder.create ~name:ast.name () in
-  List.iter
-    (fun stmt ->
-      match stmt with
-      | Ast.Input s -> Netlist.Builder.add_input b s
-      | Ast.Output s -> Netlist.Builder.add_output b s
-      | Ast.Dff { q; d } -> Netlist.Builder.add_dff b ~q ~d
-      | Ast.Gate { output; kind; fanins } -> Netlist.Builder.add_gate b ~output ~kind fanins)
-    ast.statements;
-  Netlist.Builder.freeze b
-
-let parse_string ?name source = circuit_of_ast (parse_ast ?name source)
+  match parse_statements st sink with
+  | () -> Netlist.Builder.freeze b
+  | exception (Netlist.Builder.Error _ as netlist_error) ->
+    parse_statements st discard;
+    raise netlist_error
 
 let read_file path =
   let ic = open_in_bin path in

@@ -13,12 +13,11 @@ val parse_ast : ?name:string -> string -> Ast.t
 (** Parse to the statement AST without building a netlist.
     @raise Error on a syntax error. *)
 
-val circuit_of_ast : Ast.t -> Netlist.Circuit.t
-(** Elaborate an AST into a validated circuit.
-    @raise Netlist.Builder.Error on semantic problems. *)
-
 val parse_string : ?name:string -> string -> Netlist.Circuit.t
-(** [circuit_of_ast (parse_ast source)].
+(** Parse and elaborate in one pass: each statement goes to a
+    {!Netlist.Builder} as soon as it is parsed, so node ids follow the
+    file's definition order.  A syntax error anywhere in the file takes
+    precedence over the first netlist error.
     @raise Error | Netlist.Builder.Error. *)
 
 val parse_file : string -> Netlist.Circuit.t

@@ -3,7 +3,9 @@
     [Parser.parse_string (circuit_to_string c)] reconstructs a circuit equal
     to [c] up to node numbering (the canonical statement order is INPUTs,
     OUTPUTs, DFFs, then gates in node order), and
-    [Parser.parse_ast (ast_to_string a) = a] exactly. *)
+    [Parser.parse_ast (ast_to_string a) = a] exactly.  Every renderer writes
+    the bytes of {!Ast.pp_statement}, one statement a line after a
+    ["# name"] header. *)
 
 val statement_to_string : Ast.statement -> string
 val ast_to_string : Ast.t -> string

@@ -36,7 +36,7 @@ let default_config =
     long_range_fraction = 0.25;
   }
 
-let gate_name i = Printf.sprintf "n%d" i
+let gate_name i = "n" ^ string_of_int i
 
 (* Pick a fanin among the first [avail] nodes: prefer unconsumed nodes, then
    the locality window, occasionally the whole prefix. *)

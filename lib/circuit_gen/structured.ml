@@ -13,7 +13,9 @@
 
 open Netlist
 
-let bit_name prefix i = Printf.sprintf "%s%d" prefix i
+(* What [Printf.sprintf "%s%d"] would write, without the format
+   interpreter: the trees below name up to 131k nets this way. *)
+let bit_name prefix i = prefix ^ string_of_int i
 
 (* --- full adder --------------------------------------------------------------- *)
 
@@ -108,9 +110,9 @@ let array_multiplier ~width () =
 let parity_tree ~width () =
   if width < 1 then invalid_arg "Structured.parity_tree: width must be >= 1";
   let b = Builder.create ~name:(Printf.sprintf "parity%d" width) () in
-  for i = 0 to width - 1 do
-    Builder.add_input b (bit_name "x" i)
-  done;
+  (* Each name is formatted once and the same string is passed on. *)
+  let inputs = List.init width (bit_name "x") in
+  List.iter (Builder.add_input b) inputs;
   let counter = ref 0 in
   let rec reduce level = function
     | [] -> assert false
@@ -119,7 +121,7 @@ let parity_tree ~width () =
       let rec pair acc = function
         | a :: bb :: rest ->
           incr counter;
-          let out = Printf.sprintf "p%d_%d" level !counter in
+          let out = bit_name "p" level ^ bit_name "_" !counter in
           Builder.add_gate b ~output:out ~kind:Gate.Xor [ a; bb ];
           pair (out :: acc) rest
         | [ odd ] -> pair (odd :: acc) []
@@ -127,7 +129,7 @@ let parity_tree ~width () =
       in
       reduce (level + 1) (pair [] signals)
   in
-  let root = reduce 0 (List.init width (bit_name "x")) in
+  let root = reduce 0 inputs in
   Builder.add_gate b ~output:"parity" ~kind:Gate.Buf [ root ];
   Builder.add_output b "parity";
   Builder.freeze b
@@ -138,21 +140,24 @@ let mux_tree ~select_bits () =
   if select_bits < 1 then invalid_arg "Structured.mux_tree: select_bits must be >= 1";
   let b = Builder.create ~name:(Printf.sprintf "mux%d" select_bits) () in
   let leaves = 1 lsl select_bits in
-  for i = 0 to leaves - 1 do
-    Builder.add_input b (bit_name "d" i)
-  done;
+  (* Each name is formatted once and the same string is passed on. *)
+  let data = List.init leaves (bit_name "d") in
+  List.iter (Builder.add_input b) data;
+  let sel = Array.init select_bits (bit_name "sel") in
+  let nsel = Array.init select_bits (bit_name "nsel") in
   for s = 0 to select_bits - 1 do
-    Builder.add_input b (bit_name "sel" s);
-    Builder.add_gate b ~output:(bit_name "nsel" s) ~kind:Gate.Not [ bit_name "sel" s ]
+    Builder.add_input b sel.(s);
+    Builder.add_gate b ~output:nsel.(s) ~kind:Gate.Not [ sel.(s) ]
   done;
   (* level s merges pairs controlled by sel_s *)
   let counter = ref 0 in
   let mux2 sel nsel a bb =
     incr counter;
-    let out = Printf.sprintf "m%d" !counter in
-    Builder.add_gate b ~output:(out ^ "#lo") ~kind:Gate.And [ nsel; a ];
-    Builder.add_gate b ~output:(out ^ "#hi") ~kind:Gate.And [ sel; bb ];
-    Builder.add_gate b ~output:out ~kind:Gate.Or [ out ^ "#lo"; out ^ "#hi" ];
+    let out = bit_name "m" !counter in
+    let lo = out ^ "#lo" and hi = out ^ "#hi" in
+    Builder.add_gate b ~output:lo ~kind:Gate.And [ nsel; a ];
+    Builder.add_gate b ~output:hi ~kind:Gate.And [ sel; bb ];
+    Builder.add_gate b ~output:out ~kind:Gate.Or [ lo; hi ];
     out
   in
   let rec reduce s signals =
@@ -160,13 +165,12 @@ let mux_tree ~select_bits () =
     | [ root ] -> root
     | _ ->
       let rec pair acc = function
-        | a :: bb :: rest ->
-          pair (mux2 (bit_name "sel" s) (bit_name "nsel" s) a bb :: acc) rest
+        | a :: bb :: rest -> pair (mux2 sel.(s) nsel.(s) a bb :: acc) rest
         | [ _ ] | [] -> List.rev acc
       in
       reduce (s + 1) (pair [] signals)
   in
-  let root = reduce 0 (List.init leaves (bit_name "d")) in
+  let root = reduce 0 data in
   Builder.add_gate b ~output:"y" ~kind:Gate.Buf [ root ];
   Builder.add_output b "y";
   Builder.freeze b

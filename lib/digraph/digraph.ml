@@ -53,9 +53,10 @@ let of_edges ~vertex_count edges =
   Array.iteri (fun i l -> pred.(i) <- List.rev l) pred;
   { vertex_count; succ; pred; edge_count = !count }
 
-let of_successors succ_array =
-  let vertex_count = Array.length succ_array in
-  let succ = Array.map (fun l -> l) succ_array in
+(* Takes ownership of [succ]: a circuit builds the array only to hand it
+   over, so copying it would double the graph's largest allocation. *)
+let of_successors succ =
+  let vertex_count = Array.length succ in
   let pred = Array.make vertex_count [] in
   let count = ref 0 in
   (* Sources are visited from the last down, so every predecessor list

@@ -19,7 +19,9 @@ val of_edges : vertex_count:int -> (vertex * vertex) list -> t
 
 val of_successors : vertex list array -> t
 (** [of_successors succ] builds a graph whose vertex [v] has successor list
-    [succ.(v)].  @raise Invalid_vertex on an out-of-range successor. *)
+    [succ.(v)].  The graph takes ownership of [succ] (it is not copied): the
+    caller must not modify it afterwards.
+    @raise Invalid_vertex on an out-of-range successor. *)
 
 val vertex_count : t -> int
 val edge_count : t -> int

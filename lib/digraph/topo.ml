@@ -10,51 +10,70 @@ exception Cycle of Digraph.vertex list
 let in_degrees g =
   let n = Digraph.vertex_count g in
   let deg = Array.make n 0 in
-  Digraph.iter_edges (fun _ v -> deg.(v) <- deg.(v) + 1) g;
+  let rec count = function
+    | [] -> ()
+    | v :: rest ->
+      deg.(v) <- deg.(v) + 1;
+      count rest
+  in
+  for u = 0 to n - 1 do
+    count (Digraph.succ g u)
+  done;
   deg
 
 (* Kahn's algorithm with a FIFO worklist: among ready vertices, lower indices
-   first, so the order is deterministic and stable across runs.  [emit] sees
-   the vertices in that order; the result says whether every vertex was
-   emitted, with the in-degrees left over (positive exactly on the vertices
-   a cycle blocked). *)
-let drain g ~emit =
+   first, so the order is deterministic and stable across runs.  Every
+   vertex enters the worklist at most once, so the FIFO is one int array
+   with a read and a write cursor, and what it holds at the end is the
+   order.  Returns that array, how many vertices were emitted, and the
+   in-degrees left over (positive exactly on the vertices a cycle
+   blocked). *)
+let drain g =
   let n = Digraph.vertex_count g in
   let deg = in_degrees g in
-  let queue = Queue.create () in
+  let queue = Array.make n 0 in
+  let tail = ref 0 in
   for v = 0 to n - 1 do
-    if deg.(v) = 0 then Queue.add v queue
+    if deg.(v) = 0 then begin
+      queue.(!tail) <- v;
+      incr tail
+    end
   done;
-  let emitted = ref 0 in
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    emit u;
-    incr emitted;
-    List.iter
-      (fun v ->
-        deg.(v) <- deg.(v) - 1;
-        if deg.(v) = 0 then Queue.add v queue)
-      (Digraph.succ g u)
+  let rec release = function
+    | [] -> ()
+    | v :: rest ->
+      deg.(v) <- deg.(v) - 1;
+      if deg.(v) = 0 then begin
+        queue.(!tail) <- v;
+        incr tail
+      end;
+      release rest
+  in
+  let head = ref 0 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    release (Digraph.succ g u)
   done;
-  (!emitted = n, deg)
+  (queue, !head, deg)
 
-let sort g =
-  let order = ref [] in
-  let complete, deg = drain g ~emit:(fun u -> order := u :: !order) in
-  if not complete then begin
+let sort_array g =
+  let order, emitted, deg = drain g in
+  if emitted < Array.length order then begin
     let leftover = ref [] in
     for v = Array.length deg - 1 downto 0 do
       if deg.(v) > 0 then leftover := v :: !leftover
     done;
     raise (Cycle !leftover)
   end;
-  List.rev !order
+  order
 
-let sort_array g = Array.of_list (sort g)
+let sort g = Array.to_list (sort_array g)
 
-(* Netlist validation runs this on every circuit built, so it drains
-   without collecting the order. *)
-let is_acyclic g = fst (drain g ~emit:ignore)
+(* Netlist validation runs this on every circuit built. *)
+let is_acyclic g =
+  let order, emitted, _ = drain g in
+  emitted = Array.length order
 
 (* level v = 0 for sources, otherwise 1 + max level of predecessors.  The
    [levels_from] variant takes an already-computed topological order so a

@@ -1,7 +1,11 @@
 (** Validated, name-based construction of {!Circuit.t} values.
 
     Signals may be referenced before they are defined (as ISCAS'89 [.bench]
-    files do); resolution and all structural checks happen in {!freeze}. *)
+    files do); resolution and the remaining structural checks happen in
+    {!freeze}.  Node ids follow definition order.  Every name is interned
+    into one {!Name_table} the first time it is seen, and that table becomes
+    the circuit's name index.  A statement rejected with {!Error} records
+    nothing, so its names stay out of the index. *)
 
 type t
 
@@ -40,5 +44,8 @@ val is_defined : t -> string -> bool
 
 val freeze : t -> Circuit.t
 (** Resolve names, build the immutable circuit, and validate: undefined
-    references, combinational cycles (reported as explicit loops).
+    references (the first in definition order, a definition's fanins in
+    order, then OUTPUT declarations in order), then combinational cycles
+    (reported as explicit loops).  [freeze] consumes the builder, whatever
+    its outcome: any later call on it raises [Invalid_argument].
     @raise Error. *)

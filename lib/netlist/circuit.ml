@@ -25,7 +25,7 @@ type t = {
   name : string;
   nodes : node array;
   names : string array;
-  index : (string, int) Hashtbl.t;
+  index : Name_table.t;
   inputs : int array;
   outputs : int array;
   ffs : int array;
@@ -64,12 +64,13 @@ let gate_count t =
       | Input | Ff _ -> acc)
     0 t.nodes
 
-let find_opt t name = Hashtbl.find_opt t.index name
-
 let find t name =
-  match find_opt t name with
-  | Some v -> v
-  | None -> raise Not_found
+  let v = Name_table.find t.index name in
+  if v < 0 then raise Not_found else v
+
+let find_opt t name =
+  let v = Name_table.find t.index name in
+  if v < 0 then None else Some v
 
 let fanins t v =
   match t.nodes.(v) with
@@ -239,22 +240,26 @@ let context_slot t build =
       Atomic.set t.context (Some c);
       c)
 
-(* Construction: used by Builder; performs no validation beyond indices. *)
-let make ~name ~nodes ~names ~inputs ~outputs ~ffs =
+(* Construction, with no validation beyond indices.  [index] maps each
+   name to its node id (Builder hands over the table it interned names
+   into); the circuit owns it from here on. *)
+let make_indexed ~name ~nodes ~names ~index ~inputs ~outputs ~ffs =
   let n = Array.length nodes in
   assert (Array.length names = n);
-  let index = Hashtbl.create (2 * n) in
-  Array.iteri (fun v s -> Hashtbl.replace index s v) names;
   (* Consumers are consed from the last node down, so each list comes out
      in node order without a reversal pass: a rewrite builds a circuit per
      edit, and every list cell here is long-lived. *)
   let succ = Array.make n [] in
   for v = n - 1 downto 0 do
     match nodes.(v) with
-    | Gate { fanins; _ } -> Array.iter (fun u -> succ.(u) <- v :: succ.(u)) fanins
+    | Gate { fanins; _ } ->
+      for k = 0 to Array.length fanins - 1 do
+        let u = fanins.(k) in
+        succ.(u) <- v :: succ.(u)
+      done
     | Input | Ff _ -> ()
   done;
-  let graph = Digraph.of_successors succ in
+  let graph = Digraph.of_successors succ (* takes [succ] over *) in
   (* Built eagerly (not lazily) so engines created before a domain fan-out
      can hand the view to every worker without a racy first force. *)
   let csr = Csr.of_graph graph in
@@ -275,6 +280,9 @@ let make ~name ~nodes ~names ~inputs ~outputs ~ffs =
     rev_csr = Atomic.make None;
     context = Atomic.make None;
   }
+
+let make ~name ~nodes ~names ~inputs ~outputs ~ffs =
+  make_indexed ~name ~nodes ~names ~index:(Name_table.of_names names) ~inputs ~outputs ~ffs
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>circuit %S: %d nodes (%d PI, %d PO, %d FF, %d gates)@]" t.name

@@ -26,8 +26,23 @@ val make :
   outputs:int array ->
   ffs:int array ->
   t
-(** Raw constructor used by {!Builder}; performs no semantic validation.
-    Prefer {!Builder.freeze}. *)
+(** Raw constructor (the rewrites in {!Transform} use it); performs no
+    semantic validation.  Builds the name index from [names]; a repeated
+    name indexes its last node.  Prefer {!Builder.freeze}. *)
+
+val make_indexed :
+  name:string ->
+  nodes:node array ->
+  names:string array ->
+  index:Name_table.t ->
+  inputs:int array ->
+  outputs:int array ->
+  ffs:int array ->
+  t
+(** {!make} with the name index already built: [index] must bind each
+    [names.(v)] to [v] and nothing else.  The circuit owns [index] (and
+    every array passed) from then on.  {!Builder.freeze} hands over the
+    table it interned names into. *)
 
 val name : t -> string
 val node_count : t -> int

@@ -52,6 +52,50 @@ let error_message = function
   | Corrupt { path; message } ->
     Printf.sprintf "corrupt checkpoint %s: %s" path message
 
+(* --- emission ----------------------------------------------------------- *)
+
+(* Hand-rolled emission (no Printf, no intermediate strings): the
+   fingerprint runs on every serd edit over every node, and a checkpoint
+   writes a line per analyzed site and a float per reached observation.
+   [add_decimal] writes what [string_of_int] would. *)
+let rec add_digits buf i =
+  if i >= 10 then add_digits buf (i / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
+
+let add_decimal buf i = if i >= 0 then add_digits buf i else Buffer.add_string buf (string_of_int i)
+
+let hex_digits = "0123456789abcdef"
+
+(* What [Printf.bprintf buf "%h" x] writes: the runtime's hexadecimal form
+   with as many digits as needed ("0x1.8p-1", "-0x0p+0", subnormals as
+   "0x0.<digits>p-1022"), and "infinity" / "nan" after the sign bit's '-'
+   (a NaN with its sign bit set prints as "-nan"). *)
+let add_hex_float buf x =
+  let bits = Int64.bits_of_float x in
+  let top = Int64.to_int (Int64.shift_right_logical bits 52) in
+  let exponent = top land 0x7ff in
+  let mantissa = Int64.to_int (Int64.logand bits 0xF_FFFF_FFFF_FFFFL) in
+  if top lsr 11 = 1 then Buffer.add_char buf '-';
+  if exponent = 0x7ff then Buffer.add_string buf (if mantissa = 0 then "infinity" else "nan")
+  else begin
+    Buffer.add_string buf (if exponent = 0 then "0x0" else "0x1");
+    if mantissa <> 0 then begin
+      Buffer.add_char buf '.';
+      (* 13 hex digits, most significant first, trailing zeros dropped *)
+      let rest = ref mantissa and shift = ref 48 in
+      while !rest <> 0 do
+        Buffer.add_char buf hex_digits.[(!rest lsr !shift) land 0xf];
+        rest := !rest land ((1 lsl !shift) - 1);
+        shift := !shift - 4
+      done
+    end;
+    let e =
+      if exponent > 0 then exponent - 1023 else if mantissa = 0 then 0 else -1022
+    in
+    Buffer.add_string buf (if e < 0 then "p-" else "p+");
+    add_digits buf (abs e)
+  end
+
 (* --- fingerprint --------------------------------------------------------- *)
 
 (* v2 encoding.  v1 interpolated node names raw ("=%s;"), so a name
@@ -67,22 +111,12 @@ let fingerprint engine =
   (* about 60 bytes a node (definition, name, sp bits): sized up front so
      the buffer is not regrown and copied on the way *)
   let buf = Buffer.create (64 * (Circuit.node_count c + 64)) in
-  (* Hand-rolled emission (no Printf, no intermediate strings): this runs
-     on every serd edit, over every node.  [decimal] writes what
-     [string_of_int] would. *)
-  let rec digits i =
-    if i >= 10 then digits (i / 10);
-    Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
-  in
-  let decimal i =
-    if i >= 0 then digits i else Buffer.add_string buf (string_of_int i)
-  in
   let add_int i =
-    decimal i;
+    add_decimal buf i;
     Buffer.add_char buf ','
   in
   let str s =
-    decimal (String.length s);
+    add_decimal buf (String.length s);
     Buffer.add_char buf ':';
     Buffer.add_string buf s
   in
@@ -120,7 +154,7 @@ let fingerprint engine =
       let bits = Int64.bits_of_float x in
       (* the bits of a float in [0, 1] fit a non-negative OCaml int *)
       if Int64.compare bits 0L >= 0 && Int64.compare bits (Int64.of_int max_int) <= 0
-      then digits (Int64.to_int bits)
+      then add_digits buf (Int64.to_int bits)
       else Buffer.add_string buf (Int64.to_string bits);
       Buffer.add_char buf ';')
     sp.Sigprob.Sp.values;
@@ -146,19 +180,40 @@ let write_fault buf (step, fault) =
   | Epp.Diag.Out_of_range { where; value } ->
     Printf.bprintf buf " o %S %h" where value
 
+(* The fields of an analyzed site's line, each after a space.  Every
+   analyzed site and every observation it reaches writes them, so they
+   skip Printf; the rare quarantine lines keep it. *)
+let int_field buf i =
+  Buffer.add_char buf ' ';
+  add_decimal buf i
+
+let float_field buf x =
+  Buffer.add_char buf ' ';
+  add_hex_float buf x
+
 let write_entry buf observations (site, entry) =
   match entry with
   | Epp.Supervisor.Analyzed { row = r; step } ->
     let reached = Epp.Site_row.reached r in
-    Printf.bprintf buf "ok %d %s %d %d %h %d" site (step_tag step)
-      r.Epp.Site_row.cone_size reached r.Epp.Site_row.p_sensitized reached;
-    Array.iteri
-      (fun j i ->
-        let p = r.Epp.Site_row.probabilities.(j) in
-        match fst observations.(i) with
-        | Circuit.Po net -> Printf.bprintf buf " p %d %h" net p
-        | Circuit.Ff_data node -> Printf.bprintf buf " f %d %h" node p)
-      r.Epp.Site_row.positions;
+    Buffer.add_string buf "ok";
+    int_field buf site;
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf (step_tag step);
+    int_field buf r.Epp.Site_row.cone_size;
+    int_field buf reached;
+    float_field buf r.Epp.Site_row.p_sensitized;
+    int_field buf reached;
+    let positions = r.Epp.Site_row.positions in
+    for j = 0 to Array.length positions - 1 do
+      (match fst observations.(positions.(j)) with
+      | Circuit.Po net ->
+        Buffer.add_string buf " p";
+        int_field buf net
+      | Circuit.Ff_data node ->
+        Buffer.add_string buf " f";
+        int_field buf node);
+      float_field buf r.Epp.Site_row.probabilities.(j)
+    done;
     Buffer.add_char buf '\n'
   | Epp.Supervisor.Quarantined q ->
     Printf.bprintf buf "qr %d %S %d %d" site q.Epp.Diag.name

@@ -31,6 +31,10 @@ type error =
 
 val error_message : error -> string
 
+val add_hex_float : Buffer.t -> float -> unit
+(** Writes the bytes [Printf.bprintf buf "%h" x] would: the form every
+    float of a snapshot takes ("-0x1.8p-2", "infinity", "-nan", ...). *)
+
 val fingerprint : Epp.Epp_engine.t -> string
 (** Hex digest over the circuit name and structure (node kinds, fanins,
     the input/output/FF interface, signal names) and the engine's

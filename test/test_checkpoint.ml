@@ -439,6 +439,38 @@ let test_mismatch_rejected () =
   | Ok _ -> Alcotest.fail "accepted a snapshot from a different circuit");
   Sys.remove path
 
+(* --- the %h writer ----------------------------------------------------------- *)
+
+let hex_of x =
+  let buf = Buffer.create 32 in
+  Report.Checkpoint.add_hex_float buf x;
+  Buffer.contents buf
+
+let same_as_printf x = String.equal (hex_of x) (Printf.sprintf "%h" x)
+
+(* The edges of the format: both zeros, the subnormal range, the largest
+   finite values, the infinities, and NaNs of both signs (OCaml prints a
+   NaN whose sign bit is set as "-nan"). *)
+let test_hex_float_edges () =
+  let bits = Int64.float_of_bits in
+  List.iter
+    (fun x ->
+      check_string (Printf.sprintf "%Lx" (Int64.bits_of_float x)) (Printf.sprintf "%h" x) (hex_of x))
+    [
+      0.0; -0.0; 1.0; -1.0; 0.5; 0.1; 1.0 /. 3.0; 2.0; 1e300; -1e-300;
+      Float.min_float; -.Float.min_float; Float.max_float; -.Float.max_float;
+      bits 1L; bits 0x8000_0000_0000_0001L; bits 0x000F_FFFF_FFFF_FFFFL;
+      bits 0x0008_0000_0000_0000L; bits 0x800F_0000_0000_0000L;
+      Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan;
+      bits 0x7FF0_0000_0000_0001L; bits 0xFFF8_0000_0000_0000L; bits 0xFFFF_FFFF_FFFF_FFFFL;
+    ]
+
+let prop_hex_float_random_bits =
+  qtest ~count:2000 ~name:"%h writer = Printf on random 64-bit patterns"
+    QCheck2.Gen.(map2 (fun hi lo -> Int64.(logor (shift_left (of_int hi) 32) (of_int lo)))
+                   (int_bound 0xFFFF_FFFF) (int_bound 0xFFFF_FFFF))
+    (fun b -> same_as_printf (Int64.float_of_bits b))
+
 let () =
   Alcotest.run "checkpoint"
     [
@@ -450,6 +482,8 @@ let () =
           Alcotest.test_case "kernel-rung snapshot rejected" `Quick
             test_kernel_step_rejected;
           Alcotest.test_case "torn last line" `Quick test_torn_tail;
+          Alcotest.test_case "%h writer on the edges" `Quick test_hex_float_edges;
+          prop_hex_float_random_bits;
         ] );
       ( "keying",
         [

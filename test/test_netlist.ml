@@ -377,6 +377,54 @@ let test_stats_gate_kind_counts () =
   Alcotest.(check (option int)) "NOTs" (Some 1) (find Gate.Not);
   Alcotest.(check (option int)) "no XOR entry" None (find Gate.Xor)
 
+(* --- name table ----------------------------------------------------------- *)
+
+(* Random finds and inserts on few distinct names (so hits, misses and
+   growth all happen) agree with a Hashtbl; then a value rewrite and a
+   full iteration agree too. *)
+let prop_name_table_model =
+  qtest ~count:200 ~name:"agrees with a Hashtbl" seed_arbitrary (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let t = Name_table.create (Random.State.int st 4) in
+      let model = Hashtbl.create 16 in
+      let ok = ref true in
+      for _ = 1 to 400 do
+        let name = "n" ^ string_of_int (Random.State.int st 150) in
+        let v = Random.State.int st 1000 in
+        let expected = Option.value ~default:(-1) (Hashtbl.find_opt model name) in
+        if Random.State.bool st then (if Name_table.find t name <> expected then ok := false)
+        else begin
+          let got = Name_table.find_or_add t name v in
+          if expected >= 0 then (if got <> expected then ok := false)
+          else begin
+            if got <> v then ok := false;
+            Hashtbl.replace model name v
+          end
+        end
+      done;
+      Name_table.map_values t (fun v -> v + 7);
+      let seen = ref 0 in
+      Name_table.iter
+        (fun name v ->
+          incr seen;
+          if Hashtbl.find_opt model name <> Some (v - 7) then ok := false)
+        t;
+      !ok && !seen = Hashtbl.length model)
+
+let test_name_table_edges () =
+  let t = Name_table.of_names [| "a"; ""; "b"; "a" |] in
+  check_int "repeated name keeps its last index" 3 (Name_table.find t "a");
+  check_int "the empty name is a name" 1 (Name_table.find t "");
+  check_int "absent" (-1) (Name_table.find t "c");
+  let count = ref 0 in
+  Name_table.iter (fun _ _ -> incr count) t;
+  check_int "three names" 3 !count;
+  Alcotest.check_raises "negative value" (Invalid_argument "Name_table: value out of range")
+    (fun () -> ignore (Name_table.find_or_add t "c" (-1)));
+  check_int "largest value" ((1 lsl 31) - 1) (Name_table.find_or_add t "c" ((1 lsl 31) - 1));
+  Alcotest.check_raises "too large" (Invalid_argument "Name_table: value out of range") (fun () ->
+      ignore (Name_table.find_or_add t "d" (1 lsl 31)))
+
 let () =
   Alcotest.run "netlist"
     [
@@ -403,6 +451,8 @@ let () =
           Alcotest.test_case "forward references" `Quick test_builder_forward_reference;
           Alcotest.test_case "error messages" `Quick test_error_to_string_coverage;
         ] );
+      ( "names",
+        [ prop_name_table_model; Alcotest.test_case "edges" `Quick test_name_table_edges ] );
       ( "circuit",
         [
           Alcotest.test_case "structure of fig1" `Quick test_circuit_structure;

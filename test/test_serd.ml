@@ -69,6 +69,23 @@ let test_typed_rejections () =
   (* The server still serves after every rejection. *)
   check_string "still alive" "ok" (status (reply server {|{"op":"ping"}|}))
 
+(* The duplicate INPUT on line 2 is a netlist error, the unclosed gate
+   on line 3 a syntax error: the reply names the syntax error, as it did
+   when the whole file was parsed before elaboration began. *)
+let test_parse_error_beats_netlist_error () =
+  ignore (fresh_registry ());
+  let server = Server.create Server.default_config in
+  let r =
+    reply server
+      {|{"op":"analyze","circuit":{"format":"bench","source":"INPUT(a)\nINPUT(a)\ny = NOT(a"}}|}
+  in
+  check_string "status" "error" (status r);
+  check_string "code" "invalid_netlist" (error_code r);
+  let message =
+    Option.value ~default:"" (Option.bind (Json.member "error" r) (jstr "message"))
+  in
+  check_bool message true (String.starts_with ~prefix:"parse error at line 3" message)
+
 let test_id_echo () =
   ignore (fresh_registry ());
   let server = Server.create Server.default_config in
@@ -624,6 +641,8 @@ let () =
       ( "decode",
         [
           Alcotest.test_case "typed rejections" `Quick test_typed_rejections;
+          Alcotest.test_case "parse error beats netlist error" `Quick
+            test_parse_error_beats_netlist_error;
           Alcotest.test_case "id echo" `Quick test_id_echo;
           Alcotest.test_case "request limits" `Quick test_request_limits;
         ] );
