@@ -13,9 +13,8 @@
      not just the registry created);
    - the shared-analysis contract held for the whole run:
      analysis.topo.computed is exactly 1 (one topological sort served every
-     engine), analysis.cache.hit is nonzero (the context was actually
-     reused), and analysis.topo.direct_calls is 0 (no engine bypassed the
-     context);
+     engine) and analysis.cache.hit is nonzero (the context was actually
+     reused);
    - the trace is Perfetto-loadable in shape: a traceEvents list whose
      B/E events balance per name, with >= 3 distinct phase names, numeric
      pid/tid on every event, and a thread_name metadata record for every
@@ -79,16 +78,12 @@ let () =
      one topological sort, everything after it hit the memoized context. *)
   let topo = counter_value metrics "analysis.topo.computed" in
   let hits = counter_value metrics "analysis.cache.hit" in
-  let direct = counter_value metrics "analysis.topo.direct_calls" in
   check
     (Printf.sprintf "analysis.topo.computed = 1 (got %.0f)" topo)
     (topo = 1.0);
   check
     (Printf.sprintf "analysis.cache.hit > 0 (got %.0f)" hits)
     (hits > 0.0);
-  check
-    (Printf.sprintf "analysis.topo.direct_calls = 0 (got %.0f)" direct)
-    (direct = 0.0);
 
   let events =
     match Option.bind (Obs.Json.member "traceEvents" trace) Obs.Json.to_list with

@@ -28,16 +28,9 @@ let run circuit vectors sites seed metrics trace prom dump progress =
   let tracer = Obs.Hooks.tracer () in
   Obs.Trace.span tracer ~cat:"cli" "ser_compare" @@ fun () ->
   let rng = Rng.create ~seed in
-  let sp, spt =
-    Report.Timer.time (fun () ->
-        if Netlist.Circuit.ff_count circuit > 0 then
-          (Sigprob.Sp_sequential.compute circuit).Sigprob.Sp_sequential.result
-        else Sigprob.Sp_topological.compute circuit)
-  in
+  let sp, spt = Report.Timer.time (fun () -> Sigprob.Sp_sequential.default circuit) in
   let engine = Epp.Epp_engine.create ~sp circuit in
-  let input_sp v =
-    if Netlist.Circuit.is_ff circuit v then sp.Sigprob.Sp.values.(v) else 0.5
-  in
+  let input_sp = Sigprob.Sp.baseline_input_sp sp in
   let sim_ctx = Fault_sim.Epp_sim.create ~config:{ Fault_sim.Epp_sim.vectors; input_sp } circuit in
   let node_count = Netlist.Circuit.node_count circuit in
   let chosen =

@@ -17,7 +17,7 @@ let () =
   Fmt.pr "%a@.@." Circuit.pp circuit;
   let sp = (Sigprob.Sp_sequential.compute circuit).Sigprob.Sp_sequential.result in
   let engine = Epp.Epp_engine.create ~sp circuit in
-  let input_sp v = if Circuit.is_ff circuit v then sp.Sigprob.Sp.values.(v) else 0.5 in
+  let input_sp = Sigprob.Sp.baseline_input_sp sp in
   let rng = Rng.create ~seed:11 in
   let sites =
     Array.to_list

@@ -257,7 +257,7 @@ module Block = struct
     let circuit = Epp_engine.circuit engine in
     let ctx = Epp_engine.analysis engine in
     let n = Circuit.node_count circuit in
-    let csr = Analysis.csr ctx in
+    let graph = Circuit.graph circuit in
     (* Prefetch gate metadata once: the level loop then never touches the
        boxed node representation. *)
     let kinds = Array.make n Gate.Buf in
@@ -278,8 +278,8 @@ module Block = struct
       circuit;
       n;
       lanes;
-      offsets = Csr.offsets csr;
-      targets = Csr.targets csr;
+      offsets = Digraph.offsets graph;
+      targets = Digraph.targets graph;
       levels = Analysis.levels ctx;
       last_read = Analysis.max_fanout_level ctx;
       kinds;

@@ -74,12 +74,7 @@ let create ?sp circuit =
         invalid_arg "Epp_engine.create: sp computed on a different circuit";
       validate_sp circuit r;
       r
-    | None ->
-      (* Sequential circuits get self-consistent FF-output probabilities;
-         combinational ones reduce to the plain topological pass. *)
-      if Circuit.ff_count circuit > 0 then
-        (Sigprob.Sp_sequential.compute circuit).Sigprob.Sp_sequential.result
-      else Sigprob.Sp_topological.compute circuit
+    | None -> Sigprob.Sp_sequential.default circuit
   in
   Obs.Trace.span tracer ~cat:"epp" "epp.levelize" @@ fun () ->
   (* Everything structural comes from the shared context: the first engine

@@ -9,9 +9,10 @@
    id remap, and the sweep only runs over the dirty complement.
 
    Dirty geometry (per new node, evaluated over BOTH circuits — the old
-   side catches paths the edit severed):
-   - [Delta.backward_dirty]: the site's cone intersects a touched, added or
-     removed node, so its wiring may have changed;
+   side catches paths the edit severed), all of it one
+   [Delta.backward_dirty] pass per circuit from the union of these seeds:
+   - the edit: the site's cone intersects a touched, added or removed
+     node, so its wiring may have changed;
    - signal-probability seeds: where sp(w) changed bit-for-bit, sites
      reaching [w] (whose site-initialization uses sp) or any consumer of
      [w] (whose Table-1 rules read sp(w) as a side input) are dirty;
@@ -101,16 +102,10 @@ let plan ~before ~after d =
       full = true;
     }
   else begin
-    let base = Netlist.Delta.backward_dirty d in
-    let seeds_new = ref [] in
-    let seeds_old = ref [] in
-    let seed_new w =
-      seeds_new := w :: !seeds_new;
-      List.iter (fun g -> seeds_new := g :: !seeds_new) (Netlist.Circuit.fanouts c_new w)
-    in
-    let seed_old v =
-      seeds_old := v :: !seeds_old;
-      List.iter (fun g -> seeds_old := g :: !seeds_old) (Netlist.Circuit.fanouts c_old v)
+    (* A node and its consumers: the sites reaching either read its value. *)
+    let seeds_new = ref [] and seeds_old = ref [] in
+    let seed circuit seeds v =
+      seeds := v :: List.rev_append (Netlist.Circuit.fanouts circuit v) !seeds
     in
     let sp_old = (Epp_engine.signal_probabilities before).Sigprob.Sp.values in
     let sp_new = (Epp_engine.signal_probabilities after).Sigprob.Sp.values in
@@ -120,8 +115,8 @@ let plan ~before ~after d =
         v >= 0
         && Int64.bits_of_float sp_old.(v) <> Int64.bits_of_float sp_new.(w)
       then begin
-        seed_new w;
-        seed_old v
+        seed c_new seeds_new w;
+        seed c_old seeds_old v
       end
     done;
     Array.iteri
@@ -129,23 +124,14 @@ let plan ~before ~after d =
         let net_old = Netlist.Circuit.observation_net c_old o in
         let net_new = Netlist.Circuit.observation_net c_new obs_new.(i) in
         if new_of_old.(net_old) <> net_new then begin
-          seed_new net_new;
-          seed_old net_old
+          seed c_new seeds_new net_new;
+          seed c_old seeds_old net_old
         end)
       obs_old;
-    let extra_new = Reach.backward_set (Netlist.Circuit.graph c_new) !seeds_new in
-    let extra_old = Reach.backward_set (Netlist.Circuit.graph c_old) !seeds_old in
-    let dirty = Array.make n_new false in
-    let dirty_count = ref 0 in
-    for w = 0 to n_new - 1 do
-      let v = old_of_new.(w) in
-      let is_dirty =
-        base.(w) || extra_new.(w) || (v >= 0 && extra_old.(v))
-      in
-      dirty.(w) <- is_dirty;
-      if is_dirty then incr dirty_count
-    done;
-    { delta = d; dirty; dirty_count = !dirty_count; total = n_new; full = false }
+    let dirty =
+      Netlist.Delta.backward_dirty ~seeds:!seeds_new ~old_seeds:!seeds_old d
+    in
+    { delta = d; dirty; dirty_count = Reach.count dirty; total = n_new; full = false }
   end
 
 let sweep ?ctx ?domains ?batch_run ?deadline plan ~prior engine =

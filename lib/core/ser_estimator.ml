@@ -44,8 +44,9 @@ type report = {
    masking over the site->observation depth.  Depth is the true minimum
    number of gate traversals (BFS distance from the site).  It is read from
    the analysis context's per-observation distance maps — one backward BFS
-   per observation point over the reverse CSR, shared by every site —
-   instead of one forward BFS per site: O(obs · E) total, not O(sites · E).
+   per observation point over the graph's predecessor arrays, shared by
+   every site — instead of one forward BFS per site: O(obs · E) total, not
+   O(sites · E).
    BFS unit-weight distances are unique, so the values are bit-identical to
    the per-site computation. *)
 let capture_probability ~latching ~electrical ~ctx circuit ~site obs =

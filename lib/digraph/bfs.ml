@@ -6,37 +6,16 @@
 
 let unreachable = -1
 
+(* Each vertex is enqueued at most once, so the queue is one flat int array
+   with a read and a write cursor, and nothing but the result and that
+   array is allocated. *)
 let distances g source =
   let n = Digraph.vertex_count g in
   if source < 0 || source >= n then raise (Digraph.Invalid_vertex source);
+  let offsets = Digraph.offsets g and targets = Digraph.targets g in
   let dist = Array.make n unreachable in
   dist.(source) <- 0;
-  let queue = Queue.create () in
-  Queue.add source queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    List.iter
-      (fun v ->
-        if dist.(v) = unreachable then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v queue
-        end)
-      (Digraph.succ g u)
-  done;
-  dist
-
-(* CSR variant: identical visit semantics over the packed adjacency, with a
-   flat int-array ring as the queue (each vertex enqueued at most once), so
-   nothing but the result array is allocated.  The analysis context runs one
-   of these per observation point over the reverse CSR, replacing the
-   per-site forward BFS of the electrical-masking path. *)
-let distances_csr csr source =
-  let n = Csr.vertex_count csr in
-  if source < 0 || source >= n then raise (Digraph.Invalid_vertex source);
-  let offsets = Csr.offsets csr and targets = Csr.targets csr in
-  let dist = Array.make n unreachable in
-  dist.(source) <- 0;
-  let queue = Array.make (max n 1) 0 in
+  let queue = Array.make n 0 in
   queue.(0) <- source;
   let head = ref 0 and tail = ref 1 in
   while !head < !tail do
@@ -65,14 +44,18 @@ let shortest_path g ~source ~target =
   if target < 0 || target >= Digraph.vertex_count g then raise (Digraph.Invalid_vertex target);
   if dist.(target) = unreachable then None
   else begin
-    (* Walk backwards along strictly decreasing distances. *)
+    (* Walk backwards along strictly decreasing distances, taking the
+       lowest-numbered predecessor one step closer each time. *)
+    let rev_offsets = Digraph.rev_offsets g and rev_targets = Digraph.rev_targets g in
     let rec back v acc =
       if v = source then v :: acc
-      else
-        let prev =
-          List.find (fun u -> dist.(u) = dist.(v) - 1) (Digraph.pred g v)
-        in
-        back prev (v :: acc)
+      else begin
+        let i = ref rev_offsets.(v) in
+        while dist.(rev_targets.(!i)) <> dist.(v) - 1 do
+          incr i
+        done;
+        back rev_targets.(!i) (v :: acc)
+      end
     in
     Some (back target [])
   end

@@ -6,12 +6,9 @@ val unreachable : int
 
 val distances : Digraph.t -> Digraph.vertex -> int array
 (** BFS distance from the source to every vertex ([unreachable] where there
-    is no path).  @raise Digraph.Invalid_vertex. *)
-
-val distances_csr : Csr.t -> Digraph.vertex -> int array
-(** Same distances over a CSR adjacency view; allocates only the result
-    array.  Run it on {!Csr.reverse} to get, for one target vertex, the
-    distance {e to} it from every vertex.  @raise Digraph.Invalid_vertex. *)
+    is no path); allocates only the result and a flat queue.  Run it on
+    {!Digraph.reverse} to get, for one target vertex, the distance {e to} it
+    from every vertex.  @raise Digraph.Invalid_vertex. *)
 
 val distance : Digraph.t -> source:Digraph.vertex -> target:Digraph.vertex -> int option
 

@@ -1,125 +1,191 @@
-(* A minimal immutable directed graph over integer vertices [0 .. n-1].
+(* A minimal immutable directed graph over integer vertices [0 .. n-1], in
+   packed (compressed-sparse-row) form.
 
-   Vertices are plain array indices: every consumer in this project (netlists,
-   signal-probability engines, the EPP engine) already numbers its objects
-   densely, so an adjacency-array representation is both the simplest and the
-   fastest choice.  Successor lists are stored in the order edges were added,
-   which keeps traversals deterministic. *)
+   Vertices are plain array indices: every consumer in this project
+   (netlists, signal-probability engines, the EPP engine) already numbers
+   its objects densely.  All successors sit contiguously in one int array,
+
+     targets.(offsets.(v) .. offsets.(v+1) - 1)   — the successors of v
+
+   and all predecessors likewise in [rev_offsets]/[rev_targets], so a
+   traversal touches memory sequentially and allocates nothing per edge.
+   Successor order is kept from construction and predecessor ranges are
+   sorted by source, which keeps every traversal deterministic. *)
 
 type vertex = int
 
 type t = {
-  vertex_count : int;
-  succ : vertex list array;
-  pred : vertex list array;
-  edge_count : int;
+  offsets : int array;  (* length vertex_count + 1, non-decreasing *)
+  targets : int array;  (* length edge_count, grouped by source *)
+  rev_offsets : int array;
+  rev_targets : int array;  (* grouped by target, sorted by source *)
 }
 
 exception Invalid_vertex of vertex
 
-let check_vertex t v = if v < 0 || v >= t.vertex_count then raise (Invalid_vertex v)
+let vertex_count t = Array.length t.offsets - 1
+let edge_count t = Array.length t.targets
+let offsets t = t.offsets
+let targets t = t.targets
+let rev_offsets t = t.rev_offsets
+let rev_targets t = t.rev_targets
 
-let vertex_count t = t.vertex_count
+let check_vertex t v = if v < 0 || v >= vertex_count t then raise (Invalid_vertex v)
 
-let edge_count t = t.edge_count
+(* Counting sort, in place.  [cells.(v)] holds a per-vertex edge count for
+   [v < n] and [cells.(n)] is 0; the inclusive prefix sums turn each cell
+   into the end of its vertex's slot range (and the last into the total).
+   Filling every range from its end then moves each cell back to its
+   range's start, so the array ends up as the offsets themselves. *)
+let ends_of_counts cells =
+  for v = 1 to Array.length cells - 1 do
+    cells.(v) <- cells.(v) + cells.(v - 1)
+  done
 
-let succ t v =
-  check_vertex t v;
-  t.succ.(v)
-
-let pred t v =
-  check_vertex t v;
-  t.pred.(v)
-
-let out_degree t v = List.length (succ t v)
-
-let in_degree t v = List.length (pred t v)
+(* The predecessor arrays, by counting sort over the successor arrays.
+   Sources are visited from the last down, so each predecessor range fills
+   from its end in decreasing source order and reads in increasing order. *)
+let transpose offsets targets =
+  let n = Array.length offsets - 1 in
+  let rev_offsets = Array.make (n + 1) 0 in
+  Array.iter (fun v -> rev_offsets.(v) <- rev_offsets.(v) + 1) targets;
+  ends_of_counts rev_offsets;
+  let rev_targets = Array.make (Array.length targets) 0 in
+  for u = n - 1 downto 0 do
+    for i = offsets.(u + 1) - 1 downto offsets.(u) do
+      let v = targets.(i) in
+      rev_offsets.(v) <- rev_offsets.(v) - 1;
+      rev_targets.(rev_offsets.(v)) <- u
+    done
+  done;
+  { offsets; targets; rev_offsets; rev_targets }
 
 let of_edges ~vertex_count edges =
   if vertex_count < 0 then invalid_arg "Digraph.of_edges: negative vertex_count";
-  let succ = Array.make vertex_count [] in
-  let pred = Array.make vertex_count [] in
-  let count = ref 0 in
-  let add (u, v) =
-    if u < 0 || u >= vertex_count then raise (Invalid_vertex u);
-    if v < 0 || v >= vertex_count then raise (Invalid_vertex v);
-    succ.(u) <- v :: succ.(u);
-    pred.(v) <- u :: pred.(v);
-    incr count
-  in
-  List.iter add edges;
-  (* Reverse so that successor lists preserve insertion order. *)
-  Array.iteri (fun i l -> succ.(i) <- List.rev l) succ;
-  Array.iteri (fun i l -> pred.(i) <- List.rev l) pred;
-  { vertex_count; succ; pred; edge_count = !count }
+  let offsets = Array.make (vertex_count + 1) 0 in
+  List.iter
+    (fun (u, v) ->
+      if u < 0 || u >= vertex_count then raise (Invalid_vertex u);
+      if v < 0 || v >= vertex_count then raise (Invalid_vertex v);
+      offsets.(u) <- offsets.(u) + 1)
+    edges;
+  ends_of_counts offsets;
+  let targets = Array.make offsets.(vertex_count) 0 in
+  (* Last edge first, so each source's range reads in list order. *)
+  List.iter
+    (fun (u, v) ->
+      offsets.(u) <- offsets.(u) - 1;
+      targets.(offsets.(u)) <- v)
+    (List.rev edges);
+  transpose offsets targets
 
-(* Takes ownership of [succ]: a circuit builds the array only to hand it
-   over, so copying it would double the graph's largest allocation. *)
-let of_successors succ =
-  let vertex_count = Array.length succ in
-  let pred = Array.make vertex_count [] in
-  let count = ref 0 in
-  (* Sources are visited from the last down, so every predecessor list
-     comes out in ascending source order without a reversal pass. *)
-  for u = vertex_count - 1 downto 0 do
-    List.iter
-      (fun v ->
-        if v < 0 || v >= vertex_count then raise (Invalid_vertex v);
-        pred.(v) <- u :: pred.(v);
-        incr count)
-      succ.(u)
+(* A netlist hands over its fanin arrays: no list cell and no copy of them
+   is made.  Consumers are placed from the last down, so each successor
+   range reads in increasing consumer order, a repeated fanin's two edges
+   side by side. *)
+let of_predecessors ~vertex_count preds =
+  if vertex_count < 0 then invalid_arg "Digraph.of_predecessors: negative vertex_count";
+  let offsets = Array.make (vertex_count + 1) 0 in
+  for v = 0 to vertex_count - 1 do
+    let p = preds v in
+    for k = 0 to Array.length p - 1 do
+      let u = p.(k) in
+      if u < 0 || u >= vertex_count then raise (Invalid_vertex u);
+      offsets.(u) <- offsets.(u) + 1
+    done
   done;
-  { vertex_count; succ; pred; edge_count = !count }
+  ends_of_counts offsets;
+  let targets = Array.make offsets.(vertex_count) 0 in
+  for v = vertex_count - 1 downto 0 do
+    let p = preds v in
+    for k = Array.length p - 1 downto 0 do
+      let u = p.(k) in
+      offsets.(u) <- offsets.(u) - 1;
+      targets.(offsets.(u)) <- v
+    done
+  done;
+  transpose offsets targets
 
-let edges t =
+let range_list offsets targets v =
   let acc = ref [] in
-  for u = t.vertex_count - 1 downto 0 do
-    List.iter (fun v -> acc := (u, v) :: !acc) (List.rev t.succ.(u))
+  for i = offsets.(v + 1) - 1 downto offsets.(v) do
+    acc := targets.(i) :: !acc
   done;
   !acc
 
-let reverse t =
-  { vertex_count = t.vertex_count; succ = Array.copy t.pred; pred = Array.copy t.succ;
-    edge_count = t.edge_count }
+let succ t v =
+  check_vertex t v;
+  range_list t.offsets t.targets v
+
+let pred t v =
+  check_vertex t v;
+  range_list t.rev_offsets t.rev_targets v
+
+let out_degree t v =
+  check_vertex t v;
+  t.offsets.(v + 1) - t.offsets.(v)
+
+let in_degree t v =
+  check_vertex t v;
+  t.rev_offsets.(v + 1) - t.rev_offsets.(v)
 
 let mem_edge t u v =
   check_vertex t u;
   check_vertex t v;
-  List.mem v t.succ.(u)
+  let found = ref false in
+  for i = t.offsets.(u) to t.offsets.(u + 1) - 1 do
+    if t.targets.(i) = v then found := true
+  done;
+  !found
 
-let sources t =
+let edges t =
   let acc = ref [] in
-  for v = t.vertex_count - 1 downto 0 do
-    if t.pred.(v) = [] then acc := v :: !acc
+  for u = vertex_count t - 1 downto 0 do
+    for i = t.offsets.(u + 1) - 1 downto t.offsets.(u) do
+      acc := (u, t.targets.(i)) :: !acc
+    done
   done;
   !acc
 
-let sinks t =
+let reverse t =
+  { offsets = t.rev_offsets; targets = t.rev_targets; rev_offsets = t.offsets;
+    rev_targets = t.targets }
+
+(* Vertices whose range in [offsets] is empty, increasing. *)
+let empty_ranges offsets =
   let acc = ref [] in
-  for v = t.vertex_count - 1 downto 0 do
-    if t.succ.(v) = [] then acc := v :: !acc
+  for v = Array.length offsets - 2 downto 0 do
+    if offsets.(v) = offsets.(v + 1) then acc := v :: !acc
   done;
   !acc
+
+let sources t = empty_ranges t.rev_offsets
+let sinks t = empty_ranges t.offsets
 
 let iter_vertices f t =
-  for v = 0 to t.vertex_count - 1 do
+  for v = 0 to vertex_count t - 1 do
     f v
   done
 
 let fold_vertices f t init =
   let acc = ref init in
-  for v = 0 to t.vertex_count - 1 do
+  for v = 0 to vertex_count t - 1 do
     acc := f v !acc
   done;
   !acc
 
-let iter_edges f t = Array.iteri (fun u vs -> List.iter (fun v -> f u v) vs) t.succ
+let iter_edges f t =
+  for u = 0 to vertex_count t - 1 do
+    for i = t.offsets.(u) to t.offsets.(u + 1) - 1 do
+      f u t.targets.(i)
+    done
+  done
 
 let pp ppf t =
-  Fmt.pf ppf "@[<v>digraph (%d vertices, %d edges)" t.vertex_count t.edge_count;
+  Fmt.pf ppf "@[<v>digraph (%d vertices, %d edges)" (vertex_count t) (edge_count t);
   iter_vertices
     (fun v ->
-      match t.succ.(v) with
+      match succ t v with
       | [] -> ()
       | vs -> Fmt.pf ppf "@,%d -> @[%a@]" v Fmt.(list ~sep:sp int) vs)
     t;

@@ -1,9 +1,14 @@
-(** Immutable directed graphs over dense integer vertices.
+(** Immutable directed graphs over dense integer vertices, in packed form.
 
     Every structure in this project (netlists, cones, levelized traversals)
-    numbers its objects densely from 0, so vertices are plain [int] indices
-    into adjacency arrays.  Edge order is preserved from construction, which
-    keeps all traversals deterministic. *)
+    numbers its objects densely from 0, so vertices are plain [int] indices.
+    A graph is two compressed-sparse-row adjacencies: the successors of [v]
+    are [targets.(offsets.(v)) .. targets.(offsets.(v + 1) - 1)], and the
+    predecessors likewise in [rev_offsets]/[rev_targets].  Successor order is
+    preserved from construction; each predecessor list is sorted by source
+    vertex (parallel edges stay adjacent).  Traversals index these arrays
+    directly and allocate nothing per edge; a graph is safe to share across
+    domains. *)
 
 type vertex = int
 
@@ -14,23 +19,42 @@ exception Invalid_vertex of vertex
 
 val of_edges : vertex_count:int -> (vertex * vertex) list -> t
 (** [of_edges ~vertex_count edges] builds a graph with vertices
-    [0 .. vertex_count - 1] and the given directed edges.  Parallel edges are
-    kept.  @raise Invalid_vertex on an out-of-range endpoint. *)
+    [0 .. vertex_count - 1] and the given directed edges, each source's
+    successors in list order.  Parallel edges are kept.
+    @raise Invalid_vertex on an out-of-range endpoint. *)
 
-val of_successors : vertex list array -> t
-(** [of_successors succ] builds a graph whose vertex [v] has successor list
-    [succ.(v)].  The graph takes ownership of [succ] (it is not copied): the
-    caller must not modify it afterwards.
-    @raise Invalid_vertex on an out-of-range successor. *)
+val of_predecessors : vertex_count:int -> (vertex -> vertex array) -> t
+(** [of_predecessors ~vertex_count preds] builds the graph in which the
+    predecessors of [v] are the entries of [preds v] (repeats are parallel
+    edges), in two counting passes and no list cells.  Each successor list
+    comes out in increasing vertex order, repeats adjacent.  [preds] is
+    called twice per vertex and must return the same entries each time;
+    the graph keeps none of its arrays.
+    @raise Invalid_vertex on an out-of-range predecessor. *)
 
 val vertex_count : t -> int
 val edge_count : t -> int
 
+val offsets : t -> int array
+(** Forward offsets (length [vertex_count + 1]).  Shared: do not mutate. *)
+
+val targets : t -> int array
+(** Successors, grouped by source (length [edge_count]).  Do not mutate. *)
+
+val rev_offsets : t -> int array
+(** Reverse offsets (length [vertex_count + 1]).  Do not mutate. *)
+
+val rev_targets : t -> int array
+(** Predecessors, grouped by target and sorted by source within a group
+    (length [edge_count]).  Do not mutate. *)
+
 val succ : t -> vertex -> vertex list
-(** Successors of a vertex, in insertion order. @raise Invalid_vertex. *)
+(** Successors of a vertex as a fresh list, in insertion order.
+    @raise Invalid_vertex. *)
 
 val pred : t -> vertex -> vertex list
-(** Predecessors of a vertex, in insertion order. @raise Invalid_vertex. *)
+(** Predecessors of a vertex as a fresh list, in increasing source order.
+    @raise Invalid_vertex. *)
 
 val out_degree : t -> vertex -> int
 val in_degree : t -> vertex -> int
@@ -41,7 +65,8 @@ val edges : t -> (vertex * vertex) list
 (** All edges, grouped by source vertex in increasing order. *)
 
 val reverse : t -> t
-(** The graph with every edge flipped. *)
+(** The graph with every edge flipped, in O(1): the forward and reverse
+    arrays trade places, nothing is copied. *)
 
 val sources : t -> vertex list
 (** Vertices with no predecessors, in increasing order. *)

@@ -4,47 +4,17 @@
    gates) from n_i to every reachable primary output PO_j and/or flip-flop
    FF_k using the forward Depth-First Search (DFS) algorithm."
 
-   All searches are iterative (explicit stack) so that circuits with tens of
-   thousands of gates do not overflow the OCaml stack. *)
+   All searches are iterative so that circuits with tens of thousands of
+   gates do not overflow the OCaml stack. *)
 
-let forward_set g roots =
-  let n = Digraph.vertex_count g in
+(* One search over one packed adjacency: the forward arrays for output
+   cones, the reverse ones for fan-in cones.  Each vertex is pushed at most
+   once, so a flat array of [n] cells is the whole stack and nothing but
+   the result and that stack is allocated. *)
+let search offsets targets roots =
+  let n = Array.length offsets - 1 in
   let visited = Array.make n false in
-  let stack = Stack.create () in
-  List.iter
-    (fun r ->
-      if r < 0 || r >= n then raise (Digraph.Invalid_vertex r);
-      if not visited.(r) then begin
-        visited.(r) <- true;
-        Stack.push r stack
-      end)
-    roots;
-  while not (Stack.is_empty stack) do
-    let u = Stack.pop stack in
-    List.iter
-      (fun v ->
-        if not visited.(v) then begin
-          visited.(v) <- true;
-          Stack.push v stack
-        end)
-      (Digraph.succ g u)
-  done;
-  visited
-
-let backward_set g roots = forward_set (Digraph.reverse g) roots
-
-let forward g root = forward_set g [ root ]
-
-(* CSR variants: identical visit semantics, but the successor scan walks two
-   flat int arrays instead of cons cells.  The whole-circuit EPP sweep runs
-   one of these per site, so this is a hot path. *)
-let forward_set_csr csr roots =
-  let n = Csr.vertex_count csr in
-  let offsets = Csr.offsets csr and targets = Csr.targets csr in
-  let visited = Array.make n false in
-  (* Each vertex is pushed at most once, so a flat array of size n is a
-     sufficient stack and nothing is allocated during the search. *)
-  let stack = Array.make (max n 1) 0 in
+  let stack = Array.make n 0 in
   let top = ref 0 in
   List.iter
     (fun r ->
@@ -69,7 +39,11 @@ let forward_set_csr csr roots =
   done;
   visited
 
-let forward_csr csr root = forward_set_csr csr [ root ]
+let forward_set g roots = search (Digraph.offsets g) (Digraph.targets g) roots
+
+let backward_set g roots = search (Digraph.rev_offsets g) (Digraph.rev_targets g) roots
+
+let forward g root = forward_set g [ root ]
 
 let members visited =
   let acc = ref [] in

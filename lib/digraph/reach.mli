@@ -5,20 +5,16 @@
 
 val forward : Digraph.t -> Digraph.vertex -> bool array
 (** [forward g root].(v) is true iff [v] is reachable from [root]
-    (including [root] itself).  @raise Digraph.Invalid_vertex. *)
+    (including [root] itself).  The search walks the packed arrays and
+    allocates only the result and a flat stack.
+    @raise Digraph.Invalid_vertex. *)
 
 val forward_set : Digraph.t -> Digraph.vertex list -> bool array
 (** Reachability from any of several roots. *)
 
 val backward_set : Digraph.t -> Digraph.vertex list -> bool array
-(** Reachability in the reversed graph (fan-in cones). *)
-
-val forward_csr : Csr.t -> Digraph.vertex -> bool array
-(** Same as {!forward} over a CSR view: the successor scan walks flat int
-    arrays, and the search allocates only the result.  Used by the per-site
-    hot paths. *)
-
-val forward_set_csr : Csr.t -> Digraph.vertex list -> bool array
+(** Reachability along reversed edges (fan-in cones), over the graph's own
+    predecessor arrays. *)
 
 val members : bool array -> Digraph.vertex list
 (** Indices set to true, increasing. *)

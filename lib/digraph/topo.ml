@@ -7,30 +7,18 @@
 
 exception Cycle of Digraph.vertex list
 
-let in_degrees g =
-  let n = Digraph.vertex_count g in
-  let deg = Array.make n 0 in
-  let rec count = function
-    | [] -> ()
-    | v :: rest ->
-      deg.(v) <- deg.(v) + 1;
-      count rest
-  in
-  for u = 0 to n - 1 do
-    count (Digraph.succ g u)
-  done;
-  deg
-
 (* Kahn's algorithm with a FIFO worklist: among ready vertices, lower indices
-   first, so the order is deterministic and stable across runs.  Every
-   vertex enters the worklist at most once, so the FIFO is one int array
-   with a read and a write cursor, and what it holds at the end is the
-   order.  Returns that array, how many vertices were emitted, and the
-   in-degrees left over (positive exactly on the vertices a cycle
-   blocked). *)
+   first, so the order is deterministic and stable across runs.  In-degrees
+   are the lengths of the predecessor ranges.  Every vertex enters the
+   worklist at most once, so the FIFO is one int array with a read and a
+   write cursor, and what it holds at the end is the order.  Returns that
+   array, how many vertices were emitted, and the in-degrees left over
+   (positive exactly on the vertices a cycle blocked). *)
 let drain g =
   let n = Digraph.vertex_count g in
-  let deg = in_degrees g in
+  let offsets = Digraph.offsets g and targets = Digraph.targets g in
+  let rev_offsets = Digraph.rev_offsets g in
+  let deg = Array.init n (fun v -> rev_offsets.(v + 1) - rev_offsets.(v)) in
   let queue = Array.make n 0 in
   let tail = ref 0 in
   for v = 0 to n - 1 do
@@ -39,21 +27,18 @@ let drain g =
       incr tail
     end
   done;
-  let rec release = function
-    | [] -> ()
-    | v :: rest ->
-      deg.(v) <- deg.(v) - 1;
-      if deg.(v) = 0 then begin
-        queue.(!tail) <- v;
-        incr tail
-      end;
-      release rest
-  in
   let head = ref 0 in
   while !head < !tail do
     let u = queue.(!head) in
     incr head;
-    release (Digraph.succ g u)
+    for i = offsets.(u) to offsets.(u + 1) - 1 do
+      let v = targets.(i) in
+      deg.(v) <- deg.(v) - 1;
+      if deg.(v) = 0 then begin
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
   done;
   (queue, !head, deg)
 
@@ -77,16 +62,18 @@ let is_acyclic g =
 
 (* level v = 0 for sources, otherwise 1 + max level of predecessors.  The
    [levels_from] variant takes an already-computed topological order so a
-   caller that memoizes the sort (Circuit's analysis context) does not pay
-   for a second one; [levels] keeps the self-contained signature. *)
+   caller that memoizes the sort (the analysis context) does not pay for a
+   second one; [levels] keeps the self-contained signature. *)
 let levels_from g order =
-  let n = Digraph.vertex_count g in
-  let level = Array.make n 0 in
+  let offsets = Digraph.offsets g and targets = Digraph.targets g in
+  let level = Array.make (Digraph.vertex_count g) 0 in
   Array.iter
     (fun u ->
-      List.iter
-        (fun v -> if level.(u) + 1 > level.(v) then level.(v) <- level.(u) + 1)
-        (Digraph.succ g u))
+      let next = level.(u) + 1 in
+      for i = offsets.(u) to offsets.(u + 1) - 1 do
+        let v = targets.(i) in
+        if next > level.(v) then level.(v) <- next
+      done)
     order;
   level
 

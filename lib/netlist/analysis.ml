@@ -8,8 +8,8 @@
    per circuit and serves the shared instance:
 
    - whole-graph facts (order, gate order, observation arrays) are
-     assembled once, on first [get], from the circuit's own memoized
-     accessors;
+     assembled once, on first [get]; levels, depth and the batch engine's
+     layouts are computed on first demand and published once;
    - per-site artifacts (forward cones, per-observation-point BFS distance
      maps) sit behind bounded LRU caches keyed by node id, so interleaved
      engines (a supervised sweep runs SP, EPP and ranking over one circuit)
@@ -24,8 +24,9 @@
    domains — build it (or the engine owning it) before fanning out.
 
    Reuse is observable: [analysis.cache.hit] / [analysis.cache.miss] count
-   every served-from-cache vs computed fact (including the circuit-level
-   memos), and [analysis.*.computed] counters prove single-pass behaviour. *)
+   every served-from-cache vs computed fact, and [analysis.*.computed]
+   counters prove single-pass behaviour (a supervised sweep must report
+   exactly one [analysis.topo.computed]). *)
 
 let count name =
   Obs.Metrics.incr (Obs.Metrics.counter (Obs.Hooks.metrics ()) name)
@@ -94,6 +95,8 @@ type t = {
   cones : bool array Lru.t;  (* site -> forward-reach marks *)
   fanin_cones : bool array Lru.t;  (* net -> backward-reach marks *)
   distance_maps : int array Lru.t;  (* obs net -> reverse-BFS distances *)
+  levels : int array option Atomic.t;  (* ASAP levels, memoized *)
+  depth : int option Atomic.t;  (* the largest level, memoized *)
   level_gates : int array array option Atomic.t;
       (* gates bucketed by ASAP level, memoized on first demand *)
   max_fanout_level : int array option Atomic.t;
@@ -117,8 +120,34 @@ let distance_cache_floor = 64
 
 type Circuit.context += Context of t
 
-let build circuit =
-  let order = Circuit.order_for_context circuit in
+let computed name =
+  count name;
+  cache_miss ()
+
+(* Publish-once memo for every derived fact of a circuit, the context
+   itself included: racing domains may both compute, but only the published
+   instance is ever served, so the shared-instance contract holds. *)
+let publish_once cell ~computed:name compute =
+  match Atomic.get cell with
+  | Some fact ->
+    cache_hit ();
+    fact
+  | None ->
+    let fact = compute () in
+    if Atomic.compare_and_set cell None (Some fact) then begin
+      computed name;
+      fact
+    end
+    else begin
+      cache_hit ();
+      match Atomic.get cell with
+      | Some published -> published
+      | None -> assert false (* the cell is set-once *)
+    end
+
+(* The context around a topological order: the one [get] sorts for, or
+   the one [apply_delta] patched across an edit (with its levels). *)
+let assemble circuit ~order ~levels =
   let gate_order =
     let acc = ref [] in
     for i = Array.length order - 1 downto 0 do
@@ -147,50 +176,46 @@ let build circuit =
       Lru.create (max distance_cache_floor (Array.length observation_nets));
     distance_maps =
       Lru.create (max distance_cache_floor (Array.length observation_nets));
+    levels = Atomic.make levels;
+    depth = Atomic.make None;
     level_gates = Atomic.make None;
     max_fanout_level = Atomic.make None;
     level_offsets = Atomic.make None;
     observed = Atomic.make None;
   }
 
-let get circuit =
-  match Circuit.context_slot circuit (fun () -> Context (build circuit)) with
+(* The one topological sort of the circuit's life. *)
+let build circuit =
+  let order = Topo.sort_array (Circuit.graph circuit) in
+  computed "analysis.topo.computed";
+  assemble circuit ~order ~levels:None
+
+(* The context installed on [circuit]: the one [make] builds, unless
+   another was published first. *)
+let install circuit make =
+  match
+    publish_once (Circuit.context circuit) ~computed:"analysis.context.computed"
+      (fun () -> Context (make ()))
+  with
   | Context ctx -> ctx
   | _ -> assert false (* the slot only ever holds our constructor *)
+
+let get circuit = install circuit (fun () -> build circuit)
 
 let circuit t = t.circuit
 let order t = t.order
 let gate_order t = t.gate_order
 let observations t = t.observations
 let observation_nets t = t.observation_nets
+let csr t = Circuit.graph t.circuit
 
-(* Delegates to the circuit-level memos (same cache counters). *)
-let levels t = Circuit.levels t.circuit
-let depth t = Circuit.depth t.circuit
-let csr t = Circuit.csr t.circuit
-let reverse_csr t = Circuit.reverse_csr t.circuit
+let levels t =
+  publish_once t.levels ~computed:"analysis.levels.computed" @@ fun () ->
+  Topo.levels_from (Circuit.graph t.circuit) t.order
 
-(* Publish-once memo for the derived whole-graph facts below: racing
-   domains may both compute, but only the published instance is ever
-   served, so the shared-instance contract holds. *)
-let publish_once cell ~computed compute =
-  match Atomic.get cell with
-  | Some fact ->
-    cache_hit ();
-    fact
-  | None ->
-    let fact = compute () in
-    if Atomic.compare_and_set cell None (Some fact) then begin
-      count computed;
-      cache_miss ();
-      fact
-    end
-    else begin
-      cache_hit ();
-      match Atomic.get cell with
-      | Some published -> published
-      | None -> assert false (* the cell is set-once *)
-    end
+let depth t =
+  publish_once t.depth ~computed:"analysis.depth.computed" @@ fun () ->
+  Array.fold_left max 0 (levels t)
 
 (* Gates bucketed by ASAP level — the evaluation schedule of the
    level-synchronous batch engine.  Filling the buckets from [gate_order]
@@ -215,13 +240,13 @@ let level_gates t =
 (* Per node, the highest ASAP level among its fanouts (its own level when it
    has none): once a level-order walk has evaluated that level, nothing
    reads the node again.  The batch engine frees a node's plane row there.
-   One pass over the forward CSR. *)
+   One pass over the forward arrays. *)
 let max_fanout_level t =
   publish_once t.max_fanout_level ~computed:"analysis.max_fanout_level.computed"
   @@ fun () ->
   let lv = levels t in
-  let csr = csr t in
-  let offsets = Csr.offsets csr and targets = Csr.targets csr in
+  let g = Circuit.graph t.circuit in
+  let offsets = Digraph.offsets g and targets = Digraph.targets g in
   Array.init (Array.length lv) (fun v ->
       let m = ref lv.(v) in
       for j = offsets.(v) to offsets.(v + 1) - 1 do
@@ -256,28 +281,25 @@ let cone t site =
   check_node t site ~what:"cone";
   Lru.find_or_compute t.cones site (fun () ->
       count "analysis.cones.computed";
-      Reach.forward_csr (Circuit.csr t.circuit) site)
+      Reach.forward (Circuit.graph t.circuit) site)
 
 let fanin_cone t net =
   check_node t net ~what:"fanin_cone";
-  (* Backward reachability = forward reachability over the reverse CSR.
-     Keyed by observation net, these are shared by every site whose forward
+  (* Keyed by observation net, these are shared by every site whose forward
      cone reaches that net — the support-extraction step of the certified
      exact tier. *)
-  let rev = Circuit.reverse_csr t.circuit in
   Lru.find_or_compute t.fanin_cones net (fun () ->
       count "analysis.fanin_cones.computed";
-      Reach.forward_csr rev net)
+      Reach.backward_set (Circuit.graph t.circuit) [ net ])
 
 let distances_to t target =
   check_node t target ~what:"distances_to";
   (* One backward BFS per *target* (observation net) replaces one forward
      BFS per *site*: sites outnumber observation points by orders of
      magnitude, and the map answers every site's depth query at once. *)
-  let rev = Circuit.reverse_csr t.circuit in
   Lru.find_or_compute t.distance_maps target (fun () ->
       count "analysis.distance_maps.computed";
-      Bfs.distances_csr rev target)
+      Bfs.distances (Digraph.reverse (Circuit.graph t.circuit)) target)
 
 let reached_observations t site =
   let in_cone = cone t site in
@@ -292,21 +314,10 @@ let reached_observations t site =
 
    [apply_delta] carries a context across an edit instead of throwing it
    away: the pre-edit topological order is patched onto the post-edit
-   circuit when the edit is order-preserving, levels are re-derived from
-   the patched order, and the per-site LRU entries whose geometry provably
-   did not change are migrated under the id remap.  Everything else (the
-   dirty cones, the level buckets) rebuilds lazily on demand.
-
-   Validity arguments for the migrations, in terms of Delta's dirty sets:
-   - a cone entry for a surviving site [w] outside [backward_dirty] is the
-     exact image of the old cone: no node of the old cone was removed (the
-     site would be old-side backward-dirty), and no added node joins the
-     new cone (the site would be new-side backward-dirty);
-   - a distance map for a surviving observation net [w] outside
-     [forward_dirty] is exact: every node on every path into [w] is an
-     untouched survivor (a touched/removed/added node on such a path would
-     make [w] forward-dirty on one side), and added nodes cannot reach [w],
-     so they keep [Bfs.unreachable]. *)
+   circuit when the edit is order-preserving, and levels are re-derived
+   from the patched order.  Everything else (cones, distance maps, the
+   level buckets) builds lazily on demand: no edit path reads the per-site
+   caches, so none is carried over. *)
 
 exception Order_patch_failed
 
@@ -366,53 +377,6 @@ let patch_order ~old_order d =
   done;
   out
 
-(* Migrate the LRU entries that stay valid, remapping ids.  Stamps restart
-   from zero — relative recency within the survivors is noise next to the
-   traversals saved. *)
-let migrate_cones ~old_cones ~dirty d =
-  let fresh = Lru.create old_cones.Lru.capacity in
-  let new_of_old = Delta.new_of_old d in
-  let old_of_new = Delta.old_of_new d in
-  let n_new = Circuit.node_count (Delta.after d) in
-  Mutex.lock old_cones.Lru.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock old_cones.Lru.lock) @@ fun () ->
-  Hashtbl.iter
-    (fun old_site (e : bool array Lru.entry) ->
-      let w = if old_site < Array.length new_of_old then new_of_old.(old_site) else -1 in
-      if w >= 0 && not dirty.(w) then begin
-        let marks = Array.make n_new false in
-        for x = 0 to n_new - 1 do
-          let v = old_of_new.(x) in
-          if v >= 0 && e.Lru.value.(v) then marks.(x) <- true
-        done;
-        fresh.Lru.tick <- fresh.Lru.tick + 1;
-        Hashtbl.replace fresh.Lru.table w { Lru.stamp = fresh.Lru.tick; value = marks }
-      end)
-    old_cones.Lru.table;
-  fresh
-
-let migrate_distances ~old_maps ~dirty d =
-  let fresh = Lru.create old_maps.Lru.capacity in
-  let new_of_old = Delta.new_of_old d in
-  let old_of_new = Delta.old_of_new d in
-  let n_new = Circuit.node_count (Delta.after d) in
-  Mutex.lock old_maps.Lru.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock old_maps.Lru.lock) @@ fun () ->
-  Hashtbl.iter
-    (fun old_net (e : int array Lru.entry) ->
-      let w = if old_net < Array.length new_of_old then new_of_old.(old_net) else -1 in
-      if w >= 0 && not dirty.(w) then begin
-        let dist = Array.make n_new Bfs.unreachable in
-        for x = 0 to n_new - 1 do
-          let v = old_of_new.(x) in
-          if v >= 0 then dist.(x) <- e.Lru.value.(v)
-        done;
-        fresh.Lru.tick <- fresh.Lru.tick + 1;
-        Hashtbl.replace fresh.Lru.table w { Lru.stamp = fresh.Lru.tick; value = dist }
-      end)
-    old_maps.Lru.table;
-  fresh
-
 let apply_delta t d =
   if not (Delta.before d == t.circuit) then
     invalid_arg "Analysis.apply_delta: delta's before-circuit is not this context's";
@@ -425,22 +389,10 @@ let apply_delta t d =
       (get after, `Rebuilt)
     | order ->
       count "analysis.incremental.patched";
-      let levels = Topo.levels_from (Circuit.graph after) order in
-      Circuit.seed_analysis_facts after ~order ~levels;
-      let fresh = build after in
-      let fresh =
-        {
-          fresh with
-          cones = migrate_cones ~old_cones:t.cones ~dirty:(Delta.backward_dirty d) d;
-          distance_maps =
-            migrate_distances ~old_maps:t.distance_maps
-              ~dirty:(Delta.forward_dirty d) d;
-        }
+      (* The order and levels were patched, not computed: they bump no
+         [*.computed] counter. *)
+      let patched () =
+        assemble after ~order ~levels:(Some (Topo.levels_from (Circuit.graph after) order))
       in
-      let installed =
-        match Circuit.context_slot after (fun () -> Context fresh) with
-        | Context ctx -> ctx
-        | _ -> assert false
-      in
-      (installed, `Patched)
+      (install after patched, `Patched)
   end

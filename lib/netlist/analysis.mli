@@ -28,8 +28,9 @@ val circuit : t -> Circuit.t
 (** {2 Whole-graph facts} *)
 
 val order : t -> int array
-(** The circuit's topological order (all nodes) — the one shared instance
-    also served by {!Circuit.topological_order}. *)
+(** The circuit's topological order (all nodes): the one sort of the
+    circuit's life ([analysis.topo.computed]), or the order
+    {!apply_delta} patched across an edit. *)
 
 val gate_order : t -> int array
 (** Gates only, in topological order — the evaluation schedule of the logic
@@ -43,13 +44,16 @@ val observation_nets : t -> int array
 (** Just the observed nets, aligned with {!observations}. *)
 
 val levels : t -> int array
-(** ASAP levelization; delegates to the memo on {!Circuit.levels}. *)
+(** ASAP levelization ([levels.(v)] is 0 at sources, else 1 + the largest
+    level among [v]'s fanins), derived from {!order} once
+    ([analysis.levels.computed]) and shared thereafter. *)
 
 val depth : t -> int
-(** Maximum logic level; delegates to {!Circuit.depth}. *)
+(** Maximum logic level, memoized ([analysis.depth.computed]). *)
 
-val csr : t -> Csr.t
-val reverse_csr : t -> Csr.t
+val csr : t -> Digraph.t
+(** The circuit's graph, {!Circuit.graph}: the packed (CSR) forward and
+    reverse adjacency every traversal walks. *)
 
 val level_gates : t -> int array array
 (** Gates bucketed by ASAP level ([level_gates ctx.(l)] holds the gates at
@@ -86,16 +90,16 @@ val cone : t -> int -> bool array
 
 val fanin_cone : t -> int -> bool array
 (** [fanin_cone ctx net] marks every node backward-reachable from [net]
-    (including [net]) — one traversal of the shared reverse CSR, cached per
-    net.  Keyed by observation net in the certified exact tier, the union
+    (including [net]) — one traversal of the graph's predecessor arrays,
+    cached per net.  Keyed by observation net in the certified exact tier, the union
     of these maps over a site's reached observations is the support of the
     cone-partitioned BDD.  @raise Invalid_argument on a bad node id. *)
 
 val distances_to : t -> int -> int array
 (** [distances_to ctx target].(v) is the BFS edge-distance from node [v] to
     [target] in the forward graph (computed as one backward BFS from
-    [target] over the reverse CSR), or [-1] when [target] is unreachable
-    from [v].  One map per observation point answers the depth query of
+    [target] over the predecessor arrays), or [-1] when [target] is
+    unreachable from [v].  One map per observation point answers the depth query of
     every site at once.  @raise Invalid_argument on a bad node id. *)
 
 val reached_observations : t -> int -> Circuit.observation list
@@ -109,12 +113,10 @@ val apply_delta : t -> Delta.t -> t * [ `Patched | `Rebuilt ]
     away.  When the edit is order-preserving (every surviving node pair
     keeps its relative order — true for all the [Transform.*_delta]
     rewrites, which only interleave new helper gates), the pre-edit
-    topological order is patched onto the post-edit circuit, levels are
-    re-derived from it, and the cone / distance-map LRU entries that
-    provably kept their geometry (outside {!Delta.backward_dirty} resp.
-    {!Delta.forward_dirty}) migrate under the id remap; the result is
-    [`Patched].  Otherwise the post-edit context is built from scratch and
-    the result is [`Rebuilt].  Either way the returned context is the one
+    topological order is patched onto the post-edit circuit and levels are
+    re-derived from it; the result is [`Patched].  Otherwise the post-edit
+    context is built from scratch and the result is [`Rebuilt].  The
+    per-site caches (cones, distance maps) start empty either way.  Either way the returned context is the one
     installed on the post-edit circuit (subsequent {!get} returns it), and
     [analysis.incremental.patched] / [analysis.incremental.rebuilt] meter
     the two paths.

@@ -30,19 +30,8 @@ type t = {
   outputs : int array;
   ffs : int array;
   graph : Digraph.t;  (* combinational graph: fanin -> gate edges only *)
-  csr : Csr.t;  (* packed adjacency of [graph], shared by per-site hot paths *)
-  (* Memoized whole-graph facts.  Each cell is written exactly once (under
-     [lock], double-checked) and the cached arrays are immutable by
-     contract: every accessor returns the shared array, so a caller that
-     wrote into one would corrupt every other engine on the circuit.
-     [Atomic] cells publish the initialized payload to domains that race on
-     the first force. *)
-  lock : Mutex.t;
-  topo : int array option Atomic.t;
-  level_memo : int array option Atomic.t;
-  depth_memo : int option Atomic.t;
-  rev_csr : Csr.t option Atomic.t;
   context : context option Atomic.t;
+      (* the analysis context, published once by compare-and-set *)
 }
 
 let name t = t.name
@@ -137,149 +126,26 @@ let observation_name t = function
   | Ff_data ff -> t.names.(ff) ^ ".D"
 
 let graph t = t.graph
-let csr t = t.csr
 
 let fanouts t v = Digraph.succ t.graph v
 
-(* --- memoized analysis facts ----------------------------------------------
-
-   Counter names are shared with Analysis so one pair of metrics
-   (analysis.cache.{hit,miss}) tells the whole reuse story; the per-fact
-   *.computed counters prove single-pass behaviour (a supervised sweep must
-   report exactly one analysis.topo.computed).  Counter handles are resolved
-   per event: the events are rare once memoized, and with the default null
-   sink the lookup is a single pattern match. *)
-
-let count name =
-  Obs.Metrics.incr (Obs.Metrics.counter (Obs.Hooks.metrics ()) name)
-
-let cache_hit () = count "analysis.cache.hit"
-let cache_miss () = count "analysis.cache.miss"
-
-(* Double-checked memoization: the fast path is one atomic load; the slow
-   path computes under [t.lock].  [compute] must not re-enter another
-   memoized accessor of the same circuit (the lock is not reentrant) —
-   derived facts fetch their inputs before calling [memoize]. *)
-let memoize t cell ~computed compute =
-  match Atomic.get cell with
-  | Some v ->
-    cache_hit ();
-    v
-  | None ->
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
-    (match Atomic.get cell with
-    | Some v ->
-      cache_hit ();
-      v
-    | None ->
-      let v = compute () in
-      cache_miss ();
-      count computed;
-      Atomic.set cell (Some v);
-      v)
-
-(* The one topological sort of the circuit's life.  Not metered as a direct
-   call: this is the context-internal accessor Analysis pulls from;
-   stragglers go through [topological_order] below. *)
-let order_for_context t =
-  memoize t t.topo ~computed:"analysis.topo.computed" (fun () ->
-      Topo.sort_array t.graph)
-
-(* Kept for compatibility; served from the same memo.  The extra counter
-   makes call sites that still recompute-by-accessor (instead of pulling a
-   shared Analysis context) visible in metrics output. *)
-let topological_order t =
-  count "analysis.topo.direct_calls";
-  order_for_context t
-
-let levels t =
-  let order = order_for_context t in
-  memoize t t.level_memo ~computed:"analysis.levels.computed" (fun () ->
-      Topo.levels_from t.graph order)
-
-let depth t =
-  let lv = levels t in
-  memoize t t.depth_memo ~computed:"analysis.depth.computed" (fun () ->
-      Array.fold_left max 0 lv)
-
-let reverse_csr t =
-  memoize t t.rev_csr ~computed:"analysis.reverse_csr.computed" (fun () ->
-      Csr.reverse t.csr)
-
-(* Install externally-derived topo/levels (Analysis.apply_delta patches them
-   from the pre-edit circuit) without a recompute and without bumping the
-   *.computed counters — these facts were not computed here.  First writer
-   wins; already-memoized cells are left untouched. *)
-let seed_analysis_facts t ~order ~levels =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
-  if Atomic.get t.topo = None then Atomic.set t.topo (Some order);
-  if Atomic.get t.level_memo = None then Atomic.set t.level_memo (Some levels);
-  if Atomic.get t.depth_memo = None then
-    Atomic.set t.depth_memo (Some (Array.fold_left max 0 levels))
-
-(* Build-or-get for the analysis context.  [build] runs *outside* the lock
-   (it reads the memoized facts above, which take it); if two domains race
-   on the very first force, the loser's context is discarded — the winner's
-   is the one every later caller sees. *)
-let context_slot t build =
-  match Atomic.get t.context with
-  | Some c ->
-    cache_hit ();
-    c
-  | None ->
-    let c = build () in
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
-    (match Atomic.get t.context with
-    | Some c' -> c'
-    | None ->
-      cache_miss ();
-      count "analysis.context.computed";
-      Atomic.set t.context (Some c);
-      c)
+let context t = t.context
 
 (* Construction, with no validation beyond indices.  [index] maps each
    name to its node id (Builder hands over the table it interned names
-   into); the circuit owns it from here on. *)
+   into); the circuit owns it from here on.  The graph is packed straight
+   from the fanin arrays, with no list cell: every parse, generator call
+   and rewrite builds one. *)
 let make_indexed ~name ~nodes ~names ~index ~inputs ~outputs ~ffs =
   let n = Array.length nodes in
   assert (Array.length names = n);
-  (* Consumers are consed from the last node down, so each list comes out
-     in node order without a reversal pass: a rewrite builds a circuit per
-     edit, and every list cell here is long-lived. *)
-  let succ = Array.make n [] in
-  for v = n - 1 downto 0 do
-    match nodes.(v) with
-    | Gate { fanins; _ } ->
-      for k = 0 to Array.length fanins - 1 do
-        let u = fanins.(k) in
-        succ.(u) <- v :: succ.(u)
-      done
-    | Input | Ff _ -> ()
-  done;
-  let graph = Digraph.of_successors succ (* takes [succ] over *) in
-  (* Built eagerly (not lazily) so engines created before a domain fan-out
-     can hand the view to every worker without a racy first force. *)
-  let csr = Csr.of_graph graph in
-  {
-    name;
-    nodes;
-    names;
-    index;
-    inputs;
-    outputs;
-    ffs;
-    graph;
-    csr;
-    lock = Mutex.create ();
-    topo = Atomic.make None;
-    level_memo = Atomic.make None;
-    depth_memo = Atomic.make None;
-    rev_csr = Atomic.make None;
-    context = Atomic.make None;
-  }
+  let graph =
+    Digraph.of_predecessors ~vertex_count:n (fun v ->
+        match nodes.(v) with
+        | Gate { fanins; _ } -> fanins
+        | Input | Ff _ -> [||])
+  in
+  { name; nodes; names; index; inputs; outputs; ffs; graph; context = Atomic.make None }
 
 let make ~name ~nodes ~names ~inputs ~outputs ~ffs =
   make_indexed ~name ~nodes ~names ~index:(Name_table.of_names names) ~inputs ~outputs ~ffs

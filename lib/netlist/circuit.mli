@@ -68,8 +68,9 @@ val fanins : t -> int -> int array
 (** Fanin nodes of a gate; [[||]] for inputs and flip-flops. *)
 
 val fanouts : t -> int -> int list
-(** Combinational fanout: the gates consuming this net (FF data consumption
-    is sequential and not included; see {!observations}). *)
+(** Combinational fanout: the gates consuming this net, as a fresh list in
+    increasing id order (FF data consumption is sequential and not
+    included; see {!observations}).  Hot paths read {!graph}'s arrays. *)
 
 val kind_of : t -> int -> Gate.kind option
 val is_input : t -> int -> bool
@@ -95,62 +96,27 @@ val observation_net : t -> observation -> int
 val observation_name : t -> observation -> string
 
 val graph : t -> Digraph.t
-(** The combinational graph: an edge per (fanin, gate) pair.  Acyclic for any
-    circuit produced by {!Builder.freeze}. *)
-
-val csr : t -> Csr.t
-(** The CSR (packed int-array) view of {!graph}, built once with the circuit
-    and shared by the hot paths (cone DFS, the batch EPP engine).
-    Immutable; safe to share across domains. *)
-
-val reverse_csr : t -> Csr.t
-(** The transposed CSR view (edge [u -> v] becomes [v -> u]), computed once
-    on first use and shared thereafter.  Backs whole-circuit backward
-    traversals and the per-observation-point BFS distance maps of the
-    analysis context. *)
-
-val topological_order : t -> int array
-(** A topological order of {!graph}, computed once per circuit and served
-    from a memo on every later call ([analysis.topo.computed] counts the
-    sorts that actually ran; this accessor additionally bumps
-    [analysis.topo.direct_calls] so call sites that bypass the shared
-    {!Analysis} context stay visible in metrics output).  The returned
-    array is the shared cached instance — do not mutate it.  Prefer
-    {!Analysis.order}, which also carries the inverse permutation and the
-    gates-only order. *)
-
-val levels : t -> int array
-(** ASAP levelization, memoized like {!topological_order}; the returned
-    array is shared — do not mutate. *)
-
-val depth : t -> int
-(** Maximum logic level (memoized). *)
+(** The combinational graph: an edge per (fanin, gate) pair, packed once
+    with the circuit.  A node's successors are its consumers in increasing
+    id order (a gate reading the net twice appears twice); its
+    predecessors are its fanins in increasing id order.  Acyclic for any
+    circuit produced by {!Builder.freeze}.  Immutable; safe to share across
+    domains.  Derived facts (topological order, levels) live in
+    {!Analysis}. *)
 
 (** {2 Analysis-context plumbing}
 
     {!Analysis} hangs a per-circuit context (shared traversal facts and
     per-site caches) off the circuit.  The slot is an extensible variant so
     [Analysis] can live in its own module without a dependency cycle.
-    Nothing outside [Analysis] should touch these. *)
+    Nothing outside [Analysis] should touch it. *)
 
 type context = ..
 
-val context_slot : t -> (unit -> context) -> context
-(** Get the memoized context, building it with the callback on first use.
-    The callback runs outside the circuit's internal lock (it may call the
-    memoized accessors above); if two domains race on the first force, one
-    build is discarded. *)
-
-val order_for_context : t -> int array
-(** Same memo as {!topological_order} without the direct-call counter; used
-    by [Analysis] to assemble the context. *)
-
-val seed_analysis_facts : t -> order:int array -> levels:int array -> unit
-(** Install an externally-derived topological order and levelization
-    (e.g. patched across an edit by [Analysis.apply_delta]) into the memo
-    cells without recomputing and without bumping the [*.computed]
-    counters.  First writer wins: cells that are already memoized are left
-    untouched.  The caller asserts validity; the arrays become shared. *)
+val context : t -> context option Atomic.t
+(** The slot the circuit's analysis context is published in, once, by
+    compare-and-set: the first writer wins and the slot never changes
+    again. *)
 
 val pp : t Fmt.t
 (** One-line summary (name and size counts). *)

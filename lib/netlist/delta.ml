@@ -148,35 +148,26 @@ let identity circuit =
     removed = [];
   }
 
-(* Structural dirty geometry, shared by Analysis.apply_delta and the
-   incremental EPP planner.  Old-side seeds are the removed nodes plus the
-   old counterparts of touched survivors: reachability must be evaluated
-   over BOTH graphs, because a removed edge breaks exactly the new-graph
-   paths that used to connect a site to the change. *)
-let old_seeds t =
-  let survivors =
+(* Structural dirty geometry for the incremental EPP planner.  The edit's
+   old-side seeds are the removed nodes plus the old counterparts of
+   touched survivors: reachability must be evaluated over BOTH graphs,
+   because a removed edge breaks exactly the new-graph paths that used to
+   connect a site to the change.  Reachability from a union of seeds is the
+   union of the reachabilities, so a caller's own seeds ride along in the
+   same two passes. *)
+let backward_dirty ?(seeds = []) ?(old_seeds = []) t =
+  let edit_old =
     List.filter_map
       (fun w ->
         let v = t.old_of_new.(w) in
         if v >= 0 then Some v else None)
       t.touched
   in
-  List.rev_append t.removed survivors
-
-let forward_dirty t =
-  let fwd_new = Reach.forward_set (Circuit.graph t.after) t.touched in
-  let fwd_old = Reach.forward_set (Circuit.graph t.before) (old_seeds t) in
-  let n_new = Circuit.node_count t.after in
-  let out = Array.make n_new false in
-  for w = 0 to n_new - 1 do
-    let v = t.old_of_new.(w) in
-    out.(w) <- fwd_new.(w) || (v >= 0 && fwd_old.(v)) || v < 0
-  done;
-  out
-
-let backward_dirty t =
-  let bwd_new = Reach.backward_set (Circuit.graph t.after) t.touched in
-  let bwd_old = Reach.backward_set (Circuit.graph t.before) (old_seeds t) in
+  let bwd_new = Reach.backward_set (Circuit.graph t.after) (List.rev_append seeds t.touched) in
+  let bwd_old =
+    Reach.backward_set (Circuit.graph t.before)
+      (List.rev_append old_seeds (List.rev_append t.removed edit_old))
+  in
   let n_new = Circuit.node_count t.after in
   let out = Array.make n_new false in
   for w = 0 to n_new - 1 do

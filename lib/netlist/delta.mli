@@ -13,7 +13,7 @@
     functions are regression-tested equal to it.
 
     Deltas drive incremental invalidation: {!Analysis.apply_delta} patches
-    the memoized analysis context instead of rebuilding it, and
+    the analysis context's topological order instead of re-sorting, and
     [Epp.Incremental] uses the dirty geometry below to re-analyze only
     affected sites. *)
 
@@ -57,16 +57,12 @@ val structural_diff : before:Circuit.t -> after:Circuit.t -> t
 val identity : Circuit.t -> t
 (** The empty edit (before = after = the circuit). *)
 
-val forward_dirty : t -> bool array
-(** Per new node: true iff the node is structurally downstream of the edit —
-    forward-reachable from a touched node in the new graph, or the image of
-    a node forward-reachable from the edit in the old graph, or added.
-    Valid levels/distance maps must avoid this set. *)
-
-val backward_dirty : t -> bool array
-(** Per new node: true iff the node's forward cone intersects the edit in
-    {e either} graph (the old side catches paths an edge removal severed) —
-    the sites whose cone geometry may have changed.  Superset of what any
-    per-site artifact cache may keep. *)
+val backward_dirty : ?seeds:int list -> ?old_seeds:int list -> t -> bool array
+(** Per new node: true iff the node's forward cone, in {e either} graph,
+    meets the edit (a touched, added or removed node; the old side catches
+    paths an edge removal severed) or one of the caller's extra seeds —
+    [seeds] are new ids, [old_seeds] old ids.  These are the sites whose
+    per-site results may have changed.  One backward pass per graph,
+    whatever the seeds. *)
 
 val pp : t Fmt.t

@@ -88,7 +88,7 @@ let compute ?(with_reconvergence = false) c =
     ff_count = Circuit.ff_count c;
     gate_count = Circuit.gate_count c;
     gate_kind_counts = gate_kind_counts c;
-    depth = Circuit.depth c;
+    depth = Analysis.depth (Analysis.get c);
     max_fanin = !max_fanin;
     max_fanout = !max_fanout;
     average_fanout = (if n = 0 then 0.0 else float_of_int !fanout_sum /. float_of_int n);

@@ -92,13 +92,7 @@ let run ?(config = default_config) circuit =
   let node_count = Circuit.node_count circuit in
   let gate_count = Circuit.gate_count circuit in
   (* --- SPT: signal-probability computation, timed ----------------------- *)
-  let (sp, _outcome_iterations), spt_analytical =
-    Timer.time (fun () ->
-        if Circuit.ff_count circuit > 0 then
-          let outcome = Sigprob.Sp_sequential.compute circuit in
-          (outcome.Sigprob.Sp_sequential.result, outcome.Sigprob.Sp_sequential.iterations)
-        else (Sigprob.Sp_topological.compute circuit, 1))
-  in
+  let sp, spt_analytical = Timer.time (fun () -> Sigprob.Sp_sequential.default circuit) in
   let sp, spt_mc =
     if config.sp_mc_vectors <= 0 then (sp, 0.0)
     else
@@ -129,9 +123,7 @@ let run ?(config = default_config) circuit =
      analytical engine assumes: uniform primary inputs, and flip-flop
      outputs at their steady-state probabilities (both methods then answer
      the same question). *)
-  let baseline_input_sp v =
-    if Circuit.is_ff circuit v then sp.Sigprob.Sp.values.(v) else 0.5
-  in
+  let baseline_input_sp = Sigprob.Sp.baseline_input_sp sp in
   let sim_ctx =
     Fault_sim.Epp_sim.create
       ~config:{ Fault_sim.Epp_sim.vectors = config.sim_vectors; input_sp = baseline_input_sp }

@@ -47,10 +47,7 @@ let compute ?sp circuit =
       if r.Sp.circuit != circuit then
         invalid_arg "Observability.compute: sp computed on a different circuit";
       r
-    | None ->
-      if Circuit.ff_count circuit > 0 then
-        (Sp_sequential.compute circuit).Sp_sequential.result
-      else Sp_topological.compute circuit
+    | None -> Sp_sequential.default circuit
   in
   let n = Circuit.node_count circuit in
   (* miss.(v) = prod over observation channels of (1 - CO_channel): build

@@ -27,6 +27,8 @@ let of_alist c alist =
 
 type result = { circuit : Circuit.t; values : float array }
 
+let baseline_input_sp r v = if Circuit.is_ff r.circuit v then r.values.(v) else 0.5
+
 let get r v = r.values.(v)
 
 let get_name r name = r.values.(Circuit.find r.circuit name)

@@ -19,6 +19,12 @@ val of_alist : Netlist.Circuit.t -> (string * float) list -> spec
 type result = { circuit : Netlist.Circuit.t; values : float array }
 (** One probability per node of the circuit. *)
 
+val baseline_input_sp : result -> int -> float
+(** [baseline_input_sp r] is the pseudo-input distribution a random-simulation
+    baseline draws its vectors from so that it answers the question an
+    engine using [r] answers: flip-flop outputs at [r]'s values, primary
+    inputs at 0.5. *)
+
 val get : result -> int -> float
 val get_name : result -> string -> float
 

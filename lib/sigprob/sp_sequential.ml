@@ -11,7 +11,7 @@
    The iteration is change-driven.  Iteration 1 is the full topological
    pass.  After it, only the FF outputs whose value changed bitwise move,
    and only the gates downstream of them are re-evaluated, level by level
-   (ASAP levels over the forward CSR); a gate whose new output is bit-equal
+   (ASAP levels over the forward arrays of the circuit graph); a gate whose new output is bit-equal
    to its old one stops the wave.  Every value a full pass would produce is
    a pure function of its fanins' bits, so a gate none of whose fanins
    changed bits would recompute exactly its old value: the array after each
@@ -68,8 +68,8 @@ let compute ?(spec = Sp.uniform) ?(tolerance = default_tolerance)
      one slot. *)
   let ctx = Analysis.get circuit in
   let levels = Analysis.levels ctx in
-  let csr = Analysis.csr ctx in
-  let offsets = Csr.offsets csr and targets = Csr.targets csr in
+  let graph = Circuit.graph circuit in
+  let offsets = Digraph.offsets graph and targets = Digraph.targets graph in
   let head = Array.make (Analysis.depth ctx + 1) (-1) in
   let link = Array.make n (-1) in
   let queued = Array.make n false in
@@ -141,6 +141,12 @@ let compute ?(spec = Sp.uniform) ?(tolerance = default_tolerance)
     end
   in
   iterate 1
+
+(* Sequential circuits get self-consistent FF-output probabilities;
+   combinational ones reduce to the plain topological pass. *)
+let default circuit =
+  if Circuit.ff_count circuit > 0 then (compute circuit).result
+  else Sp_topological.compute circuit
 
 let spec_of_outcome outcome =
   let circuit = outcome.result.Sp.circuit in

@@ -23,6 +23,11 @@ val compute :
     @raise Invalid_argument on a non-positive tolerance/iteration bound or a
     bad [spec] probability. *)
 
+val default : Netlist.Circuit.t -> Sp.result
+(** The signal probabilities every consumer defaults to, under uniform
+    primary inputs: {!compute}'s result when the circuit has flip-flops,
+    {!Sp_topological.compute} otherwise. *)
+
 val spec_of_outcome : outcome -> Sp.spec
 (** A spec presenting the converged FF-output probabilities, for feeding the
     combinational engines (and the EPP engine) directly. *)

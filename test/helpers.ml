@@ -177,6 +177,17 @@ let with_spawned_workers f =
   ( result,
     Obs.Metrics.counter_value (Obs.Metrics.snapshot reg) "parallel.workers_spawned" )
 
+(* --- the CLI under test ------------------------------------------------------ *)
+
+(* [ser_estimate] beside this test binary's directory (test/ and bin/ sit
+   side by side in the build tree), quoted for [Sys.command]: the tests that
+   start the CLI then run from any working directory, not only the one
+   [dune runtest] uses. *)
+let ser_estimate_exe =
+  Filename.quote
+    (Filename.concat (Filename.dirname Sys.executable_name)
+       (Filename.concat Filename.parent_dir_name "bin/ser_estimate.exe"))
+
 (* --- failure reproduction ------------------------------------------------- *)
 
 (* One-line structural fingerprint (counts + hash) shared with the fuzzer:

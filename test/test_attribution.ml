@@ -206,8 +206,8 @@ let test_cli_by_output_one_engine () =
     let code =
       Sys.command
         (Printf.sprintf
-           "../bin/ser_estimate.exe profile:s1196 %s --metrics %s > /dev/null 2>&1"
-           flags (Filename.quote path))
+           "%s profile:s1196 %s --metrics %s > /dev/null 2>&1" ser_estimate_exe flags
+           (Filename.quote path))
     in
     check_int (Printf.sprintf "ser_estimate %s exits 0" flags) 0 code;
     let metrics =

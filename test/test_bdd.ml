@@ -267,7 +267,7 @@ let test_witness_demonstrates_vulnerability () =
           | Netlist.Circuit.Gate { kind; fanins } ->
             faulty.(v) <- Netlist.Gate.eval kind (Array.map (fun u -> faulty.(u)) fanins)
           | Netlist.Circuit.Input | Netlist.Circuit.Ff _ -> ())
-      (Netlist.Circuit.topological_order c);
+      (Netlist.Analysis.order (Netlist.Analysis.get c));
     let net = Netlist.Circuit.observation_net c w.Circuit_bdd.observation in
     check_bool "observation flips" true (good.(net) <> faulty.(net))
 

@@ -737,6 +737,35 @@ let test_allocation_ceilings () =
   check_bool (Printf.sprintf "print allocates %.2f B/B <= %.2f" print print_ceiling) true
     (print <= print_ceiling)
 
+(* Circuit.make on parity-16384 (32,767 edges), warm, and what a fresh
+   circuit retains.  When a circuit kept successor and predecessor lists
+   beside a CSR copy, construction allocated 36.0 words an edge (12.0 of
+   them the name table) and the circuit retained 710,948 words; the packed
+   graph is 4 words an edge (forward and reverse offsets and targets).  A
+   list graph or a second copy of the adjacency brought back fails here. *)
+let make_ceiling = 24.0
+let retained_ceiling = 0.8 *. 710_948.0
+
+let test_circuit_ceilings () =
+  let open Netlist in
+  let c = Circuit_gen.Structured.parity_tree ~width:16384 () in
+  let n = Circuit.node_count c in
+  let nodes = Array.init n (Circuit.node c) and names = Array.init n (Circuit.node_name c) in
+  let inputs = Array.of_list (Circuit.inputs c) and outputs = Array.of_list (Circuit.outputs c) in
+  let ffs = Array.of_list (Circuit.ffs c) in
+  let words =
+    allocated_bytes (fun () -> Circuit.make ~name:"p" ~nodes ~names ~inputs ~outputs ~ffs)
+    /. float (Sys.word_size / 8)
+  in
+  let per_edge = words /. float (Digraph.edge_count (Circuit.graph c)) in
+  check_bool
+    (Printf.sprintf "Circuit.make allocates %.1f words an edge <= %.1f" per_edge make_ceiling)
+    true (per_edge <= make_ceiling);
+  let retained = float (Obj.reachable_words (Obj.repr c)) in
+  check_bool
+    (Printf.sprintf "a circuit retains %.0f words <= %.0f" retained retained_ceiling)
+    true (retained <= retained_ceiling)
+
 let () =
   Alcotest.run "bench_format"
     [
@@ -794,5 +823,9 @@ let () =
           Alcotest.test_case "rejected statement leaves no name" `Quick
             test_rejected_statement_leaves_no_name;
         ] );
-      ("cost", [ Alcotest.test_case "allocation ceilings" `Quick test_allocation_ceilings ]);
+      ( "cost",
+        [
+          Alcotest.test_case "allocation ceilings" `Quick test_allocation_ceilings;
+          Alcotest.test_case "circuit graph ceilings" `Quick test_circuit_ceilings;
+        ] );
     ]

@@ -183,7 +183,7 @@ let test_kernel_step_rejected () =
   let code =
     Sys.command
       (Printf.sprintf
-         "../bin/ser_estimate.exe embedded:s27 --resume --checkpoint %s > /dev/null 2> %s"
+         "%s embedded:s27 --resume --checkpoint %s > /dev/null 2> %s" ser_estimate_exe
          (Filename.quote path) (Filename.quote err))
   in
   let stderr = In_channel.with_open_text err In_channel.input_all in

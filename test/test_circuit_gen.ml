@@ -61,7 +61,7 @@ let test_generator_seed_changes_netlist () =
 
 let test_generator_has_depth () =
   let c = Circuit_gen.Random_dag.generate ~seed:5 Circuit_gen.Profiles.s953 in
-  check_bool "nontrivial logic depth" true (Circuit.depth c >= 5)
+  check_bool "nontrivial logic depth" true (Analysis.depth (Analysis.get c) >= 5)
 
 let test_generator_has_reconvergence () =
   (* The whole point of the generator: exercise the paper's hard case. *)

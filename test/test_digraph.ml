@@ -7,7 +7,7 @@ open Helpers
 let diamond () = Digraph.of_edges ~vertex_count:4 [ (0, 1); (0, 2); (1, 3); (2, 3) ]
 
 (* Deterministic random DAG on [n] vertices: edges only forward. *)
-let random_dag ~seed ~n ~density =
+let random_dag_edges ~seed ~n ~density =
   let rng = Rng.create ~seed in
   let edges = ref [] in
   for u = 0 to n - 2 do
@@ -15,7 +15,49 @@ let random_dag ~seed ~n ~density =
       if Rng.float rng < density then edges := (u, v) :: !edges
     done
   done;
-  Digraph.of_edges ~vertex_count:n !edges
+  !edges
+
+let random_dag ~seed ~n ~density =
+  Digraph.of_edges ~vertex_count:n (random_dag_edges ~seed ~n ~density)
+
+(* The list-based graph the packed arrays replaced, written out as the
+   reference: successor lists in insertion order, the transpose with every
+   reversed list sorted by source (parallel edges kept), and a queue BFS
+   over the lists. *)
+let reference_succ ~n edges =
+  let succ = Array.make n [] in
+  List.iter (fun (u, v) -> succ.(u) <- v :: succ.(u)) (List.rev edges);
+  succ
+
+let reference_reverse succ =
+  let pred = Array.make (Array.length succ) [] in
+  for u = Array.length succ - 1 downto 0 do
+    List.iter (fun v -> pred.(v) <- u :: pred.(v)) succ.(u)
+  done;
+  pred
+
+let reference_distances succ source =
+  let dist = Array.make (Array.length succ) (-1) in
+  dist.(source) <- 0;
+  let queue = Queue.create () in
+  Queue.add source queue;
+  while not (Queue.is_empty queue) do
+    let u = Queue.pop queue in
+    List.iter
+      (fun v ->
+        if dist.(v) < 0 then begin
+          dist.(v) <- dist.(u) + 1;
+          Queue.add v queue
+        end)
+      succ.(u)
+  done;
+  dist
+
+(* The graph in which [v]'s predecessors are [g]'s successors of [v]: [g]
+   reversed, packed afresh by counting sort. *)
+let repack g =
+  let preds = Array.init (Digraph.vertex_count g) (fun v -> Array.of_list (Digraph.succ g v)) in
+  Digraph.of_predecessors ~vertex_count:(Array.length preds) (Array.get preds)
 
 (* --- construction --------------------------------------------------------- *)
 
@@ -54,10 +96,17 @@ let test_invalid_edge () =
   Alcotest.check_raises "bad endpoint" (Digraph.Invalid_vertex 5) (fun () ->
       ignore (Digraph.of_edges ~vertex_count:3 [ (0, 5) ]))
 
+(* A netlist's construction: vertex 1 reads 0, vertex 2 reads 1 and 0,
+   vertex 3 reads 2 twice. *)
 let test_of_successors () =
-  let g = Digraph.of_successors [| [ 1; 2 ]; [ 2 ]; [] |] in
-  check_int "edges" 3 (Digraph.edge_count g);
-  Alcotest.(check (list int)) "pred 2" [ 0; 1 ] (Digraph.pred g 2)
+  let fanins = [| [||]; [| 0 |]; [| 1; 0 |]; [| 2; 2 |] |] in
+  let g = Digraph.of_predecessors ~vertex_count:4 (Array.get fanins) in
+  check_int "edges" 5 (Digraph.edge_count g);
+  Alcotest.(check (list int)) "consumers in id order" [ 1; 2 ] (Digraph.succ g 0);
+  Alcotest.(check (list int)) "a repeated fanin twice" [ 3; 3 ] (Digraph.succ g 2);
+  Alcotest.(check (list int)) "pred 2" [ 0; 1 ] (Digraph.pred g 2);
+  Alcotest.check_raises "bad fanin" (Digraph.Invalid_vertex 4) (fun () ->
+      ignore (Digraph.of_predecessors ~vertex_count:2 (fun _ -> [| 4 |])))
 
 let test_mem_edge () =
   let g = diamond () in
@@ -251,56 +300,61 @@ let prop_bfs_distance_at_most_levels =
       done;
       !ok)
 
-(* --- CSR transpose and BFS ------------------------------------------------- *)
+(* --- packed transpose and BFS, against the list-based reference ----------- *)
 
 let test_csr_reverse_empty () =
-  let rev = Csr.reverse (Csr.of_graph (Digraph.of_edges ~vertex_count:0 [])) in
-  check_int "vertices" 0 (Csr.vertex_count rev);
-  check_int "edges" 0 (Csr.edge_count rev)
+  let rev = Digraph.reverse (Digraph.of_edges ~vertex_count:0 []) in
+  check_int "vertices" 0 (Digraph.vertex_count rev);
+  check_int "edges" 0 (Digraph.edge_count rev)
 
 let test_csr_reverse_diamond () =
-  let rev = Csr.reverse (Csr.of_graph (diamond ())) in
-  check_int "edge count preserved" 4 (Csr.edge_count rev);
-  Alcotest.(check (list int)) "succ 3 in reverse" [ 1; 2 ] (Csr.succ_list rev 3);
-  Alcotest.(check (list int)) "succ 1 in reverse" [ 0 ] (Csr.succ_list rev 1);
-  Alcotest.(check (list int)) "succ 0 in reverse" [] (Csr.succ_list rev 0)
+  let rev = Digraph.reverse (diamond ()) in
+  check_int "edge count preserved" 4 (Digraph.edge_count rev);
+  Alcotest.(check (list int)) "succ 3 in reverse" [ 1; 2 ] (Digraph.succ rev 3);
+  Alcotest.(check (list int)) "succ 1 in reverse" [ 0 ] (Digraph.succ rev 1);
+  Alcotest.(check (list int)) "succ 0 in reverse" [] (Digraph.succ rev 0)
 
 let test_csr_reverse_multi_edge () =
   let g = Digraph.of_edges ~vertex_count:3 [ (0, 1); (0, 1); (2, 1) ] in
-  let rev = Csr.reverse (Csr.of_graph g) in
-  check_int "multi-edges kept" 3 (Csr.edge_count rev);
+  let rev = Digraph.reverse g in
+  check_int "multi-edges kept" 3 (Digraph.edge_count rev);
   Alcotest.(check (list int)) "both copies, sorted by source" [ 0; 0; 2 ]
-    (Csr.succ_list rev 1)
+    (Digraph.succ rev 1)
 
+(* Transposing by counting sort twice gives back every array when each
+   successor list is sorted, as the diamond's are. *)
 let test_csr_double_reverse () =
-  let csr = Csr.of_graph (diamond ()) in
-  let back = Csr.reverse (Csr.reverse csr) in
-  Alcotest.(check (array int)) "offsets" (Csr.offsets csr) (Csr.offsets back);
-  Alcotest.(check (array int)) "targets" (Csr.targets csr) (Csr.targets back)
+  let g = diamond () in
+  let back = repack (repack g) in
+  Alcotest.(check (array int)) "offsets" (Digraph.offsets g) (Digraph.offsets back);
+  Alcotest.(check (array int)) "targets" (Digraph.targets g) (Digraph.targets back);
+  Alcotest.(check (array int)) "reverse offsets" (Digraph.rev_offsets g) (Digraph.rev_offsets back);
+  Alcotest.(check (array int)) "reverse targets" (Digraph.rev_targets g) (Digraph.rev_targets back);
+  check_bool "reverse twice is the graph" true
+    (Digraph.offsets (Digraph.reverse (Digraph.reverse g)) == Digraph.offsets g)
 
 let prop_csr_reverse_transpose =
   qtest ~name:"Csr.reverse agrees with Digraph.reverse on random DAGs"
     seed_arbitrary (fun seed ->
-      let g = random_dag ~seed ~n:15 ~density:0.25 in
-      let rev = Csr.reverse (Csr.of_graph g) in
-      let spec = Digraph.reverse g in
-      let ok = ref (Csr.edge_count rev = Digraph.edge_count spec) in
+      let edges = random_dag_edges ~seed ~n:15 ~density:0.25 in
+      let g = Digraph.of_edges ~vertex_count:15 edges in
+      let spec = reference_reverse (reference_succ ~n:15 edges) in
+      let rev = Digraph.reverse g in
+      let ok = ref (Digraph.edge_count rev = List.length edges) in
       for v = 0 to 14 do
-        if
-          List.sort compare (Csr.succ_list rev v)
-          <> List.sort compare (Digraph.succ spec v)
-        then ok := false
+        if Digraph.succ rev v <> spec.(v) || Digraph.pred g v <> spec.(v) then ok := false
       done;
       !ok)
 
 let prop_bfs_distances_csr_agrees =
   qtest ~name:"Bfs.distances_csr matches Bfs.distances" seed_arbitrary
     (fun seed ->
-      let g = random_dag ~seed ~n:15 ~density:0.25 in
-      let csr = Csr.of_graph g in
+      let edges = random_dag_edges ~seed ~n:15 ~density:0.25 in
+      let g = Digraph.of_edges ~vertex_count:15 edges in
+      let succ = reference_succ ~n:15 edges in
       let ok = ref true in
       for s = 0 to 14 do
-        if Bfs.distances_csr csr s <> Bfs.distances g s then ok := false
+        if Bfs.distances g s <> reference_distances succ s then ok := false
       done;
       !ok)
 
@@ -310,13 +364,15 @@ let prop_reverse_bfs_is_forward_distance =
      distance to that target. *)
   qtest ~name:"BFS on Csr.reverse gives distance-to-target" seed_arbitrary
     (fun seed ->
-      let g = random_dag ~seed ~n:15 ~density:0.25 in
-      let rev = Csr.reverse (Csr.of_graph g) in
+      let edges = random_dag_edges ~seed ~n:15 ~density:0.25 in
+      let g = Digraph.of_edges ~vertex_count:15 edges in
+      let succ = reference_succ ~n:15 edges in
+      let rev = Digraph.reverse g in
       let ok = ref true in
       for target = 0 to 14 do
-        let to_target = Bfs.distances_csr rev target in
+        let to_target = Bfs.distances rev target in
         for v = 0 to 14 do
-          if to_target.(v) <> (Bfs.distances g v).(target) then ok := false
+          if to_target.(v) <> (reference_distances succ v).(target) then ok := false
         done
       done;
       !ok)

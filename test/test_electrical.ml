@@ -94,7 +94,7 @@ let test_estimator_aggressive_filter_kills_deep_logic () =
     (fun (n : Epp.Ser_estimator.node_report) ->
       if n.Epp.Ser_estimator.fit > 0.0 then begin
         (* every contributing node must reach an observation within 1 level *)
-        let levels = Circuit.levels c in
+        let levels = Analysis.levels (Analysis.get c) in
         let close =
           List.exists
             (fun obs ->

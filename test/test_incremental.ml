@@ -391,6 +391,69 @@ let test_clean_entries_shared () =
   check_bool "the edit left clean sites" true (!clean > 0);
   check_int "every clean site resumed" !clean outcome'.stats.Epp.Diag.resumed
 
+(* The dirty set as it was computed with one pass per seed family: the
+   edit's backward-dirty set over both graphs, then a second backward pass
+   per graph from the SP and observation seeds, OR-ed together.  [plan]
+   runs one pass per graph from all the seeds at once; reachability from a
+   union of seeds is the union of the reachabilities, so the arrays must be
+   equal bit for bit. *)
+let two_pass_dirty ~before ~after d =
+  let c_old = Delta.before d and c_new = Delta.after d in
+  let g_old = Circuit.graph c_old and g_new = Circuit.graph c_new in
+  let old_of_new = Delta.old_of_new d and new_of_old = Delta.new_of_old d in
+  let n_new = Circuit.node_count c_new in
+  let touched_old = List.filter_map (fun w -> let v = old_of_new.(w) in if v >= 0 then Some v else None) (Delta.touched d) in
+  let bwd_new = Reach.backward_set g_new (Delta.touched d) in
+  let bwd_old = Reach.backward_set g_old (Delta.removed d @ touched_old) in
+  let base =
+    Array.init n_new (fun w ->
+        let v = old_of_new.(w) in
+        bwd_new.(w) || (v >= 0 && bwd_old.(v)) || v < 0)
+  in
+  let seeds_new = ref [] and seeds_old = ref [] in
+  let seed c seeds v = seeds := (v :: Circuit.fanouts c v) @ !seeds in
+  let sp_old = (Epp.Epp_engine.signal_probabilities before).Sigprob.Sp.values in
+  let sp_new = (Epp.Epp_engine.signal_probabilities after).Sigprob.Sp.values in
+  for w = 0 to n_new - 1 do
+    let v = old_of_new.(w) in
+    if v >= 0 && Int64.bits_of_float sp_old.(v) <> Int64.bits_of_float sp_new.(w) then begin
+      seed c_new seeds_new w;
+      seed c_old seeds_old v
+    end
+  done;
+  let obs_new = Array.of_list (Circuit.observations c_new) in
+  List.iteri
+    (fun i o ->
+      let net_old = Circuit.observation_net c_old o in
+      let net_new = Circuit.observation_net c_new obs_new.(i) in
+      if new_of_old.(net_old) <> net_new then begin
+        seed c_new seeds_new net_new;
+        seed c_old seeds_old net_old
+      end)
+    (Circuit.observations c_old);
+  let extra_new = Reach.backward_set g_new !seeds_new in
+  let extra_old = Reach.backward_set g_old !seeds_old in
+  Array.init n_new (fun w ->
+      let v = old_of_new.(w) in
+      base.(w) || extra_new.(w) || (v >= 0 && extra_old.(v)))
+
+let prop_plan_dirty_two_pass =
+  qtest ~count:25 ~name:"dirty set equals the two-pass planner" seed_arbitrary (fun seed ->
+      with_repro ~build:(fun s -> random_dag ~seed:s) seed (fun c0 ->
+          let rng = Rng.create ~seed:((seed * 7) + 3) in
+          let rec go i circuit engine =
+            i > 5
+            ||
+            let _, d = random_edit rng circuit in
+            let engine', _ = Epp.Incremental.rebase engine d in
+            let plan = Epp.Incremental.plan ~before:engine ~after:engine' d in
+            (Epp.Incremental.is_full plan
+            || Epp.Incremental.dirty plan = two_pass_dirty ~before:engine ~after:engine' d
+            || QCheck2.Test.fail_reportf "step %d: the dirty sets differ" i)
+            && go (i + 1) (Delta.after d) engine'
+          in
+          go 1 c0 (Epp.Epp_engine.create c0)))
+
 let () =
   Alcotest.run "incremental"
     [
@@ -413,6 +476,7 @@ let () =
             test_zero_budget_edit_counts;
           Alcotest.test_case "clean entries shared, not copied" `Quick
             test_clean_entries_shared;
+          prop_plan_dirty_two_pass;
         ] );
       ( "bit identity",
         [ prop_chain Batch; prop_chain Reference ] );

@@ -105,7 +105,7 @@ let prop_flip_equals_full_resim =
             | Circuit.Gate { kind; fanins } ->
               reference.(v) <- Gate.eval_word kind (Array.map (fun u -> reference.(u)) fanins)
             | Circuit.Input | Circuit.Ff _ -> ())
-        (Circuit.topological_order c);
+        (Analysis.order (Analysis.get c));
       reference = faulty)
 
 let test_flip_outside_cone_untouched () =

@@ -185,7 +185,7 @@ let test_circuit_structure () =
   let c = fig1 () in
   check_int "nodes" 10 (Circuit.node_count c);
   check_int "gates" 5 (Circuit.gate_count c);
-  check_int "depth" 4 (Circuit.depth c);
+  check_int "depth" 4 (Analysis.depth (Analysis.get c));
   let h = Circuit.find c "H" in
   Alcotest.(check (list int)) "H has no comb fanout" [] (Circuit.fanouts c h);
   let a = Circuit.find c "A" in
@@ -229,22 +229,87 @@ let test_pseudo_inputs () =
 
 let test_topological_order_valid () =
   let c = fig1 () in
-  let order = Array.to_list (Circuit.topological_order c) in
+  let order = Array.to_list (Analysis.order (Analysis.get c)) in
   check_bool "valid order" true (Topo.is_topological_order (Circuit.graph c) order)
+
+(* The graph and the facts derived from it, recorded when the circuit still
+   kept successor and predecessor lists beside a CSR copy: the topological
+   order, the levels and the forward and reverse offsets/targets keep their
+   MD5 on every pinned circuit, so cones, SP, EPP rows, fingerprints and
+   checkpoints cannot move with the representation. *)
+let digest_ints a =
+  let b = Buffer.create (8 * Array.length a) in
+  Array.iter
+    (fun x ->
+      Buffer.add_string b (string_of_int x);
+      Buffer.add_char b ',')
+    a;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let graph_pins =
+  let tmr c =
+    Transform.triplicate c
+      ~nodes:(List.filter (Circuit.is_gate c) (List.init (Circuit.node_count c) Fun.id))
+  in
+  [
+    ( "s27",
+      (fun () -> Circuit_gen.Embedded.s27 ()),
+      [ "07b0e53bda5e9410bb5321003ba598ef"; "3491bd8022f973d5c6046b26e4f275b8";
+        "3f194a9244f0ce24ca7ee02f215278ef"; "9b55481133ab7ca21e628d4ad71350b0";
+        "904ccb57cfae1d8478338e35b13390db"; "ac6da38925877746b41828c8a8bdbedc" ] );
+    ( "s13207:1",
+      (fun () -> Circuit_gen.Random_dag.generate ~seed:1 Circuit_gen.Profiles.s13207),
+      [ "c4d8b620db9c8dbd4ccd938ca99f8a2b"; "ca11c56a5752aeb4a9349f71dc6d6ed8";
+        "6b05bdfae1b6d4b1f3aff5494fb317be"; "b1678768b9406f466846b21b1c06937c";
+        "5decccd05872e4b8697198f20e7ef68b"; "ad2b108ae0129d874fbb1ee97220748c" ] );
+    ( "parity65536",
+      (fun () -> Circuit_gen.Structured.parity_tree ~width:65536 ()),
+      [ "0c809982b025c74c8f8d4c242e8dac59"; "b5884c063283049aa76211137eb75cbc";
+        "613ef822380ab1073cc3299d1ecda43b"; "9aaf8708159dcd7b4b4178dd203c0142";
+        "9816b9c1c52eb22d803ec6b225fe3b85"; "0dfd581f4d718190e77ebad20c78a1e6" ] );
+    ( "mux14",
+      (fun () -> Circuit_gen.Structured.mux_tree ~select_bits:14 ()),
+      [ "c80e57a02726c2782e5ca80fac69704d"; "832a1dc4d3d1a6c6601d9067da0ba640";
+        "b89a893ff19e675778fd17cfac4ee841"; "bc3f8523da80cd97ba38be89e057d180";
+        "8ca87f3e840d41022ababc674794a9b7"; "6a24e3989ccc0eaf42e716c9bead57ad" ] );
+    ( "tmr s1196:3",
+      (fun () -> tmr (Circuit_gen.Random_dag.generate ~seed:3 Circuit_gen.Profiles.s1196)),
+      [ "644688537690cb85964b02ebc3d0195d"; "20c821b2d08f41014e2802e8ad7cde1a";
+        "fb050406a7d6121c4f2cd3719f994ec0"; "24d798c84a6c54bc769ee6b149df8de5";
+        "057299b476ee34d2c497a94f742305a6"; "f2ed0b8ac6668783cf46a0f98db59e70" ] );
+  ]
+
+let test_graph_pinned () =
+  List.iter
+    (fun (label, make, md5s) ->
+      let c = make () in
+      let ctx = Analysis.get c in
+      let g = Circuit.graph c in
+      List.iter2
+        (fun (what, a) md5 -> check_string (label ^ " " ^ what) md5 (digest_ints a))
+        [
+          ("order", Analysis.order ctx);
+          ("levels", Analysis.levels ctx);
+          ("offsets", Digraph.offsets g);
+          ("targets", Digraph.targets g);
+          ("reverse offsets", Digraph.rev_offsets g);
+          ("reverse targets", Digraph.rev_targets g);
+        ]
+        md5s)
+    graph_pins
 
 (* --- analysis context ------------------------------------------------------ *)
 
 let test_analysis_memo_identity () =
   let c = fig1 () in
-  let o1 = Circuit.topological_order c in
-  check_bool "order served from one memo" true (o1 == Circuit.topological_order c);
   let ctx = Analysis.get c in
-  check_bool "context shares the memoized order" true (Analysis.order ctx == o1);
+  let o1 = Analysis.order ctx in
+  check_bool "order served from one memo" true (o1 == Analysis.order (Analysis.get c));
   check_bool "context itself is memoized" true (Analysis.get c == ctx);
-  check_bool "levels memoized" true (Circuit.levels c == Circuit.levels c);
-  check_bool "context shares levels" true (Analysis.levels ctx == Circuit.levels c);
-  check_bool "reverse CSR memoized" true
-    (Circuit.reverse_csr c == Circuit.reverse_csr c);
+  check_bool "levels memoized" true (Analysis.levels ctx == Analysis.levels ctx);
+  check_int "depth is the largest level" (Array.fold_left max 0 (Analysis.levels ctx))
+    (Analysis.depth ctx);
+  check_bool "one graph per circuit" true (Analysis.csr ctx == Circuit.graph c);
   check_bool "cone served from cache" true
     (Analysis.cone ctx 0 == Analysis.cone ctx 0);
   check_bool "distance map served from cache" true
@@ -286,8 +351,8 @@ let test_analysis_counters () =
   Obs.Hooks.set_metrics registry;
   Fun.protect ~finally:Obs.Hooks.reset @@ fun () ->
   let c = fig1 () in
-  ignore (Circuit.topological_order c);
-  ignore (Circuit.topological_order c);
+  ignore (Analysis.order (Analysis.get c));
+  ignore (Analysis.order (Analysis.get c));
   let ctx = Analysis.get c in
   ignore (Analysis.order ctx);
   ignore (Analysis.levels ctx);
@@ -295,8 +360,6 @@ let test_analysis_counters () =
   let s = Obs.Metrics.snapshot registry in
   check_int "exactly one sort ran" 1
     (Obs.Metrics.counter_value s "analysis.topo.computed");
-  check_int "accessor bypasses are metered" 2
-    (Obs.Metrics.counter_value s "analysis.topo.direct_calls");
   check_int "context built once" 1
     (Obs.Metrics.counter_value s "analysis.context.computed");
   check_bool "reuse shows up as cache hits" true
@@ -310,7 +373,7 @@ let prop_analysis_arrays_immutable =
     seed_arbitrary (fun seed ->
       let c = random_small_dag ~seed in
       let ctx = Analysis.get c in
-      let rev = Analysis.reverse_csr ctx in
+      let g = Analysis.csr ctx in
       let obs_net = (Analysis.observation_nets ctx).(0) in
       let snapshots =
         [
@@ -318,8 +381,10 @@ let prop_analysis_arrays_immutable =
           Array.copy (Analysis.gate_order ctx);
           Array.copy (Analysis.levels ctx);
           Array.copy (Analysis.observation_nets ctx);
-          Array.copy (Csr.offsets rev);
-          Array.copy (Csr.targets rev);
+          Array.copy (Digraph.offsets g);
+          Array.copy (Digraph.targets g);
+          Array.copy (Digraph.rev_offsets g);
+          Array.copy (Digraph.rev_targets g);
           Array.copy (Analysis.distances_to ctx obs_net);
           Array.copy (Analysis.level_offsets ctx);
           Array.copy (Analysis.max_fanout_level ctx);
@@ -344,8 +409,10 @@ let prop_analysis_arrays_immutable =
           Analysis.gate_order ctx;
           Analysis.levels ctx;
           Analysis.observation_nets ctx;
-          Csr.offsets rev;
-          Csr.targets rev;
+          Digraph.offsets g;
+          Digraph.targets g;
+          Digraph.rev_offsets g;
+          Digraph.rev_targets g;
           Analysis.distances_to ctx obs_net;
           Analysis.level_offsets ctx;
           Analysis.max_fanout_level ctx;
@@ -461,6 +528,7 @@ let () =
           Alcotest.test_case "observations (sequential)" `Quick test_observations_sequential;
           Alcotest.test_case "pseudo inputs" `Quick test_pseudo_inputs;
           Alcotest.test_case "topological order valid" `Quick test_topological_order_valid;
+          Alcotest.test_case "graph pinned" `Quick test_graph_pinned;
         ] );
       ( "analysis",
         [

@@ -102,7 +102,7 @@ let test_deep_nesting_no_stack_overflow () =
   Buffer.add_string buf (Printf.sprintf "OUTPUT(n%d)\n" depth);
   let c = Bench_format.Parser.parse_string ~name:"chain" (Buffer.contents buf) in
   check_int "all gates" depth (Netlist.Circuit.gate_count c);
-  check_int "depth" depth (Netlist.Circuit.depth c);
+  check_int "depth" depth (Netlist.Analysis.depth (Netlist.Analysis.get c));
   (* and the engines survive it too *)
   let sp = Sigprob.Sp_topological.compute c in
   check_float_eps 1e-9 "inverter chain SP" 0.5 (Sigprob.Sp.get_name sp (Printf.sprintf "n%d" depth));

@@ -17,7 +17,7 @@ let two_path () =
 let test_unit_delay_arrival_equals_depth () =
   let c = fig1 () in
   let t = Sta.Timing.analyze ~model:Sta.Delay_model.unit_delay c in
-  let levels = Circuit.levels c in
+  let levels = Analysis.levels (Analysis.get c) in
   for v = 0 to Circuit.node_count c - 1 do
     (* With unit gate delay and free wires, arrival = level exactly for a
        graph whose every path realizes the maximum (true here: arrival is
@@ -115,7 +115,7 @@ let prop_max_delay_bounded_by_depth =
         Sta.Delay_model.gate_delay Sta.Delay_model.generic_130nm Gate.Xor ~fanin:4
         +. Sta.Delay_model.generic_130nm.Sta.Delay_model.wire
       in
-      Sta.Timing.max_delay t <= (float_of_int (Circuit.depth c) *. worst_gate) +. 1e-15)
+      Sta.Timing.max_delay t <= (float_of_int (Analysis.depth (Analysis.get c)) *. worst_gate) +. 1e-15)
 
 let () =
   Alcotest.run "sta"

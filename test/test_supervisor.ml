@@ -695,9 +695,8 @@ let test_cli_domains () =
     let code =
       Sys.command
         (Printf.sprintf
-           "../bin/ser_estimate.exe profile:s1196 --domains %d --metrics %s \
-            > /dev/null 2>&1"
-           domains (Filename.quote path))
+           "%s profile:s1196 --domains %d --metrics %s > /dev/null 2>&1"
+           ser_estimate_exe domains (Filename.quote path))
     in
     check_int (Printf.sprintf "--domains %d exits 0" domains) 0 code;
     let metrics =

@@ -15,7 +15,7 @@ let all_covered_or_untestable circuit (t : Epp.Test_set.t) sites =
 let claims_hold (t : Epp.Test_set.t) =
   let circuit = t.Epp.Test_set.circuit in
   let cs = Logic_sim.Sim.compile circuit in
-  let order = Circuit.topological_order circuit in
+  let order = Analysis.order (Analysis.get circuit) in
   let obs_nets = List.map (Circuit.observation_net circuit) (Circuit.observations circuit) in
   let pseudo = Array.of_list (Circuit.pseudo_inputs circuit) in
   let vectors = Array.of_list t.Epp.Test_set.vectors in
