@@ -215,8 +215,8 @@ let run_table2 ~quick () =
 (* --- production sweep vs reference: the perf-trajectory benchmark --------------
 
    Times the whole-circuit EPP sweep per fixture: once through the boxed
-   reference engine (O(circuit) allocation and topo-order filtering per
-   site, a single pass) and warm through the production sweep
+   reference engine (one cone-local pass per site with boxed vectors, a
+   single pass) and warm through the production sweep
    (Ser_estimator.analyze_site_array: Epp_batch blocks of 62 sites, one
    union-cone walk each): one warm-up pass, then [sweep_reps] timed passes
    per domain count, reported as median and interquartile range together
@@ -227,10 +227,11 @@ let run_table2 ~quick () =
    later changes can track the trajectory.
 
    Two regimes:
-   - a >= 5k-gate parity tree (cone-local regime: every cone is a root path,
-     so the reference's O(circuit)-per-site overhead dominates and the
-     sweep's cone-local cost shows as an orders-of-magnitude win; real
-     netlists sit between the regimes, nearer this one);
+   - a >= 5k-gate parity tree (cone-local regime: every cone is a root path
+     of a dozen gates, and the reference walks just that path, so the win
+     is lane-parallel unboxed planes against one boxed pass per site,
+     10x to 16x; real netlists sit between the regimes, nearer this
+     one);
    - the s9234/s13207-profile random DAGs (dense-reachability regime: the
      generator's long-range edges percolate, cones cover ~half the circuit,
      and the win is one level pass per 62 sites instead of one graph walk

@@ -98,21 +98,23 @@ let faulty_functions ?(node_limit = default_node_limit) t site =
   let c = t.circuit in
   let ctx = Analysis.get c in
   (* Test generation calls this for site after site on one circuit; the
-     context's cone cache spares the repeated DFS. *)
+     context's cone cache spares the repeated search. *)
   let cone = Analysis.cone ctx site in
   let faulty = Array.copy t.node_fn in
   faulty.(site) <- Bdd.bnot t.manager t.node_fn.(site);
   Array.iter
     (fun v ->
-      if cone.(v) && v <> site then begin
+      if v <> site then begin
         match Circuit.node c v with
         | Circuit.Gate { kind; fanins } ->
           faulty.(v) <- gate_fn t.manager kind (Array.map (fun u -> faulty.(u)) fanins);
           check_limit t.manager node_limit
         | Circuit.Input | Circuit.Ff _ -> ()
       end)
-    (Analysis.order ctx);
-  (cone, faulty)
+    cone;
+  (* Only a cone member's function can differ from the good machine's. *)
+  let members = Reach.lookup ~position:(Analysis.position ctx) cone in
+  ((fun net -> Reach.find members net >= 0), faulty)
 
 (* --- formal equivalence ------------------------------------------------------ *)
 
@@ -215,11 +217,11 @@ let propagation_witness ?node_limit t site =
   let c = t.circuit in
   if site < 0 || site >= Circuit.node_count c then
     invalid_arg "Circuit_bdd.propagation_witness: bad site";
-  let cone, faulty = faulty_functions ?node_limit t site in
+  let in_cone, faulty = faulty_functions ?node_limit t site in
   let observations = Circuit.observations c in
   let indicator obs =
     let net = Circuit.observation_net c obs in
-    if cone.(net) then Bdd.bxor t.manager t.node_fn.(net) faulty.(net) else Bdd.zero
+    if in_cone net then Bdd.bxor t.manager t.node_fn.(net) faulty.(net) else Bdd.zero
   in
   let rec first_observable = function
     | [] -> None
@@ -235,12 +237,12 @@ let epp_exact ?(input_sp = fun _ -> 0.5) ?node_limit t site =
   let c = t.circuit in
   if site < 0 || site >= Circuit.node_count c then
     invalid_arg "Circuit_bdd.epp_exact: bad site";
-  let cone, faulty = faulty_functions ?node_limit t site in
+  let in_cone, faulty = faulty_functions ?node_limit t site in
   let var_p = variable_probability t ~input_sp in
   let observations = Circuit.observations c in
   let indicator obs =
     let net = Circuit.observation_net c obs in
-    if cone.(net) then Bdd.bxor t.manager t.node_fn.(net) faulty.(net) else Bdd.zero
+    if in_cone net then Bdd.bxor t.manager t.node_fn.(net) faulty.(net) else Bdd.zero
   in
   let indicators = List.map indicator observations in
   let any = List.fold_left (Bdd.bor t.manager) Bdd.zero indicators in

@@ -57,21 +57,14 @@ let epp_exact_cone ?(input_sp = fun _ -> 0.5) ?(node_budget = default_node_budge
   else begin
     let n = Circuit.node_count circuit in
     let obs_nets = List.map (Circuit.observation_net circuit) reached in
-    (* Relevant nodes: union of the reached observation nets' fan-in cones —
-       everything the good functions can mention. *)
-    let relevant = Array.make n false in
-    List.iter
-      (fun net ->
-        let marks = Analysis.fanin_cone ctx net in
-        for v = 0 to n - 1 do
-          if marks.(v) then relevant.(v) <- true
-        done)
-      obs_nets;
+    (* Relevant nodes: the reached observation nets' fan-in cones, in
+       topological order — everything the good functions can mention. *)
+    let relevant = Analysis.fanin_cone ctx obs_nets in
     (* Initial variable order: first touch in a fanin-first DFS from the
        observation nets, so structurally related inputs land on adjacent
        levels — the classic topology heuristic sifting then refines. *)
     let var_of_node = Array.make n (-1) in
-    let support = ref 0 in
+    let touched = ref [] and support = ref 0 in
     let seen = Array.make n false in
     let rec dfs v =
       if not seen.(v) then begin
@@ -79,16 +72,14 @@ let epp_exact_cone ?(input_sp = fun _ -> 0.5) ?(node_budget = default_node_budge
         match Circuit.node circuit v with
         | Circuit.Input | Circuit.Ff _ ->
           var_of_node.(v) <- !support;
+          touched := v :: !touched;
           incr support
         | Circuit.Gate { fanins; _ } -> Array.iter dfs fanins
       end
     in
     List.iter dfs obs_nets;
     let support = !support in
-    let var_node = ref (Array.make support (-1)) in
-    for v = 0 to n - 1 do
-      if var_of_node.(v) >= 0 then !var_node.(var_of_node.(v)) <- v
-    done;
+    let var_node = ref (Array.of_list (List.rev !touched)) in
     let manager = ref (Bdd.create ~var_count:support) in
     let node_fn = Array.make n Bdd.zero in
     let built = Array.make n false in
@@ -103,8 +94,11 @@ let epp_exact_cone ?(input_sp = fun _ -> 0.5) ?(node_budget = default_node_budge
       (* Every live function — good and faulty — is a root; sifting hands
          back a fresh manager plus the images of those roots, and the
          variable<->circuit-node maps follow the permutation. *)
+      let ids = Array.copy relevant in
+      Array.sort Int.compare ids;
       let slots = ref [] in
-      for v = n - 1 downto 0 do
+      for i = Array.length ids - 1 downto 0 do
+        let v = ids.(i) in
         if fbuilt.(v) then slots := (v, true) :: !slots;
         if built.(v) then slots := (v, false) :: !slots
       done;
@@ -138,27 +132,24 @@ let epp_exact_cone ?(input_sp = fun _ -> 0.5) ?(node_budget = default_node_budge
       (* Good machine over the relevant cone. *)
       Array.iter
         (fun v ->
-          if relevant.(v) then begin
-            (match Circuit.node circuit v with
-            | Circuit.Input | Circuit.Ff _ ->
-              node_fn.(v) <- Bdd.var !manager var_of_node.(v)
-            | Circuit.Gate { kind; fanins } ->
-              node_fn.(v) <-
-                Circuit_bdd.gate_fn !manager kind (Array.map (fun u -> node_fn.(u)) fanins));
-            built.(v) <- true;
-            guard ()
-          end)
-        (Analysis.order ctx);
+          (match Circuit.node circuit v with
+          | Circuit.Input | Circuit.Ff _ ->
+            node_fn.(v) <- Bdd.var !manager var_of_node.(v)
+          | Circuit.Gate { kind; fanins } ->
+            node_fn.(v) <-
+              Circuit_bdd.gate_fn !manager kind (Array.map (fun u -> node_fn.(u)) fanins));
+          built.(v) <- true;
+          guard ())
+        relevant;
       (* Faulty machine: site complemented, rebuilt over forward cone ∩
-         relevant (a fanin of a relevant node is relevant, so every faulty
-         input is available). *)
-      let cone = Analysis.cone ctx site in
+         relevant, the cone members the good machine built (a fanin of a
+         relevant node is relevant, so every faulty input is available). *)
       faulty.(site) <- Bdd.bnot !manager node_fn.(site);
       fbuilt.(site) <- true;
       guard ();
       Array.iter
         (fun v ->
-          if cone.(v) && relevant.(v) && v <> site then begin
+          if built.(v) && v <> site then begin
             match Circuit.node circuit v with
             | Circuit.Gate { kind; fanins } ->
               let ins =
@@ -169,7 +160,7 @@ let epp_exact_cone ?(input_sp = fun _ -> 0.5) ?(node_budget = default_node_budge
               guard ()
             | Circuit.Input | Circuit.Ff _ -> ()
           end)
-        (Analysis.order ctx);
+        (Analysis.cone ctx site);
       may_sift := false;
       let indicators =
         List.map

@@ -185,12 +185,11 @@ let sp_intervals ~input_sp ctx =
 let diff_intervals ctx sp site =
   let c = Analysis.circuit ctx in
   let n = Circuit.node_count c in
-  let cone = Analysis.cone ctx site in
   let d = Array.make n (0.0, 0.0) in
   d.(site) <- (1.0, 1.0);
   Array.iter
     (fun v ->
-      if cone.(v) && v <> site then begin
+      if v <> site then begin
         match Circuit.node c v with
         | Circuit.Input | Circuit.Ff _ -> ()
         | Circuit.Gate { kind; fanins } ->
@@ -230,7 +229,7 @@ let diff_intervals ctx sp site =
                 let sum = List.fold_left (fun s i -> s +. snd dvs.(i)) 0.0 errs in
                 (0.0, Float.min 1.0 sum)))
       end)
-    (Analysis.order ctx);
+    (Analysis.cone ctx site);
   d
 
 let union_bound c d =
@@ -278,18 +277,13 @@ let wilson ~z ~n phat =
 let stratum_input ~input_sp ctx site =
   let c = Analysis.circuit ctx in
   let reached = Analysis.reached_observations ctx site in
-  let n = Circuit.node_count c in
-  let support = Array.make n false in
-  List.iter
-    (fun obs ->
-      let marks = Analysis.fanin_cone ctx (Circuit.observation_net c obs) in
-      for v = 0 to n - 1 do
-        if marks.(v) then support.(v) <- true
-      done)
-    reached;
+  let support =
+    Reach.lookup ~position:(Analysis.position ctx)
+      (Analysis.fanin_cone ctx (List.map (Circuit.observation_net c) reached))
+  in
   List.find_opt
     (fun v ->
-      support.(v)
+      Reach.find support v >= 0
       &&
       let p = input_sp v in
       p > 0.0 && p < 1.0)

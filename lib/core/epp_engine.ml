@@ -1,22 +1,26 @@
 (* The paper's EPP computation — Sec. 2, steps 1-3, per error site:
 
-   1. Path construction: forward DFS from the site (Site_analysis).
-   2. Ordering: one topological order, computed once per circuit and shared
-      by every site.
-   3. EPP computation: walk the on-path gates in topological order; on-path
+   1. Path construction: the site's forward cone (Site_analysis, from the
+      circuit's Analysis context), searched at the cone's cost.
+   2. Ordering: the cone comes as its members in the circuit's one
+      topological order, computed once per circuit and shared by every
+      site.
+   3. EPP computation: walk the on-path gates in that order; on-path
       fanins contribute their four-state vectors, off-path fanins contribute
       their signal probability as P1/P0 mass; apply the Table-1 rules.
+      Vectors live in an array indexed by position in the cone.
 
    Afterwards, for the reachable outputs:
 
      P_sensitized(n) = 1 - prod_j (1 - (Pa(POj) + Pā(POj)))
 
    The engine owns the per-circuit invariants (topological order, signal
-   probabilities); each analyze_site call is a single linear pass over the
-   site's cone.  This boxed path is the reference oracle: the production
-   sweep (Epp_batch, the "SysT" cost of Table 2) must match it bit for bit.
-   The two ablations the bench times against it (polarity-blind rules, no
-   cone restriction) are per-site functions beside it. *)
+   probabilities); each analyze_site call costs its cone: nothing in it is
+   allocated or scanned per circuit node.  This boxed path is the reference
+   oracle: the production sweep (Epp_batch, the "SysT" cost of Table 2)
+   must match it bit for bit.  The two ablations the bench times against it
+   (polarity-blind rules, no cone restriction) are per-site functions
+   beside it. *)
 
 open Netlist
 
@@ -24,9 +28,8 @@ type t = {
   circuit : Circuit.t;
   sp : Sigprob.Sp.result;
   ctx : Analysis.t;
-      (* the circuit's shared analysis context: topological order and its
-         inverse permutation, gates-only order (the no-cone ablation),
-         observation arrays *)
+      (* the circuit's shared analysis context: cones, topological
+         positions, gates-only order (the no-cone ablation) *)
 }
 
 type site_result = {
@@ -97,81 +100,79 @@ let p_sensitized_of_outputs per_observation =
   1.0
   -. List.fold_left (fun acc (_, p) -> acc *. (1.0 -. p)) 1.0 per_observation
 
-let analyze_polarity ?(initial = Prob4.error_site) t (sa : Site_analysis.t) =
+(* Step 3: one Table-1 pass over [gates] in topological order.  An on-path
+   signal's vector lives in [vec] at [slot u]; [slot u < 0] marks an
+   off-path signal, which contributes its signal probability.  The [i]th
+   scheduled gate [g] stores its vector at [store i g]; a scheduled gate
+   off the path (only the whole-circuit ablation schedules any) stores
+   nothing, since no on-path gate reads it as a vector. *)
+let pass t ~of_sp ~propagate ~initial ~slot ~store ~slots ~site gates reached =
   let c = t.circuit in
-  let n = Circuit.node_count c in
-  let vec = Array.make n Prob4.error_site in
-  let have = Array.make n false in
-  vec.(sa.site) <- initial;
-  have.(sa.site) <- true;
+  let vec = Array.make slots initial in
+  let have = Array.make slots false in
+  have.(slot site) <- true;
   let input_vector u =
-    if sa.on_path.(u) then begin
+    let i = slot u in
+    if i < 0 then of_sp (off_path_sp t u)
+    else begin
       (* Topological processing guarantees every on-path fanin was already
-         computed (the only on-path non-gate is the site itself).  A plain
-         assert would vanish under -noassert, silently reading the dummy
-         vector instead — keep it a real check in the reference engine (the
-         batch engine enforces this structurally by walking levels). *)
-      if not have.(u) then
+         computed.  A plain assert would vanish under -noassert, silently
+         reading the dummy vector instead — keep it a real check in the
+         reference engine (the batch engine enforces this structurally by
+         walking levels). *)
+      if not have.(i) then
         invalid_arg
           "Epp_engine.analyze_polarity: on-path fanin read before being \
            computed (gate order is not topological)";
-      vec.(u)
+      vec.(i)
     end
-    else Prob4.of_sp (off_path_sp t u)
   in
-  List.iter
-    (fun g ->
-      match Circuit.node c g with
-      | Circuit.Gate { kind; fanins } ->
-        vec.(g) <- Rules.propagate kind (Array.map input_vector fanins);
-        have.(g) <- true
-      | Circuit.Input | Circuit.Ff _ -> assert false)
-    sa.on_path_gates;
-  List.map
-    (fun obs ->
-      let net = Circuit.observation_net c obs in
-      (obs, vec.(net)))
-    sa.reached
+  Array.iteri
+    (fun i g ->
+      if g <> site then
+        match Circuit.node c g with
+        | Circuit.Gate { kind; fanins } ->
+          let v = propagate kind (Array.map input_vector fanins) in
+          let s = store i g in
+          if s >= 0 then begin
+            vec.(s) <- v;
+            have.(s) <- true
+          end
+        | Circuit.Input | Circuit.Ff _ -> assert false)
+    gates;
+  List.map (fun obs -> (obs, vec.(slot (Circuit.observation_net c obs)))) reached
 
-let analyze_naive t (sa : Site_analysis.t) =
-  let c = t.circuit in
-  let n = Circuit.node_count c in
-  let vec = Array.make n Rules.Naive.error_site in
-  vec.(sa.site) <- Rules.Naive.error_site;
-  let input_vector u =
-    if sa.on_path.(u) then vec.(u) else Rules.Naive.of_sp (off_path_sp t u)
-  in
-  List.iter
-    (fun g ->
-      match Circuit.node c g with
-      | Circuit.Gate { kind; fanins } ->
-        vec.(g) <- Rules.Naive.propagate kind (Array.map input_vector fanins)
-      | Circuit.Input | Circuit.Ff _ -> assert false)
-    sa.on_path_gates;
+(* The cone-local pass: the cone's members are the schedule (the site
+   first), and a signal's vector lives at its index in the cone, found
+   among the members' topological positions (Reach.lookup). *)
+let cone_pass t ~of_sp ~propagate ~initial (sa : Site_analysis.t) =
+  let members = Reach.lookup ~position:(Analysis.position t.ctx) sa.on_path in
+  pass t ~of_sp ~propagate ~initial ~slot:(fun u -> Reach.find members u)
+    ~store:(fun i _ -> i)
+    ~slots:(Array.length sa.on_path) ~site:sa.site sa.on_path sa.reached
+
+let analyze_polarity ?(initial = Prob4.error_site) t sa =
+  cone_pass t ~of_sp:Prob4.of_sp ~propagate:Rules.propagate ~initial sa
+
+let analyze_naive t sa =
   List.map
-    (fun obs ->
-      let net = Circuit.observation_net c obs in
-      (obs, vec.(net).Rules.Naive.pe))
-    sa.reached
+    (fun (obs, v) -> (obs, v.Rules.Naive.pe))
+    (cone_pass t ~of_sp:Rules.Naive.of_sp ~propagate:Rules.Naive.propagate
+       ~initial:Rules.Naive.error_site sa)
 
 (* The whole-circuit ablation: ignore the cone restriction and process every
    gate, feeding pure-SP vectors at gates the error cannot reach.  Produces
    identical probabilities at strictly higher cost; exists so the bench can
-   show what the paper's path-construction step saves. *)
-let full_order_analysis t site =
-  let c = t.circuit in
-  let on_path = Analysis.cone t.ctx site in
-  let gates =
-    Array.to_list (Analysis.order t.ctx)
-    |> List.filter (fun v -> v <> site && Circuit.is_gate c v)
-  in
-  {
-    Site_analysis.site;
-    on_path;
-    on_path_gates = gates;
-    off_path = [];
-    reached = Analysis.reached_observations t.ctx site;
-  }
+   show what the paper's path-construction step saves.  It marks the cone
+   in its own node-sized mask and keeps vectors by node id. *)
+let whole_circuit_polarity t (sa : Site_analysis.t) =
+  let n = Circuit.node_count t.circuit in
+  let on_path = Array.make n false in
+  Array.iter (fun v -> on_path.(v) <- true) sa.on_path;
+  let slot u = if on_path.(u) then u else -1 in
+  pass t ~of_sp:Prob4.of_sp ~propagate:Rules.propagate ~initial:Prob4.error_site ~slot
+    ~store:(fun _ g -> slot g)
+    ~slots:n ~site:sa.site (Analysis.gate_order t.ctx) sa.reached
 
 (* Full four-state vectors at the reachable observation points, optionally
    from a partial error at the site (the multi-cycle extension injects the
@@ -190,14 +191,16 @@ let result_of (sa : Site_analysis.t) per_observation =
     reached_outputs = List.length sa.reached;
   }
 
-let polarity_result t sa =
-  result_of sa
-    (List.map (fun (obs, v) -> (obs, Prob4.p_error v)) (analyze_polarity t sa))
+let polarity_result sa vectors =
+  result_of sa (List.map (fun (obs, v) -> (obs, Prob4.p_error v)) vectors)
 
-let analyze_site t site = polarity_result t (Site_analysis.analyze t.circuit site)
+let analyze_site t site =
+  let sa = Site_analysis.analyze t.circuit site in
+  polarity_result sa (analyze_polarity t sa)
 
 let analyze_site_whole_circuit t site =
-  polarity_result t (full_order_analysis t site)
+  let sa = Site_analysis.analyze t.circuit site in
+  polarity_result sa (whole_circuit_polarity t sa)
 
 let analyze_site_naive t site =
   let sa = Site_analysis.analyze t.circuit site in

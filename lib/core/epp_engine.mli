@@ -7,7 +7,8 @@
     An engine value holds the circuit's shared {!Netlist.Analysis} context
     (topological order and friends, computed once per circuit, the SPT
     column of Table 2) and the signal probabilities, so each site analysis
-    is a single cone-sized pass.  {!analyze_site} is the boxed reference
+    walks its cone's members and costs the cone, not the circuit.
+    {!analyze_site} is the boxed reference
     oracle; sweeps run the bit-identical {!Epp_batch} block engine through
     {!Ser_estimator.analyze_sites} (the SysT column) or {!Supervisor}.
     The paper's two design choices each have a per-site ablation beside it:
@@ -60,8 +61,9 @@ val analyze_site_naive : t -> int -> site_result
 
 val analyze_site_whole_circuit : t -> int -> site_result
 (** The whole-circuit ablation: {!analyze_site} without step 1's cone
-    restriction, walking every gate of the circuit.  Identical results;
-    it shows what path construction saves.
+    restriction, walking every gate of the circuit (with a node-sized cone
+    mask and vector array).  Identical results; it shows what path
+    construction saves.
     @raise Invalid_argument on an out-of-range site. *)
 
 val analyze_site_vectors :

@@ -8,16 +8,18 @@
    handed to the whole-circuit supervised sweep as a held entry under the
    id remap, and the sweep only runs over the dirty complement.
 
-   Dirty geometry (per new node, evaluated over BOTH circuits — the old
-   side catches paths the edit severed), all of it one
-   [Delta.backward_dirty] pass per circuit from the union of these seeds:
-   - the edit: the site's cone intersects a touched, added or removed
-     node, so its wiring may have changed;
+   Dirty geometry (per new node), one [Delta.backward_dirty] pass per
+   circuit from the union of these seeds:
+   - the edit: the site's cone, in either circuit, intersects a touched,
+     added or removed node, so its wiring may have changed (the old side
+     catches paths the edit severed);
    - signal-probability seeds: where sp(w) changed bit-for-bit, sites
      reaching [w] (whose site-initialization uses sp) or any consumer of
      [w] (whose Table-1 rules read sp(w) as a side input) are dirty;
    - observation seeds: where position [i] of the observation list observes
      a different net than before, sites reaching either net are dirty.
+   The last two are planted in the new circuit only: a site whose old path
+   to such a net did not survive the edit is already dirty by the first.
 
    When the observation interfaces are incompatible (different length, a
    kind flip at some position, or an FF observation whose flip-flop does
@@ -102,10 +104,14 @@ let plan ~before ~after d =
       full = true;
     }
   else begin
-    (* A node and its consumers: the sites reaching either read its value. *)
-    let seeds_new = ref [] and seeds_old = ref [] in
-    let seed circuit seeds v =
-      seeds := v :: List.rev_append (Netlist.Circuit.fanouts circuit v) !seeds
+    (* A node and its consumers: the sites reaching either read its value.
+       Seeds are planted in the new graph only (see Delta.backward_dirty):
+       an old path to a seed's counterpart, or to a consumer of it, that
+       the new graph lacks runs through a touched or removed node, which
+       the edit's own old-side seeds cover. *)
+    let seeds = ref [] in
+    let seed v =
+      seeds := v :: List.rev_append (Netlist.Circuit.fanouts c_new v) !seeds
     in
     let sp_old = (Epp_engine.signal_probabilities before).Sigprob.Sp.values in
     let sp_new = (Epp_engine.signal_probabilities after).Sigprob.Sp.values in
@@ -114,23 +120,22 @@ let plan ~before ~after d =
       if
         v >= 0
         && Int64.bits_of_float sp_old.(v) <> Int64.bits_of_float sp_new.(w)
-      then begin
-        seed c_new seeds_new w;
-        seed c_old seeds_old v
-      end
+      then seed w
     done;
+    (* A moved observation seeds the net it observes now and the new
+       counterpart of the net it observed (removed, that net is the edit's
+       own seed). *)
     Array.iteri
       (fun i o ->
         let net_old = Netlist.Circuit.observation_net c_old o in
         let net_new = Netlist.Circuit.observation_net c_new obs_new.(i) in
-        if new_of_old.(net_old) <> net_new then begin
-          seed c_new seeds_new net_new;
-          seed c_old seeds_old net_old
+        let moved_from = new_of_old.(net_old) in
+        if moved_from <> net_new then begin
+          seed net_new;
+          if moved_from >= 0 then seed moved_from
         end)
       obs_old;
-    let dirty =
-      Netlist.Delta.backward_dirty ~seeds:!seeds_new ~old_seeds:!seeds_old d
-    in
+    let dirty = Netlist.Delta.backward_dirty ~seeds:!seeds d in
     { delta = d; dirty; dirty_count = Reach.count dirty; total = n_new; full = false }
   end
 

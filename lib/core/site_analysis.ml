@@ -1,55 +1,52 @@
-(* Structural analysis of one error site — step 1 of the paper's algorithm.
+(* Structural analysis of one error site — steps 1 and 2 of the paper's
+   algorithm.
 
    Maps the paper's vocabulary onto the netlist:
    - an *on-path signal* is a net on a path from the error site to a
      reachable output: exactly the site's forward cone;
-   - an *on-path gate* is a gate with at least one on-path input;
+   - an *on-path gate* is a gate with at least one on-path input: every
+     cone member but the site (only gates have fanins);
    - an *off-path signal* is an input of an on-path gate that is not itself
      on-path (it contributes only its signal probability).
 
-   The forward DFS and the classification are pure structure; the EPP
-   traversal (Epp_engine) consumes this. *)
+   The cone comes from the circuit's analysis context as its members in
+   topological order (step 1's search and step 2's ordering at once, at
+   the cone's cost); the EPP traversal (Epp_engine) walks it. *)
 
 open Netlist
 
 type t = {
   site : int;
-  on_path : bool array;  (** on-path signals: the forward cone, site included *)
-  on_path_gates : int list;  (** topological order, site excluded *)
-  off_path : int list;  (** off-path signals, each listed once *)
+  on_path : int array;  (** the forward cone in topological order, site first *)
   reached : Circuit.observation list;  (** observation points inside the cone *)
 }
 
 let analyze circuit site =
-  let n = Circuit.node_count circuit in
-  if site < 0 || site >= n then invalid_arg "Site_analysis.analyze: bad site";
-  (* The cone and the topological order come from the circuit's shared
-     analysis context: repeated analyses of the same site (test generation,
-     interleaved engines) hit the bounded cone cache instead of re-running
-     the DFS.  [on_path] is the cached array — read-only by contract. *)
+  if site < 0 || site >= Circuit.node_count circuit then
+    invalid_arg "Site_analysis.analyze: bad site";
+  (* Repeated analyses of the same site (test generation, interleaved
+     engines) hit the context's bounded cone cache instead of searching
+     again.  [on_path] is the cached array — read-only by contract. *)
   let ctx = Analysis.get circuit in
-  let on_path = Analysis.cone ctx site in
-  let order = Analysis.order ctx in
-  let on_path_gates =
-    Array.to_list order
-    |> List.filter (fun v -> on_path.(v) && v <> site && Circuit.is_gate circuit v)
-  in
-  let off_path_seen = Array.make n false in
-  let off_path = ref [] in
-  List.iter
-    (fun g ->
-      Array.iter
-        (fun u ->
-          if (not on_path.(u)) && not off_path_seen.(u) then begin
-            off_path_seen.(u) <- true;
-            off_path := u :: !off_path
-          end)
-        (Circuit.fanins circuit g))
-    on_path_gates;
-  let reached = Analysis.reached_observations ctx site in
-  { site; on_path; on_path_gates; off_path = List.rev !off_path; reached }
+  {
+    site;
+    on_path = Analysis.cone ctx site;
+    reached = Analysis.reached_observations ctx site;
+  }
 
-let on_path_signal_count t = Reach.count t.on_path
+let on_path_gates t = List.tl (Array.to_list t.on_path)
+
+let off_path circuit t =
+  let members = Reach.lookup ~position:(Analysis.position (Analysis.get circuit)) t.on_path in
+  let acc = ref [] in
+  for i = 1 to Array.length t.on_path - 1 do
+    Array.iter
+      (fun u -> if Reach.find members u < 0 then acc := u :: !acc)
+      (Circuit.fanins circuit t.on_path.(i))
+  done;
+  List.sort_uniq Int.compare !acc
+
+let on_path_signal_count t = Array.length t.on_path
 
 let reaches_any_output t = t.reached <> []
 
@@ -58,7 +55,7 @@ let pp circuit ppf t =
   Fmt.pf ppf "@[<v>site %s: %d on-path signals, %d on-path gates, %d off-path signals@,\
               reaches: %a@]"
     (name t.site) (on_path_signal_count t)
-    (List.length t.on_path_gates)
-    (List.length t.off_path)
+    (Array.length t.on_path - 1)
+    (List.length (off_path circuit t))
     Fmt.(list ~sep:comma string)
     (List.map (Circuit.observation_name circuit) t.reached)

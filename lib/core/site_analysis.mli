@@ -5,20 +5,26 @@
 
 type t = {
   site : int;
-  on_path : bool array;  (** the site's forward cone (site included) *)
-  on_path_gates : int list;
-      (** gates with at least one on-path input, in topological order *)
-  off_path : int list;
-      (** inputs of on-path gates that are not themselves on-path *)
+  on_path : int array;
+      (** the on-path signals: the site's forward cone in topological
+          order, so the site and then the on-path gates *)
   reached : Netlist.Circuit.observation list;
       (** observation points whose net lies in the cone *)
 }
 
 val analyze : Netlist.Circuit.t -> int -> t
-(** Pulls the cone and the topological order from the circuit's shared
-    {!Netlist.Analysis} context, so repeated analyses reuse one computation;
-    [on_path] is the cached cone array — treat it as read-only.
+(** Pulls the cone from the circuit's shared {!Netlist.Analysis} context,
+    so repeated analyses reuse one search; [on_path] is the cached cone
+    array — treat it as read-only.  Costs the cone, not the circuit.
     @raise Invalid_argument on a bad site. *)
+
+val on_path_gates : t -> int list
+(** Gates with at least one on-path input, in topological order: every
+    on-path signal but the site. *)
+
+val off_path : Netlist.Circuit.t -> t -> int list
+(** Inputs of on-path gates that are not themselves on-path, each listed
+    once, in increasing id. *)
 
 val on_path_signal_count : t -> int
 val reaches_any_output : t -> bool

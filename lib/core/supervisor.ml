@@ -74,14 +74,14 @@ let vector_fault defect =
 
 let exception_fault e = Diag.Exception { exn = Printexc.to_string e }
 
-(* Cone size for the quarantine record: the pure graph traversal (no float
+(* Cone size for the quarantine record: the pure graph search (no float
    arithmetic), so it normally survives whatever poisoned the analysis; when
-   even it fails (out-of-range site), record None.  Served from the shared
-   cone cache — the quarantined site was just analyzed, so its cone is
-   usually still resident. *)
+   even it fails (out-of-range site), record None.  The batch engine never
+   fills the cone cache, so this is usually one search, and it costs the
+   cone, not the circuit. *)
 let safe_cone_size circuit site =
   match Analysis.cone (Analysis.get circuit) site with
-  | reach -> Some (Reach.count reach)
+  | members -> Some (Array.length members)
   | exception _ -> None
 
 let quarantine ?ctx circuit site faults =

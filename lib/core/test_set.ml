@@ -40,12 +40,12 @@ let detects circuit cs ~ctx ~obs_nets values site =
   faulty.(site) <- not values.(site);
   Array.iter
     (fun v ->
-      if cone.(v) && v <> site then
+      if v <> site then
         match Circuit.node circuit v with
         | Circuit.Gate { kind; fanins } ->
           faulty.(v) <- Gate.eval kind (Array.map (fun u -> faulty.(u)) fanins)
         | Circuit.Input | Circuit.Ff _ -> ())
-    (Analysis.order ctx);
+    cone;
   List.exists (fun net -> values.(net) <> faulty.(net)) obs_nets
 
 let generate ?sites ?node_limit circuit =

@@ -50,12 +50,12 @@ let compute ?(input_sp = fun _ -> 0.5) ?(limit = default_limit) circuit site =
       faulty.(site) <- not base.(site);
       Array.iter
         (fun v ->
-          if cone.(v) && v <> site then
+          if v <> site then
             match Circuit.node circuit v with
             | Circuit.Gate { kind; fanins } ->
               faulty.(v) <- Gate.eval kind (Array.map (fun u -> faulty.(u)) fanins)
             | Circuit.Input | Circuit.Ff _ -> ())
-        (Analysis.order ctx);
+        cone;
       let any = ref false in
       Array.iteri
         (fun i net ->

@@ -71,9 +71,10 @@ let biased_words cs ~rng ~input_sp =
 
 (* Re-simulate only the forward cone of [site] with the site's value forced
    to the complement of [base].(site).  [base] must be a completed fault-free
-   evaluation.  Returns a fresh array; nodes outside the cone keep their
+   evaluation and [cone] the site's cone members in topological order
+   (Analysis.cone).  Returns a fresh array; nodes outside the cone keep their
    fault-free words.  This is the faulty-machine half of the paper's
-   random-simulation comparator: restricting work to the cone is what keeps
+   random-simulation comparator: walking only the cone is what keeps
    per-site cost proportional to cone size rather than circuit size. *)
 let eval_words_with_flip cs ~base ~cone ~site =
   let c = cs.circuit in
@@ -83,7 +84,7 @@ let eval_words_with_flip cs ~base ~cone ~site =
   values.(site) <- Int64.lognot base.(site);
   Array.iter
     (fun v ->
-      if cone.(v) && v <> site then
+      if v <> site then
         match Circuit.node c v with
         | Circuit.Gate { kind; fanins } ->
           values.(v) <- Gate.eval_word kind (Array.map (fun u -> values.(u)) fanins)
@@ -91,5 +92,5 @@ let eval_words_with_flip cs ~base ~cone ~site =
         (* An Input/Ff inside the cone can only be the site itself, already
            flipped above; other pseudo-inputs are never downstream of a
            site. *))
-    cs.order;
+    cone;
   values

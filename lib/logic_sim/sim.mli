@@ -31,8 +31,8 @@ val biased_words : compiled -> rng:Rng.t -> input_sp:(int -> float) -> int64 arr
     [input_sp v] per pattern. *)
 
 val eval_words_with_flip :
-  compiled -> base:int64 array -> cone:bool array -> site:int -> int64 array
+  compiled -> base:int64 array -> cone:int array -> site:int -> int64 array
 (** Faulty-machine evaluation: copy the fault-free values [base], force the
-    complement at [site], and re-evaluate only the gates with [cone] set
-    (the site's forward cone).  @raise Invalid_argument on a length
-    mismatch. *)
+    complement at [site], and re-evaluate the gates of [cone], the site's
+    forward-cone members in topological order ({!Netlist.Analysis.cone}).
+    @raise Invalid_argument on a length mismatch. *)

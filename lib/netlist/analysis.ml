@@ -14,7 +14,10 @@
      maps) sit behind bounded LRU caches keyed by node id, so interleaved
      engines (a supervised sweep runs SP, EPP and ranking over one circuit)
      and repeated queries (test generation fault-simulating the same sites
-     under many vectors) reuse instead of re-traversing.
+     under many vectors) reuse instead of re-traversing.  A cone is the
+     array of its members in topological order, found by a search that
+     costs the cone, not the circuit (Reach.forward_cone), so a per-site
+     consumer walks its cone instead of filtering the whole order.
 
    Ownership/aliasing contract (DESIGN.md §11): everything returned here is
    the cached instance, immutable by contract.  Engines must treat the
@@ -92,9 +95,10 @@ type t = {
   gate_order : int array;  (* gates only, topological *)
   observations : (Circuit.observation * int) array;  (* (obs, observed net) *)
   observation_nets : int array;  (* the nets, same order *)
-  cones : bool array Lru.t;  (* site -> forward-reach marks *)
-  fanin_cones : bool array Lru.t;  (* net -> backward-reach marks *)
+  cones : int array Lru.t;  (* site -> forward-cone members, topological *)
   distance_maps : int array Lru.t;  (* obs net -> reverse-BFS distances *)
+  ranking : Reach.ranking option Atomic.t;
+      (* [order], its inverse and the cone searches' marks, memoized *)
   levels : int array option Atomic.t;  (* ASAP levels, memoized *)
   depth : int option Atomic.t;  (* the largest level, memoized *)
   level_gates : int array array option Atomic.t;
@@ -106,15 +110,16 @@ type t = {
   observed : bool array option Atomic.t;  (* observation-net mask, memoized *)
 }
 
-(* Cache bounds.  A cone is [node_count] bools, so the cone cache tops out
-   at 256 * node_count bytes — a few MB on the largest ISCAS'89 profiles —
-   and recomputes on evict beyond that.  The distance cache instead scales
-   with the circuit's observation count: the electrical-masking path scans a
-   site's reached observations in a fixed order, and a cache smaller than
-   that working set would evict every map right before its reuse (cyclic
-   scans are LRU's worst case), costing one BFS per (site, observation)
-   pair — worse than the per-site BFS it replaces.  Sized to the observation
-   count, each map is computed exactly once: O(obs · E) total. *)
+(* Cache bounds.  A cone is one word per member, so the cone cache tops
+   out at 256 cones (at most 256 * node_count words, and a few KB on
+   cone-local circuits) and recomputes on evict beyond that.  The distance
+   cache instead scales with the circuit's observation count: the
+   electrical-masking path scans a site's reached observations in a fixed
+   order, and a cache smaller than that working set would evict every map
+   right before its reuse (cyclic scans are LRU's worst case), costing one
+   BFS per (site, observation) pair — worse than the per-site BFS it
+   replaces.  Sized to the observation count, each map is computed exactly
+   once: O(obs · E) total. *)
 let cone_cache_capacity = 256
 let distance_cache_floor = 64
 
@@ -169,13 +174,9 @@ let assemble circuit ~order ~levels =
     observations;
     observation_nets;
     cones = Lru.create cone_cache_capacity;
-    fanin_cones =
-      (* Keyed by observation net in the certified exact tier, so size it
-         like the distance cache: a smaller cache would evict every cone
-         right before the next site reuses it. *)
-      Lru.create (max distance_cache_floor (Array.length observation_nets));
     distance_maps =
       Lru.create (max distance_cache_floor (Array.length observation_nets));
+    ranking = Atomic.make None;
     levels = Atomic.make levels;
     depth = Atomic.make None;
     level_gates = Atomic.make None;
@@ -208,6 +209,12 @@ let gate_order t = t.gate_order
 let observations t = t.observations
 let observation_nets t = t.observation_nets
 let csr t = Circuit.graph t.circuit
+
+let ranking t =
+  publish_once t.ranking ~computed:"analysis.ranking.computed" @@ fun () ->
+  Reach.ranking (Circuit.graph t.circuit) ~order:t.order
+
+let position t = Reach.position (ranking t)
 
 let levels t =
   publish_once t.levels ~computed:"analysis.levels.computed" @@ fun () ->
@@ -281,16 +288,14 @@ let cone t site =
   check_node t site ~what:"cone";
   Lru.find_or_compute t.cones site (fun () ->
       count "analysis.cones.computed";
-      Reach.forward (Circuit.graph t.circuit) site)
+      Reach.forward_cone (ranking t) [ site ])
 
-let fanin_cone t net =
-  check_node t net ~what:"fanin_cone";
-  (* Keyed by observation net, these are shared by every site whose forward
-     cone reaches that net — the support-extraction step of the certified
-     exact tier. *)
-  Lru.find_or_compute t.fanin_cones net (fun () ->
-      count "analysis.fanin_cones.computed";
-      Reach.backward_set (Circuit.graph t.circuit) [ net ])
+let fanin_cone t nets =
+  List.iter (fun net -> check_node t net ~what:"fanin_cone") nets;
+  (* The union over a site's reached observation nets is the support the
+     certified exact tier builds over: one search from all of them, which
+     costs the union rather than a pass over the circuit per net. *)
+  Reach.backward_cone (ranking t) nets
 
 let distances_to t target =
   check_node t target ~what:"distances_to";
@@ -302,11 +307,11 @@ let distances_to t target =
       Bfs.distances (Digraph.reverse (Circuit.graph t.circuit)) target)
 
 let reached_observations t site =
-  let in_cone = cone t site in
+  let members = Reach.lookup ~position:(position t) (cone t site) in
   let acc = ref [] in
   for i = Array.length t.observations - 1 downto 0 do
     let (obs, net) = t.observations.(i) in
-    if in_cone.(net) then acc := obs :: !acc
+    if Reach.find members net >= 0 then acc := obs :: !acc
   done;
   !acc
 
@@ -315,8 +320,8 @@ let reached_observations t site =
    [apply_delta] carries a context across an edit instead of throwing it
    away: the pre-edit topological order is patched onto the post-edit
    circuit when the edit is order-preserving, and levels are re-derived
-   from the patched order.  Everything else (cones, distance maps, the
-   level buckets) builds lazily on demand: no edit path reads the per-site
+   from the patched order.  Everything else (positions, cones, distance
+   maps, the level buckets) builds lazily on demand: no edit path reads the per-site
    caches, so none is carried over. *)
 
 exception Order_patch_failed

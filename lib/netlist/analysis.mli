@@ -2,11 +2,11 @@
 
     One {!t} per circuit, obtained with {!get} (lazily built, memoized on the
     circuit itself).  It bundles the whole-graph traversal facts every engine
-    needs — topological order, inverse permutation, gates-only order,
-    observation-point arrays, maximum fanin — plus bounded LRU caches for
-    per-site artifacts (forward-reach cones, per-observation-point BFS
-    distance maps), so interleaved engines reuse one computation instead of
-    each re-deriving its own.
+    needs — topological order, its inverse permutation, gates-only order,
+    observation-point arrays — plus bounded LRU caches for per-site
+    artifacts (forward cones, per-observation-point BFS distance maps), so
+    interleaved engines reuse one computation instead of each re-deriving
+    its own.
 
     Ownership/aliasing contract (DESIGN.md §11): every array returned by this
     module is the cached instance, shared by all consumers of the circuit.
@@ -31,6 +31,13 @@ val order : t -> int array
 (** The circuit's topological order (all nodes): the one sort of the
     circuit's life ([analysis.topo.computed]), or the order
     {!apply_delta} patched across an edit. *)
+
+val position : t -> int array
+(** The inverse of {!order}: [position ctx.(v)] is [v]'s index in
+    [order ctx].  Computed once per circuit, with the marks the cone
+    searches reuse ([analysis.ranking.computed]); cone searches rank nodes
+    by it, and [Reach.lookup ~position members]
+    finds nodes among a cone's members. *)
 
 val gate_order : t -> int array
 (** Gates only, in topological order — the evaluation schedule of the logic
@@ -79,21 +86,26 @@ val observed : t -> bool array
 (** Per node, whether it is an observation net (in {!observation_nets}).
     Computed once per circuit ([analysis.observed.computed]). *)
 
-(** {2 Per-site cached artifacts}
+(** {2 Per-site artifacts}
 
-    Bounded LRU caches (a few hundred whole-circuit arrays at most); on
-    eviction the artifact is simply recomputed on next demand. *)
+    Cones are arrays of their members in the order {!order} lists them,
+    found by a search that costs the cone, not the circuit
+    ({!Reach.forward_cone}): a per-site consumer walks its members instead
+    of filtering the whole order.  Forward cones and distance maps sit
+    behind bounded LRU caches (at most 256 cones, each one word a member);
+    on eviction the artifact is simply recomputed on next demand. *)
 
-val cone : t -> int -> bool array
-(** [cone ctx site] marks every node forward-reachable from [site]
-    (including [site]).  @raise Invalid_argument on a bad node id. *)
+val cone : t -> int -> int array
+(** [cone ctx site] is every node forward-reachable from [site], [site]
+    included and therefore first, in topological order: the site's on-path
+    signals.  Cached per site.  @raise Invalid_argument on a bad node id. *)
 
-val fanin_cone : t -> int -> bool array
-(** [fanin_cone ctx net] marks every node backward-reachable from [net]
-    (including [net]) — one traversal of the graph's predecessor arrays,
-    cached per net.  Keyed by observation net in the certified exact tier, the union
-    of these maps over a site's reached observations is the support of the
-    cone-partitioned BDD.  @raise Invalid_argument on a bad node id. *)
+val fanin_cone : t -> int list -> int array
+(** [fanin_cone ctx nets] is every node that reaches one of [nets] (the
+    nets included), in topological order: one search over the graph's
+    predecessor arrays, not cached.  Over a site's reached observation nets
+    it is the support of the certified tier's cone-partitioned BDD.
+    @raise Invalid_argument on a bad node id. *)
 
 val distances_to : t -> int -> int array
 (** [distances_to ctx target].(v) is the BFS edge-distance from node [v] to
@@ -104,7 +116,7 @@ val distances_to : t -> int -> int array
 
 val reached_observations : t -> int -> Circuit.observation list
 (** Observation points inside [site]'s forward cone, in {!observations}
-    order. *)
+    order: one {!Reach.find} in the cone per observation point. *)
 
 (** {2 Incremental invalidation} *)
 

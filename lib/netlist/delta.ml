@@ -152,10 +152,19 @@ let identity circuit =
    old-side seeds are the removed nodes plus the old counterparts of
    touched survivors: reachability must be evaluated over BOTH graphs,
    because a removed edge breaks exactly the new-graph paths that used to
-   connect a site to the change.  Reachability from a union of seeds is the
-   union of the reachabilities, so a caller's own seeds ride along in the
-   same two passes. *)
-let backward_dirty ?(seeds = []) ?(old_seeds = []) t =
+   connect a site to the change.  The caller's own seeds (new ids) ride
+   along in the new graph's pass: reachability from a union of seeds is
+   the union of the reachabilities.
+
+   The caller's seeds need no old-side pass.  Take a new node [x] with an
+   old counterpart, and an old path from a site to that counterpart that
+   has no image in the new graph.  Then some node on it was removed, or
+   reads a different fanin than before, which makes it touched; the site
+   reaches that node in the old graph, and the edit's old-side seeds
+   already cover it.  A path that does have an image reaches [x] itself.
+   So seeding [x] in the new graph alone marks every site that seeding its
+   counterpart in the old graph would. *)
+let backward_dirty ?(seeds = []) t =
   let edit_old =
     List.filter_map
       (fun w ->
@@ -165,8 +174,7 @@ let backward_dirty ?(seeds = []) ?(old_seeds = []) t =
   in
   let bwd_new = Reach.backward_set (Circuit.graph t.after) (List.rev_append seeds t.touched) in
   let bwd_old =
-    Reach.backward_set (Circuit.graph t.before)
-      (List.rev_append old_seeds (List.rev_append t.removed edit_old))
+    Reach.backward_set (Circuit.graph t.before) (List.rev_append t.removed edit_old)
   in
   let n_new = Circuit.node_count t.after in
   let out = Array.make n_new false in

@@ -57,12 +57,14 @@ val structural_diff : before:Circuit.t -> after:Circuit.t -> t
 val identity : Circuit.t -> t
 (** The empty edit (before = after = the circuit). *)
 
-val backward_dirty : ?seeds:int list -> ?old_seeds:int list -> t -> bool array
+val backward_dirty : ?seeds:int list -> t -> bool array
 (** Per new node: true iff the node's forward cone, in {e either} graph,
     meets the edit (a touched, added or removed node; the old side catches
-    paths an edge removal severed) or one of the caller's extra seeds —
-    [seeds] are new ids, [old_seeds] old ids.  These are the sites whose
-    per-site results may have changed.  One backward pass per graph,
-    whatever the seeds. *)
+    paths an edge removal severed), or its cone in the new graph meets one
+    of the caller's extra [seeds] (new ids).  These are the sites whose
+    per-site results may have changed.  An old-graph pass from a seed's
+    counterpart would add nothing: an old path to it that the new graph
+    lacks runs through a touched or removed node.  One backward pass per
+    graph, whatever the seeds. *)
 
 val pp : t Fmt.t

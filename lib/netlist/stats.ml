@@ -45,23 +45,18 @@ let is_reconvergent_site c v =
     (* Branch cones come from the analysis context's cache: a net with k
        fanin gates is a fanout branch of k different sites, so a full
        reconvergence sweep reuses each cone k times instead of re-running
-       the DFS (the old per-branch Reach.forward made the sweep quadratic
-       on fanout-heavy circuits). *)
+       the search.  Each branch's members are looked up in the branches
+       before it. *)
     let ctx = Analysis.get c in
-    let n = Digraph.vertex_count g in
-    let seen = Array.make n false in
-    let rec loop = function
+    let position = Analysis.position ctx in
+    let rec loop seen = function
       | [] -> false
       | f :: rest ->
-        let reach = Analysis.cone ctx f in
-        let dup = ref false in
-        for u = 0 to n - 1 do
-          if reach.(u) then
-            if seen.(u) then dup := true else seen.(u) <- true
-        done;
-        !dup || loop rest
+        let branch = Analysis.cone ctx f in
+        Array.exists (fun u -> List.exists (fun l -> Reach.find l u >= 0) seen) branch
+        || loop (Reach.lookup ~position branch :: seen) rest
     in
-    loop fanouts
+    loop [] fanouts
 
 let reconvergent_site_count c =
   let count = ref 0 in

@@ -44,6 +44,7 @@ let compute ?(spec = Sp.uniform) ?(tolerance = default_tolerance)
   let c_iterations = Obs.Metrics.counter m "sp.fixpoint_iterations" in
   let g_residual = Obs.Metrics.gauge m "sp.fixpoint_residual" in
   let c_evaluations = Obs.Metrics.counter m "sp.node_evaluations" in
+  let c_unconverged = Obs.Metrics.counter m "sp.unconverged" in
   let n = Circuit.node_count circuit in
   let ffs = Array.of_list (Circuit.ffs circuit) in
   let data =
@@ -131,6 +132,7 @@ let compute ?(spec = Sp.uniform) ?(tolerance = default_tolerance)
     Obs.Metrics.set_gauge g_residual residual;
     let finish converged =
       Obs.Metrics.add c_evaluations !evaluations;
+      if not converged then Obs.Metrics.incr c_unconverged;
       { result = { Sp.circuit; values }; iterations = i; converged; residual }
     in
     if residual <= tolerance then finish true

@@ -19,7 +19,8 @@ val compute :
   Netlist.Circuit.t ->
   outcome
 (** [spec] supplies primary-input probabilities only; flip-flop entries of
-    [spec] are ignored (the fixpoint owns them).
+    [spec] are ignored (the fixpoint owns them).  A compute that stops at
+    [max_iterations] without converging counts one [sp.unconverged].
     @raise Invalid_argument on a non-positive tolerance/iteration bound or a
     bad [spec] probability. *)
 

@@ -177,6 +177,22 @@ let with_spawned_workers f =
   ( result,
     Obs.Metrics.counter_value (Obs.Metrics.snapshot reg) "parallel.workers_spawned" )
 
+(* --- allocation -------------------------------------------------------------- *)
+
+(* Words a warm call allocates: minor words plus the words allocated
+   directly in the major heap (major words less the promoted ones, which
+   the minor words already count).  [Gc.minor_words] is read on its own:
+   the minor count of [Gc.counters] misses part of the current minor
+   heap. *)
+let allocated_words f =
+  ignore (Sys.opaque_identity (f ()));
+  let minor0 = Gc.minor_words () in
+  let _, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
 (* --- the CLI under test ------------------------------------------------------ *)
 
 (* [ser_estimate] beside this test binary's directory (test/ and bin/ sit

@@ -256,13 +256,12 @@ let test_witness_demonstrates_vulnerability () =
     let cs = Logic_sim.Sim.compile c in
     let assign v = List.assoc v w.Circuit_bdd.assignment in
     let good = Logic_sim.Sim.eval_bool cs ~assign in
-    let cone = Reach.forward (Netlist.Circuit.graph c) site in
-    (* scalar faulty evaluation *)
+    (* scalar faulty evaluation: the whole circuit, the site forced *)
     let faulty = Array.copy good in
     faulty.(site) <- not good.(site);
     Array.iter
       (fun v ->
-        if cone.(v) && v <> site then
+        if v <> site then
           match Netlist.Circuit.node c v with
           | Netlist.Circuit.Gate { kind; fanins } ->
             faulty.(v) <- Netlist.Gate.eval kind (Array.map (fun u -> faulty.(u)) fanins)

@@ -704,19 +704,8 @@ let test_rejected_statement_leaves_no_name () =
 
 (* --- allocation ceilings ---------------------------------------------------------- *)
 
-(* Bytes a warm call allocates: minor words plus the words allocated
-   directly in the major heap (major words less the promoted ones, which
-   the minor words already count).  [Gc.minor_words] is read on its own:
-   the minor count of [Gc.counters] misses part of the current minor
-   heap. *)
-let allocated_bytes f =
-  ignore (Sys.opaque_identity (f ()));
-  let minor0 = Gc.minor_words () in
-  let _, promoted0, major0 = Gc.counters () in
-  ignore (Sys.opaque_identity (f ()));
-  let minor1 = Gc.minor_words () in
-  let _, promoted1, major1 = Gc.counters () in
-  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)) *. float (Sys.word_size / 8)
+(* Bytes a warm call allocates ([Helpers.allocated_words]). *)
+let allocated_bytes f = allocated_words f *. float (Sys.word_size / 8)
 
 (* parity-16384, warm.  Before one-pass elaboration, parsing allocated 82
    bytes a source byte and printing 68 an output byte; now 29 and 8.8 (the

@@ -198,48 +198,117 @@ let prop_level_zero_iff_source =
 
 (* --- reachability --------------------------------------------------------- *)
 
+(* Cone searches rank a graph by its topological order. *)
+let ranking g = Reach.ranking g ~order:(Topo.sort_array g)
+let forward_cone g roots = Reach.forward_cone (ranking g) roots
+let backward_cone g roots = Reach.backward_cone (ranking g) roots
+
+let member g members v =
+  Reach.find (Reach.lookup ~position:(Reach.position (ranking g)) members) v >= 0
+
 let test_reach_forward () =
   let g = diamond () in
-  Alcotest.(check (array bool)) "from 1" [| false; true; false; true |] (Reach.forward g 1);
-  Alcotest.(check (array bool)) "from 0" [| true; true; true; true |] (Reach.forward g 0)
+  Alcotest.(check (array int)) "from 1" [| 1; 3 |] (forward_cone g [ 1 ]);
+  Alcotest.(check (array int)) "from 0" [| 0; 1; 2; 3 |] (forward_cone g [ 0 ])
 
 let test_reach_members_count () =
-  let visited = [| true; false; true; true |] in
-  Alcotest.(check (list int)) "members" [ 0; 2; 3 ] (Reach.members visited);
-  check_int "count" 3 (Reach.count visited)
+  let g = Digraph.of_edges ~vertex_count:4 [ (0, 2); (2, 3) ] in
+  let position = Reach.position (ranking g) in
+  let members = forward_cone g [ 0 ] in
+  Alcotest.(check (array int)) "members" [| 0; 2; 3 |] members;
+  Alcotest.(check (list int)) "index of each vertex" [ 0; -1; 1; 2 ]
+    (List.init 4 (Reach.find (Reach.lookup ~position members)));
+  check_int "count" 3 (Reach.count (Reach.backward_set g [ 3 ]))
 
 let test_reach_backward () =
   let g = diamond () in
-  Alcotest.(check (array bool)) "to 1" [| true; true; false; false |] (Reach.backward_set g [ 1 ])
+  Alcotest.(check (array bool)) "to 1" [| true; true; false; false |] (Reach.backward_set g [ 1 ]);
+  Alcotest.(check (array int)) "members to 3" [| 0; 1; 2; 3 |] (backward_cone g [ 3 ]);
+  Alcotest.(check (array int)) "members to 2" [| 0; 2 |] (backward_cone g [ 2 ])
 
 let test_reach_multi_root () =
   let g = Digraph.of_edges ~vertex_count:5 [ (0, 2); (1, 3) ] in
-  Alcotest.(check (array bool)) "two roots"
+  Alcotest.(check (array int)) "two roots" [| 0; 1; 2; 3 |] (forward_cone g [ 0; 1 ]);
+  Alcotest.(check (array int)) "two roots, backward" [| 0; 1; 2; 3 |]
+    (backward_cone g [ 3; 2; 3 ]);
+  Alcotest.(check (array bool)) "two roots, backward set"
     [| true; true; true; true; false |]
-    (Reach.forward_set g [ 0; 1 ])
+    (Reach.backward_set g [ 2; 3 ])
 
 let test_output_cone () =
   let g = diamond () in
-  let cone = Reach.output_cone g ~sinks:[ 3 ] 1 in
-  check_int "size" 2 (Reach.cone_size cone);
-  Alcotest.(check (list int)) "reached" [ 3 ] cone.Reach.reached_sinks
+  let cone = forward_cone g [ 1 ] in
+  check_int "size" 2 (Array.length cone);
+  Alcotest.(check (list int)) "reached" [ 3 ] (List.filter (member g cone) [ 3 ])
 
 let test_output_cone_unreachable () =
   let g = Digraph.of_edges ~vertex_count:3 [ (0, 1) ] in
-  let cone = Reach.output_cone g ~sinks:[ 2 ] 0 in
-  Alcotest.(check (list int)) "no sinks reached" [] cone.Reach.reached_sinks
+  let cone = forward_cone g [ 0 ] in
+  Alcotest.(check (list int)) "no sinks reached" [] (List.filter (member g cone) [ 2 ])
+
+let test_cone_needs_topological_position () =
+  let g = diamond () in
+  Alcotest.check_raises "an edge that goes back"
+    (Invalid_argument "Reach.ranking: order is not topological") (fun () ->
+      ignore (Reach.ranking g ~order:[| 3; 0; 1; 2 |]));
+  Alcotest.check_raises "not a permutation"
+    (Invalid_argument "Reach.ranking: order is not a permutation") (fun () ->
+      ignore (Reach.ranking g ~order:[| 0; 1; 1; 3 |]));
+  Alcotest.check_raises "bad root" (Digraph.Invalid_vertex 4) (fun () ->
+      ignore (forward_cone g [ 4 ]));
+  (* A raising search leaves the ranking usable. *)
+  Alcotest.(check (array int)) "after the failure" [| 1; 3 |] (forward_cone g [ 1 ])
+
+(* Lookups against a plain membership test, on random subsets of random
+   rankings: sparse, dense, clustered and empty member sets. *)
+let prop_lookup_finds_members =
+  qtest ~name:"lookup finds exactly the members" Helpers.seed_arbitrary (fun seed ->
+      let rng = Rng.create ~seed in
+      let n = 1 + Rng.int rng ~bound:300 in
+      let order = Array.init n Fun.id in
+      for i = n - 1 downto 1 do
+        let j = Rng.int rng ~bound:(i + 1) in
+        let t = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- t
+      done;
+      let position = Array.make n 0 in
+      Array.iteri (fun i v -> position.(v) <- i) order;
+      let keep = Rng.int rng ~bound:4 in
+      let members =
+        List.filter
+          (fun p ->
+            match keep with
+            | 0 -> Rng.int rng ~bound:20 = 0
+            | 1 -> Rng.int rng ~bound:2 = 0
+            | 2 -> p < n / 3
+            | _ -> false)
+          (List.init n Fun.id)
+        |> List.map (fun p -> order.(p))
+        |> Array.of_list
+      in
+      let l = Reach.lookup ~position members in
+      List.for_all
+        (fun v ->
+          let expected =
+            let rec index i = if i = Array.length members then -1 else if members.(i) = v then i else index (i + 1) in
+            index 0
+          in
+          Reach.find l v = expected)
+        (List.init n Fun.id))
 
 let prop_reachability_transitive =
   qtest ~name:"reachability is transitive" Helpers.seed_arbitrary (fun seed ->
       let g = random_dag ~seed ~n:12 ~density:0.2 in
+      let r = ranking g in
       let ok = ref true in
       for u = 0 to 11 do
-        let ru = Reach.forward g u in
+        let ru = Reach.forward_cone r [ u ] in
         for v = 0 to 11 do
-          if ru.(v) then begin
-            let rv = Reach.forward g v in
+          if member g ru v then begin
+            let rv = Reach.forward_cone r [ v ] in
             for w = 0 to 11 do
-              if rv.(w) && not ru.(w) then ok := false
+              if member g rv w && not (member g ru w) then ok := false
             done
           end
         done
@@ -470,6 +539,9 @@ let () =
           Alcotest.test_case "multiple roots" `Quick test_reach_multi_root;
           Alcotest.test_case "output cone" `Quick test_output_cone;
           Alcotest.test_case "cone with unreachable sink" `Quick test_output_cone_unreachable;
+          Alcotest.test_case "cone needs a topological rank" `Quick
+            test_cone_needs_topological_position;
+          prop_lookup_finds_members;
           prop_reachability_transitive;
         ] );
       ( "bfs",

@@ -220,6 +220,25 @@ let prop_psens_bounded_by_observations =
           && r.Epp.Epp_engine.p_sensitized <= sump +. 1e-9)
         (Epp.Ser_estimator.analyze_all engine))
 
+(* The reference costs the cone, not the circuit.  On parity-16384 a leaf's
+   cone is its 15-node path to the root; when each call took a node-indexed
+   cone mask and filtered the whole order through it, a call allocated
+   about 263,000 words (8.0 per node); it allocates about 1,100 now.  1,024 distinct leaves per pass overflow
+   the 256-cone cache, so every call includes its cone search. *)
+let leaf_call_ceiling = 4096.0
+
+let test_reference_cost_is_cone_local () =
+  let c = Circuit_gen.Structured.parity_tree ~width:16384 () in
+  let engine = Epp.Epp_engine.create c in
+  let leaves = Array.of_list (List.filteri (fun i _ -> i < 1024) (Circuit.inputs c)) in
+  let words =
+    allocated_words (fun () -> Array.map (Epp.Epp_engine.analyze_site engine) leaves)
+    /. float (Array.length leaves)
+  in
+  check_bool
+    (Printf.sprintf "analyze_site allocates %.0f words a leaf <= %.0f" words leaf_call_ceiling)
+    true (words <= leaf_call_ceiling)
+
 let () =
   Alcotest.run "epp_engine"
     [
@@ -240,6 +259,8 @@ let () =
           Alcotest.test_case "FF cut in s27" `Quick test_sequential_ff_cut;
           Alcotest.test_case "whole-circuit ablation identical" `Quick
             test_whole_circuit_ablation_identical;
+          Alcotest.test_case "reference cost is cone-local" `Quick
+            test_reference_cost_is_cone_local;
         ] );
       ( "api",
         [

@@ -365,7 +365,7 @@ let rec leaves engine sites =
 let union_size c sites =
   let ctx = Analysis.get c in
   let u = Array.make (Circuit.node_count c) false in
-  Array.iter (fun s -> Array.iteri (fun v m -> if m then u.(v) <- true) (Analysis.cone ctx s)) sites;
+  Array.iter (fun s -> Array.iter (fun v -> u.(v) <- true) (Analysis.cone ctx s)) sites;
   Array.fold_left (fun k m -> if m then k + 1 else k) 0 u
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
@@ -416,7 +416,7 @@ let check_block ?(engine_of = fun c -> Epp.Epp_engine.create ~sp:(sp_for c) c) c
       let union = union_size c leaf in
       let cones =
         Array.fold_left
-          (fun acc s -> acc + Reach.count (Analysis.cone (Analysis.get c) s))
+          (fun acc s -> acc + Array.length (Analysis.cone (Analysis.get c) s))
           0 leaf
       in
       if Array.length leaf > 1 then

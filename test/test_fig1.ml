@@ -96,11 +96,16 @@ let test_site_analysis_vocabulary () =
   let sa = Epp.Site_analysis.analyze c (Circuit.find c "A") in
   let names vs = List.sort compare (List.map (Circuit.node_name c) vs) in
   Alcotest.(check (list string)) "on-path gates" [ "D"; "E"; "G"; "H" ]
-    (names sa.Epp.Site_analysis.on_path_gates);
+    (names (Epp.Site_analysis.on_path_gates sa));
   (* Off-path signals of Fig. 1: B, C, F. *)
   Alcotest.(check (list string)) "off-path signals" [ "B"; "C"; "F" ]
-    (names sa.Epp.Site_analysis.off_path);
+    (names (Epp.Site_analysis.off_path c sa));
   check_int "on-path signal count" 5 (Epp.Site_analysis.on_path_signal_count sa);
+  (* The on-path signals are the cone in topological order: the site, then
+     the on-path gates. *)
+  Alcotest.(check (list string)) "on-path signals, site first"
+    [ "A"; "E"; "D"; "G"; "H" ]
+    (List.map (Circuit.node_name c) (Array.to_list sa.Epp.Site_analysis.on_path));
   check_bool "reaches the PO" true (Epp.Site_analysis.reaches_any_output sa)
 
 let () =

@@ -437,22 +437,131 @@ let two_pass_dirty ~before ~after d =
       let v = old_of_new.(w) in
       base.(w) || extra_new.(w) || (v >= 0 && extra_old.(v)))
 
+(* Edits aimed at the planner's SP and observation seeds: a buffer on a PO
+   net and TMR of an FF's data driver move an observation net; TMR or de
+   Morgan of an FF's data driver moves that FF's signal probability, and
+   with it the probabilities downstream of the FF, upstream of the edit
+   included. *)
+let targeted_edit rng circuit =
+  let pick l = List.nth l (Rng.int rng ~bound:(List.length l)) in
+  let drivers =
+    List.filter_map
+      (fun ff ->
+        match Circuit.node circuit ff with
+        | Circuit.Ff { data } when Circuit.is_gate circuit data -> Some data
+        | Circuit.Ff _ | Circuit.Input | Circuit.Gate _ -> None)
+      (Circuit.ffs circuit)
+  in
+  let dualizable =
+    List.filter
+      (fun g ->
+        match Circuit.kind_of circuit g with
+        | Some (Gate.And | Gate.Or | Gate.Nand | Gate.Nor) -> true
+        | _ -> false)
+      drivers
+  in
+  match Rng.int rng ~bound:3 with
+  | 1 when drivers <> [] -> Transform.triplicate_delta circuit ~nodes:[ pick drivers ]
+  | 2 when dualizable <> [] -> Transform.de_morgan_delta circuit ~gate:(pick dualizable)
+  | _ -> Transform.insert_identity_delta circuit ~net:(pick (Circuit.outputs circuit))
+
+(* What one step of a chain exercised: some survivor upstream of the edit
+   (reaching a touched node) changed its signal probability, and some
+   observation moved to another net. *)
+let seeds_exercised ~before ~after d =
+  let old_of_new = Delta.old_of_new d and new_of_old = Delta.new_of_old d in
+  let c_old = Delta.before d and c_new = Delta.after d in
+  let upstream = Reach.backward_set (Circuit.graph c_new) (Delta.touched d) in
+  let sp_old = (Epp.Epp_engine.signal_probabilities before).Sigprob.Sp.values in
+  let sp_new = (Epp.Epp_engine.signal_probabilities after).Sigprob.Sp.values in
+  let sp_upstream = ref false in
+  Array.iteri
+    (fun w v ->
+      if v >= 0 && upstream.(w) && Int64.bits_of_float sp_old.(v) <> Int64.bits_of_float sp_new.(w) then
+        sp_upstream := true)
+    old_of_new;
+  let obs_new = Array.of_list (Circuit.observations c_new) in
+  let moved =
+    List.exists2
+      (fun o o' ->
+        new_of_old.(Circuit.observation_net c_old o) <> Circuit.observation_net c_new o')
+      (Circuit.observations c_old)
+      (Array.to_list obs_new)
+  in
+  (!sp_upstream, moved)
+
+(* A chain of [edit]s on one random DAG: the planner's dirty set against
+   the two-pass one at every step, and how many steps exercised each seed
+   family. *)
+let planner_chain ~edit seed =
+  let sp_steps = ref 0 and moved_steps = ref 0 in
+  let agree =
+    with_repro ~build:(fun s -> random_dag ~seed:s) seed (fun c0 ->
+        let rng = Rng.create ~seed:((seed * 7) + 3) in
+        let rec go i circuit engine =
+          i > 5
+          ||
+          let _, d = edit rng circuit in
+          let engine', _ = Epp.Incremental.rebase engine d in
+          let plan = Epp.Incremental.plan ~before:engine ~after:engine' d in
+          let sp, moved = seeds_exercised ~before:engine ~after:engine' d in
+          if sp then incr sp_steps;
+          if moved then incr moved_steps;
+          (Epp.Incremental.is_full plan
+          || Epp.Incremental.dirty plan = two_pass_dirty ~before:engine ~after:engine' d
+          || QCheck2.Test.fail_reportf "step %d: the dirty sets differ" i)
+          && go (i + 1) (Delta.after d) engine'
+        in
+        go 1 c0 (Epp.Epp_engine.create c0))
+  in
+  (agree, !sp_steps, !moved_steps)
+
 let prop_plan_dirty_two_pass =
   qtest ~count:25 ~name:"dirty set equals the two-pass planner" seed_arbitrary (fun seed ->
-      with_repro ~build:(fun s -> random_dag ~seed:s) seed (fun c0 ->
-          let rng = Rng.create ~seed:((seed * 7) + 3) in
-          let rec go i circuit engine =
-            i > 5
-            ||
-            let _, d = random_edit rng circuit in
-            let engine', _ = Epp.Incremental.rebase engine d in
-            let plan = Epp.Incremental.plan ~before:engine ~after:engine' d in
-            (Epp.Incremental.is_full plan
-            || Epp.Incremental.dirty plan = two_pass_dirty ~before:engine ~after:engine' d
-            || QCheck2.Test.fail_reportf "step %d: the dirty sets differ" i)
-            && go (i + 1) (Delta.after d) engine'
-          in
-          go 1 c0 (Epp.Epp_engine.create c0)))
+      let agree, _, _ = planner_chain ~edit:random_edit seed in
+      let agree', _, _ = planner_chain ~edit:targeted_edit seed in
+      agree && agree')
+
+(* The targeted chains do reach both seed families, on pinned seeds. *)
+let test_targeted_chains_exercise_seeds () =
+  let sp = ref 0 and moved = ref 0 in
+  List.iter
+    (fun seed ->
+      let agree, s, m = planner_chain ~edit:targeted_edit seed in
+      check_bool (Printf.sprintf "seed %d: planners agree" seed) true agree;
+      sp := !sp + s;
+      moved := !moved + m)
+    [ 1; 2; 3; 4; 5; 6 ];
+  check_bool (Printf.sprintf "%d steps changed SP upstream of the edit" !sp) true (!sp > 0);
+  check_bool (Printf.sprintf "%d steps moved an observation net" !moved) true (!moved > 0)
+
+(* An observation moved to a net that already existed, no node redefined:
+   the edit seeds nothing, and only the moved-from net's new counterpart
+   marks the site that stops reaching that position. *)
+let test_observation_moved_in_place () =
+  let build po =
+    let b = Builder.create ~name:"retarget" () in
+    Builder.add_input b "a";
+    Builder.add_input b "b";
+    Builder.add_gate b ~output:"g1" ~kind:Gate.Not [ "a" ];
+    Builder.add_gate b ~output:"g2" ~kind:Gate.Not [ "b" ];
+    Builder.add_output b po;
+    Builder.freeze b
+  in
+  let before = build "g1" and after = build "g2" in
+  let d = Delta.structural_diff ~before ~after in
+  check_bool "no node redefined" true (Delta.touched d = [] && Delta.removed d = []);
+  let engine = Epp.Epp_engine.create before in
+  let outcome = full_sweep ~rung:Batch engine in
+  let engine', _ = Epp.Incremental.rebase engine d in
+  let plan = Epp.Incremental.plan ~before:engine ~after:engine' d in
+  check_bool "a, which reached the old net only, is dirty" true
+    (Epp.Incremental.dirty plan).(Circuit.find after "a");
+  check_bool "dirty set equals the two-pass planner's" true
+    (Epp.Incremental.dirty plan = two_pass_dirty ~before:engine ~after:engine' d);
+  let outcome' = incremental_sweep ~rung:Batch plan ~prior:outcome.entries engine' in
+  let cold = full_sweep ~rung:Batch (Epp.Epp_engine.create (clone after)) in
+  check_bool "bit-identical to a cold sweep" true (outcomes_identical outcome' cold)
 
 let () =
   Alcotest.run "incremental"
@@ -477,6 +586,10 @@ let () =
           Alcotest.test_case "clean entries shared, not copied" `Quick
             test_clean_entries_shared;
           prop_plan_dirty_two_pass;
+          Alcotest.test_case "targeted chains reach both seeds" `Quick
+            test_targeted_chains_exercise_seeds;
+          Alcotest.test_case "observation moved in place" `Quick
+            test_observation_moved_in_place;
         ] );
       ( "bit identity",
         [ prop_chain Batch; prop_chain Reference ] );

@@ -93,7 +93,7 @@ let prop_flip_equals_full_resim =
       let inputs = Array.init (Circuit.node_count c) (fun _ -> Rng.word rng) in
       let base = Logic_sim.Sim.eval_words cs ~assign:(fun v -> inputs.(v)) in
       let site = Rng.int rng ~bound:(Circuit.node_count c) in
-      let cone = Reach.forward (Circuit.graph c) site in
+      let cone = Analysis.cone (Analysis.get c) site in
       let faulty = Logic_sim.Sim.eval_words_with_flip cs ~base ~cone ~site in
       (* Reference: fresh evaluation with the site's value overridden. *)
       let reference = Array.copy base in
@@ -114,7 +114,7 @@ let test_flip_outside_cone_untouched () =
   let rng = Rng.create ~seed:4 in
   let base = Logic_sim.Sim.random_words cs ~rng in
   let site = Circuit.find c "G" in
-  let cone = Reach.forward (Circuit.graph c) site in
+  let cone = Analysis.cone (Analysis.get c) site in
   let faulty = Logic_sim.Sim.eval_words_with_flip cs ~base ~cone ~site in
   (* D is not downstream of G. *)
   let d = Circuit.find c "D" in

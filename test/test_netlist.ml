@@ -310,8 +310,10 @@ let test_analysis_memo_identity () =
   check_int "depth is the largest level" (Array.fold_left max 0 (Analysis.levels ctx))
     (Analysis.depth ctx);
   check_bool "one graph per circuit" true (Analysis.csr ctx == Circuit.graph c);
+  check_bool "position memoized" true (Analysis.position ctx == Analysis.position ctx);
   check_bool "cone served from cache" true
     (Analysis.cone ctx 0 == Analysis.cone ctx 0);
+  check_int "a cone is its members" 5 (Array.length (Analysis.cone ctx (Circuit.find c "A")));
   check_bool "distance map served from cache" true
     (Analysis.distances_to ctx 0 == Analysis.distances_to ctx 0)
 
@@ -365,6 +367,77 @@ let test_analysis_counters () =
   check_bool "reuse shows up as cache hits" true
     (Obs.Metrics.counter_value s "analysis.cache.hit" > 0)
 
+(* Cones against naive searches: a node-sized mask filled by a plain
+   stack search (forward over the fanouts, backward over the fanins), then
+   the topological order filtered through it.  The member arrays must be
+   exactly that, and a site's reached observations exactly those whose net
+   the mask marks. *)
+let naive_mask c ~next roots =
+  let mark = Array.make (Circuit.node_count c) false in
+  let rec visit v =
+    if not mark.(v) then begin
+      mark.(v) <- true;
+      List.iter visit (next v)
+    end
+  in
+  List.iter visit roots;
+  mark
+
+let filtered_order ctx mark =
+  Array.of_list (List.filter (fun v -> mark.(v)) (Array.to_list (Analysis.order ctx)))
+
+let cones_match_naive ctx sites =
+  let c = Analysis.circuit ctx in
+  let forward = naive_mask c ~next:(Circuit.fanouts c) in
+  let backward = naive_mask c ~next:(fun v -> Array.to_list (Circuit.fanins c v)) in
+  List.for_all
+    (fun site ->
+      let mark = forward [ site ] in
+      let reached =
+        List.filter (fun o -> mark.(Circuit.observation_net c o)) (Circuit.observations c)
+      in
+      let nets = List.map (Circuit.observation_net c) reached in
+      (Analysis.cone ctx site = filtered_order ctx mark
+      || QCheck2.Test.fail_reportf "%s: forward cone of %d" (Circuit.name c) site)
+      && (Analysis.reached_observations ctx site = reached
+         || QCheck2.Test.fail_reportf "%s: reached observations of %d" (Circuit.name c) site)
+      && (Analysis.fanin_cone ctx [ site ] = filtered_order ctx (backward [ site ])
+         || QCheck2.Test.fail_reportf "%s: fanin cone of %d" (Circuit.name c) site)
+      && (Analysis.fanin_cone ctx nets = filtered_order ctx (backward nets)
+         || QCheck2.Test.fail_reportf "%s: fanin cone of %d's observations" (Circuit.name c)
+              site))
+    sites
+
+let all_sites c = List.init (Circuit.node_count c) Fun.id
+
+(* Random DAGs, sequential profile circuits, and each of them after a TMR
+   edit carried across by [Analysis.apply_delta] (the patched order). *)
+let prop_cones_match_naive_searches =
+  qtest ~count:25 ~name:"cones equal the order filtered by naive searches"
+    seed_arbitrary (fun seed ->
+      let rng = Rng.create ~seed in
+      let check c =
+        cones_match_naive (Analysis.get c) (all_sites c)
+        &&
+        let gates = List.filter (Circuit.is_gate c) (all_sites c) in
+        let gate = List.nth gates (Rng.int rng ~bound:(List.length gates)) in
+        let after, d = Transform.triplicate_delta c ~nodes:[ gate ] in
+        let ctx', _ = Analysis.apply_delta (Analysis.get c) d in
+        cones_match_naive ctx' (all_sites after)
+      in
+      check (random_small_dag ~seed)
+      && check
+           (Circuit_gen.Random_dag.generate ~seed
+              (Circuit_gen.Profiles.make ~name:"seq" ~inputs:6 ~outputs:4 ~ffs:3 ~gates:40)))
+
+let test_cones_on_profiles () =
+  List.iter
+    (fun (profile, seed) ->
+      let c = Circuit_gen.Random_dag.generate ~seed profile in
+      let sites = List.filteri (fun i _ -> i mod 7 = 0) (all_sites c) in
+      check_bool (Circuit.name c) true (cones_match_naive (Analysis.get c) sites))
+    Circuit_gen.Profiles.[ (s1196, 1); (s1196, 3); (s5378, 1) ]
+
 (* The ownership contract of DESIGN.md §11: every array the context hands
    out is shared, and no engine may write into it.  Snapshot all of them,
    run every engine family over the circuit, and compare. *)
@@ -388,6 +461,7 @@ let prop_analysis_arrays_immutable =
           Array.copy (Analysis.distances_to ctx obs_net);
           Array.copy (Analysis.level_offsets ctx);
           Array.copy (Analysis.max_fanout_level ctx);
+          Array.copy (Analysis.position ctx);
         ]
       in
       let cone_snapshot = Array.copy (Analysis.cone ctx 0) in
@@ -396,6 +470,9 @@ let prop_analysis_arrays_immutable =
       ignore
         (List.map (Epp.Epp_engine.analyze_site engine)
            (List.init (Circuit.node_count c) Fun.id));
+      ignore (Epp.Epp_engine.analyze_site_whole_circuit engine 0);
+      ignore (Epp.Epp_engine.analyze_site_naive engine 0);
+      ignore (Stats.reconvergent_site_count c);
       ignore (Epp.Ser_estimator.analyze_all engine);
       ignore (Sigprob.Sp_topological.compute c);
       ignore (Sigprob.Observability.compute c);
@@ -416,6 +493,7 @@ let prop_analysis_arrays_immutable =
           Analysis.distances_to ctx obs_net;
           Analysis.level_offsets ctx;
           Analysis.max_fanout_level ctx;
+          Analysis.position ctx;
         ]
       in
       List.for_all2 (fun a b -> a = b) snapshots current
@@ -537,6 +615,8 @@ let () =
           Alcotest.test_case "reuse counters" `Quick test_analysis_counters;
           Alcotest.test_case "level layout facts" `Quick test_analysis_level_facts;
           prop_analysis_arrays_immutable;
+          prop_cones_match_naive_searches;
+          Alcotest.test_case "cones on profile circuits" `Quick test_cones_on_profiles;
         ] );
       ( "stats",
         [

@@ -408,6 +408,8 @@ let test_sequential_capped_bitwise () =
       let snap = Obs.Metrics.snapshot reg in
       check_int (name ^ " iterations counted") iterations
         (Obs.Metrics.counter_value snap "sp.fixpoint_iterations");
+      check_int (name ^ " counted as unconverged") 1
+        (Obs.Metrics.counter_value snap "sp.unconverged");
       let evaluations = Obs.Metrics.counter_value snap "sp.node_evaluations" in
       check_bool
         (Printf.sprintf "%s: %d evaluations < iterations x nodes" name evaluations)
@@ -441,6 +443,37 @@ let test_sequential_bad_input_probability () =
     Sigprob.Sp.of_fun (fun v -> if Circuit.is_ff c v then Float.nan else 0.25)
   in
   check_bool "bad FF entries ignored" true (sequential_matches_reference ~spec:ff_only c)
+
+(* ser_estimate computes the fixpoint it hands the engine and warns on
+   stderr when it stopped at the cap: s1196:4 oscillates with period 2,
+   s1196:3 converges.  A converged compute counts no [sp.unconverged]. *)
+let test_sequential_cap_warning () =
+  let stderr_of spec =
+    let err = Filename.temp_file "ser_estimate" ".err" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s %s > /dev/null 2> %s" ser_estimate_exe spec
+           (Filename.quote err))
+    in
+    check_int (spec ^ " exit code") 0 code;
+    let text = In_channel.with_open_bin err In_channel.input_all in
+    Sys.remove err;
+    text
+  in
+  let capped = stderr_of "profile:s1196:4" in
+  check_string "s1196:4 warns once"
+    "ser_estimate: warning: the signal-probability fixpoint did not converge \
+     (stopped after 1000 iterations, residual 0.625)\n"
+    capped;
+  check_string "s1196:3 converges silently" "" (stderr_of "profile:s1196:3");
+  let reg = Obs.Metrics.create () in
+  Obs.Hooks.set_metrics reg;
+  Fun.protect ~finally:Obs.Hooks.reset (fun () ->
+      ignore
+        (Sigprob.Sp_sequential.compute
+           (Circuit_gen.Random_dag.generate ~seed:3 Circuit_gen.Profiles.s1196)));
+  check_int "no unconverged count" 0
+    (Obs.Metrics.counter_value (Obs.Metrics.snapshot reg) "sp.unconverged")
 
 let () =
   Alcotest.run "sigprob"
@@ -485,6 +518,8 @@ let () =
           Alcotest.test_case "spec_of_outcome" `Quick test_sequential_spec_of_outcome;
           Alcotest.test_case "fixpoint vs long simulation (s27)" `Slow
             test_sequential_vs_simulation_s27;
+          Alcotest.test_case "ser_estimate warns at the cap" `Quick
+            test_sequential_cap_warning;
         ] );
       ( "bitwise",
         [

@@ -27,12 +27,12 @@ let claims_hold (t : Epp.Test_set.t) =
       Logic_sim.Sim.run_bool cs values;
       List.for_all
         (fun site ->
-          let cone = Reach.forward (Circuit.graph circuit) site in
+          (* forced re-simulation of the whole circuit *)
           let faulty = Array.copy values in
           faulty.(site) <- not values.(site);
           Array.iter
             (fun v ->
-              if cone.(v) && v <> site then
+              if v <> site then
                 match Circuit.node circuit v with
                 | Circuit.Gate { kind; fanins } ->
                   faulty.(v) <- Gate.eval kind (Array.map (fun u -> faulty.(u)) fanins)
