@@ -3,11 +3,9 @@
 
 open Cmdliner
 
-let run circuit with_reconvergence with_timing =
-  let stats = Netlist.Stats.compute ~with_reconvergence circuit in
-  Fmt.pr "%a@." Netlist.Stats.pp stats;
-  if with_reconvergence then
-    Fmt.pr "reconvergent fanout sites: %d@." stats.Netlist.Stats.reconvergent_site_count;
+let run circuit with_timing =
+  Fmt.pr "%a@." Netlist.Stats.pp (Netlist.Stats.compute circuit);
+  Fmt.pr "reconvergent fanout sites: %d@." (Netlist.Stats.reconvergent_site_count circuit);
   if with_timing then begin
     let timing = Sta.Timing.analyze circuit in
     Fmt.pr "%a@." Sta.Timing.pp timing;
@@ -18,16 +16,12 @@ let run circuit with_reconvergence with_timing =
   end;
   0
 
-let reconvergence_arg =
-  let doc = "Also count reconvergent fanout sites (quadratic; small circuits only)." in
-  Arg.(value & flag & info [ "r"; "reconvergence" ] ~doc)
-
 let timing_arg =
   let doc = "Also run static timing analysis and print the critical path." in
   Arg.(value & flag & info [ "t"; "timing" ] ~doc)
 
 let cmd =
   let doc = "print structural statistics of a netlist" in
-  Cmd.v (Cmd.info "bench_info" ~doc) Term.(const run $ Cli_common.circuit_arg $ reconvergence_arg $ timing_arg)
+  Cmd.v (Cmd.info "bench_info" ~doc) Term.(const run $ Cli_common.circuit_arg $ timing_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -97,8 +97,6 @@ type site_exact = {
 let faulty_functions ?(node_limit = default_node_limit) t site =
   let c = t.circuit in
   let ctx = Analysis.get c in
-  (* Test generation calls this for site after site on one circuit; the
-     context's cone cache spares the repeated search. *)
   let cone = Analysis.cone ctx site in
   let faulty = Array.copy t.node_fn in
   faulty.(site) <- Bdd.bnot t.manager t.node_fn.(site);

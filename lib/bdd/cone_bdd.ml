@@ -42,7 +42,8 @@ let epp_exact_cone ?(input_sp = fun _ -> 0.5) ?(node_budget = default_node_budge
   if node_budget < 16 then invalid_arg "Cone_bdd.epp_exact_cone: budget too small";
   let ctx = Analysis.get circuit in
   let observations = Circuit.observations circuit in
-  let reached = Analysis.reached_observations ctx site in
+  let cone = Analysis.cone ctx site in
+  let reached = Analysis.reached_observations ctx cone in
   if reached = [] then
     (* Unobservable site: exact by construction, no symbolic work at all. *)
     Exact
@@ -160,7 +161,7 @@ let epp_exact_cone ?(input_sp = fun _ -> 0.5) ?(node_budget = default_node_budge
               guard ()
             | Circuit.Input | Circuit.Ff _ -> ()
           end)
-        (Analysis.cone ctx site);
+        cone;
       may_sift := false;
       let indicators =
         List.map

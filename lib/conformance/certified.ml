@@ -180,9 +180,9 @@ let sp_intervals ~input_sp ctx =
   sp
 
 (* Error-difference intervals: d.(v) bounds P(good_v <> faulty_v) for the
-   single stuck-complement fault at [site].  Exact identities where the
-   gate admits them, Fréchet everywhere else. *)
-let diff_intervals ctx sp site =
+   single stuck-complement fault at [site], over [cone], the site's cone.
+   Exact identities where the gate admits them, Fréchet everywhere else. *)
+let diff_intervals ctx sp site cone =
   let c = Analysis.circuit ctx in
   let n = Circuit.node_count c in
   let d = Array.make n (0.0, 0.0) in
@@ -229,7 +229,7 @@ let diff_intervals ctx sp site =
                 let sum = List.fold_left (fun s i -> s +. snd dvs.(i)) 0.0 errs in
                 (0.0, Float.min 1.0 sum)))
       end)
-    (Analysis.cone ctx site);
+    cone;
   d
 
 let union_bound c d =
@@ -247,7 +247,7 @@ let interval_bounds ?(input_sp = fun _ -> 0.5) c site =
     invalid_arg "Certified.interval_bounds: bad site";
   let ctx = Analysis.get c in
   let sp = sp_intervals ~input_sp ctx in
-  let d = diff_intervals ctx sp site in
+  let d = diff_intervals ctx sp site (Analysis.cone ctx site) in
   let lo, hi, _ = union_bound c d in
   (lo, hi)
 
@@ -274,9 +274,9 @@ let wilson ~z ~n phat =
    resp. 0 conditions the (independent-input) distribution exactly, so the
    stratum weights sp(x) / 1 - sp(x) are exact and only the within-stratum
    estimates carry sampling error. *)
-let stratum_input ~input_sp ctx site =
+let stratum_input ~input_sp ctx cone =
   let c = Analysis.circuit ctx in
-  let reached = Analysis.reached_observations ctx site in
+  let reached = Analysis.reached_observations ctx cone in
   let support =
     Reach.lookup ~position:(Analysis.position ctx)
       (Analysis.fanin_cone ctx (List.map (Circuit.observation_net c) reached))
@@ -289,9 +289,9 @@ let stratum_input ~input_sp ctx site =
       p > 0.0 && p < 1.0)
     (Circuit.pseudo_inputs c)
 
-let mc_certify ~config ~sampler ~deadline ~input_sp c site (ilo, ihi) =
+let mc_certify ~config ~sampler ~deadline ~input_sp ~cone c site (ilo, ihi) =
   let strata =
-    match stratum_input ~input_sp (Analysis.get c) site with
+    match stratum_input ~input_sp (Analysis.get c) cone with
     | Some x ->
       let w = input_sp x in
       [
@@ -365,7 +365,9 @@ let certify ?(config = default_config) ?(deadline = Obs.Deadline.never)
     bump stats (fun s -> s.Stats.budget_trips <- s.Stats.budget_trips + 1);
     let ctx = Analysis.get c in
     let sp = sp_intervals ~input_sp ctx in
-    let d = diff_intervals ctx sp site in
+    (* One cone search for both lower rungs. *)
+    let cone = Analysis.cone ctx site in
+    let d = diff_intervals ctx sp site cone in
     let lo, hi, per = union_bound c d in
     let interval_verdict () =
       count "conformance.certified.interval";
@@ -378,7 +380,7 @@ let certify ?(config = default_config) ?(deadline = Obs.Deadline.never)
       || Obs.Deadline.expired deadline
     then interval_verdict ()
     else begin
-      match mc_certify ~config ~sampler ~deadline ~input_sp c site (lo, hi) with
+      match mc_certify ~config ~sampler ~deadline ~input_sp ~cone c site (lo, hi) with
       | `Rejected ->
         count "conformance.certified.mc_rejected";
         bump stats (fun s -> s.Stats.mc_rejected <- s.Stats.mc_rejected + 1);

@@ -24,15 +24,11 @@ type t = {
 let analyze circuit site =
   if site < 0 || site >= Circuit.node_count circuit then
     invalid_arg "Site_analysis.analyze: bad site";
-  (* Repeated analyses of the same site (test generation, interleaved
-     engines) hit the context's bounded cone cache instead of searching
-     again.  [on_path] is the cached array — read-only by contract. *)
+  (* One cone search, read twice: the members, and the observation nets
+     found among them. *)
   let ctx = Analysis.get circuit in
-  {
-    site;
-    on_path = Analysis.cone ctx site;
-    reached = Analysis.reached_observations ctx site;
-  }
+  let on_path = Analysis.cone ctx site in
+  { site; on_path; reached = Analysis.reached_observations ctx on_path }
 
 let on_path_gates t = List.tl (Array.to_list t.on_path)
 

@@ -13,10 +13,9 @@ type t = {
 }
 
 val analyze : Netlist.Circuit.t -> int -> t
-(** Pulls the cone from the circuit's shared {!Netlist.Analysis} context,
-    so repeated analyses reuse one search; [on_path] is the cached cone
-    array — treat it as read-only.  Costs the cone, not the circuit.
-    @raise Invalid_argument on a bad site. *)
+(** One cone search in the circuit's shared {!Netlist.Analysis} context,
+    which [on_path] holds and [reached] is read from.  Costs the cone, not
+    the circuit.  @raise Invalid_argument on a bad site. *)
 
 val on_path_gates : t -> int list
 (** Gates with at least one on-path input, in topological order: every

@@ -76,9 +76,8 @@ let exception_fault e = Diag.Exception { exn = Printexc.to_string e }
 
 (* Cone size for the quarantine record: the pure graph search (no float
    arithmetic), so it normally survives whatever poisoned the analysis; when
-   even it fails (out-of-range site), record None.  The batch engine never
-   fills the cone cache, so this is usually one search, and it costs the
-   cone, not the circuit. *)
+   even it fails (out-of-range site), record None.  One search, which costs
+   the cone, not the circuit. *)
 let safe_cone_size circuit site =
   match Analysis.cone (Analysis.get circuit) site with
   | members -> Some (Array.length members)

@@ -30,9 +30,9 @@ let covered_count t = List.fold_left (fun acc (_, sites) -> acc + List.length si
 
 (* Does flipping [site] under [values] (a completed fault-free evaluation)
    change any observation net?  The greedy loop fault-simulates every
-   still-uncovered site under every candidate vector, so the same site's
-   cone is needed over and over — served from the context's cone cache
-   instead of a fresh DFS per (vector, site) pair. *)
+   still-uncovered site under every candidate vector; each call searches
+   the site's cone, which costs the cone, as the re-simulation over it
+   does. *)
 let detects circuit cs ~ctx ~obs_nets values site =
   let cone = Analysis.cone ctx site in
   ignore cs;

@@ -32,30 +32,3 @@ let distances g source =
     done
   done;
   dist
-
-let distance g ~source ~target =
-  let dist = distances g source in
-  if target < 0 || target >= Digraph.vertex_count g then raise (Digraph.Invalid_vertex target);
-  if dist.(target) = unreachable then None else Some dist.(target)
-
-(* One shortest path as a vertex list (source first), or None. *)
-let shortest_path g ~source ~target =
-  let dist = distances g source in
-  if target < 0 || target >= Digraph.vertex_count g then raise (Digraph.Invalid_vertex target);
-  if dist.(target) = unreachable then None
-  else begin
-    (* Walk backwards along strictly decreasing distances, taking the
-       lowest-numbered predecessor one step closer each time. *)
-    let rev_offsets = Digraph.rev_offsets g and rev_targets = Digraph.rev_targets g in
-    let rec back v acc =
-      if v = source then v :: acc
-      else begin
-        let i = ref rev_offsets.(v) in
-        while dist.(rev_targets.(!i)) <> dist.(v) - 1 do
-          incr i
-        done;
-        back rev_targets.(!i) (v :: acc)
-      end
-    in
-    Some (back target [])
-  end

@@ -9,9 +9,3 @@ val distances : Digraph.t -> Digraph.vertex -> int array
     is no path); allocates only the result and a flat queue.  Run it on
     {!Digraph.reverse} to get, for one target vertex, the distance {e to} it
     from every vertex.  @raise Digraph.Invalid_vertex. *)
-
-val distance : Digraph.t -> source:Digraph.vertex -> target:Digraph.vertex -> int option
-
-val shortest_path :
-  Digraph.t -> source:Digraph.vertex -> target:Digraph.vertex -> Digraph.vertex list option
-(** One shortest path, source first. *)

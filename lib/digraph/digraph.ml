@@ -9,8 +9,9 @@
 
    and all predecessors likewise in [rev_offsets]/[rev_targets], so a
    traversal touches memory sequentially and allocates nothing per edge.
-   Successor order is kept from construction and predecessor ranges are
-   sorted by source, which keeps every traversal deterministic. *)
+   The graph is built from each vertex's predecessors, and both kinds of
+   range read in increasing vertex order (parallel edges side by side),
+   which keeps every traversal deterministic. *)
 
 type vertex = int
 
@@ -24,7 +25,6 @@ type t = {
 exception Invalid_vertex of vertex
 
 let vertex_count t = Array.length t.offsets - 1
-let edge_count t = Array.length t.targets
 let offsets t = t.offsets
 let targets t = t.targets
 let rev_offsets t = t.rev_offsets
@@ -60,25 +60,6 @@ let transpose offsets targets =
   done;
   { offsets; targets; rev_offsets; rev_targets }
 
-let of_edges ~vertex_count edges =
-  if vertex_count < 0 then invalid_arg "Digraph.of_edges: negative vertex_count";
-  let offsets = Array.make (vertex_count + 1) 0 in
-  List.iter
-    (fun (u, v) ->
-      if u < 0 || u >= vertex_count then raise (Invalid_vertex u);
-      if v < 0 || v >= vertex_count then raise (Invalid_vertex v);
-      offsets.(u) <- offsets.(u) + 1)
-    edges;
-  ends_of_counts offsets;
-  let targets = Array.make offsets.(vertex_count) 0 in
-  (* Last edge first, so each source's range reads in list order. *)
-  List.iter
-    (fun (u, v) ->
-      offsets.(u) <- offsets.(u) - 1;
-      targets.(offsets.(u)) <- v)
-    (List.rev edges);
-  transpose offsets targets
-
 (* A netlist hands over its fanin arrays: no list cell and no copy of them
    is made.  Consumers are placed from the last down, so each successor
    range reads in increasing consumer order, a repeated fanin's two edges
@@ -106,28 +87,13 @@ let of_predecessors ~vertex_count preds =
   done;
   transpose offsets targets
 
-let range_list offsets targets v =
-  let acc = ref [] in
-  for i = offsets.(v + 1) - 1 downto offsets.(v) do
-    acc := targets.(i) :: !acc
-  done;
-  !acc
-
 let succ t v =
   check_vertex t v;
-  range_list t.offsets t.targets v
-
-let pred t v =
-  check_vertex t v;
-  range_list t.rev_offsets t.rev_targets v
-
-let out_degree t v =
-  check_vertex t v;
-  t.offsets.(v + 1) - t.offsets.(v)
-
-let in_degree t v =
-  check_vertex t v;
-  t.rev_offsets.(v + 1) - t.rev_offsets.(v)
+  let acc = ref [] in
+  for i = t.offsets.(v + 1) - 1 downto t.offsets.(v) do
+    acc := t.targets.(i) :: !acc
+  done;
+  !acc
 
 let mem_edge t u v =
   check_vertex t u;
@@ -138,41 +104,9 @@ let mem_edge t u v =
   done;
   !found
 
-let edges t =
-  let acc = ref [] in
-  for u = vertex_count t - 1 downto 0 do
-    for i = t.offsets.(u + 1) - 1 downto t.offsets.(u) do
-      acc := (u, t.targets.(i)) :: !acc
-    done
-  done;
-  !acc
-
 let reverse t =
   { offsets = t.rev_offsets; targets = t.rev_targets; rev_offsets = t.offsets;
     rev_targets = t.targets }
-
-(* Vertices whose range in [offsets] is empty, increasing. *)
-let empty_ranges offsets =
-  let acc = ref [] in
-  for v = Array.length offsets - 2 downto 0 do
-    if offsets.(v) = offsets.(v + 1) then acc := v :: !acc
-  done;
-  !acc
-
-let sources t = empty_ranges t.rev_offsets
-let sinks t = empty_ranges t.offsets
-
-let iter_vertices f t =
-  for v = 0 to vertex_count t - 1 do
-    f v
-  done
-
-let fold_vertices f t init =
-  let acc = ref init in
-  for v = 0 to vertex_count t - 1 do
-    acc := f v !acc
-  done;
-  !acc
 
 let iter_edges f t =
   for u = 0 to vertex_count t - 1 do
@@ -180,13 +114,3 @@ let iter_edges f t =
       f u t.targets.(i)
     done
   done
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>digraph (%d vertices, %d edges)" (vertex_count t) (edge_count t);
-  iter_vertices
-    (fun v ->
-      match succ t v with
-      | [] -> ()
-      | vs -> Fmt.pf ppf "@,%d -> @[%a@]" v Fmt.(list ~sep:sp int) vs)
-    t;
-  Fmt.pf ppf "@]"

@@ -10,7 +10,6 @@ let compute g =
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Array.make n false in
-  let comp_of = Array.make n (-1) in
   (* Tarjan's vertex stack, and the DFS frames: a vertex and the slot of its
      next unexplored edge.  Each vertex enters each at most once. *)
   let stack = Array.make n 0 and depth = ref 0 in
@@ -18,7 +17,6 @@ let compute g =
   let frames = ref 0 in
   let next_index = ref 0 in
   let components = ref [] in
-  let comp_count = ref 0 in
   let enter v =
     index.(v) <- !next_index;
     lowlink.(v) <- !next_index;
@@ -51,12 +49,10 @@ let compute g =
             decr depth;
             let w = stack.(!depth) in
             on_stack.(w) <- false;
-            comp_of.(w) <- !comp_count;
             comp := w :: !comp;
             if w = v then continue := false
           done;
-          components := !comp :: !components;
-          incr comp_count
+          components := !comp :: !components
         end;
         (* Propagate lowlink to the parent frame, if any. *)
         if top > 0 then begin
@@ -69,20 +65,13 @@ let compute g =
   for v = 0 to n - 1 do
     if index.(v) = -1 then visit v
   done;
-  (List.rev !components, comp_of)
-
-let components g = fst (compute g)
-
-let component_of g =
-  let _, comp_of = compute g in
-  comp_of
+  List.rev !components
 
 let nontrivial g =
-  let comps = components g in
   List.filter
     (fun comp ->
       match comp with
       | [] -> false
       | [ v ] -> Digraph.mem_edge g v v
       | _ :: _ :: _ -> true)
-    comps
+    (compute g)

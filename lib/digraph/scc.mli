@@ -3,13 +3,7 @@
     Used to turn "your netlist is cyclic" into a list of the actual feedback
     loops when validation fails. *)
 
-val components : Digraph.t -> Digraph.vertex list list
-(** All SCCs.  Within a component vertices are listed in discovery order;
-    components appear in the order they were completed. *)
-
-val component_of : Digraph.t -> int array
-(** Map from vertex to the index of its component in {!components}. *)
-
 val nontrivial : Digraph.t -> Digraph.vertex list list
-(** Only the cyclic components: size >= 2, or a single vertex with a
-    self-loop.  An acyclic graph returns []. *)
+(** The cyclic components: size >= 2, or a single vertex with a self-loop.
+    Within a component vertices are listed in discovery order; components
+    appear in the order they were completed.  An acyclic graph returns []. *)

@@ -53,17 +53,14 @@ let sort_array g =
   end;
   order
 
-let sort g = Array.to_list (sort_array g)
-
 (* Netlist validation runs this on every circuit built. *)
 let is_acyclic g =
   let order, emitted, _ = drain g in
   emitted = Array.length order
 
-(* level v = 0 for sources, otherwise 1 + max level of predecessors.  The
-   [levels_from] variant takes an already-computed topological order so a
-   caller that memoizes the sort (the analysis context) does not pay for a
-   second one; [levels] keeps the self-contained signature. *)
+(* level v = 0 for sources, otherwise 1 + max level of predecessors, from
+   an already-computed topological order: the analysis context memoizes
+   its one sort and derives levels from it. *)
 let levels_from g order =
   let offsets = Digraph.offsets g and targets = Digraph.targets g in
   let level = Array.make (Digraph.vertex_count g) 0 in
@@ -76,32 +73,3 @@ let levels_from g order =
       done)
     order;
   level
-
-let levels g = levels_from g (sort_array g)
-
-let max_level g =
-  let lv = levels g in
-  Array.fold_left max 0 lv
-
-let by_level g =
-  let lv = levels g in
-  let depth = Array.fold_left max 0 lv in
-  let buckets = Array.make (depth + 1) [] in
-  for v = Digraph.vertex_count g - 1 downto 0 do
-    buckets.(lv.(v)) <- v :: buckets.(lv.(v))
-  done;
-  buckets
-
-let is_topological_order g order =
-  let n = Digraph.vertex_count g in
-  if List.length order <> n then false
-  else begin
-    let position = Array.make n (-1) in
-    List.iteri (fun i v -> if v >= 0 && v < n then position.(v) <- i) order;
-    if Array.exists (fun p -> p < 0) position then false
-    else begin
-      let ok = ref true in
-      Digraph.iter_edges (fun u v -> if position.(u) >= position.(v) then ok := false) g;
-      !ok
-    end
-  end

@@ -5,35 +5,19 @@
     the levelized logic simulator. *)
 
 exception Cycle of Digraph.vertex list
-(** Raised by {!sort} when the graph has a directed cycle; carries the
-    vertices still inside cyclic strongly-connected parts. *)
-
-val sort : Digraph.t -> Digraph.vertex list
-(** Kahn topological sort; deterministic (among ready vertices, lower indices
-    first).  @raise Cycle if the graph is cyclic. *)
+(** Raised by {!sort_array} when the graph has a directed cycle; carries,
+    in increasing order, the vertices the drain could not order: those on
+    a cycle and those downstream of one.  {!Scc.nontrivial} names the
+    cycles themselves. *)
 
 val sort_array : Digraph.t -> Digraph.vertex array
-(** Same as {!sort} as an array. *)
+(** Kahn topological sort; deterministic (among ready vertices, lower
+    indices first).  @raise Cycle if the graph is cyclic. *)
 
 val is_acyclic : Digraph.t -> bool
 
-val levels : Digraph.t -> int array
-(** [levels g].(v) is 0 for sources and [1 + max] over predecessors otherwise
-    (the classic ASAP levelization of a netlist).  @raise Cycle. *)
-
 val levels_from : Digraph.t -> Digraph.vertex array -> int array
-(** Same levelization from an already-computed topological order of the
-    graph, saving the re-sort.  The order must be valid for [g] (as produced
-    by {!sort_array}); the result is unspecified otherwise. *)
-
-val max_level : Digraph.t -> int
-(** Depth of the graph: largest level.  @raise Cycle. *)
-
-val by_level : Digraph.t -> Digraph.vertex list array
-(** Vertices bucketed by level, each bucket in increasing vertex order.
-    @raise Cycle. *)
-
-val is_topological_order : Digraph.t -> Digraph.vertex list -> bool
-(** [is_topological_order g order] checks that [order] is a permutation of the
-    vertices in which every edge goes forward.  Used by the test suite as the
-    specification of {!sort}. *)
+(** [levels_from g order].(v) is 0 for sources and [1 + max] over
+    predecessors otherwise (the classic ASAP levelization of a netlist),
+    computed along [order].  The order must be a topological order of [g]
+    (as produced by {!sort_array}); the result is unspecified otherwise. *)

@@ -2,32 +2,32 @@
 
    Every engine in the pipeline needs the same handful of structural facts —
    a topological order, its inverse permutation, the gates-only order, the
-   observation-point arrays, forward-reach cones, distance maps — and until
-   this module existed each of them recomputed its own copy per run (or, for
-   cones and distances, once per site).  The context computes each fact once
-   per circuit and serves the shared instance:
+   observation-point arrays, distance maps — and until this module existed
+   each of them recomputed its own copy per run (or, for distances, once
+   per site).  The context computes each fact once per circuit and serves
+   the shared instance:
 
    - whole-graph facts (order, gate order, observation arrays) are
-     assembled once, on first [get]; levels, depth and the batch engine's
-     layouts are computed on first demand and published once;
-   - per-site artifacts (forward cones, per-observation-point BFS distance
-     maps) sit behind bounded LRU caches keyed by node id, so interleaved
-     engines (a supervised sweep runs SP, EPP and ranking over one circuit)
-     and repeated queries (test generation fault-simulating the same sites
-     under many vectors) reuse instead of re-traversing.  A cone is the
-     array of its members in topological order, found by a search that
-     costs the cone, not the circuit (Reach.forward_cone), so a per-site
-     consumer walks its cone instead of filtering the whole order.
+     assembled once, on first [get]; levels, depth, the batch engine's
+     layouts and the cone searches' ranking are computed on first demand
+     and published once;
+   - per-observation-point BFS distance maps are memoized by net, each a
+     whole-graph search that answers every site's depth query at once;
+   - cones are not kept: a cone is the array of its members in topological
+     order, found by a search that costs the cone, not the circuit
+     (Reach.forward_cone), and each call searches afresh and hands its
+     caller the array.
 
-   Ownership/aliasing contract (DESIGN.md §11): everything returned here is
-   the cached instance, immutable by contract.  Engines must treat the
-   arrays as read-only; a writer would corrupt every other consumer of the
-   circuit.  The caches are mutex-protected and the whole-graph arrays are
-   written once before publication, so a context is safe to share across
-   domains — build it (or the engine owning it) before fanning out.
+   Ownership/aliasing contract (DESIGN.md §11): every memoized fact
+   returned here is the shared instance, immutable by contract.  Engines
+   must treat those arrays as read-only; a writer would corrupt every other
+   consumer of the circuit.  The distance memo is mutex-protected and the
+   whole-graph arrays are written once before publication, so a context is
+   safe to share across domains — build it (or the engine owning it)
+   before fanning out.
 
    Reuse is observable: [analysis.cache.hit] / [analysis.cache.miss] count
-   every served-from-cache vs computed fact, and [analysis.*.computed]
+   every served-from-memo vs computed fact, and [analysis.*.computed]
    counters prove single-pass behaviour (a supervised sweep must report
    exactly one [analysis.topo.computed]). *)
 
@@ -37,66 +37,14 @@ let count name =
 let cache_hit () = count "analysis.cache.hit"
 let cache_miss () = count "analysis.cache.miss"
 
-(* Bounded LRU keyed by a small int (node id).  Lookup and insert run under
-   the cache mutex, including the compute of a missing entry: the payloads
-   are whole-graph traversals, so serializing rare concurrent misses is
-   cheaper than ever computing one twice.  Eviction scans for the oldest
-   stamp — O(capacity), trivial next to the traversal it replaces. *)
-module Lru = struct
-  type 'a entry = { mutable stamp : int; value : 'a }
-
-  type 'a t = {
-    capacity : int;
-    table : (int, 'a entry) Hashtbl.t;
-    mutable tick : int;
-    lock : Mutex.t;
-  }
-
-  let create capacity =
-    {
-      capacity = max 1 capacity;
-      table = Hashtbl.create 64;
-      tick = 0;
-      lock = Mutex.create ();
-    }
-
-  let evict_oldest t =
-    let victim = ref (-1) in
-    let oldest = ref max_int in
-    Hashtbl.iter
-      (fun key e ->
-        if e.stamp < !oldest then begin
-          oldest := e.stamp;
-          victim := key
-        end)
-      t.table;
-    if !victim >= 0 then Hashtbl.remove t.table !victim
-
-  let find_or_compute t key compute =
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
-    t.tick <- t.tick + 1;
-    match Hashtbl.find_opt t.table key with
-    | Some e ->
-      e.stamp <- t.tick;
-      cache_hit ();
-      e.value
-    | None ->
-      let value = compute () in
-      cache_miss ();
-      if Hashtbl.length t.table >= t.capacity then evict_oldest t;
-      Hashtbl.replace t.table key { stamp = t.tick; value };
-      value
-end
-
 type t = {
   circuit : Circuit.t;
   order : int array;  (* one topological order, all nodes *)
   gate_order : int array;  (* gates only, topological *)
   observations : (Circuit.observation * int) array;  (* (obs, observed net) *)
   observation_nets : int array;  (* the nets, same order *)
-  cones : int array Lru.t;  (* site -> forward-cone members, topological *)
-  distance_maps : int array Lru.t;  (* obs net -> reverse-BFS distances *)
+  distance_maps : (int, int array) Hashtbl.t;  (* obs net -> reverse-BFS distances *)
+  distance_lock : Mutex.t;  (* guards [distance_maps], held while one is computed *)
   ranking : Reach.ranking option Atomic.t;
       (* [order], its inverse and the cone searches' marks, memoized *)
   levels : int array option Atomic.t;  (* ASAP levels, memoized *)
@@ -109,19 +57,6 @@ type t = {
       (* per level, the nodes at lower levels, memoized *)
   observed : bool array option Atomic.t;  (* observation-net mask, memoized *)
 }
-
-(* Cache bounds.  A cone is one word per member, so the cone cache tops
-   out at 256 cones (at most 256 * node_count words, and a few KB on
-   cone-local circuits) and recomputes on evict beyond that.  The distance
-   cache instead scales with the circuit's observation count: the
-   electrical-masking path scans a site's reached observations in a fixed
-   order, and a cache smaller than that working set would evict every map
-   right before its reuse (cyclic scans are LRU's worst case), costing one
-   BFS per (site, observation) pair — worse than the per-site BFS it
-   replaces.  Sized to the observation count, each map is computed exactly
-   once: O(obs · E) total. *)
-let cone_cache_capacity = 256
-let distance_cache_floor = 64
 
 type Circuit.context += Context of t
 
@@ -173,9 +108,8 @@ let assemble circuit ~order ~levels =
     gate_order;
     observations;
     observation_nets;
-    cones = Lru.create cone_cache_capacity;
-    distance_maps =
-      Lru.create (max distance_cache_floor (Array.length observation_nets));
+    distance_maps = Hashtbl.create 16;
+    distance_lock = Mutex.create ();
     ranking = Atomic.make None;
     levels = Atomic.make levels;
     depth = Atomic.make None;
@@ -286,9 +220,7 @@ let check_node t v ~what =
 
 let cone t site =
   check_node t site ~what:"cone";
-  Lru.find_or_compute t.cones site (fun () ->
-      count "analysis.cones.computed";
-      Reach.forward_cone (ranking t) [ site ])
+  Reach.forward_cone (ranking t) [ site ]
 
 let fanin_cone t nets =
   List.iter (fun net -> check_node t net ~what:"fanin_cone") nets;
@@ -301,13 +233,23 @@ let distances_to t target =
   check_node t target ~what:"distances_to";
   (* One backward BFS per *target* (observation net) replaces one forward
      BFS per *site*: sites outnumber observation points by orders of
-     magnitude, and the map answers every site's depth query at once. *)
-  Lru.find_or_compute t.distance_maps target (fun () ->
-      count "analysis.distance_maps.computed";
-      Bfs.distances (Digraph.reverse (Circuit.graph t.circuit)) target)
+     magnitude, and the map answers every site's depth query at once.
+     A miss computes under the lock: serializing a rare concurrent miss is
+     cheaper than running the whole-graph search twice. *)
+  Mutex.lock t.distance_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.distance_lock) @@ fun () ->
+  match Hashtbl.find_opt t.distance_maps target with
+  | Some map ->
+    cache_hit ();
+    map
+  | None ->
+    let map = Bfs.distances (Digraph.reverse (Circuit.graph t.circuit)) target in
+    computed "analysis.distance_maps.computed";
+    Hashtbl.replace t.distance_maps target map;
+    map
 
-let reached_observations t site =
-  let members = Reach.lookup ~position:(position t) (cone t site) in
+let reached_observations t members =
+  let members = Reach.lookup ~position:(position t) members in
   let acc = ref [] in
   for i = Array.length t.observations - 1 downto 0 do
     let (obs, net) = t.observations.(i) in
@@ -320,9 +262,9 @@ let reached_observations t site =
    [apply_delta] carries a context across an edit instead of throwing it
    away: the pre-edit topological order is patched onto the post-edit
    circuit when the edit is order-preserving, and levels are re-derived
-   from the patched order.  Everything else (positions, cones, distance
-   maps, the level buckets) builds lazily on demand: no edit path reads the per-site
-   caches, so none is carried over. *)
+   from the patched order.  Everything else (positions, distance maps, the
+   level buckets) builds lazily on demand: no edit path reads the distance
+   memo, so none is carried over. *)
 
 exception Order_patch_failed
 

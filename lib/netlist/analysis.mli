@@ -3,16 +3,19 @@
     One {!t} per circuit, obtained with {!get} (lazily built, memoized on the
     circuit itself).  It bundles the whole-graph traversal facts every engine
     needs — topological order, its inverse permutation, gates-only order,
-    observation-point arrays — plus bounded LRU caches for per-site
-    artifacts (forward cones, per-observation-point BFS distance maps), so
-    interleaved engines reuse one computation instead of each re-deriving
-    its own.
+    observation-point arrays — plus one BFS distance map per observation
+    point, so interleaved engines reuse one computation instead of each
+    re-deriving its own.  Cones are searched per call, at the cone's cost,
+    and not kept.
 
-    Ownership/aliasing contract (DESIGN.md §11): every array returned by this
-    module is the cached instance, shared by all consumers of the circuit.
-    Treat them as read-only; copy before mutating.  The context is safe to
-    share across domains: the whole-graph arrays are written once before
-    publication and the per-site caches are mutex-protected.
+    Ownership/aliasing contract (DESIGN.md §11): every memoized array
+    returned by this module is the shared instance, used by all consumers
+    of the circuit.  Treat them as read-only; copy before mutating.  A
+    cone ({!cone}, {!fanin_cone}) is the exception: each call returns a
+    fresh array that its caller owns.  The context is safe to share across
+    domains: the whole-graph arrays are written once before publication,
+    the distance memo is mutex-protected, and cone searches take the
+    ranking's own mutex.
 
     Reuse is observable through [analysis.cache.hit] / [analysis.cache.miss]
     and the per-fact [analysis.*.computed] counters. *)
@@ -91,19 +94,20 @@ val observed : t -> bool array
     Cones are arrays of their members in the order {!order} lists them,
     found by a search that costs the cone, not the circuit
     ({!Reach.forward_cone}): a per-site consumer walks its members instead
-    of filtering the whole order.  Forward cones and distance maps sit
-    behind bounded LRU caches (at most 256 cones, each one word a member);
-    on eviction the artifact is simply recomputed on next demand. *)
+    of filtering the whole order.  A consumer that needs a site's cone
+    twice keeps the array it got.  Distance maps are whole-graph searches,
+    memoized per target net. *)
 
 val cone : t -> int -> int array
 (** [cone ctx site] is every node forward-reachable from [site], [site]
     included and therefore first, in topological order: the site's on-path
-    signals.  Cached per site.  @raise Invalid_argument on a bad node id. *)
+    signals.  One search per call; the caller owns the array.
+    @raise Invalid_argument on a bad node id. *)
 
 val fanin_cone : t -> int list -> int array
 (** [fanin_cone ctx nets] is every node that reaches one of [nets] (the
     nets included), in topological order: one search over the graph's
-    predecessor arrays, not cached.  Over a site's reached observation nets
+    predecessor arrays per call.  Over a site's reached observation nets
     it is the support of the certified tier's cone-partitioned BDD.
     @raise Invalid_argument on a bad node id. *)
 
@@ -111,12 +115,15 @@ val distances_to : t -> int -> int array
 (** [distances_to ctx target].(v) is the BFS edge-distance from node [v] to
     [target] in the forward graph (computed as one backward BFS from
     [target] over the predecessor arrays), or [-1] when [target] is
-    unreachable from [v].  One map per observation point answers the depth query of
-    every site at once.  @raise Invalid_argument on a bad node id. *)
+    unreachable from [v].  One map per observation point answers the depth
+    query of every site at once; each is computed once per context
+    ([analysis.distance_maps.computed]) and shared thereafter.
+    @raise Invalid_argument on a bad node id. *)
 
-val reached_observations : t -> int -> Circuit.observation list
-(** Observation points inside [site]'s forward cone, in {!observations}
-    order: one {!Reach.find} in the cone per observation point. *)
+val reached_observations : t -> int array -> Circuit.observation list
+(** [reached_observations ctx members] is the observation points whose net
+    is among [members], a site's {!cone}, in {!observations} order: one
+    {!Reach.find} in the cone per observation point. *)
 
 (** {2 Incremental invalidation} *)
 
@@ -128,10 +135,10 @@ val apply_delta : t -> Delta.t -> t * [ `Patched | `Rebuilt ]
     topological order is patched onto the post-edit circuit and levels are
     re-derived from it; the result is [`Patched].  Otherwise the post-edit
     context is built from scratch and the result is [`Rebuilt].  The
-    per-site caches (cones, distance maps) start empty either way.  Either way the returned context is the one
-    installed on the post-edit circuit (subsequent {!get} returns it), and
-    [analysis.incremental.patched] / [analysis.incremental.rebuilt] meter
-    the two paths.
+    distance memo starts empty either way.  Either way the returned
+    context is the one installed on the post-edit circuit (subsequent
+    {!get} returns it), and [analysis.incremental.patched] /
+    [analysis.incremental.rebuilt] meter the two paths.
 
     Ownership contract (DESIGN.md §16): an [Analysis.t] — and every array
     obtained from it — is bound to its pre-edit circuit; after an edit,

@@ -1,7 +1,8 @@
 (* Structural statistics of a netlist.
 
-   Used by the `bench_info` tool and by the experiment driver to print the
-   Table-2 circuit characteristics next to the measured results. *)
+   Used by the `bench_info` tool to print the Table-2 circuit
+   characteristics, and by `netlist_tool optimize` to compare gate counts
+   and depth before and after. *)
 
 type t = {
   name : string;
@@ -15,7 +16,6 @@ type t = {
   max_fanin : int;
   max_fanout : int;
   average_fanout : float;
-  reconvergent_site_count : int;
 }
 
 let gate_kind_counts c =
@@ -34,38 +34,58 @@ let gate_kind_counts c =
          | None -> None)
 
 (* A site is "reconvergent" if two of its fanout branches meet again
-   downstream — the very situation the paper's polarity tracking targets.
-   Detected as: some vertex in the site's forward cone is reachable from two
-   distinct immediate fanouts. *)
-let is_reconvergent_site c v =
-  let g = Circuit.graph c in
-  match Digraph.succ g v with
-  | [] | [ _ ] -> false
-  | fanouts ->
-    (* Branch cones come from the analysis context's cache: a net with k
-       fanin gates is a fanout branch of k different sites, so a full
-       reconvergence sweep reuses each cone k times instead of re-running
-       the search.  Each branch's members are looked up in the branches
-       before it. *)
-    let ctx = Analysis.get c in
-    let position = Analysis.position ctx in
-    let rec loop seen = function
-      | [] -> false
-      | f :: rest ->
-        let branch = Analysis.cone ctx f in
-        Array.exists (fun u -> List.exists (fun l -> Reach.find l u >= 0) seen) branch
-        || loop (Reach.lookup ~position branch :: seen) rest
-    in
-    loop [] fanouts
-
+   downstream — the very situation the paper's polarity tracking targets:
+   some node is reachable from two distinct immediate fanouts, or the site
+   feeds one gate twice.  One breadth-first search per site with two or
+   more fanout edges, from all its branches at once: each node takes the
+   label of the branch that reached it first, and the branches reconverge
+   exactly when the search walks an edge into a node that holds another
+   label (a path from one branch to a node another branch labelled must
+   cross such an edge, and the search walks every edge it reaches) or
+   finds a branch listed twice.  One label, stamp and queue array serve
+   every site; the stamp is the site's id, so no search clears anything. *)
 let reconvergent_site_count c =
+  let g = Circuit.graph c in
+  let offsets = Digraph.offsets g and targets = Digraph.targets g in
+  let n = Digraph.vertex_count g in
+  let stamp = Array.make n (-1) and label = Array.make n 0 and queue = Array.make n 0 in
+  let reconverges site =
+    let met = ref false and tail = ref 0 in
+    for i = offsets.(site) to offsets.(site + 1) - 1 do
+      let b = targets.(i) in
+      if stamp.(b) = site then met := true
+      else begin
+        stamp.(b) <- site;
+        label.(b) <- i;
+        queue.(!tail) <- b;
+        incr tail
+      end
+    done;
+    let head = ref 0 in
+    while (not !met) && !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      let l = label.(u) in
+      for j = offsets.(u) to offsets.(u + 1) - 1 do
+        let w = targets.(j) in
+        if stamp.(w) <> site then begin
+          stamp.(w) <- site;
+          label.(w) <- l;
+          queue.(!tail) <- w;
+          incr tail
+        end
+        else if label.(w) <> l then met := true
+      done
+    done;
+    !met
+  in
   let count = ref 0 in
-  for v = 0 to Circuit.node_count c - 1 do
-    if is_reconvergent_site c v then incr count
+  for v = 0 to n - 1 do
+    if offsets.(v + 1) - offsets.(v) >= 2 && reconverges v then incr count
   done;
   !count
 
-let compute ?(with_reconvergence = false) c =
+let compute c =
   let n = Circuit.node_count c in
   let max_fanin = ref 0 and max_fanout = ref 0 and fanout_sum = ref 0 in
   for v = 0 to n - 1 do
@@ -87,7 +107,6 @@ let compute ?(with_reconvergence = false) c =
     max_fanin = !max_fanin;
     max_fanout = !max_fanout;
     average_fanout = (if n = 0 then 0.0 else float_of_int !fanout_sum /. float_of_int n);
-    reconvergent_site_count = (if with_reconvergence then reconvergent_site_count c else -1);
   }
 
 let pp ppf s =

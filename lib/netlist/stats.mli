@@ -1,5 +1,5 @@
 (** Structural statistics of a netlist (sizes, depth, fanout profile,
-    reconvergence), printed by [bench_info] and alongside experiment rows. *)
+    reconvergence), printed by [bench_info] and [netlist_tool optimize]. *)
 
 type t = {
   name : string;
@@ -13,18 +13,14 @@ type t = {
   max_fanin : int;
   max_fanout : int;
   average_fanout : float;
-  reconvergent_site_count : int;
-      (** -1 when not computed (it is quadratic); see [with_reconvergence] *)
 }
 
-val compute : ?with_reconvergence:bool -> Circuit.t -> t
-(** [with_reconvergence] (default false) additionally counts the fanout sites
-    whose branches reconverge — the situation the paper's polarity-tracked
-    EPP rules exist for.  Quadratic; only use on small circuits. *)
-
-val is_reconvergent_site : Circuit.t -> int -> bool
-(** Whether two distinct fanout branches of this node meet again downstream. *)
+val compute : Circuit.t -> t
 
 val reconvergent_site_count : Circuit.t -> int
+(** The fanout sites whose branches reconverge — two distinct branches
+    reach a common node, or one gate reads the site twice: the situation
+    the paper's polarity-tracked EPP rules exist for.  One breadth-first
+    search per fanout site, over 3 words a node in all. *)
 
 val pp : t Fmt.t

@@ -88,6 +88,34 @@ let shift_register () =
   Builder.add_output b "tap";
   Builder.freeze b
 
+(* --- graphs ------------------------------------------------------------------- *)
+
+(* The graph with the given directed edges: each target's predecessors in
+   list order, handed to [Digraph.of_predecessors], so successors come out
+   in increasing vertex order whatever the list order.  A bad source
+   raises [Digraph.Invalid_vertex]. *)
+let graph_of_edges ~vertex_count edges =
+  let preds = Array.make vertex_count [] in
+  List.iter (fun (u, v) -> preds.(v) <- u :: preds.(v)) (List.rev edges);
+  let preds = Array.map Array.of_list preds in
+  Digraph.of_predecessors ~vertex_count (Array.get preds)
+
+(* The specification of a topological sort: [order] is a permutation of
+   the vertices in which every edge goes forward. *)
+let is_topological_order g order =
+  let n = Digraph.vertex_count g in
+  if List.length order <> n then false
+  else begin
+    let position = Array.make n (-1) in
+    List.iteri (fun i v -> if v >= 0 && v < n then position.(v) <- i) order;
+    if Array.exists (fun p -> p < 0) position then false
+    else begin
+      let ok = ref true in
+      Digraph.iter_edges (fun u v -> if position.(u) >= position.(v) then ok := false) g;
+      !ok
+    end
+  end
+
 (* --- random circuit generation for property tests ------------------------ *)
 
 (* A random fanout-free (tree) circuit with [inputs] leaves, deterministic

@@ -4,7 +4,7 @@
 open Helpers
 
 (* A fixed diamond: 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3. *)
-let diamond () = Digraph.of_edges ~vertex_count:4 [ (0, 1); (0, 2); (1, 3); (2, 3) ]
+let diamond () = graph_of_edges ~vertex_count:4 [ (0, 1); (0, 2); (1, 3); (2, 3) ]
 
 (* Deterministic random DAG on [n] vertices: edges only forward. *)
 let random_dag_edges ~seed ~n ~density =
@@ -18,7 +18,15 @@ let random_dag_edges ~seed ~n ~density =
   !edges
 
 let random_dag ~seed ~n ~density =
-  Digraph.of_edges ~vertex_count:n (random_dag_edges ~seed ~n ~density)
+  graph_of_edges ~vertex_count:n (random_dag_edges ~seed ~n ~density)
+
+(* The predecessors of [v], read from the reverse arrays, and the number
+   of edges. *)
+let preds g v =
+  let rev_offsets = Digraph.rev_offsets g and rev_targets = Digraph.rev_targets g in
+  List.init (rev_offsets.(v + 1) - rev_offsets.(v)) (fun k -> rev_targets.(rev_offsets.(v) + k))
+
+let edge_count g = Array.length (Digraph.targets g)
 
 (* The list-based graph the packed arrays replaced, written out as the
    reference: successor lists in insertion order, the transpose with every
@@ -62,49 +70,43 @@ let repack g =
 (* --- construction --------------------------------------------------------- *)
 
 let test_empty () =
-  let g = Digraph.of_edges ~vertex_count:0 [] in
+  let g = graph_of_edges ~vertex_count:0 [] in
   check_int "vertices" 0 (Digraph.vertex_count g);
-  check_int "edges" 0 (Digraph.edge_count g);
-  Alcotest.(check (list (pair int int))) "no edges" [] (Digraph.edges g)
+  check_int "edges" 0 (edge_count g);
+  Digraph.iter_edges (fun _ _ -> Alcotest.fail "no edges") g
 
 let test_counts () =
   let g = diamond () in
   check_int "vertices" 4 (Digraph.vertex_count g);
-  check_int "edges" 4 (Digraph.edge_count g)
+  check_int "edges" 4 (edge_count g)
 
 let test_succ_pred () =
   let g = diamond () in
   Alcotest.(check (list int)) "succ 0" [ 1; 2 ] (Digraph.succ g 0);
   Alcotest.(check (list int)) "succ 3" [] (Digraph.succ g 3);
-  Alcotest.(check (list int)) "pred 3" [ 1; 2 ] (Digraph.pred g 3);
-  Alcotest.(check (list int)) "pred 0" [] (Digraph.pred g 0)
-
-let test_degrees () =
-  let g = diamond () in
-  check_int "out 0" 2 (Digraph.out_degree g 0);
-  check_int "in 3" 2 (Digraph.in_degree g 3);
-  check_int "in 0" 0 (Digraph.in_degree g 0)
+  Alcotest.(check (list int)) "pred 3" [ 1; 2 ] (preds g 3);
+  Alcotest.(check (list int)) "pred 0" [] (preds g 0)
 
 let test_invalid_vertex () =
   let g = diamond () in
   Alcotest.check_raises "succ out of range" (Digraph.Invalid_vertex 7) (fun () ->
       ignore (Digraph.succ g 7));
   Alcotest.check_raises "negative" (Digraph.Invalid_vertex (-1)) (fun () ->
-      ignore (Digraph.pred g (-1)))
+      ignore (Digraph.mem_edge g (-1) 0))
 
 let test_invalid_edge () =
   Alcotest.check_raises "bad endpoint" (Digraph.Invalid_vertex 5) (fun () ->
-      ignore (Digraph.of_edges ~vertex_count:3 [ (0, 5) ]))
+      ignore (graph_of_edges ~vertex_count:3 [ (5, 0) ]))
 
 (* A netlist's construction: vertex 1 reads 0, vertex 2 reads 1 and 0,
    vertex 3 reads 2 twice. *)
 let test_of_successors () =
   let fanins = [| [||]; [| 0 |]; [| 1; 0 |]; [| 2; 2 |] |] in
   let g = Digraph.of_predecessors ~vertex_count:4 (Array.get fanins) in
-  check_int "edges" 5 (Digraph.edge_count g);
+  check_int "edges" 5 (edge_count g);
   Alcotest.(check (list int)) "consumers in id order" [ 1; 2 ] (Digraph.succ g 0);
   Alcotest.(check (list int)) "a repeated fanin twice" [ 3; 3 ] (Digraph.succ g 2);
-  Alcotest.(check (list int)) "pred 2" [ 0; 1 ] (Digraph.pred g 2);
+  Alcotest.(check (list int)) "pred 2" [ 0; 1 ] (preds g 2);
   Alcotest.check_raises "bad fanin" (Digraph.Invalid_vertex 4) (fun () ->
       ignore (Digraph.of_predecessors ~vertex_count:2 (fun _ -> [| 4 |])))
 
@@ -115,71 +117,81 @@ let test_mem_edge () =
   check_bool "0->3" false (Digraph.mem_edge g 0 3)
 
 let test_parallel_edges () =
-  let g = Digraph.of_edges ~vertex_count:2 [ (0, 1); (0, 1) ] in
-  check_int "both kept" 2 (Digraph.edge_count g);
+  let g = graph_of_edges ~vertex_count:2 [ (0, 1); (0, 1) ] in
+  check_int "both kept" 2 (edge_count g);
   Alcotest.(check (list int)) "succ" [ 1; 1 ] (Digraph.succ g 0)
 
 let test_reverse () =
   let g = Digraph.reverse (diamond ()) in
   Alcotest.(check (list int)) "succ 3 in reverse" [ 1; 2 ] (Digraph.succ g 3);
-  Alcotest.(check (list int)) "pred 0 in reverse" [ 1; 2 ] (Digraph.pred g 0);
-  check_int "edge count preserved" 4 (Digraph.edge_count g)
-
-let test_sources_sinks () =
-  let g = diamond () in
-  Alcotest.(check (list int)) "sources" [ 0 ] (Digraph.sources g);
-  Alcotest.(check (list int)) "sinks" [ 3 ] (Digraph.sinks g)
-
-let test_edges_roundtrip () =
-  let edges = [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
-  let g = Digraph.of_edges ~vertex_count:4 edges in
-  Alcotest.(check (list (pair int int))) "edges back" edges (Digraph.edges g)
+  Alcotest.(check (list int)) "pred 0 in reverse" [ 1; 2 ] (preds g 0);
+  check_int "edge count preserved" 4 (edge_count g)
 
 (* --- topological sorting -------------------------------------------------- *)
 
 let test_topo_diamond () =
   let g = diamond () in
-  Alcotest.(check (list int)) "deterministic order" [ 0; 1; 2; 3 ] (Topo.sort g)
+  Alcotest.(check (array int)) "deterministic order" [| 0; 1; 2; 3 |] (Topo.sort_array g)
 
-let test_topo_cycle () =
-  let g = Digraph.of_edges ~vertex_count:3 [ (0, 1); (1, 2); (2, 0) ] in
-  (match Topo.sort g with
+let sort_raises_cycle g =
+  match Topo.sort_array g with
   | _ -> Alcotest.fail "expected Cycle"
-  | exception Topo.Cycle leftover -> Alcotest.(check (list int)) "members" [ 0; 1; 2 ] leftover);
-  check_bool "is_acyclic" false (Topo.is_acyclic g)
+  | exception Topo.Cycle leftover -> leftover
+
+(* The payload is every vertex the drain could not order, downstream of a
+   cycle too; the cycle itself is Scc.nontrivial's to name. *)
+let test_topo_cycle () =
+  let g = graph_of_edges ~vertex_count:3 [ (0, 1); (1, 2); (2, 0) ] in
+  Alcotest.(check (list int)) "members" [ 0; 1; 2 ] (sort_raises_cycle g);
+  check_bool "is_acyclic" false (Topo.is_acyclic g);
+  let g = graph_of_edges ~vertex_count:3 [ (0, 1); (1, 0); (1, 2) ] in
+  Alcotest.(check (list int)) "and what they feed" [ 0; 1; 2 ] (sort_raises_cycle g);
+  Alcotest.(check (list (list int))) "the cycle alone" [ [ 0; 1 ] ]
+    (List.map (List.sort compare) (Scc.nontrivial g))
 
 let test_topo_self_loop () =
-  let g = Digraph.of_edges ~vertex_count:2 [ (0, 0); (0, 1) ] in
+  let g = graph_of_edges ~vertex_count:2 [ (0, 0); (0, 1) ] in
   check_bool "self loop is a cycle" false (Topo.is_acyclic g)
+
+(* Catlab's topological-sort cases (a discrete graph, a path, a diamond,
+   parallel edges, a 3-cycle), the predecessor arrays written out. *)
+let test_topo_standard_cases () =
+  let sort preds =
+    Topo.sort_array (Digraph.of_predecessors ~vertex_count:(Array.length preds) (Array.get preds))
+  in
+  Alcotest.(check (array int)) "discrete" [| 0; 1; 2; 3; 4 |] (sort (Array.make 5 [||]));
+  Alcotest.(check (array int)) "path 4 -> 0" [| 4; 3; 2; 1; 0 |]
+    (sort [| [| 1 |]; [| 2 |]; [| 3 |]; [| 4 |]; [||] |]);
+  Alcotest.(check (array int)) "diamond" [| 0; 1; 2; 3 |]
+    (sort [| [||]; [| 0 |]; [| 0 |]; [| 1; 2 |] |]);
+  Alcotest.(check (array int)) "parallel edges" [| 0; 1; 2 |]
+    (sort [| [||]; [| 0; 0 |]; [| 0; 1 |] |]);
+  Alcotest.check_raises "3-cycle" (Topo.Cycle [ 0; 1; 2 ]) (fun () ->
+      ignore (sort [| [| 2 |]; [| 0 |]; [| 1 |] |]))
+
+let levels g = Topo.levels_from g (Topo.sort_array g)
 
 let test_levels_diamond () =
   let g = diamond () in
-  Alcotest.(check (array int)) "levels" [| 0; 1; 1; 2 |] (Topo.levels g);
-  check_int "depth" 2 (Topo.max_level g)
-
-let test_by_level () =
-  let g = diamond () in
-  let buckets = Topo.by_level g in
-  check_int "bucket count" 3 (Array.length buckets);
-  Alcotest.(check (list int)) "level 1" [ 1; 2 ] buckets.(1)
+  Alcotest.(check (array int)) "levels" [| 0; 1; 1; 2 |] (levels g)
 
 let test_is_topological_order_spec () =
   let g = diamond () in
-  check_bool "valid" true (Topo.is_topological_order g [ 0; 2; 1; 3 ]);
-  check_bool "edge backwards" false (Topo.is_topological_order g [ 1; 0; 2; 3 ]);
-  check_bool "not a permutation" false (Topo.is_topological_order g [ 0; 1; 2 ]);
-  check_bool "duplicates" false (Topo.is_topological_order g [ 0; 1; 1; 3 ])
+  check_bool "valid" true (is_topological_order g [ 0; 2; 1; 3 ]);
+  check_bool "edge backwards" false (is_topological_order g [ 1; 0; 2; 3 ]);
+  check_bool "not a permutation" false (is_topological_order g [ 0; 1; 2 ]);
+  check_bool "duplicates" false (is_topological_order g [ 0; 1; 1; 3 ])
 
 let prop_topo_sort_valid =
   qtest ~name:"Topo.sort yields a valid topological order on random DAGs"
     Helpers.seed_arbitrary (fun seed ->
       let g = random_dag ~seed ~n:(10 + (seed mod 30)) ~density:0.15 in
-      Topo.is_topological_order g (Topo.sort g))
+      is_topological_order g (Array.to_list (Topo.sort_array g)))
 
 let prop_levels_monotonic =
   qtest ~name:"levels increase along every edge" Helpers.seed_arbitrary (fun seed ->
       let g = random_dag ~seed ~n:(10 + (seed mod 30)) ~density:0.2 in
-      let lv = Topo.levels g in
+      let lv = levels g in
       let ok = ref true in
       Digraph.iter_edges (fun u v -> if lv.(u) >= lv.(v) then ok := false) g;
       !ok)
@@ -187,13 +199,11 @@ let prop_levels_monotonic =
 let prop_level_zero_iff_source =
   qtest ~name:"level 0 exactly at sources" Helpers.seed_arbitrary (fun seed ->
       let g = random_dag ~seed ~n:(5 + (seed mod 20)) ~density:0.25 in
-      let lv = Topo.levels g in
+      let lv = levels g in
       let ok = ref true in
-      Digraph.iter_vertices
-        (fun v ->
-          let is_source = Digraph.pred g v = [] in
-          if (lv.(v) = 0) <> is_source then ok := false)
-        g;
+      for v = 0 to Digraph.vertex_count g - 1 do
+        if (lv.(v) = 0) <> (preds g v = []) then ok := false
+      done;
       !ok)
 
 (* --- reachability --------------------------------------------------------- *)
@@ -212,7 +222,7 @@ let test_reach_forward () =
   Alcotest.(check (array int)) "from 0" [| 0; 1; 2; 3 |] (forward_cone g [ 0 ])
 
 let test_reach_members_count () =
-  let g = Digraph.of_edges ~vertex_count:4 [ (0, 2); (2, 3) ] in
+  let g = graph_of_edges ~vertex_count:4 [ (0, 2); (2, 3) ] in
   let position = Reach.position (ranking g) in
   let members = forward_cone g [ 0 ] in
   Alcotest.(check (array int)) "members" [| 0; 2; 3 |] members;
@@ -227,7 +237,7 @@ let test_reach_backward () =
   Alcotest.(check (array int)) "members to 2" [| 0; 2 |] (backward_cone g [ 2 ])
 
 let test_reach_multi_root () =
-  let g = Digraph.of_edges ~vertex_count:5 [ (0, 2); (1, 3) ] in
+  let g = graph_of_edges ~vertex_count:5 [ (0, 2); (1, 3) ] in
   Alcotest.(check (array int)) "two roots" [| 0; 1; 2; 3 |] (forward_cone g [ 0; 1 ]);
   Alcotest.(check (array int)) "two roots, backward" [| 0; 1; 2; 3 |]
     (backward_cone g [ 3; 2; 3 ]);
@@ -242,7 +252,7 @@ let test_output_cone () =
   Alcotest.(check (list int)) "reached" [ 3 ] (List.filter (member g cone) [ 3 ])
 
 let test_output_cone_unreachable () =
-  let g = Digraph.of_edges ~vertex_count:3 [ (0, 1) ] in
+  let g = graph_of_edges ~vertex_count:3 [ (0, 1) ] in
   let cone = forward_cone g [ 0 ] in
   Alcotest.(check (list int)) "no sinks reached" [] (List.filter (member g cone) [ 2 ])
 
@@ -322,49 +332,41 @@ let test_bfs_distances () =
   Alcotest.(check (array int)) "from 0" [| 0; 1; 1; 2 |] (Bfs.distances g 0);
   Alcotest.(check (array int)) "from 3 (sink)" [| -1; -1; -1; 0 |] (Bfs.distances g 3)
 
-let test_bfs_distance_option () =
-  let g = diamond () in
-  Alcotest.(check (option int)) "0 -> 3" (Some 2) (Bfs.distance g ~source:0 ~target:3);
-  Alcotest.(check (option int)) "3 -> 0" None (Bfs.distance g ~source:3 ~target:0)
-
 let test_bfs_prefers_short_route () =
   (* 0 -> 1 -> 2 -> 3 and a shortcut 0 -> 3. *)
-  let g = Digraph.of_edges ~vertex_count:4 [ (0, 1); (1, 2); (2, 3); (0, 3) ] in
-  Alcotest.(check (option int)) "shortcut wins" (Some 1) (Bfs.distance g ~source:0 ~target:3)
-
-let test_bfs_shortest_path () =
-  let g = Digraph.of_edges ~vertex_count:4 [ (0, 1); (1, 2); (2, 3); (0, 3) ] in
-  Alcotest.(check (option (list int))) "path" (Some [ 0; 3 ])
-    (Bfs.shortest_path g ~source:0 ~target:3);
-  Alcotest.(check (option (list int))) "unreachable" None
-    (Bfs.shortest_path g ~source:3 ~target:0);
-  Alcotest.(check (option (list int))) "self" (Some [ 0 ])
-    (Bfs.shortest_path g ~source:0 ~target:0)
+  let g = graph_of_edges ~vertex_count:4 [ (0, 1); (1, 2); (2, 3); (0, 3) ] in
+  check_int "shortcut wins" 1 (Bfs.distances g 0).(3)
 
 let test_bfs_invalid_vertex () =
   let g = diamond () in
   Alcotest.check_raises "bad source" (Digraph.Invalid_vertex 9) (fun () ->
       ignore (Bfs.distances g 9))
 
+(* Unreachable exactly outside the source's cone; otherwise a walk back
+   from the target, one edge to a vertex a step closer each time, reaches
+   the source in exactly the distance. *)
 let prop_bfs_distance_at_most_levels =
   qtest ~name:"BFS distance consistent with a valid path" seed_arbitrary (fun seed ->
       let g = random_dag ~seed ~n:15 ~density:0.2 in
       let ok = ref true in
       for s = 0 to 14 do
         let dist = Bfs.distances g s in
+        let cone = forward_cone g [ s ] in
         for t = 0 to 14 do
-          match Bfs.shortest_path g ~source:s ~target:t with
-          | None -> if dist.(t) <> Bfs.unreachable then ok := false
-          | Some path ->
-            if List.length path - 1 <> dist.(t) then ok := false;
-            (* every consecutive pair must be an edge *)
-            let rec edges = function
-              | a :: (b :: _ as rest) ->
-                if not (Digraph.mem_edge g a b) then ok := false;
-                edges rest
-              | [ _ ] | [] -> ()
-            in
-            edges path
+          if dist.(t) = Bfs.unreachable then begin
+            if member g cone t then ok := false
+          end
+          else begin
+            let v = ref t in
+            for _ = 1 to dist.(t) do
+              match List.find_opt (fun u -> dist.(u) = dist.(!v) - 1) (preds g !v) with
+              | Some u ->
+                if not (Digraph.mem_edge g u !v) then ok := false;
+                v := u
+              | None -> ok := false
+            done;
+            if !v <> s then ok := false
+          end
         done
       done;
       !ok)
@@ -372,21 +374,21 @@ let prop_bfs_distance_at_most_levels =
 (* --- packed transpose and BFS, against the list-based reference ----------- *)
 
 let test_csr_reverse_empty () =
-  let rev = Digraph.reverse (Digraph.of_edges ~vertex_count:0 []) in
+  let rev = Digraph.reverse (graph_of_edges ~vertex_count:0 []) in
   check_int "vertices" 0 (Digraph.vertex_count rev);
-  check_int "edges" 0 (Digraph.edge_count rev)
+  check_int "edges" 0 (edge_count rev)
 
 let test_csr_reverse_diamond () =
   let rev = Digraph.reverse (diamond ()) in
-  check_int "edge count preserved" 4 (Digraph.edge_count rev);
+  check_int "edge count preserved" 4 (edge_count rev);
   Alcotest.(check (list int)) "succ 3 in reverse" [ 1; 2 ] (Digraph.succ rev 3);
   Alcotest.(check (list int)) "succ 1 in reverse" [ 0 ] (Digraph.succ rev 1);
   Alcotest.(check (list int)) "succ 0 in reverse" [] (Digraph.succ rev 0)
 
 let test_csr_reverse_multi_edge () =
-  let g = Digraph.of_edges ~vertex_count:3 [ (0, 1); (0, 1); (2, 1) ] in
+  let g = graph_of_edges ~vertex_count:3 [ (0, 1); (0, 1); (2, 1) ] in
   let rev = Digraph.reverse g in
-  check_int "multi-edges kept" 3 (Digraph.edge_count rev);
+  check_int "multi-edges kept" 3 (edge_count rev);
   Alcotest.(check (list int)) "both copies, sorted by source" [ 0; 0; 2 ]
     (Digraph.succ rev 1)
 
@@ -406,12 +408,12 @@ let prop_csr_reverse_transpose =
   qtest ~name:"Csr.reverse agrees with Digraph.reverse on random DAGs"
     seed_arbitrary (fun seed ->
       let edges = random_dag_edges ~seed ~n:15 ~density:0.25 in
-      let g = Digraph.of_edges ~vertex_count:15 edges in
+      let g = graph_of_edges ~vertex_count:15 edges in
       let spec = reference_reverse (reference_succ ~n:15 edges) in
       let rev = Digraph.reverse g in
-      let ok = ref (Digraph.edge_count rev = List.length edges) in
+      let ok = ref (edge_count rev = List.length edges) in
       for v = 0 to 14 do
-        if Digraph.succ rev v <> spec.(v) || Digraph.pred g v <> spec.(v) then ok := false
+        if Digraph.succ rev v <> spec.(v) || preds g v <> spec.(v) then ok := false
       done;
       !ok)
 
@@ -419,7 +421,7 @@ let prop_bfs_distances_csr_agrees =
   qtest ~name:"Bfs.distances_csr matches Bfs.distances" seed_arbitrary
     (fun seed ->
       let edges = random_dag_edges ~seed ~n:15 ~density:0.25 in
-      let g = Digraph.of_edges ~vertex_count:15 edges in
+      let g = graph_of_edges ~vertex_count:15 edges in
       let succ = reference_succ ~n:15 edges in
       let ok = ref true in
       for s = 0 to 14 do
@@ -434,7 +436,7 @@ let prop_reverse_bfs_is_forward_distance =
   qtest ~name:"BFS on Csr.reverse gives distance-to-target" seed_arbitrary
     (fun seed ->
       let edges = random_dag_edges ~seed ~n:15 ~density:0.25 in
-      let g = Digraph.of_edges ~vertex_count:15 edges in
+      let g = graph_of_edges ~vertex_count:15 edges in
       let succ = reference_succ ~n:15 edges in
       let rev = Digraph.reverse g in
       let ok = ref true in
@@ -450,33 +452,26 @@ let prop_reverse_bfs_is_forward_distance =
 
 let test_scc_dag_trivial () =
   let g = diamond () in
-  check_int "four singletons" 4 (List.length (Scc.components g));
   Alcotest.(check (list (list int))) "no nontrivial" [] (Scc.nontrivial g)
 
 let test_scc_cycle () =
-  let g = Digraph.of_edges ~vertex_count:4 [ (0, 1); (1, 2); (2, 0); (2, 3) ] in
+  let g = graph_of_edges ~vertex_count:4 [ (0, 1); (1, 2); (2, 0); (2, 3) ] in
   let nontrivial = Scc.nontrivial g in
   check_int "one loop" 1 (List.length nontrivial);
   Alcotest.(check (list int)) "loop members" [ 0; 1; 2 ] (List.sort compare (List.hd nontrivial))
 
 let test_scc_self_loop () =
-  let g = Digraph.of_edges ~vertex_count:2 [ (0, 0) ] in
+  let g = graph_of_edges ~vertex_count:2 [ (0, 0) ] in
   check_int "self loop is nontrivial" 1 (List.length (Scc.nontrivial g))
 
 let test_scc_two_cycles () =
   let g =
-    Digraph.of_edges ~vertex_count:6 [ (0, 1); (1, 0); (2, 3); (3, 4); (4, 2); (4, 5) ]
+    graph_of_edges ~vertex_count:6 [ (0, 1); (1, 0); (2, 3); (3, 4); (4, 2); (4, 5) ]
   in
   let loops = List.map (List.sort compare) (Scc.nontrivial g) in
   check_int "two loops" 2 (List.length loops);
   check_bool "01 loop found" true (List.mem [ 0; 1 ] loops);
   check_bool "234 loop found" true (List.mem [ 2; 3; 4 ] loops)
-
-let test_scc_component_of_consistent () =
-  let g = Digraph.of_edges ~vertex_count:4 [ (0, 1); (1, 0); (2, 3) ] in
-  let comp = Scc.component_of g in
-  check_int "0 and 1 together" comp.(0) comp.(1);
-  check_bool "2 and 3 apart" true (comp.(2) <> comp.(3))
 
 let prop_scc_partition =
   qtest ~name:"SCCs partition the vertex set" Helpers.seed_arbitrary (fun seed ->
@@ -487,19 +482,37 @@ let prop_scc_partition =
       for _ = 1 to 2 * n do
         edges := (Rng.int rng ~bound:n, Rng.int rng ~bound:n) :: !edges
       done;
-      let g = Digraph.of_edges ~vertex_count:n !edges in
-      let members = List.concat (Scc.components g) in
-      List.length members = n && List.sort compare members = List.init n Fun.id)
+      let g = graph_of_edges ~vertex_count:n !edges in
+      (* The cyclic components and a singleton for each other vertex are
+         the classes of mutual reachability: two vertices share a cyclic
+         component iff each reaches the other, and a component of one
+         vertex is cyclic iff it has a self-loop. *)
+      let block = Array.make n (-1) in
+      let ok = ref true in
+      List.iteri
+        (fun i comp ->
+          List.iter
+            (fun v ->
+              if block.(v) >= 0 then ok := false;
+              block.(v) <- i)
+            comp;
+          match comp with
+          | [ v ] -> if not (Digraph.mem_edge g v v) then ok := false
+          | _ -> ())
+        (Scc.nontrivial g);
+      let reaches_to = Array.init n (fun v -> Reach.backward_set g [ v ]) in
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          let mutual = reaches_to.(v).(u) && reaches_to.(u).(v) in
+          if u <> v && (block.(u) >= 0 && block.(u) = block.(v)) <> mutual then ok := false
+        done;
+        if block.(u) < 0 && Digraph.mem_edge g u u then ok := false
+      done;
+      !ok)
 
 let prop_scc_dag_all_singletons =
   qtest ~name:"every SCC of a DAG is a singleton" Helpers.seed_arbitrary (fun seed ->
-      let g = random_dag ~seed ~n:15 ~density:0.2 in
-      List.for_all
-        (fun comp ->
-          match comp with
-          | [ _ ] -> true
-          | [] | _ :: _ :: _ -> false)
-        (Scc.components g))
+      Scc.nontrivial (random_dag ~seed ~n:15 ~density:0.2) = [])
 
 let () =
   Alcotest.run "digraph"
@@ -509,23 +522,20 @@ let () =
           Alcotest.test_case "empty graph" `Quick test_empty;
           Alcotest.test_case "vertex and edge counts" `Quick test_counts;
           Alcotest.test_case "succ and pred" `Quick test_succ_pred;
-          Alcotest.test_case "degrees" `Quick test_degrees;
           Alcotest.test_case "invalid vertex raises" `Quick test_invalid_vertex;
           Alcotest.test_case "invalid edge raises" `Quick test_invalid_edge;
           Alcotest.test_case "of_successors" `Quick test_of_successors;
           Alcotest.test_case "mem_edge" `Quick test_mem_edge;
           Alcotest.test_case "parallel edges kept" `Quick test_parallel_edges;
           Alcotest.test_case "reverse" `Quick test_reverse;
-          Alcotest.test_case "sources and sinks" `Quick test_sources_sinks;
-          Alcotest.test_case "edges round-trip" `Quick test_edges_roundtrip;
         ] );
       ( "topological",
         [
           Alcotest.test_case "diamond order" `Quick test_topo_diamond;
           Alcotest.test_case "cycle raises with members" `Quick test_topo_cycle;
           Alcotest.test_case "self loop detected" `Quick test_topo_self_loop;
+          Alcotest.test_case "standard small graphs" `Quick test_topo_standard_cases;
           Alcotest.test_case "levels of diamond" `Quick test_levels_diamond;
-          Alcotest.test_case "by_level buckets" `Quick test_by_level;
           Alcotest.test_case "is_topological_order spec" `Quick test_is_topological_order_spec;
           prop_topo_sort_valid;
           prop_levels_monotonic;
@@ -547,9 +557,7 @@ let () =
       ( "bfs",
         [
           Alcotest.test_case "distances" `Quick test_bfs_distances;
-          Alcotest.test_case "distance option" `Quick test_bfs_distance_option;
           Alcotest.test_case "shortcut preferred" `Quick test_bfs_prefers_short_route;
-          Alcotest.test_case "shortest path" `Quick test_bfs_shortest_path;
           Alcotest.test_case "invalid vertex" `Quick test_bfs_invalid_vertex;
           prop_bfs_distance_at_most_levels;
         ] );
@@ -569,7 +577,6 @@ let () =
           Alcotest.test_case "one cycle found" `Quick test_scc_cycle;
           Alcotest.test_case "self loop nontrivial" `Quick test_scc_self_loop;
           Alcotest.test_case "two separate cycles" `Quick test_scc_two_cycles;
-          Alcotest.test_case "component_of consistency" `Quick test_scc_component_of_consistent;
           prop_scc_partition;
           prop_scc_dag_all_singletons;
         ] );

@@ -223,8 +223,8 @@ let prop_psens_bounded_by_observations =
 (* The reference costs the cone, not the circuit.  On parity-16384 a leaf's
    cone is its 15-node path to the root; when each call took a node-indexed
    cone mask and filtered the whole order through it, a call allocated
-   about 263,000 words (8.0 per node); it allocates about 1,100 now.  1,024 distinct leaves per pass overflow
-   the 256-cone cache, so every call includes its cone search. *)
+   about 263,000 words (8.0 per node); it allocates about 1,100 now,
+   its cone search included. *)
 let leaf_call_ceiling = 4096.0
 
 let test_reference_cost_is_cone_local () =

@@ -230,7 +230,7 @@ let test_pseudo_inputs () =
 let test_topological_order_valid () =
   let c = fig1 () in
   let order = Array.to_list (Analysis.order (Analysis.get c)) in
-  check_bool "valid order" true (Topo.is_topological_order (Circuit.graph c) order)
+  check_bool "valid order" true (is_topological_order (Circuit.graph c) order)
 
 (* The graph and the facts derived from it, recorded when the circuit still
    kept successor and predecessor lists beside a CSR copy: the topological
@@ -311,8 +311,6 @@ let test_analysis_memo_identity () =
     (Analysis.depth ctx);
   check_bool "one graph per circuit" true (Analysis.csr ctx == Circuit.graph c);
   check_bool "position memoized" true (Analysis.position ctx == Analysis.position ctx);
-  check_bool "cone served from cache" true
-    (Analysis.cone ctx 0 == Analysis.cone ctx 0);
   check_int "a cone is its members" 5 (Array.length (Analysis.cone ctx (Circuit.find c "A")));
   check_bool "distance map served from cache" true
     (Analysis.distances_to ctx 0 == Analysis.distances_to ctx 0)
@@ -370,8 +368,8 @@ let test_analysis_counters () =
 (* Cones against naive searches: a node-sized mask filled by a plain
    stack search (forward over the fanouts, backward over the fanins), then
    the topological order filtered through it.  The member arrays must be
-   exactly that, and a site's reached observations exactly those whose net
-   the mask marks. *)
+   exactly that, and the reached observations read from a site's members
+   exactly those whose net the mask marks. *)
 let naive_mask c ~next roots =
   let mark = Array.make (Circuit.node_count c) false in
   let rec visit v =
@@ -397,9 +395,10 @@ let cones_match_naive ctx sites =
         List.filter (fun o -> mark.(Circuit.observation_net c o)) (Circuit.observations c)
       in
       let nets = List.map (Circuit.observation_net c) reached in
-      (Analysis.cone ctx site = filtered_order ctx mark
+      let cone = Analysis.cone ctx site in
+      (cone = filtered_order ctx mark
       || QCheck2.Test.fail_reportf "%s: forward cone of %d" (Circuit.name c) site)
-      && (Analysis.reached_observations ctx site = reached
+      && (Analysis.reached_observations ctx cone = reached
          || QCheck2.Test.fail_reportf "%s: reached observations of %d" (Circuit.name c) site)
       && (Analysis.fanin_cone ctx [ site ] = filtered_order ctx (backward [ site ])
          || QCheck2.Test.fail_reportf "%s: fanin cone of %d" (Circuit.name c) site)
@@ -464,7 +463,7 @@ let prop_analysis_arrays_immutable =
           Array.copy (Analysis.position ctx);
         ]
       in
-      let cone_snapshot = Array.copy (Analysis.cone ctx 0) in
+      let cone_before = Analysis.cone ctx 0 in
       let observed_snapshot = Array.copy (Analysis.observed ctx) in
       let engine = Epp.Epp_engine.create c in
       ignore
@@ -497,22 +496,81 @@ let prop_analysis_arrays_immutable =
         ]
       in
       List.for_all2 (fun a b -> a = b) snapshots current
-      && cone_snapshot = Analysis.cone ctx 0
+      && cone_before = Analysis.cone ctx 0
       && observed_snapshot = Analysis.observed ctx)
 
 (* --- statistics ----------------------------------------------------------- *)
 
 let test_stats_fig1 () =
-  let s = Stats.compute ~with_reconvergence:true (fig1 ()) in
+  let c = fig1 () in
+  let s = Stats.compute c in
   check_int "gates" 5 s.Stats.gate_count;
   check_int "depth" 4 s.Stats.depth;
   check_int "max fanin" 3 s.Stats.max_fanin;
   (* A fans out to D and E whose branches reconverge at H. *)
-  check_bool "fig1 has a reconvergent site" true (s.Stats.reconvergent_site_count >= 1)
+  check_bool "fig1 has a reconvergent site" true (Stats.reconvergent_site_count c >= 1)
 
 let test_stats_no_reconvergence_in_tree () =
-  let s = Stats.compute ~with_reconvergence:true (small_tree ()) in
-  check_int "trees never reconverge" 0 s.Stats.reconvergent_site_count
+  check_int "trees never reconverge" 0 (Stats.reconvergent_site_count (small_tree ()))
+
+(* The pairwise-cone definition the labelled search replaced: a site with
+   two or more fanout edges reconverges when a member of one branch's cone
+   lies in the cone of an earlier branch (a branch listed twice meets its
+   own cone). *)
+let reconvergent_by_cones c =
+  let ctx = Analysis.get c in
+  let position = Analysis.position ctx in
+  let rec meets seen = function
+    | [] -> false
+    | f :: rest ->
+      let branch = Analysis.cone ctx f in
+      Array.exists (fun u -> List.exists (fun l -> Reach.find l u >= 0) seen) branch
+      || meets (Reach.lookup ~position branch :: seen) rest
+  in
+  List.length
+    (List.filter
+       (fun v -> List.length (Circuit.fanouts c v) >= 2 && meets [] (Circuit.fanouts c v))
+       (all_sites c))
+
+let same_reconvergence c =
+  Stats.reconvergent_site_count c = reconvergent_by_cones c
+  || QCheck2.Test.fail_reportf "%s: %d reconvergent sites, %d by pairwise cones" (Circuit.name c)
+       (Stats.reconvergent_site_count c) (reconvergent_by_cones c)
+
+let prop_reconvergence_matches_cones =
+  qtest ~count:50 ~name:"reconvergence equals pairwise cones" seed_arbitrary (fun seed ->
+      same_reconvergence (random_small_dag ~seed)
+      && same_reconvergence
+           (Circuit_gen.Random_dag.generate ~seed
+              (Circuit_gen.Profiles.make ~name:"seq" ~inputs:6 ~outputs:4 ~ffs:3 ~gates:40)))
+
+(* [a] feeds one AND twice and nothing else: a site with one branch,
+   listed twice. *)
+let double_read () =
+  let b = Builder.create ~name:"double" () in
+  List.iter (Builder.add_input b) [ "a"; "b" ];
+  Builder.add_gate b ~output:"g" ~kind:Gate.And [ "a"; "a" ];
+  Builder.add_gate b ~output:"h" ~kind:Gate.Or [ "g"; "b" ];
+  Builder.add_output b "h";
+  Builder.freeze b
+
+let test_reconvergence_fixed_circuits () =
+  check_int "a gate reading a net twice" 1 (Stats.reconvergent_site_count (double_read ()));
+  List.iter
+    (fun c -> check_bool (Circuit.name c) true (same_reconvergence c))
+    (double_read () :: fig1 () :: small_tree () :: Circuit_gen.Embedded.s27 ()
+    :: List.map (fun (_, make) -> make ()) Circuit_gen.Structured.all)
+
+(* One label, stamp and queue array for the whole count: about 3 words a
+   node, where a cone per fanout branch cost tens of thousands. *)
+let test_reconvergence_cost () =
+  let c = Circuit_gen.Random_dag.generate ~seed:1 Circuit_gen.Profiles.s13207 in
+  check_int "s13207:1 reconvergent sites" 5491 (Stats.reconvergent_site_count c);
+  let per_node =
+    allocated_words (fun () -> Stats.reconvergent_site_count c)
+    /. float (Circuit.node_count c)
+  in
+  if per_node > 4.0 then Alcotest.failf "%.1f words a node (ceiling 4)" per_node
 
 let test_stats_gate_kind_counts () =
   let s = Stats.compute (fig1 ()) in
@@ -623,5 +681,9 @@ let () =
           Alcotest.test_case "fig1 stats" `Quick test_stats_fig1;
           Alcotest.test_case "tree has no reconvergence" `Quick test_stats_no_reconvergence_in_tree;
           Alcotest.test_case "gate kind counts" `Quick test_stats_gate_kind_counts;
+          prop_reconvergence_matches_cones;
+          Alcotest.test_case "pairwise cones on fixed circuits" `Quick
+            test_reconvergence_fixed_circuits;
+          Alcotest.test_case "reconvergence cost" `Quick test_reconvergence_cost;
         ] );
     ]
