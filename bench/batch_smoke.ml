@@ -16,8 +16,9 @@
    - keep the s1196 fixture's planes well under the n × 62 floats they
      took when every node had a row (the epp.batch.plane_bytes gauge),
    - reuse the shared circuit-analysis context: exactly one topological
-     sort per circuit across engine creation, the reference sweep, the
-     mask pass and the batch propagation (analysis.topo.computed = 1),
+     sort per circuit, the one that validated it when it was built, across
+     engine creation, the reference sweep, the mask pass and the batch
+     propagation (analysis.topo.computed = 1),
    - and round-trip through the bench artifact: BENCH_batch.json is
      written, re-parsed, and the parsed counters re-checked.
 
@@ -76,15 +77,17 @@ let rec leaves engine sites =
     leaves engine (Array.sub sites 0 k)
     @ leaves engine (Array.sub sites k (Array.length sites - k))
 
-(* One fixture under a fresh live sink, so the shared-context counter can be
-   asserted per circuit: everything the sweep needs — the topological order,
-   the forward CSR, the level buckets — must come from one Analysis context. *)
-let run_fixture ~label ?max_plane_share circuit =
+(* One fixture, built and swept under a fresh live sink, so the
+   shared-context counter can be asserted per circuit: building it sorts it
+   once, and everything the sweep needs — the topological order, the
+   forward CSR, the level buckets — must come from that Analysis context. *)
+let run_fixture ~label ?max_plane_share build =
   Epp.Epp_batch.drop_spare_planes ();
   let metrics = Obs.Metrics.create () in
   Obs.Hooks.set_metrics metrics;
-  let engine, snapshot =
+  let circuit, engine, snapshot =
     Fun.protect ~finally:Obs.Hooks.reset (fun () ->
+        let circuit = build () in
         let engine = Epp.Epp_engine.create circuit in
         let n = Netlist.Circuit.node_count circuit in
         let sites = Array.init n Fun.id in
@@ -94,7 +97,7 @@ let run_fixture ~label ?max_plane_share circuit =
           (Printf.sprintf "%s: batch bit-identical to the reference on all %d sites"
              label n)
           (Array.for_all2 same_result reference batch);
-        (engine, Obs.Metrics.snapshot metrics))
+        (circuit, engine, Obs.Metrics.snapshot metrics))
   in
   let v name = Obs.Metrics.counter_value snapshot name in
   let n = Netlist.Circuit.node_count circuit in
@@ -170,11 +173,11 @@ let run_fixture ~label ?max_plane_share circuit =
 let () =
   let snapshots =
     [
-      run_fixture ~label:"s27" (Circuit_gen.Embedded.s27 ());
+      run_fixture ~label:"s27" Circuit_gen.Embedded.s27;
       (* 34% measured: a 561-node circuit's live frontier is a large share
          of it; the dense 8.7k-node s13207 profile is under 20% *)
-      run_fixture ~label:"s1196-profile" ~max_plane_share:0.4
-        (Circuit_gen.Random_dag.generate ~seed:1 Circuit_gen.Profiles.s1196);
+      run_fixture ~label:"s1196-profile" ~max_plane_share:0.4 (fun () ->
+          Circuit_gen.Random_dag.generate ~seed:1 Circuit_gen.Profiles.s1196);
     ]
   in
   (* Write the artifact, then re-parse it and re-check the counters from the

@@ -7,18 +7,19 @@
      be non-empty and monotone non-increasing (derating is monotone by
      construction — a rising step means the greedy loop or the r_seu_scale
      seam broke);
-   + ser_harden --strategy tmr on a generated dense fixture of five
-     DISJOINT dense blocks: every step must run through the patched
-     (not rebuilt) analysis path, re-sweep < 25% of sites, and splice the
-     rest from the previous step — checked both in the per-step curve and
-     in the live metrics snapshot (analysis.incremental.patched > 0);
+   + ser_harden --strategy tmr on a generated dense fixture of ten
+     DISJOINT dense blocks: every step must re-sweep < 25% of sites and
+     splice the rest from the previous step, checked in the per-step
+     curve, and the live metrics snapshot must count one topological sort
+     per circuit (analysis.topo.computed = steps + 1: the parsed fixture
+     and each edited circuit);
    + a real serd subprocess: cold whole-circuit analyze of the fixture,
      then the same single-gate TMR edit three times against the returned
-     fingerprint — each edit must patch, stay under 25% dirty, and the
-     best edit must be >= 3x faster end-to-end than the cold analyze.
+     fingerprint — each edit must stay under 25% dirty, and the best edit
+     must be >= 3x faster end-to-end than the cold analyze.
 
    The blocks are disjoint on purpose: a single-gate edit can only dirty
-   its own block (~1/5 of the sites), so the < 25% bound is a structural
+   its own block (~1/10 of the sites), so the < 25% bound is a structural
    property of the fixture, not a tuning accident.  Writes
    BENCH_harden.json (re-parsed after writing). *)
 
@@ -177,7 +178,7 @@ let () =
     | last :: _ -> last < s27_baseline
     | [] -> false);
 
-  (* 2. tmr on the dense fixture: every step patched, < 25% dirty *)
+  (* 2. tmr on the dense fixture: < 25% dirty, one sort per circuit *)
   let dense_json = "harden_smoke_dense.json" in
   let dense_metrics = "harden_smoke_metrics.json" in
   check "ser_harden tmr on the dense fixture exits 0"
@@ -200,9 +201,6 @@ let () =
         max acc (Option.value ~default:1.0 (jnum "dirty_fraction" step)))
       0.0 dense_curve
   in
-  check "every dense tmr step ran the patched analysis path"
-    (dense_curve <> []
-    && List.for_all (fun s -> jstr "analysis" s = Some "patched") dense_curve);
   check
     (Printf.sprintf
        "every dense tmr step re-swept < 25%% of sites (max %.1f%%)"
@@ -223,9 +221,12 @@ let () =
   let counter name =
     Option.bind (Json.member "counters" metrics) (jnum name)
   in
-  let patched = Option.value ~default:0.0 (counter "analysis.incremental.patched") in
-  check "analysis.incremental.patched > 0 in the metrics snapshot"
-    (patched > 0.0);
+  let sorts = Option.value ~default:0.0 (counter "analysis.topo.computed") in
+  check
+    (Printf.sprintf
+       "analysis.topo.computed = steps + 1 = 4, one sort per circuit (got %.0f)"
+       sorts)
+    (sorts = 4.0);
   check "epp.incremental.dirty_sites and clean_reused are metered"
     (match
        (counter "epp.incremental.dirty_sites",
@@ -278,11 +279,8 @@ let () =
     let r = rpc d (edit_req i) in
     edit_times := (Obs.Clock.monotonic_seconds () -. t0) :: !edit_times;
     let inc v = Option.bind (Json.member "incremental" r) (jnum v) in
-    let inc_s v = Option.bind (Json.member "incremental" r) (jstr v) in
     check (Printf.sprintf "serd edit %d completes" i)
       (jstr "status" r = Some "ok");
-    check (Printf.sprintf "serd edit %d patched the analysis" i)
-      (inc_s "analysis" = Some "patched");
     (match inc "dirty_fraction" with
     | Some f ->
       edit_fracs := f :: !edit_fracs;
@@ -306,10 +304,6 @@ let () =
   check "serd stats counts the edits"
     (match jnum "edits" s with
     | Some e -> e >= 3.0
-    | None -> false);
-  check "serd stats reports patched incremental analyses"
-    (match Option.bind (Json.member "incremental" s) (jnum "patched") with
-    | Some p -> p >= 3.0
     | None -> false);
   ignore (rpc d (Json.Obj [ ("op", Json.String "shutdown") ]));
   check "serd exits cleanly" (wait d = Unix.WEXITED 0);
@@ -340,7 +334,7 @@ let () =
               ( "nodes",
                 Json.int (blocks * (block_inputs + block_gates)) );
               ("max_step_dirty_fraction", Json.Number max_dirty);
-              ("analysis_incremental_patched", Json.Number patched);
+              ("analysis_topo_computed", Json.Number sorts);
             ] );
         ( "serd",
           Json.Obj

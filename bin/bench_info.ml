@@ -3,7 +3,8 @@
 
 open Cmdliner
 
-let run circuit with_timing =
+let run spec with_timing =
+  Cli_common.load_circuit spec @@ fun circuit ->
   Fmt.pr "%a@." Netlist.Stats.pp (Netlist.Stats.compute circuit);
   Fmt.pr "reconvergent fanout sites: %d@." (Netlist.Stats.reconvergent_site_count circuit);
   if with_timing then begin

@@ -4,10 +4,11 @@
 open Cmdliner
 
 (* A circuit argument is one of:
-   - a path to a .bench file,
+   - a path to a .bench, .v or .blif file,
    - "embedded:<name>" for a built-in real netlist (s27, c17),
+   - "structured:<name>" for a generated arithmetic/tree circuit,
    - "profile:<name>[:seed]" for a synthetic ISCAS-profiled circuit. *)
-let load_circuit spec =
+let circuit_of_spec spec =
   match String.split_on_char ':' spec with
   | [ "embedded"; name ] -> (
     match Circuit_gen.Embedded.find name with
@@ -23,15 +24,14 @@ let load_circuit spec =
       Error
         (Printf.sprintf "unknown structured circuit %S (available: %s)" name
            (String.concat ", " (List.map fst Circuit_gen.Structured.all))))
-  | [ "profile"; name ] | [ "profile"; name; _ ] -> (
-    let seed =
-      match String.split_on_char ':' spec with
-      | [ _; _; s ] -> ( try int_of_string s with Failure _ -> 1)
-      | _ -> 1
-    in
-    match Circuit_gen.Profiles.find name with
-    | Some p -> Ok (Circuit_gen.Random_dag.generate ~seed p)
-    | None -> Error (Printf.sprintf "unknown profile %S" name))
+  | "profile" :: name :: ([] | [ _ ] as seed) -> (
+    match (Circuit_gen.Profiles.find name, seed) with
+    | None, _ -> Error (Printf.sprintf "unknown profile %S" name)
+    | Some p, [] -> Ok (Circuit_gen.Random_dag.generate ~seed:1 p)
+    | Some p, seed :: _ -> (
+      match int_of_string_opt seed with
+      | Some seed -> Ok (Circuit_gen.Random_dag.generate ~seed p)
+      | None -> Error (Printf.sprintf "profile seed %S is not an integer" seed)))
   | _ when Filename.check_suffix spec ".v" -> (
     try Ok (Verilog_format.Verilog_parser.parse_file spec) with
     | Sys_error msg -> Error msg
@@ -62,18 +62,26 @@ let load_circuit spec =
     | Netlist.Builder.Error e ->
       Error (Printf.sprintf "%s: invalid netlist: %s" spec (Netlist.Builder.error_to_string e)))
 
-let circuit_conv =
-  let parse spec = Result.map_error (fun e -> `Msg e) (load_circuit spec) in
-  let print ppf c = Fmt.pf ppf "%s" (Netlist.Circuit.name c) in
-  Arg.conv (parse, print)
+(* Run [f] on the circuit [spec] names.  A circuit that fails to load is
+   the run's failure, not an argument error: its message goes to stderr and
+   [f]'s caller gets cmdliner's status for a bad argument (124), so a run
+   that loads inside [with_telemetry] still writes its artifact files. *)
+let load_circuit spec f =
+  match circuit_of_spec spec with
+  | Ok circuit -> f circuit
+  | Error message ->
+    Fmt.epr "%s: %s@." Filename.(remove_extension (basename Sys.executable_name)) message;
+    Cmd.Exit.cli_error
 
+(* The CIRCUIT argument is the spec itself: each tool loads it with
+   [load_circuit] inside its run, where telemetry sees parsing. *)
 let circuit_arg =
   let doc =
     "Circuit to analyze: a netlist file (.bench, .v, .blif), $(b,embedded:)$(i,NAME) \
      (s27, c17), $(b,structured:)$(i,NAME) (add8, mul4, parity16, mux4, acc8), or \
      $(b,profile:)$(i,NAME)[$(b,:)$(i,SEED)] for a synthetic ISCAS'89-profiled circuit."
   in
-  Arg.(required & pos 0 (some circuit_conv) None & info [] ~docv:"CIRCUIT" ~doc)
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"CIRCUIT" ~doc)
 
 let technology_conv =
   let parse name =

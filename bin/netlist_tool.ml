@@ -54,7 +54,9 @@ let output_arg =
 (* --- convert -------------------------------------------------------------- *)
 
 let convert_cmd =
-  let run circuit format output = emit circuit format output in
+  let run spec format output =
+    Cli_common.load_circuit spec @@ fun circuit -> emit circuit format output
+  in
   Cmd.v
     (Cmd.info "convert" ~doc:"convert a netlist between .bench, structural Verilog and BLIF")
     Term.(const run $ Cli_common.circuit_arg $ format_arg $ output_arg)
@@ -62,7 +64,8 @@ let convert_cmd =
 (* --- optimize ------------------------------------------------------------- *)
 
 let optimize_cmd =
-  let run circuit format output =
+  let run spec format output =
+    Cli_common.load_circuit spec @@ fun circuit ->
     let before = Netlist.Stats.compute circuit in
     let optimized = Netlist.Transform.optimize circuit in
     let after = Netlist.Stats.compute optimized in
@@ -78,7 +81,8 @@ let optimize_cmd =
 (* --- tmr ------------------------------------------------------------------ *)
 
 let tmr_cmd =
-  let run circuit technology k format output =
+  let run spec technology k format output =
+    Cli_common.load_circuit spec @@ fun circuit ->
     let report = Epp.Ser_estimator.estimate ~technology circuit in
     let victims =
       Epp.Ranking.ranked report
@@ -105,7 +109,8 @@ let tmr_cmd =
 (* --- witness ---------------------------------------------------------------- *)
 
 let witness_cmd =
-  let run circuit site_name =
+  let run spec site_name =
+    Cli_common.load_circuit spec @@ fun circuit ->
     match Netlist.Circuit.find_opt circuit site_name with
     | None ->
       Fmt.epr "unknown signal %S@." site_name;
@@ -138,7 +143,8 @@ let witness_cmd =
 (* --- testset ---------------------------------------------------------------- *)
 
 let testset_cmd =
-  let run circuit =
+  let run spec =
+    Cli_common.load_circuit spec @@ fun circuit ->
     match Epp.Test_set.generate circuit with
     | exception Circuit_bdd.Too_large { node_count; limit } ->
       Fmt.epr "BDD blow-up: %d nodes against limit %d@." node_count limit;

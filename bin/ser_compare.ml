@@ -21,12 +21,13 @@ let map_with_progress ~label items f =
           r)
         items)
 
-let run circuit vectors sites seed metrics trace prom dump progress =
+let run spec vectors sites seed metrics trace prom dump progress =
   if progress then
     Obs.Hooks.set_progress (Some (Obs.Progress.stderr_renderer ()));
   Cli_common.with_telemetry ?prom ?dump ~metrics ~trace @@ fun () ->
   let tracer = Obs.Hooks.tracer () in
   Obs.Trace.span tracer ~cat:"cli" "ser_compare" @@ fun () ->
+  Cli_common.load_circuit spec @@ fun circuit ->
   let rng = Rng.create ~seed in
   let sp, spt = Report.Timer.time (fun () -> Sigprob.Sp_sequential.default circuit) in
   let engine = Epp.Epp_engine.create ~sp circuit in

@@ -20,7 +20,7 @@
 
    Exit codes: 0 success; 3 quarantined sites under --strict; 4 unusable
    checkpoint (fingerprint mismatch or corrupt file); 124 cmdliner CLI
-   errors. *)
+   errors and a circuit that fails to load. *)
 
 open Cmdliner
 
@@ -62,12 +62,13 @@ let print_report (report : Epp.Ser_estimator.report) elapsed top_k
     Fmt.pr "@.%a@." Epp.Ranking.pp_plan plan);
   Option.iter (Fmt.pr "@.%a@." Epp.Attribution.pp) attribution
 
-let run circuit technology top_k target_reduction by_output electrical
+let run spec technology top_k target_reduction by_output electrical
     checkpoint resume strict domains metrics trace prom dump progress =
   if progress then
     Obs.Hooks.set_progress (Some (Obs.Progress.stderr_renderer ()));
   Cli_common.with_telemetry ?prom ?dump ~metrics ~trace @@ fun () ->
   Obs.Trace.span (Obs.Hooks.tracer ()) ~cat:"cli" "ser_estimate" @@ fun () ->
+  Cli_common.load_circuit spec @@ fun circuit ->
   let electrical = if electrical then Some Seu_model.Electrical.default else None in
   let ctx = Obs.Ctx.create ~baggage:[ ("tool", "ser_estimate") ] () in
   (* The meter is created unconditionally — it renders only when a progress

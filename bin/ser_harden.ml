@@ -10,11 +10,11 @@
      the r_seu_scale seam — monotone non-increasing by construction;
    - tmr: the gate is triplicated with a 2-of-3 voter through
      Netlist.Transform.triplicate_delta, and the re-analysis runs through
-     Epp.Incremental: the analysis context is patched across the delta and
-     only the dirty cone is re-swept, with clean sites spliced from the
-     previous step's outcome.  Total SER is not guaranteed monotone (the
-     replicas and voter are new fault sites); the per-step incremental
-     stats show what the refactor saved.
+     Epp.Incremental: the edited circuit is sorted once for its own
+     analysis context and only the dirty cone is re-swept, with clean
+     sites spliced from the previous step's outcome.  Total SER is not
+     guaranteed monotone (the replicas and voter are new fault sites);
+     the per-step incremental stats show what the refactor saved.
 
    Output: a step-by-step table on stdout and, with --json, the
    SER-reduction-per-cost curve as a JSON artifact (the format
@@ -36,7 +36,6 @@ type step_record = {
   dirty_sites : int;
   clean_reused : int;
   dirty_fraction : float;
-  analysis : string;  (* "patched" | "rebuilt" | "-" for derate *)
 }
 
 (* The next hardening target: the un-hardened real gate (helper gates from
@@ -88,7 +87,6 @@ let run_derate circuit technology ~steps ~factor engine outcome0
             dirty_sites = 0;
             clean_reused = 0;
             dirty_fraction = 0.0;
-            analysis = "-";
           }
         in
         go (step + 1) report' (rec_ :: acc)
@@ -114,7 +112,7 @@ let run_tmr ~ctx ?domains circuit technology ~steps engine0
           | None -> assert false (* the report names come from this circuit *)
         in
         let _, delta = Netlist.Transform.triplicate_delta circuit ~nodes:[ gate ] in
-        let engine', how = Epp.Incremental.rebase engine delta in
+        let engine', _ = Epp.Incremental.rebase engine delta in
         let plan = Epp.Incremental.plan ~before:engine ~after:engine' delta in
         let outcome' =
           Epp.Incremental.sweep ~ctx ?domains plan
@@ -136,10 +134,6 @@ let run_tmr ~ctx ?domains circuit technology ~steps engine0
             dirty_sites = swept;
             clean_reused = stats.Epp.Diag.resumed;
             dirty_fraction = Epp.Incremental.dirty_fraction plan;
-            analysis =
-              (match how with
-              | `Patched -> "patched"
-              | `Rebuilt -> "rebuilt");
           }
         in
         go (step + 1) circuit' engine' outcome' report' cost (rec_ :: acc)
@@ -172,7 +166,6 @@ let curve_json circuit technology strategy ~factor ~baseline curve =
                    ("dirty_sites", Json.int r.dirty_sites);
                    ("clean_reused", Json.int r.clean_reused);
                    ("dirty_fraction", Json.Number r.dirty_fraction);
-                   ("analysis", Json.String r.analysis);
                  ])
              curve) );
     ]
@@ -190,11 +183,9 @@ let print_curve circuit strategy ~baseline curve =
           Printf.sprintf "%.6f" r.total_fit;
           Printf.sprintf "%.1f%%" (100.0 *. r.reduction);
           string_of_int r.cost;
-          (if r.analysis = "-" then "-"
-           else
-             Printf.sprintf "%d/%d %s" r.dirty_sites
-               (r.dirty_sites + r.clean_reused)
-               r.analysis);
+          (match strategy with
+          | Derate -> "-"
+          | Tmr -> Printf.sprintf "%d/%d" r.dirty_sites (r.dirty_sites + r.clean_reused));
         ])
       curve
   in
@@ -203,10 +194,11 @@ let print_curve circuit strategy ~baseline curve =
     ~header:[ "#"; "hardened"; "FIT"; "reduction"; "cost"; "dirty/total" ]
     rows
 
-let run circuit technology strategy steps factor json_path domains metrics
+let run spec technology strategy steps factor json_path domains metrics
     trace prom dump =
   Cli_common.with_telemetry ?prom ?dump ~metrics ~trace @@ fun () ->
   Obs.Trace.span (Obs.Hooks.tracer ()) ~cat:"cli" "ser_harden" @@ fun () ->
+  Cli_common.load_circuit spec @@ fun circuit ->
   if steps < 1 then begin
     Fmt.epr "ser_harden: --steps must be >= 1@.";
     2

@@ -53,10 +53,6 @@ let node_count m = m.node_count
 
 let is_terminal id = id < 2
 
-let var_of m id = m.var.(id)
-let low_of m id = m.low.(id)
-let high_of m id = m.high.(id)
-
 let grow m =
   let capacity = Array.length m.var in
   if m.node_count >= capacity then begin
@@ -143,10 +139,6 @@ let bor m a b = apply m op_or a b
 let bxor m a b = apply m op_xor a b
 
 let bnot m a = bxor m a one
-
-let bnand m a b = bnot m (band m a b)
-let bnor m a b = bnot m (bor m a b)
-let bxnor m a b = bnot m (bxor m a b)
 
 let ite m c t e = bor m (band m c t) (band m (bnot m c) e)
 
@@ -241,8 +233,6 @@ let size m node =
   in
   go node;
   Hashtbl.length seen
-
-let clear_caches m = Hashtbl.reset m.apply_cache
 
 (* --- dynamic variable ordering (sifting) ----------------------------------
 

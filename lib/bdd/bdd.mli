@@ -31,15 +31,9 @@ val band : t -> int -> int -> int
 val bor : t -> int -> int -> int
 val bxor : t -> int -> int -> int
 val bnot : t -> int -> int
-val bnand : t -> int -> int -> int
-val bnor : t -> int -> int -> int
-val bxnor : t -> int -> int -> int
 val ite : t -> int -> int -> int -> int
 
 val is_terminal : int -> bool
-val var_of : t -> int -> int
-val low_of : t -> int -> int
-val high_of : t -> int -> int
 
 val eval : t -> int -> (int -> bool) -> bool
 (** Evaluate a node under a variable assignment. *)
@@ -60,10 +54,6 @@ val count_sat : t -> int -> float
 
 val size : t -> int -> int
 (** Distinct internal nodes reachable from the given root. *)
-
-val clear_caches : t -> unit
-(** Drop the apply cache (the unique table is kept — canonicity is
-    preserved). *)
 
 val pp : t -> int Fmt.t
 (** Debug rendering as nested if-then-else. *)

@@ -18,7 +18,5 @@ let pp_statement ppf = function
   | Gate { output; kind; fanins } ->
     Fmt.pf ppf "%s = %s(%s)" output (Netlist.Gate.to_string kind) (String.concat ", " fanins)
 
-let equal_statement (a : statement) (b : statement) = a = b
-
 let pp ppf t =
   Fmt.pf ppf "@[<v># %s@,%a@]" t.name (Fmt.list ~sep:Fmt.cut pp_statement) t.statements

@@ -10,5 +10,4 @@ type statement =
 type t = { name : string; statements : statement list }
 
 val pp_statement : statement Fmt.t
-val equal_statement : statement -> statement -> bool
 val pp : t Fmt.t

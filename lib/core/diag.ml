@@ -77,8 +77,6 @@ let completion_to_string = function
       "deadline expired after %gs: %d site(s) analyzed, %d remaining"
       budget_seconds analyzed remaining
 
-let pp_completion ppf c = Fmt.string ppf (completion_to_string c)
-
 let pp_stats ppf s =
   Fmt.pf ppf
     "%d site(s): %d batch, %d degraded to reference, %d quarantined, %d \

@@ -56,7 +56,6 @@ type completion =
 val step_to_string : step -> string
 val fault_to_string : fault -> string
 val completion_to_string : completion -> string
-val pp_completion : completion Fmt.t
 
 val pp_step : step Fmt.t
 val pp_fault : fault Fmt.t

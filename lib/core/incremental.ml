@@ -58,10 +58,9 @@ let dirty_fraction plan =
   else float_of_int plan.dirty_count /. float_of_int plan.total
 
 let rebase engine d =
-  let ctx = Epp_engine.analysis engine in
-  let _ctx, how = Netlist.Analysis.apply_delta ctx d in
-  (* The fresh engine picks the patched (or rebuilt) context back up via
-     Analysis.get; sp is recomputed from scratch — the sequential fixpoint
+  let _, how = Netlist.Analysis.apply_delta (Epp_engine.analysis engine) d in
+  (* The fresh engine sorts the post-edit circuit (its own context, via
+     Analysis.get); sp is recomputed from scratch — the sequential fixpoint
      is a global computation, and bit-comparing old vs new values is what
      the planner uses to bound the damage. *)
   (Epp_engine.create (Netlist.Delta.after d), how)

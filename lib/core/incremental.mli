@@ -5,10 +5,10 @@
     cone geometry, side-input probabilities, or reached observation points
     changed need re-analysis; every other pre-edit entry is carried into
     the new outcome as it is (property-tested against a cold full
-    sweep).  The flow is: {!rebase} the engine across the delta (patching
-    the analysis context via {!Netlist.Analysis.apply_delta}), {!plan} the
-    dirty set, then {!sweep} only the dirty sites and splice the rest from
-    the prior outcome.
+    sweep).  The flow is: {!rebase} the engine across the delta (a fresh
+    engine on the post-edit circuit, whose analysis context is its own,
+    sorted once), {!plan} the dirty set, then {!sweep} only the dirty sites
+    and splice the rest from the prior outcome.
 
     Metered by [epp.incremental.dirty_sites] / [epp.incremental.clean_reused]
     (counters) and [epp.incremental.dirty_fraction] (gauge, the swept share
@@ -17,10 +17,13 @@
 type plan
 
 val rebase : Epp_engine.t -> Netlist.Delta.t -> Epp_engine.t * [ `Patched | `Rebuilt ]
-(** Carry an engine across an edit: the analysis context is patched (or
-    rebuilt) via {!Netlist.Analysis.apply_delta}, and a fresh engine is
-    created on the post-edit circuit.  Signal probabilities are recomputed
-    — the planner bit-compares them to bound the dirty set. *)
+(** Carry an engine across an edit: a fresh engine on the post-edit
+    circuit, whose analysis context is its own (one topological sort, on
+    first use).  Signal probabilities are recomputed — the planner
+    bit-compares them to bound the dirty set.  The tag is
+    {!Netlist.Analysis.apply_delta}'s, kept only for the benchmark.
+    @raise Invalid_argument when [d]'s before-circuit is not the engine's
+    circuit. *)
 
 val plan : before:Epp_engine.t -> after:Epp_engine.t -> Netlist.Delta.t -> plan
 (** Compute the dirty set: sites backward-reaching (in either circuit) a

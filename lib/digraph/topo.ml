@@ -11,10 +11,9 @@ exception Cycle of Digraph.vertex list
    first, so the order is deterministic and stable across runs.  In-degrees
    are the lengths of the predecessor ranges.  Every vertex enters the
    worklist at most once, so the FIFO is one int array with a read and a
-   write cursor, and what it holds at the end is the order.  Returns that
-   array, how many vertices were emitted, and the in-degrees left over
-   (positive exactly on the vertices a cycle blocked). *)
-let drain g =
+   write cursor, and what it holds at the end is the order.  The in-degrees
+   left over are positive exactly on the vertices a cycle blocked. *)
+let sort_array g =
   let n = Digraph.vertex_count g in
   let offsets = Digraph.offsets g and targets = Digraph.targets g in
   let rev_offsets = Digraph.rev_offsets g in
@@ -40,23 +39,14 @@ let drain g =
       end
     done
   done;
-  (queue, !head, deg)
-
-let sort_array g =
-  let order, emitted, deg = drain g in
-  if emitted < Array.length order then begin
+  if !head < n then begin
     let leftover = ref [] in
-    for v = Array.length deg - 1 downto 0 do
+    for v = n - 1 downto 0 do
       if deg.(v) > 0 then leftover := v :: !leftover
     done;
     raise (Cycle !leftover)
   end;
-  order
-
-(* Netlist validation runs this on every circuit built. *)
-let is_acyclic g =
-  let order, emitted, _ = drain g in
-  emitted = Array.length order
+  queue
 
 (* level v = 0 for sources, otherwise 1 + max level of predecessors, from
    an already-computed topological order: the analysis context memoizes

@@ -24,8 +24,6 @@ let low_mask n =
   if n < 0 || n > bits then invalid_arg "Word.low_mask";
   if n = bits then Int64.minus_one else Int64.sub (Int64.shift_left 1L n) 1L
 
-let to_bool_list x = List.init bits (get x)
-
 let pp ppf x =
   for i = bits - 1 downto 0 do
     Fmt.pf ppf "%c" (if get x i then '1' else '0')

@@ -17,5 +17,4 @@ val low_mask : int -> int64
 (** [low_mask n] keeps the low [n] bits; used when the last batch holds fewer
     than 64 live patterns.  @raise Invalid_argument unless 0 <= n <= 64. *)
 
-val to_bool_list : int64 -> bool list
 val pp : int64 Fmt.t

@@ -8,9 +8,11 @@
    the shared instance:
 
    - whole-graph facts (order, gate order, observation arrays) are
-     assembled once, on first [get]; levels, depth, the batch engine's
-     layouts and the cone searches' ranking are computed on first demand
-     and published once;
+     assembled once, on first [get]: Builder.freeze calls it, so the sort
+     that validates a parsed or generated circuit is its order, and a
+     circuit made by id (an edit) is sorted on first use; levels, depth,
+     the batch engine's layouts and the cone searches' ranking are
+     computed on first demand and published once;
    - per-observation-point BFS distance maps are memoized by net, each a
      whole-graph search that answers every site's depth query at once;
    - cones are not kept: a cone is the array of its members in topological
@@ -24,12 +26,12 @@
    consumer of the circuit.  The distance memo is mutex-protected and the
    whole-graph arrays are written once before publication, so a context is
    safe to share across domains — build it (or the engine owning it)
-   before fanning out.
+   before fanning out.  Each circuit has its own context.
 
    Reuse is observable: [analysis.cache.hit] / [analysis.cache.miss] count
    every served-from-memo vs computed fact, and [analysis.*.computed]
-   counters prove single-pass behaviour (a supervised sweep must report
-   exactly one [analysis.topo.computed]). *)
+   counters prove single-pass behaviour (one [analysis.topo.computed] per
+   circuit, whatever runs on it). *)
 
 let count name =
   Obs.Metrics.incr (Obs.Metrics.counter (Obs.Hooks.metrics ()) name)
@@ -85,9 +87,12 @@ let publish_once cell ~computed:name compute =
       | None -> assert false (* the cell is set-once *)
     end
 
-(* The context around a topological order: the one [get] sorts for, or
-   the one [apply_delta] patched across an edit (with its levels). *)
-let assemble circuit ~order ~levels =
+(* The one topological sort of the circuit's life, and the context around
+   it.  [Builder.freeze] runs it to prove a netlist acyclic; a circuit made
+   by id (an edit) runs it on first use. *)
+let build circuit =
+  let order = Topo.sort_array (Circuit.graph circuit) in
+  computed "analysis.topo.computed";
   let gate_order =
     let acc = ref [] in
     for i = Array.length order - 1 downto 0 do
@@ -111,7 +116,7 @@ let assemble circuit ~order ~levels =
     distance_maps = Hashtbl.create 16;
     distance_lock = Mutex.create ();
     ranking = Atomic.make None;
-    levels = Atomic.make levels;
+    levels = Atomic.make None;
     depth = Atomic.make None;
     level_gates = Atomic.make None;
     max_fanout_level = Atomic.make None;
@@ -119,23 +124,14 @@ let assemble circuit ~order ~levels =
     observed = Atomic.make None;
   }
 
-(* The one topological sort of the circuit's life. *)
-let build circuit =
-  let order = Topo.sort_array (Circuit.graph circuit) in
-  computed "analysis.topo.computed";
-  assemble circuit ~order ~levels:None
-
-(* The context installed on [circuit]: the one [make] builds, unless
-   another was published first. *)
-let install circuit make =
+(* A sort that raises [Topo.Cycle] publishes nothing. *)
+let get circuit =
   match
     publish_once (Circuit.context circuit) ~computed:"analysis.context.computed"
-      (fun () -> Context (make ()))
+      (fun () -> Context (build circuit))
   with
   | Context ctx -> ctx
   | _ -> assert false (* the slot only ever holds our constructor *)
-
-let get circuit = install circuit (fun () -> build circuit)
 
 let circuit t = t.circuit
 let order t = t.order
@@ -257,89 +253,8 @@ let reached_observations t members =
   done;
   !acc
 
-(* --- incremental patching across a Transform edit ------------------------
-
-   [apply_delta] carries a context across an edit instead of throwing it
-   away: the pre-edit topological order is patched onto the post-edit
-   circuit when the edit is order-preserving, and levels are re-derived
-   from the patched order.  Everything else (positions, distance maps, the
-   level buckets) builds lazily on demand: no edit path reads the distance
-   memo, so none is carried over. *)
-
-exception Order_patch_failed
-
-(* Patch the old order onto the new circuit: survivors keep their old
-   relative order; each added node is placed on demand, right before its
-   first consumer (recursing through added fanins only — an unplaced
-   *surviving* fanin means the edit reordered survivors, so we bail to a
-   full rebuild).  A final O(V+E) edge check backstops the construction. *)
-let patch_order ~old_order d =
-  let after = Delta.after d in
-  let new_of_old = Delta.new_of_old d in
-  let old_of_new = Delta.old_of_new d in
-  let n_new = Circuit.node_count after in
-  let out = Array.make n_new 0 in
-  let cursor = ref 0 in
-  let placed = Array.make n_new false in
-  let in_progress = Array.make n_new false in
-  let emit w =
-    placed.(w) <- true;
-    out.(!cursor) <- w;
-    incr cursor
-  in
-  let rec require u =
-    if not placed.(u) then
-      if old_of_new.(u) >= 0 then raise Order_patch_failed
-      else place_added u
-  and place_added u =
-    if in_progress.(u) then raise Order_patch_failed;
-    in_progress.(u) <- true;
-    require_fanins u;
-    in_progress.(u) <- false;
-    emit u
-  and require_fanins u =
-    match Circuit.node after u with
-    | Circuit.Gate { fanins; _ } -> Array.iter require fanins
-    | Circuit.Input | Circuit.Ff _ -> ()
-  in
-  Array.iter
-    (fun v ->
-      let w = new_of_old.(v) in
-      if w >= 0 then begin
-        require_fanins w;
-        emit w
-      end)
-    old_order;
-  for u = 0 to n_new - 1 do
-    if not placed.(u) then place_added u (* added nodes nothing consumes *)
-  done;
-  assert (!cursor = n_new);
-  let pos = Array.make n_new 0 in
-  Array.iteri (fun i v -> pos.(v) <- i) out;
-  for w = 0 to n_new - 1 do
-    match Circuit.node after w with
-    | Circuit.Gate { fanins; _ } ->
-      Array.iter (fun u -> if pos.(u) >= pos.(w) then raise Order_patch_failed) fanins
-    | Circuit.Input | Circuit.Ff _ -> ()
-  done;
-  out
-
 let apply_delta t d =
   if not (Delta.before d == t.circuit) then
     invalid_arg "Analysis.apply_delta: delta's before-circuit is not this context's";
-  if Delta.after d == t.circuit then (t, `Patched) (* no-op edit, nothing to do *)
-  else begin
-    let after = Delta.after d in
-    match patch_order ~old_order:t.order d with
-    | exception Order_patch_failed ->
-      count "analysis.incremental.rebuilt";
-      (get after, `Rebuilt)
-    | order ->
-      count "analysis.incremental.patched";
-      (* The order and levels were patched, not computed: they bump no
-         [*.computed] counter. *)
-      let patched () =
-        assemble after ~order ~levels:(Some (Topo.levels_from (Circuit.graph after) order))
-      in
-      (install after patched, `Patched)
-  end
+  if Delta.after d == t.circuit then (t, `Patched) (* the identity edit *)
+  else (get (Delta.after d), `Rebuilt)

@@ -1,12 +1,14 @@
 (** Shared circuit-analysis context.
 
-    One {!t} per circuit, obtained with {!get} (lazily built, memoized on the
-    circuit itself).  It bundles the whole-graph traversal facts every engine
-    needs — topological order, its inverse permutation, gates-only order,
-    observation-point arrays — plus one BFS distance map per observation
-    point, so interleaved engines reuse one computation instead of each
-    re-deriving its own.  Cones are searched per call, at the cone's cost,
-    and not kept.
+    One {!t} per circuit, obtained with {!get} (built when
+    {!Builder.freeze} validates the circuit, or on first use for a circuit
+    made by id, such as an edit's; memoized on the circuit itself).  No
+    context crosses an edit.  It bundles the whole-graph traversal facts
+    every engine needs — topological order, its inverse permutation,
+    gates-only order, observation-point arrays — plus one BFS distance map
+    per observation point, so interleaved engines reuse one computation
+    instead of each re-deriving its own.  Cones are searched per call, at
+    the cone's cost, and not kept.
 
     Ownership/aliasing contract (DESIGN.md §11): every memoized array
     returned by this module is the shared instance, used by all consumers
@@ -24,7 +26,9 @@ type t
 
 val get : Circuit.t -> t
 (** The circuit's analysis context, built on first use and shared
-    thereafter ([analysis.context.computed] counts the builds). *)
+    thereafter ([analysis.context.computed] counts the builds).
+    {!Builder.freeze} calls it, so a parsed or generated circuit already
+    has one.  @raise Topo.Cycle on a cyclic graph, publishing nothing. *)
 
 val circuit : t -> Circuit.t
 
@@ -32,8 +36,8 @@ val circuit : t -> Circuit.t
 
 val order : t -> int array
 (** The circuit's topological order (all nodes): the one sort of the
-    circuit's life ([analysis.topo.computed]), or the order
-    {!apply_delta} patched across an edit. *)
+    circuit's life ([analysis.topo.computed]), the drain that proved it
+    acyclic ({!Topo.sort_array}). *)
 
 val position : t -> int array
 (** The inverse of {!order}: [position ctx.(v)] is [v]'s index in
@@ -125,23 +129,12 @@ val reached_observations : t -> int array -> Circuit.observation list
     is among [members], a site's {!cone}, in {!observations} order: one
     {!Reach.find} in the cone per observation point. *)
 
-(** {2 Incremental invalidation} *)
+(** {2 Edits} *)
 
 val apply_delta : t -> Delta.t -> t * [ `Patched | `Rebuilt ]
-(** Carry this context across a {!Transform} edit instead of throwing it
-    away.  When the edit is order-preserving (every surviving node pair
-    keeps its relative order — true for all the [Transform.*_delta]
-    rewrites, which only interleave new helper gates), the pre-edit
-    topological order is patched onto the post-edit circuit and levels are
-    re-derived from it; the result is [`Patched].  Otherwise the post-edit
-    context is built from scratch and the result is [`Rebuilt].  The
-    distance memo starts empty either way.  Either way the returned
-    context is the one installed on the post-edit circuit (subsequent
-    {!get} returns it), and [analysis.incremental.patched] /
-    [analysis.incremental.rebuilt] meter the two paths.
-
-    Ownership contract (DESIGN.md §16): an [Analysis.t] — and every array
-    obtained from it — is bound to its pre-edit circuit; after an edit,
-    continue only with the context returned here (or [get] on the new
-    circuit).  @raise Invalid_argument when [delta]'s before-circuit is not
-    this context's circuit. *)
+(** [apply_delta ctx d] is [get (Delta.after d)]: each circuit has its own
+    context, sorted on first use, and none crosses an edit.  The identity
+    edit returns [ctx] itself, tagged [`Patched]; any other edit is tagged
+    [`Rebuilt].  The tag carries no information and is kept only for the
+    benchmark, which reads it.  @raise Invalid_argument when [d]'s
+    before-circuit is not [ctx]'s circuit. *)

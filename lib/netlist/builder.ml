@@ -16,7 +16,7 @@
    (the actual feedback loops, via SCC). *)
 
 type t = {
-  mutable circuit_name : string;
+  circuit_name : string;
   table : Name_table.t; (* name -> slot *)
   mutable slot_ids : int array; (* slot -> node id, -1 while undefined *)
   mutable declared_output : Bytes.t; (* slot -> '\001' once declared OUTPUT *)
@@ -50,8 +50,6 @@ let error_to_string = function
     Printf.sprintf "combinational cycle(s): %s" (String.concat "; " (List.map pp_loop loops))
   | Duplicate_output s -> Printf.sprintf "signal %S is declared OUTPUT twice" s
 
-let pp_error = Fmt.of_to_string error_to_string
-
 let create ?(name = "circuit") () =
   {
     circuit_name = name;
@@ -68,10 +66,6 @@ let create ?(name = "circuit") () =
   }
 
 let live t = if t.frozen then invalid_arg "Builder: the builder was frozen"
-
-let set_name t name =
-  live t;
-  t.circuit_name <- name
 
 let grown a fill =
   let b = Array.make (2 * Array.length a) fill in
@@ -202,10 +196,12 @@ let freeze t =
     Circuit.make_indexed ~name:t.circuit_name ~nodes ~names ~index:t.table ~inputs ~outputs ~ffs
   in
   (* Combinational cycles are a hard error: every engine assumes a DAG.
-     Only a cyclic netlist pays for the SCCs that name its loops. *)
-  if not (Topo.is_acyclic (Circuit.graph circuit)) then begin
+     The sort that proves the circuit acyclic is its analysis order, so a
+     valid circuit leaves here with its context published; a cyclic one
+     publishes nothing, and only it pays for the SCCs that name its loops. *)
+  match Analysis.get circuit with
+  | _ -> circuit
+  | exception Topo.Cycle _ ->
     let loops = Scc.nontrivial (Circuit.graph circuit) in
     let named = List.map (List.map (fun v -> names.(v))) loops in
     raise (Error (Combinational_cycle named))
-  end;
-  circuit

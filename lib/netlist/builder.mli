@@ -20,10 +20,8 @@ type error =
 exception Error of error
 
 val error_to_string : error -> string
-val pp_error : error Fmt.t
 
 val create : ?name:string -> unit -> t
-val set_name : t -> string -> unit
 
 val add_input : t -> string -> unit
 (** Declare a primary input.  @raise Error [Duplicate_definition]. *)
@@ -46,6 +44,9 @@ val freeze : t -> Circuit.t
 (** Resolve names, build the immutable circuit, and validate: undefined
     references (the first in definition order, a definition's fanins in
     order, then OUTPUT declarations in order), then combinational cycles
-    (reported as explicit loops).  [freeze] consumes the builder, whatever
-    its outcome: any later call on it raises [Invalid_argument].
-    @raise Error. *)
+    (reported as explicit loops).  The topological sort that proves the
+    circuit acyclic is its analysis order: a circuit returned here already
+    holds its {!Analysis.get} context ([analysis.topo.computed] and
+    [analysis.context.computed] count it here), and a cyclic netlist
+    publishes none.  [freeze] consumes the builder, whatever its outcome:
+    any later call on it raises [Invalid_argument].  @raise Error. *)

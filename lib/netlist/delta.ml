@@ -1,11 +1,12 @@
 (* A typed description of one Transform edit: which nodes changed, which
    vanished, which are new — the currency of incremental invalidation.
 
-   Transforms rebuild through Builder and preserve the names of surviving
-   signals, so the old<->new correspondence is name-based: a node survives
-   iff its name exists on both sides.  Node ids shift freely across a
-   rebuild (helper gates are interleaved), which is why every consumer of a
-   delta works through [new_of_old] / [old_of_new] instead of comparing raw
+   Transforms preserve the names of surviving signals (the cleanups
+   rebuild through Builder, the edits splice the new circuit by id), so
+   the old<->new correspondence is name-based: a node survives iff its
+   name exists on both sides.  Node ids shift freely across an edit
+   (helper gates are interleaved), which is why every consumer of a delta
+   works through [new_of_old] / [old_of_new] instead of comparing raw
    ids.
 
    "Touched" is an exact structural notion: a new node is touched iff it is

@@ -2,7 +2,7 @@
 
     Transforms preserve the names of surviving signals, so the old<->new
     node correspondence is name-based ({!new_of_old} / {!old_of_new}); raw
-    node ids shift freely across a rebuild and must never be compared
+    node ids shift freely across an edit and must never be compared
     directly.
 
     A new node is {e touched} iff it is added or its definition differs
@@ -12,10 +12,9 @@
     circuits alone, and the deltas reported by the [Transform.*_delta]
     functions are regression-tested equal to it.
 
-    Deltas drive incremental invalidation: {!Analysis.apply_delta} patches
-    the analysis context's topological order instead of re-sorting, and
-    [Epp.Incremental] uses the dirty geometry below to re-analyze only
-    affected sites. *)
+    Deltas drive incremental re-analysis: [Epp.Incremental] uses the dirty
+    geometry below to re-analyze only affected sites.  No analysis context
+    crosses a delta: the after-circuit is sorted on its own first use. *)
 
 type t
 

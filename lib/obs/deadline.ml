@@ -22,14 +22,3 @@ let remaining t =
   else Float.max 0.0 (t.until -. Clock.monotonic_seconds ())
 
 let budget_seconds t = t.budget_seconds
-
-exception Expired of { budget_seconds : float }
-
-let () =
-  Printexc.register_printer (function
-    | Expired { budget_seconds } ->
-      Some (Printf.sprintf "Obs.Deadline.Expired(budget %gs)" budget_seconds)
-    | _ -> None)
-
-let raise_if_expired t =
-  if expired t then raise (Expired { budget_seconds = t.budget_seconds })

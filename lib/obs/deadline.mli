@@ -38,10 +38,3 @@ val budget_seconds : t -> float
 (** The budget this deadline was created with ([infinity] for {!never}) —
     for diagnostics, not for arithmetic. *)
 
-exception Expired of { budget_seconds : float }
-(** Raised by {!raise_if_expired} — the escape hatch for drivers whose
-    result type cannot express partial completion (e.g. the sequential
-    {!Epp.Epp_batch} sweeps).  Supervised paths never let it out: they
-    convert expiry into a typed partial outcome instead. *)
-
-val raise_if_expired : t -> unit

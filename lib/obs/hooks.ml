@@ -41,8 +41,3 @@ let reset () =
   Log.set_sink Log.null;
   Atomic.set progress_cell None
 
-let enabled () =
-  not
-    (Metrics.is_null (metrics ())
-    && Trace.is_null (tracer ())
-    && Log.is_null (logger ()))

@@ -36,5 +36,3 @@ val reset : unit -> unit
 (** Back to the no-op sinks (tests).  Does not clear the flight recorder —
     use {!Recorder.clear}. *)
 
-val enabled : unit -> bool
-(** Whether any live sink (metrics, tracer, logger) is installed. *)

@@ -353,11 +353,12 @@ let handle_analyze t ?id ~ctx ~circuit ~sites ~budget_ms ~top_k ~inject () =
 (* --- edit ------------------------------------------------------------------ *)
 
 (* The interactive hardening round trip: apply one Transform to a (usually
-   cached) base circuit and re-analyze incrementally — the analysis context
-   is patched across the delta, only the dirty cone is re-swept, and clean
-   sites are spliced from the base engine's remembered whole-circuit
-   outcome.  The post-edit engine becomes resident under its own (fresh)
-   fingerprint, so a chain of edits keeps paying O(dirty cone) per step. *)
+   cached) base circuit and re-analyze incrementally — the edited circuit
+   gets its own analysis context (one topological sort), only the dirty
+   cone is re-swept, and clean sites are spliced from the base engine's
+   remembered whole-circuit outcome.  The post-edit engine becomes
+   resident under its own (fresh) fingerprint, so a chain of edits keeps
+   paying O(dirty cone) per step. *)
 let handle_edit t ?id ~ctx ~circuit ~kind ~target ~budget_ms ~top_k () =
   let { Engine_cache.engine = base_engine; fingerprint = base_fp; hit } =
     engine_for t ~ctx circuit
@@ -386,7 +387,7 @@ let handle_edit t ?id ~ctx ~circuit ~kind ~target ~budget_ms ~top_k () =
       reject Protocol.Invalid_netlist "edit produced an invalid netlist: %s"
         (Netlist.Builder.error_to_string e)
   in
-  let edited, how = Epp.Incremental.rebase base_engine delta in
+  let edited, _ = Epp.Incremental.rebase base_engine delta in
   let plan = Epp.Incremental.plan ~before:base_engine ~after:edited delta in
   let prior =
     Option.value ~default:[]
@@ -422,11 +423,6 @@ let handle_edit t ?id ~ctx ~circuit ~kind ~target ~budget_ms ~top_k () =
                  else
                    float_of_int swept
                    /. float_of_int (Epp.Incremental.total plan)) );
-            ( "analysis",
-              Json.String
-                (match how with
-                | `Patched -> "patched"
-                | `Rebuilt -> "rebuilt") );
           ] );
     ]
   in
@@ -472,8 +468,6 @@ let stats_response t ?id ~ctx () =
       ( "incremental",
         Json.Obj
           [
-            ("patched", c "analysis.incremental.patched");
-            ("rebuilt", c "analysis.incremental.rebuilt");
             ("dirty_sites", c "epp.incremental.dirty_sites");
             ("clean_reused", c "epp.incremental.clean_reused");
             ("dirty_fraction", g "epp.incremental.dirty_fraction");

@@ -40,9 +40,4 @@ let gate_delay t kind ~fanin =
   if fanin < 0 then invalid_arg "Delay_model.gate_delay: negative fanin";
   t.intrinsic kind +. (t.per_fanin *. float_of_int (max 0 (fanin - 1)))
 
-let node_delay t circuit v =
-  match Circuit.kind_of circuit v with
-  | None -> 0.0 (* inputs and flip-flop outputs launch at t = 0 *)
-  | Some kind -> gate_delay t kind ~fanin:(Array.length (Circuit.fanins circuit v))
-
 let pp ppf t = Fmt.pf ppf "%s (+%.3g s/fanin, wire %.3g s)" t.name t.per_fanin t.wire

@@ -17,7 +17,4 @@ val unit_delay : t
 val gate_delay : t -> Netlist.Gate.kind -> fanin:int -> float
 (** @raise Invalid_argument on negative fanin. *)
 
-val node_delay : t -> Netlist.Circuit.t -> int -> float
-(** 0 for pseudo-inputs. *)
-
 val pp : t Fmt.t

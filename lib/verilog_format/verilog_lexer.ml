@@ -15,8 +15,6 @@ type token = { kind : token_kind; pos : position }
 
 exception Error of { message : string; pos : position }
 
-let pp_position ppf { line; column } = Fmt.pf ppf "line %d, column %d" line column
-
 let kind_to_string = function
   | Ident s -> Printf.sprintf "identifier %S" s
   | Lparen -> "'('"

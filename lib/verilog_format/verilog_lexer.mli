@@ -16,7 +16,6 @@ type token = { kind : token_kind; pos : position }
 
 exception Error of { message : string; pos : position }
 
-val pp_position : position Fmt.t
 val kind_to_string : token_kind -> string
 
 type t

@@ -445,12 +445,13 @@ module Reference_elaboration = struct
         Circuit.make ~name:"reference" ~nodes ~names ~inputs:(Array.of_list inputs)
           ~outputs:(Array.of_list outputs) ~ffs:(Array.of_list ffs)
       in
-      if not (Topo.is_acyclic (Circuit.graph c)) then
+      match Topo.sort_array (Circuit.graph c) with
+      | _ -> { names; nodes; inputs; outputs; ffs }
+      | exception Topo.Cycle _ ->
         raise
           (Rejected
              (Builder.Combinational_cycle
-                (List.map (List.map (fun v -> names.(v))) (Scc.nontrivial (Circuit.graph c)))));
-      { names; nodes; inputs; outputs; ffs }
+                (List.map (List.map (fun v -> names.(v))) (Scc.nontrivial (Circuit.graph c)))))
     in
     match
       List.iter statement statements;

@@ -1,13 +1,13 @@
-(* Tests for the incremental re-analysis pipeline: Netlist.Analysis.apply_delta
-   (patch vs rebuild, metered), Epp.Incremental plan geometry, and the master
-   property — a chain of random Transform edits analyzed incrementally is
-   bit-identical, per observation, to a cold whole-circuit sweep of the final
-   circuit, on every engine rung (batch, reference).
+(* Tests for the incremental re-analysis pipeline: an edit's analysis
+   context (Netlist.Analysis.apply_delta: the edited circuit's own, one sort
+   per circuit), Epp.Incremental plan geometry, and the master property — a
+   chain of random Transform edits analyzed incrementally is bit-identical,
+   per observation, to a cold whole-circuit sweep of the final circuit, on
+   every engine rung (batch, reference).
 
-   The cold side always runs on a CLONE of the post-edit circuit: apply_delta
-   installs the patched analysis context on the shared circuit, and the whole
-   point is to prove that context computes the same bits as one built from
-   scratch. *)
+   The cold side always runs on a CLONE of the post-edit circuit, so it
+   shares no memoized state (context, signal probabilities, engine) with
+   the incremental side. *)
 
 open Helpers
 open Netlist
@@ -153,40 +153,36 @@ let prop_chain rung =
     seed_arbitrary
     (fun seed -> chain_bit_identical ~rung ~steps:5 seed)
 
-(* --- apply_delta: patch vs rebuild ------------------------------------------ *)
+(* --- apply_delta: one sort per circuit ---------------------------------------- *)
 
-let test_apply_delta_patches_and_meters () =
+(* No order crosses an edit: rebase, plan and sweep sort the edited circuit
+   exactly once, and that context is the one apply_delta hands back. *)
+let test_edit_sorts_once () =
   let m = fresh_registry () in
+  let topo () =
+    Obs.Metrics.counter_value (Obs.Metrics.snapshot m) "analysis.topo.computed"
+  in
   let c = Circuit_gen.Embedded.s27 () in
-  let analysis = Analysis.get c in
+  let engine = Epp.Epp_engine.create c in
+  let outcome = full_sweep ~rung:Batch engine in
   let _, d = Transform.insert_identity_delta c ~net:(Circuit.find c "G11") in
-  let analysis', how = Analysis.apply_delta analysis d in
-  check_bool "buffer insertion patches in place" true (how = `Patched);
-  check_bool "patched analysis is on the new circuit" true
-    (Analysis.order analysis' <> Analysis.order analysis);
-  let s = Obs.Metrics.snapshot m in
-  check_int "patched metered" 1
-    (Obs.Metrics.counter_value s "analysis.incremental.patched");
-  check_int "no rebuild" 0
-    (Obs.Metrics.counter_value s "analysis.incremental.rebuilt");
-  (* The patched order is a valid topological order of the new circuit. *)
+  let sorted = topo () in
+  let engine', _ = Epp.Incremental.rebase engine d in
+  let plan = Epp.Incremental.plan ~before:engine ~after:engine' d in
+  ignore (incremental_sweep ~rung:Batch plan ~prior:outcome.entries engine');
+  check_int "rebase, plan and sweep sort the edited circuit once" 1 (topo () - sorted);
   let c' = Delta.after d in
-  let order = Analysis.order analysis' in
-  let pos = Array.make (Circuit.node_count c') (-1) in
-  Array.iteri (fun i v -> pos.(v) <- i) order;
-  let ok = ref true in
-  for v = 0 to Circuit.node_count c' - 1 do
-    match Circuit.node c' v with
-    | Circuit.Gate { fanins; _ } ->
-      Array.iter (fun u -> if pos.(u) >= pos.(v) then ok := false) fanins
-    | Circuit.Input | Circuit.Ff _ -> ()
-  done;
-  check_bool "patched order is topological" true !ok
+  let analysis', _ = Analysis.apply_delta (Analysis.get c) d in
+  check_bool "apply_delta returns the edited circuit's own context" true
+    (analysis' == Analysis.get c');
+  check_bool "its order is topological" true
+    (is_topological_order (Circuit.graph c') (Array.to_list (Analysis.order analysis')));
+  check_int "and was sorted only once" 1 (topo () - sorted)
 
 let test_apply_delta_rebuilds_on_reorder () =
   (* g1 is redefined to read g2, which sits AFTER it in the old topological
-     order — no order-preserving patch exists, so apply_delta must fall back
-     to a full rebuild (and meter it). *)
+     order: the edit reverses a dependency, and the edited circuit's own
+     sort orders it. *)
   let build redefined =
     let b = Builder.create ~name:"reorder" () in
     Builder.add_input b "a";
@@ -197,15 +193,11 @@ let test_apply_delta_rebuilds_on_reorder () =
     Builder.add_output b "g2";
     Builder.freeze b
   in
-  let m = fresh_registry () in
   let before = build false and after = build true in
   let d = Delta.structural_diff ~before ~after in
   let analysis = Analysis.get before in
   let _, how = Analysis.apply_delta analysis d in
   check_bool "dependency reversal forces a rebuild" true (how = `Rebuilt);
-  let s = Obs.Metrics.snapshot m in
-  check_int "rebuild metered" 1
-    (Obs.Metrics.counter_value s "analysis.incremental.rebuilt");
   (* And the incremental sweep over that rebuilt analysis still matches a
      cold sweep bit-for-bit. *)
   let engine = Epp.Epp_engine.create before in
@@ -568,8 +560,8 @@ let () =
     [
       ( "apply_delta",
         [
-          Alcotest.test_case "patch + meter" `Quick
-            test_apply_delta_patches_and_meters;
+          Alcotest.test_case "an edit sorts its circuit once" `Quick
+            test_edit_sorts_once;
           Alcotest.test_case "rebuild on dependency reversal" `Quick
             test_apply_delta_rebuilds_on_reorder;
           Alcotest.test_case "wrong circuit rejected" `Quick

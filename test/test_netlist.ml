@@ -138,17 +138,76 @@ let test_builder_duplicate_output () =
   Alcotest.check_raises "duplicate output" (Builder.Error (Builder.Duplicate_output "a"))
     (fun () -> Builder.add_output b "a")
 
-let test_builder_cycle () =
+let cyclic_builder () =
   let b = Builder.create () in
   Builder.add_input b "a";
   Builder.add_gate b ~output:"p" ~kind:Gate.And [ "a"; "q" ];
   Builder.add_gate b ~output:"q" ~kind:Gate.And [ "a"; "p" ];
   Builder.add_output b "q";
-  match Builder.freeze b with
+  b
+
+let test_builder_cycle () =
+  match Builder.freeze (cyclic_builder ()) with
   | _ -> Alcotest.fail "expected Combinational_cycle"
   | exception Builder.Error (Builder.Combinational_cycle loops) ->
     check_int "one loop" 1 (List.length loops);
     Alcotest.(check (list string)) "names" [ "p"; "q" ] (List.sort compare (List.hd loops))
+
+(* The sort that proves a netlist acyclic is its analysis order: the
+   context is published at [freeze], and nothing after it sorts again. *)
+let test_builder_freeze_sorts_once () =
+  let m = Obs.Metrics.create () in
+  Obs.Hooks.set_metrics m;
+  Fun.protect ~finally:Obs.Hooks.reset @@ fun () ->
+  let counts () =
+    let s = Obs.Metrics.snapshot m in
+    ( Obs.Metrics.counter_value s "analysis.topo.computed",
+      Obs.Metrics.counter_value s "analysis.context.computed" )
+  in
+  let c = Bench_format.Parser.parse_string ~name:"s27" Circuit_gen.Embedded.s27_source in
+  Alcotest.(check (pair int int)) "freeze sorted and published" (1, 1) (counts ());
+  ignore (Epp.Ser_estimator.analyze_all (Epp.Epp_engine.create c));
+  Alcotest.(check (pair int int)) "the engine and the sweep add neither" (1, 1) (counts ())
+
+let test_builder_cycle_publishes_nothing () =
+  let m = Obs.Metrics.create () in
+  Obs.Hooks.set_metrics m;
+  Fun.protect ~finally:Obs.Hooks.reset @@ fun () ->
+  (match Builder.freeze (cyclic_builder ()) with
+  | _ -> Alcotest.fail "expected Combinational_cycle"
+  | exception Builder.Error (Builder.Combinational_cycle _) -> ());
+  let s = Obs.Metrics.snapshot m in
+  check_int "no sort counted" 0 (Obs.Metrics.counter_value s "analysis.topo.computed");
+  check_int "no context published" 0 (Obs.Metrics.counter_value s "analysis.context.computed")
+
+(* A circuit that fails to load is the CLI run's failure: exit 124 with the
+   loader's message on stderr. *)
+let test_cli_load_errors () =
+  let bench = Filename.temp_file "cyclic" ".bench" in
+  Out_channel.with_open_bin bench (fun oc ->
+      output_string oc "INPUT(a)\nOUTPUT(c)\nb = AND(a, c)\nc = AND(a, b)\n");
+  let run spec =
+    let err = Filename.temp_file "ser_estimate" ".err" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s %s > /dev/null 2> %s" ser_estimate_exe (Filename.quote spec)
+           (Filename.quote err))
+    in
+    let text = In_channel.with_open_bin err In_channel.input_all in
+    Sys.remove err;
+    (code, text)
+  in
+  List.iter
+    (fun (spec, message) ->
+      let code, text = run spec in
+      check_int (spec ^ " exits 124") 124 code;
+      check_string (spec ^ " on stderr") ("ser_estimate: " ^ message ^ "\n") text)
+    [
+      (bench, bench ^ ": invalid netlist: combinational cycle(s): {b, c}");
+      ("embedded:zz", "unknown embedded circuit \"zz\" (available: s27, c17)");
+      ("profile:s1196:abc", "profile seed \"abc\" is not an integer");
+    ];
+  Sys.remove bench
 
 let test_builder_ff_breaks_cycle () =
   (* The same feedback through a flip-flop is legal. *)
@@ -410,7 +469,8 @@ let cones_match_naive ctx sites =
 let all_sites c = List.init (Circuit.node_count c) Fun.id
 
 (* Random DAGs, sequential profile circuits, and each of them after a TMR
-   edit carried across by [Analysis.apply_delta] (the patched order). *)
+   edit carried across by [Analysis.apply_delta] (the edited circuit's own
+   context). *)
 let prop_cones_match_naive_searches =
   qtest ~count:25 ~name:"cones equal the order filtered by naive searches"
     seed_arbitrary (fun seed ->
@@ -650,6 +710,10 @@ let () =
           Alcotest.test_case "arity violation" `Quick test_builder_arity;
           Alcotest.test_case "duplicate output" `Quick test_builder_duplicate_output;
           Alcotest.test_case "combinational cycle" `Quick test_builder_cycle;
+          Alcotest.test_case "freeze sorts once" `Quick test_builder_freeze_sorts_once;
+          Alcotest.test_case "a cyclic netlist publishes no context" `Quick
+            test_builder_cycle_publishes_nothing;
+          Alcotest.test_case "CLI load errors exit 124" `Quick test_cli_load_errors;
           Alcotest.test_case "flip-flop breaks cycle" `Quick test_builder_ff_breaks_cycle;
           Alcotest.test_case "forward references" `Quick test_builder_forward_reference;
           Alcotest.test_case "error messages" `Quick test_error_to_string_coverage;
