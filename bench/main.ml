@@ -642,7 +642,8 @@ let run_kernel_bench ?(json = false) ?(smoke = false) ?baseline () =
         (String.concat ","
            (List.map
               (fun (d, s) ->
-                Printf.sprintf " %dd %.4f s (%.2fx)" d s.median_s (base /. s.median_s))
+                Printf.sprintf " %dd %.4f s (%.4f-%.4f, %.2fx)" d s.median_s s.q1_s s.q3_s
+                  (base /. s.median_s))
               r.sr_sweep)))
     rows;
   let failed = ref false in
@@ -653,11 +654,25 @@ let run_kernel_bench ?(json = false) ?(smoke = false) ?baseline () =
           r.sr_label;
         failed := true
       end;
-      match f.sf_min_speedup with
+      (match f.sf_min_speedup with
       | Some min when speedup r < min ->
         Fmt.epr "FAIL: %s: sweep speedup %.1fx below the %.0fx floor@." r.sr_label
           (speedup r) min;
         failed := true
+      | Some _ | None -> ());
+      (* A second domain must not lose throughput beyond both spreads: the
+         2-domain sweep's first quartile above the 1-domain sweep's third.
+         Only on the full fixtures, whose sweeps are long enough to time. *)
+      match List.assoc_opt 2 r.sr_sweep with
+      | Some two when not smoke ->
+        let one = List.assoc 1 r.sr_sweep in
+        if two.q1_s > one.q3_s then begin
+          Fmt.epr
+            "FAIL: %s: 2 domains slower than 1 beyond both spreads (2d q1 %.4f s > 1d q3 \
+             %.4f s)@."
+            r.sr_label two.q1_s one.q3_s;
+          failed := true
+        end
       | Some _ | None -> ())
     fixtures rows;
   if !failed then exit 1;
@@ -821,7 +836,9 @@ let run_ablation () =
      --quick         3-circuit Table-2 smoke version
      --micro-only    Bechamel microbenchmarks only
      --table-only    Table-2 harness only
-     --kernel-only   production sweep vs reference only (>= 5k-gate fixtures)
+     --kernel-only   production sweep vs reference only (>= 5k-gate fixtures);
+                     fails when a fixture's 2-domain sweep is slower than
+                     its 1-domain sweep beyond both interquartile ranges
      --service       in-process load run against the serd request engine
      --json          with the kernel bench: also write BENCH_epp_kernel.json
      --baseline F    with the kernel bench: fail if any fixture's speedup

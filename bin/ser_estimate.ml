@@ -79,22 +79,16 @@ let run spec technology top_k target_reduction by_output electrical
       ~total:(Netlist.Circuit.node_count circuit) ()
   in
   let on_progress ~done_count ~total:_ = Obs.Progress.report meter done_count in
-  (* The engine's default probabilities, computed here so that a fixpoint
-     stopped at its iteration cap is reported, not silently used. *)
-  let sp =
-    if Netlist.Circuit.ff_count circuit = 0 then None
-    else begin
-      let fixpoint = Sigprob.Sp_sequential.compute circuit in
-      if not fixpoint.Sigprob.Sp_sequential.converged then
-        Fmt.epr
-          "ser_estimate: warning: the signal-probability fixpoint did not \
-           converge (stopped after %d iterations, residual %g)@."
-          fixpoint.Sigprob.Sp_sequential.iterations
-          fixpoint.Sigprob.Sp_sequential.residual;
-      Some fixpoint.Sigprob.Sp_sequential.result
-    end
-  in
-  let engine = Epp.Epp_engine.create ?sp circuit in
+  let engine = Epp.Epp_engine.create circuit in
+  (* A fixpoint stopped at its iteration cap is reported, not silently
+     used. *)
+  (match Epp.Epp_engine.sp_fixpoint engine with
+  | Some { Sigprob.Sp_sequential.converged = false; iterations; residual; _ } ->
+    Fmt.epr
+      "ser_estimate: warning: the signal-probability fixpoint did not \
+       converge (stopped after %d iterations, residual %g)@."
+      iterations residual
+  | Some { converged = true; _ } | None -> ());
   let swept, elapsed =
     Fun.protect
       ~finally:(fun () -> Obs.Progress.finish meter)

@@ -187,8 +187,9 @@ module Block = struct
     last_read : int array;  (* Analysis.max_fanout_level, shared instance *)
     kinds : Gate.kind array;  (* per-gate kind, prefetched once *)
     fanin_arrays : int array array;  (* per-gate fanins, shared instances *)
-    observed : bool array;
-        (* observation nets, their rows outlive the walk; shared instance *)
+    observed : Bytes.t;
+        (* observation nets ('\001'), their rows outlive the walk; shared
+           instance *)
     sp : float array;  (* signal probabilities, shared instance *)
     observations : (Circuit.observation * int) array;
     (* Per-leaf state; [reset] clears what the last mask phase touched. *)
@@ -423,7 +424,7 @@ module Block = struct
         done;
         if Array.unsafe_get seed v = 0 then begin
           incr live;
-          if not (Array.unsafe_get b.observed v) then begin
+          if Bytes.unsafe_get b.observed v = '\000' then begin
             let d = Array.unsafe_get b.last_read v in
             Array.unsafe_set b.die_next v b.die_head.(d);
             b.die_head.(d) <- v

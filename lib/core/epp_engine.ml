@@ -27,6 +27,9 @@ open Netlist
 type t = {
   circuit : Circuit.t;
   sp : Sigprob.Sp.result;
+  sp_fixpoint : Sigprob.Sp_sequential.outcome option;
+      (* how the sequential fixpoint behind [sp] ended, when the engine
+         ran it itself *)
   ctx : Analysis.t;
       (* the circuit's shared analysis context: cones, topological
          positions, gates-only order (the no-cone ablation) *)
@@ -70,25 +73,26 @@ let validate_sp circuit (r : Sigprob.Sp.result) =
 let create ?sp circuit =
   let tracer = Obs.Hooks.tracer () in
   Obs.Trace.span tracer ~cat:"epp" "epp.create" @@ fun () ->
-  let sp =
+  let sp, sp_fixpoint =
     match sp with
     | Some r ->
       if r.Sigprob.Sp.circuit != circuit then
         invalid_arg "Epp_engine.create: sp computed on a different circuit";
       validate_sp circuit r;
-      r
-    | None -> Sigprob.Sp_sequential.default circuit
+      (r, None)
+    | None -> Sigprob.Sp_sequential.default_outcome circuit
   in
   Obs.Trace.span tracer ~cat:"epp" "epp.levelize" @@ fun () ->
   (* Everything structural comes from the shared context: the first engine
      on a circuit pays for the topological sort, every later engine (and
      every other subsystem on the same circuit) reuses it. *)
   let ctx = Analysis.get circuit in
-  { circuit; sp; ctx }
+  { circuit; sp; sp_fixpoint; ctx }
 
 let circuit t = t.circuit
 let analysis t = t.ctx
 let signal_probabilities t = t.sp
+let sp_fixpoint t = t.sp_fixpoint
 
 (* FF outputs take their *data net's* converged probability when the
    sequential fixpoint produced the sp result; Sp_sequential already stores

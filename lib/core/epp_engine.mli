@@ -50,6 +50,11 @@ val analysis : t -> Netlist.Analysis.t
 
 val signal_probabilities : t -> Sigprob.Sp.result
 
+val sp_fixpoint : t -> Sigprob.Sp_sequential.outcome option
+(** How the sequential fixpoint behind {!signal_probabilities} ended
+    (iterations, convergence, residual) when {!create} computed it itself;
+    [None] for a combinational circuit or a caller-provided [sp]. *)
+
 val analyze_site : t -> int -> site_result
 (** Steps 1-3 of the paper's per-site algorithm.
     @raise Invalid_argument on an out-of-range site. *)

@@ -57,7 +57,7 @@ type t = {
       (* per node, the highest ASAP level among its fanouts, memoized *)
   level_offsets : int array option Atomic.t;
       (* per level, the nodes at lower levels, memoized *)
-  observed : bool array option Atomic.t;  (* observation-net mask, memoized *)
+  observed : Bytes.t option Atomic.t;  (* observation-net byte mask, memoized *)
 }
 
 type Circuit.context += Context of t
@@ -206,8 +206,8 @@ let level_offsets t =
 
 let observed t =
   publish_once t.observed ~computed:"analysis.observed.computed" @@ fun () ->
-  let mask = Array.make (Circuit.node_count t.circuit) false in
-  Array.iter (fun v -> mask.(v) <- true) t.observation_nets;
+  let mask = Bytes.make (Circuit.node_count t.circuit) '\000' in
+  Array.iter (fun v -> Bytes.set mask v '\001') t.observation_nets;
   mask
 
 let check_node t v ~what =

@@ -89,9 +89,10 @@ val level_offsets : t -> int array
     batch engine's level buckets.  Computed once per circuit
     ([analysis.level_offsets.computed]). *)
 
-val observed : t -> bool array
-(** Per node, whether it is an observation net (in {!observation_nets}).
-    Computed once per circuit ([analysis.observed.computed]). *)
+val observed : t -> Bytes.t
+(** Per node, one byte: ['\001'] when it is an observation net (in
+    {!observation_nets}), ['\000'] otherwise.  Computed once per circuit
+    ([analysis.observed.computed]). *)
 
 (** {2 Per-site artifacts}
 

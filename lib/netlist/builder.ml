@@ -3,11 +3,14 @@
    Definitions may reference signals defined later (ISCAS'89 .bench files do
    this freely).  One name table serves the whole construction: every name
    gets a slot the first time it is seen, as a definition, a fanin or an
-   OUTPUT, and fanins are stored as slots.  A definition takes the next node
+   OUTPUT, and fanins are stored as slots.  The table keeps no names: the
+   slot -> name array holds each name once (the string first seen), and the
+   table reads it through its values.  A definition takes the next node
    id, so ids follow definition order; [freeze] resolves fanins through the
-   slot -> id array, rewrites the table's slots to ids and hands it to the
-   circuit as its name index.  Each name is hashed once per occurrence and
-   never again.
+   slot -> id array, lays the names out by id, rewrites the table's slots
+   to ids and hands it to the circuit as its name index, reading the
+   circuit's names.  Each name is hashed once per occurrence and never
+   again.
 
    Errors: a statement is checked before any of its names is interned, so a
    rejected statement leaves no trace in the table.  [freeze] reports the
@@ -17,13 +20,13 @@
 
 type t = {
   circuit_name : string;
-  table : Name_table.t; (* name -> slot *)
+  table : Name_table.t; (* name -> slot, read through [slot_names] *)
+  mutable slot_names : string array; (* slot -> name *)
   mutable slot_ids : int array; (* slot -> node id, -1 while undefined *)
   mutable declared_output : Bytes.t; (* slot -> '\001' once declared OUTPUT *)
   mutable slots : int;
   (* Definitions by node id; fanins and FF data hold slots until [freeze]. *)
   mutable nodes : Circuit.node array;
-  mutable names : string array;
   mutable defs : int;
   mutable outputs : int array; (* slots, in declaration order *)
   mutable output_count : int;
@@ -54,11 +57,11 @@ let create ?(name = "circuit") () =
   {
     circuit_name = name;
     table = Name_table.create 64;
+    slot_names = Array.make 64 "";
     slot_ids = Array.make 64 (-1);
     declared_output = Bytes.make 64 '\000';
     slots = 0;
     nodes = Array.make 64 Circuit.Input;
-    names = Array.make 64 "";
     defs = 0;
     outputs = Array.make 16 0;
     output_count = 0;
@@ -74,14 +77,16 @@ let grown a fill =
 
 (* The slot of [name], handing out the next one on first sight. *)
 let intern t name =
-  let s = Name_table.find_or_add t.table name t.slots in
+  let s = Name_table.find_or_add t.table t.slot_names name t.slots in
   if s = t.slots then begin
     if s = Array.length t.slot_ids then begin
+      t.slot_names <- grown t.slot_names "";
       t.slot_ids <- grown t.slot_ids (-1);
       let flags = Bytes.make (2 * s) '\000' in
       Bytes.blit t.declared_output 0 flags 0 s;
       t.declared_output <- flags
     end;
+    t.slot_names.(s) <- name;
     t.slots <- s + 1
   end;
   s
@@ -95,22 +100,18 @@ let definable t name =
   s
 
 (* Record the definition of slot [s]; its node id is the definition count. *)
-let define t s name node =
+let define t s node =
   let id = t.defs in
-  if id = Array.length t.nodes then begin
-    t.nodes <- grown t.nodes Circuit.Input;
-    t.names <- grown t.names ""
-  end;
+  if id = Array.length t.nodes then t.nodes <- grown t.nodes Circuit.Input;
   t.nodes.(id) <- node;
-  t.names.(id) <- name;
   t.slot_ids.(s) <- id;
   t.defs <- id + 1
 
-let add_input t name = define t (definable t name) name Circuit.Input
+let add_input t name = define t (definable t name) Circuit.Input
 
 let add_dff t ~q ~d =
   let s = definable t q in
-  define t s q (Circuit.Ff { data = intern t d })
+  define t s (Circuit.Ff { data = intern t d })
 
 let rec intern_all t slots k = function
   | [] -> ()
@@ -125,7 +126,7 @@ let add_gate t ~output ~kind fanins =
   let s = definable t output in
   let slots = Array.make n 0 in
   intern_all t slots 0 fanins;
-  define t s output (Circuit.Gate { kind; fanins = slots })
+  define t s (Circuit.Gate { kind; fanins = slots })
 
 let add_output t name =
   live t;
@@ -138,25 +139,25 @@ let add_output t name =
 
 let is_defined t name =
   live t;
-  let s = Name_table.find t.table name in
+  let s = Name_table.find t.table t.slot_names name in
   s >= 0 && t.slot_ids.(s) >= 0
-
-(* The name interned as slot [s]: only an error message needs it. *)
-let name_of_slot t s =
-  let found = ref "" in
-  Name_table.iter (fun name v -> if v = s then found := name) t.table;
-  !found
 
 let freeze t =
   live t;
   t.frozen <- true;
   let n = t.defs in
-  let nodes = Array.sub t.nodes 0 n and names = Array.sub t.names 0 n in
-  let slot_ids = t.slot_ids in
+  let nodes = Array.sub t.nodes 0 n in
+  let slot_ids = t.slot_ids and slot_names = t.slot_names in
+  (* Every node id was handed to exactly one slot. *)
+  let names = Array.make n "" in
+  for s = 0 to t.slots - 1 do
+    let v = slot_ids.(s) in
+    if v >= 0 then names.(v) <- slot_names.(s)
+  done;
   let resolve ~referenced_by s =
     let v = slot_ids.(s) in
     if v < 0 then
-      raise (Error (Undefined_signal { referenced_by; missing = name_of_slot t s }));
+      raise (Error (Undefined_signal { referenced_by; missing = slot_names.(s) }));
     v
   in
   for v = 0 to n - 1 do
@@ -173,7 +174,8 @@ let freeze t =
         resolve ~referenced_by:"OUTPUT declaration" t.outputs.(k))
   in
   (* Every slot is now known to be defined: a slot exists only for a
-     definition or for a reference that was just resolved. *)
+     definition or for a reference that was just resolved.  From here on
+     the table's values index [names]. *)
   Name_table.map_values t.table (fun s -> slot_ids.(s));
   let collect pred =
     let acc = ref [] in

@@ -54,11 +54,11 @@ let gate_count t =
     0 t.nodes
 
 let find t name =
-  let v = Name_table.find t.index name in
+  let v = Name_table.find t.index t.names name in
   if v < 0 then raise Not_found else v
 
 let find_opt t name =
-  let v = Name_table.find t.index name in
+  let v = Name_table.find t.index t.names name in
   if v < 0 then None else Some v
 
 let fanins t v =
@@ -133,9 +133,11 @@ let context t = t.context
 
 (* Construction, with no validation beyond indices.  [index] maps each
    name to its node id (Builder hands over the table it interned names
-   into); the circuit owns it from here on.  The graph is packed straight
-   from the fanin arrays, with no list cell: every parse, generator call
-   and rewrite builds one. *)
+   into) and reads the names through [names]; the circuit owns both from
+   here on.  Node values may be shared with other circuits (an edit keeps
+   the definitions it leaves alone), which is safe because no circuit
+   mutates one.  The graph is packed straight from the fanin arrays, with
+   no list cell: every parse, generator call and rewrite builds one. *)
 let make_indexed ~name ~nodes ~names ~index ~inputs ~outputs ~ffs =
   let n = Array.length nodes in
   assert (Array.length names = n);

@@ -15,6 +15,10 @@ type node =
   | Input  (** primary input *)
   | Ff of { data : int }  (** flip-flop output Q; [data] is the node driving D *)
   | Gate of { kind : Gate.kind; fanins : int array }
+(** Node values, their [fanins] arrays included, may be shared between
+    circuits: an edit ({!Transform}) keeps each definition it leaves
+    unchanged as the base circuit's own value.  They must never be
+    mutated once a circuit holds them. *)
 
 type t
 
@@ -27,8 +31,9 @@ val make :
   ffs:int array ->
   t
 (** Raw constructor (the rewrites in {!Transform} use it); performs no
-    semantic validation.  Builds the name index from [names]; a repeated
-    name indexes its last node.  Prefer {!Builder.freeze}. *)
+    semantic validation.  Builds the name index over [names] (which the
+    circuit keeps, so the index holds no copy); a repeated name indexes
+    its last node.  Prefer {!Builder.freeze}. *)
 
 val make_indexed :
   name:string ->
@@ -40,9 +45,9 @@ val make_indexed :
   ffs:int array ->
   t
 (** {!make} with the name index already built: [index] must bind each
-    [names.(v)] to [v] and nothing else.  The circuit owns [index] (and
-    every array passed) from then on.  {!Builder.freeze} hands over the
-    table it interned names into. *)
+    [names.(v)] to [v] and nothing else, reading names through [names].
+    The circuit owns [index] (and every array passed) from then on.
+    {!Builder.freeze} hands over the table it interned names into. *)
 
 val name : t -> string
 val node_count : t -> int

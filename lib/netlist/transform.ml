@@ -285,7 +285,11 @@ type slot =
   | Place of int  (* a declared helper *)
 
 (* [rewire] is applied to a copied node's references in definition order,
-   then to [outputs] in declaration order (split_fanout counts on it). *)
+   one call per reference, then to [outputs] in declaration order
+   (split_fanout counts on it).  A copied node whose references all map
+   back to the ids it already has is the base circuit's own value (nodes
+   are immutable, see circuit.mli): fanins are mapped into one scratch
+   buffer, and only a node with a moved reference allocates. *)
 let splice circuit ~helpers ~slots ~rewire ~outputs =
   let id_of_node = Array.make (Circuit.node_count circuit) (-1) in
   let id_of_helper = Array.make (Array.length helpers) (-1) in
@@ -296,15 +300,28 @@ let splice circuit ~helpers ~slots ~rewire ~outputs =
       | Place h -> id_of_helper.(h) <- i)
     slots;
   let id = function Node v -> id_of_node.(v) | Helper h -> id_of_helper.(h) in
+  let scratch = ref (Array.make 8 0) in
+  let copy node =
+    match node with
+    | Circuit.Input -> node
+    | Circuit.Ff { data } ->
+      let d = id (rewire data) in
+      if d = data then node else Circuit.Ff { data = d }
+    | Circuit.Gate { kind; fanins } ->
+      let k = Array.length fanins in
+      if k > Array.length !scratch then scratch := Array.make (2 * k) 0;
+      let buf = !scratch and same = ref true in
+      for j = 0 to k - 1 do
+        let u = id (rewire fanins.(j)) in
+        buf.(j) <- u;
+        if u <> fanins.(j) then same := false
+      done;
+      if !same then node else Circuit.Gate { kind; fanins = Array.sub buf 0 k }
+  in
   let nodes =
     Array.map
       (function
-        | Copy v -> (
-          match Circuit.node circuit v with
-          | Circuit.Input -> Circuit.Input
-          | Circuit.Ff { data } -> Circuit.Ff { data = id (rewire data) }
-          | Circuit.Gate { kind; fanins } ->
-            Circuit.Gate { kind; fanins = Array.map (fun u -> id (rewire u)) fanins })
+        | Copy v -> copy (Circuit.node circuit v)
         | Redefine (_, kind, fanins) -> Circuit.Gate { kind; fanins = Array.map id fanins }
         | Place h ->
           let { kind; fanins; _ } = helpers.(h) in

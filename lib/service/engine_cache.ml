@@ -11,11 +11,12 @@
 type entry = {
   engine : Epp.Epp_engine.t;
   mutable last_used : int;
-  mutable results : (int * Epp.Supervisor.entry) list option;
-      (* the engine's whole-circuit sweep entries, remembered so a later
-         [edit] request can splice clean sites instead of re-analyzing and
-         a repeat [analyze] sweeps nothing; rows are shared with the
-         entries of the engines an edit chain derives from this one *)
+  mutable results : Epp.Supervisor.entry array option;
+      (* the engine's complete whole-circuit sweep, one slot per site id,
+         remembered so a later [edit] request can splice clean sites
+         instead of re-analyzing and a repeat [analyze] sweeps nothing;
+         the entries (rows and all) are shared with the engines an edit
+         chain derives from this one *)
 }
 
 type t = {
@@ -139,12 +140,35 @@ let insert ?ctx t ~fingerprint engine =
     gauge_resident t;
     engine
 
+(* A whole-circuit sweep's [(site, entry)] list as one slot per site. *)
+let slots_of_sweep n entries =
+  let fail () =
+    invalid_arg "Engine_cache.remember_results: entries must cover sites 0 .. n-1 in order"
+  in
+  match entries with
+  | [] -> if n = 0 then [||] else fail ()
+  | (_, first) :: _ ->
+    let slots = Array.make n first in
+    let covered =
+      List.fold_left
+        (fun site (s, entry) ->
+          if s <> site || site >= n then fail ();
+          slots.(site) <- entry;
+          site + 1)
+        0 entries
+    in
+    if covered <> n then fail ();
+    slots
+
 let remember_results t ~fingerprint entries =
   match Hashtbl.find_opt t.engines fingerprint with
-  | Some e -> e.results <- Some entries
+  | Some e ->
+    let n = Netlist.Circuit.node_count (Epp.Epp_engine.circuit e.engine) in
+    e.results <- Some (slots_of_sweep n entries)
   | None -> ()
 
 let results_for t ~fingerprint =
   match Hashtbl.find_opt t.engines fingerprint with
-  | Some { results = Some entries; _ } -> Some entries
+  | Some { results = Some slots; _ } ->
+    Some (List.init (Array.length slots) (fun site -> (site, slots.(site))))
   | Some { results = None; _ } | None -> None

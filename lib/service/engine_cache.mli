@@ -49,11 +49,13 @@ val resident : t -> int
     The serd [edit] path works on fingerprints a previous response
     reported: the base engine is looked up by fingerprint (no payload), the
     post-edit engine is inserted under its own fingerprint, and each
-    engine's whole-circuit sweep entries can be remembered so the next edit
-    splices clean sites instead of re-analyzing them, and a repeat
-    whole-circuit [analyze] answers from them.  The entries hold
-    {!Epp.Site_row.t}s, and an edit keeps a clean site's entry itself, so
-    the resident engines of one edit chain share their clean rows. *)
+    engine's complete whole-circuit sweep can be remembered so the next
+    edit splices clean sites instead of re-analyzing them, and a repeat
+    whole-circuit [analyze] answers from it.  A remembered sweep is one
+    {!Epp.Supervisor.entry} slot per site id (one word a site); the entries
+    hold {!Epp.Site_row.t}s, and an edit keeps a clean site's entry
+    itself, so the resident engines of one edit chain share their clean
+    entries and rows. *)
 
 val find_fingerprint : t -> string -> outcome option
 (** Touch and return the resident engine under this fingerprint, if any. *)
@@ -64,7 +66,13 @@ val insert : ?ctx:Obs.Ctx.t -> t -> fingerprint:string -> Epp.Epp_engine.t -> Ep
     engine is kept (its caches are warmer) and returned. *)
 
 val remember_results : t -> fingerprint:string -> (int * Epp.Supervisor.entry) list -> unit
-(** Attach a whole-circuit sweep's entries to the resident engine (no-op if
-    the fingerprint is not resident).  Evicted with the engine. *)
+(** Attach a complete whole-circuit sweep ({!Epp.Supervisor.outcome}'s
+    [entries]) to the resident engine, kept as one slot per site (no-op if
+    the fingerprint is not resident).  Evicted with the engine.
+    @raise Invalid_argument unless the entries are sites [0 .. n-1] in
+    order, [n] the engine circuit's node count. *)
 
 val results_for : t -> fingerprint:string -> (int * Epp.Supervisor.entry) list option
+(** The remembered sweep as the [(site, entry)] list, in site order, that
+    {!Epp.Supervisor.sweep_all} and {!Epp.Incremental.sweep} take as
+    [prior]: built on each call, so only the slots stay resident. *)

@@ -187,8 +187,26 @@ let top_sites circuit k (outcome : Epp.Supervisor.outcome) =
              ("p_sensitized", Json.Number row.p_sensitized);
            ])
 
+(* How the engine's signal probabilities were reached: a sequential
+   circuit's fixpoint, [converged] false when it stopped at its iteration
+   cap; a combinational circuit needs none (converged, 0 iterations,
+   residual 0). *)
+let sp_json engine =
+  let converged, iterations, residual =
+    match Epp.Epp_engine.sp_fixpoint engine with
+    | Some o -> Sigprob.Sp_sequential.(o.converged, o.iterations, o.residual)
+    | None -> (true, 0, 0.0)
+  in
+  Json.Obj
+    [
+      ("converged", Json.Bool converged);
+      ("iterations", Json.int iterations);
+      ("residual", Json.Number residual);
+    ]
+
 let outcome_response t ?id ~ctx ~fingerprint ~(hit : bool) ~top_k ?(extra = [])
-    circuit (outcome : Epp.Supervisor.outcome) =
+    engine (outcome : Epp.Supervisor.outcome) =
+  let circuit = Epp.Epp_engine.circuit engine in
   (* one pass over the rows: count, and the sum and max of P_sensitized
      kept unboxed in a float array *)
   let count = ref 0 and acc = [| 0.0; 0.0 |] in
@@ -217,6 +235,7 @@ let outcome_response t ?id ~ctx ~fingerprint ~(hit : bool) ~top_k ?(extra = [])
       ("cache", Json.String (if hit then "hit" else "miss"));
       ("stats", stats_json outcome.stats);
       ("summary", summary);
+      ("sp", sp_json engine);
     ]
   in
   let base =
@@ -308,7 +327,7 @@ let handle_analyze t ?id ~ctx ~circuit ~sites ~budget_ms ~top_k ~inject () =
       Epp.Supervisor.sweep ~ctx ?domains ?batch_run ?reference ~deadline
         engine sites
     in
-    outcome_response t ?id ~ctx ~fingerprint ~hit ~top_k c outcome
+    outcome_response t ?id ~ctx ~fingerprint ~hit ~top_k engine outcome
   | None ->
     (* A resident engine whose complete sweep is remembered answers from
        it: every site is held, so nothing is swept and [stats.resumed] is
@@ -348,7 +367,7 @@ let handle_analyze t ?id ~ctx ~circuit ~sites ~budget_ms ~top_k ~inject () =
         ~prior engine
     in
     if Option.is_none inject then remember_if_complete t ~fingerprint outcome;
-    outcome_response t ?id ~ctx ~fingerprint ~hit ~top_k c outcome
+    outcome_response t ?id ~ctx ~fingerprint ~hit ~top_k engine outcome
 
 (* --- edit ------------------------------------------------------------------ *)
 
@@ -426,9 +445,7 @@ let handle_edit t ?id ~ctx ~circuit ~kind ~target ~budget_ms ~top_k () =
           ] );
     ]
   in
-  outcome_response t ?id ~ctx ~fingerprint ~hit ~top_k ~extra
-    (Epp.Epp_engine.circuit edited)
-    outcome
+  outcome_response t ?id ~ctx ~fingerprint ~hit ~top_k ~extra edited outcome
 
 (* --- dispatch -------------------------------------------------------------- *)
 

@@ -146,9 +146,13 @@ let compute ?(spec = Sp.uniform) ?(tolerance = default_tolerance)
 
 (* Sequential circuits get self-consistent FF-output probabilities;
    combinational ones reduce to the plain topological pass. *)
-let default circuit =
-  if Circuit.ff_count circuit > 0 then (compute circuit).result
-  else Sp_topological.compute circuit
+let default_outcome circuit =
+  if Circuit.ff_count circuit > 0 then
+    let o = compute circuit in
+    (o.result, Some o)
+  else (Sp_topological.compute circuit, None)
+
+let default circuit = fst (default_outcome circuit)
 
 let spec_of_outcome outcome =
   let circuit = outcome.result.Sp.circuit in

@@ -29,6 +29,10 @@ val default : Netlist.Circuit.t -> Sp.result
     primary inputs: {!compute}'s result when the circuit has flip-flops,
     {!Sp_topological.compute} otherwise. *)
 
+val default_outcome : Netlist.Circuit.t -> Sp.result * outcome option
+(** {!default}, with the fixpoint's outcome when one ran (the circuit has
+    flip-flops), so a caller can report whether it converged. *)
+
 val spec_of_outcome : outcome -> Sp.spec
 (** A spec presenting the converged FF-output probabilities, for feeding the
     combinational engines (and the EPP engine) directly. *)

@@ -709,11 +709,12 @@ let test_rejected_statement_leaves_no_name () =
 let allocated_bytes f = allocated_words f *. float (Sys.word_size / 8)
 
 (* parity-16384, warm.  Before one-pass elaboration, parsing allocated 82
-   bytes a source byte and printing 68 an output byte; now 29 and 8.8 (the
-   printer builds the AST, then grows one buffer).  The ceilings leave
+   bytes a source byte and printing 68 an output byte; then 22.3 and 8.8
+   (the printer builds the AST, then grows one buffer); parsing reads 15.0
+   now that a name-table probe allocates no closure.  The ceilings leave
    about a quarter of headroom, so a statement list, a per-character
-   option or a Format call brought back fails here. *)
-let parse_ceiling = 36.0
+   option, a per-probe closure or a Format call brought back fails here. *)
+let parse_ceiling = 20.0
 let print_ceiling = 11.0
 
 let test_allocation_ceilings () =
@@ -731,10 +732,17 @@ let test_allocation_ceilings () =
    circuit retains.  When a circuit kept successor and predecessor lists
    beside a CSR copy, construction allocated 36.0 words an edge (12.0 of
    them the name table) and the circuit retained 710,948 words; the packed
-   graph is 4 words an edge (forward and reverse offsets and targets).  A
-   list graph or a second copy of the adjacency brought back fails here. *)
-let make_ceiling = 24.0
-let retained_ceiling = 0.8 *. 710_948.0
+   graph is 4 words an edge (forward and reverse offsets and targets).
+   Construction then allocated 16.0 words an edge, 12.0 of them the name
+   table (a key array, the cells, and a closure per probe); 6.0 now, the
+   table's cells 2.0 of them.  With the analysis context [freeze]
+   publishes, a circuit whose name index kept a copy of every name in a
+   key array retained 563,555 words; the index is now one int a cell, and
+   the circuit retains about 498,000.  A list graph, a second copy of the
+   adjacency, a per-probe closure or a key array brought back fails
+   here. *)
+let make_ceiling = 8.0
+let retained_ceiling = 0.72 *. 710_948.0
 
 let test_circuit_ceilings () =
   let open Netlist in

@@ -396,7 +396,7 @@ let test_analysis_level_facts () =
     check_bool
       (Printf.sprintf "node %d observed" v)
       (Array.mem v (Analysis.observation_nets ctx))
-      observed.(v);
+      (Bytes.get observed v = '\001');
     check_int
       (Printf.sprintf "last read level of node %d" v)
       (List.fold_left (fun m g -> max m lv.(g)) lv.(v) (Circuit.fanouts c v))
@@ -524,7 +524,7 @@ let prop_analysis_arrays_immutable =
         ]
       in
       let cone_before = Analysis.cone ctx 0 in
-      let observed_snapshot = Array.copy (Analysis.observed ctx) in
+      let observed_snapshot = Bytes.copy (Analysis.observed ctx) in
       let engine = Epp.Epp_engine.create c in
       ignore
         (List.map (Epp.Epp_engine.analyze_site engine)
@@ -557,7 +557,7 @@ let prop_analysis_arrays_immutable =
       in
       List.for_all2 (fun a b -> a = b) snapshots current
       && cone_before = Analysis.cone ctx 0
-      && observed_snapshot = Analysis.observed ctx)
+      && Bytes.equal observed_snapshot (Analysis.observed ctx))
 
 (* --- statistics ----------------------------------------------------------- *)
 
@@ -643,50 +643,81 @@ let test_stats_gate_kind_counts () =
 (* --- name table ----------------------------------------------------------- *)
 
 (* Random finds and inserts on few distinct names (so hits, misses and
-   growth all happen) agree with a Hashtbl; then a value rewrite and a
-   full iteration agree too. *)
+   growth all happen) agree with a Hashtbl.  Values index the names array
+   the table reads through, handed over anew whenever it grows; then
+   [map_values] permutes the values, and every find and a full iteration
+   over the permuted array agree too. *)
 let prop_name_table_model =
   qtest ~count:200 ~name:"agrees with a Hashtbl" seed_arbitrary (fun seed ->
       let st = Random.State.make [| seed |] in
       let t = Name_table.create (Random.State.int st 4) in
       let model = Hashtbl.create 16 in
+      let names = ref [||] and next = ref 0 in
       let ok = ref true in
       for _ = 1 to 400 do
         let name = "n" ^ string_of_int (Random.State.int st 150) in
-        let v = Random.State.int st 1000 in
         let expected = Option.value ~default:(-1) (Hashtbl.find_opt model name) in
-        if Random.State.bool st then (if Name_table.find t name <> expected then ok := false)
+        if Random.State.bool st then (if Name_table.find t !names name <> expected then ok := false)
         else begin
-          let got = Name_table.find_or_add t name v in
+          let got = Name_table.find_or_add t !names name !next in
           if expected >= 0 then (if got <> expected then ok := false)
           else begin
-            if got <> v then ok := false;
-            Hashtbl.replace model name v
+            if got <> !next then ok := false;
+            if !next = Array.length !names then
+              names := Array.append !names (Array.make (!next + 1) "");
+            !names.(!next) <- name;
+            Hashtbl.replace model name !next;
+            incr next
           end
         end
       done;
-      Name_table.map_values t (fun v -> v + 7);
+      let k = !next in
+      let permuted = Array.make (max k 1) "" in
+      Array.iteri (fun v name -> if v < k then permuted.(k - 1 - v) <- name) !names;
+      Name_table.map_values t (fun v -> k - 1 - v);
       let seen = ref 0 in
       Name_table.iter
         (fun name v ->
           incr seen;
-          if Hashtbl.find_opt model name <> Some (v - 7) then ok := false)
-        t;
+          if Hashtbl.find_opt model name <> Some (k - 1 - v) then ok := false)
+        t permuted;
+      Hashtbl.iter
+        (fun name v -> if Name_table.find t permuted name <> k - 1 - v then ok := false)
+        model;
       !ok && !seen = Hashtbl.length model)
 
 let test_name_table_edges () =
-  let t = Name_table.of_names [| "a"; ""; "b"; "a" |] in
-  check_int "repeated name keeps its last index" 3 (Name_table.find t "a");
-  check_int "the empty name is a name" 1 (Name_table.find t "");
-  check_int "absent" (-1) (Name_table.find t "c");
+  let names = [| "a"; ""; "b"; "a" |] in
+  let t = Name_table.of_names names in
+  check_int "repeated name keeps its last index" 3 (Name_table.find t names "a");
+  check_int "the empty name is a name" 1 (Name_table.find t names "");
+  check_int "absent" (-1) (Name_table.find t names "c");
   let count = ref 0 in
-  Name_table.iter (fun _ _ -> incr count) t;
+  Name_table.iter
+    (fun name v ->
+      incr count;
+      check_string "iter reads the name through its value" names.(v) name)
+    t names;
   check_int "three names" 3 !count;
   Alcotest.check_raises "negative value" (Invalid_argument "Name_table: value out of range")
-    (fun () -> ignore (Name_table.find_or_add t "c" (-1)));
-  check_int "largest value" ((1 lsl 31) - 1) (Name_table.find_or_add t "c" ((1 lsl 31) - 1));
+    (fun () -> ignore (Name_table.find_or_add t names "c" (-1)));
+  check_int "largest value" ((1 lsl 31) - 1) (Name_table.find_or_add t names "c" ((1 lsl 31) - 1));
   Alcotest.check_raises "too large" (Invalid_argument "Name_table: value out of range") (fun () ->
-      ignore (Name_table.find_or_add t "d" (1 lsl 31)))
+      ignore (Name_table.find_or_add t names "d" (1 lsl 31)))
+
+(* The index keeps one int a cell (the smallest power of two >= 2n cells,
+   at least 16) and nothing else: no key array, and so none of the names,
+   which the owner's array holds. *)
+let test_name_table_footprint () =
+  let n = 1000 in
+  let names = Array.init n (fun v -> "signal_" ^ string_of_int v) in
+  let t = Name_table.of_names names in
+  let rec capacity c = if c >= 2 * n then c else capacity (2 * c) in
+  let cells = capacity 16 in
+  (* the cells with their header, and the record of two fields with its *)
+  check_int "one int a cell, no key array" (cells + 1 + 3) (Obj.reachable_words (Obj.repr t));
+  check_int "every name found through the owner's array" (n - 1)
+    (Name_table.find t names names.(n - 1))
 
 let () =
   Alcotest.run "netlist"
@@ -719,7 +750,11 @@ let () =
           Alcotest.test_case "error messages" `Quick test_error_to_string_coverage;
         ] );
       ( "names",
-        [ prop_name_table_model; Alcotest.test_case "edges" `Quick test_name_table_edges ] );
+        [
+          prop_name_table_model;
+          Alcotest.test_case "edges" `Quick test_name_table_edges;
+          Alcotest.test_case "one int a cell" `Quick test_name_table_footprint;
+        ] );
       ( "circuit",
         [
           Alcotest.test_case "structure of fig1" `Quick test_circuit_structure;

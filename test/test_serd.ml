@@ -563,6 +563,171 @@ let test_fault_injection_gate () =
 
 (* --- the serve loop over a socketpair -------------------------------------- *)
 
+(* --- signal probabilities and resident memory ----------------------------- *)
+
+module Builder = Netlist.Builder
+module Circuit = Netlist.Circuit
+module Gate = Netlist.Gate
+module Transform = Netlist.Transform
+
+let s1196 seed = Circuit_gen.Random_dag.generate ~seed Circuit_gen.Profiles.s1196
+
+let bench_analyze text =
+  Json.to_string
+    (Json.Obj
+       [
+         ("op", Json.String "analyze");
+         ("circuit", Json.Obj [ ("format", Json.String "bench"); ("source", Json.String text) ]);
+         ("top_k", Json.int 62);
+       ])
+
+let chained_edit ~fp ~kind ~target =
+  Json.to_string
+    (Json.Obj
+       [
+         ("op", Json.String "edit");
+         ("circuit", Json.Obj [ ("format", Json.String "fingerprint"); ("source", Json.String fp) ]);
+         ("edit", Json.Obj [ ("kind", Json.String kind); ("target", Json.String target) ]);
+         ("top_k", Json.int 62);
+       ])
+
+let fingerprint r = Option.value ~default:"?" (jstr "fingerprint" r)
+
+(* The reply's sp object against the fixpoint [Sp_sequential.compute]
+   runs on the same circuit. *)
+let check_sp what (o : Sigprob.Sp_sequential.outcome) r =
+  match Json.member "sp" r with
+  | None -> Alcotest.failf "%s: no sp object" what
+  | Some sp ->
+    check_bool (what ^ ": converged") true
+      (Json.member "converged" sp = Some (Json.Bool o.converged));
+    check_bool (what ^ ": iterations") true (jnum "iterations" sp = Some (float o.iterations));
+    check_bool (what ^ ": residual, bit for bit") true (jnum "residual" sp = Some o.residual)
+
+(* fingerprint, summary and top as serialized, digested: the parent's
+   replies (before they carried sp) read the pinned values below. *)
+let reply_digest r =
+  let field k = Option.fold ~none:"" ~some:Json.to_string (Json.member k r) in
+  Digest.to_hex (Digest.string (String.concat "\n" [ field "fingerprint"; field "summary"; field "top" ]))
+
+let test_sp_object () =
+  ignore (fresh_registry ());
+  let server = Server.create Server.default_config in
+  let parsed text = Bench_format.Parser.parse_string ~name:"<request>" text in
+  let capped_text = Bench_format.Printer.circuit_to_string (s1196 4) in
+  let capped = reply server (bench_analyze capped_text) in
+  check_string "s1196:4 analyzed" "ok" (status capped);
+  (* a period-2 oscillation: the fixpoint stops at its cap, residual
+     0.625 to six places *)
+  let o4 = Sigprob.Sp_sequential.compute (parsed capped_text) in
+  check_bool "s1196:4 stops at the cap" true
+    ((not o4.converged) && o4.iterations = 1000 && Float.abs (o4.residual -. 0.625) < 1e-6);
+  check_sp "s1196:4" o4 capped;
+  let text3 = Bench_format.Printer.circuit_to_string (s1196 3) in
+  let r3 = reply server (bench_analyze text3) in
+  let c3 = parsed text3 in
+  let o3 = Sigprob.Sp_sequential.compute c3 in
+  check_bool "s1196:3 converges in 14 iterations" true (o3.converged && o3.iterations = 14);
+  check_sp "s1196:3" o3 r3;
+  (* An edit reply carries the edited engine's fixpoint: triplicating the
+     first flip-flop data gate whose voter moves the fixpoint's residual. *)
+  let target, after_o =
+    List.find_map
+      (fun ff ->
+        match Circuit.node c3 ff with
+        | Circuit.Ff { data } when Circuit.is_gate c3 data ->
+          let after, _ = Transform.triplicate_delta c3 ~nodes:[ data ] in
+          let o = Sigprob.Sp_sequential.compute after in
+          if o.residual <> o3.residual then Some (data, o) else None
+        | _ -> None)
+      (Circuit.ffs c3)
+    |> Option.get
+  in
+  let name = Circuit.node_name c3 target in
+  let edited = reply server (chained_edit ~fp:(fingerprint r3) ~kind:"tmr" ~target:name) in
+  check_string "tmr edit" "ok" (status edited);
+  check_sp "edited s1196:3" after_o edited;
+  (* a combinational circuit runs no fixpoint *)
+  let comb = reply server two_blocks_bench in
+  check_bool "combinational: converged, 0 iterations, residual 0" true
+    (match Json.member "sp" comb with
+    | Some sp ->
+      Json.member "converged" sp = Some (Json.Bool true)
+      && jnum "iterations" sp = Some 0.0
+      && jnum "residual" sp = Some 0.0
+    | None -> false);
+  (* everything else in the replies reads as before *)
+  List.iter
+    (fun (what, r, md5) -> check_string (what ^ ": fingerprint, summary, top") md5 (reply_digest r))
+    [
+      ("s1196:4", capped, "3389573a291726b76fb2b3eb57ec5ec1");
+      ("s1196:3", r3, "415f02b2eb3635274de8c0fab9c35f7d");
+      ("tmr edit", edited, "e7b23003a1d4e735cae4a9db0ef9e5fa");
+    ]
+
+(* Three disjoint s1196-profile blocks (generator seeds 1 to 3), nets
+   prefixed "b<k>_", as .bench text. *)
+let blocks_text () =
+  let b = Builder.create ~name:"blocks" () in
+  List.iteri
+    (fun k seed ->
+      let c = s1196 seed in
+      let name v = Printf.sprintf "b%d_%s" k (Circuit.node_name c v) in
+      for v = 0 to Circuit.node_count c - 1 do
+        match Circuit.node c v with
+        | Circuit.Input -> Builder.add_input b (name v)
+        | Circuit.Ff { data } -> Builder.add_dff b ~q:(name v) ~d:(name data)
+        | Circuit.Gate { kind; fanins } ->
+          Builder.add_gate b ~output:(name v) ~kind (List.map name (Array.to_list fanins))
+      done;
+      List.iter (fun v -> Builder.add_output b (name v)) (Circuit.outputs c))
+    [ 1; 2; 3 ];
+  Bench_format.Printer.circuit_to_string (Builder.freeze b)
+
+(* What a server keeps after an analyze and 8 edits chained by
+   fingerprint on the three-block design (tmr, buffer, de_morgan, ...;
+   each edit on the first name of the last reply's top its kind accepts):
+   8 resident engines, each with its remembered sweep.  It retained
+   546,902 words when every edit copied its base's nodes, the cache kept
+   each sweep as a (site, entry) list and name indexes kept a key array;
+   401,925 words now.  The ceiling is 0.8 x the former. *)
+let test_edit_chain_footprint () =
+  ignore (fresh_registry ());
+  let server = Server.create { Server.default_config with domains = Some 1 } in
+  let text = blocks_text () in
+  let c = Bench_format.Parser.parse_string ~name:"<request>" text in
+  let first = reply server (bench_analyze text) in
+  check_string "analyze" "ok" (status first);
+  let top r =
+    match Json.member "top" r with
+    | Some (Json.List l) -> List.filter_map (jstr "name") l
+    | _ -> []
+  in
+  let rewritten = Hashtbl.create 4 in
+  let accepts kind name =
+    match Circuit.find_opt c name with
+    | None -> false
+    | Some v -> (
+      match (kind, Circuit.node c v) with
+      | "buffer", _ -> true
+      | "tmr", Circuit.Gate _ -> true
+      | "de_morgan", Circuit.Gate { kind = Gate.(And | Or | Nand | Nor); _ } ->
+        not (Hashtbl.mem rewritten name)
+      | _ -> false)
+  in
+  let last = ref first in
+  for e = 0 to 7 do
+    let kind = [| "tmr"; "buffer"; "de_morgan" |].(e mod 3) in
+    let target = List.find (accepts kind) (top !last) in
+    let r = reply server (chained_edit ~fp:(fingerprint !last) ~kind ~target) in
+    check_string (Printf.sprintf "edit %d (%s %s)" e kind target) "ok" (status r);
+    if kind = "de_morgan" then Hashtbl.replace rewritten target ();
+    last := r
+  done;
+  let words = Obj.reachable_words (Obj.repr server) in
+  let ceiling = 8 * 546_902 / 10 in
+  check_bool (Printf.sprintf "the server retains %d words <= %d" words ceiling) true (words <= ceiling)
+
 let with_serve_loop config f =
   let client_fd, server_fd =
     Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0
@@ -678,6 +843,9 @@ let () =
           Alcotest.test_case "tmr of the same signal twice" `Quick
             test_edit_tmr_twice;
         ] );
+      ( "sp", [ Alcotest.test_case "sp object in replies" `Quick test_sp_object ] );
+      ( "memory",
+        [ Alcotest.test_case "edit chain footprint" `Quick test_edit_chain_footprint ] );
       ( "serve loop",
         [
           Alcotest.test_case "sheds overload" `Quick test_serve_sheds_overload;

@@ -467,6 +467,74 @@ let test_delta_triplicate () =
       end)
     (List.init (Circuit.node_count c) Fun.id)
 
+(* An edit keeps each definition it leaves alone as the base circuit's own
+   node value (nodes are immutable, so circuits may share them): a
+   surviving node whose kind and fanin ids (or FF data) read the same after
+   the edit is [==] its base node, and every other survivor, so every
+   touched or rewired one, is a fresh value. *)
+let check_shared msg d =
+  let before = Delta.before d and after = Delta.after d in
+  let old_of_new = Delta.old_of_new d in
+  let shared = ref 0 in
+  for w = 0 to Circuit.node_count after - 1 do
+    let v = old_of_new.(w) in
+    if v >= 0 then begin
+      let base = Circuit.node before v and node = Circuit.node after w in
+      let unchanged = base = node in
+      if unchanged then incr shared;
+      if unchanged <> (node == base) then
+        Alcotest.failf "%s: %s is %s but %s" msg (Circuit.node_name after w)
+          (if unchanged then "unchanged" else "changed")
+          (if node == base then "shared" else "a copy")
+    end
+  done;
+  List.iter
+    (fun w ->
+      let v = old_of_new.(w) in
+      if v >= 0 && Circuit.node after w == Circuit.node before v then
+        Alcotest.failf "%s: touched %s shares its base node" msg (Circuit.node_name after w))
+    (Delta.touched d);
+  !shared
+
+let test_delta_shares_unchanged_nodes () =
+  let c = Circuit_gen.Random_dag.generate ~seed:3 Circuit_gen.Profiles.s1196 in
+  let n = Circuit.node_count c in
+  let gates = List.filter (Circuit.is_gate c) (List.init n Fun.id) in
+  let every k l = List.filteri (fun i _ -> i mod k = 0) l in
+  (* A buffer keeps every id: only the tapped net's consumers change. *)
+  List.iter
+    (fun net ->
+      let after, d = Transform.insert_identity_delta c ~net in
+      for v = 0 to n - 1 do
+        let consumes =
+          match Circuit.node c v with
+          | Circuit.Input -> false
+          | Circuit.Ff { data } -> data = net
+          | Circuit.Gate { fanins; _ } -> Array.mem net fanins
+        in
+        if consumes = (Circuit.node after v == Circuit.node c v) then
+          Alcotest.failf "buffer on %s: node %s %s" (Circuit.node_name c net)
+            (Circuit.node_name c v)
+            (if consumes then "consumes the net but is shared" else "is a copy")
+      done;
+      ignore (check_shared "buffer" d))
+    (every 97 (List.init n Fun.id));
+  let tmr_shared = ref 0 and dm_shared = ref 0 in
+  List.iter
+    (fun g ->
+      let _, d = Transform.triplicate_delta c ~nodes:[ g ] in
+      tmr_shared := !tmr_shared + check_shared ("TMR on " ^ Circuit.node_name c g) d;
+      match Circuit.kind_of c g with
+      | Some (Gate.And | Gate.Or | Gate.Nand | Gate.Nor) ->
+        let _, d = Transform.de_morgan_delta c ~gate:g in
+        dm_shared := !dm_shared + check_shared ("De Morgan on " ^ Circuit.node_name c g) d
+      | _ -> ())
+    (every 41 gates);
+  check_bool "TMR shares nodes" true (!tmr_shared > 0);
+  check_bool "De Morgan shares nodes" true (!dm_shared > 0);
+  let _, d = Transform.split_fanout_delta c ~net:(List.hd gates) in
+  ignore (check_shared "fanout split" d)
+
 let test_delta_permute_observations () =
   let c = random_small_dag ~seed:11 in
   let k = Circuit.output_count c in
@@ -720,6 +788,8 @@ let () =
           Alcotest.test_case "fanout split" `Quick test_delta_split_fanout;
           Alcotest.test_case "de Morgan rewrite" `Quick test_delta_de_morgan;
           Alcotest.test_case "TMR" `Quick test_delta_triplicate;
+          Alcotest.test_case "unchanged nodes are shared" `Quick
+            test_delta_shares_unchanged_nodes;
           Alcotest.test_case "observation permutation" `Quick
             test_delta_permute_observations;
           prop_deltas_match_oracle;
